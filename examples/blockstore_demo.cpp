@@ -2,8 +2,9 @@
 // (GFS/S3-style) whose storage nodes run purely on the verified OS contract.
 //
 // Three simulated machines share a lossy network fabric: a primary storage
-// node with one replica peer, and a client. The client stores objects, the
-// primary journals them durably and pushes them to the replica; then the
+// node with one replica peer, and a client. The client stores objects over
+// a VTP stream, the primary journals them durably and pushes them to the
+// replica over datagrams; then the
 // primary's disk suffers a power failure and a rebooted kernel recovers
 // every acknowledged object from the journal.
 //
@@ -51,8 +52,8 @@ std::vector<u8> bytes(const std::string& s) { return std::vector<u8>(s.begin(), 
 int main() {
   std::printf("== vnros block store: verified app on the verified OS contract ==\n\n");
 
-  // A fabric that loses 10%% of frames and duplicates 2%% — the client's
-  // retry loop and the node's idempotent operations must absorb that.
+  // A fabric that loses 10%% of frames and duplicates 2%% — the stream's
+  // retransmission and the node's idempotent operations must absorb that.
   FabricConfig fabric;
   fabric.loss_ppm = 100'000;
   fabric.dup_ppm = 20'000;
@@ -72,6 +73,9 @@ int main() {
   BlockStoreClient client(client_host.sys, primary->kernel.net_addr(), 9000, [&] {
     node->serve_once();
     replica.serve_once();
+    primary->kernel.vtp().tick();
+    replica_host.kernel.vtp().tick();
+    client_host.kernel.vtp().tick();
   });
 
   // --- store some objects ---------------------------------------------------
@@ -82,7 +86,10 @@ int main() {
     auto r = client.put(key, bytes(value));
     VNROS_CHECK(r.ok());
   }
-  std::printf("  done; client needed %lu retransmissions\n", client.retries());
+  std::printf("  done; the stream retransmitted %lu segments, the client retried %lu rpcs\n",
+              primary->kernel.vtp().stats().retransmits +
+                  client_host.kernel.vtp().stats().retransmits,
+              client.retries());
   std::printf("  primary stats: %lu puts, %lu replica pushes\n", node->stats().puts,
               node->stats().replicas_pushed);
 

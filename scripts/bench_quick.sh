@@ -18,7 +18,7 @@ fi
 export VNROS_BENCH_QUICK=1
 for b in fig1a_vc_cdf ablate_nr_vs_locks ablate_fc_batch ablate_log_sharding \
          ablate_tlb_shootdown ablate_range_ops ablate_obs_overhead \
-         ablate_anti_entropy ablate_sync_vs_ring ablate_transport \
+         ablate_anti_entropy ablate_sync_vs_ring \
          blockstore_ycsb; do
   bin="./${BUILD}/bench/${b}"
   if [[ ! -x "${bin}" ]]; then

@@ -50,37 +50,30 @@ cmake --build build-nometrics -j"${JOBS}"
 ./build-nometrics/tests/integration_test
 
 echo
-echo "== tier-1: membership-churn chaos (ctest -L chaos-churn) =="
-# The cluster churn schedules (join/leave/delay/admission under the PR 3
-# fault matrix) are labeled so they can be invoked as a stage of their own.
-ctest --test-dir build -L chaos-churn --output-on-failure
+echo "== tier-1: chaos (ctest -L '^chaos$') =="
+# One binary, four presets (legacy, churn, heal, ring) over the same eight
+# seeds plus the admission and in-flight churn tests, every client op on the
+# VTP stream plane. Labeled so the suite runs as a stage of its own.
+ctest --test-dir build -L '^chaos$' --output-on-failure
 
 echo
-echo "== tier-1: self-healing chaos (ctest -L chaos-heal) =="
-# The heal schedules (sequenced deletes + tombstone GC, bit-rot, flap
-# storms, slow peers, Merkle anti-entropy) with the per-read linearizability
-# checker and convergence checks at quiesce.
-ctest --test-dir build -L chaos-heal --output-on-failure
-
-echo
-echo "== tier-1: SysRing (ring VCs + edge cases + chaos-ring + TSan) =="
+echo "== tier-1: SysRing (ring VCs + edge cases + TSan) =="
 # The async submission/completion rings sit on the whole blockstore data
 # plane (serve pool, repair RPCs, client reply awaits). Gate on: the ring
-# refinement/uniqueness VCs, the SQ-full/CQ-overflow/parking edge cases,
-# the ring-fault chaos matrix, and a TSan pass over the ring suite (the
-# reactor mutates SQ/CQ state under the kernel lock; TSan checks the
-# completion hand-off to parked waiters).
+# refinement/uniqueness VCs, the SQ-full/CQ-overflow/parking edge cases
+# (the chaos stage runs the ring-fault preset), and a TSan pass over the
+# ring suite (the reactor mutates SQ/CQ state under the kernel lock; TSan
+# checks the completion hand-off to parked waiters).
 ./build/tests/vc_suite_test --gtest_filter='*ring*:*Ring*'
 ./build/tests/ring_syscall_test
-ctest --test-dir build -L chaos-ring --output-on-failure
 cmake --build build-tsan -j"${JOBS}" --target ring_syscall_test vc_suite_test
 ./build-tsan/tests/ring_syscall_test
 ./build-tsan/tests/vc_suite_test --gtest_filter='*ring*:*Ring*'
 
 echo
 echo "== tier-1: VTP transport (VCs + protocol suite + chaos-vtp + TSan) =="
-# The verified stream transport under the blockstore RPC plane. Gate on: the
-# vtp_refines_pipe VC family (stream refines the in-kernel pipe spec under
+# The verified stream transport: the blockstore's only client wire. Gate on:
+# the vtp_refines_pipe VC family (stream refines the in-kernel pipe spec under
 # loss/dup/reorder/partition), the protocol unit suite, the adversarial-fabric
 # chaos matrix, and a TSan pass (the stack mutates conn state under its lock
 # from both the syscall and rx paths).
@@ -91,24 +84,25 @@ cmake --build build-tsan -j"${JOBS}" --target net_test
 ./build-tsan/tests/net_test --gtest_filter='*Vtp*'
 
 echo
-echo "== tier-1: ASan+UBSan build (fs_test + app_test + chaos_test + chaos_churn_test) =="
+echo "== tier-1: ASan+UBSan build (fs_test + app_test + chaos_test) =="
 # The fault-injection and chaos paths unwind through error branches the
-# happy-path suite never touches; run them under address+UB sanitizers.
+# happy-path suite never touches; run them — every chaos preset — under
+# address+UB sanitizers.
 cmake -B build-asan -S . -DVNROS_SAN=address >/dev/null
-cmake --build build-asan -j"${JOBS}" --target fs_test app_test chaos_test chaos_churn_test
+cmake --build build-asan -j"${JOBS}" --target fs_test app_test chaos_test
 ./build-asan/tests/fs_test
 ./build-asan/tests/app_test
 ./build-asan/tests/chaos_test
-./build-asan/tests/chaos_churn_test
 
 echo
-echo "== tier-1: UBSan build (chaos_heal_test + app_test) =="
-# Pure UBSan (no recovery, no ASan shadow-memory slowdown) over the heal
-# matrix: the repair/GC/bit-rot paths do a lot of byte-level (de)serialization
-# and seq arithmetic — exactly where silent UB would hide.
+echo "== tier-1: UBSan build (chaos_test + app_test) =="
+# Pure UBSan (no recovery, no ASan shadow-memory slowdown) over every chaos
+# preset: the stream framing and repair/GC/bit-rot paths do a lot of
+# byte-level (de)serialization and seq arithmetic — exactly where silent UB
+# would hide.
 cmake -B build-ubsan -S . -DVNROS_SAN=undefined >/dev/null
-cmake --build build-ubsan -j"${JOBS}" --target chaos_heal_test app_test
-./build-ubsan/tests/chaos_heal_test
+cmake --build build-ubsan -j"${JOBS}" --target chaos_test app_test
+./build-ubsan/tests/chaos_test
 ./build-ubsan/tests/app_test
 
 echo

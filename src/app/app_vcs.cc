@@ -1,11 +1,12 @@
 // Verification conditions for the block-store application — the paper's
 // "verified storage node on a verified OS" end-to-end story. Every check
-// goes through the full stack: client Sys -> UDP -> fabric -> server Sys ->
-// filesystem -> journal -> block device.
+// goes through the full stack: client Sys -> VTP stream -> fabric -> server
+// Sys -> filesystem -> journal -> block device.
 #include "src/app/vcs.h"
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -26,17 +27,20 @@ struct Host {
   Pid pid;
   Sys sys;
 
-  explicit Host(Network* net, BlockDevice* disk = nullptr, bool recover = false)
-      : kernel(make_config(net, disk, recover)),
+  explicit Host(Network* net, BlockDevice* disk = nullptr, bool recover = false,
+                std::optional<LinkAddr> addr = std::nullopt)
+      : kernel(make_config(net, disk, recover, addr)),
         disp(kernel),
         pid(boot_pid(disp)),
         sys(disp, pid, 0) {}
 
-  static KernelConfig make_config(Network* net, BlockDevice* disk, bool recover) {
+  static KernelConfig make_config(Network* net, BlockDevice* disk, bool recover,
+                                  std::optional<LinkAddr> addr) {
     KernelConfig config;
     config.network = net;
     config.disk = disk;
     config.recover_fs = recover;
+    config.link_addr = addr;
     return config;
   }
 
@@ -47,6 +51,13 @@ struct Host {
     return pid.value();
   }
 };
+
+// Advances each host's VTP stack one tick: the stream plane's retransmit,
+// probe and reap timers run here, in every client pump.
+template <typename... Hosts>
+void tick(Hosts&... hosts) {
+  (hosts.kernel.vtp().tick(), ...);
+}
 
 std::vector<u8> random_value(Rng& rng, usize max_len = 2000) {
   std::vector<u8> v(rng.next_range(1, max_len));
@@ -118,11 +129,10 @@ VcOutcome vc_refines_map(u64 seed, FabricConfig fabric, usize ops) {
   if (!node.init().ok()) {
     return VcOutcome::fail("server init failed");
   }
-  BlockStoreClient client(client_host.sys, server.kernel.net_addr(), 9000,
-                          [&] { node.serve_once(); });
-  if (!client.init().ok()) {
-    return VcOutcome::fail("client init failed");
-  }
+  BlockStoreClient client(client_host.sys, server.kernel.net_addr(), 9000, [&] {
+    node.serve_once();
+    tick(server, client_host);
+  });
 
   Rng rng(seed);
   std::map<std::string, std::vector<u8>> model;
@@ -276,8 +286,8 @@ VcOutcome vc_replication_push() {
   BlockStoreClient client(client_host.sys, primary_host.kernel.net_addr(), 9000, [&] {
     primary.serve_once();
     replica.serve_once();
+    tick(primary_host, replica_host, client_host);
   });
-  (void)client.init();
 
   std::vector<u8> value{7, 7, 7, 7};
   if (!client.put("replicated", value).ok()) {
@@ -384,8 +394,10 @@ VcOutcome vc_anti_entropy_sync(u64 seed) {
   if (!replica.put("blk3", std::vector<u8>{0x0}).ok()) {
     return VcOutcome::fail("stale put failed");
   }
-  BlockStoreClient syncer(syncer_host.sys, primary_host.kernel.net_addr(), 9000,
-                          [&] { primary.serve_once(); });
+  BlockStoreClient syncer(syncer_host.sys, primary_host.kernel.net_addr(), 9000, [&] {
+    primary.serve_once();
+    tick(primary_host, syncer_host);
+  });
   auto repaired = syncer.sync_into(replica);
   if (!repaired.ok()) {
     return VcOutcome::fail("sync failed: " + std::string(error_name(repaired.error())));
@@ -484,10 +496,10 @@ VcOutcome vc_retry_failover() {
                           [&] {
                             n0.serve_once();
                             n1.serve_once();
+                            tick(h0, h1, client_host);
                           },
                           policy);
   client.add_failover(h1.kernel.net_addr(), 9000);
-  (void)client.init();
 
   net.partition(client_host.kernel.net_addr(), h0.kernel.net_addr());
   std::vector<u8> value{9, 9, 9};
@@ -527,8 +539,11 @@ VcOutcome vc_retry_transient(u64 seed) {
   policy.polls_per_attempt = 16;
   policy.backoff_base_polls = 1;
   BlockStoreClient client(client_host.sys, server_host.kernel.net_addr(), 9000,
-                          [&] { node.serve_once(); }, policy);
-  (void)client.init();
+                          [&] {
+                            node.serve_once();
+                            tick(server_host, client_host);
+                          },
+                          policy);
 
   FaultSpec one_shot;
   one_shot.probability_ppm = 1'000'000;
@@ -609,6 +624,16 @@ struct MiniCluster {
   }
   void pump_all() { pump_except(nodes.size()); }
 
+  // One poll of a client's world: every active node serves, then every
+  // host's VTP stack — the client's included — advances a tick.
+  void client_pump(Host& client) {
+    pump_all();
+    for (auto& h : hosts) {
+      h->kernel.vtp().tick();
+    }
+    client.kernel.vtp().tick();
+  }
+
   void drain(usize polls = 64) {
     for (usize i = 0; i < polls; ++i) {
       pump_all();
@@ -635,8 +660,7 @@ VcOutcome vc_placement_refines(u64 seed) {
   MiniCluster c(4, 2);
   Host client_host(&c.net);
   BlockStoreClient client(client_host.sys, c.hosts[0]->kernel.net_addr(), 9100,
-                          [&] { c.pump_all(); });
-  (void)client.init();
+                          [&] { c.client_pump(client_host); });
   client.set_cluster(c.view);
 
   Rng rng(seed);
@@ -701,8 +725,7 @@ VcOutcome vc_rebalance_preserves_durability(u64 seed) {
   MiniCluster c(3, 2);
   Host client_host(&c.net);
   BlockStoreClient client(client_host.sys, c.hosts[0]->kernel.net_addr(), 9100,
-                          [&] { c.pump_all(); });
-  (void)client.init();
+                          [&] { c.client_pump(client_host); });
   client.set_cluster(c.view);
 
   Rng rng(seed);
@@ -842,8 +865,7 @@ VcOutcome vc_tombstone_no_resurrection(u64 seed) {
   MiniCluster c(2, 2);
   Host client_host(&c.net);
   BlockStoreClient client(client_host.sys, c.hosts[0]->kernel.net_addr(), 9100,
-                          [&] { c.pump_all(); });
-  (void)client.init();
+                          [&] { c.client_pump(client_host); });
   client.set_cluster(c.view);
 
   Rng rng(seed);
@@ -1015,6 +1037,234 @@ VcOutcome vc_anti_entropy_converges(u64 seed) {
   return VcOutcome::pass();
 }
 
+// --- The stream plane under failure ------------------------------------------------
+
+// One node whose machine can lose power and reboot at the same fabric
+// address (journal recovery on the same disk), plus a client host. pump()
+// is the client's world: the node serves, then both VTP stacks tick.
+struct StreamRig {
+  Network net;
+  BlockDevice disk;
+  std::unique_ptr<Host> server;
+  std::unique_ptr<BlockStoreNode> node;
+  Host client_host;
+  LinkAddr addr;
+
+  explicit StreamRig(u64 seed)
+      : disk(16384, seed),
+        server(std::make_unique<Host>(&net, &disk)),
+        node(std::make_unique<BlockStoreNode>(server->sys, 9000)),
+        client_host(&net),
+        addr(server->kernel.net_addr()) {
+    VNROS_CHECK(node->init().ok());
+  }
+
+  void pump() {
+    node->serve_once();
+    tick(*server, client_host);
+  }
+
+  // Power loss: the kernel, every stream it held and the serving process
+  // die; each unflushed sector survives with probability persist_ppm. The
+  // machine reboots at the same address and replays its journal.
+  bool reboot(u64 persist_ppm) {
+    node.reset();
+    server.reset();
+    disk.crash(persist_ppm);
+    server = std::make_unique<Host>(&net, &disk, /*recover=*/true, addr);
+    node = std::make_unique<BlockStoreNode>(server->sys, 9000);
+    return node->init().ok();
+  }
+};
+
+// app/stream_reconnect_after_reboot: the node's machine loses power while a
+// put is in flight on the client's stream — the request dies with the old
+// kernel, and the node comes back at the same address from its journal. The
+// client must meet the rebooted kernel's typed reset, drop the dead stream,
+// reconnect and finish the put; every put acked before the crash must read
+// back through the new stream.
+VcOutcome vc_stream_reconnect_after_reboot(u64 seed) {
+  StreamRig rig(seed);
+  Rng rng(seed);
+  bool crash_next_poll = false;
+  bool rebooted = false;
+  BlockStoreClient client(rig.client_host.sys, rig.addr, 9000, [&] {
+    if (crash_next_poll) {
+      crash_next_poll = false;
+      rebooted = rig.reboot(rng.next_range(0, 1'000'000));
+    }
+    rig.pump();
+  });
+  std::map<std::string, std::vector<u8>> acked;
+  const u64 before = rng.next_range(1, 8);
+  for (u64 i = 0; i < before; ++i) {
+    std::string key = random_key(rng) + std::to_string(i);
+    std::vector<u8> value = random_value(rng, 800);
+    if (!client.put(key, value).ok()) {
+      return VcOutcome::fail("put before the crash failed");
+    }
+    acked[key] = value;
+  }
+  // The crash lands on the in-flight put's first poll: its request is on
+  // the wire to a kernel that is about to die.
+  crash_next_poll = true;
+  std::vector<u8> racer = random_value(rng, 800);
+  if (!client.put("racer", racer).ok()) {
+    return VcOutcome::fail("put across the reboot failed");
+  }
+  if (!rebooted) {
+    return VcOutcome::fail("the node did not reboot mid-put");
+  }
+  acked["racer"] = racer;
+  if (client.retry_stats().reconnects == 0) {
+    return VcOutcome::fail("the client never reconnected after the reset");
+  }
+  for (const auto& [key, value] : acked) {
+    auto got = client.get(key);
+    if (!got.ok() || got.value() != value) {
+      return VcOutcome::fail("acked put of " + key + " unreadable through the new stream");
+    }
+  }
+  return VcOutcome::pass();
+}
+
+// app/stream_unserved_request_lands_once: the node's kernel receives and
+// acknowledges a put's request bytes, but the serving process dies before
+// it reads them. A transport ack is not an rpc ack: the put may only return
+// on a reply, and only the rebooted node can send one — so the client's
+// retry, on a fresh stream, is what lands the put, and it lands once.
+VcOutcome vc_stream_unserved_request_lands_once(u64 seed) {
+  StreamRig rig(seed);
+  Rng rng(seed);
+  bool starved = false;        // the serving process is wedged: only kernels run
+  u64 rx_before = 0;           // segments the client's kernel had received
+  bool rebooted = false;
+  bool stored_before_crash = false;
+  const std::string key = "unserved";
+  BlockStoreClient client(rig.client_host.sys, rig.addr, 9000, [&] {
+    if (!starved) {
+      rig.pump();
+      return;
+    }
+    tick(*rig.server, rig.client_host);
+    // On a clean fabric the only segment the node's kernel can send on the
+    // idle stream is the ACK of the request bytes.
+    if (rig.client_host.kernel.vtp().stats().segments_rx > rx_before) {
+      starved = false;
+      stored_before_crash = rig.node->get(key).ok();
+      rebooted = rig.reboot(rng.next_range(0, 1'000'000));
+    }
+  });
+  std::map<std::string, std::vector<u8>> acked;
+  const u64 warm = rng.next_range(1, 4);  // also establishes the stream
+  for (u64 i = 0; i < warm; ++i) {
+    std::string k = random_key(rng) + std::to_string(i);
+    std::vector<u8> v = random_value(rng, 600);
+    if (!client.put(k, v).ok()) {
+      return VcOutcome::fail("warm-up put failed");
+    }
+    acked[k] = v;
+  }
+  starved = true;
+  rx_before = rig.client_host.kernel.vtp().stats().segments_rx;
+  std::vector<u8> value = random_value(rng, 600);
+  if (!client.put(key, value).ok()) {
+    return VcOutcome::fail("put never landed after the reboot");
+  }
+  if (!rebooted) {
+    return VcOutcome::fail("the old kernel never acked the request, or the reboot failed");
+  }
+  if (stored_before_crash) {
+    return VcOutcome::fail("the request reached storage before the process died");
+  }
+  if (client.retry_stats().retries == 0) {
+    return VcOutcome::fail("the put returned without a retry: a transport ack was taken as a reply");
+  }
+  if (client.retry_stats().reconnects == 0) {
+    return VcOutcome::fail("the retry did not ride a fresh stream");
+  }
+  if (rig.node->stats().puts != 1) {
+    return VcOutcome::fail("the retried put landed " + std::to_string(rig.node->stats().puts) +
+                           " times on the rebooted node");
+  }
+  acked[key] = value;
+  for (const auto& [k, v] : acked) {
+    auto got = rig.node->get(k);
+    if (!got.ok() || got.value() != v) {
+      return VcOutcome::fail("acked put of " + k + " missing after the reboot");
+    }
+  }
+  return VcOutcome::pass();
+}
+
+// app/stream_partition_heals_mid_stream: the client-node link is cut just
+// after a request reached the node, so the reply dies on the wire, and heals
+// some polls later. The established stream must carry the rpc across the
+// cut — retransmission below the rpc layer, no reset, no reconnect — and the
+// node must end up holding exactly the model's map.
+VcOutcome vc_stream_partition_heals_mid_stream(u64 seed) {
+  Network net;
+  Host server(&net);
+  Host client_host(&net);
+  BlockStoreNode node(server.sys, 9000);
+  if (!node.init().ok()) {
+    return VcOutcome::fail("init failed");
+  }
+  Rng rng(seed);
+  const u64 cut_op = rng.next_range(1, 8);      // the stream is established by then
+  const u64 cut_polls = rng.next_range(16, 160);  // at least one RTO inside the cut
+  const LinkAddr a = client_host.kernel.net_addr();
+  const LinkAddr b = server.kernel.net_addr();
+  u64 op = 0;
+  u64 cut_left = 0;
+  bool healed = false;
+  BlockStoreClient client(client_host.sys, b, 9000, [&] {
+    if (op == cut_op && !healed && cut_left == 0) {
+      net.partition(a, b);
+      cut_left = cut_polls;
+    }
+    node.serve_once();
+    tick(server, client_host);
+    if (cut_left > 0 && --cut_left == 0) {
+      net.heal(a, b);
+      healed = true;
+    }
+  });
+  std::map<std::string, std::vector<u8>> model;
+  for (op = 0; op < 12; ++op) {
+    std::string key = random_key(rng);
+    if (rng.chance(2, 3)) {
+      std::vector<u8> value = random_value(rng, 600);
+      if (!client.put(key, value).ok()) {
+        return VcOutcome::fail("put failed across the cut");
+      }
+      model[key] = value;
+    } else {
+      auto r = client.get(key);
+      auto it = model.find(key);
+      bool match = it == model.end() ? r.error() == ErrorCode::kNotFound
+                                     : r.ok() && r.value() == it->second;
+      if (!match) {
+        return VcOutcome::fail("get across the cut returned the wrong answer");
+      }
+    }
+  }
+  if (!healed) {
+    return VcOutcome::fail("the link was never cut and healed");
+  }
+  if (client.retry_stats().reconnects != 0) {
+    return VcOutcome::fail("the partition tore the stream down");
+  }
+  if (server.kernel.vtp().stats().retransmits + client_host.kernel.vtp().stats().retransmits ==
+      0) {
+    return VcOutcome::fail("nothing was retransmitted across the cut");
+  }
+  if (node.view() != model) {
+    return VcOutcome::fail("node state diverged from the model");
+  }
+  return VcOutcome::pass();
+}
+
 }  // namespace
 
 void register_app_vcs(VcRegistry& reg) {
@@ -1066,6 +1316,16 @@ void register_app_vcs(VcRegistry& reg) {
             VcCategory::kApplication, [seed] { return vc_tombstone_no_resurrection(seed); });
     reg.add("app/anti_entropy_converges_seed" + std::to_string(seed),
             VcCategory::kApplication, [seed] { return vc_anti_entropy_converges(seed); });
+  }
+  for (u64 seed = 1; seed <= 3; ++seed) {
+    reg.add("app/stream_reconnect_after_reboot_seed" + std::to_string(seed),
+            VcCategory::kApplication, [seed] { return vc_stream_reconnect_after_reboot(seed); });
+    reg.add("app/stream_unserved_request_lands_once_seed" + std::to_string(seed),
+            VcCategory::kApplication,
+            [seed] { return vc_stream_unserved_request_lands_once(seed); });
+    reg.add("app/stream_partition_heals_mid_stream_seed" + std::to_string(seed),
+            VcCategory::kApplication,
+            [seed] { return vc_stream_partition_heals_mid_stream(seed); });
   }
 }
 

@@ -5,8 +5,9 @@
 //
 // The node is written entirely against the Sys syscall facade — the client
 // application contract of §3. It never touches kernel internals: blocks are
-// files (create/write/fsync/read/unlink), the wire is UDP sockets, and
-// durability comes from fsync before acknowledging. That is the paper's
+// files (create/write/fsync/read/unlink), clients reach it over VTP stream
+// sockets and peers over UDP datagrams, and durability comes from fsync
+// before acknowledging. That is the paper's
 // whole point: with the OS contract verified below and this logic verified
 // above, the stack composes.
 //
@@ -27,6 +28,7 @@
 #include <functional>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -55,16 +57,13 @@ enum class BsOp : u8 {
   kTombstoneGc = 11, // tombstone GC: drop your tombstone for key if seq <= S
 };
 
-// Which wire the client-facing RPC plane rides. kDatagram is the original
-// UDP request/reply transport: every loss is the application's problem, paid
-// for with client timeout/retry windows. kVtp moves the client-facing plane
-// onto VTP stream connections: the transport retransmits at its own (much
-// tighter) RTO, requests/replies are length-framed on the byte stream, and
-// the node serves connections through ring-parked accept/recv SQEs. The
-// node-to-node plane (replication pushes, repair fetches, anti-entropy)
-// stays on datagrams in both modes.
+// The client-facing wire. VTP streams are the only client plane: the
+// transport retransmits at its own RTO, requests and replies are
+// length-framed on the byte stream, and the node serves connections through
+// ring-parked accept/recv SQEs. The node-to-node plane (replication pushes,
+// repair fetches, anti-entropy) rides datagrams. The enum remains only as
+// BlockStoreNode's trailing constructor argument, which the node ignores.
 enum class BsTransport : u8 {
-  kDatagram = 0,
   kVtp = 1,
 };
 
@@ -165,14 +164,16 @@ class BlockStoreNode {
   // corruption error. `fault_prefix` (optional) registers a
   // "<prefix>/serve_delay" latency injection site: when armed with a
   // FaultSpec whose delay is nonzero, serve_once() stalls for that many
-  // calls before touching its socket — a deterministic slow peer.
-  // `transport` selects the client-facing RPC plane (see BsTransport).
+  // calls before touching its socket — a deterministic slow peer. Clients
+  // reach the node over VTP streams on `port`, peers over datagrams on the
+  // same port number; the trailing BsTransport is ignored.
   BlockStoreNode(Sys& sys, Port port, std::vector<BsPeer> peers = {},
                  std::function<void()> pump = {}, std::string fault_prefix = {},
-                 BsTransport transport = BsTransport::kDatagram);
+                 BsTransport = BsTransport::kVtp);
 
-  // Creates /blocks (and /hints) and binds the service socket. Idempotent
-  // across restarts of the same filesystem (recovery path).
+  // Creates /blocks (and /hints), binds the peer datagram socket and opens
+  // the client stream listener. Idempotent across restarts of the same
+  // filesystem (recovery path).
   Result<Unit> init();
 
   // Switches the node to cluster mode: placement and replication follow
@@ -212,12 +213,12 @@ class BlockStoreNode {
   void set_admission(const AdmissionConfig& cfg) { admission_ = cfg; }
   void grant_tokens(u64 ops_ppm);
 
-  // Drains the serve ring once: reaps every completed receive (a fixed pool
-  // of kServeWorkers recv SQEs parked in the kernel), processes each request,
-  // submits the replies back through the ring, and re-arms the pool. Returns
-  // whether at least one request was served. The name and call discipline are
-  // unchanged from the synchronous era — harness loops still call it per
-  // tick — but a single call now serves up to a whole batch.
+  // Drains the serve ring once: reaps every completed receive — the fixed
+  // pool of kServeWorkers recv SQEs parked on the peer datagram socket, the
+  // accept parked on the client listener, one recv parked per client
+  // stream — processes each request, sends the replies, and re-arms what
+  // completed. Returns whether at least one request was served. Harness
+  // loops call it once per tick; one call serves a whole batch.
   bool serve_once();
 
   // Local storage operations (also reachable via the wire).
@@ -269,7 +270,6 @@ class BlockStoreNode {
                            c_tombstones_written_.value(), c_tombstones_gced_.value()};
   }
   Port port() const { return port_; }
-  BsTransport transport() const { return transport_; }
 
   // Reads one of the kernel's contract counters (e.g. "fs/fsyncs") through
   // the kstat syscall — the §3 way for the application to introspect the OS.
@@ -340,17 +340,18 @@ class BlockStoreNode {
 
   // --- Serve/repair rings (async syscall path) ------------------------------
   // Lazily creates the serve ring and keeps kServeWorkers recv SQEs parked
-  // on the service socket. False when the kernel refuses (ring exhausted).
+  // on the peer datagram socket. False when the kernel refuses (ring
+  // exhausted).
   bool ensure_serve_ring();
-  // Handles one received request datagram (the old serve_once body below the
-  // recvfrom). Replies go back through the serve ring tagged kReplyTag.
+  // Handles one node-to-node request datagram; the reply goes straight back
+  // with udp_sendto.
   void process_request(NetAddr src, Port src_port, std::span<const u8> payload);
   // The transport-independent request core: decodes one request payload,
   // executes it, and returns the reply bytes — or nullopt when the request
   // warrants no reply (malformed, or an unacked replica push).
   std::optional<std::vector<u8>> handle_request(std::span<const u8> payload);
 
-  // --- VTP stream serve plane (transport == kVtp) ----------------------------
+  // --- VTP stream serve plane (client connections) ---------------------------
   // One accepted client connection: inbuf reassembles [u32 len][body] frames
   // off the byte stream; outbuf holds reply bytes the transport has not yet
   // accepted (flushed every drain, closed past kVtpOutbufMax — slow consumer).
@@ -387,7 +388,6 @@ class BlockStoreNode {
 
   // Serve worker pool: a ring with a fixed complement of parked receives.
   static constexpr usize kServeWorkers = 4;
-  static constexpr u64 kReplyTag = 1ull << 63;  // user_data bit: reply sendto CQE
   static constexpr u64 kAcceptTag = 1ull << 62;    // the parked VTP accept SQE
   static constexpr u64 kVtpConnTag = 1ull << 61;   // VTP recv CQE; low bits = slot
   static constexpr usize kVtpRecvChunk = 32 * 1024;  // per-recv byte bound
@@ -398,11 +398,9 @@ class BlockStoreNode {
   static constexpr usize kVtpBacklog = 2048;
   u32 serve_ring_ = 0;        // 0 = not yet set up
   usize serve_recvs_ = 0;     // recv SQEs currently parked (<= kServeWorkers)
-  u64 next_reply_ud_ = 0;     // user_data minting for reply submissions
   u32 repair_ring_ = 0;       // dedicated ring for repair/ack RPC replies
   bool repair_recv_armed_ = false;  // one recv SQE parked on repair_sock_
 
-  BsTransport transport_ = BsTransport::kDatagram;
   Fd vtp_listener_ = kInvalidFd;
   bool accept_armed_ = false;          // one accept SQE parked on the listener
   std::map<u64, VtpServeConn> vtp_conns_;  // slot -> accepted connection
@@ -464,34 +462,37 @@ struct RetryPolicy {
 // the client have to work to get an answer? Snapshot of the client's obs
 // counters (see retry_stats()).
 struct RetryStats {
-  u64 attempts = 0;          // request datagrams sent
+  u64 attempts = 0;          // request frames sent
   u64 retries = 0;           // attempts beyond the first, per rpc
   u64 backoff_polls = 0;     // pump polls spent idling in backoff
   u64 failovers = 0;         // switches to a different target
   u64 transient_errors = 0;  // kIoError/kNoMemory/kBusy replies absorbed by retry
-  u64 send_errors = 0;       // local sendto failures absorbed by retry
+  u64 send_errors = 0;       // local send failures absorbed by retry
   u64 overloads = 0;         // kOverloaded replies absorbed by backpressure
   u64 sticky_resumes = 0;    // rpcs that resumed on the last known-live target
                              // instead of re-probing a dead rotation residue
+  u64 reconnects = 0;        // streams re-opened to a target whose previous
+                             // stream died with a typed error
 };
 
-// Client library: request/response over UDP with timeout + retry (the
-// fabric may drop datagrams; operations are idempotent, so at-least-once
-// retries preserve the abstract map semantics). Transient server errors
-// (fault-injected kIoError/kNoMemory, kBusy) are retried with exponential
-// backoff + jitter; when failover targets are configured, timeouts and
-// transient errors rotate the client to the next replica.
+// Client library: request/response over one VTP stream per target, with
+// timeout + retry. The stream retransmits lost segments below the rpc
+// layer; an rpc whose reply misses its attempt window re-sends the request
+// (operations are idempotent, so at-least-once delivery preserves the
+// abstract map semantics). Transient server errors (fault-injected
+// kIoError/kNoMemory, kBusy) are retried with exponential backoff + jitter;
+// when failover targets are configured, timeouts and transient errors
+// rotate the client to the next replica.
 class BlockStoreClient {
  public:
-  // `pump` advances the simulated world (drives the server and the fabric)
-  // between poll attempts — the simulation's stand-in for wall-clock time.
-  // `transport` must match the servers': kVtp rpcs ride one stream
-  // connection per target (lazily connected, reconnected after any terminal
-  // connection error) with [u32 len][body] framing both ways.
+  // `pump` advances the simulated world between poll attempts — the
+  // simulation's stand-in for wall-clock time. It must serve the nodes and
+  // tick every host's VTP stack. Each target gets one stream, connected
+  // lazily from a kernel-assigned source port and reconnected after any
+  // terminal connection error; requests and replies are framed
+  // [u32 len][body]. The client opens no datagram socket.
   BlockStoreClient(Sys& sys, NetAddr server, Port server_port, std::function<void()> pump,
-                   RetryPolicy policy = {}, BsTransport transport = BsTransport::kDatagram);
-
-  Result<Unit> init();
+                   RetryPolicy policy = {});
 
   // Adds a replica the client may rotate to when the current target times
   // out or keeps returning transient errors.
@@ -530,7 +531,8 @@ class BlockStoreClient {
     return RetryStats{c_attempts_.value(),         c_retries_.value(),
                       c_backoff_polls_.value(),    c_failovers_.value(),
                       c_transient_errors_.value(), c_send_errors_.value(),
-                      c_overloads_.value(),        c_sticky_resumes_.value()};
+                      c_overloads_.value(),        c_sticky_resumes_.value(),
+                      c_reconnects_.value()};
   }
   const RetryPolicy& policy() const { return policy_; }
 
@@ -539,6 +541,8 @@ class BlockStoreClient {
   usize current_target() const { return current_target_; }
 
  private:
+  using ChanKey = std::pair<NetAddr, Port>;
+
   static bool transient(ErrorCode err);
 
   // Sends `request` until a reply with its req_id arrives; returns payload.
@@ -547,8 +551,8 @@ class BlockStoreClient {
   Result<std::vector<u8>> rpc(BsOp op, std::string_view key, std::span<const u8> value,
                               u64* seq_out = nullptr);
 
-  // One VTP stream to a server (transport == kVtp): the connection plus the
-  // reassembly buffer for reply frames that arrived on it.
+  // One VTP stream to a server: the connection plus the reassembly buffer
+  // for reply frames that arrived on it.
   struct VtpChan {
     Fd fd = kInvalidFd;
     std::vector<u8> inbuf;
@@ -556,7 +560,9 @@ class BlockStoreClient {
   // The channel to `peer`, connecting on first use. nullptr when connect
   // fails (the attempt machinery treats that as a send error and retries).
   VtpChan* vtp_chan(const BsPeer& peer);
-  void drop_vtp_chan(const BsPeer& peer);
+  // Closes a stream after a typed error; the next rpc to that target
+  // reconnects (counted in reconnects).
+  void drop_vtp_chan(ChanKey key);
 
   Sys& sys_;
   std::vector<BsPeer> targets_;  // [0] = primary, rest = failover replicas
@@ -567,12 +573,11 @@ class BlockStoreClient {
   std::function<void()> pump_;
   RetryPolicy policy_;
   Rng rng_{0xC11E47ull};  // jitter; fixed seed keeps runs replayable
-  Fd sock_ = kInvalidFd;
-  u32 ring_ = 0;             // reply ring: one recv SQE parked on sock_
-  bool recv_armed_ = false;  // armed only after the first send binds sock_
-  BsTransport transport_ = BsTransport::kDatagram;
-  std::map<std::pair<NetAddr, Port>, VtpChan> chans_;  // kVtp: conn per target
-  std::pair<NetAddr, Port> armed_chan_{};  // target the parked vtp recv is on
+  u32 ring_ = 0;              // reply ring: one vtp_recv SQE parked at a time
+  bool recv_armed_ = false;
+  Fd armed_fd_ = kInvalidFd;  // the stream fd the parked recv reads
+  std::map<ChanKey, VtpChan> chans_;  // one stream per target
+  std::set<ChanKey> dropped_;         // targets whose last stream died
   u64 next_req_id_ = 1;
   u64 put_seq_ = 0;  // write-sequence stamp: orders this client's puts per key
                      // across replicas (apply-if-newer on every server path)
@@ -589,6 +594,7 @@ class BlockStoreClient {
   Counter& c_send_errors_;
   Counter& c_overloads_;
   Counter& c_sticky_resumes_;
+  Counter& c_reconnects_;
   Histogram& h_rpc_polls_;
   const u32 span_rpc_;
 };

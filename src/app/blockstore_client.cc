@@ -10,25 +10,13 @@ namespace vnros {
 
 namespace {
 
-// Each stream connect needs a distinct source port on its host's stack; a
-// process-wide counter keeps concurrent clients from colliding (distinct
-// hosts skipping ports is harmless — the namespace is per-stack).
-u16 next_vtp_sport() {
-  static u16 next = 40000;
-  if (next < 40000 || next >= 60000) {
-    next = 40000;
-  }
-  return next++;
-}
-
 // One parked stream recv pulls up to this much per completion.
 constexpr usize kChanRecvChunk = 32 * 1024;
 
 }  // namespace
 
 BlockStoreClient::BlockStoreClient(Sys& sys, NetAddr server, Port server_port,
-                                   std::function<void()> pump, RetryPolicy policy,
-                                   BsTransport transport)
+                                   std::function<void()> pump, RetryPolicy policy)
     : sys_(sys),
       pump_(std::move(pump)),
       policy_(policy),
@@ -41,50 +29,41 @@ BlockStoreClient::BlockStoreClient(Sys& sys, NetAddr server, Port server_port,
       c_send_errors_(ObsRegistry::global().counter(obs_prefix_ + "send_errors")),
       c_overloads_(ObsRegistry::global().counter(obs_prefix_ + "overloads")),
       c_sticky_resumes_(ObsRegistry::global().counter(obs_prefix_ + "sticky_resumes")),
+      c_reconnects_(ObsRegistry::global().counter(obs_prefix_ + "reconnects")),
       h_rpc_polls_(ObsRegistry::global().histogram(obs_prefix_ + "rpc_polls")),
-      span_rpc_(ObsRegistry::global().tracer().intern_site("bs/rpc")),
-      transport_(transport) {
+      span_rpc_(ObsRegistry::global().tracer().intern_site("bs/rpc")) {
   targets_.push_back(BsPeer{server, server_port});
 }
 
 BlockStoreClient::VtpChan* BlockStoreClient::vtp_chan(const BsPeer& peer) {
-  auto key = std::make_pair(peer.addr, peer.port);
+  const ChanKey key{peer.addr, peer.port};
   auto it = chans_.find(key);
   if (it != chans_.end()) {
     return &it->second;
   }
-  // Lazy connect: the SYN goes out asynchronously and send() buffers during
-  // the handshake, so the first request rides out as soon as the stream
-  // establishes — no blocking wait here.
-  auto fd = sys_.vtp_connect(peer.addr, peer.port, next_vtp_sport());
+  // Lazy connect from a kernel-assigned source port: the SYN goes out
+  // asynchronously and send() buffers during the handshake, so the first
+  // request rides out as soon as the stream establishes — no blocking wait.
+  auto fd = sys_.vtp_connect(peer.addr, peer.port, /*src_port=*/0);
   if (!fd.ok()) {
     return nullptr;
+  }
+  if (dropped_.erase(key) != 0) {
+    c_reconnects_.inc();
   }
   VtpChan& ch = chans_[key];
   ch.fd = fd.value();
   return &ch;
 }
 
-void BlockStoreClient::drop_vtp_chan(const BsPeer& peer) {
-  auto it = chans_.find(std::make_pair(peer.addr, peer.port));
+void BlockStoreClient::drop_vtp_chan(ChanKey key) {
+  auto it = chans_.find(key);
   if (it == chans_.end()) {
     return;
   }
-  // A recv still parked on this fd completes with a typed error on a later
-  // reap; by then the chan is gone from the table, so the CQE is discarded.
   (void)sys_.vtp_close(it->second.fd);
   chans_.erase(it);
-}
-
-Result<Unit> BlockStoreClient::init() {
-  auto sock = sys_.udp_socket();
-  if (!sock.ok()) {
-    return sock.error();
-  }
-  sock_ = sock.value();
-  // First send auto-binds an ephemeral port; recvfrom needs a bound socket,
-  // so bind eagerly by sending a ping during the first rpc instead.
-  return Unit{};
+  dropped_.insert(key);
 }
 
 void BlockStoreClient::add_failover(NetAddr addr, Port port) {
@@ -101,12 +80,6 @@ bool BlockStoreClient::transient(ErrorCode err) {
 
 Result<std::vector<u8>> BlockStoreClient::rpc(BsOp op, std::string_view key,
                                               std::span<const u8> value, u64* seq_out) {
-  if (sock_ == kInvalidFd) {
-    auto r = init();  // lazy socket creation: init() is optional for callers
-    if (!r.ok()) {
-      return r.error();
-    }
-  }
   SpanScope span(ObsRegistry::global().tracer(), span_rpc_);
   u64 req_id = next_req_id_++;
   Writer w;
@@ -181,63 +154,12 @@ Result<std::vector<u8>> BlockStoreClient::rpc(BsOp op, std::string_view key,
     }
     ++polls_used;
   };
-  // Reply await rides the client's ring: one recv SQE stays parked on sock_
-  // (armed only after the first send auto-binds it) and each poll reaps
-  // completions instead of spinning on recvfrom.
-  auto arm_recv = [&]() -> bool {
-    if (recv_armed_) {
-      return true;
-    }
-    if (ring_ == 0) {
-      auto r = sys_.ring_setup(/*sq_slots=*/4, /*cq_slots=*/8);
-      if (!r.ok()) {
-        return false;
-      }
-      ring_ = r.value();
-    }
-    RingSqe sqe{req_id, static_cast<u32>(SysNr::kUdpRecvFrom), ring_args::udp_recvfrom(sock_)};
-    auto acc = sys_.ring_submit(ring_, std::span<const RingSqe>(&sqe, 1));
-    if (!acc.ok()) {
-      if (acc.error() == ErrorCode::kNotFound) {
-        ring_ = 0;  // ring torn down (process state rebuilt): recreate
-      }
-      return false;
-    }
-    if (acc.value() != 1) {
-      return false;
-    }
-    recv_armed_ = true;
-    return true;
-  };
-  // The reply datagram's payload, if a completion was ready this poll. At
-  // most one recv is ever parked, so at most one reply per reap.
-  auto reap_reply = [&]() -> std::optional<std::vector<u8>> {
-    auto cqes = sys_.ring_wait(ring_, 0, 4);
-    if (!cqes.ok()) {
-      return std::nullopt;
-    }
-    for (RingCqe& cqe : cqes.value()) {
-      recv_armed_ = false;  // the CQE consumed the parked recv
-      if (static_cast<ErrorCode>(cqe.err) != ErrorCode::kOk) {
-        continue;
-      }
-      Reader dg(cqe.payload);
-      auto src = dg.get_u32();
-      auto sport = dg.get_u16();
-      auto payload = dg.get_bytes();
-      if (!src || !sport || !payload) {
-        continue;
-      }
-      return std::move(*payload);
-    }
-    return std::nullopt;
-  };
-  // --- Stream transport (kVtp). One connection per target, [u32 len][body]
-  // frames both ways; the reply await still rides the ring (one vtp_recv SQE
-  // parked on the active target's stream). The transport retransmits lost
-  // segments itself, so loss is paid at the stream's RTO instead of this
-  // loop's full attempt timeout.
-  auto chan_key = [](const BsPeer& p) { return std::make_pair(p.addr, p.port); };
+  // The wire: one VTP stream per target, [u32 len][body] frames both ways.
+  // The reply await rides the client's ring — one vtp_recv SQE parked on the
+  // active target's stream — and the transport retransmits lost segments
+  // itself, so loss is paid at the stream's RTO instead of this loop's
+  // attempt timeout.
+  auto chan_key = [](const BsPeer& p) { return ChanKey{p.addr, p.port}; };
   auto pop_frame = [](VtpChan& ch) -> std::optional<std::vector<u8>> {
     if (ch.inbuf.size() < 4) {
       return std::nullopt;
@@ -271,27 +193,42 @@ Result<std::vector<u8>> BlockStoreClient::rpc(BsOp op, std::string_view key,
           pump_once();
           continue;
         }
-        drop_vtp_chan(target);  // terminal: reconnect on the next attempt
+        drop_vtp_chan(chan_key(target));  // terminal: reconnect on the next attempt
         return n.error();
       }
       rest = rest.subspan(static_cast<usize>(n.value()));
     }
-    return rest.empty() ? ErrorCode::kOk : ErrorCode::kWouldBlock;
+    if (rest.empty()) {
+      return ErrorCode::kOk;
+    }
+    if (rest.size() != framed.bytes().size()) {
+      drop_vtp_chan(chan_key(target));  // a torn frame would desync the stream
+    }
+    return ErrorCode::kWouldBlock;
   };
   auto vtp_poll_reply = [&](const BsPeer& target) -> std::optional<std::vector<u8>> {
-    // Reap ring completions into whichever chan the recv was parked on.
+    // Reap into whichever stream now holds the fd the recv was parked on:
+    // the kernel resolves the fd when the parked op executes, so after a
+    // drop the completion belongs to the stream that reused the number.
     if (ring_ != 0) {
       auto cqes = sys_.ring_wait(ring_, 0, 4);
       if (cqes.ok()) {
         for (RingCqe& cqe : cqes.value()) {
           recv_armed_ = false;
-          auto armed = chans_.find(armed_chan_);
+          auto armed = std::find_if(chans_.begin(), chans_.end(), [&](const auto& kv) {
+            return kv.second.fd == armed_fd_;
+          });
           if (armed == chans_.end()) {
-            continue;  // chan dropped while the recv was parked
+            continue;  // its stream was dropped and the fd not reused
           }
-          if (static_cast<ErrorCode>(cqe.err) != ErrorCode::kOk) {
-            (void)sys_.vtp_close(armed->second.fd);
-            chans_.erase(armed);  // stream died under the parked recv
+          ErrorCode err = static_cast<ErrorCode>(cqe.err);
+          if (err != ErrorCode::kOk) {
+            // A terminal error killed the stream; a transient one (an
+            // injected ring fault) only consumed the parked recv, which the
+            // next poll re-arms.
+            if (!transient(err)) {
+              drop_vtp_chan(armed->first);
+            }
             continue;
           }
           Reader sr(cqe.payload);
@@ -310,9 +247,9 @@ Result<std::vector<u8>> BlockStoreClient::rpc(BsOp op, std::string_view key,
       return std::nullopt;
     }
     // Park a recv on the active stream. If the single ring slot is still
-    // occupied by another target's stream (failover mid-park — there is no
+    // occupied by another stream's recv (failover mid-park — there is no
     // cancel), read this one directly until that completion drains.
-    bool parked_here = recv_armed_ && armed_chan_ == chan_key(target);
+    bool parked_here = recv_armed_ && armed_fd_ == it->second.fd;
     if (!recv_armed_) {
       if (ring_ == 0) {
         auto r = sys_.ring_setup(/*sq_slots=*/4, /*cq_slots=*/8);
@@ -326,7 +263,7 @@ Result<std::vector<u8>> BlockStoreClient::rpc(BsOp op, std::string_view key,
         auto acc = sys_.ring_submit(ring_, std::span<const RingSqe>(&sqe, 1));
         if (acc.ok() && acc.value() == 1) {
           recv_armed_ = true;
-          armed_chan_ = chan_key(target);
+          armed_fd_ = it->second.fd;
           parked_here = true;
         }
       }
@@ -337,8 +274,7 @@ Result<std::vector<u8>> BlockStoreClient::rpc(BsOp op, std::string_view key,
         it->second.inbuf.insert(it->second.inbuf.end(), got.value().begin(),
                                 got.value().end());
       } else if (got.error() != ErrorCode::kWouldBlock) {
-        (void)sys_.vtp_close(it->second.fd);
-        chans_.erase(it);
+        drop_vtp_chan(it->first);
         return std::nullopt;
       }
     }
@@ -406,16 +342,10 @@ Result<std::vector<u8>> BlockStoreClient::rpc(BsOp op, std::string_view key,
     c_attempts_.inc();
     overload_wait = false;
     const BsPeer& target = route[idx];
-    ErrorCode send_err = ErrorCode::kOk;
-    if (transport_ == BsTransport::kVtp) {
-      send_err = vtp_send_request(target);
-    } else {
-      auto sent = sys_.udp_sendto(sock_, target.addr, target.port, w.bytes());
-      send_err = sent.ok() ? ErrorCode::kOk : sent.error();
-    }
+    ErrorCode send_err = vtp_send_request(target);
     if (send_err != ErrorCode::kOk) {
-      // Local send failure (e.g. injected syscall fault): count it, back
-      // off, and retry — the op has definitely not reached any server.
+      // Local send failure (a dead stream, a full send buffer): count it,
+      // back off, and retry — the request never entered the stream.
       c_send_errors_.inc();
       last_err = send_err;
       rotate();
@@ -423,24 +353,8 @@ Result<std::vector<u8>> BlockStoreClient::rpc(BsOp op, std::string_view key,
     }
     bool transient_reply = false;
     for (usize poll = 0; poll < policy_.polls_per_attempt; ++poll) {
-      std::optional<std::vector<u8>> reply;
-      if (transport_ == BsTransport::kVtp) {
-        pump_once();
-        reply = vtp_poll_reply(target);
-      } else {
-        bool armed = arm_recv();
-        pump_once();
-        if (armed) {
-          reply = reap_reply();
-        } else {
-          // Ring unavailable (exhausted kernel table): degrade to the direct
-          // recvfrom so the rpc still makes progress.
-          auto dg = sys_.udp_recvfrom(sock_);
-          if (dg.ok()) {
-            reply = std::move(dg.value().payload);
-          }
-        }
-      }
+      pump_once();
+      std::optional<std::vector<u8>> reply = vtp_poll_reply(target);
       if (!reply) {
         if (deadline_hit()) {
           break;

@@ -118,12 +118,11 @@ std::string BlockStoreNode::key_path(std::string_view key) {
 
 BlockStoreNode::BlockStoreNode(Sys& sys, Port port, std::vector<BsPeer> peers,
                                std::function<void()> pump, std::string fault_prefix,
-                               BsTransport transport)
+                               BsTransport)
     : sys_(sys),
       port_(port),
       peers_(std::move(peers)),
       pump_(std::move(pump)),
-      transport_(transport),
       obs_prefix_(ObsRegistry::global().instance_prefix("bs")),
       c_puts_(ObsRegistry::global().counter(obs_prefix_ + "puts")),
       c_gets_(ObsRegistry::global().counter(obs_prefix_ + "gets")),
@@ -166,10 +165,10 @@ Result<Unit> BlockStoreNode::init() {
   if (!bound.ok()) {
     return bound.error();
   }
-  if (transport_ == BsTransport::kVtp && vtp_listener_ == kInvalidFd) {
-    // The client-facing stream plane listens on the same port number as the
-    // datagram socket (different protocol, no clash). Eager, so clients can
-    // connect before the first serve_once arms the accept SQE.
+  if (vtp_listener_ == kInvalidFd) {
+    // Clients connect over VTP on the same port number as the peer datagram
+    // socket (different protocol, no clash). Eager, so clients can connect
+    // before the first serve_once arms the accept SQE.
     auto l = sys_.vtp_listen(port_, kVtpBacklog);
     if (!l.ok()) {
       return l.error();
@@ -1086,9 +1085,6 @@ bool BlockStoreNode::serve_once() {
   }
   usize served = 0;
   for (RingCqe& cqe : cqes.value()) {
-    if ((cqe.user_data & kReplyTag) != 0) {
-      continue;  // a reply sendto completed: nothing to do
-    }
     if ((cqe.user_data & kAcceptTag) != 0) {
       // The parked VTP accept resolved: adopt the connection and let the
       // re-arm pass below park a recv SQE on it (plus a fresh accept).
@@ -1158,25 +1154,14 @@ void BlockStoreNode::process_request(NetAddr src, Port src_port,
   if (!reply) {
     return;
   }
-  // On the stream plane only node-to-node datagrams reach this path, and the
-  // serve ring carries a parked recv per client connection — a per-reply
-  // ring_submit would pay a reactor pass over all of them. Send directly.
-  if (transport_ == BsTransport::kVtp) {
-    (void)sys_.udp_sendto(sock_, src, src_port, *reply);
-    return;
-  }
-  // Replies ride the serve ring too (tagged so their completions are
-  // discarded on reap); a full SQ falls back to the direct send.
-  RingSqe sqe{kReplyTag | next_reply_ud_++, static_cast<u32>(SysNr::kUdpSendTo),
-              ring_args::udp_sendto(sock_, src, src_port, *reply)};
-  auto acc = sys_.ring_submit(serve_ring_, std::span<const RingSqe>(&sqe, 1));
-  if (!acc.ok() || acc.value() != 1) {
-    (void)sys_.udp_sendto(sock_, src, src_port, *reply);
-  }
+  // Only node-to-node datagrams reach this path, and the serve ring carries a
+  // parked recv per client stream — a per-reply ring_submit would pay a
+  // reactor pass over all of them. Send directly.
+  (void)sys_.udp_sendto(sock_, src, src_port, *reply);
 }
 
 void BlockStoreNode::ensure_vtp_serve() {
-  if (transport_ != BsTransport::kVtp || serve_ring_ == 0) {
+  if (serve_ring_ == 0) {
     return;
   }
   if (vtp_listener_ == kInvalidFd) {

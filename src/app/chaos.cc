@@ -139,7 +139,7 @@ class ChaosRunner {
     boot_cluster();
 
     // Arm the span tracer on the client kernel's virtual clock for the whole
-    // schedule: spans (blockstore RPCs, fs journal commits, RTP retransmits)
+    // schedule: spans (blockstore RPCs, fs journal commits, VTP retransmits)
     // replay bit-identically from the seed like everything else.
     SpanTracer& tracer = ObsRegistry::global().tracer();
     const u64 spans_before = tracer.recorded();
@@ -229,7 +229,6 @@ class ChaosRunner {
     if (cfg_.cluster) {
       client_->set_cluster(view_);
     }
-    VNROS_CHECK(client_->init().ok());
   }
 
   void make_node(usize i) {
@@ -304,12 +303,23 @@ class ChaosRunner {
     return idx[sched_rng_.next_below(idx.size())];
   }
 
+  // The client's pump: every node serves, then every host's VTP stack —
+  // the client's included — advances one tick (retransmits, window probes,
+  // reaping). Node-to-node waits use pump_except: datagrams need no tick.
   void pump_all() {
     net_.release_held();
     for (auto& slot : slots_) {
       if (slot.node) {
         slot.node->serve_once();
       }
+    }
+    for (auto& slot : slots_) {
+      if (slot.host) {
+        slot.host->kernel.vtp().tick();
+      }
+    }
+    if (client_host_) {
+      client_host_->kernel.vtp().tick();
     }
   }
 
@@ -1222,6 +1232,7 @@ class ChaosRunner {
     report_.fault_fires = FaultRegistry::global().total_fires();
     report_.client_failovers = client_->retry_stats().failovers;
     report_.client_retries = client_->retry_stats().retries;
+    report_.client_reconnects = client_->retry_stats().reconnects;
     if (report_.message.empty()) {
       report_.ok = true;
       report_.message = "chaos schedule completed, invariant intact";

@@ -42,6 +42,11 @@
 // stay deleted on every node (no resurrection), and all live members'
 // Merkle roots must agree.
 //
+// The client's ops ride VTP streams — the plane the benchmark measures —
+// and the runner's pump ticks every host's VTP stack: a crash resets the
+// client's stream to that node (the client reconnects) and a partition
+// stalls a stream mid-flight until it heals.
+//
 // The global span tracer runs armed for the whole schedule, timestamped by
 // the client kernel's virtual clock, so the span trace replays
 // bit-identically from the seed along with everything else.
@@ -146,6 +151,7 @@ struct ChaosReport {
   u64 spans_recorded = 0;  // span tracer events committed during the run
   u64 client_failovers = 0;
   u64 client_retries = 0;
+  u64 client_reconnects = 0;  // client streams re-opened after a typed error
   u64 checks = 0;       // invariant checkpoints passed
 
   // Cluster-mode accounting.

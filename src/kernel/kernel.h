@@ -33,7 +33,6 @@
 #include "src/kernel/ring.h"
 #include "src/kernel/scheduler.h"
 #include "src/net/ip.h"
-#include "src/net/rtp.h"
 #include "src/net/udp.h"
 #include "src/net/vtp.h"
 
@@ -74,7 +73,6 @@ class Kernel {
         nic_(config.link_addr ? net_.attach_at(*config.link_addr) : net_.attach()),
         ip_(nic_),
         udp_(ip_),
-        rtp_(ip_, clock_),
         vtp_(ip_, clock_) {
     auto fs = config.recover_fs ? MemFs::recover(disk_) : MemFs::format(disk_);
     if (!fs.ok() && config.recover_fs && config.format_on_recovery_failure) {
@@ -106,7 +104,6 @@ class Kernel {
   NetDevice& nic() { return nic_; }
   IpStack& ip() { return ip_; }
   UdpStack& udp() { return udp_; }
-  RtpStack& rtp() { return rtp_; }
   VtpStack& vtp() { return vtp_; }
 
   NetAddr net_addr() const { return nic_.addr(); }
@@ -162,7 +159,6 @@ class Kernel {
   NetDevice& nic_;
   IpStack ip_;
   UdpStack udp_;
-  RtpStack rtp_;
   VtpStack vtp_;
 };
 
@@ -172,12 +168,6 @@ inline std::span<const Kernel::KstatEntry> Kernel::kstat_table() {
       {"fs/journal_bytes", [](const Kernel& k) { return k.fs_.stats().journal_bytes; }},
       {"fs/checkpoints", [](const Kernel& k) { return k.fs_.stats().checkpoints; }},
       {"fs/fsyncs", [](const Kernel& k) { return k.fs_.stats().fsyncs; }},
-      {"rtp/segments_tx", [](const Kernel& k) { return k.rtp_.stats().segments_tx; }},
-      {"rtp/segments_rx", [](const Kernel& k) { return k.rtp_.stats().segments_rx; }},
-      {"rtp/retransmits", [](const Kernel& k) { return k.rtp_.stats().retransmits; }},
-      {"rtp/out_of_order_dropped",
-       [](const Kernel& k) { return k.rtp_.stats().out_of_order_dropped; }},
-      {"rtp/duplicate_data", [](const Kernel& k) { return k.rtp_.stats().duplicate_data; }},
       {"tlb/shootdowns", [](const Kernel& k) { return k.tlbs_.shootdown_stats().shootdowns; }},
       {"tlb/ipis", [](const Kernel& k) { return k.tlbs_.shootdown_stats().ipis; }},
       {"tlb/batched_pages",

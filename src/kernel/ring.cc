@@ -20,8 +20,6 @@ constexpr u32 kNrFstat = 15;
 constexpr u32 kNrFsync = 22;
 constexpr u32 kNrUdpSendTo = 62;
 constexpr u32 kNrUdpRecvFrom = 63;
-constexpr u32 kNrRtpSend = 73;
-constexpr u32 kNrRtpRecv = 74;
 constexpr u32 kNrVtpAccept = 111;
 constexpr u32 kNrVtpSend = 113;
 constexpr u32 kNrVtpRecv = 114;
@@ -30,8 +28,8 @@ constexpr u32 kNrVtpRecv = 114;
 // vtp_send, "no buffer space yet"): the ring parks these in flight instead
 // of completing with the error.
 bool parkable(u32 op) {
-  return op == kNrUdpRecvFrom || op == kNrRtpRecv || op == kNrVtpAccept ||
-         op == kNrVtpSend || op == kNrVtpRecv;
+  return op == kNrUdpRecvFrom || op == kNrVtpAccept || op == kNrVtpSend ||
+         op == kNrVtpRecv;
 }
 
 }  // namespace
@@ -47,8 +45,6 @@ bool ring_submittable(u32 op) {
     case kNrFsync:
     case kNrUdpSendTo:
     case kNrUdpRecvFrom:
-    case kNrRtpSend:
-    case kNrRtpRecv:
     case kNrVtpAccept:
     case kNrVtpSend:
     case kNrVtpRecv:

@@ -24,7 +24,7 @@
 //     are delivered on later reaps — accounting, not loss.
 //
 // Completion-awareness: an op whose synchronous form returns kWouldBlock
-// transiently (udp_recvfrom / rtp_recv with an empty queue) is not completed
+// transiently (udp_recvfrom / vtp_recv with an empty queue) is not completed
 // with that error — it stays in flight and completes on a later reactor pass
 // once data arrives. A waiter that asks for more completions than are ready
 // parks on the existing scheduler machinery (Scheduler::block, the same path

@@ -210,12 +210,6 @@ ErrorCode SyscallDispatcher::exec_syscall(Pid pid, CoreId core, u32 raw_nr, Read
       case SysNr::kUdpBind: err = do_udp_bind(pid, args, payload); break;
       case SysNr::kUdpSendTo: err = do_udp_sendto(pid, args, payload); break;
       case SysNr::kUdpRecvFrom: err = do_udp_recvfrom(pid, args, payload); break;
-      case SysNr::kRtpListen: err = do_rtp_listen(pid, args, payload); break;
-      case SysNr::kRtpConnect: err = do_rtp_connect(pid, args, payload); break;
-      case SysNr::kRtpAccept: err = do_rtp_accept(pid, args, payload); break;
-      case SysNr::kRtpSend: err = do_rtp_send(pid, args, payload); break;
-      case SysNr::kRtpRecv: err = do_rtp_recv(pid, args, payload); break;
-      case SysNr::kRtpClose: err = do_rtp_close(pid, args, payload); break;
       case SysNr::kVtpListen: err = do_vtp_listen(pid, args, payload); break;
       case SysNr::kVtpAccept: err = do_vtp_accept(pid, args, payload); break;
       case SysNr::kVtpConnect: err = do_vtp_connect(pid, args, payload); break;
@@ -299,9 +293,6 @@ ErrorCode SyscallDispatcher::do_close(Pid pid, Reader& args, Writer&) {
   }
   if (it->second.kind == OpenFile::Kind::kPipeWrite) {
     kernel_.pipes().close_writer(it->second.pipe);
-  }
-  if (it->second.kind == OpenFile::Kind::kRtp && !it->second.listener) {
-    (void)kernel_.rtp().close(it->second.conn);
   }
   if (it->second.kind == OpenFile::Kind::kVtp) {
     if (it->second.listener) {
@@ -804,141 +795,6 @@ ErrorCode SyscallDispatcher::do_udp_recvfrom(Pid pid, Reader& args, Writer& repl
   reply.put_u32(r.value().src_addr);
   reply.put_u16(r.value().src_port);
   reply.put_bytes(r.value().payload);
-  return ErrorCode::kOk;
-}
-
-ErrorCode SyscallDispatcher::do_rtp_listen(Pid pid, Reader& args, Writer& reply) {
-  auto port = args.get_u16();
-  if (!port || !args.exhausted()) {
-    return ErrorCode::kInvalidArgument;
-  }
-  auto r = kernel_.rtp().listen(*port);
-  if (!r.ok()) {
-    return r.error();
-  }
-  ProcState& ps = proc_state(pid);
-  std::lock_guard<std::mutex> lock(mu_);
-  Fd fd = alloc_fd(ps);
-  OpenFile of;
-  of.kind = OpenFile::Kind::kRtp;
-  of.listener = true;
-  of.port = *port;
-  ps.fds[fd] = of;
-  put_fd(reply, fd);
-  return ErrorCode::kOk;
-}
-
-ErrorCode SyscallDispatcher::do_rtp_connect(Pid pid, Reader& args, Writer& reply) {
-  auto dst = args.get_u32();
-  auto dport = args.get_u16();
-  auto sport = args.get_u16();
-  if (!dst || !dport || !sport || !args.exhausted()) {
-    return ErrorCode::kInvalidArgument;
-  }
-  auto r = kernel_.rtp().connect(*dst, *dport, *sport);
-  if (!r.ok()) {
-    return r.error();
-  }
-  ProcState& ps = proc_state(pid);
-  std::lock_guard<std::mutex> lock(mu_);
-  Fd fd = alloc_fd(ps);
-  OpenFile of;
-  of.kind = OpenFile::Kind::kRtp;
-  of.conn = r.value();
-  ps.fds[fd] = of;
-  put_fd(reply, fd);
-  return ErrorCode::kOk;
-}
-
-ErrorCode SyscallDispatcher::do_rtp_accept(Pid pid, Reader& args, Writer& reply) {
-  auto fd = get_fd(args);
-  if (!fd || !args.exhausted()) {
-    return ErrorCode::kInvalidArgument;
-  }
-  ProcState& ps = proc_state(pid);
-  Port port;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = ps.fds.find(*fd);
-    if (it == ps.fds.end() || it->second.kind != OpenFile::Kind::kRtp ||
-        !it->second.listener) {
-      return ErrorCode::kBadFd;
-    }
-    port = it->second.port;
-  }
-  auto r = kernel_.rtp().accept(port);
-  if (!r.ok()) {
-    return r.error();
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  Fd nfd = alloc_fd(ps);
-  OpenFile of;
-  of.kind = OpenFile::Kind::kRtp;
-  of.conn = r.value();
-  ps.fds[nfd] = of;
-  put_fd(reply, nfd);
-  return ErrorCode::kOk;
-}
-
-ErrorCode SyscallDispatcher::do_rtp_send(Pid pid, Reader& args, Writer&) {
-  auto fd = get_fd(args);
-  auto data = args.get_bytes();
-  if (!fd || !data || !args.exhausted()) {
-    return ErrorCode::kInvalidArgument;
-  }
-  ProcState& ps = proc_state(pid);
-  ConnId conn;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = ps.fds.find(*fd);
-    if (it == ps.fds.end() || it->second.kind != OpenFile::Kind::kRtp || it->second.listener) {
-      return ErrorCode::kBadFd;
-    }
-    conn = it->second.conn;
-  }
-  return kernel_.rtp().send(conn, *data).error();
-}
-
-ErrorCode SyscallDispatcher::do_rtp_recv(Pid pid, Reader& args, Writer& reply) {
-  auto fd = get_fd(args);
-  auto max_len = args.get_u64();
-  if (!fd || !max_len || *max_len > kMaxIoBytes || !args.exhausted()) {
-    return ErrorCode::kInvalidArgument;
-  }
-  ProcState& ps = proc_state(pid);
-  ConnId conn;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = ps.fds.find(*fd);
-    if (it == ps.fds.end() || it->second.kind != OpenFile::Kind::kRtp || it->second.listener) {
-      return ErrorCode::kBadFd;
-    }
-    conn = it->second.conn;
-  }
-  auto r = kernel_.rtp().recv(conn, *max_len);
-  if (!r.ok()) {
-    return r.error();
-  }
-  reply.put_bytes(r.value());
-  return ErrorCode::kOk;
-}
-
-ErrorCode SyscallDispatcher::do_rtp_close(Pid pid, Reader& args, Writer&) {
-  auto fd = get_fd(args);
-  if (!fd || !args.exhausted()) {
-    return ErrorCode::kInvalidArgument;
-  }
-  ProcState& ps = proc_state(pid);
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = ps.fds.find(*fd);
-  if (it == ps.fds.end() || it->second.kind != OpenFile::Kind::kRtp) {
-    return ErrorCode::kBadFd;
-  }
-  if (!it->second.listener) {
-    (void)kernel_.rtp().close(it->second.conn);
-  }
-  release_fd(ps, it->first);
-  ps.fds.erase(it);
   return ErrorCode::kOk;
 }
 
@@ -1602,82 +1458,6 @@ Result<Datagram> Sys::udp_recvfrom(Fd fd) {
     return ErrorCode::kCorrupted;
   }
   return Datagram{*src, *port, std::move(*data)};
-}
-
-Result<Fd> Sys::rtp_listen(Port port) {
-  Writer w;
-  w.put_u32(static_cast<u32>(SysNr::kRtpListen));
-  w.put_u16(port);
-  auto reply = invoke(w);
-  if (!reply.ok()) {
-    return reply.error();
-  }
-  Reader r(reply.value());
-  auto fd = r.get_u32();
-  if (!fd) {
-    return ErrorCode::kCorrupted;
-  }
-  return static_cast<Fd>(*fd);
-}
-
-Result<Fd> Sys::rtp_connect(NetAddr dst, Port dst_port, Port src_port) {
-  Writer w;
-  w.put_u32(static_cast<u32>(SysNr::kRtpConnect));
-  w.put_u32(dst);
-  w.put_u16(dst_port);
-  w.put_u16(src_port);
-  auto reply = invoke(w);
-  if (!reply.ok()) {
-    return reply.error();
-  }
-  Reader r(reply.value());
-  auto fd = r.get_u32();
-  if (!fd) {
-    return ErrorCode::kCorrupted;
-  }
-  return static_cast<Fd>(*fd);
-}
-
-Result<Fd> Sys::rtp_accept(Fd listener) {
-  Writer w;
-  w.put_u32(static_cast<u32>(SysNr::kRtpAccept));
-  put_fd(w, listener);
-  auto reply = invoke(w);
-  if (!reply.ok()) {
-    return reply.error();
-  }
-  Reader r(reply.value());
-  auto fd = r.get_u32();
-  if (!fd) {
-    return ErrorCode::kCorrupted;
-  }
-  return static_cast<Fd>(*fd);
-}
-
-Result<Unit> Sys::rtp_send(Fd fd, std::span<const u8> data) {
-  Writer w;
-  w.put_u32(static_cast<u32>(SysNr::kRtpSend));
-  put_fd(w, fd);
-  w.put_bytes(data);
-  auto reply = invoke(w);
-  return reply.ok() ? Result<Unit>(Unit{}) : reply.error();
-}
-
-Result<std::vector<u8>> Sys::rtp_recv(Fd fd, usize max_len) {
-  Writer w;
-  w.put_u32(static_cast<u32>(SysNr::kRtpRecv));
-  put_fd(w, fd);
-  w.put_u64(max_len);
-  auto reply = invoke(w);
-  if (!reply.ok()) {
-    return reply.error();
-  }
-  Reader r(reply.value());
-  auto data = r.get_bytes();
-  if (!data) {
-    return ErrorCode::kCorrupted;
-  }
-  return std::move(*data);
 }
 
 Result<Fd> Sys::vtp_listen(Port port, usize backlog) {

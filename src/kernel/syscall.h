@@ -71,13 +71,7 @@ enum class SysNr : u32 {
   kUdpBind = 61,
   kUdpSendTo = 62,
   kUdpRecvFrom = 63,
-  // Network: RTP (reliable stream).
-  kRtpListen = 70,
-  kRtpConnect = 71,
-  kRtpAccept = 72,
-  kRtpSend = 73,
-  kRtpRecv = 74,
-  kRtpClose = 75,
+  // 70-75 belonged to a retired stream transport; never reassign them.
   // Console.
   kConsoleWrite = 80,
   // Introspection: the kernel's contract counters (read-only).
@@ -107,11 +101,11 @@ enum class SeekWhence : u32 { kSet = 0, kCur = 1, kEnd = 2 };
 // An open descriptor. Files carry the read_spec's (path, offset) pair;
 // socket fds carry their transport identity.
 struct OpenFile {
-  enum class Kind : u8 { kFile, kUdp, kRtp, kVtp, kPipeRead, kPipeWrite } kind = Kind::kFile;
+  enum class Kind : u8 { kFile, kUdp, kVtp, kPipeRead, kPipeWrite } kind = Kind::kFile;
   std::string path;
   u64 offset = 0;
-  Port port = 0;      // udp: bound port
-  ConnId conn = 0;    // rtp: connection
+  Port port = 0;      // udp: bound port; vtp listener: listening port
+  ConnId conn = 0;    // vtp: connection
   PipeId pipe = 0;    // pipe endpoints
   bool listener = false;
 
@@ -192,12 +186,6 @@ class SyscallDispatcher {
   ErrorCode do_udp_bind(Pid pid, Reader& args, Writer& reply);
   ErrorCode do_udp_sendto(Pid pid, Reader& args, Writer& reply);
   ErrorCode do_udp_recvfrom(Pid pid, Reader& args, Writer& reply);
-  ErrorCode do_rtp_listen(Pid pid, Reader& args, Writer& reply);
-  ErrorCode do_rtp_connect(Pid pid, Reader& args, Writer& reply);
-  ErrorCode do_rtp_accept(Pid pid, Reader& args, Writer& reply);
-  ErrorCode do_rtp_send(Pid pid, Reader& args, Writer& reply);
-  ErrorCode do_rtp_recv(Pid pid, Reader& args, Writer& reply);
-  ErrorCode do_rtp_close(Pid pid, Reader& args, Writer& reply);
   ErrorCode do_vtp_listen(Pid pid, Reader& args, Writer& reply);
   ErrorCode do_vtp_accept(Pid pid, Reader& args, Writer& reply);
   ErrorCode do_vtp_connect(Pid pid, Reader& args, Writer& reply);
@@ -281,15 +269,12 @@ class Sys {
   Result<Unit> udp_bind(Fd fd, Port port);
   Result<Unit> udp_sendto(Fd fd, NetAddr dst, Port dst_port, std::span<const u8> data);
   Result<Datagram> udp_recvfrom(Fd fd);
-  Result<Fd> rtp_listen(Port port);
-  Result<Fd> rtp_connect(NetAddr dst, Port dst_port, Port src_port);
-  Result<Fd> rtp_accept(Fd listener);
-  Result<Unit> rtp_send(Fd fd, std::span<const u8> data);
-  Result<std::vector<u8>> rtp_recv(Fd fd, usize max_len);
   // VTP stream sockets. vtp_send returns how many bytes the transport
   // accepted (partial under backpressure, kWouldBlock when none fit);
   // vtp_accept/vtp_recv return kWouldBlock while nothing is ready — all
-  // three park cleanly when submitted through a ring.
+  // three park cleanly when submitted through a ring. vtp_connect with
+  // src_port 0 takes an unused ephemeral port; an explicit src_port whose
+  // (dst, dst_port, src_port) tuple is already live fails kAlreadyExists.
   Result<Fd> vtp_listen(Port port, usize backlog = 16);
   Result<Fd> vtp_connect(NetAddr dst, Port dst_port, Port src_port);
   Result<Fd> vtp_accept(Fd listener);
@@ -379,20 +364,6 @@ inline std::vector<u8> udp_sendto(Fd fd, NetAddr dst, Port dst_port, std::span<c
 inline std::vector<u8> udp_recvfrom(Fd fd) {
   Writer w;
   w.put_u32(static_cast<u32>(fd));
-  return w.take();
-}
-
-inline std::vector<u8> rtp_send(Fd fd, std::span<const u8> data) {
-  Writer w;
-  w.put_u32(static_cast<u32>(fd));
-  w.put_bytes(data);
-  return w.take();
-}
-
-inline std::vector<u8> rtp_recv(Fd fd, usize max_len) {
-  Writer w;
-  w.put_u32(static_cast<u32>(fd));
-  w.put_u64(max_len);
   return w.take();
 }
 

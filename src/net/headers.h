@@ -2,7 +2,7 @@
 //
 // A deliberately small stack (§6 names a verified network stack as an open
 // research artifact): link frames carry IPv4-lite datagrams, which carry
-// either UDP segments or RTP (reliable transport protocol, a TCP-lite)
+// either UDP segments or VTP (verified transport protocol, a TCP-lite)
 // segments. All headers serialize through src/base/serde so the round-trip
 // verification conditions (net/header_roundtrip_*) cover every field, and a
 // truncated or corrupted header decodes to nullopt rather than garbage.
@@ -24,7 +24,6 @@ using Port = u16;
 
 enum class IpProto : u8 {
   kUdp = 17,
-  kRtp = 142,  // our reliable transport (datagram-era, Go-Back-N)
   kVtp = 143,  // verified transport protocol: stream sockets, windowed + AIMD
 };
 
@@ -51,32 +50,8 @@ struct UdpHeader {
   bool operator==(const UdpHeader&) const = default;
 };
 
-// RTP segment types.
-enum class RtpType : u8 {
-  kSyn = 1,
-  kSynAck = 2,
-  kData = 3,
-  kAck = 4,
-  kFin = 5,
-  kRst = 6,
-};
-
-struct RtpHeader {
-  Port src_port = 0;
-  Port dst_port = 0;
-  RtpType type = RtpType::kData;
-  u64 seq = 0;   // first payload byte's sequence number (kData), or ISN (kSyn)
-  u64 ack = 0;   // cumulative: next byte expected from the peer
-  u32 checksum = 0;
-
-  void encode(Writer& w) const;
-  static std::optional<RtpHeader> decode(Reader& r);
-
-  bool operator==(const RtpHeader&) const = default;
-};
-
-// VTP segment types. Same handshake alphabet as RTP; VTP additionally uses
-// kRst as a typed connection abort (the reject reason rides in `seq`).
+// VTP segment types. kRst doubles as a typed connection abort (the reject
+// reason rides in `seq`).
 enum class VtpType : u8 {
   kSyn = 1,
   kSynAck = 2,

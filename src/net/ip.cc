@@ -17,8 +17,7 @@ std::optional<IpHeader> IpHeader::decode(Reader& r) {
   if (!src || !dst || !proto || !ttl) {
     return std::nullopt;
   }
-  if (*proto != static_cast<u8>(IpProto::kUdp) && *proto != static_cast<u8>(IpProto::kRtp) &&
-      *proto != static_cast<u8>(IpProto::kVtp)) {
+  if (*proto != static_cast<u8>(IpProto::kUdp) && *proto != static_cast<u8>(IpProto::kVtp)) {
     return std::nullopt;
   }
   return IpHeader{*src, *dst, static_cast<IpProto>(*proto), *ttl};

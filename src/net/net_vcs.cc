@@ -2,9 +2,8 @@
 //
 // The integrity statements hold against an adversarial fabric (loss,
 // duplication, reordering): UDP may lose datagrams but never delivers a
-// corrupted or misrouted one; RTP delivers, at every instant, a prefix of
-// the peer's sent byte stream, and the whole stream once the fabric
-// cooperates enough.
+// corrupted or misrouted one. The stream transport's VCs live in
+// vtp_vcs.cc.
 #include "src/net/vcs.h"
 
 #include <string>
@@ -12,9 +11,7 @@
 #include "src/base/crc.h"
 #include "src/base/rng.h"
 #include "src/hw/network.h"
-#include "src/hw/timer.h"
 #include "src/net/ip.h"
-#include "src/net/rtp.h"
 #include "src/net/udp.h"
 
 namespace vnros {
@@ -38,7 +35,7 @@ VcOutcome vc_ip_header_roundtrip(u64 seed) {
   Rng rng(seed);
   for (int i = 0; i < 200; ++i) {
     IpHeader hdr{static_cast<NetAddr>(rng.next_u32()), static_cast<NetAddr>(rng.next_u32()),
-                 rng.chance(1, 2) ? IpProto::kUdp : IpProto::kRtp,
+                 rng.chance(1, 2) ? IpProto::kUdp : IpProto::kVtp,
                  static_cast<u8>(rng.next_range(1, 255))};
     Writer w;
     hdr.encode(w);
@@ -69,24 +66,6 @@ VcOutcome vc_udp_header_roundtrip(u64 seed) {
     auto back = UdpHeader::decode(r);
     if (!back || !(*back == hdr)) {
       return VcOutcome::fail("UDP header did not round-trip");
-    }
-  }
-  return VcOutcome::pass();
-}
-
-VcOutcome vc_rtp_header_roundtrip(u64 seed) {
-  Rng rng(seed);
-  const RtpType types[] = {RtpType::kSyn, RtpType::kSynAck, RtpType::kData,
-                           RtpType::kAck, RtpType::kFin, RtpType::kRst};
-  for (int i = 0; i < 200; ++i) {
-    RtpHeader hdr{static_cast<Port>(rng.next_u32()), static_cast<Port>(rng.next_u32()),
-                  types[rng.next_below(6)], rng.next_u64(), rng.next_u64(), rng.next_u32()};
-    Writer w;
-    hdr.encode(w);
-    Reader r(w.bytes());
-    auto back = RtpHeader::decode(r);
-    if (!back || !(*back == hdr)) {
-      return VcOutcome::fail("RTP header did not round-trip");
     }
   }
   return VcOutcome::pass();
@@ -168,228 +147,6 @@ VcOutcome vc_udp_no_misdelivery(u64 seed) {
   return VcOutcome::pass();
 }
 
-// --- RTP -----------------------------------------------------------------------
-
-struct RtpPair {
-  NetPair p;
-  VirtualClock clock;
-  RtpStack rtp_a;
-  RtpStack rtp_b;
-
-  explicit RtpPair(FabricConfig config = {})
-      : p(config), rtp_a(p.ip_a, clock), rtp_b(p.ip_b, clock) {}
-
-  void pump(usize rounds) {
-    for (usize i = 0; i < rounds; ++i) {
-      rtp_a.tick();
-      rtp_b.tick();
-    }
-  }
-};
-
-// Establishes a connection pair (client id, server id) or fails.
-Result<std::pair<ConnId, ConnId>> establish(RtpPair& pair, usize budget = 400) {
-  if (!pair.rtp_b.listen(80).ok()) {
-    return ErrorCode::kBusy;
-  }
-  auto client = pair.rtp_a.connect(pair.p.dev_b.addr(), 80, 1234);
-  if (!client.ok()) {
-    return client.error();
-  }
-  for (usize i = 0; i < budget; ++i) {
-    pair.pump(1);
-    auto server = pair.rtp_b.accept(80);
-    if (server.ok() && pair.rtp_a.is_established(client.value())) {
-      return std::pair<ConnId, ConnId>{client.value(), server.value()};
-    }
-  }
-  return ErrorCode::kTimedOut;
-}
-
-VcOutcome vc_rtp_transfer(FabricConfig config, u64 seed, usize total_bytes, usize tick_budget) {
-  RtpPair pair(config);
-  auto conns = establish(pair);
-  if (!conns.ok()) {
-    return VcOutcome::fail("handshake did not converge");
-  }
-  auto [client, server] = conns.value();
-
-  Rng rng(seed);
-  std::vector<u8> sent(total_bytes);
-  for (auto& b : sent) {
-    b = static_cast<u8>(rng.next_u64());
-  }
-  // Feed in random chunks.
-  usize fed = 0;
-  std::vector<u8> received;
-  usize ticks = 0;
-  while (received.size() < total_bytes && ticks < tick_budget) {
-    if (fed < total_bytes) {
-      usize chunk = static_cast<usize>(rng.next_range(1, 2000));
-      chunk = std::min(chunk, total_bytes - fed);
-      if (!pair.rtp_a.send(client, std::span<const u8>(sent.data() + fed, chunk)).ok()) {
-        return VcOutcome::fail("send failed");
-      }
-      fed += chunk;
-    }
-    pair.pump(1);
-    ++ticks;
-    while (auto got = pair.rtp_b.recv(server, 4096)) {
-      received.insert(received.end(), got.value().begin(), got.value().end());
-      if (got.value().empty()) {
-        break;
-      }
-    }
-    // Prefix invariant: what arrived so far is exactly the head of `sent`.
-    if (received.size() > sent.size() ||
-        !std::equal(received.begin(), received.end(), sent.begin())) {
-      return VcOutcome::fail("received bytes are not a prefix of sent bytes");
-    }
-  }
-  if (received.size() != total_bytes) {
-    return VcOutcome::fail("transfer incomplete after " + std::to_string(ticks) + " ticks (" +
-                           std::to_string(received.size()) + "/" +
-                           std::to_string(total_bytes) + ")");
-  }
-  return VcOutcome::pass();
-}
-
-VcOutcome vc_rtp_fin_semantics() {
-  RtpPair pair;
-  auto conns = establish(pair);
-  if (!conns.ok()) {
-    return VcOutcome::fail("handshake failed");
-  }
-  auto [client, server] = conns.value();
-  std::string msg = "last words";
-  (void)pair.rtp_a.send(client, string_bytes(msg));
-  pair.pump(4);
-  (void)pair.rtp_a.close(client);
-  pair.pump(64);
-  auto got = pair.rtp_b.recv(server, 64);
-  if (!got.ok() || std::string(got.value().begin(), got.value().end()) != msg) {
-    return VcOutcome::fail("data before FIN lost");
-  }
-  auto after = pair.rtp_b.recv(server, 64);
-  if (after.ok() || after.error() != ErrorCode::kPipeClosed) {
-    return VcOutcome::fail("FIN not surfaced as PipeClosed after drain");
-  }
-  return VcOutcome::pass();
-}
-
-VcOutcome vc_rtp_duplicate_syn_safe() {
-  RtpPair pair;
-  (void)pair.rtp_b.listen(80);
-  auto c = pair.rtp_a.connect(pair.p.dev_b.addr(), 80, 1234);
-  if (!c.ok()) {
-    return VcOutcome::fail("connect failed");
-  }
-  // Let the handshake finish, then hammer with time so duplicate SYNs from
-  // retransmission paths are exercised; exactly one server conn must appear.
-  pair.pump(200);
-  auto s1 = pair.rtp_b.accept(80);
-  if (!s1.ok()) {
-    return VcOutcome::fail("no connection accepted");
-  }
-  auto s2 = pair.rtp_b.accept(80);
-  if (s2.ok()) {
-    return VcOutcome::fail("duplicate SYN spawned a second connection");
-  }
-  return VcOutcome::pass();
-}
-
-
-// Bidirectional transfer under loss: both directions must satisfy the prefix
-// property simultaneously (ACKs piggyback nothing in this stack, so reverse
-// data shares the wire with forward ACKs).
-VcOutcome vc_rtp_bidirectional_lossy(u64 seed) {
-  FabricConfig config;
-  config.loss_ppm = 80'000;
-  config.reorder_ppm = 30'000;
-  RtpPair pair(config);
-  auto conns = establish(pair);
-  if (!conns.ok()) {
-    return VcOutcome::fail("handshake failed");
-  }
-  auto [client, server] = conns.value();
-  Rng rng(seed);
-  std::vector<u8> fwd(6000), rev(6000);
-  for (auto& b : fwd) {
-    b = static_cast<u8>(rng.next_u64());
-  }
-  for (auto& b : rev) {
-    b = static_cast<u8>(rng.next_u64());
-  }
-  (void)pair.rtp_a.send(client, fwd);
-  (void)pair.rtp_b.send(server, rev);
-  std::vector<u8> got_fwd, got_rev;
-  for (int i = 0; i < 40'000 && (got_fwd.size() < fwd.size() || got_rev.size() < rev.size());
-       ++i) {
-    pair.pump(1);
-    if (auto r = pair.rtp_b.recv(server, 4096)) {
-      got_fwd.insert(got_fwd.end(), r.value().begin(), r.value().end());
-    }
-    if (auto r = pair.rtp_a.recv(client, 4096)) {
-      got_rev.insert(got_rev.end(), r.value().begin(), r.value().end());
-    }
-    if (!std::equal(got_fwd.begin(), got_fwd.end(), fwd.begin()) ||
-        !std::equal(got_rev.begin(), got_rev.end(), rev.begin())) {
-      return VcOutcome::fail("prefix property violated in one direction");
-    }
-  }
-  if (got_fwd != fwd || got_rev != rev) {
-    return VcOutcome::fail("bidirectional transfer incomplete");
-  }
-  return VcOutcome::pass();
-}
-
-// Two clients to one listener: connections must stay separate streams.
-VcOutcome vc_rtp_two_clients_isolated() {
-  Network net;
-  NetDevice& ds = net.attach();
-  NetDevice& dc1 = net.attach();
-  NetDevice& dc2 = net.attach();
-  IpStack ip_s(ds), ip_c1(dc1), ip_c2(dc2);
-  VirtualClock clock;
-  RtpStack server(ip_s, clock), c1(ip_c1, clock), c2(ip_c2, clock);
-  (void)server.listen(80);
-  auto conn1 = c1.connect(ds.addr(), 80, 1111);
-  auto conn2 = c2.connect(ds.addr(), 80, 2222);
-  std::vector<ConnId> accepted;
-  for (int i = 0; i < 600 && accepted.size() < 2; ++i) {
-    server.tick();
-    c1.tick();
-    c2.tick();
-    if (auto a = server.accept(80)) {
-      accepted.push_back(a.value());
-    }
-  }
-  if (accepted.size() != 2) {
-    return VcOutcome::fail("second connection never accepted");
-  }
-  (void)c1.send(conn1.value(), string_bytes("from-one"));
-  (void)c2.send(conn2.value(), string_bytes("from-two"));
-  std::string got1, got2;
-  for (int i = 0; i < 600 && (got1.size() < 8 || got2.size() < 8); ++i) {
-    server.tick();
-    c1.tick();
-    c2.tick();
-    if (auto r = server.recv(accepted[0], 64)) {
-      got1.append(r.value().begin(), r.value().end());
-    }
-    if (auto r = server.recv(accepted[1], 64)) {
-      got2.append(r.value().begin(), r.value().end());
-    }
-  }
-  // Each stream carries exactly its own client's bytes.
-  bool ok = (got1 == "from-one" && got2 == "from-two") ||
-            (got1 == "from-two" && got2 == "from-one");
-  if (!ok) {
-    return VcOutcome::fail("streams mixed across connections: '" + got1 + "' / '" + got2 + "'");
-  }
-  return VcOutcome::pass();
-}
-
 // Large and empty UDP payloads survive the stack unharmed.
 VcOutcome vc_udp_payload_extremes() {
   NetPair p;
@@ -448,8 +205,6 @@ void register_net_vcs(VcRegistry& reg) {
             [seed] { return vc_ip_header_roundtrip(seed); });
     reg.add("net/udp_header_roundtrip_seed" + std::to_string(seed), VcCategory::kNetworkStack,
             [seed] { return vc_udp_header_roundtrip(seed); });
-    reg.add("net/rtp_header_roundtrip_seed" + std::to_string(seed), VcCategory::kNetworkStack,
-            [seed] { return vc_rtp_header_roundtrip(seed); });
   }
   reg.add("net/udp_delivery_clean", VcCategory::kNetworkStack,
           [] { return vc_udp_delivery_clean(); });
@@ -459,28 +214,6 @@ void register_net_vcs(VcRegistry& reg) {
     reg.add("net/udp_no_misdelivery_seed" + std::to_string(seed), VcCategory::kNetworkStack,
             [seed] { return vc_udp_no_misdelivery(seed); });
   }
-  reg.add("net/rtp_transfer_clean", VcCategory::kNetworkStack,
-          [] { return vc_rtp_transfer(FabricConfig{}, 42, 64 * 1024, 4000); });
-  for (u64 seed = 1; seed <= 3; ++seed) {
-    reg.add("net/rtp_transfer_lossy_seed" + std::to_string(seed), VcCategory::kNetworkStack,
-            [seed] {
-              FabricConfig config;
-              config.loss_ppm = 100'000;     // 10% loss
-              config.dup_ppm = 50'000;       // 5% duplication
-              config.reorder_ppm = 50'000;   // 5% reordering
-              return vc_rtp_transfer(config, seed, 16 * 1024, 60'000);
-            });
-  }
-  reg.add("net/rtp_fin_semantics", VcCategory::kNetworkStack,
-          [] { return vc_rtp_fin_semantics(); });
-  reg.add("net/rtp_duplicate_syn_safe", VcCategory::kNetworkStack,
-          [] { return vc_rtp_duplicate_syn_safe(); });
-  for (u64 seed = 1; seed <= 2; ++seed) {
-    reg.add("net/rtp_bidirectional_lossy_seed" + std::to_string(seed),
-            VcCategory::kNetworkStack, [seed] { return vc_rtp_bidirectional_lossy(seed); });
-  }
-  reg.add("net/rtp_two_clients_isolated", VcCategory::kNetworkStack,
-          [] { return vc_rtp_two_clients_isolated(); });
   reg.add("net/udp_payload_extremes", VcCategory::kNetworkStack,
           [] { return vc_udp_payload_extremes(); });
   reg.add("net/ip_ttl_zero_dropped", VcCategory::kNetworkStack,

@@ -6,13 +6,14 @@
 
 namespace vnros {
 
-// Registers net/* VCs: header round-trips, UDP integrity/no-misdelivery,
-// RTP prefix-delivery under loss/reorder/duplication, handshake convergence.
+// Registers net/* VCs: IP and UDP header round-trips, UDP integrity and
+// no-misdelivery, IP TTL expiry.
 void register_net_vcs(VcRegistry& registry);
 
 // Registers net/vtp_* VCs: stream-socket refinement of the reliable FIFO
 // pipe spec under loss/dup/reorder/partition, window safety, handshake
-// convergence under loss, and typed backlog-shed / SYN-timeout contracts.
+// convergence under loss, typed backlog-shed / SYN-timeout contracts, FIN
+// and duplicate-SYN semantics, connection isolation and tuple uniqueness.
 void register_vtp_vcs(VcRegistry& registry);
 
 }  // namespace vnros

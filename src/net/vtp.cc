@@ -112,6 +112,14 @@ Result<Unit> VtpStack::unlisten(Port port) {
 
 Result<ConnId> VtpStack::connect(NetAddr dst, Port dst_port, Port src_port) {
   std::lock_guard<std::mutex> lock(mu_);
+  if (src_port == 0) {
+    src_port = ephemeral_port_locked();
+    if (src_port == 0) {
+      return ErrorCode::kBusy;
+    }
+  } else if (match_locked(dst, src_port, dst_port) != 0) {
+    return ErrorCode::kAlreadyExists;
+  }
   ConnId id = next_id_++;
   Conn conn;
   conn.state = VtpState::kSynSent;
@@ -634,6 +642,28 @@ ConnId VtpStack::match_locked(NetAddr peer, Port local, Port remote) const {
   return 0;
 }
 
+bool VtpStack::port_in_use_locked(Port port) const {
+  if (listeners_.count(port) != 0) {
+    return true;
+  }
+  for (const auto& [id, conn] : conns_) {
+    if (conn.local_port == port) {
+      return true;
+    }
+  }
+  return false;
+}
+
+Port VtpStack::ephemeral_port_locked() {
+  for (usize tries = 0; tries < kEphemeralPorts; ++tries) {
+    Port port = static_cast<Port>(kEphemeralBase + next_ephemeral_++ % kEphemeralPorts);
+    if (!port_in_use_locked(port)) {
+      return port;
+    }
+  }
+  return 0;
+}
+
 bool VtpStack::is_established(ConnId id) const {
   std::lock_guard<std::mutex> lock(mu_);
   const Conn* conn = find_locked(id);
@@ -661,6 +691,12 @@ u64 VtpStack::unacked_bytes(ConnId id) const {
     return 0;
   }
   return conn->buffered_end() - conn->snd_una;
+}
+
+Port VtpStack::local_port(ConnId id) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  const Conn* conn = find_locked(id);
+  return conn == nullptr ? 0 : conn->local_port;
 }
 
 usize VtpStack::active_conns() const {

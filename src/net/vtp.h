@@ -1,7 +1,7 @@
-// VTP — the Verified Transport Protocol: the stream-socket promotion of RTP.
+// VTP — the Verified Transport Protocol: the stack's stream transport.
 //
-// Where RTP stops at Go-Back-N with a fixed window, VTP carries the full
-// connection-oriented contract the Sys socket surface exposes:
+// VTP carries the full connection-oriented contract the Sys socket surface
+// exposes:
 //   - listen with a bounded backlog + accept queue; SYNs past the backlog are
 //     shed with a typed kOverloaded RST (visible at the connecting end);
 //   - a three-way handshake whose SYN retransmits are budgeted — exhaustion
@@ -14,7 +14,10 @@
 //     past it, multiplicative decrease (and a fresh ssthresh) on RTO loss;
 //   - selective cumulative-ACK retransmission: only the segment at snd_una is
 //     resent on timeout, out-of-order arrivals are buffered for reassembly
-//     instead of dropped (RTP's receiver discards gaps).
+//     instead of dropped;
+//   - unique connection tuples: connect refuses a live (peer, dst_port,
+//     src_port) tuple with kAlreadyExists, and src_port 0 draws an unused
+//     ephemeral port.
 //
 // Spec (net/vtp_* VCs, src/spec/pipe.h): each direction of every connection
 // refines a reliable FIFO pipe — the byte sequence delivered to the receiving
@@ -82,6 +85,10 @@ class VtpStack {
   static constexpr u64 kRtoTicks = 16;           // retransmission timeout
   static constexpr u32 kMaxSynRetries = 5;       // then kTimedOut on the conn
   static constexpr usize kDefaultBacklog = 16;
+  // connect(src_port = 0) draws from [kEphemeralBase, kEphemeralBase +
+  // kEphemeralPorts), skipping ports a live connection or listener holds.
+  static constexpr Port kEphemeralBase = 49152;
+  static constexpr usize kEphemeralPorts = 16384;
 
   VtpStack(IpStack& ip, VirtualClock& clock);
 
@@ -91,6 +98,11 @@ class VtpStack {
   Result<Unit> listen(Port port, usize backlog = kDefaultBacklog);
   // Tears the listener down; queued-but-unaccepted connections are reset.
   Result<Unit> unlisten(Port port);
+  // Opens a connection from local `src_port`; 0 asks for an unused ephemeral
+  // port (kBusy when none is free). A `src_port` whose (dst, dst_port,
+  // src_port) tuple is already live is refused with kAlreadyExists: two
+  // connections on one tuple would alias, every segment of both routed to
+  // the older one.
   Result<ConnId> connect(NetAddr dst, Port dst_port, Port src_port);
   // Pops an established connection from `port`'s accept queue (kWouldBlock
   // while empty — transient, ring-parkable).
@@ -119,6 +131,7 @@ class VtpStack {
   // The connection's terminal typed error (kOk while healthy).
   ErrorCode conn_error(ConnId id) const;
   u64 unacked_bytes(ConnId id) const;
+  Port local_port(ConnId id) const;  // 0 for an unknown id
   usize active_conns() const;
   u64 accept_queue_p99() const { return h_accept_queue_->snapshot().percentile(99.0); }
 
@@ -190,6 +203,8 @@ class VtpStack {
   Conn* find_locked(ConnId id);
   const Conn* find_locked(ConnId id) const;
   ConnId match_locked(NetAddr peer, Port local, Port remote) const;
+  bool port_in_use_locked(Port port) const;
+  Port ephemeral_port_locked();  // 0 when every ephemeral port is held
 
   IpStack& ip_;
   VirtualClock& clock_;
@@ -197,6 +212,7 @@ class VtpStack {
   std::map<ConnId, Conn> conns_;
   std::map<Port, Listener> listeners_;
   ConnId next_id_ = 1;
+  u64 next_ephemeral_ = 0;  // ephemeral port cursor
 
   const std::string obs_prefix_;
   Counter& c_segments_tx_;

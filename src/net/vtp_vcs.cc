@@ -7,9 +7,11 @@
 // against the pushed stream at the instant it is popped (safety), and at
 // quiesce the streams are complete (liveness). Window safety and the
 // handshake contract (backlog shedding with typed kOverloaded, SYN-retry
-// exhaustion with typed kTimedOut) are pinned by their own VCs.
+// exhaustion with typed kTimedOut), FIN and duplicate-SYN semantics,
+// connection isolation and tuple uniqueness are pinned by their own VCs.
 #include "src/net/vcs.h"
 
+#include <set>
 #include <string>
 #include <vector>
 
@@ -346,6 +348,190 @@ VcOutcome vc_vtp_syn_timeout_typed() {
   return VcOutcome::pass();
 }
 
+// FIN semantics: bytes sent before close() are delivered in full, and only
+// then does the reader see kPipeClosed.
+VcOutcome vc_vtp_fin_semantics() {
+  VtpPair pair;
+  auto conns = establish(pair);
+  if (!conns.ok()) {
+    return VcOutcome::fail("handshake failed");
+  }
+  auto [client, server] = conns.value();
+  const std::string msg = "last words";
+  if (!pair.vtp_a.send(client, string_bytes(msg)).ok()) {
+    return VcOutcome::fail("send failed");
+  }
+  // Close right behind the data: the FIN must queue after the bytes.
+  if (!pair.vtp_a.close(client).ok()) {
+    return VcOutcome::fail("close failed");
+  }
+  pair.pump(64);
+  auto got = pair.vtp_b.recv(server, 64);
+  if (!got.ok() || std::string(got.value().begin(), got.value().end()) != msg) {
+    return VcOutcome::fail("data before FIN lost");
+  }
+  auto after = pair.vtp_b.recv(server, 64);
+  if (after.ok() || after.error() != ErrorCode::kPipeClosed) {
+    return VcOutcome::fail("FIN not surfaced as kPipeClosed after the drain");
+  }
+  return VcOutcome::pass();
+}
+
+// Duplicate SYNs are harmless: when the listener's SYN-ACK is lost, the
+// connecting end's retransmitted SYN reaches a half-open connection and is
+// answered on it — it never spawns a second one. Exactly one accept.
+VcOutcome vc_vtp_duplicate_syn_safe() {
+  VtpPair pair;
+  if (!pair.vtp_b.listen(80).ok()) {
+    return VcOutcome::fail("listen failed");
+  }
+  auto c = pair.vtp_a.connect(pair.dev_b.addr(), 80, 1234);
+  if (!c.ok()) {
+    return VcOutcome::fail("connect failed");
+  }
+  // Run a's SYN timer ahead while b has not read the SYN yet, then cut the
+  // fabric for the one tick in which b answers: b's SYN-ACK dies, and a's
+  // SYN retransmit — due well before b's own SYN-ACK retransmit — finds the
+  // half-open connection at b.
+  for (u64 i = 0; i < VtpStack::kRtoTicks / 2; ++i) {
+    pair.vtp_a.tick();
+  }
+  pair.net.partition(pair.dev_a.addr(), pair.dev_b.addr());
+  pair.vtp_b.tick();
+  pair.net.heal(pair.dev_a.addr(), pair.dev_b.addr());
+  pair.pump(200);
+  if (pair.vtp_a.stats().retransmits == 0) {
+    return VcOutcome::fail("no SYN was retransmitted: the VC exercised nothing");
+  }
+  if (!pair.vtp_a.is_established(c.value())) {
+    return VcOutcome::fail("handshake did not converge after the lost SYN-ACK");
+  }
+  if (!pair.vtp_b.accept(80).ok()) {
+    return VcOutcome::fail("no connection accepted");
+  }
+  auto second = pair.vtp_b.accept(80);
+  if (second.ok() || second.error() != ErrorCode::kWouldBlock) {
+    return VcOutcome::fail("a duplicate SYN spawned a second connection");
+  }
+  return VcOutcome::pass();
+}
+
+// Two clients on different hosts, one listener: each connection stays its
+// own stream even with both clients on the same source port — the tuple
+// includes the peer address.
+VcOutcome vc_vtp_two_clients_isolated() {
+  Network net;
+  NetDevice& ds = net.attach();
+  NetDevice& dc1 = net.attach();
+  NetDevice& dc2 = net.attach();
+  IpStack ip_s(ds), ip_c1(dc1), ip_c2(dc2);
+  VirtualClock clock;
+  VtpStack server(ip_s, clock), c1(ip_c1, clock), c2(ip_c2, clock);
+  if (!server.listen(80).ok()) {
+    return VcOutcome::fail("listen failed");
+  }
+  auto conn1 = c1.connect(ds.addr(), 80, 1111);
+  auto conn2 = c2.connect(ds.addr(), 80, 1111);
+  if (!conn1.ok() || !conn2.ok()) {
+    return VcOutcome::fail("connect failed");
+  }
+  auto tick_all = [&] {
+    server.tick();
+    c1.tick();
+    c2.tick();
+  };
+  std::vector<ConnId> accepted;
+  for (int i = 0; i < 600 && accepted.size() < 2; ++i) {
+    tick_all();
+    if (auto a = server.accept(80); a.ok()) {
+      accepted.push_back(a.value());
+    }
+  }
+  if (accepted.size() != 2) {
+    return VcOutcome::fail("second connection never accepted");
+  }
+  (void)c1.send(conn1.value(), string_bytes("from-one"));
+  (void)c2.send(conn2.value(), string_bytes("from-two"));
+  std::string got1, got2;
+  for (int i = 0; i < 600 && (got1.size() < 8 || got2.size() < 8); ++i) {
+    tick_all();
+    if (auto r = server.recv(accepted[0], 64); r.ok()) {
+      got1.append(r.value().begin(), r.value().end());
+    }
+    if (auto r = server.recv(accepted[1], 64); r.ok()) {
+      got2.append(r.value().begin(), r.value().end());
+    }
+  }
+  // Each stream carries exactly its own client's bytes.
+  bool ok = (got1 == "from-one" && got2 == "from-two") ||
+            (got1 == "from-two" && got2 == "from-one");
+  if (!ok) {
+    return VcOutcome::fail("streams mixed across connections: '" + got1 + "' / '" + got2 + "'");
+  }
+  return VcOutcome::pass();
+}
+
+// No tuple aliasing: a stack never holds two live connections on one
+// (peer, dst_port, src_port) tuple. An explicit duplicate is refused with
+// kAlreadyExists; port 0 draws a port no live connection holds, explicit
+// ports inside the ephemeral range included; and so every client stream
+// lands on its own server connection, carrying exactly its own bytes.
+VcOutcome vc_vtp_no_tuple_aliasing() {
+  VtpPair pair;
+  if (!pair.vtp_b.listen(80, 64).ok()) {
+    return VcOutcome::fail("listen failed");
+  }
+  const NetAddr b = pair.dev_b.addr();
+  std::vector<ConnId> clients;
+  auto squat = pair.vtp_a.connect(b, 80, VtpStack::kEphemeralBase);
+  if (!squat.ok()) {
+    return VcOutcome::fail("explicit connect failed");
+  }
+  clients.push_back(squat.value());
+  auto dup = pair.vtp_a.connect(b, 80, VtpStack::kEphemeralBase);
+  if (dup.ok() || dup.error() != ErrorCode::kAlreadyExists) {
+    return VcOutcome::fail("a live tuple was handed out twice");
+  }
+  std::set<Port> ports{VtpStack::kEphemeralBase};
+  for (int i = 0; i < 16; ++i) {
+    auto c = pair.vtp_a.connect(b, 80, 0);
+    if (!c.ok()) {
+      return VcOutcome::fail("ephemeral connect failed");
+    }
+    const Port port = pair.vtp_a.local_port(c.value());
+    if (port == 0 || !ports.insert(port).second) {
+      return VcOutcome::fail("ephemeral port " + std::to_string(port) +
+                             " collides with a live connection");
+    }
+    clients.push_back(c.value());
+  }
+  // Every stream carries one tag byte: each accepted connection must read
+  // exactly one tag, and every tag exactly once.
+  for (usize i = 0; i < clients.size(); ++i) {
+    const u8 tag = static_cast<u8>(i);
+    if (!pair.vtp_a.send(clients[i], std::span<const u8>(&tag, 1)).ok()) {
+      return VcOutcome::fail("send failed");
+    }
+  }
+  pair.pump(40);
+  std::set<u8> tags;
+  for (usize i = 0; i < clients.size(); ++i) {
+    auto s = pair.vtp_b.accept(80);
+    if (!s.ok()) {
+      return VcOutcome::fail(std::to_string(i) + " of " + std::to_string(clients.size()) +
+                             " streams reached the listener");
+    }
+    auto got = pair.vtp_b.recv(s.value(), 8);
+    if (!got.ok() || got.value().size() != 1 || !tags.insert(got.value()[0]).second) {
+      return VcOutcome::fail("a server connection carried another stream's bytes");
+    }
+  }
+  if (pair.vtp_b.accept(80).ok()) {
+    return VcOutcome::fail("more server connections than client streams");
+  }
+  return VcOutcome::pass();
+}
+
 }  // namespace
 
 void register_vtp_vcs(VcRegistry& reg) {
@@ -384,6 +570,14 @@ void register_vtp_vcs(VcRegistry& reg) {
           [] { return vc_vtp_backlog_typed_overload(); });
   reg.add("net/vtp_syn_timeout_typed", VcCategory::kNetworkStack,
           [] { return vc_vtp_syn_timeout_typed(); });
+  reg.add("net/vtp_fin_semantics", VcCategory::kNetworkStack,
+          [] { return vc_vtp_fin_semantics(); });
+  reg.add("net/vtp_duplicate_syn_safe", VcCategory::kNetworkStack,
+          [] { return vc_vtp_duplicate_syn_safe(); });
+  reg.add("net/vtp_two_clients_isolated", VcCategory::kNetworkStack,
+          [] { return vc_vtp_two_clients_isolated(); });
+  reg.add("net/vtp_no_tuple_aliasing", VcCategory::kNetworkStack,
+          [] { return vc_vtp_no_tuple_aliasing(); });
 }
 
 }  // namespace vnros

@@ -2,7 +2,7 @@
 //
 // A span is a named interval (interned site id, begin/end timestamp, nesting
 // depth) recorded by RAII SpanScope objects at instrumented sites: NR
-// combiner batches, page-table range ops, fs journal commits, RTP
+// combiner batches, page-table range ops, fs journal commits, VTP
 // retransmits, blockstore RPCs. Timestamps come from an attached
 // VirtualClock (hw/timer.h) so a chaos run replays its trace bit-identically
 // from the seed; with no clock attached (microbenches) an internal atomic
@@ -66,7 +66,7 @@ class SpanTracer {
   void set_enabled(bool on) { enabled_.store(on, std::memory_order_relaxed); }
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
-  // Records a zero-length span (an instant event, e.g. one RTP retransmit).
+  // Records a zero-length span (an instant event, e.g. one VTP retransmit).
   void point(u32 site);
 
   // Snapshot of every shard's ring, oldest first per shard, shards

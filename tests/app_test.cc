@@ -42,6 +42,13 @@ struct Host {
   }
 };
 
+// Advances each host's VTP stack one tick: the stream plane's retransmit,
+// probe and reap timers run here, in every client pump.
+template <typename... Hosts>
+void tick(Hosts&... hosts) {
+  (hosts.kernel.vtp().tick(), ...);
+}
+
 TEST(BlockStoreNodeTest, KeyPathIsHexEncoded) {
   EXPECT_EQ(BlockStoreNode::key_path("ab"), "/blocks/6162");
   EXPECT_EQ(BlockStoreNode::key_path(std::string("\x00\xff", 2)), "/blocks/00ff");
@@ -150,9 +157,10 @@ TEST(BlockStoreWireTest, EndToEndOverFabric) {
   Host client_host(&net);
   BlockStoreNode node(server.sys, 7000);
   ASSERT_TRUE(node.init().ok());
-  BlockStoreClient client(client_host.sys, server.kernel.net_addr(), 7000,
-                          [&] { node.serve_once(); });
-  ASSERT_TRUE(client.init().ok());
+  BlockStoreClient client(client_host.sys, server.kernel.net_addr(), 7000, [&] {
+    node.serve_once();
+    tick(server, client_host);
+  });
 
   ASSERT_TRUE(client.ping().ok());
   ASSERT_TRUE(client.put("wire-key", bytes("wire-value")).ok());
@@ -163,16 +171,25 @@ TEST(BlockStoreWireTest, EndToEndOverFabric) {
   EXPECT_EQ(client.retries(), 0u);  // clean fabric: no retries needed
 }
 
+// A value far bigger than a typical MTU crosses both wires: the client's
+// stream (segmented at the MSS) to the primary, then the primary's
+// replication push to its peer — one node-to-node datagram, whose framing
+// must be just as exact (the fabric has no MTU).
 TEST(BlockStoreWireTest, LargeValueCrossesDatagrams) {
-  // One value bigger than a typical MTU still works (our fabric has no MTU,
-  // but the protocol must length-frame correctly).
   Network net;
-  Host server(&net);
+  Host primary_host(&net);
+  Host replica_host(&net);
   Host client_host(&net);
-  BlockStoreNode node(server.sys, 7000);
-  ASSERT_TRUE(node.init().ok());
-  BlockStoreClient client(client_host.sys, server.kernel.net_addr(), 7000,
-                          [&] { node.serve_once(); });
+  BlockStoreNode replica(replica_host.sys, 7001);
+  ASSERT_TRUE(replica.init().ok());
+  BlockStoreNode primary(primary_host.sys, 7000,
+                         {BsPeer{replica_host.kernel.net_addr(), 7001}});
+  ASSERT_TRUE(primary.init().ok());
+  BlockStoreClient client(client_host.sys, primary_host.kernel.net_addr(), 7000, [&] {
+    primary.serve_once();
+    replica.serve_once();
+    tick(primary_host, replica_host, client_host);
+  });
   std::vector<u8> big(100'000);
   Rng rng(5);
   for (auto& b : big) {
@@ -180,8 +197,12 @@ TEST(BlockStoreWireTest, LargeValueCrossesDatagrams) {
   }
   ASSERT_TRUE(client.put("big", big).ok());
   EXPECT_EQ(client.get("big").value(), big);
+  EXPECT_EQ(replica.get("big").value(), big);
 }
 
+// An attempt window shorter than the stream's RTO hands loss recovery back
+// to the rpc layer: under 30% loss attempts time out and re-send their
+// request on the same stream, and the duplicate frames stay idempotent.
 TEST(BlockStoreWireTest, RetriesSurviveLoss) {
   FabricConfig fabric;
   fabric.loss_ppm = 300'000;  // 30% loss
@@ -190,8 +211,16 @@ TEST(BlockStoreWireTest, RetriesSurviveLoss) {
   Host client_host(&net);
   BlockStoreNode node(server.sys, 7000);
   ASSERT_TRUE(node.init().ok());
-  BlockStoreClient client(client_host.sys, server.kernel.net_addr(), 7000,
-                          [&] { node.serve_once(); });
+  RetryPolicy policy;
+  policy.max_attempts = 64;
+  policy.polls_per_attempt = VtpStack::kRtoTicks / 2;
+  BlockStoreClient client(
+      client_host.sys, server.kernel.net_addr(), 7000,
+      [&] {
+        node.serve_once();
+        tick(server, client_host);
+      },
+      policy);
   for (int i = 0; i < 10; ++i) {
     std::string key = "k" + std::to_string(i);
     ASSERT_TRUE(client.put(key, bytes(key + "-value")).ok()) << key;
@@ -200,32 +229,28 @@ TEST(BlockStoreWireTest, RetriesSurviveLoss) {
   EXPECT_GT(client.retries(), 0u);  // loss must have forced retries
 }
 
-// The same wire protocol, carried over VTP streams instead of datagrams:
-// the node serves framed requests from ring-parked stream recvs, the client
-// multiplexes replies off a per-target connection.
+// Every rpc rides one VTP stream: after a full op mix the client process
+// holds exactly one descriptor — that stream — and no datagram socket.
 TEST(BlockStoreWireTest, StreamTransportEndToEnd) {
   Network net;
   Host server(&net);
   Host client_host(&net);
-  BlockStoreNode node(server.sys, 7000, {}, {}, {}, BsTransport::kVtp);
+  BlockStoreNode node(server.sys, 7000);
   ASSERT_TRUE(node.init().ok());
-  EXPECT_EQ(node.transport(), BsTransport::kVtp);
-  auto pump = [&] {
+  BlockStoreClient client(client_host.sys, server.kernel.net_addr(), 7000, [&] {
     node.serve_once();
-    server.kernel.vtp().tick();
-    client_host.kernel.vtp().tick();
-  };
-  BlockStoreClient client(client_host.sys, server.kernel.net_addr(), 7000, pump,
-                          RetryPolicy{}, BsTransport::kVtp);
-  ASSERT_TRUE(client.init().ok());
+    tick(server, client_host);
+  });
 
   ASSERT_TRUE(client.ping().ok());
   ASSERT_TRUE(client.put("wire-key", bytes("wire-value")).ok());
   EXPECT_EQ(client.get("wire-key").value(), bytes("wire-value"));
-  EXPECT_EQ(client.get("missing").error(), ErrorCode::kNotFound);
   ASSERT_TRUE(client.del("wire-key").ok());
-  EXPECT_EQ(client.get("wire-key").error(), ErrorCode::kNotFound);
-  EXPECT_EQ(client.retries(), 0u);  // clean fabric: one stream, no retries
+  auto fds = client_host.disp.view(client_host.pid).fds;
+  ASSERT_EQ(fds.size(), 1u);
+  EXPECT_EQ(fds.begin()->second.kind, OpenFile::Kind::kVtp);
+  EXPECT_FALSE(fds.begin()->second.listener);
+  EXPECT_EQ(client.retry_stats().reconnects, 0u);
 }
 
 TEST(BlockStoreWireTest, StreamTransportLargeValue) {
@@ -235,15 +260,12 @@ TEST(BlockStoreWireTest, StreamTransportLargeValue) {
   Network net;
   Host server(&net);
   Host client_host(&net);
-  BlockStoreNode node(server.sys, 7000, {}, {}, {}, BsTransport::kVtp);
+  BlockStoreNode node(server.sys, 7000);
   ASSERT_TRUE(node.init().ok());
-  auto pump = [&] {
+  BlockStoreClient client(client_host.sys, server.kernel.net_addr(), 7000, [&] {
     node.serve_once();
-    server.kernel.vtp().tick();
-    client_host.kernel.vtp().tick();
-  };
-  BlockStoreClient client(client_host.sys, server.kernel.net_addr(), 7000, pump,
-                          RetryPolicy{}, BsTransport::kVtp);
+    tick(server, client_host);
+  });
   std::vector<u8> big(100'000);
   Rng rng(6);
   for (auto& b : big) {
@@ -262,15 +284,12 @@ TEST(BlockStoreWireTest, StreamTransportSurvivesLoss) {
   Network net(fabric, 78);
   Host server(&net);
   Host client_host(&net);
-  BlockStoreNode node(server.sys, 7000, {}, {}, {}, BsTransport::kVtp);
+  BlockStoreNode node(server.sys, 7000);
   ASSERT_TRUE(node.init().ok());
-  auto pump = [&] {
+  BlockStoreClient client(client_host.sys, server.kernel.net_addr(), 7000, [&] {
     node.serve_once();
-    server.kernel.vtp().tick();
-    client_host.kernel.vtp().tick();
-  };
-  BlockStoreClient client(client_host.sys, server.kernel.net_addr(), 7000, pump,
-                          RetryPolicy{}, BsTransport::kVtp);
+    tick(server, client_host);
+  });
   for (int i = 0; i < 25; ++i) {
     std::string key = "k" + std::to_string(i);
     ASSERT_TRUE(client.put(key, bytes(key + "-value")).ok()) << key;
@@ -345,9 +364,10 @@ TEST(BlockStoreCrashTest, AckedPutSurvivesCrashDuringReplicationPush) {
     EXPECT_EQ(primary.get("acked").value(), bytes("must-survive"));
 
     Host client_host(&net);
-    BlockStoreClient client(client_host.sys, rebooted.kernel.net_addr(), 7000,
-                            [&] { primary.serve_once(); });
-    ASSERT_TRUE(client.init().ok());
+    BlockStoreClient client(client_host.sys, rebooted.kernel.net_addr(), 7000, [&] {
+      primary.serve_once();
+      tick(rebooted, client_host);
+    });
     auto repaired = client.sync_into(replica);
     ASSERT_TRUE(repaired.ok());
     EXPECT_GE(repaired.value(), 1u);
@@ -436,6 +456,24 @@ TEST(RetryPolicyTest, DeadlineClampsFinalBackoff) {
   EXPECT_EQ(client.retry_stats().backoff_polls, 60u);  // 64 clamped to 60
 }
 
+// A request frame bigger than the stream's send buffer is only partly
+// accepted while nothing drains it. Retrying on that stream would splice a
+// fresh frame after the torn one and desync the server's framing, so the
+// client drops the stream and the next attempt opens a new one.
+TEST(RetryPolicyTest, TornFrameDropsTheStream) {
+  Network net;
+  Host server(&net);  // nothing serves or ticks: the send buffer only fills
+  Host client_host(&net);
+  RetryPolicy policy;
+  policy.max_attempts = 2;
+  policy.polls_per_attempt = 4;
+  BlockStoreClient client(client_host.sys, server.kernel.net_addr(), 7000, {}, policy);
+  std::vector<u8> huge(VtpStack::kSndBufMax + 1024, 0x5A);
+  EXPECT_EQ(client.put("huge", huge).error(), ErrorCode::kWouldBlock);
+  EXPECT_EQ(client.retry_stats().send_errors, 2u);
+  EXPECT_EQ(client.retry_stats().reconnects, 1u);
+}
+
 // kOverloaded is backpressure, not failure: the client must wait out the
 // shed on the SAME target — zero failovers even with a healthy standby
 // configured — and succeed once the bucket refills.
@@ -465,6 +503,7 @@ TEST(RetryPolicyTest, OverloadedBacksOffWithoutFailover) {
       [&] {
         node.serve_once();
         standby.serve_once();
+        tick(server, standby_host, client_host);
         if (++polls == 60) {
           node.grant_tokens(1'000'000);  // the bucket refills mid-backoff
         }
@@ -504,6 +543,7 @@ TEST(RetryPolicyTest, FailoverStickinessResumesOnLastGoodTarget) {
         n0.serve_once();
         n1.serve_once();
         n2.serve_once();
+        tick(h0, h1, h2, client_host);
       },
       policy);
   client.add_failover(h1.kernel.net_addr(), 7001);
@@ -531,8 +571,8 @@ TEST(RetryPolicyTest, FailoverStickinessResumesOnLastGoodTarget) {
   EXPECT_EQ(n1.get("k").value(), bytes("v3"));
 }
 
-// A serve_delay latency fault stalls the node (the datagram stays queued —
-// nothing is lost) and the client's retry budget rides it out.
+// A serve_delay latency fault stalls the node (the request stays queued in
+// its stream — nothing is lost) and the client's retry budget rides it out.
 TEST(BlockStoreFaultTest, LatencyFaultStallsServeWithoutLoss) {
   auto& reg = FaultRegistry::global();
   reg.disarm_all();
@@ -541,8 +581,10 @@ TEST(BlockStoreFaultTest, LatencyFaultStallsServeWithoutLoss) {
   Host client_host(&net);
   BlockStoreNode node(server.sys, 7000, {}, {}, "slownode");
   ASSERT_TRUE(node.init().ok());
-  BlockStoreClient client(client_host.sys, server.kernel.net_addr(), 7000,
-                          [&] { node.serve_once(); });
+  BlockStoreClient client(client_host.sys, server.kernel.net_addr(), 7000, [&] {
+    node.serve_once();
+    tick(server, client_host);
+  });
   ASSERT_TRUE(client.put("warm", bytes("up")).ok());
 
   FaultSpec stall;

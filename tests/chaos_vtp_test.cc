@@ -12,7 +12,8 @@
 // the adversary kills (typed kTimedOut / kConnReset / kOverloaded) are
 // legitimate outcomes; silent corruption, reordering past the spec, or an
 // unreaped connection is not. A failure prints the seed; replay with
-//   VNROS_VTP_SEED=0x... ./chaos_vtp_test --gtest_filter='*ReplayFromEnv*'
+//   VNROS_CHAOS_SEED=0x... ./chaos_vtp_test --gtest_filter='*ReplayFromEnv*'
+// (the same variable chaos_test reads).
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -504,12 +505,12 @@ TEST(ChaosVtpTest, SameSeedSameSchedule) {
   EXPECT_EQ(a.window_violations, b.window_violations);
 }
 
-// Replay hook: VNROS_VTP_SEED=0x... reruns exactly the schedule a failing
+// Replay hook: VNROS_CHAOS_SEED=0x... reruns exactly the schedule a failing
 // matrix entry printed.
 TEST(ChaosVtpTest, ReplayFromEnv) {
-  const char* env = std::getenv("VNROS_VTP_SEED");
+  const char* env = std::getenv("VNROS_CHAOS_SEED");
   if (env == nullptr) {
-    GTEST_SKIP() << "set VNROS_VTP_SEED=0x... to replay a failing schedule";
+    GTEST_SKIP() << "set VNROS_CHAOS_SEED=0x... to replay a failing schedule";
   }
   u64 seed = std::strtoull(env, nullptr, 0);
   VtpChaosReport r = run_vtp_chaos(vtp_config(seed));

@@ -178,6 +178,10 @@ TEST(IntegrationTest, ThreeNodeBlockStoreCluster) {
     primary.serve_once();
     replica1.serve_once();
     replica2.serve_once();
+    for (Host& h : hosts) {
+      h.kernel.vtp().tick();
+    }
+    client_host.kernel.vtp().tick();
   };
   BlockStoreClient client(client_host.sys, hosts[0].kernel.net_addr(), 7000, pump);
 

@@ -1,15 +1,13 @@
-// Network stack tests: IP dispatch, UDP semantics, RTP state machine,
-// parameterized lossy-fabric sweeps.
+// Network stack tests: IP dispatch, UDP semantics, the VTP stream
+// transport's state machine.
 #include <gtest/gtest.h>
 
 #include <string>
-#include <tuple>
 
 #include "src/base/rng.h"
 #include "src/hw/network.h"
 #include "src/hw/timer.h"
 #include "src/net/ip.h"
-#include "src/net/rtp.h"
 #include "src/net/udp.h"
 #include "src/net/vtp.h"
 
@@ -33,15 +31,15 @@ struct Pair {
 
 TEST(IpTest, DispatchByProto) {
   Pair p;
-  int udp_count = 0, rtp_count = 0;
+  int udp_count = 0, vtp_count = 0;
   p.ipb.register_proto(IpProto::kUdp, [&](const IpHeader&, std::span<const u8>) { ++udp_count; });
-  p.ipb.register_proto(IpProto::kRtp, [&](const IpHeader&, std::span<const u8>) { ++rtp_count; });
+  p.ipb.register_proto(IpProto::kVtp, [&](const IpHeader&, std::span<const u8>) { ++vtp_count; });
   (void)p.ipa.send(p.db.addr(), IpProto::kUdp, bytes("u"));
-  (void)p.ipa.send(p.db.addr(), IpProto::kRtp, bytes("r"));
+  (void)p.ipa.send(p.db.addr(), IpProto::kVtp, bytes("v"));
   (void)p.ipa.send(p.db.addr(), IpProto::kUdp, bytes("u2"));
   EXPECT_EQ(p.ipb.poll(), 3u);
   EXPECT_EQ(udp_count, 2);
-  EXPECT_EQ(rtp_count, 1);
+  EXPECT_EQ(vtp_count, 1);
 }
 
 TEST(IpTest, MalformedHeaderCounted) {
@@ -85,155 +83,6 @@ TEST(UdpTest, EmptyPayloadDelivered) {
   auto d = ub.recv(80);
   ASSERT_TRUE(d.ok());
   EXPECT_TRUE(d.value().payload.empty());
-}
-
-// --- RTP ------------------------------------------------------------------------
-
-struct RtpPairFixture {
-  Pair p;
-  VirtualClock clock;
-  RtpStack a;
-  RtpStack b;
-
-  explicit RtpPairFixture(FabricConfig config = {}, u64 seed = 1)
-      : p(config, seed), a(p.ipa, clock), b(p.ipb, clock) {}
-
-  void pump(int n) {
-    for (int i = 0; i < n; ++i) {
-      a.tick();
-      b.tick();
-    }
-  }
-
-  std::pair<ConnId, ConnId> establish() {
-    EXPECT_TRUE(b.listen(80).ok());
-    auto c = a.connect(p.db.addr(), 80, 1000);
-    EXPECT_TRUE(c.ok());
-    ConnId server = 0;
-    for (int i = 0; i < 500 && server == 0; ++i) {
-      pump(1);
-      auto acc = b.accept(80);
-      if (acc.ok()) {
-        server = acc.value();
-      }
-    }
-    EXPECT_NE(server, 0u);
-    return {c.value(), server};
-  }
-};
-
-TEST(RtpTest, HandshakeEstablishesBothEnds) {
-  RtpPairFixture f;
-  auto [client, server] = f.establish();
-  f.pump(4);
-  EXPECT_TRUE(f.a.is_established(client));
-  EXPECT_TRUE(f.b.is_established(server));
-  EXPECT_EQ(f.b.accept(80).error(), ErrorCode::kWouldBlock);
-}
-
-TEST(RtpTest, ListenTwiceRejected) {
-  RtpPairFixture f;
-  EXPECT_TRUE(f.b.listen(80).ok());
-  EXPECT_EQ(f.b.listen(80).error(), ErrorCode::kAlreadyExists);
-}
-
-TEST(RtpTest, ConnectToNobodyTimesOutQuietly) {
-  RtpPairFixture f;
-  auto c = f.a.connect(f.p.db.addr(), 999, 1000);  // no listener
-  ASSERT_TRUE(c.ok());
-  f.pump(100);
-  EXPECT_FALSE(f.a.is_established(c.value()));
-}
-
-TEST(RtpTest, BidirectionalTransfer) {
-  RtpPairFixture f;
-  auto [client, server] = f.establish();
-  ASSERT_TRUE(f.a.send(client, bytes("to-server")).ok());
-  ASSERT_TRUE(f.b.send(server, bytes("to-client")).ok());
-  std::string got_b, got_a;
-  for (int i = 0; i < 300 && (got_b.size() < 9 || got_a.size() < 9); ++i) {
-    f.pump(1);
-    if (auto r = f.b.recv(server, 64)) {
-      got_b.append(r.value().begin(), r.value().end());
-    }
-    if (auto r = f.a.recv(client, 64)) {
-      got_a.append(r.value().begin(), r.value().end());
-    }
-  }
-  EXPECT_EQ(got_b, "to-server");
-  EXPECT_EQ(got_a, "to-client");
-}
-
-TEST(RtpTest, SendOnUnknownConnFails) {
-  RtpPairFixture f;
-  EXPECT_EQ(f.a.send(999, bytes("x")).error(), ErrorCode::kNotFound);
-  EXPECT_EQ(f.a.recv(999, 10).error(), ErrorCode::kNotFound);
-}
-
-TEST(RtpTest, SegmentationAtMss) {
-  RtpPairFixture f;
-  auto [client, server] = f.establish();
-  std::vector<u8> big(RtpStack::kMss * 3 + 17, 0x3C);
-  ASSERT_TRUE(f.a.send(client, big).ok());
-  std::vector<u8> got;
-  for (int i = 0; i < 500 && got.size() < big.size(); ++i) {
-    f.pump(1);
-    if (auto r = f.b.recv(server, 100'000)) {
-      got.insert(got.end(), r.value().begin(), r.value().end());
-    }
-  }
-  EXPECT_EQ(got, big);
-  // Let the sender collect the final ACKs before checking its buffer.
-  f.pump(8);
-  EXPECT_EQ(f.a.unacked_bytes(client), 0u);
-}
-
-// Parameterized lossy sweep: (loss_ppm, seed).
-class RtpLossySweep : public ::testing::TestWithParam<std::tuple<u64, u64>> {};
-
-TEST_P(RtpLossySweep, DeliversPrefixThenEverything) {
-  auto [loss, seed] = GetParam();
-  FabricConfig config;
-  config.loss_ppm = loss;
-  config.reorder_ppm = 30'000;
-  config.dup_ppm = 30'000;
-  RtpPairFixture f(config, seed);
-  auto [client, server] = f.establish();
-
-  Rng rng(seed);
-  std::vector<u8> sent(8000);
-  for (auto& c : sent) {
-    c = static_cast<u8>(rng.next_u64());
-  }
-  ASSERT_TRUE(f.a.send(client, sent).ok());
-  std::vector<u8> got;
-  for (int i = 0; i < 30'000 && got.size() < sent.size(); ++i) {
-    f.pump(1);
-    if (auto r = f.b.recv(server, 4096)) {
-      got.insert(got.end(), r.value().begin(), r.value().end());
-      ASSERT_LE(got.size(), sent.size());
-      ASSERT_TRUE(std::equal(got.begin(), got.end(), sent.begin()))
-          << "prefix property violated";
-    }
-  }
-  EXPECT_EQ(got.size(), sent.size()) << "transfer incomplete";
-}
-
-INSTANTIATE_TEST_SUITE_P(LossLevels, RtpLossySweep,
-                         ::testing::Combine(::testing::Values(50'000, 150'000, 300'000),
-                                            ::testing::Values(1, 2)));
-
-TEST(RtpTest, CloseDeliversPipeClosedAfterDrain) {
-  RtpPairFixture f;
-  auto [client, server] = f.establish();
-  (void)f.a.send(client, bytes("bye"));
-  f.pump(4);
-  (void)f.a.close(client);
-  f.pump(80);
-  auto r = f.b.recv(server, 10);
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r.value(), bytes("bye"));
-  EXPECT_EQ(f.b.recv(server, 10).error(), ErrorCode::kPipeClosed);
 }
 
 // --- VTP (stream sockets: windowed, AIMD, selective retransmit) -----------------
@@ -399,6 +248,41 @@ TEST(VtpTest, AcceptBacklogOverflowIsTypedOverloaded) {
   ASSERT_TRUE(late.ok());
   f.pump(40);
   EXPECT_TRUE(f.a.is_established(late.value()));
+}
+
+TEST(VtpTest, LiveTupleIsRefusedWithTypedError) {
+  VtpFixture f;
+  ASSERT_TRUE(f.b.listen(80).ok());
+  ASSERT_TRUE(f.a.connect(f.p.db.addr(), 80, 1234).ok());
+  // The same (peer, dst_port, src_port) again would alias the live conn.
+  EXPECT_EQ(f.a.connect(f.p.db.addr(), 80, 1234).error(), ErrorCode::kAlreadyExists);
+  // Any other tuple is a distinct connection.
+  EXPECT_TRUE(f.a.connect(f.p.db.addr(), 81, 1234).ok());
+  EXPECT_TRUE(f.a.connect(f.p.db.addr(), 80, 1235).ok());
+}
+
+TEST(VtpTest, PortZeroGetsDistinctEphemeralPorts) {
+  VtpFixture f;
+  ASSERT_TRUE(f.b.listen(80).ok());
+  auto c1 = f.a.connect(f.p.db.addr(), 80, 0);
+  auto c2 = f.a.connect(f.p.db.addr(), 80, 0);
+  ASSERT_TRUE(c1.ok());
+  ASSERT_TRUE(c2.ok());
+  const Port p1 = f.a.local_port(c1.value());
+  const Port p2 = f.a.local_port(c2.value());
+  EXPECT_NE(p1, p2);
+  EXPECT_GE(p1, VtpStack::kEphemeralBase);
+  EXPECT_GE(p2, VtpStack::kEphemeralBase);
+  // Two tuples, two server connections.
+  f.pump(8);
+  EXPECT_TRUE(f.b.accept(80).ok());
+  EXPECT_TRUE(f.b.accept(80).ok());
+}
+
+TEST(VtpTest, SendOnUnknownConnFails) {
+  VtpFixture f;
+  EXPECT_EQ(f.a.send(999, bytes("x")).error(), ErrorCode::kNotFound);
+  EXPECT_EQ(f.a.recv(999, 10).error(), ErrorCode::kNotFound);
 }
 
 TEST(VtpTest, ListenTwiceRejected) {

@@ -186,12 +186,11 @@ TEST(KstatTest, NameTableIsTheAbi) {
   // must be a deliberate, documented decision, not a refactor side effect.
   Kernel kernel;
   const char* kAbi[] = {
-      // Present since the original 17-name table.
+      // Present since the original 17-name table, less the five names that
+      // left with the retired datagram-era stream transport.
       "fs/journal_records", "fs/journal_bytes", "fs/checkpoints", "fs/fsyncs",
-      "rtp/segments_tx", "rtp/segments_rx", "rtp/retransmits", "rtp/out_of_order_dropped",
-      "rtp/duplicate_data", "tlb/shootdowns", "tlb/ipis", "tlb/batched_pages",
-      "tlb/full_flushes", "frames/allocations", "frames/frees", "frames/remote_fallbacks",
-      "frames/injected_oom",
+      "tlb/shootdowns", "tlb/ipis", "tlb/batched_pages", "tlb/full_flushes",
+      "frames/allocations", "frames/frees", "frames/remote_fallbacks", "frames/injected_oom",
       // Added with the SysRing syscalls (async submission/completion queues).
       "ring/submitted", "ring/completed", "ring/sq_full", "ring/cq_depth_p99",
       // Added with the VTP stream transport.

@@ -1,7 +1,7 @@
 // Edge-case tests for the SysRing submission/completion queues (src/kernel/
 // ring.cc): backpressure when the SQ fills, accounted CQ overflow with no
 // completion loss, wait semantics with nothing pending, kernel-side parking
-// of a waiting thread, and non-fs opcodes (rtp) through the ring. The
+// of a waiting thread, and non-fs opcodes (vtp) through the ring. The
 // refinement and exactly-once properties live in the kernel/ring_* VCs
 // (src/kernel/kernel_vcs.cc); these tests pin the directed corners.
 #include <gtest/gtest.h>
@@ -161,16 +161,16 @@ TEST_F(RingSysTest, UnsupportedOpcodeCompletesWithTypedError) {
   }
 }
 
-TEST_F(RingSysTest, RtpSendAndRecvThroughRing) {
+TEST_F(RingSysTest, VtpSendAndRecvThroughRing) {
   // Handshake synchronously (the ring carries data ops, not connection setup).
-  auto listener = sys.rtp_listen(80);
+  auto listener = sys.vtp_listen(80);
   ASSERT_TRUE(listener.ok());
-  auto client = sys.rtp_connect(kernel.net_addr(), 80, 1234);
+  auto client = sys.vtp_connect(kernel.net_addr(), 80, 1234);
   ASSERT_TRUE(client.ok());
   Fd server = kInvalidFd;
   for (int i = 0; i < 200 && server == kInvalidFd; ++i) {
-    kernel.rtp().tick();
-    auto acc = sys.rtp_accept(listener.value());
+    kernel.vtp().tick();
+    auto acc = sys.vtp_accept(listener.value());
     if (acc.ok()) {
       server = acc.value();
     }
@@ -180,17 +180,17 @@ TEST_F(RingSysTest, RtpSendAndRecvThroughRing) {
   auto ring = sys.ring_setup(8, 8);
   ASSERT_TRUE(ring.ok());
   // Park the recv first, then send through the ring; the recv stays pending
-  // across rtp ticks until the stream delivers.
+  // across vtp ticks until the stream delivers.
   std::vector<RingSqe> batch = {
-      RingSqe{1, static_cast<u32>(SysNr::kRtpRecv), ring_args::rtp_recv(server, 64)},
-      RingSqe{2, static_cast<u32>(SysNr::kRtpSend),
-              ring_args::rtp_send(client.value(), bytes("ring-stream"))},
+      RingSqe{1, static_cast<u32>(SysNr::kVtpRecv), ring_args::vtp_recv(server, 64)},
+      RingSqe{2, static_cast<u32>(SysNr::kVtpSend),
+              ring_args::vtp_send(client.value(), bytes("ring-stream"))},
   };
   ASSERT_EQ(sys.ring_submit(ring.value(), batch).value(), 2u);
   std::vector<u8> got;
   bool send_done = false;
   for (int i = 0; i < 400 && (got.size() < 11 || !send_done); ++i) {
-    kernel.rtp().tick();
+    kernel.vtp().tick();
     auto cqes = sys.ring_wait(ring.value(), 0, 4);
     ASSERT_TRUE(cqes.ok());
     for (RingCqe& cqe : cqes.value()) {
@@ -204,7 +204,7 @@ TEST_F(RingSysTest, RtpSendAndRecvThroughRing) {
         got.insert(got.end(), data->begin(), data->end());
         if (got.size() < 11) {
           // Re-arm the recv for the rest of the stream.
-          RingSqe again{1, static_cast<u32>(SysNr::kRtpRecv), ring_args::rtp_recv(server, 64)};
+          RingSqe again{1, static_cast<u32>(SysNr::kVtpRecv), ring_args::vtp_recv(server, 64)};
           ASSERT_EQ(sys.ring_submit(ring.value(), std::span<const RingSqe>(&again, 1)).value(),
                     1u);
         }

@@ -242,31 +242,38 @@ TEST_F(SysTest, UdpDoubleBindRejected) {
   EXPECT_EQ(sys.udp_bind(a.value(), 6001).error(), ErrorCode::kAlreadyExists);
 }
 
-TEST_F(SysTest, RtpStreamOverLoopback) {
-  auto listener = sys.rtp_listen(80);
+TEST_F(SysTest, VtpStreamOverLoopback) {
+  auto listener = sys.vtp_listen(80);
   ASSERT_TRUE(listener.ok());
-  auto client = sys.rtp_connect(kernel.net_addr(), 80, 1234);
+  auto client = sys.vtp_connect(kernel.net_addr(), 80, 1234);
   ASSERT_TRUE(client.ok());
+  // A second connection on the live tuple would alias the first.
+  EXPECT_EQ(sys.vtp_connect(kernel.net_addr(), 80, 1234).error(), ErrorCode::kAlreadyExists);
   // Pump the protocol until the handshake completes.
   Fd server = kInvalidFd;
   for (int i = 0; i < 200 && server == kInvalidFd; ++i) {
-    kernel.rtp().tick();
-    auto acc = sys.rtp_accept(listener.value());
+    kernel.vtp().tick();
+    auto acc = sys.vtp_accept(listener.value());
     if (acc.ok()) {
       server = acc.value();
     }
   }
   ASSERT_NE(server, kInvalidFd) << "handshake did not complete";
-  ASSERT_TRUE(sys.rtp_send(client.value(), bytes("stream-data")).ok());
+  auto sent = sys.vtp_send(client.value(), bytes("stream-data"));
+  ASSERT_TRUE(sent.ok());
+  EXPECT_EQ(sent.value(), 11u);
+  ASSERT_TRUE(sys.vtp_close(client.value()).ok());  // the FIN queues behind the data
   std::vector<u8> got;
   for (int i = 0; i < 200 && got.size() < 11; ++i) {
-    kernel.rtp().tick();
-    auto r = sys.rtp_recv(server, 64);
+    kernel.vtp().tick();
+    auto r = sys.vtp_recv(server, 64);
     if (r.ok()) {
       got.insert(got.end(), r.value().begin(), r.value().end());
     }
   }
   EXPECT_EQ(got, bytes("stream-data"));
+  kernel.vtp().tick();
+  EXPECT_EQ(sys.vtp_recv(server, 64).error(), ErrorCode::kPipeClosed);
 }
 
 // --- Console & pid ------------------------------------------------------------------------------
