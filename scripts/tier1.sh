@@ -60,10 +60,16 @@ echo
 echo "== tier-1: SysRing (ring VCs + edge cases + TSan) =="
 # The async submission/completion rings sit on the whole blockstore data
 # plane (serve pool, repair RPCs, client reply awaits). Gate on: the ring
-# refinement/uniqueness VCs, the SQ-full/CQ-overflow/parking edge cases
-# (the chaos stage runs the ring-fault preset), and a TSan pass over the
-# ring suite (the reactor mutates SQ/CQ state under the kernel lock; TSan
-# checks the completion hand-off to parked waiters).
+# refinement/uniqueness VCs and the no-lost-wakeup VCs of the
+# readiness-driven reactor (kernel/ring_readiness_seed1..3); the
+# SQ-full/CQ-overflow/parking edge cases, cancel-on-close and the
+# parked-re-execution tripwire (1000 recvs parked on idle sockets re-run 0
+# times over 100 passes, then exactly once per datagram) in
+# ring_syscall_test (the chaos stage runs the ring-fault preset); and a TSan
+# pass over the ring suite. Under TSan, RingThreadsTest runs one thread that
+# ticks and delivers into a VtpStack (marking the readiness record from the
+# rx path) against one that drives reactor passes, which checks the lock
+# order ring -> net stack -> readiness record and the completion hand-off.
 ./build/tests/vc_suite_test --gtest_filter='*ring*:*Ring*'
 ./build/tests/ring_syscall_test
 cmake --build build-tsan -j"${JOBS}" --target ring_syscall_test vc_suite_test

@@ -372,9 +372,13 @@ class BlockStoreNode {
   // Awaits one repair-socket reply whose leading req_id matches: keeps a
   // single recv SQE parked on repair_sock_ (via the repair ring), pumping up
   // to `polls` times. Returns the whole matched reply payload (req_id word
-  // included); kTimedOut when the budget runs out. Stale replies from
-  // earlier timed-out RPCs on this socket are consumed and dropped.
+  // included); kTimedOut when the budget runs out. Waits nest — the pump can
+  // serve a request that pushes from this node — so a reply for another
+  // in-flight wait is stashed for it; replies for RPCs no wait awaits any
+  // more (timed out) are dropped.
   Result<std::vector<u8>> await_repair_reply(u64 req_id, usize polls);
+  // The body of await_repair_reply, with req_id registered in awaiting_.
+  Result<std::vector<u8>> poll_repair_reply(u64 req_id, usize polls);
 
   Sys& sys_;
   Port port_;
@@ -400,6 +404,9 @@ class BlockStoreNode {
   usize serve_recvs_ = 0;     // recv SQEs currently parked (<= kServeWorkers)
   u32 repair_ring_ = 0;       // dedicated ring for repair/ack RPC replies
   bool repair_recv_armed_ = false;  // one recv SQE parked on repair_sock_
+  std::vector<u64> awaiting_;       // req_ids of the in-flight repair waits
+  std::map<u64, std::vector<u8>> stashed_replies_;  // req_id -> a reply reaped
+                                                    // by another wait
 
   Fd vtp_listener_ = kInvalidFd;
   bool accept_armed_ = false;          // one accept SQE parked on the listener
@@ -575,7 +582,8 @@ class BlockStoreClient {
   Rng rng_{0xC11E47ull};  // jitter; fixed seed keeps runs replayable
   u32 ring_ = 0;              // reply ring: one vtp_recv SQE parked at a time
   bool recv_armed_ = false;
-  Fd armed_fd_ = kInvalidFd;  // the stream fd the parked recv reads
+  Fd armed_fd_ = kInvalidFd;  // the stream fd the parked recv reads (kInvalidFd
+                              // once that stream is dropped)
   std::map<ChanKey, VtpChan> chans_;  // one stream per target
   std::set<ChanKey> dropped_;         // targets whose last stream died
   u64 next_req_id_ = 1;

@@ -61,6 +61,11 @@ void BlockStoreClient::drop_vtp_chan(ChanKey key) {
   if (it == chans_.end()) {
     return;
   }
+  // Closing the fd completes a recv parked on it with kBadFd; forget which
+  // stream it read, so that completion cannot touch a stream reusing the fd.
+  if (armed_fd_ == it->second.fd) {
+    armed_fd_ = kInvalidFd;
+  }
   (void)sys_.vtp_close(it->second.fd);
   chans_.erase(it);
   dropped_.insert(key);
@@ -207,9 +212,8 @@ Result<std::vector<u8>> BlockStoreClient::rpc(BsOp op, std::string_view key,
     return ErrorCode::kWouldBlock;
   };
   auto vtp_poll_reply = [&](const BsPeer& target) -> std::optional<std::vector<u8>> {
-    // Reap into whichever stream now holds the fd the recv was parked on:
-    // the kernel resolves the fd when the parked op executes, so after a
-    // drop the completion belongs to the stream that reused the number.
+    // Reap into the stream the recv was parked on. A dropped stream's recv
+    // completes with kBadFd when its fd closes, and matches no stream.
     if (ring_ != 0) {
       auto cqes = sys_.ring_wait(ring_, 0, 4);
       if (cqes.ok()) {
@@ -219,7 +223,7 @@ Result<std::vector<u8>> BlockStoreClient::rpc(BsOp op, std::string_view key,
             return kv.second.fd == armed_fd_;
           });
           if (armed == chans_.end()) {
-            continue;  // its stream was dropped and the fd not reused
+            continue;  // its stream was dropped
           }
           ErrorCode err = static_cast<ErrorCode>(cqe.err);
           if (err != ErrorCode::kOk) {
@@ -247,8 +251,8 @@ Result<std::vector<u8>> BlockStoreClient::rpc(BsOp op, std::string_view key,
       return std::nullopt;
     }
     // Park a recv on the active stream. If the single ring slot is still
-    // occupied by another stream's recv (failover mid-park — there is no
-    // cancel), read this one directly until that completion drains.
+    // occupied by another open stream's recv (failover mid-park — only a
+    // close cancels), read this one directly until that completion drains.
     bool parked_here = recv_armed_ && armed_fd_ == it->second.fd;
     if (!recv_armed_) {
       if (ring_ == 0) {

@@ -375,6 +375,14 @@ Result<BlockStoreNode::BlockData> BlockStoreNode::fetch_from_peer(const BsPeer& 
 }
 
 Result<std::vector<u8>> BlockStoreNode::await_repair_reply(u64 req_id, usize polls) {
+  awaiting_.push_back(req_id);
+  auto reply = poll_repair_reply(req_id, polls);
+  awaiting_.pop_back();
+  stashed_replies_.erase(req_id);  // only an error return can leave it there
+  return reply;
+}
+
+Result<std::vector<u8>> BlockStoreNode::poll_repair_reply(u64 req_id, usize polls) {
   VNROS_CHECK(repair_sock_ != kInvalidFd);
   for (usize poll = 0; poll < polls; ++poll) {
     if (repair_ring_ == 0) {
@@ -424,10 +432,19 @@ Result<std::vector<u8>> BlockStoreNode::await_repair_reply(u64 req_id, usize pol
       }
       Reader r(*payload);
       auto rid = r.get_u64();
-      if (!rid || *rid != req_id) {
-        continue;  // stale reply from an earlier push/fetch on this socket
+      if (rid && *rid == req_id) {
+        return std::move(*payload);
       }
-      return std::move(*payload);
+      if (rid && std::find(awaiting_.begin(), awaiting_.end(), *rid) != awaiting_.end()) {
+        // An outer wait's reply, reaped by this nested one: keep it for its
+        // owner, which would otherwise time out and re-send.
+        stashed_replies_[*rid] = std::move(*payload);
+      }
+      // Anything else is a stale reply from an earlier timed-out RPC.
+    }
+    // A wait nested in the pump may have reaped this wait's reply.
+    if (auto it = stashed_replies_.find(req_id); it != stashed_replies_.end()) {
+      return std::move(it->second);
     }
   }
   return ErrorCode::kTimedOut;

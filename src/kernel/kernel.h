@@ -81,7 +81,7 @@ class Kernel {
     VNROS_CHECK(fs.ok());
     fs_ = std::move(fs.value());
     simfutex_ = std::make_unique<SimFutex>(sched_);
-    rings_ = std::make_unique<SysRingTable>(sched_);
+    rings_ = std::make_unique<SysRingTable>(sched_, ip_);
   }
 
   const Topology& topo() const { return topo_; }

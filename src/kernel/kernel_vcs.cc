@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <atomic>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -2169,6 +2170,448 @@ VcOutcome vc_ring_completion_unique(u64 seed) {
   return VcOutcome::pass();
 }
 
+// No lost wakeups. The reactor re-executes a parked SQE only after a net
+// stack marks the event it waits on, so one missed mark strands the op for
+// good. A server process serves from one ring — a parked accept, parked
+// datagram recvs, a parked recv per inbound stream and per outbound stream —
+// while a client host connects, sends, closes and datagrams across a lossy,
+// duplicating, reordering fabric with partitions. Outbound streams meet a
+// listener the client toggles, so they end in refusals, resets, sheds and
+// SYN timeouts. "syscall/ring_complete" defers completions throughout.
+// Checked after every pass: no parked SQE without a pending wakeup has an
+// event that already happened (the stacks' const probes say so). Checked
+// per completion: stream bytes match what that stream's client sent, in
+// order, and kBadFd reaches exactly the ops whose fd was closed under them.
+// At quiesce every accepted SQE has completed exactly once. The caller
+// arms "syscall/ring_complete"; the schedule disarms it to quiesce.
+VcOutcome ring_readiness_schedule(u64 seed, FaultRegistry& freg) {
+  FabricConfig lossy;
+  lossy.loss_ppm = 40'000;
+  lossy.dup_ppm = 40'000;
+  lossy.reorder_ppm = 60'000;
+  Network net(lossy, seed ^ 0x5EED'0000ull);
+  KernelConfig kc;
+  kc.network = &net;
+  Kernel sk(kc);
+  Kernel ck(kc);
+  SyscallDispatcher sd(sk), cd(ck);
+  Sys sboot(sd, kInvalidPid, 0), cboot(cd, kInvalidPid, 0);
+  auto spid = sboot.spawn();
+  auto cpid = cboot.spawn();
+  if (!spid.ok() || !cpid.ok()) {
+    return VcOutcome::fail("spawn failed");
+  }
+  Sys ss(sd, spid.value(), 0), cs(cd, cpid.value(), 0);
+  constexpr Port kServe = 5000;
+  constexpr Port kDgramPort = 6000;
+  constexpr Port kBack = 7000;  // the client's toggled listener
+  auto listener = ss.vtp_listen(kServe, 8);
+  auto dsock = ss.udp_socket();
+  auto csock = cs.udp_socket();
+  auto ring = ss.ring_setup(64, 64);
+  if (!listener.ok() || !dsock.ok() || !csock.ok() || !ring.ok() ||
+      !ss.udp_bind(dsock.value(), kDgramPort).ok()) {
+    return VcOutcome::fail("setup failed");
+  }
+
+  // Byte k of client stream `id`; byte 0 names the stream.
+  auto stream_byte = [](u64 id, u64 k) {
+    return static_cast<u8>(k == 0 ? id : id * 31 + k * 7 + (k >> 8));
+  };
+  struct ClientStream {
+    Fd fd = kInvalidFd;
+    u64 id = 0;
+    u64 sent = 0;
+  };
+  std::vector<ClientStream> cstreams;
+  std::map<u64, u64> sent_by_id;  // every client stream's bytes accepted by its stack
+  u64 next_id = 1;
+  Fd back_listener = kInvalidFd;
+
+  struct ServerStream {
+    Fd fd = kInvalidFd;
+    bool inbound = true;
+    bool armed = false;    // a recv SQE is outstanding
+    bool closing = false;  // a ring close is outstanding
+    bool closed = false;   // its fd is closed: its recv may complete kBadFd
+    i64 id = -1;           // learned from the first byte (inbound)
+    u64 got = 0;
+  };
+  std::map<u64, ServerStream> streams;  // by serial
+  u64 next_serial = 1;
+  enum class OpKind { kAccept, kRecv, kDgram, kClose };
+  struct Sub {
+    OpKind kind = OpKind::kAccept;
+    u64 serial = 0;  // kRecv / kClose: the stream
+  };
+  std::map<u64, Sub> outstanding;  // by user_data
+  u64 next_ud = 1;
+  bool accept_armed = false;
+  usize dgram_armed = 0;
+  bool listener_open = true;
+  bool dsock_open = true;
+  const Pid pid = spid.value();
+  // Coverage: a schedule that parked nothing, delivered nothing, cancelled
+  // nothing or never saw a stream fail proves nothing.
+  u64 parked_seen = 0, bytes_in = 0, cancels = 0, accepts = 0, failures = 0, dgrams = 0;
+
+  auto lost_wakeup = [&]() -> std::optional<std::string> {
+    for (const RingParkedOp& op : sk.rings().parked(pid, ring.value())) {
+      ++parked_seen;
+      if (sk.ip().readiness().ready(op.key)) {
+        return "parked SQE " + std::to_string(op.user_data) + " (op " + std::to_string(op.op) +
+               ") missed the event it waits on";
+      }
+    }
+    return std::nullopt;
+  };
+  auto submit = [&](std::vector<std::pair<RingSqe, Sub>>& batch) -> std::optional<std::string> {
+    if (batch.empty()) {
+      return std::nullopt;
+    }
+    std::vector<RingSqe> sqes;
+    for (auto& [sqe, sub] : batch) {
+      sqes.push_back(sqe);
+    }
+    auto acc = ss.ring_submit(ring.value(), sqes);
+    if (!acc.ok() || acc.value() != sqes.size()) {
+      return std::string("submit refused entries");
+    }
+    for (auto& [sqe, sub] : batch) {
+      outstanding[sqe.user_data] = sub;
+    }
+    batch.clear();
+    return lost_wakeup();
+  };
+  auto arm_recv = [&](std::vector<std::pair<RingSqe, Sub>>& batch, u64 serial,
+                      ServerStream& st) {
+    batch.push_back({RingSqe{next_ud++, static_cast<u32>(SysNr::kVtpRecv),
+                             ring_args::vtp_recv(st.fd, 512)},
+                     Sub{OpKind::kRecv, serial}});
+    st.armed = true;
+  };
+  // Closes a server stream synchronously; legal only when no recv of it can
+  // run again except as a cancellation (not armed, or parked).
+  auto close_sync = [&](u64 serial) -> std::optional<std::string> {
+    ServerStream& st = streams.at(serial);
+    if (!ss.vtp_close(st.fd).ok()) {
+      return std::string("server close failed");
+    }
+    st.closed = true;
+    if (!st.armed) {
+      streams.erase(serial);
+    }
+    return std::nullopt;
+  };
+  auto parked_uds = [&] {
+    std::set<u64> uds;
+    for (const RingParkedOp& op : sk.rings().parked(pid, ring.value())) {
+      uds.insert(op.user_data);
+    }
+    return uds;
+  };
+  auto recv_ud_of = [&](u64 serial) -> u64 {
+    for (const auto& [ud, sub] : outstanding) {
+      if (sub.kind == OpKind::kRecv && sub.serial == serial) {
+        return ud;
+      }
+    }
+    return 0;
+  };
+
+  auto reap = [&]() -> std::optional<std::string> {
+    auto cqes = ss.ring_wait(ring.value(), 0, 64);
+    if (!cqes.ok()) {
+      return std::string("ring_wait failed");
+    }
+    if (auto lost = lost_wakeup()) {
+      return lost;
+    }
+    for (const RingCqe& cqe : cqes.value()) {
+      auto it = outstanding.find(cqe.user_data);
+      if (it == outstanding.end()) {
+        return "completion " + std::to_string(cqe.user_data) + " nobody awaits";
+      }
+      const Sub sub = it->second;
+      outstanding.erase(it);
+      const ErrorCode err = static_cast<ErrorCode>(cqe.err);
+      Reader r(cqe.payload);
+      switch (sub.kind) {
+        case OpKind::kAccept: {
+          accept_armed = false;
+          if (err == ErrorCode::kBadFd && !listener_open) {
+            break;
+          }
+          if (err != ErrorCode::kOk) {
+            return "accept failed with " + std::string(error_name(err));
+          }
+          Fd fd = static_cast<Fd>(r.get_u32().value_or(0));
+          for (const auto& [serial, st] : streams) {
+            if (st.fd == fd && !st.closed) {
+              return "accept handed out fd " + std::to_string(fd) + " of a live stream";
+            }
+          }
+          ServerStream st;
+          st.fd = fd;
+          streams[next_serial++] = st;
+          ++accepts;
+          break;
+        }
+        case OpKind::kDgram: {
+          --dgram_armed;
+          if (err == ErrorCode::kBadFd && !dsock_open) {
+            break;
+          }
+          (void)r.get_u32();
+          (void)r.get_u16();
+          auto payload = r.get_bytes();
+          if (err != ErrorCode::kOk || !payload || payload->empty() || (*payload)[0] != 'D') {
+            return std::string("datagram recv completed wrong");
+          }
+          ++dgrams;
+          break;
+        }
+        case OpKind::kClose: {
+          if (err != ErrorCode::kOk) {
+            return std::string("ring close failed");
+          }
+          ServerStream& st = streams.at(sub.serial);
+          st.closed = true;
+          if (!st.armed) {
+            streams.erase(sub.serial);
+          }
+          break;
+        }
+        case OpKind::kRecv: {
+          ServerStream& st = streams.at(sub.serial);
+          st.armed = false;
+          if (err == ErrorCode::kBadFd) {
+            if (!st.closed) {
+              return "recv on an open stream completed kBadFd";
+            }
+            ++cancels;
+          } else if (err == ErrorCode::kOk) {
+            auto data = r.get_bytes();
+            if (!data || data->empty()) {
+              return std::string("recv completed without bytes");
+            }
+            if (!st.inbound) {
+              return std::string("bytes on an outbound stream nobody writes");
+            }
+            for (u8 b : *data) {
+              if (st.id < 0) {
+                st.id = b;
+              } else if (b != stream_byte(static_cast<u64>(st.id), st.got)) {
+                return "stream " + std::to_string(st.id) + " byte " + std::to_string(st.got) +
+                       " is not what its client sent";
+              }
+              ++st.got;
+            }
+            bytes_in += data->size();
+            if (st.got > sent_by_id[static_cast<u64>(st.id)]) {
+              return "stream " + std::to_string(st.id) + " delivered more than was sent";
+            }
+          } else if (err != ErrorCode::kPipeClosed && err != ErrorCode::kConnReset &&
+                     err != ErrorCode::kConnRefused && err != ErrorCode::kTimedOut &&
+                     err != ErrorCode::kOverloaded) {
+            return "recv completed with " + std::string(error_name(err));
+          } else {
+            ++failures;  // the stream ended: release the fd
+            if (!st.closed && !st.closing) {
+              if (auto bad = close_sync(sub.serial)) {
+                return bad;
+              }
+              break;
+            }
+          }
+          if (st.closed) {
+            streams.erase(sub.serial);
+          }
+          break;
+        }
+      }
+    }
+    return std::nullopt;
+  };
+
+  Rng rng(seed);
+  bool cut = false;
+  for (int step = 0; step < 400; ++step) {
+    const u64 roll = rng.next_below(100);
+    if (roll < 12 && cstreams.size() < 6 && next_id < 200) {
+      auto fd = cs.vtp_connect(sk.net_addr(), kServe, 0);
+      if (fd.ok()) {
+        cstreams.push_back(ClientStream{fd.value(), next_id++});
+      }
+    } else if (roll < 40 && !cstreams.empty()) {
+      ClientStream& c = cstreams[rng.next_below(cstreams.size())];
+      std::vector<u8> chunk(1 + rng.next_below(48));
+      for (usize i = 0; i < chunk.size(); ++i) {
+        chunk[i] = stream_byte(c.id, c.sent + i);
+      }
+      auto n = cs.vtp_send(c.fd, chunk);
+      if (n.ok()) {
+        c.sent += n.value();
+        sent_by_id[c.id] = c.sent;
+      } else if (n.error() != ErrorCode::kWouldBlock) {
+        const Fd dead = c.fd;  // the stream failed: drop it
+        (void)cs.vtp_close(dead);
+        std::erase_if(cstreams, [dead](const ClientStream& x) { return x.fd == dead; });
+      }
+    } else if (roll < 46 && !cstreams.empty()) {
+      usize i = rng.next_below(cstreams.size());
+      (void)cs.vtp_close(cstreams[i].fd);
+      cstreams.erase(cstreams.begin() + static_cast<std::ptrdiff_t>(i));
+    } else if (roll < 54) {
+      std::vector<u8> dg = {'D', static_cast<u8>(step)};
+      (void)cs.udp_sendto(csock.value(), sk.net_addr(), kDgramPort, dg);
+    } else if (roll < 60) {
+      usize outbound = 0;
+      for (const auto& [serial, st] : streams) {
+        outbound += st.inbound ? 0 : 1;
+      }
+      if (outbound < 3) {
+        auto fd = ss.vtp_connect(ck.net_addr(), kBack, 0);
+        if (fd.ok()) {
+          ServerStream st;
+          st.fd = fd.value();
+          st.inbound = false;
+          streams[next_serial++] = st;
+        }
+      }
+    } else if (roll < 64) {
+      if (back_listener == kInvalidFd) {
+        auto l = cs.vtp_listen(kBack, 2);
+        if (l.ok()) {
+          back_listener = l.value();
+        }
+      } else {
+        (void)cs.vtp_close(back_listener);  // resets the queued connections
+        back_listener = kInvalidFd;
+      }
+    } else if (roll < 72 && !streams.empty()) {
+      auto it = streams.begin();
+      std::advance(it, static_cast<std::ptrdiff_t>(rng.next_below(streams.size())));
+      const u64 serial = it->first;
+      ServerStream& st = it->second;
+      if (!st.closed && !st.closing) {
+        if (rng.chance(1, 2)) {
+          RingSqe close{next_ud++, static_cast<u32>(SysNr::kClose), ring_args::close(st.fd)};
+          std::vector<std::pair<RingSqe, Sub>> batch = {{close, Sub{OpKind::kClose, serial}}};
+          st.closing = true;
+          if (auto bad = submit(batch)) {
+            return VcOutcome::fail(*bad);
+          }
+        } else if (!st.armed || parked_uds().count(recv_ud_of(serial)) != 0) {
+          if (auto bad = close_sync(serial)) {
+            return VcOutcome::fail(*bad);
+          }
+        }
+      }
+    } else if (roll < 76) {
+      if (cut) {
+        net.heal(sk.net_addr(), ck.net_addr());
+      } else {
+        net.partition(sk.net_addr(), ck.net_addr());
+      }
+      cut = !cut;
+    }
+
+    // Keep the server's SQEs armed: the accept, two datagram recvs, and a
+    // recv on every stream that is not closing.
+    std::vector<std::pair<RingSqe, Sub>> batch;
+    if (!accept_armed) {
+      batch.push_back({RingSqe{next_ud++, static_cast<u32>(SysNr::kVtpAccept),
+                               ring_args::vtp_accept(listener.value())},
+                       Sub{OpKind::kAccept}});
+      accept_armed = true;
+    }
+    while (dgram_armed < 2) {
+      batch.push_back({RingSqe{next_ud++, static_cast<u32>(SysNr::kUdpRecvFrom),
+                               ring_args::udp_recvfrom(dsock.value())},
+                       Sub{OpKind::kDgram}});
+      ++dgram_armed;
+    }
+    for (auto& [serial, st] : streams) {
+      if (!st.armed && !st.closed && !st.closing) {
+        arm_recv(batch, serial, st);
+      }
+    }
+    if (auto bad = submit(batch)) {
+      return VcOutcome::fail(*bad);
+    }
+    sk.vtp().tick();
+    ck.vtp().tick();
+    if (auto bad = reap()) {
+      return VcOutcome::fail(*bad);
+    }
+  }
+
+  // Quiesce: a clean fabric, no faults, every fd closed. Closing the
+  // listener first stops accepts from recycling fd numbers under the
+  // streams' still-outstanding recvs.
+  freg.disarm("syscall/ring_complete");
+  net.heal_all();
+  net.set_config(FabricConfig{});
+  net.release_held();
+  for (const ClientStream& c : cstreams) {
+    (void)cs.vtp_close(c.fd);
+  }
+  if (!ss.vtp_close(listener.value()).ok()) {
+    return VcOutcome::fail("listener close failed");
+  }
+  listener_open = false;
+  std::vector<u64> live;
+  for (const auto& [serial, st] : streams) {
+    if (!st.closed && !st.closing) {
+      live.push_back(serial);
+    }
+  }
+  for (u64 serial : live) {
+    streams.at(serial).closed = true;
+    if (!ss.vtp_close(streams.at(serial).fd).ok()) {
+      return VcOutcome::fail("server close failed at quiesce");
+    }
+  }
+  if (!ss.close(dsock.value()).ok()) {
+    return VcOutcome::fail("datagram socket close failed");
+  }
+  dsock_open = false;
+  for (int i = 0; i < 8 && !outstanding.empty(); ++i) {
+    sk.vtp().tick();
+    ck.vtp().tick();
+    if (auto bad = reap()) {
+      return VcOutcome::fail(*bad);
+    }
+  }
+  if (!outstanding.empty()) {
+    return VcOutcome::fail(std::to_string(outstanding.size()) + " SQEs never completed");
+  }
+  if (sk.rings().in_flight(pid, ring.value()) != 0) {
+    return VcOutcome::fail("ring still holds SQEs after every completion was reaped");
+  }
+  if (parked_seen == 0 || bytes_in == 0 || cancels == 0 || accepts == 0 || failures == 0 ||
+      dgrams == 0) {
+    return VcOutcome::fail("schedule left a case unexercised: parked " +
+                           std::to_string(parked_seen) + ", bytes " + std::to_string(bytes_in) +
+                           ", cancels " + std::to_string(cancels) + ", accepts " +
+                           std::to_string(accepts) + ", failures " + std::to_string(failures) +
+                           ", datagrams " + std::to_string(dgrams));
+  }
+  return VcOutcome::pass();
+}
+
+VcOutcome vc_ring_readiness(u64 seed) {
+  FaultRegistry& freg = FaultRegistry::global();
+  freg.reseed(seed * 0x2545'F491'4F6C'DD1Dull + 7);
+  FaultSpec slow;
+  slow.probability_ppm = 150'000;
+  freg.arm("syscall/ring_complete", slow);
+  VcOutcome out = ring_readiness_schedule(seed, freg);
+  freg.disarm("syscall/ring_complete");
+  return out;
+}
+
 }  // namespace
 
 void register_kernel_vcs(VcRegistry& reg) {
@@ -2302,6 +2745,8 @@ void register_kernel_vcs(VcRegistry& reg) {
             [seed] { return vc_ring_refines_sync(seed); });
     reg.add("kernel/ring_completion_unique_seed" + std::to_string(seed),
             VcCategory::kRefinement, [seed] { return vc_ring_completion_unique(seed); });
+    reg.add("kernel/ring_readiness_seed" + std::to_string(seed), VcCategory::kRefinement,
+            [seed] { return vc_ring_readiness(seed); });
   }
 }
 

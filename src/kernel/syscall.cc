@@ -133,7 +133,7 @@ std::vector<u8> SyscallDispatcher::handle(Pid pid, CoreId core, std::span<const 
 // SQE. Fault eligibility gates sit here so both paths see the same injected
 // error distribution per executed op.
 ErrorCode SyscallDispatcher::exec_syscall(Pid pid, CoreId core, u32 raw_nr, Reader& args,
-                                          Writer& payload) {
+                                          Writer& payload, RingExecNote* note) {
   const SysNr nr = static_cast<SysNr>(raw_nr);
   if (io_error_eligible(nr)) {
     if (auto injected = io_fault_site_->fire()) {
@@ -153,7 +153,7 @@ ErrorCode SyscallDispatcher::exec_syscall(Pid pid, CoreId core, u32 raw_nr, Read
         err = ErrorCode::kOk;
         break;
       case SysNr::kOpen: err = do_open(pid, args, payload); break;
-      case SysNr::kClose: err = do_close(pid, args, payload); break;
+      case SysNr::kClose: err = close_fd(pid, core, args, /*vtp_only=*/false, note); break;
       case SysNr::kRead: err = do_read(pid, args, payload); break;
       case SysNr::kWrite: err = do_write(pid, args, payload); break;
       case SysNr::kLseek: err = do_lseek(pid, args, payload); break;
@@ -209,13 +209,13 @@ ErrorCode SyscallDispatcher::exec_syscall(Pid pid, CoreId core, u32 raw_nr, Read
       case SysNr::kUdpSocket: err = do_udp_socket(pid, args, payload); break;
       case SysNr::kUdpBind: err = do_udp_bind(pid, args, payload); break;
       case SysNr::kUdpSendTo: err = do_udp_sendto(pid, args, payload); break;
-      case SysNr::kUdpRecvFrom: err = do_udp_recvfrom(pid, args, payload); break;
+      case SysNr::kUdpRecvFrom: err = do_udp_recvfrom(pid, args, payload, note); break;
       case SysNr::kVtpListen: err = do_vtp_listen(pid, args, payload); break;
-      case SysNr::kVtpAccept: err = do_vtp_accept(pid, args, payload); break;
+      case SysNr::kVtpAccept: err = do_vtp_accept(pid, args, payload, note); break;
       case SysNr::kVtpConnect: err = do_vtp_connect(pid, args, payload); break;
-      case SysNr::kVtpSend: err = do_vtp_send(pid, args, payload); break;
-      case SysNr::kVtpRecv: err = do_vtp_recv(pid, args, payload); break;
-      case SysNr::kVtpClose: err = do_vtp_close(pid, args, payload); break;
+      case SysNr::kVtpSend: err = do_vtp_send(pid, args, payload, note); break;
+      case SysNr::kVtpRecv: err = do_vtp_recv(pid, args, payload, note); break;
+      case SysNr::kVtpClose: err = close_fd(pid, core, args, /*vtp_only=*/true, note); break;
       case SysNr::kConsoleWrite: err = do_console_write(pid, args, payload); break;
       case SysNr::kKstat: err = do_kstat(pid, args, payload); break;
       case SysNr::kKstatList: err = do_kstat_list(pid, args, payload); break;
@@ -274,35 +274,61 @@ ErrorCode SyscallDispatcher::do_open(Pid pid, Reader& args, Writer& reply) {
   return ErrorCode::kOk;
 }
 
-ErrorCode SyscallDispatcher::do_close(Pid pid, Reader& args, Writer&) {
+ErrorCode SyscallDispatcher::close_fd(Pid pid, CoreId core, Reader& args, bool vtp_only,
+                                      RingExecNote* note) {
   auto fd = get_fd(args);
   if (!fd || !args.exhausted()) {
     return ErrorCode::kInvalidArgument;
   }
   ProcState& ps = proc_state(pid);
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = ps.fds.find(*fd);
-  if (it == ps.fds.end()) {
-    return ErrorCode::kBadFd;
-  }
-  if (it->second.kind == OpenFile::Kind::kUdp && it->second.port != 0) {
-    (void)kernel_.udp().unbind(it->second.port);
-  }
-  if (it->second.kind == OpenFile::Kind::kPipeRead) {
-    kernel_.pipes().close_reader(it->second.pipe);
-  }
-  if (it->second.kind == OpenFile::Kind::kPipeWrite) {
-    kernel_.pipes().close_writer(it->second.pipe);
-  }
-  if (it->second.kind == OpenFile::Kind::kVtp) {
-    if (it->second.listener) {
-      (void)kernel_.vtp().unlisten(it->second.port);
-    } else {
-      (void)kernel_.vtp().close(it->second.conn);
+  // The events ring ops can park on through this fd.
+  std::vector<WaitKey> events;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = ps.fds.find(*fd);
+    if (it == ps.fds.end() || (vtp_only && it->second.kind != OpenFile::Kind::kVtp)) {
+      return ErrorCode::kBadFd;
+    }
+    const OpenFile& of = it->second;
+    if (of.kind == OpenFile::Kind::kUdp && of.port != 0) {
+      (void)kernel_.udp().unbind(of.port);
+      events.push_back({WaitKey::Kind::kUdpRecv, of.port});
+    }
+    if (of.kind == OpenFile::Kind::kPipeRead) {
+      kernel_.pipes().close_reader(of.pipe);
+    }
+    if (of.kind == OpenFile::Kind::kPipeWrite) {
+      kernel_.pipes().close_writer(of.pipe);
+    }
+    if (of.kind == OpenFile::Kind::kVtp) {
+      if (of.listener) {
+        (void)kernel_.vtp().unlisten(of.port);
+        events.push_back({WaitKey::Kind::kVtpAccept, of.port});
+      } else {
+        (void)kernel_.vtp().close(of.conn);
+        events.push_back({WaitKey::Kind::kVtpRecv, of.conn});
+        events.push_back({WaitKey::Kind::kVtpSend, of.conn});
+      }
+    }
+    ps.fds.erase(it);
+    if (events.empty()) {
+      release_fd(ps, *fd);  // nothing can park on a file or pipe fd
+      return ErrorCode::kOk;
     }
   }
-  release_fd(ps, it->first);
-  ps.fds.erase(it);
+  // Ops parked on the socket complete with kBadFd — the synchronous reply on
+  // the now-closed fd — before the number can be reused, so a parked recv
+  // never reads the stream that inherits it. The ring lock orders before
+  // mu_, so this runs outside it. A close the reactor itself executes hands
+  // the events back instead: the reactor holds the ring lock and cancels
+  // before it runs another op.
+  if (note != nullptr) {
+    note->closed = std::move(events);
+  } else {
+    kernel_.rings().cancel(pid, events, sched_token(core));
+  }
+  std::lock_guard<std::mutex> lock(mu_);
+  release_fd(ps, *fd);
   return ErrorCode::kOk;
 }
 
@@ -770,7 +796,8 @@ ErrorCode SyscallDispatcher::do_udp_sendto(Pid pid, Reader& args, Writer&) {
   return kernel_.udp().send(*dst, *dport, src_port, *data).error();
 }
 
-ErrorCode SyscallDispatcher::do_udp_recvfrom(Pid pid, Reader& args, Writer& reply) {
+ErrorCode SyscallDispatcher::do_udp_recvfrom(Pid pid, Reader& args, Writer& reply,
+                                             RingExecNote* note) {
   auto fd = get_fd(args);
   if (!fd || !args.exhausted()) {
     return ErrorCode::kInvalidArgument;
@@ -790,6 +817,9 @@ ErrorCode SyscallDispatcher::do_udp_recvfrom(Pid pid, Reader& args, Writer& repl
   }
   auto r = kernel_.udp().recv(port);
   if (!r.ok()) {
+    if (note != nullptr) {
+      note->wait = WaitKey{WaitKey::Kind::kUdpRecv, port};
+    }
     return r.error();
   }
   reply.put_u32(r.value().src_addr);
@@ -842,7 +872,8 @@ ErrorCode SyscallDispatcher::do_vtp_connect(Pid pid, Reader& args, Writer& reply
   return ErrorCode::kOk;
 }
 
-ErrorCode SyscallDispatcher::do_vtp_accept(Pid pid, Reader& args, Writer& reply) {
+ErrorCode SyscallDispatcher::do_vtp_accept(Pid pid, Reader& args, Writer& reply,
+                                           RingExecNote* note) {
   auto fd = get_fd(args);
   if (!fd || !args.exhausted()) {
     return ErrorCode::kInvalidArgument;
@@ -860,6 +891,9 @@ ErrorCode SyscallDispatcher::do_vtp_accept(Pid pid, Reader& args, Writer& reply)
   }
   auto r = kernel_.vtp().accept(port);
   if (!r.ok()) {
+    if (note != nullptr) {
+      note->wait = WaitKey{WaitKey::Kind::kVtpAccept, port};
+    }
     return r.error();  // kWouldBlock while empty: transient, ring-parkable
   }
   std::lock_guard<std::mutex> lock(mu_);
@@ -872,7 +906,8 @@ ErrorCode SyscallDispatcher::do_vtp_accept(Pid pid, Reader& args, Writer& reply)
   return ErrorCode::kOk;
 }
 
-ErrorCode SyscallDispatcher::do_vtp_send(Pid pid, Reader& args, Writer& reply) {
+ErrorCode SyscallDispatcher::do_vtp_send(Pid pid, Reader& args, Writer& reply,
+                                         RingExecNote* note) {
   auto fd = get_fd(args);
   auto data = args.get_bytes();
   if (!fd || !data || !args.exhausted()) {
@@ -890,13 +925,17 @@ ErrorCode SyscallDispatcher::do_vtp_send(Pid pid, Reader& args, Writer& reply) {
   }
   auto r = kernel_.vtp().send(conn, *data);
   if (!r.ok()) {
+    if (note != nullptr) {
+      note->wait = WaitKey{WaitKey::Kind::kVtpSend, conn};
+    }
     return r.error();  // kWouldBlock when the send buffer is full
   }
   reply.put_u64(r.value());  // stream semantics: bytes accepted, not all-or-nothing
   return ErrorCode::kOk;
 }
 
-ErrorCode SyscallDispatcher::do_vtp_recv(Pid pid, Reader& args, Writer& reply) {
+ErrorCode SyscallDispatcher::do_vtp_recv(Pid pid, Reader& args, Writer& reply,
+                                         RingExecNote* note) {
   auto fd = get_fd(args);
   auto max_len = args.get_u64();
   if (!fd || !max_len || *max_len > kMaxIoBytes || !args.exhausted()) {
@@ -914,30 +953,12 @@ ErrorCode SyscallDispatcher::do_vtp_recv(Pid pid, Reader& args, Writer& reply) {
   }
   auto r = kernel_.vtp().recv(conn, *max_len);
   if (!r.ok()) {
+    if (note != nullptr) {
+      note->wait = WaitKey{WaitKey::Kind::kVtpRecv, conn};
+    }
     return r.error();
   }
   reply.put_bytes(r.value());
-  return ErrorCode::kOk;
-}
-
-ErrorCode SyscallDispatcher::do_vtp_close(Pid pid, Reader& args, Writer&) {
-  auto fd = get_fd(args);
-  if (!fd || !args.exhausted()) {
-    return ErrorCode::kInvalidArgument;
-  }
-  ProcState& ps = proc_state(pid);
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = ps.fds.find(*fd);
-  if (it == ps.fds.end() || it->second.kind != OpenFile::Kind::kVtp) {
-    return ErrorCode::kBadFd;
-  }
-  if (it->second.listener) {
-    (void)kernel_.vtp().unlisten(it->second.port);
-  } else {
-    (void)kernel_.vtp().close(it->second.conn);
-  }
-  release_fd(ps, it->first);
-  ps.fds.erase(it);
   return ErrorCode::kOk;
 }
 
@@ -1011,8 +1032,8 @@ ErrorCode SyscallDispatcher::do_ring_submit(Pid pid, CoreId core, Reader& args, 
   if (!args.exhausted()) {
     return ErrorCode::kInvalidArgument;
   }
-  auto exec = [this, pid, core](u32 op, Reader& a, Writer& p) {
-    return exec_syscall(pid, core, op, a, p);
+  auto exec = [this, pid, core](u32 op, Reader& a, Writer& p, RingExecNote& note) {
+    return exec_syscall(pid, core, op, a, p, &note);
   };
   auto r = kernel_.rings().submit(pid, *ring_id, entries, exec, sched_token(core));
   if (!r.ok()) {
@@ -1030,8 +1051,8 @@ ErrorCode SyscallDispatcher::do_ring_wait(Pid pid, CoreId core, Reader& args, Wr
   if (!ring_id || !min_complete || !max_reap || !tid || !args.exhausted()) {
     return ErrorCode::kInvalidArgument;
   }
-  auto exec = [this, pid, core](u32 op, Reader& a, Writer& p) {
-    return exec_syscall(pid, core, op, a, p);
+  auto exec = [this, pid, core](u32 op, Reader& a, Writer& p, RingExecNote& note) {
+    return exec_syscall(pid, core, op, a, p, &note);
   };
   auto r = kernel_.rings().wait(pid, *ring_id, *min_complete, *max_reap, *tid, exec,
                                 sched_token(core));

@@ -153,18 +153,25 @@ class SyscallDispatcher {
   static Fd alloc_fd(ProcState& ps);
   // Returns a closed descriptor to the free list. Caller holds mu_.
   static void release_fd(ProcState& ps, Fd fd);
+  // close / vtp_close: tears down the fd's object and retires the number.
+  // Ring ops parked on a socket fd complete with kBadFd before the number
+  // returns to the free list (SysRingTable::cancel). `vtp_only` restricts
+  // the call to stream fds (vtp_close's contract).
+  ErrorCode close_fd(Pid pid, CoreId core, Reader& args, bool vtp_only, RingExecNote* note);
 
   // The shared transition function: executes one syscall by number against
   // kernel state, appending the reply payload. Both the synchronous path
   // (handle) and the ring reactor (kernel_.rings()) dispatch through here,
   // so a ring-executed op refines the synchronous one by construction.
   // Fault-injection eligibility ("syscall/io_error", "syscall/no_memory")
-  // is applied here, once per execution attempt.
-  ErrorCode exec_syscall(Pid pid, CoreId core, u32 nr, Reader& args, Writer& payload);
+  // is applied here, once per execution attempt. The reactor passes a
+  // `note` for the handlers to report what an op parks on or closes; the
+  // synchronous path passes none.
+  ErrorCode exec_syscall(Pid pid, CoreId core, u32 nr, Reader& args, Writer& payload,
+                         RingExecNote* note = nullptr);
 
   // Handlers append their reply payload to `reply` and return the ErrorCode.
   ErrorCode do_open(Pid pid, Reader& args, Writer& reply);
-  ErrorCode do_close(Pid pid, Reader& args, Writer& reply);
   ErrorCode do_read(Pid pid, Reader& args, Writer& reply);
   ErrorCode do_write(Pid pid, Reader& args, Writer& reply);
   ErrorCode do_lseek(Pid pid, Reader& args, Writer& reply);
@@ -185,13 +192,13 @@ class SyscallDispatcher {
   ErrorCode do_udp_socket(Pid pid, Reader& args, Writer& reply);
   ErrorCode do_udp_bind(Pid pid, Reader& args, Writer& reply);
   ErrorCode do_udp_sendto(Pid pid, Reader& args, Writer& reply);
-  ErrorCode do_udp_recvfrom(Pid pid, Reader& args, Writer& reply);
+  // The parkable handlers name the event a kWouldBlock waits on in `note`.
+  ErrorCode do_udp_recvfrom(Pid pid, Reader& args, Writer& reply, RingExecNote* note);
   ErrorCode do_vtp_listen(Pid pid, Reader& args, Writer& reply);
-  ErrorCode do_vtp_accept(Pid pid, Reader& args, Writer& reply);
+  ErrorCode do_vtp_accept(Pid pid, Reader& args, Writer& reply, RingExecNote* note);
   ErrorCode do_vtp_connect(Pid pid, Reader& args, Writer& reply);
-  ErrorCode do_vtp_send(Pid pid, Reader& args, Writer& reply);
-  ErrorCode do_vtp_recv(Pid pid, Reader& args, Writer& reply);
-  ErrorCode do_vtp_close(Pid pid, Reader& args, Writer& reply);
+  ErrorCode do_vtp_send(Pid pid, Reader& args, Writer& reply, RingExecNote* note);
+  ErrorCode do_vtp_recv(Pid pid, Reader& args, Writer& reply, RingExecNote* note);
   ErrorCode do_console_write(Pid pid, Reader& args, Writer& reply);
   ErrorCode do_kstat(Pid pid, Reader& args, Writer& reply);
   ErrorCode do_kstat_list(Pid pid, Reader& args, Writer& reply);

@@ -10,6 +10,7 @@
 #include "src/base/result.h"
 #include "src/hw/network.h"
 #include "src/net/headers.h"
+#include "src/net/readiness.h"
 
 namespace vnros {
 
@@ -39,8 +40,13 @@ class IpStack {
 
   const IpStats& stats() const { return stats_; }
 
+  // The host's readiness record: the transports above mark it, the ring
+  // reactor drains it (src/net/readiness.h).
+  Readiness& readiness() { return readiness_; }
+
  private:
   NetDevice& dev_;
+  Readiness readiness_;
   std::mutex mu_;
   std::map<u8, std::function<void(const IpHeader&, std::span<const u8>)>> handlers_;
   IpStats stats_;

@@ -24,6 +24,11 @@ UdpStack::UdpStack(IpStack& ip) : ip_(ip) {
   ip_.register_proto(IpProto::kUdp, [this](const IpHeader& hdr, std::span<const u8> payload) {
     on_datagram(hdr, payload);
   });
+  ip_.readiness().set_probe(WaitKey::Kind::kUdpRecv, [this](u64 port) {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = bound_.find(static_cast<Port>(port));
+    return it == bound_.end() || !it->second.empty();
+  });
 }
 
 Result<Unit> UdpStack::bind(Port port) {
@@ -40,6 +45,7 @@ Result<Unit> UdpStack::unbind(Port port) {
   if (bound_.erase(port) == 0) {
     return ErrorCode::kNotFound;
   }
+  ip_.readiness().mark({WaitKey::Kind::kUdpRecv, port});
   return Unit{};
 }
 
@@ -97,6 +103,7 @@ void UdpStack::on_datagram(const IpHeader& ip, std::span<const u8> payload) {
   }
   ++stats_.rx_delivered;
   it->second.push_back(Datagram{ip.src, hdr->src_port, std::vector<u8>(data.begin(), data.end())});
+  ip_.readiness().mark({WaitKey::Kind::kUdpRecv, hdr->dst_port});
 }
 
 }  // namespace vnros

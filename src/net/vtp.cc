@@ -76,6 +76,11 @@ VtpStack::VtpStack(IpStack& ip, VirtualClock& clock)
   ip_.register_proto(IpProto::kVtp, [this](const IpHeader& hdr, std::span<const u8> payload) {
     on_segment(hdr, payload);
   });
+  Readiness& rd = ip_.readiness();
+  rd.set_probe(WaitKey::Kind::kVtpRecv, [this](u64 id) { return readable(id); });
+  rd.set_probe(WaitKey::Kind::kVtpSend, [this](u64 id) { return writable(id); });
+  rd.set_probe(WaitKey::Kind::kVtpAccept,
+               [this](u64 port) { return acceptable(static_cast<Port>(port)); });
 }
 
 Result<Unit> VtpStack::listen(Port port, usize backlog) {
@@ -102,11 +107,11 @@ Result<Unit> VtpStack::unlisten(Port port) {
     Conn* conn = find_locked(id);
     if (conn != nullptr) {
       transmit_rst(conn->peer, conn->local_port, conn->peer_port, ErrorCode::kConnReset);
-      conns_.erase(id);
-      c_conns_closed_.inc();
+      drop_conn_locked(id);
     }
   }
   listeners_.erase(it);
+  ip_.readiness().mark({WaitKey::Kind::kVtpAccept, port});
   return Unit{};
 }
 
@@ -161,13 +166,13 @@ Result<Unit> VtpStack::close(ConnId id) {
     if (!conn->fin_queued) {
       conn->fin_queued = true;
       conn->state = VtpState::kFinWait;
+      wake_locked(id, /*recv=*/false, /*send=*/true);  // send now fails kNotConnected
       pump_send_locked(*conn);
     }
     return Unit{};
   }
   // Handshake-stage or already-failed connection: nothing to drain.
-  conns_.erase(id);
-  c_conns_closed_.inc();
+  drop_conn_locked(id);
   return Unit{};
 }
 
@@ -257,12 +262,28 @@ void VtpStack::ack_locked(Conn& conn) {
   transmit(conn, VtpType::kAck, 0, conn.rcv_nxt, {});
 }
 
-void VtpStack::fail_locked(Conn& conn, ErrorCode reason) {
+void VtpStack::fail_locked(ConnId id, Conn& conn, ErrorCode reason) {
   conn.state = VtpState::kError;
   conn.error = reason;
   conn.snd_buf.clear();
   conn.ooo.clear();
   conn.ooo_bytes = 0;
+  wake_locked(id, /*recv=*/true, /*send=*/true);
+}
+
+void VtpStack::drop_conn_locked(ConnId id) {
+  conns_.erase(id);
+  c_conns_closed_.inc();
+  wake_locked(id, /*recv=*/true, /*send=*/true);
+}
+
+void VtpStack::wake_locked(ConnId id, bool recv, bool send) {
+  if (recv) {
+    ip_.readiness().mark({WaitKey::Kind::kVtpRecv, id});
+  }
+  if (send) {
+    ip_.readiness().mark({WaitKey::Kind::kVtpSend, id});
+  }
 }
 
 void VtpStack::pump_send_locked(Conn& conn) {
@@ -333,7 +354,7 @@ void VtpStack::tick() {
       case VtpState::kSynSent:
         if (now - conn.last_progress_tick >= kRtoTicks) {
           if (conn.syn_retries >= kMaxSynRetries) {
-            fail_locked(conn, ErrorCode::kTimedOut);
+            fail_locked(id, conn, ErrorCode::kTimedOut);
             break;
           }
           ++conn.syn_retries;
@@ -391,8 +412,7 @@ void VtpStack::tick() {
     }
   }
   for (ConnId id : reap) {
-    conns_.erase(id);
-    c_conns_closed_.inc();
+    drop_conn_locked(id);
   }
   clock_.advance(1);
 }
@@ -486,6 +506,7 @@ void VtpStack::on_segment(const IpHeader& ip, std::span<const u8> payload) {
         if (lq != listeners_.end()) {
           lq->second.queue.push_back(id);
           h_accept_queue_->record(lq->second.queue.size());
+          ip_.readiness().mark({WaitKey::Kind::kVtpAccept, conn.local_port});
         }
       }
       if (hdr->ack > conn.snd_una) {
@@ -493,6 +514,9 @@ void VtpStack::on_segment(const IpHeader& ip, std::span<const u8> payload) {
         // (slow start below ssthresh, additive increase above it).
         u64 acked = hdr->ack - conn.snd_una;
         u64 advance = std::min<u64>(hdr->ack, conn.buffered_end()) - conn.snd_base_seq;
+        if (advance > 0 && conn.snd_buf.size() >= kSndBufMax) {
+          wake_locked(id, /*recv=*/false, /*send=*/true);  // a full buffer gains space
+        }
         conn.snd_buf.erase(conn.snd_buf.begin(),
                            conn.snd_buf.begin() + static_cast<std::ptrdiff_t>(advance));
         conn.snd_base_seq += advance;
@@ -527,6 +551,7 @@ void VtpStack::on_segment(const IpHeader& ip, std::span<const u8> payload) {
         if (lq != listeners_.end()) {
           lq->second.queue.push_back(id);
           h_accept_queue_->record(lq->second.queue.size());
+          ip_.readiness().mark({WaitKey::Kind::kVtpAccept, conn.local_port});
         }
       }
       const u64 seq = hdr->seq;
@@ -560,6 +585,7 @@ void VtpStack::on_segment(const IpHeader& ip, std::span<const u8> payload) {
             conn.state = VtpState::kPeerClosed;
           }
         }
+        wake_locked(id, /*recv=*/true, /*send=*/false);
       } else if (end <= conn.rcv_nxt + kRcvWindow &&
                  conn.ooo.count(seq) == 0) {
         // Out-of-order but inside the window: keep it for reassembly (this
@@ -588,6 +614,7 @@ void VtpStack::on_segment(const IpHeader& ip, std::span<const u8> payload) {
         if (conn.state == VtpState::kEstablished) {
           conn.state = VtpState::kPeerClosed;
         }
+        wake_locked(id, /*recv=*/true, /*send=*/false);
       } else if (hdr->seq > conn.rcv_nxt) {
         conn.peer_fin_seq = hdr->seq;  // FIN ahead of a data gap: remember it
       }
@@ -603,11 +630,10 @@ void VtpStack::on_segment(const IpHeader& ip, std::span<const u8> payload) {
       if (conn.state == VtpState::kFinWait && conn.peer_fin) {
         // Both sides were closing and the peer already reaped: treat the
         // reset as the close completing, not as a failure.
-        conns_.erase(id);
-        c_conns_closed_.inc();
+        drop_conn_locked(id);
         return;
       }
-      fail_locked(conn, rst_reason(hdr->seq));
+      fail_locked(id, conn, rst_reason(hdr->seq));
       return;
     }
   }
@@ -662,6 +688,31 @@ Port VtpStack::ephemeral_port_locked() {
     }
   }
   return 0;
+}
+
+bool VtpStack::readable(ConnId id) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  const Conn* conn = find_locked(id);
+  return conn == nullptr || !conn->rcv_ready.empty() || conn->peer_fin ||
+         conn->state == VtpState::kError;
+}
+
+bool VtpStack::writable(ConnId id) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  const Conn* conn = find_locked(id);
+  if (conn == nullptr) {
+    return true;
+  }
+  const bool sendable = conn->state == VtpState::kEstablished ||
+                        conn->state == VtpState::kSynSent || conn->state == VtpState::kSynRcvd ||
+                        conn->state == VtpState::kPeerClosed;
+  return !sendable || conn->snd_buf.size() < kSndBufMax;
+}
+
+bool VtpStack::acceptable(Port port) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = listeners_.find(port);
+  return it == listeners_.end() || !it->second.queue.empty();
 }
 
 bool VtpStack::is_established(ConnId id) const {

@@ -126,6 +126,15 @@ class VtpStack {
   // reap fully-closed connections; advances virtual time by one tick.
   void tick();
 
+  // Readiness probes: would recv / send / accept return something other
+  // than kWouldBlock right now? True for a connection or listener that is
+  // gone (the op then fails typed). The ring reactor arms these through the
+  // IP layer's readiness record, which this stack marks on every transition
+  // that can make them true (src/net/readiness.h).
+  bool readable(ConnId id) const;
+  bool writable(ConnId id) const;
+  bool acceptable(Port port) const;
+
   bool is_established(ConnId id) const;
   VtpState state(ConnId id) const;
   // The connection's terminal typed error (kOk while healthy).
@@ -198,7 +207,12 @@ class VtpStack {
   void pump_send_locked(Conn& conn);
   void retransmit_head_locked(Conn& conn);
   void ack_locked(Conn& conn);
-  void fail_locked(Conn& conn, ErrorCode reason);
+  // Terminal typed failure; wakes the connection's parked ops.
+  void fail_locked(ConnId id, Conn& conn, ErrorCode reason);
+  // Erases a connection and wakes its parked ops.
+  void drop_conn_locked(ConnId id);
+  // Marks `id` in the readiness record for a recv and/or send waiter.
+  void wake_locked(ConnId id, bool recv, bool send);
   usize synrcvd_count_locked(Port port) const;
   Conn* find_locked(ConnId id);
   const Conn* find_locked(ConnId id) const;

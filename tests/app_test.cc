@@ -615,6 +615,49 @@ TEST(BlockStoreReplicationTest, PutPropagatesToPeer) {
   EXPECT_EQ(replica.get("r").value(), bytes("replicated"));
 }
 
+// Ack waits nest: the pump a replica-ack wait runs can serve a request that
+// pushes from the same node. Here A's first pump runs a second put on A,
+// whose wait reaps the outer push's ack before its own. The outer ack must
+// reach the outer wait instead of being dropped, which would cost it the
+// whole first send window (half the ack deadline) and a re-send.
+TEST(BlockStoreReplicationTest, NestedAckWaitKeepsTheOuterAck) {
+  Network net;
+  Host a_host(&net);
+  Host b_host(&net);
+  BlockStoreNode b(b_host.sys, 7001);
+  ASSERT_TRUE(b.init().ok());
+  BlockStoreNode* a_ptr = nullptr;
+  usize pumps = 0;
+  BlockStoreNode a(a_host.sys, 7000, {}, [&] {
+    if (++pumps == 1) {
+      ASSERT_TRUE(a_ptr->put("inner", bytes("nested")).ok());
+    }
+    b.serve_once();
+  });
+  a_ptr = &a;
+  ASSERT_TRUE(a.init().ok());
+  ClusterView view;
+  view.replication = 2;
+  view.ring = PlacementRing(16);
+  view.ring.add_node(0);
+  view.ring.add_node(1);
+  view.directory[0] = BsPeer{a_host.kernel.net_addr(), 7000};
+  view.directory[1] = BsPeer{b_host.kernel.net_addr(), 7001};
+  ClusterConfig ca;
+  ca.self = 0;
+  a.configure_cluster(ca, view);
+  ClusterConfig cb;
+  cb.self = 1;
+  b.configure_cluster(cb, view);
+
+  ASSERT_TRUE(a.put("outer", bytes("first")).ok());
+  EXPECT_EQ(a.stats().replicas_pushed, 2u) << "the outer push was re-sent";
+  EXPECT_LE(pumps, 4u);
+  EXPECT_EQ(b.get("outer").value(), bytes("first"));
+  EXPECT_EQ(b.get("inner").value(), bytes("nested"));
+  EXPECT_EQ(a.stats().hints_written, 0u);
+}
+
 // --- Sequenced delete tombstones -------------------------------------------
 
 TEST(TombstoneTest, DeleteIsSequencedTombstone) {

@@ -1,12 +1,16 @@
 // Edge-case tests for the SysRing submission/completion queues (src/kernel/
 // ring.cc): backpressure when the SQ fills, accounted CQ overflow with no
 // completion loss, wait semantics with nothing pending, kernel-side parking
-// of a waiting thread, and non-fs opcodes (vtp) through the ring. The
-// refinement and exactly-once properties live in the kernel/ring_* VCs
-// (src/kernel/kernel_vcs.cc); these tests pin the directed corners.
+// of a waiting thread, non-fs opcodes (vtp) through the ring, cancel-on-close
+// of parked ops, the readiness-driven reactor's re-execution tripwire, and a
+// two-thread run for TSan. The refinement, exactly-once and no-lost-wakeup
+// properties live in the kernel/ring_* VCs (src/kernel/kernel_vcs.cc); these
+// tests pin the directed corners.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/kernel/kernel.h"
@@ -39,6 +43,20 @@ class RingSysTest : public ::testing::Test {
 
   RingSqe recv_sqe(u64 ud, Fd sock) {
     return RingSqe{ud, static_cast<u32>(SysNr::kUdpRecvFrom), ring_args::udp_recvfrom(sock)};
+  }
+
+  // Ticks the (loopback) stack until a synchronous accept on `listener`
+  // returns a stream.
+  Fd accept_stream(Fd listener) {
+    for (int i = 0; i < 200; ++i) {
+      kernel.vtp().tick();
+      auto acc = sys.vtp_accept(listener);
+      if (acc.ok()) {
+        return acc.value();
+      }
+    }
+    ADD_FAILURE() << "handshake did not complete";
+    return kInvalidFd;
   }
 
   Kernel kernel;
@@ -213,6 +231,267 @@ TEST_F(RingSysTest, VtpSendAndRecvThroughRing) {
   }
   EXPECT_TRUE(send_done);
   EXPECT_EQ(got, bytes("ring-stream"));
+}
+
+// The fd-reuse hazard: a recv parked on a stream fd that is closed, ahead of
+// whose re-execution a parked accept recycles the fd number for the next
+// stream. Closing completes the parked recv with kBadFd (the synchronous
+// reply on a closed fd) on the spot, so the next stream's first bytes reach
+// the recv armed on it, not the stale one.
+TEST_F(RingSysTest, CloseCompletesParkedRecvBeforeItsFdIsReused) {
+  auto listener = sys.vtp_listen(81);
+  ASSERT_TRUE(listener.ok());
+  auto first = sys.vtp_connect(kernel.net_addr(), 81, 2001);
+  ASSERT_TRUE(first.ok());
+  Fd stale = accept_stream(listener.value());
+  ASSERT_NE(stale, kInvalidFd);
+
+  auto ring = sys.ring_setup(8, 8);
+  ASSERT_TRUE(ring.ok());
+  std::vector<RingSqe> park = {
+      RingSqe{1, static_cast<u32>(SysNr::kVtpAccept), ring_args::vtp_accept(listener.value())},
+      RingSqe{2, static_cast<u32>(SysNr::kVtpRecv), ring_args::vtp_recv(stale, 64)},
+  };
+  ASSERT_EQ(sys.ring_submit(ring.value(), park).value(), 2u);
+
+  // The next stream connects and sends (its client end takes a new fd), the
+  // stale stream closes, and the handshake lands — all before the reactor
+  // runs again.
+  auto second = sys.vtp_connect(kernel.net_addr(), 81, 2002);
+  ASSERT_TRUE(second.ok());
+  ASSERT_TRUE(sys.vtp_send(second.value(), bytes("fresh")).ok());
+  ASSERT_TRUE(sys.vtp_close(stale).ok());
+  for (int i = 0; i < 4; ++i) {
+    kernel.vtp().tick();
+  }
+
+  auto cqes = sys.ring_wait(ring.value(), 0, 8);
+  ASSERT_TRUE(cqes.ok());
+  ASSERT_EQ(cqes.value().size(), 2u);
+  EXPECT_EQ(cqes.value()[0].user_data, 2u);
+  EXPECT_EQ(static_cast<ErrorCode>(cqes.value()[0].err), ErrorCode::kBadFd);
+  EXPECT_TRUE(cqes.value()[0].payload.empty());
+  ASSERT_EQ(cqes.value()[1].user_data, 1u);
+  ASSERT_EQ(static_cast<ErrorCode>(cqes.value()[1].err), ErrorCode::kOk);
+  Reader ar(cqes.value()[1].payload);
+  Fd reused = static_cast<Fd>(ar.get_u32().value());
+  EXPECT_EQ(reused, stale) << "the accept should recycle the closed fd number";
+
+  RingSqe recv{3, static_cast<u32>(SysNr::kVtpRecv), ring_args::vtp_recv(reused, 64)};
+  ASSERT_EQ(sys.ring_submit(ring.value(), std::span<const RingSqe>(&recv, 1)).value(), 1u);
+  auto got = sys.ring_wait(ring.value(), 0, 8);
+  ASSERT_TRUE(got.ok());
+  ASSERT_EQ(got.value().size(), 1u);
+  EXPECT_EQ(got.value()[0].user_data, 3u);
+  Reader rr(got.value()[0].payload);
+  EXPECT_EQ(rr.get_bytes().value(), bytes("fresh"));
+}
+
+// A close the reactor itself executes cancels the ops parked on the fd right
+// after its own completion, before any later op in the pass runs.
+TEST_F(RingSysTest, RingSubmittedCloseCancelsParkedOpsAfterItself) {
+  auto listener = sys.vtp_listen(82);
+  ASSERT_TRUE(listener.ok());
+  ASSERT_TRUE(sys.vtp_connect(kernel.net_addr(), 82, 2003).ok());
+  Fd stream = accept_stream(listener.value());
+  ASSERT_NE(stream, kInvalidFd);
+  Fd sock = bound_socket(6104);
+
+  auto ring = sys.ring_setup(8, 8);
+  ASSERT_TRUE(ring.ok());
+  std::vector<RingSqe> park = {
+      RingSqe{1, static_cast<u32>(SysNr::kVtpRecv), ring_args::vtp_recv(stream, 64)},
+      recv_sqe(2, sock),
+  };
+  ASSERT_EQ(sys.ring_submit(ring.value(), park).value(), 2u);
+  std::vector<RingSqe> close = {
+      RingSqe{3, static_cast<u32>(SysNr::kClose), ring_args::close(stream)},
+      RingSqe{4, static_cast<u32>(SysNr::kClose), ring_args::close(sock)},
+  };
+  ASSERT_EQ(sys.ring_submit(ring.value(), close).value(), 2u);
+  auto cqes = sys.ring_wait(ring.value(), 0, 8);
+  ASSERT_TRUE(cqes.ok());
+  std::vector<std::pair<u64, ErrorCode>> got;
+  for (const RingCqe& cqe : cqes.value()) {
+    got.emplace_back(cqe.user_data, static_cast<ErrorCode>(cqe.err));
+  }
+  std::vector<std::pair<u64, ErrorCode>> want = {{3, ErrorCode::kOk},
+                                                 {1, ErrorCode::kBadFd},
+                                                 {4, ErrorCode::kOk},
+                                                 {2, ErrorCode::kBadFd}};
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(kernel.rings().in_flight(pid, ring.value()), 0u);
+}
+
+// Send-side readiness: a vtp_send parked on a full send buffer runs again
+// once ACKs free space in it, and not before.
+TEST_F(RingSysTest, ParkedSendWakesWhenAcksFreeBufferSpace) {
+  auto listener = sys.vtp_listen(83);
+  ASSERT_TRUE(listener.ok());
+  auto client = sys.vtp_connect(kernel.net_addr(), 83, 2004);
+  ASSERT_TRUE(client.ok());
+  Fd server = accept_stream(listener.value());
+  ASSERT_NE(server, kInvalidFd);
+  // The server reads nothing, so its window closes and the client's send
+  // buffer fills.
+  const std::vector<u8> blob(64 * 1024, 0xAB);
+  bool full = false;
+  for (int i = 0; i < 64 && !full; ++i) {
+    auto n = sys.vtp_send(client.value(), blob);
+    full = !n.ok();
+    if (full) {
+      ASSERT_EQ(n.error(), ErrorCode::kWouldBlock);
+    }
+    kernel.vtp().tick();
+  }
+  ASSERT_TRUE(full);
+
+  auto ring = sys.ring_setup(4, 4);
+  ASSERT_TRUE(ring.ok());
+  RingSqe send{1, static_cast<u32>(SysNr::kVtpSend),
+               ring_args::vtp_send(client.value(), bytes("tail"))};
+  ASSERT_EQ(sys.ring_submit(ring.value(), std::span<const RingSqe>(&send, 1)).value(), 1u);
+  for (int i = 0; i < 8; ++i) {
+    kernel.vtp().tick();
+    ASSERT_TRUE(sys.ring_wait(ring.value(), 0, 4).value().empty());
+  }
+  auto parked = kernel.rings().parked(pid, ring.value());
+  ASSERT_EQ(parked.size(), 1u);
+  EXPECT_EQ(parked[0].key.kind, WaitKey::Kind::kVtpSend);
+
+  // Draining the server reopens its window; the ACKs that follow free the
+  // client's buffer and wake the parked send.
+  std::vector<RingCqe> done;
+  for (int i = 0; i < 400 && done.empty(); ++i) {
+    (void)sys.vtp_recv(server, 64 * 1024);
+    kernel.vtp().tick();
+    done = sys.ring_wait(ring.value(), 0, 4).value();
+  }
+  ASSERT_EQ(done.size(), 1u);
+  EXPECT_EQ(static_cast<ErrorCode>(done[0].err), ErrorCode::kOk);
+  Reader r(done[0].payload);
+  EXPECT_EQ(r.get_u64().value(), 4u);
+}
+
+// The reactor's tripwire: ops parked on idle sockets are never re-executed,
+// however many passes run; one datagram re-executes exactly the one op
+// parked on its port.
+TEST_F(RingSysTest, ParkedOpsRunAgainOnlyWhenTheirSocketSignals) {
+  constexpr usize kSockets = 1000;
+  constexpr Port kBase = 20000;
+  auto ring = sys.ring_setup(1024, 1024);
+  ASSERT_TRUE(ring.ok());
+  std::vector<Fd> socks;
+  std::vector<RingSqe> batch;
+  for (usize i = 0; i < kSockets; ++i) {
+    socks.push_back(bound_socket(static_cast<Port>(kBase + i)));
+    batch.push_back(recv_sqe(i + 1, socks.back()));
+  }
+  ASSERT_EQ(sys.ring_submit(ring.value(), batch).value(), kSockets);
+  ASSERT_EQ(kernel.rings().in_flight(pid, ring.value()), kSockets);
+
+  const u64 before = kernel.rings().parked_reexecs();
+  for (int pass = 0; pass < 100; ++pass) {
+    auto cqes = sys.ring_wait(ring.value(), 0, 16);
+    ASSERT_TRUE(cqes.ok());
+    ASSERT_TRUE(cqes.value().empty());
+  }
+  EXPECT_EQ(kernel.rings().parked_reexecs(), before);
+
+  ASSERT_TRUE(sys.udp_sendto(socks[0], kernel.net_addr(), kBase + 500, bytes("one")).ok());
+  auto cqes = sys.ring_wait(ring.value(), 0, 16);
+  ASSERT_TRUE(cqes.ok());
+  ASSERT_EQ(cqes.value().size(), 1u);
+  EXPECT_EQ(cqes.value()[0].user_data, 501u);
+  if (kMetricsEnabled) {
+    EXPECT_EQ(kernel.rings().parked_reexecs(), before + 1);
+  }
+  EXPECT_EQ(kernel.rings().in_flight(pid, ring.value()), kSockets - 1);
+}
+
+// Lock order under real threads (the TSan stage runs this): one thread ticks
+// and delivers into the server's VtpStack, which marks the readiness record
+// from the rx path, while another drives reactor passes over a recv parked
+// on the same stream. Every byte arrives, in order.
+TEST(RingThreadsTest, TickerAndRingWaiterShareAStack) {
+  Network net;
+  KernelConfig sc;
+  sc.network = &net;
+  Kernel server(sc);
+  Kernel client(sc);
+  SyscallDispatcher sd(server), cd(client);
+  Sys sboot(sd, kInvalidPid, 0), cboot(cd, kInvalidPid, 0);
+  Sys ssys(sd, sboot.spawn().value(), 0);
+  Sys csys(cd, cboot.spawn().value(), 0);
+  auto listener = ssys.vtp_listen(90);
+  ASSERT_TRUE(listener.ok());
+  auto conn = csys.vtp_connect(server.net_addr(), 90, 3000);
+  ASSERT_TRUE(conn.ok());
+  Fd stream = kInvalidFd;
+  for (int i = 0; i < 200 && stream == kInvalidFd; ++i) {
+    client.vtp().tick();
+    server.vtp().tick();
+    auto acc = ssys.vtp_accept(listener.value());
+    if (acc.ok()) {
+      stream = acc.value();
+    }
+  }
+  ASSERT_NE(stream, kInvalidFd);
+  auto ring = ssys.ring_setup(4, 8);
+  ASSERT_TRUE(ring.ok());
+
+  // No ASSERT between the thread's start and its join: a fatal failure
+  // would return past the join.
+  constexpr usize kChunks = 200;
+  std::vector<u8> sent;
+  std::atomic<bool> done{false};
+  std::atomic<bool> send_failed{false};
+  std::thread ticker([&] {
+    for (usize i = 0; i < kChunks || !done.load(); ++i) {
+      if (i < kChunks) {
+        std::vector<u8> chunk(1 + i % 7, static_cast<u8>(i));
+        auto n = csys.vtp_send(conn.value(), chunk);
+        if (!n.ok() || n.value() != chunk.size()) {
+          send_failed.store(true);
+          return;
+        }
+        sent.insert(sent.end(), chunk.begin(), chunk.end());
+      }
+      client.vtp().tick();
+      server.vtp().tick();
+    }
+  });
+  usize total = 0;
+  for (usize i = 0; i < kChunks; ++i) {
+    total += 1 + i % 7;
+  }
+  std::vector<u8> got;
+  bool ring_ok = true;
+  bool armed = false;
+  for (int spin = 0; spin < 2'000'000 && ring_ok && got.size() < total; ++spin) {
+    if (!armed) {
+      RingSqe sqe{1, static_cast<u32>(SysNr::kVtpRecv), ring_args::vtp_recv(stream, 256)};
+      auto acc = ssys.ring_submit(ring.value(), std::span<const RingSqe>(&sqe, 1));
+      ring_ok = acc.ok() && acc.value() == 1;
+      armed = true;
+    }
+    auto cqes = ssys.ring_wait(ring.value(), 0, 4);
+    ring_ok = ring_ok && cqes.ok();
+    for (const RingCqe& cqe : ring_ok ? cqes.value() : std::vector<RingCqe>{}) {
+      Reader r(cqe.payload);
+      auto data = r.get_bytes();
+      ring_ok = static_cast<ErrorCode>(cqe.err) == ErrorCode::kOk && data.has_value();
+      if (ring_ok) {
+        got.insert(got.end(), data->begin(), data->end());
+      }
+      armed = false;
+    }
+  }
+  done.store(true);
+  ticker.join();
+  EXPECT_FALSE(send_failed.load());
+  EXPECT_TRUE(ring_ok);
+  EXPECT_EQ(got, sent);
 }
 
 TEST_F(RingSysTest, DestroyedProcessTearsDownItsRings) {
