@@ -57,6 +57,7 @@ VtpStack::VtpStack(IpStack& ip, VirtualClock& clock)
       obs_prefix_(ObsRegistry::global().instance_prefix("vtp")),
       c_segments_tx_(ObsRegistry::global().counter(obs_prefix_ + "segments_tx")),
       c_segments_rx_(ObsRegistry::global().counter(obs_prefix_ + "segments_rx")),
+      c_rx_bad_checksum_(ObsRegistry::global().counter(obs_prefix_ + "rx_bad_checksum")),
       c_retransmits_(ObsRegistry::global().counter(obs_prefix_ + "retransmits")),
       c_cwnd_halvings_(ObsRegistry::global().counter(obs_prefix_ + "cwnd_halvings")),
       c_accept_shed_(ObsRegistry::global().counter(obs_prefix_ + "accept_shed")),
@@ -423,11 +424,13 @@ void VtpStack::on_segment(const IpHeader& ip, std::span<const u8> payload) {
   std::lock_guard<std::mutex> lock(mu_);
   c_segments_rx_.inc();
   if (!hdr) {
+    c_rx_bad_checksum_.inc();
     return;
   }
   std::span<const u8> data(payload.data() + r.position(), payload.size() - r.position());
   if (crc32c(data) != hdr->checksum) {
-    return;  // integrity: corrupted segments are dropped
+    c_rx_bad_checksum_.inc();  // integrity: corrupted segments are dropped, not delivered
+    return;
   }
 
   switch (hdr->type) {

@@ -64,6 +64,7 @@ enum class VtpState : u8 {
 struct VtpStats {
   u64 segments_tx = 0;
   u64 segments_rx = 0;
+  u64 rx_bad_checksum = 0;      // undecodable or checksum-failed segments, dropped
   u64 retransmits = 0;
   u64 cwnd_halvings = 0;
   u64 accept_shed = 0;          // SYNs refused because the backlog was full
@@ -146,13 +147,13 @@ class VtpStack {
 
   // Thin race-free view over the per-core obs counters ("vtp<N>/...").
   VtpStats stats() const {
-    return VtpStats{c_segments_tx_.value(),   c_segments_rx_.value(),
-                    c_retransmits_.value(),   c_cwnd_halvings_.value(),
-                    c_accept_shed_.value(),   c_ooo_buffered_.value(),
-                    c_duplicate_data_.value(), c_window_probes_.value(),
-                    c_window_updates_.value(), c_window_violations_.value(),
-                    c_resets_tx_.value(),     c_conns_opened_.value(),
-                    c_conns_closed_.value()};
+    return VtpStats{c_segments_tx_.value(),       c_segments_rx_.value(),
+                    c_rx_bad_checksum_.value(),   c_retransmits_.value(),
+                    c_cwnd_halvings_.value(),     c_accept_shed_.value(),
+                    c_ooo_buffered_.value(),      c_duplicate_data_.value(),
+                    c_window_probes_.value(),     c_window_updates_.value(),
+                    c_window_violations_.value(), c_resets_tx_.value(),
+                    c_conns_opened_.value(),      c_conns_closed_.value()};
   }
 
  private:
@@ -231,6 +232,7 @@ class VtpStack {
   const std::string obs_prefix_;
   Counter& c_segments_tx_;
   Counter& c_segments_rx_;
+  Counter& c_rx_bad_checksum_;
   Counter& c_retransmits_;
   Counter& c_cwnd_halvings_;
   Counter& c_accept_shed_;

@@ -8,13 +8,15 @@
 // quiesce the streams are complete (liveness). Window safety and the
 // handshake contract (backlog shedding with typed kOverloaded, SYN-retry
 // exhaustion with typed kTimedOut), FIN and duplicate-SYN semantics,
-// connection isolation and tuple uniqueness are pinned by their own VCs.
+// connection isolation, tuple uniqueness and the counted drop of corrupted
+// segments are pinned by their own VCs.
 #include "src/net/vcs.h"
 
 #include <set>
 #include <string>
 #include <vector>
 
+#include "src/base/crc.h"
 #include "src/base/rng.h"
 #include "src/hw/network.h"
 #include "src/hw/timer.h"
@@ -416,6 +418,48 @@ VcOutcome vc_vtp_duplicate_syn_safe() {
   return VcOutcome::pass();
 }
 
+// Integrity: on an established connection, a data segment whose payload no
+// longer matches its checksum is dropped and counted, never delivered; the
+// intact retransmit of the same sequence number is then delivered.
+VcOutcome vc_vtp_drops_corruption() {
+  VtpPair pair;
+  auto conns = establish(pair);
+  if (!conns.ok()) {
+    return VcOutcome::fail("handshake failed");
+  }
+  auto [client, server] = conns.value();
+  const std::string msg = "checksummed payload";
+  const u32 checksum = crc32c(string_bytes(msg));
+  // Hand-craft the client's first data segment (seq 1) with `payload`.
+  auto inject = [&](const std::string& payload) {
+    Writer w;
+    VtpHeader hdr{pair.vtp_a.local_port(client), 80, VtpType::kData, 1, 1,
+                  static_cast<u32>(VtpStack::kRcvWindow), checksum};
+    hdr.encode(w);
+    w.put_raw(string_bytes(payload));
+    (void)pair.ip_a.send(pair.dev_b.addr(), IpProto::kVtp, w.bytes());
+    pair.vtp_b.poll();
+  };
+  std::string flipped = msg;
+  flipped[3] ^= 0x10;
+  inject(flipped);
+  if (pair.vtp_b.recv(server, 64).ok()) {
+    return VcOutcome::fail("corrupted segment was delivered");
+  }
+  if (pair.vtp_b.stats().rx_bad_checksum != 1) {
+    return VcOutcome::fail("corruption not accounted");
+  }
+  inject(msg);
+  auto got = pair.vtp_b.recv(server, 64);
+  if (!got.ok() || std::string(got.value().begin(), got.value().end()) != msg) {
+    return VcOutcome::fail("the intact retransmit was not delivered");
+  }
+  if (pair.vtp_b.stats().rx_bad_checksum != 1) {
+    return VcOutcome::fail("an intact segment was counted as corrupt");
+  }
+  return VcOutcome::pass();
+}
+
 // Two clients on different hosts, one listener: each connection stays its
 // own stream even with both clients on the same source port — the tuple
 // includes the peer address.
@@ -574,6 +618,8 @@ void register_vtp_vcs(VcRegistry& reg) {
           [] { return vc_vtp_fin_semantics(); });
   reg.add("net/vtp_duplicate_syn_safe", VcCategory::kNetworkStack,
           [] { return vc_vtp_duplicate_syn_safe(); });
+  reg.add("net/vtp_drops_corruption", VcCategory::kNetworkStack,
+          [] { return vc_vtp_drops_corruption(); });
   reg.add("net/vtp_two_clients_isolated", VcCategory::kNetworkStack,
           [] { return vc_vtp_two_clients_isolated(); });
   reg.add("net/vtp_no_tuple_aliasing", VcCategory::kNetworkStack,

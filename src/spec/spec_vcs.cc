@@ -208,10 +208,6 @@ VcOutcome vc_crc_known_answers() {
   if (crc32c(string_bytes(digits)) != 0xE3069283u) {
     return VcOutcome::fail("crc32c known-answer failed");
   }
-  // CRC-64/XZ of "123456789" == 0x995DC9BBDF1939FA.
-  if (crc64(string_bytes(digits)) != 0x995DC9BBDF1939FAull) {
-    return VcOutcome::fail("crc64 known-answer failed");
-  }
   // Incremental == one-shot.
   auto part1 = string_bytes("12345");
   auto part2 = string_bytes("6789");
@@ -219,6 +215,50 @@ VcOutcome vc_crc_known_answers() {
     return VcOutcome::fail("incremental crc32c mismatch");
   }
   return VcOutcome::pass();
+}
+
+// crc32c() refines its table-loop reference: equal for every length up to
+// 1 KiB and at page and 64 KiB sizes, at each start offset within a word,
+// under fixed and random seeds, and when chained across a random split. The
+// outcome names the path that ran; where it is the table, the VC holds
+// trivially.
+VcOutcome vc_crc32c_matches_reference() {
+  const std::string path = crc32c_uses_hardware() ? "sse4.2" : "table";
+  Rng rng(0xC32C);
+  std::vector<u8> buf(65536 + 8);
+  for (auto& b : buf) {
+    b = static_cast<u8>(rng.next_u64());
+  }
+  std::vector<usize> lengths;
+  for (usize len = 0; len <= 1024; ++len) {
+    lengths.push_back(len);
+  }
+  for (usize len : {4095, 4096, 4097, 65536}) {
+    lengths.push_back(len);
+  }
+  const u32 seeds[] = {0, 1, 0xFFFFFFFFu, rng.next_u32(), rng.next_u32()};
+  u64 checked = 0;
+  for (usize len : lengths) {
+    for (usize offset = 0; offset < 8; ++offset) {
+      std::span<const u8> data(buf.data() + offset, len);
+      auto where = [&] {
+        return " at length " + std::to_string(len) + " offset " + std::to_string(offset);
+      };
+      for (u32 seed : seeds) {
+        if (crc32c(data, seed) != crc32c_reference(data, seed)) {
+          return VcOutcome::fail(path + " crc32c differs from the table" + where() + " seed " +
+                                 std::to_string(seed));
+        }
+        ++checked;
+      }
+      const usize split = rng.next_below(len + 1);
+      if (crc32c(data.subspan(split), crc32c(data.first(split))) != crc32c_reference(data)) {
+        return VcOutcome::fail(path + " crc32c chained at " + std::to_string(split) +
+                               " differs from the table" + where());
+      }
+    }
+  }
+  return {true, path + " == table on " + std::to_string(checked) + " inputs"};
 }
 
 VcOutcome vc_rng_determinism() {
@@ -306,6 +346,8 @@ void register_spec_vcs(VcRegistry& reg) {
   }
   reg.add("base/crc_known_answers", VcCategory::kMemorySafety,
           [] { return vc_crc_known_answers(); });
+  reg.add("base/crc32c_matches_reference", VcCategory::kMemorySafety,
+          [] { return vc_crc32c_matches_reference(); });
   reg.add("base/rng_determinism", VcCategory::kMemorySafety, [] { return vc_rng_determinism(); });
   reg.add("spec/history_recorder_wellformed", VcCategory::kConcurrency,
           [] { return vc_history_recorder_wellformed(); });
