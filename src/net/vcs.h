@@ -13,7 +13,8 @@ void register_net_vcs(VcRegistry& registry);
 // Registers net/vtp_* VCs: stream-socket refinement of the reliable FIFO
 // pipe spec under loss/dup/reorder/partition, window safety, handshake
 // convergence under loss, typed backlog-shed / SYN-timeout contracts, FIN
-// and duplicate-SYN semantics, connection isolation and tuple uniqueness.
+// and duplicate-SYN semantics, connection isolation, tuple uniqueness, and
+// demux across hundreds of streams with tuple reuse.
 void register_vtp_vcs(VcRegistry& registry);
 
 }  // namespace vnros

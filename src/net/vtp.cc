@@ -22,6 +22,12 @@ ErrorCode rst_reason(u64 raw) {
   }
 }
 
+// A connection's tuple as one index key: the peer address in the high 32
+// bits, then the local port, then the peer port.
+u64 tuple_key(NetAddr peer, Port local, Port remote) {
+  return static_cast<u64>(peer) << 32 | static_cast<u64>(local) << 16 | remote;
+}
+
 }  // namespace
 
 void VtpHeader::encode(Writer& w) const {
@@ -102,9 +108,16 @@ Result<Unit> VtpStack::unlisten(Port port) {
   if (it == listeners_.end()) {
     return ErrorCode::kNotFound;
   }
-  // Queued-but-unaccepted connections will never reach an application: abort
-  // them so the peer sees a typed reset instead of a silent black hole.
-  for (ConnId id : it->second.queue) {
+  // Queued-but-unaccepted connections and handshakes still in progress will
+  // never reach an application: abort them so the peer sees a typed reset
+  // instead of a silent black hole.
+  std::vector<ConnId> doomed(it->second.queue.begin(), it->second.queue.end());
+  for (const auto& [id, conn] : conns_) {
+    if (conn.local_port == port && conn.state == VtpState::kSynRcvd) {
+      doomed.push_back(id);
+    }
+  }
+  for (ConnId id : doomed) {
     Conn* conn = find_locked(id);
     if (conn != nullptr) {
       transmit_rst(conn->peer, conn->local_port, conn->peer_port, ErrorCode::kConnReset);
@@ -123,22 +136,20 @@ Result<ConnId> VtpStack::connect(NetAddr dst, Port dst_port, Port src_port) {
     if (src_port == 0) {
       return ErrorCode::kBusy;
     }
-  } else if (match_locked(dst, src_port, dst_port) != 0) {
+  } else if (match_locked(dst, src_port, dst_port) != conns_.end()) {
     return ErrorCode::kAlreadyExists;
   }
-  ConnId id = next_id_++;
   Conn conn;
   conn.state = VtpState::kSynSent;
   conn.peer = dst;
   conn.local_port = src_port;
   conn.peer_port = dst_port;
   conn.last_progress_tick = clock_.now();
-  conns_[id] = conn;
-  c_conns_opened_.inc();
+  auto it = add_conn_locked(std::move(conn));
   if (!fault_handshake_->fire()) {
-    transmit(conns_[id], VtpType::kSyn, 0, 0, {});
+    transmit(it->second, VtpType::kSyn, 0, 0, {});
   }
-  return id;
+  return it->first;
 }
 
 Result<ConnId> VtpStack::accept(Port port) {
@@ -272,8 +283,20 @@ void VtpStack::fail_locked(ConnId id, Conn& conn, ErrorCode reason) {
   wake_locked(id, /*recv=*/true, /*send=*/true);
 }
 
+VtpStack::ConnMap::iterator VtpStack::add_conn_locked(Conn conn) {
+  auto it = conns_.emplace(next_id_++, std::move(conn)).first;
+  by_tuple_.emplace(tuple_key(it->second.peer, it->second.local_port, it->second.peer_port), it);
+  VNROS_INVARIANT(by_tuple_.size() == conns_.size());
+  c_conns_opened_.inc();
+  return it;
+}
+
 void VtpStack::drop_conn_locked(ConnId id) {
-  conns_.erase(id);
+  if (auto it = conns_.find(id); it != conns_.end()) {
+    by_tuple_.erase(tuple_key(it->second.peer, it->second.local_port, it->second.peer_port));
+    conns_.erase(it);
+    VNROS_INVARIANT(by_tuple_.size() == conns_.size());
+  }
   c_conns_closed_.inc();
   wake_locked(id, /*recv=*/true, /*send=*/true);
 }
@@ -440,9 +463,8 @@ void VtpStack::on_segment(const IpHeader& ip, std::span<const u8> payload) {
         transmit_rst(ip.src, hdr->dst_port, hdr->src_port, ErrorCode::kConnRefused);
         return;
       }
-      ConnId existing = match_locked(ip.src, hdr->dst_port, hdr->src_port);
-      if (existing != 0) {
-        Conn& conn = conns_[existing];
+      if (auto entry = match_locked(ip.src, hdr->dst_port, hdr->src_port); entry != conns_.end()) {
+        Conn& conn = entry->second;
         if (conn.state == VtpState::kSynRcvd || conn.state == VtpState::kEstablished) {
           transmit(conn, VtpType::kSynAck, 0, 1, {});  // duplicate SYN
         }
@@ -460,7 +482,6 @@ void VtpStack::on_segment(const IpHeader& ip, std::span<const u8> payload) {
         transmit_rst(ip.src, hdr->dst_port, hdr->src_port, ErrorCode::kOverloaded);
         return;
       }
-      ConnId id = next_id_++;
       Conn conn;
       conn.state = VtpState::kSynRcvd;
       conn.peer = ip.src;
@@ -468,18 +489,16 @@ void VtpStack::on_segment(const IpHeader& ip, std::span<const u8> payload) {
       conn.peer_port = hdr->src_port;
       conn.peer_wnd = hdr->wnd;
       conn.last_progress_tick = clock_.now();
-      conns_[id] = conn;
-      c_conns_opened_.inc();
-      transmit(conns_[id], VtpType::kSynAck, 0, 1, {});
+      transmit(add_conn_locked(std::move(conn))->second, VtpType::kSynAck, 0, 1, {});
       return;
     }
     case VtpType::kSynAck: {
-      ConnId id = match_locked(ip.src, hdr->dst_port, hdr->src_port);
-      if (id == 0) {
+      auto entry = match_locked(ip.src, hdr->dst_port, hdr->src_port);
+      if (entry == conns_.end()) {
         transmit_rst(ip.src, hdr->dst_port, hdr->src_port, ErrorCode::kConnReset);
         return;
       }
-      Conn& conn = conns_[id];
+      Conn& conn = entry->second;
       conn.peer_wnd = hdr->wnd;
       if (conn.state == VtpState::kSynSent) {
         if (fault_handshake_->fire()) {
@@ -495,12 +514,12 @@ void VtpStack::on_segment(const IpHeader& ip, std::span<const u8> payload) {
       return;
     }
     case VtpType::kAck: {
-      ConnId id = match_locked(ip.src, hdr->dst_port, hdr->src_port);
-      if (id == 0) {
+      auto entry = match_locked(ip.src, hdr->dst_port, hdr->src_port);
+      if (entry == conns_.end()) {
         transmit_rst(ip.src, hdr->dst_port, hdr->src_port, ErrorCode::kConnReset);
         return;
       }
-      Conn& conn = conns_[id];
+      auto& [id, conn] = *entry;
       conn.peer_wnd = hdr->wnd;
       if (conn.state == VtpState::kSynRcvd) {
         conn.state = VtpState::kEstablished;
@@ -539,12 +558,12 @@ void VtpStack::on_segment(const IpHeader& ip, std::span<const u8> payload) {
       return;
     }
     case VtpType::kData: {
-      ConnId id = match_locked(ip.src, hdr->dst_port, hdr->src_port);
-      if (id == 0) {
+      auto entry = match_locked(ip.src, hdr->dst_port, hdr->src_port);
+      if (entry == conns_.end()) {
         transmit_rst(ip.src, hdr->dst_port, hdr->src_port, ErrorCode::kConnReset);
         return;
       }
-      Conn& conn = conns_[id];
+      auto& [id, conn] = *entry;
       conn.peer_wnd = hdr->wnd;
       if (conn.state == VtpState::kSynRcvd) {
         // Data implies our SYN-ACK arrived: promote (the ACK was lost).
@@ -604,12 +623,12 @@ void VtpStack::on_segment(const IpHeader& ip, std::span<const u8> payload) {
       return;
     }
     case VtpType::kFin: {
-      ConnId id = match_locked(ip.src, hdr->dst_port, hdr->src_port);
-      if (id == 0) {
+      auto entry = match_locked(ip.src, hdr->dst_port, hdr->src_port);
+      if (entry == conns_.end()) {
         transmit_rst(ip.src, hdr->dst_port, hdr->src_port, ErrorCode::kConnReset);
         return;
       }
-      Conn& conn = conns_[id];
+      auto& [id, conn] = *entry;
       conn.peer_wnd = hdr->wnd;
       if (hdr->seq == conn.rcv_nxt) {
         conn.rcv_nxt += 1;  // FIN consumes a sequence number
@@ -625,11 +644,18 @@ void VtpStack::on_segment(const IpHeader& ip, std::span<const u8> payload) {
       return;
     }
     case VtpType::kRst: {
-      ConnId id = match_locked(ip.src, hdr->dst_port, hdr->src_port);
-      if (id == 0) {
+      auto entry = match_locked(ip.src, hdr->dst_port, hdr->src_port);
+      if (entry == conns_.end()) {
         return;  // never answer a RST (no reset storms)
       }
-      Conn& conn = conns_[id];
+      auto& [id, conn] = *entry;
+      if (conn.state == VtpState::kSynRcvd) {
+        // Nothing accepted this half-open connection: drop it quietly, as
+        // tick() reaps an expired one. Left in kError it would hold its tuple
+        // forever, and a reconnect on that tuple would get no SYN-ACK.
+        drop_conn_locked(id);
+        return;
+      }
       if (conn.state == VtpState::kFinWait && conn.peer_fin) {
         // Both sides were closing and the peer already reaped: treat the
         // reset as the close completing, not as a failure.
@@ -662,13 +688,9 @@ const VtpStack::Conn* VtpStack::find_locked(ConnId id) const {
   return it == conns_.end() ? nullptr : &it->second;
 }
 
-ConnId VtpStack::match_locked(NetAddr peer, Port local, Port remote) const {
-  for (const auto& [id, conn] : conns_) {
-    if (conn.peer == peer && conn.local_port == local && conn.peer_port == remote) {
-      return id;
-    }
-  }
-  return 0;
+VtpStack::ConnMap::iterator VtpStack::match_locked(NetAddr peer, Port local, Port remote) {
+  auto it = by_tuple_.find(tuple_key(peer, local, remote));
+  return it == by_tuple_.end() ? conns_.end() : it->second;
 }
 
 bool VtpStack::port_in_use_locked(Port port) const {

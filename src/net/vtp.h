@@ -38,6 +38,7 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "src/base/fault.h"
@@ -97,13 +98,14 @@ class VtpStack {
   // `backlog` bounds accept queue + in-progress handshakes; SYNs beyond it
   // are shed with a typed kOverloaded RST.
   Result<Unit> listen(Port port, usize backlog = kDefaultBacklog);
-  // Tears the listener down; queued-but-unaccepted connections are reset.
+  // Tears the listener down; queued-but-unaccepted connections and
+  // handshakes still in progress on the port are reset.
   Result<Unit> unlisten(Port port);
   // Opens a connection from local `src_port`; 0 asks for an unused ephemeral
   // port (kBusy when none is free). A `src_port` whose (dst, dst_port,
-  // src_port) tuple is already live is refused with kAlreadyExists: two
-  // connections on one tuple would alias, every segment of both routed to
-  // the older one.
+  // src_port) tuple is already live is refused with kAlreadyExists: a tuple
+  // names at most one connection, which is how an inbound segment finds its
+  // connection.
   Result<ConnId> connect(NetAddr dst, Port dst_port, Port src_port);
   // Pops an established connection from `port`'s accept queue (kWouldBlock
   // while empty — transient, ring-parkable).
@@ -195,6 +197,8 @@ class VtpStack {
     }
   };
 
+  using ConnMap = std::map<ConnId, Conn>;
+
   struct Listener {
     usize backlog = kDefaultBacklog;
     std::deque<ConnId> queue;  // established, awaiting accept()
@@ -210,21 +214,32 @@ class VtpStack {
   void ack_locked(Conn& conn);
   // Terminal typed failure; wakes the connection's parked ops.
   void fail_locked(ConnId id, Conn& conn, ErrorCode reason);
-  // Erases a connection and wakes its parked ops.
+  // Inserts `conn` under the next id and indexes its tuple.
+  ConnMap::iterator add_conn_locked(Conn conn);
+  // Erases a connection and its index entry and wakes its parked ops.
   void drop_conn_locked(ConnId id);
   // Marks `id` in the readiness record for a recv and/or send waiter.
   void wake_locked(ConnId id, bool recv, bool send);
   usize synrcvd_count_locked(Port port) const;
   Conn* find_locked(ConnId id);
   const Conn* find_locked(ConnId id) const;
-  ConnId match_locked(NetAddr peer, Port local, Port remote) const;
+  // The connection on the tuple (peer, local, remote), or conns_.end().
+  ConnMap::iterator match_locked(NetAddr peer, Port local, Port remote);
   bool port_in_use_locked(Port port) const;
   Port ephemeral_port_locked();  // 0 when every ephemeral port is held
 
   IpStack& ip_;
   VirtualClock& clock_;
   mutable std::mutex mu_;
-  std::map<ConnId, Conn> conns_;
+  // Id-ordered: tick() transmits in this order, so it is part of the schedule
+  // a seed replays. Segments find their connection through by_tuple_.
+  ConnMap conns_;
+  // Tuple key (see tuple_key in vtp.cc) -> the connection's entry in conns_;
+  // map iterators stay valid until that entry is erased. One entry per
+  // connection, because tuples are unique: connect refuses a live tuple and a
+  // SYN on one is answered on it. Entries are added only by add_conn_locked
+  // and removed only by drop_conn_locked.
+  std::unordered_map<u64, ConnMap::iterator> by_tuple_;
   std::map<Port, Listener> listeners_;
   ConnId next_id_ = 1;
   u64 next_ephemeral_ = 0;  // ephemeral port cursor

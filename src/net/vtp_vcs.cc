@@ -8,8 +8,9 @@
 // quiesce the streams are complete (liveness). Window safety and the
 // handshake contract (backlog shedding with typed kOverloaded, SYN-retry
 // exhaustion with typed kTimedOut), FIN and duplicate-SYN semantics,
-// connection isolation, tuple uniqueness and the counted drop of corrupted
-// segments are pinned by their own VCs.
+// connection isolation, tuple uniqueness, demux at fan-in scale with tuple
+// reuse and the counted drop of corrupted segments are pinned by their own
+// VCs.
 #include "src/net/vcs.h"
 
 #include <set>
@@ -576,6 +577,226 @@ VcOutcome vc_vtp_no_tuple_aliasing() {
   return VcOutcome::pass();
 }
 
+// Demux at fan-in scale, with tuple reuse. One listener host and two client
+// hosts that open the same explicit source ports, so only the peer address
+// tells their connections apart at the listener: 300 streams on a lossy,
+// duplicating, reordering fabric, each carrying its own seeded bytes both
+// ways, each direction mirrored into a PipeSpec. Mid-run a third of the
+// streams close, are reaped on both ends and reconnect on their old source
+// ports: a freed tuple must reach the new connection, never a stale one.
+VcOutcome vc_vtp_demux_many_streams(u64 seed) {
+  constexpr usize kPerHost = 150;
+  constexpr usize kStreams = 2 * kPerHost;
+  constexpr Port kBasePort = 20000;
+  // Rounds a reaped stream waits before reconnecting, so that no segment of
+  // its old incarnation is still in the fabric (VTP has no TIME_WAIT).
+  constexpr usize kQuietRounds = 2 * VtpStack::kRtoTicks;
+  FabricConfig config;
+  config.loss_ppm = 50'000;
+  config.dup_ppm = 20'000;
+  config.reorder_ppm = 50'000;
+  Network net(config, seed);
+  NetDevice& ds = net.attach();
+  NetDevice& dc0 = net.attach();
+  NetDevice& dc1 = net.attach();
+  IpStack ip_s(ds), ip_c0(dc0), ip_c1(dc1);
+  VirtualClock clock;
+  VtpStack server(ip_s, clock), c0(ip_c0, clock), c1(ip_c1, clock);
+  if (!server.listen(80, kStreams).ok()) {
+    return VcOutcome::fail("listen failed");
+  }
+
+  enum class Phase { kLive, kClosing, kReaped };
+  struct Stream {
+    VtpStack* stack = nullptr;
+    Port port = 0;
+    u8 gen = 0;            // incarnation: 1 once reconnected
+    bool reopen = false;   // one stream in three closes and reconnects once
+    Phase phase = Phase::kLive;
+    usize reaped_round = 0;
+    ConnId client = 0;
+    ConnId server = 0;     // 0 until the listener reads the stream's tag
+    std::vector<u8> up, down;  // client->server and server->client bytes
+    usize up_fed = 0, down_fed = 0;
+    PipeSpec up_pipe, down_pipe;
+
+    bool done() const {
+      return up_fed == up.size() && down_fed == down.size() && up_pipe.complete() &&
+             down_pipe.complete();
+    }
+  };
+
+  Rng rng(seed);
+  std::vector<Stream> streams(kStreams);
+  // Opens stream i's next incarnation. Its up bytes start with a 3-byte tag
+  // (stream index, incarnation) that tells the listener which stream an
+  // accepted connection carries.
+  auto open = [&](usize i) -> Result<ConnId> {
+    Stream& s = streams[i];
+    auto c = s.stack->connect(ds.addr(), 80, s.port);
+    if (!c.ok()) {
+      return c.error();
+    }
+    s.client = c.value();
+    s.server = 0;
+    s.up.resize(static_cast<usize>(rng.next_range(2048, 6144)));
+    s.down.resize(static_cast<usize>(rng.next_range(2048, 6144)));
+    for (auto& b : s.up) {
+      b = static_cast<u8>(rng.next_u64());
+    }
+    for (auto& b : s.down) {
+      b = static_cast<u8>(rng.next_u64());
+    }
+    s.up[0] = static_cast<u8>(i >> 8);
+    s.up[1] = static_cast<u8>(i);
+    s.up[2] = s.gen;
+    s.up_fed = s.down_fed = 0;
+    s.up_pipe = PipeSpec{};
+    s.down_pipe = PipeSpec{};
+    return c;
+  };
+  for (usize i = 0; i < kStreams; ++i) {
+    streams[i].stack = i < kPerHost ? &c0 : &c1;
+    streams[i].port = static_cast<Port>(kBasePort + i % kPerHost);
+    streams[i].reopen = i % 3 == 0;
+    if (!open(i).ok()) {
+      return VcOutcome::fail("connect of stream " + std::to_string(i) + " failed");
+    }
+  }
+
+  // Sometimes sends a random chunk of `bytes` from `fed`, mirroring what the
+  // stack took into the pipe. Returns a typed error other than kWouldBlock,
+  // or "".
+  auto feed = [&](VtpStack& stack, ConnId id, const std::vector<u8>& bytes, usize& fed,
+                  PipeSpec& pipe) -> std::string {
+    if (fed == bytes.size() || !rng.chance(1, 2)) {
+      return "";
+    }
+    usize chunk = std::min<usize>(static_cast<usize>(rng.next_range(1, 512)), bytes.size() - fed);
+    auto n = stack.send(id, std::span<const u8>(bytes.data() + fed, chunk));
+    if (!n.ok()) {
+      return n.error() == ErrorCode::kWouldBlock ? "" : error_name(n.error());
+    }
+    pipe.push(std::span<const u8>(bytes.data() + fed, n.value()));
+    fed += n.value();
+    return "";
+  };
+  // Pops whatever `id` has ready into the pipe. Returns why that failed (a
+  // typed error other than kWouldBlock, or a FIFO violation), or "".
+  auto drain = [](VtpStack& stack, ConnId id, PipeSpec& pipe) -> std::string {
+    auto got = stack.recv(id, 4096);
+    if (!got.ok()) {
+      return got.error() == ErrorCode::kWouldBlock ? "" : error_name(got.error());
+    }
+    return pipe.pop(got.value()) ? "" : pipe.failure();
+  };
+
+  std::vector<std::pair<ConnId, std::vector<u8>>> untagged;  // accepted, tag not yet read
+  usize reconnects = 0;
+  bool quiesced = false;
+  for (usize round = 0; round < 20'000 && !quiesced; ++round) {
+    for (auto a = server.accept(80); a.ok(); a = server.accept(80)) {
+      untagged.push_back({a.value(), {}});
+    }
+    for (auto it = untagged.begin(); it != untagged.end();) {
+      auto& [id, tag] = *it;
+      auto got = server.recv(id, 3 - tag.size());
+      if (!got.ok()) {
+        if (got.error() != ErrorCode::kWouldBlock) {
+          return VcOutcome::fail("accepted connection failed before its tag: " +
+                                 std::string(error_name(got.error())));
+        }
+        ++it;
+        continue;
+      }
+      tag.insert(tag.end(), got.value().begin(), got.value().end());
+      if (tag.size() < 3) {
+        ++it;
+        continue;
+      }
+      const usize i = static_cast<usize>(tag[0]) << 8 | tag[1];
+      if (i >= kStreams || streams[i].gen != tag[2] || streams[i].server != 0 ||
+          streams[i].phase != Phase::kLive || !streams[i].up_pipe.pop(tag)) {
+        return VcOutcome::fail("an accepted connection carries no live stream's bytes");
+      }
+      streams[i].server = id;
+      it = untagged.erase(it);
+    }
+
+    quiesced = untagged.empty();
+    for (usize i = 0; i < kStreams; ++i) {
+      Stream& s = streams[i];
+      if (s.phase == Phase::kClosing) {
+        if (s.stack->state(s.client) == VtpState::kClosed &&
+            server.state(s.server) == VtpState::kClosed) {
+          s.phase = Phase::kReaped;  // both ends reaped
+          s.reaped_round = round;
+        }
+        quiesced = false;
+        continue;
+      }
+      if (s.phase == Phase::kReaped) {
+        if (round >= s.reaped_round + kQuietRounds) {
+          s.gen = 1;
+          s.phase = Phase::kLive;
+          if (auto c = open(i); !c.ok()) {
+            return VcOutcome::fail("reconnect on a reaped tuple failed: " +
+                                   std::string(error_name(c.error())));
+          }
+          ++reconnects;
+        }
+        quiesced = false;
+        continue;
+      }
+      if (auto why = feed(*s.stack, s.client, s.up, s.up_fed, s.up_pipe); !why.empty()) {
+        return VcOutcome::fail("client send on stream " + std::to_string(i) + ": " + why);
+      }
+      if (auto why = drain(*s.stack, s.client, s.down_pipe); !why.empty()) {
+        return VcOutcome::fail("server->client on stream " + std::to_string(i) + ": " + why);
+      }
+      if (s.server != 0) {
+        if (auto why = feed(server, s.server, s.down, s.down_fed, s.down_pipe); !why.empty()) {
+          return VcOutcome::fail("server send on stream " + std::to_string(i) + ": " + why);
+        }
+        if (auto why = drain(server, s.server, s.up_pipe); !why.empty()) {
+          return VcOutcome::fail("client->server on stream " + std::to_string(i) + ": " + why);
+        }
+      }
+      if (!s.done()) {
+        quiesced = false;
+      } else if (s.reopen && s.gen == 0) {
+        (void)s.stack->close(s.client);
+        (void)server.close(s.server);
+        s.phase = Phase::kClosing;
+        quiesced = false;
+      }
+    }
+    server.tick();
+    c0.tick();
+    c1.tick();
+  }
+
+  if (!quiesced) {
+    usize incomplete = 0;
+    for (const Stream& s : streams) {
+      incomplete += s.phase != Phase::kLive || !s.done();
+    }
+    return VcOutcome::fail(std::to_string(incomplete) + " of " + std::to_string(kStreams) +
+                           " streams incomplete at quiesce");
+  }
+  if (reconnects != kStreams / 3) {
+    return VcOutcome::fail("only " + std::to_string(reconnects) + " streams reconnected");
+  }
+  if (server.active_conns() != kStreams || c0.active_conns() != kPerHost ||
+      c1.active_conns() != kPerHost) {
+    return VcOutcome::fail("live connections differ from live streams: server " +
+                           std::to_string(server.active_conns()) + ", clients " +
+                           std::to_string(c0.active_conns()) + " and " +
+                           std::to_string(c1.active_conns()));
+  }
+  return VcOutcome::pass();
+}
+
 }  // namespace
 
 void register_vtp_vcs(VcRegistry& reg) {
@@ -624,6 +845,10 @@ void register_vtp_vcs(VcRegistry& reg) {
           [] { return vc_vtp_two_clients_isolated(); });
   reg.add("net/vtp_no_tuple_aliasing", VcCategory::kNetworkStack,
           [] { return vc_vtp_no_tuple_aliasing(); });
+  for (u64 seed = 1; seed <= 3; ++seed) {
+    reg.add("net/vtp_demux_many_streams_seed" + std::to_string(seed), VcCategory::kNetworkStack,
+            [seed] { return vc_vtp_demux_many_streams(seed); });
+  }
 }
 
 }  // namespace vnros

@@ -279,6 +279,41 @@ TEST(VtpTest, PortZeroGetsDistinctEphemeralPorts) {
   EXPECT_TRUE(f.b.accept(80).ok());
 }
 
+TEST(VtpTest, UnlistenResetsHalfOpenHandshakes) {
+  VtpFixture f;
+  ASSERT_TRUE(f.b.listen(80).ok());
+  auto c = f.a.connect(f.p.db.addr(), 80, 1234);
+  ASSERT_TRUE(c.ok());
+  f.b.poll();  // the SYN lands: a half-open connection, its SYN-ACK in flight
+  ASSERT_EQ(f.b.active_conns(), 1u);
+  ASSERT_TRUE(f.b.unlisten(80).ok());
+  (void)f.a.send(c.value(), bytes("hello"));
+  f.pump(40);
+  // No application can accept the handshake any more: the listener's end is
+  // gone, and the connecting end fails typed instead of sending into a void.
+  EXPECT_EQ(f.b.active_conns(), 0u);
+  EXPECT_EQ(f.a.state(c.value()), VtpState::kError);
+  EXPECT_EQ(f.a.conn_error(c.value()), ErrorCode::kConnReset);
+}
+
+TEST(VtpTest, ResetDuringHandshakeFreesTheTuple) {
+  VtpFixture f;
+  ASSERT_TRUE(f.b.listen(80).ok());
+  auto first = f.a.connect(f.p.db.addr(), 80, 1234);
+  ASSERT_TRUE(first.ok());
+  f.b.poll();  // half-open at the listener, its SYN-ACK in flight
+  // The connecting end gives up first, so it answers the SYN-ACK with a RST.
+  ASSERT_TRUE(f.a.close(first.value()).ok());
+  f.pump(4);
+  EXPECT_EQ(f.b.active_conns(), 0u);
+  // The tuple is free again: a reconnect on the same explicit port completes.
+  auto again = f.a.connect(f.p.db.addr(), 80, 1234);
+  ASSERT_TRUE(again.ok());
+  f.pump((VtpStack::kMaxSynRetries + 2) * VtpStack::kRtoTicks);
+  EXPECT_TRUE(f.a.is_established(again.value()));
+  EXPECT_TRUE(f.b.accept(80).ok());
+}
+
 TEST(VtpTest, SendOnUnknownConnFails) {
   VtpFixture f;
   EXPECT_EQ(f.a.send(999, bytes("x")).error(), ErrorCode::kNotFound);
