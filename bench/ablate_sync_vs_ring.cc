@@ -163,29 +163,24 @@ class RingServer {
       return 0;
     }
     usize served = 0;
-    for (RingCqe& cqe : cqes.value()) {
+    for (const RingCqe& cqe : cqes.value()) {
       if ((cqe.user_data & kReplyTag) != 0) {
         continue;
       }
       if (recvs_ > 0) {
         --recvs_;
       }
-      if (static_cast<ErrorCode>(cqe.err) != ErrorCode::kOk) {
+      auto dg = sys_reply<SysNr::kUdpRecvFrom>(cqe);
+      if (!dg.ok()) {
         continue;
       }
-      Reader dg(cqe.payload);
-      auto src = dg.get_u32();
-      auto sport = dg.get_u16();
-      auto payload = dg.get_bytes();
-      if (!src || !sport || !payload) {
-        continue;
-      }
-      auto reply = handle_request(sys_, *payload);
-      RingSqe sqe{kReplyTag | next_ud_++, static_cast<u32>(SysNr::kUdpSendTo),
-                  ring_args::udp_sendto(sock_, *src, *sport, reply)};
+      const Datagram& req = dg.value();
+      auto reply = handle_request(sys_, req.payload);
+      RingSqe sqe = ring_sqe<SysNr::kUdpSendTo>(kReplyTag | next_ud_++, sock_, req.src_addr,
+                                                req.src_port, reply);
       auto acc = sys_.ring_submit(ring_, std::span<const RingSqe>(&sqe, 1));
       if (!acc.ok() || acc.value() != 1) {
-        (void)sys_.udp_sendto(sock_, *src, *sport, reply);
+        (void)sys_.udp_sendto(sock_, req.src_addr, req.src_port, reply);
       }
       ++served;
     }
@@ -198,8 +193,7 @@ class RingServer {
 
   void arm() {
     while (recvs_ < kWorkers) {
-      RingSqe sqe{static_cast<u64>(recvs_), static_cast<u32>(SysNr::kUdpRecvFrom),
-                  ring_args::udp_recvfrom(sock_)};
+      RingSqe sqe = ring_sqe<SysNr::kUdpRecvFrom>(recvs_, sock_);
       auto acc = sys_.ring_submit(ring_, std::span<const RingSqe>(&sqe, 1));
       if (!acc.ok() || acc.value() != 1) {
         break;

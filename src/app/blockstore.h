@@ -400,6 +400,7 @@ class BlockStoreNode {
   // pass, so the backlog must absorb a whole client fleet connecting at once
   // (handshakes complete and requests buffer while the conn awaits accept).
   static constexpr usize kVtpBacklog = 2048;
+  static_assert(kVtpBacklog <= kMaxVtpBacklog, "vtp_listen would refuse the serve backlog");
   u32 serve_ring_ = 0;        // 0 = not yet set up
   usize serve_recvs_ = 0;     // recv SQEs currently parked (<= kServeWorkers)
   u32 repair_ring_ = 0;       // dedicated ring for repair/ack RPC replies

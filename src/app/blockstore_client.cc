@@ -217,7 +217,7 @@ Result<std::vector<u8>> BlockStoreClient::rpc(BsOp op, std::string_view key,
     if (ring_ != 0) {
       auto cqes = sys_.ring_wait(ring_, 0, 4);
       if (cqes.ok()) {
-        for (RingCqe& cqe : cqes.value()) {
+        for (const RingCqe& cqe : cqes.value()) {
           recv_armed_ = false;
           auto armed = std::find_if(chans_.begin(), chans_.end(), [&](const auto& kv) {
             return kv.second.fd == armed_fd_;
@@ -225,21 +225,18 @@ Result<std::vector<u8>> BlockStoreClient::rpc(BsOp op, std::string_view key,
           if (armed == chans_.end()) {
             continue;  // its stream was dropped
           }
-          ErrorCode err = static_cast<ErrorCode>(cqe.err);
-          if (err != ErrorCode::kOk) {
+          auto bytes = sys_reply<SysNr::kVtpRecv>(cqe);
+          if (!bytes.ok()) {
             // A terminal error killed the stream; a transient one (an
             // injected ring fault) only consumed the parked recv, which the
             // next poll re-arms.
-            if (!transient(err)) {
+            if (!transient(bytes.error())) {
               drop_vtp_chan(armed->first);
             }
             continue;
           }
-          Reader sr(cqe.payload);
-          if (auto bytes = sr.get_bytes()) {
-            armed->second.inbuf.insert(armed->second.inbuf.end(), bytes->begin(),
-                                       bytes->end());
-          }
+          armed->second.inbuf.insert(armed->second.inbuf.end(), bytes.value().begin(),
+                                     bytes.value().end());
         }
       } else if (cqes.error() == ErrorCode::kNotFound) {
         ring_ = 0;  // ring torn down (process state rebuilt): recreate
@@ -262,8 +259,7 @@ Result<std::vector<u8>> BlockStoreClient::rpc(BsOp op, std::string_view key,
         }
       }
       if (ring_ != 0) {
-        RingSqe sqe{req_id, static_cast<u32>(SysNr::kVtpRecv),
-                    ring_args::vtp_recv(it->second.fd, kChanRecvChunk)};
+        RingSqe sqe = ring_sqe<SysNr::kVtpRecv>(req_id, it->second.fd, kChanRecvChunk);
         auto acc = sys_.ring_submit(ring_, std::span<const RingSqe>(&sqe, 1));
         if (acc.ok() && acc.value() == 1) {
           recv_armed_ = true;

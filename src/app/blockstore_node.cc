@@ -396,8 +396,7 @@ Result<std::vector<u8>> BlockStoreNode::poll_repair_reply(u64 req_id, usize poll
     if (!repair_recv_armed_) {
       // One parked recv at a time: the kernel holds the SQE until a
       // datagram lands, so waiting costs no syscalls beyond the reap below.
-      RingSqe sqe{req_id, static_cast<u32>(SysNr::kUdpRecvFrom),
-                  ring_args::udp_recvfrom(repair_sock_)};
+      RingSqe sqe = ring_sqe<SysNr::kUdpRecvFrom>(req_id, repair_sock_);
       auto acc = sys_.ring_submit(repair_ring_, std::span<const RingSqe>(&sqe, 1));
       if (!acc.ok()) {
         if (acc.error() == ErrorCode::kNotFound) {
@@ -418,27 +417,22 @@ Result<std::vector<u8>> BlockStoreNode::poll_repair_reply(u64 req_id, usize poll
     if (!cqes.ok()) {
       return cqes.error();
     }
-    for (RingCqe& cqe : cqes.value()) {
+    for (const RingCqe& cqe : cqes.value()) {
       repair_recv_armed_ = false;  // every CQE consumes the parked recv
-      if (static_cast<ErrorCode>(cqe.err) != ErrorCode::kOk) {
+      auto dg = sys_reply<SysNr::kUdpRecvFrom>(cqe);
+      if (!dg.ok()) {
         continue;
       }
-      Reader dg(cqe.payload);
-      auto src = dg.get_u32();
-      auto sport = dg.get_u16();
-      auto payload = dg.get_bytes();
-      if (!src || !sport || !payload) {
-        continue;
-      }
-      Reader r(*payload);
+      std::vector<u8>& payload = dg.value().payload;
+      Reader r(payload);
       auto rid = r.get_u64();
       if (rid && *rid == req_id) {
-        return std::move(*payload);
+        return std::move(payload);
       }
       if (rid && std::find(awaiting_.begin(), awaiting_.end(), *rid) != awaiting_.end()) {
         // An outer wait's reply, reaped by this nested one: keep it for its
         // owner, which would otherwise time out and re-send.
-        stashed_replies_[*rid] = std::move(*payload);
+        stashed_replies_[*rid] = std::move(payload);
       }
       // Anything else is a stale reply from an earlier timed-out RPC.
     }
@@ -1058,8 +1052,7 @@ bool BlockStoreNode::ensure_serve_ring() {
   if (serve_recvs_ < kServeWorkers) {
     std::vector<RingSqe> batch;
     for (usize w = serve_recvs_; w < kServeWorkers; ++w) {
-      batch.push_back(RingSqe{static_cast<u64>(w), static_cast<u32>(SysNr::kUdpRecvFrom),
-                              ring_args::udp_recvfrom(sock_)});
+      batch.push_back(ring_sqe<SysNr::kUdpRecvFrom>(w, sock_));
     }
     auto acc = sys_.ring_submit(serve_ring_, batch);
     if (acc.ok()) {
@@ -1106,11 +1099,8 @@ bool BlockStoreNode::serve_once() {
       // The parked VTP accept resolved: adopt the connection and let the
       // re-arm pass below park a recv SQE on it (plus a fresh accept).
       accept_armed_ = false;
-      if (static_cast<ErrorCode>(cqe.err) == ErrorCode::kOk) {
-        Reader ar(cqe.payload);
-        if (auto fd = ar.get_u32()) {
-          vtp_conns_[next_vtp_slot_++].fd = static_cast<Fd>(*fd);
-        }
+      if (auto fd = sys_reply<SysNr::kVtpAccept>(cqe); fd.ok()) {
+        vtp_conns_[next_vtp_slot_++].fd = fd.value();
       }
       continue;
     }
@@ -1121,32 +1111,24 @@ bool BlockStoreNode::serve_once() {
         continue;  // connection already torn down; drop the stale CQE
       }
       it->second.recv_armed = false;
-      if (static_cast<ErrorCode>(cqe.err) != ErrorCode::kOk) {
+      auto bytes = sys_reply<SysNr::kVtpRecv>(cqe);
+      if (!bytes.ok()) {
         // kPipeClosed (client FIN drained) or a typed terminal error: the
         // stream is done — release our end.
         close_vtp_conn(slot);
         continue;
       }
-      Reader sr(cqe.payload);
-      if (auto bytes = sr.get_bytes()) {
-        served += on_vtp_bytes(slot, *bytes);
-      }
+      served += on_vtp_bytes(slot, bytes.value());
       continue;
     }
     if (serve_recvs_ > 0) {
       --serve_recvs_;  // this worker's recv completed; re-armed below
     }
-    if (static_cast<ErrorCode>(cqe.err) != ErrorCode::kOk) {
+    auto dg = sys_reply<SysNr::kUdpRecvFrom>(cqe);
+    if (!dg.ok()) {
       continue;  // e.g. socket rebound mid-flight; the pool re-arms below
     }
-    Reader dg(cqe.payload);
-    auto src = dg.get_u32();
-    auto sport = dg.get_u16();
-    auto payload = dg.get_bytes();
-    if (!src || !sport || !payload) {
-      continue;
-    }
-    process_request(*src, *sport, *payload);
+    process_request(dg.value().src_addr, dg.value().src_port, dg.value().payload);
     ++served;
   }
   if (served > 0) {
@@ -1195,16 +1177,14 @@ void BlockStoreNode::ensure_vtp_serve() {
   // settled in submission order.
   std::vector<RingSqe> batch;
   if (!accept_armed_) {
-    batch.push_back(RingSqe{kAcceptTag, static_cast<u32>(SysNr::kVtpAccept),
-                            ring_args::vtp_accept(vtp_listener_)});
+    batch.push_back(ring_sqe<SysNr::kVtpAccept>(kAcceptTag, vtp_listener_));
   }
   std::vector<VtpServeConn*> armed_order;
   for (auto& [slot, conn] : vtp_conns_) {
     if (conn.recv_armed || conn.fd == kInvalidFd) {
       continue;
     }
-    batch.push_back(RingSqe{kVtpConnTag | slot, static_cast<u32>(SysNr::kVtpRecv),
-                            ring_args::vtp_recv(conn.fd, kVtpRecvChunk)});
+    batch.push_back(ring_sqe<SysNr::kVtpRecv>(kVtpConnTag | slot, conn.fd, kVtpRecvChunk));
     armed_order.push_back(&conn);
   }
   if (batch.empty()) {

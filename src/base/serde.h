@@ -5,8 +5,9 @@
 // through serialization so user-space and kernel-space agree on them. Writer
 // and Reader here are that serialization library; the round-trip property
 // ("decode(encode(x)) == x and consumes exactly encode(x).size() bytes") is a
-// registered verification condition for every syscall argument frame (see
-// src/kernel/syscall_abi.h) and every network header (src/net).
+// registered verification condition for every syscall argument and reply
+// frame (the VNROS_SYSCALLS table in src/kernel/syscall.h, checked row by row
+// by the kernel/sys_marshalling_* VCs) and every network header (src/net).
 //
 // Encoding: little-endian fixed-width integers, u32-length-prefixed byte
 // strings. No varints — syscall frames favour auditability over density.

@@ -11,6 +11,9 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <tuple>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "src/base/fault.h"
@@ -990,6 +993,126 @@ VcOutcome vc_sys_read_contract(u64 seed) {
   return VcOutcome::pass();
 }
 
+// A seeded value of each wire field type, small enough that every strict
+// prefix of a frame built from it can go through the dispatcher.
+template <typename T>
+struct Arbitrary;
+
+template <typename E>
+struct Arbitrary<std::vector<E>> {
+  static std::vector<E> make(Rng& rng) {
+    std::vector<E> out(rng.next_below(std::is_same_v<E, u8> ? 9 : 4));
+    for (E& e : out) {
+      e = Arbitrary<E>::make(rng);
+    }
+    return out;
+  }
+};
+
+template <typename A, typename B>
+struct Arbitrary<std::pair<A, B>> {
+  static std::pair<A, B> make(Rng& rng) {
+    return {Arbitrary<A>::make(rng), Arbitrary<B>::make(rng)};
+  }
+};
+
+template <typename... A>
+struct Arbitrary<std::tuple<A...>> {
+  static std::tuple<A...> make(Rng& rng) { return std::tuple<A...>{Arbitrary<A>::make(rng)...}; }
+};
+
+template <typename T>
+struct Arbitrary {
+  static T make(Rng& rng) {
+    if constexpr (std::is_same_v<T, bool>) {
+      return rng.chance(1, 2);
+    } else if constexpr (std::is_integral_v<T>) {
+      return static_cast<T>(rng.next_u64());
+    } else if constexpr (std::is_same_v<T, VAddr>) {
+      return VAddr{rng.next_u64()};
+    } else if constexpr (std::is_same_v<T, SeekWhence>) {
+      return static_cast<SeekWhence>(rng.next_below(3));
+    } else if constexpr (std::is_same_v<T, Unit>) {
+      return Unit{};
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      std::string out(rng.next_below(6), 'a');
+      for (char& ch : out) {
+        ch = static_cast<char>('a' + rng.next_below(26));
+      }
+      return out;
+    } else if constexpr (std::is_same_v<T, FileStat>) {
+      return FileStat{rng.next_u64(), rng.next_u64(), rng.chance(1, 2)};
+    } else if constexpr (std::is_same_v<T, Datagram>) {
+      return Datagram{rng.next_u32(), static_cast<Port>(rng.next_u64()),
+                      Arbitrary<std::vector<u8>>::make(rng)};
+    } else if constexpr (std::is_same_v<T, RingSqe>) {
+      return RingSqe{rng.next_u64(), rng.next_u32(), Arbitrary<std::vector<u8>>::make(rng)};
+    } else {
+      static_assert(std::is_same_v<T, RingCqe>, "no generator for this wire type");
+      return RingCqe{rng.next_u64(), rng.next_u32(), Arbitrary<std::vector<u8>>::make(rng)};
+    }
+  }
+};
+
+// One row of the syscall table: seeded arguments and replies round-trip
+// through their codecs, consuming exactly the encoded bytes; every strict
+// prefix of the frame, and the frame plus one byte, is refused with
+// kInvalidArgument before any handler runs (the process's view is
+// unchanged); every strict prefix of a reply, and the reply plus one byte,
+// decodes as kCorrupted.
+template <SysNr N>
+std::optional<std::string> check_sys_row(Rng& rng, SyscallDispatcher& disp, Pid pid) {
+  const std::string row = "syscall " + std::to_string(static_cast<u32>(N)) + ": ";
+  const SysArgs<N> args = Arbitrary<SysArgs<N>>::make(rng);
+  std::vector<u8> frame = std::apply([](const auto&... a) { return sys_frame<N>(a...); }, args);
+  Reader r(std::span<const u8>(frame).subspan(4));
+  auto decoded = SysDesc<N>::decode(r);
+  if (!decoded || !(*decoded == args) || !r.exhausted()) {
+    return row + "arguments do not round-trip";
+  }
+  const SysAbsState before = disp.view(pid);
+  for (usize cut = 0; cut <= frame.size(); ++cut) {
+    std::vector<u8> probe(frame.begin(), frame.begin() + static_cast<std::ptrdiff_t>(cut));
+    if (cut == frame.size()) {
+      probe.push_back(static_cast<u8>(rng.next_u64()));  // one byte over
+    }
+    std::vector<u8> reply = disp.handle(pid, 0, probe);
+    Reader rr(reply);
+    auto err = rr.get_u32();
+    if (!err || static_cast<ErrorCode>(*err) != ErrorCode::kInvalidArgument || !rr.exhausted()) {
+      return row + "a frame of " + std::to_string(probe.size()) + " of " +
+             std::to_string(frame.size()) + " bytes was not refused";
+    }
+    if (!(disp.view(pid) == before)) {
+      return row + "a refused frame changed the process's state";
+    }
+  }
+
+  const SysReply<N> value = Arbitrary<SysReply<N>>::make(rng);
+  Writer w;
+  Codec<SysReply<N>>::put(w, value);
+  std::vector<u8> payload = w.take();
+  auto back = sys_reply<N>(ErrorCode::kOk, payload);
+  if (!back.ok() || !(back.value() == value)) {
+    return row + "reply does not round-trip";
+  }
+  payload.push_back(static_cast<u8>(rng.next_u64()));
+  for (usize cut = 0; cut <= payload.size(); ++cut) {
+    if (cut + 1 == payload.size()) {
+      continue;  // the exact encoding, checked above
+    }
+    auto probe = sys_reply<N>(ErrorCode::kOk, std::span<const u8>(payload).first(cut));
+    if (probe.ok() || probe.error() != ErrorCode::kCorrupted) {
+      return row + "a reply of " + std::to_string(cut) + " of " +
+             std::to_string(payload.size() - 1) + " bytes was accepted";
+    }
+  }
+  return std::nullopt;
+}
+
+// The marshalling obligation over the whole syscall table (every row of
+// VNROS_SYSCALLS), plus mutation fuzz of a valid read frame: the dispatcher
+// answers every mutated frame with an error word.
 VcOutcome vc_sys_marshalling_rejects_garbage(u64 seed) {
   Kernel kernel;
   SyscallDispatcher disp(kernel);
@@ -1000,27 +1123,22 @@ VcOutcome vc_sys_marshalling_rejects_garbage(u64 seed) {
   std::vector<u8> data{1, 2, 3};
   (void)sys.write(fd.value(), data);
 
-  // Build a valid read frame, then fuzz truncations and mutations: the
-  // dispatcher must answer every frame (no crash) and never return kOk for a
-  // malformed one that decodes to nothing.
-  Writer w;
-  w.put_u32(static_cast<u32>(SysNr::kRead));
-  w.put_u32(static_cast<u32>(fd.value()));
-  w.put_u64(3);
-  std::vector<u8> frame = w.take();
-  for (usize cut = 0; cut < frame.size(); ++cut) {
-    auto reply = disp.handle(proc.value(), 0, std::span<const u8>(frame.data(), cut));
-    Reader r(reply);
-    auto err = r.get_u32();
-    if (!err || static_cast<ErrorCode>(*err) == ErrorCode::kOk) {
-      return VcOutcome::fail("truncated frame accepted at cut " + std::to_string(cut));
+  Rng rng(seed);
+  for (int draw = 0; draw < 4; ++draw) {
+    auto bad = [&]<usize... I>(std::index_sequence<I...>) {
+      std::optional<std::string> first;
+      ((first = check_sys_row<kSysNrs[I]>(rng, disp, proc.value())).has_value() || ...);
+      return first;
+    }(std::make_index_sequence<std::size(kSysNrs)>{});
+    if (bad) {
+      return VcOutcome::fail(*bad);
     }
   }
-  Rng rng(seed);
+
+  const std::vector<u8> frame = sys_frame<SysNr::kRead>(fd.value(), u64{3});
   for (int i = 0; i < 300; ++i) {
     std::vector<u8> fuzzed = frame;
     fuzzed[rng.next_below(fuzzed.size())] ^= static_cast<u8>(1 + rng.next_below(255));
-    // Extra garbage appended must also be rejected (frames are exact).
     if (rng.chance(1, 4)) {
       fuzzed.push_back(static_cast<u8>(rng.next_u64()));
     }
@@ -1841,10 +1959,10 @@ VcOutcome vc_sys_fault_injection() {
 // --- Async rings (src/kernel/ring.h) ------------------------------------------
 
 // [nr][args]: the synchronous frame for the same op a RingSqe carries.
-std::vector<u8> ring_sync_frame(u32 nr, const std::vector<u8>& args) {
+std::vector<u8> ring_sync_frame(const RingSqe& sqe) {
   Writer w;
-  w.put_u32(nr);
-  w.put_raw(args);
+  w.put_u32(sqe.op);
+  w.put_raw(sqe.args);
   return w.take();
 }
 
@@ -1887,70 +2005,58 @@ VcOutcome vc_ring_refines_sync(u64 seed) {
   u64 user_data = 0;
 
   for (int i = 0; i < 160; ++i) {
-    u32 nr = 0;
-    std::vector<u8> args;
+    ++user_data;
+    RingSqe sqe;
     switch (rng.next_below(8)) {
       case 0: {
-        nr = static_cast<u32>(SysNr::kOpen);
-        args = ring_args::open(paths[rng.next_below(paths.size())], kOpenCreate);
+        sqe = ring_sqe<SysNr::kOpen>(user_data, paths[rng.next_below(paths.size())], kOpenCreate);
         break;
       }
       case 1:
         if (!files.empty()) {
           Fd fd = files[rng.next_below(files.size())];
           std::vector<u8> data(1 + rng.next_below(64), static_cast<u8>('a' + (i % 26)));
-          nr = static_cast<u32>(SysNr::kWrite);
-          args = ring_args::write(fd, data);
+          sqe = ring_sqe<SysNr::kWrite>(user_data, fd, data);
           break;
         }
         [[fallthrough]];
       case 2:
         if (!files.empty()) {
-          nr = static_cast<u32>(SysNr::kRead);
-          args = ring_args::read(files[rng.next_below(files.size())], 32);
+          sqe = ring_sqe<SysNr::kRead>(user_data, files[rng.next_below(files.size())], 32);
           break;
         }
         [[fallthrough]];
       case 3: {
-        nr = static_cast<u32>(SysNr::kFsync);
-        args = ring_args::fsync();
+        sqe = ring_sqe<SysNr::kFsync>(user_data);
         break;
       }
       case 4:
         if (files.size() > 1) {
-          nr = static_cast<u32>(SysNr::kClose);
-          args = ring_args::close(files.back());
+          sqe = ring_sqe<SysNr::kClose>(user_data, files.back());
           break;
         }
         [[fallthrough]];
       case 5: {
         std::vector<u8> payload(1 + rng.next_below(32), static_cast<u8>(i));
-        nr = static_cast<u32>(SysNr::kUdpSendTo);
-        args = ring_args::udp_sendto(ua.value(), ka.net_addr(), 7000, payload);
+        sqe = ring_sqe<SysNr::kUdpSendTo>(user_data, ua.value(), ka.net_addr(), 7000, payload);
         break;
       }
       case 6:
         if (queued > 0) {
-          nr = static_cast<u32>(SysNr::kUdpRecvFrom);
-          args = ring_args::udp_recvfrom(ua.value());
+          sqe = ring_sqe<SysNr::kUdpRecvFrom>(user_data, ua.value());
           break;
         }
         [[fallthrough]];
       default:
         if (!files.empty()) {
-          nr = static_cast<u32>(SysNr::kFstat);
-          // fstat's frame is just the fd word — same shape close uses.
-          args = ring_args::close(files[rng.next_below(files.size())]);
+          sqe = ring_sqe<SysNr::kFstat>(user_data, files[rng.next_below(files.size())]);
         } else {
-          nr = static_cast<u32>(SysNr::kFsync);
-          args = ring_args::fsync();
+          sqe = ring_sqe<SysNr::kFsync>(user_data);
         }
         break;
     }
 
-    std::vector<u8> reply_a = da.handle(pa.value(), 0, ring_sync_frame(nr, args));
-    ++user_data;
-    RingSqe sqe{user_data, nr, args};
+    std::vector<u8> reply_a = da.handle(pa.value(), 0, ring_sync_frame(sqe));
     auto accepted = sb.ring_submit(ring.value(), std::span<const RingSqe>(&sqe, 1));
     if (!accepted.ok() || accepted.value() != 1) {
       return VcOutcome::fail("single-entry submit not accepted");
@@ -1971,14 +2077,14 @@ VcOutcome vc_ring_refines_sync(u64 seed) {
     }
     // Track mirrored state from side A's (identical) reply.
     if (*err_a == static_cast<u32>(ErrorCode::kOk)) {
-      Reader pr(*payload_a);
-      if (nr == static_cast<u32>(SysNr::kOpen)) {
-        files.push_back(static_cast<Fd>(*pr.get_u32()));
-      } else if (nr == static_cast<u32>(SysNr::kClose)) {
+      const SysNr nr = static_cast<SysNr>(sqe.op);
+      if (nr == SysNr::kOpen) {
+        files.push_back(sys_reply<SysNr::kOpen>(cqe).value());
+      } else if (nr == SysNr::kClose) {
         files.pop_back();
-      } else if (nr == static_cast<u32>(SysNr::kUdpSendTo)) {
+      } else if (nr == SysNr::kUdpSendTo) {
         ++queued;
-      } else if (nr == static_cast<u32>(SysNr::kUdpRecvFrom)) {
+      } else if (nr == SysNr::kUdpRecvFrom) {
         --queued;
       }
     }
@@ -1997,12 +2103,10 @@ VcOutcome vc_ring_refines_sync(u64 seed) {
       return VcOutcome::fail("mirrored open diverged before batch");
     }
     std::vector<u8> data(8 + i, static_cast<u8>('0' + i));
-    std::vector<u8> args = ring_args::write(open_a.value(), data);
-    std::vector<u8> reply_a =
-        da.handle(pa.value(), 0, ring_sync_frame(static_cast<u32>(SysNr::kWrite), args));
     ++user_data;
-    expect[user_data] = std::move(reply_a);
-    batch.push_back(RingSqe{user_data, static_cast<u32>(SysNr::kWrite), std::move(args)});
+    RingSqe sqe = ring_sqe<SysNr::kWrite>(user_data, open_a.value(), data);
+    expect[user_data] = da.handle(pa.value(), 0, ring_sync_frame(sqe));
+    batch.push_back(std::move(sqe));
   }
   auto accepted = sb.ring_submit(ring.value(), batch);
   if (!accepted.ok() || accepted.value() != static_cast<u32>(batch.size())) {
@@ -2097,8 +2201,7 @@ VcOutcome vc_ring_completion_unique(u64 seed) {
       usize n = 1 + rng.next_below(4);
       for (usize i = 0; i < n; ++i) {
         std::vector<u8> data(4, static_cast<u8>(round));
-        batch.push_back(RingSqe{++user_data, static_cast<u32>(SysNr::kWrite),
-                                ring_args::write(file.value(), data)});
+        batch.push_back(ring_sqe<SysNr::kWrite>(++user_data, file.value(), data));
       }
       auto acc = sys.ring_submit(ring.value(), batch);
       if (!acc.ok() && acc.error() != ErrorCode::kWouldBlock) {
@@ -2112,8 +2215,7 @@ VcOutcome vc_ring_completion_unique(u64 seed) {
       user_data -= (n - took);  // unaccepted ids are never live
     } else if (choice < 6) {
       // A recv with nothing queued: parks in flight until data arrives.
-      RingSqe sqe{++user_data, static_cast<u32>(SysNr::kUdpRecvFrom),
-                  ring_args::udp_recvfrom(sock.value())};
+      RingSqe sqe = ring_sqe<SysNr::kUdpRecvFrom>(++user_data, sock.value());
       auto acc = sys.ring_submit(ring.value(), std::span<const RingSqe>(&sqe, 1));
       if (acc.ok() && acc.value() == 1) {
         accepted_total += 1;
@@ -2285,9 +2387,7 @@ VcOutcome ring_readiness_schedule(u64 seed, FaultRegistry& freg) {
   };
   auto arm_recv = [&](std::vector<std::pair<RingSqe, Sub>>& batch, u64 serial,
                       ServerStream& st) {
-    batch.push_back({RingSqe{next_ud++, static_cast<u32>(SysNr::kVtpRecv),
-                             ring_args::vtp_recv(st.fd, 512)},
-                     Sub{OpKind::kRecv, serial}});
+    batch.push_back({ring_sqe<SysNr::kVtpRecv>(next_ud++, st.fd, 512), Sub{OpKind::kRecv, serial}});
     st.armed = true;
   };
   // Closes a server stream synchronously; legal only when no recv of it can
@@ -2335,7 +2435,6 @@ VcOutcome ring_readiness_schedule(u64 seed, FaultRegistry& freg) {
       const Sub sub = it->second;
       outstanding.erase(it);
       const ErrorCode err = static_cast<ErrorCode>(cqe.err);
-      Reader r(cqe.payload);
       switch (sub.kind) {
         case OpKind::kAccept: {
           accept_armed = false;
@@ -2345,7 +2444,7 @@ VcOutcome ring_readiness_schedule(u64 seed, FaultRegistry& freg) {
           if (err != ErrorCode::kOk) {
             return "accept failed with " + std::string(error_name(err));
           }
-          Fd fd = static_cast<Fd>(r.get_u32().value_or(0));
+          Fd fd = sys_reply<SysNr::kVtpAccept>(cqe).value_or(0);
           for (const auto& [serial, st] : streams) {
             if (st.fd == fd && !st.closed) {
               return "accept handed out fd " + std::to_string(fd) + " of a live stream";
@@ -2362,10 +2461,8 @@ VcOutcome ring_readiness_schedule(u64 seed, FaultRegistry& freg) {
           if (err == ErrorCode::kBadFd && !dsock_open) {
             break;
           }
-          (void)r.get_u32();
-          (void)r.get_u16();
-          auto payload = r.get_bytes();
-          if (err != ErrorCode::kOk || !payload || payload->empty() || (*payload)[0] != 'D') {
+          auto dg = sys_reply<SysNr::kUdpRecvFrom>(cqe);
+          if (!dg.ok() || dg.value().payload.empty() || dg.value().payload[0] != 'D') {
             return std::string("datagram recv completed wrong");
           }
           ++dgrams;
@@ -2391,14 +2488,14 @@ VcOutcome ring_readiness_schedule(u64 seed, FaultRegistry& freg) {
             }
             ++cancels;
           } else if (err == ErrorCode::kOk) {
-            auto data = r.get_bytes();
-            if (!data || data->empty()) {
+            auto data = sys_reply<SysNr::kVtpRecv>(cqe);
+            if (!data.ok() || data.value().empty()) {
               return std::string("recv completed without bytes");
             }
             if (!st.inbound) {
               return std::string("bytes on an outbound stream nobody writes");
             }
-            for (u8 b : *data) {
+            for (u8 b : data.value()) {
               if (st.id < 0) {
                 st.id = b;
               } else if (b != stream_byte(static_cast<u64>(st.id), st.got)) {
@@ -2407,7 +2504,7 @@ VcOutcome ring_readiness_schedule(u64 seed, FaultRegistry& freg) {
               }
               ++st.got;
             }
-            bytes_in += data->size();
+            bytes_in += data.value().size();
             if (st.got > sent_by_id[static_cast<u64>(st.id)]) {
               return "stream " + std::to_string(st.id) + " delivered more than was sent";
             }
@@ -2496,7 +2593,7 @@ VcOutcome ring_readiness_schedule(u64 seed, FaultRegistry& freg) {
       ServerStream& st = it->second;
       if (!st.closed && !st.closing) {
         if (rng.chance(1, 2)) {
-          RingSqe close{next_ud++, static_cast<u32>(SysNr::kClose), ring_args::close(st.fd)};
+          RingSqe close = ring_sqe<SysNr::kClose>(next_ud++, st.fd);
           std::vector<std::pair<RingSqe, Sub>> batch = {{close, Sub{OpKind::kClose, serial}}};
           st.closing = true;
           if (auto bad = submit(batch)) {
@@ -2521,15 +2618,13 @@ VcOutcome ring_readiness_schedule(u64 seed, FaultRegistry& freg) {
     // recv on every stream that is not closing.
     std::vector<std::pair<RingSqe, Sub>> batch;
     if (!accept_armed) {
-      batch.push_back({RingSqe{next_ud++, static_cast<u32>(SysNr::kVtpAccept),
-                               ring_args::vtp_accept(listener.value())},
-                       Sub{OpKind::kAccept}});
+      batch.push_back(
+          {ring_sqe<SysNr::kVtpAccept>(next_ud++, listener.value()), Sub{OpKind::kAccept}});
       accept_armed = true;
     }
     while (dgram_armed < 2) {
-      batch.push_back({RingSqe{next_ud++, static_cast<u32>(SysNr::kUdpRecvFrom),
-                               ring_args::udp_recvfrom(dsock.value())},
-                       Sub{OpKind::kDgram}});
+      batch.push_back(
+          {ring_sqe<SysNr::kUdpRecvFrom>(next_ud++, dsock.value()), Sub{OpKind::kDgram}});
       ++dgram_armed;
     }
     for (auto& [serial, st] : streams) {

@@ -4,55 +4,9 @@
 #include <utility>
 
 #include "src/base/contracts.h"
+#include "src/kernel/syscall.h"
 
 namespace vnros {
-
-namespace {
-
-// SysNr values duplicated here as raw u32s to keep ring.h free of a
-// syscall.h include cycle (syscall.h includes kernel.h includes ring.h).
-constexpr u32 kNrOpen = 10;
-constexpr u32 kNrClose = 11;
-constexpr u32 kNrRead = 12;
-constexpr u32 kNrWrite = 13;
-constexpr u32 kNrLseek = 14;
-constexpr u32 kNrFstat = 15;
-constexpr u32 kNrFsync = 22;
-constexpr u32 kNrUdpSendTo = 62;
-constexpr u32 kNrUdpRecvFrom = 63;
-constexpr u32 kNrVtpAccept = 111;
-constexpr u32 kNrVtpSend = 113;
-constexpr u32 kNrVtpRecv = 114;
-
-// Ops whose transient kWouldBlock means "nothing to deliver yet" (or, for
-// vtp_send, "no buffer space yet"): the ring parks these in flight instead
-// of completing with the error.
-bool parkable(u32 op) {
-  return op == kNrUdpRecvFrom || op == kNrVtpAccept || op == kNrVtpSend ||
-         op == kNrVtpRecv;
-}
-
-}  // namespace
-
-bool ring_submittable(u32 op) {
-  switch (op) {
-    case kNrOpen:
-    case kNrClose:
-    case kNrRead:
-    case kNrWrite:
-    case kNrLseek:
-    case kNrFstat:
-    case kNrFsync:
-    case kNrUdpSendTo:
-    case kNrUdpRecvFrom:
-    case kNrVtpAccept:
-    case kNrVtpSend:
-    case kNrVtpRecv:
-      return true;
-    default:
-      return false;
-  }
-}
 
 SysRingTable::SysRingTable(Scheduler& sched, IpStack& ip)
     : sched_(sched), ip_(ip), obs_prefix_(ObsRegistry::global().instance_prefix("ring")) {
@@ -156,7 +110,7 @@ void SysRingTable::reactor_pass(Ring& ring, const Executor& exec,
     Writer payload;
     RingExecNote note;
     ErrorCode err = exec(p.sqe.op, args, payload, note);
-    if (err == ErrorCode::kWouldBlock && parkable(p.sqe.op)) {
+    if (err == ErrorCode::kWouldBlock && (sys_flags(p.sqe.op) & kSysPark) != 0) {
       VNROS_CHECK(note.wait.has_value());  // every parkable handler names its event
       park(ring, seq, p, *note.wait);
     } else {
@@ -199,7 +153,7 @@ Result<u32> SysRingTable::submit(Pid pid, u32 ring_id, std::span<const RingSqe> 
     }
     c_submitted_->inc();
     ++accepted;
-    if (!ring_submittable(e.op)) {
+    if ((sys_flags(e.op) & kSysRing) == 0) {
       h_completion_passes_->record(0);
       post_completion(ring, RingCqe{e.user_data, static_cast<u32>(ErrorCode::kUnsupported), {}},
                       sched_tok);

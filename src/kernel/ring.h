@@ -64,10 +64,13 @@ namespace vnros {
 
 // One submission: the syscall number, its argument bytes (same encoding as
 // the synchronous frame after the nr word), and the caller's correlation id.
+// ring_sqe<SysNr::k...> (src/kernel/syscall.h) builds one from typed args.
 struct RingSqe {
   u64 user_data = 0;
   u32 op = 0;  // a SysNr value
   std::vector<u8> args;
+
+  bool operator==(const RingSqe&) const = default;
 };
 
 // One completion: the originating SQE's user_data, the syscall's ErrorCode,
@@ -77,12 +80,15 @@ struct RingCqe {
   u64 user_data = 0;
   u32 err = 0;  // an ErrorCode value
   std::vector<u8> payload;
+
+  bool operator==(const RingCqe&) const = default;
 };
 
 // What one execution reports to the reactor besides (err, payload).
 struct RingExecNote {
   // The event a transient kWouldBlock waits on; set by the handlers of the
-  // parkable ops (udp_recvfrom, vtp_accept, vtp_send, vtp_recv).
+  // parkable ops (kSysPark in the syscall table: udp_recvfrom, vtp_accept,
+  // vtp_send, vtp_recv).
   std::optional<WaitKey> wait;
   // The events of a socket fd this execution closed: the reactor completes
   // the SQEs parked on them with kBadFd (see SysRingTable::cancel).
@@ -122,9 +128,9 @@ class SysRingTable {
   // kRingSubmit: accepts a prefix of `entries` bounded by free SQ slots and
   // runs a reactor pass. Returns the number accepted (possibly < entries
   // size — each refused entry is counted in sq_full); if no entry fits the
-  // typed error is kWouldBlock. Ops outside the ring-submittable set are
-  // accepted and completed immediately with kUnsupported (exactly-once is
-  // preserved: refusal is only ever about capacity).
+  // typed error is kWouldBlock. Ops without kSysRing in the syscall table
+  // are accepted and completed immediately with kUnsupported (exactly-once
+  // is preserved: refusal is only ever about capacity).
   Result<u32> submit(Pid pid, u32 ring_id, std::span<const RingSqe> entries,
                      const Executor& exec, const ThreadToken& sched_tok);
 
@@ -236,11 +242,6 @@ class SysRingTable {
   Histogram* h_completion_passes_;  // reactor passes from accept to post
   u64 pass_counter_ = 0;
 };
-
-// True for the syscalls a ring accepts: the data-plane I/O subset whose
-// handlers are self-contained transitions (no process-control side effects,
-// no nested rings). Everything else completes with kUnsupported.
-bool ring_submittable(u32 op);
 
 }  // namespace vnros
 

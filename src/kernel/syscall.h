@@ -7,7 +7,8 @@
 // executes, and serializes the reply. This discharges, dynamically, the three
 // obligations §3 names:
 //   - marshalling: arguments/results round-trip the boundary byte-exactly
-//     (kernel/marshal_* VCs cover every frame type);
+//     (each frame layout is declared once, in VNROS_SYSCALLS below; the
+//     kernel/sys_marshalling_* VCs check every row of it);
 //   - mapping: user buffers are reached through the process's verified page
 //     table (read_user/write_user translate page-by-page);
 //   - data-race freedom: each process's syscall state is guarded by a
@@ -15,15 +16,21 @@
 //     of racing (the dynamic stand-in for Rust's unique &mut).
 //
 // The read() handler carries the paper's read_spec as an executable
-// postcondition — see SyscallDispatcher::do_read.
+// postcondition — see SyscallDispatcher::run<SysNr::kRead>.
 #ifndef VNROS_SRC_KERNEL_SYSCALL_H_
 #define VNROS_SRC_KERNEL_SYSCALL_H_
 
+#include <concepts>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
+#include <tuple>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "src/base/fault.h"
@@ -34,69 +41,412 @@
 
 namespace vnros {
 
-// Syscall numbers (stable ABI).
-enum class SysNr : u32 {
-  kGetPid = 1,
-  // Filesystem.
-  kOpen = 10,
-  kClose = 11,
-  kRead = 12,
-  kWrite = 13,
-  kLseek = 14,
-  kFstat = 15,
-  kMkdir = 16,
-  kUnlink = 17,
-  kRmdir = 18,
-  kReaddir = 19,
-  kRename = 20,
-  kTruncate = 21,
-  kFsync = 22,
-  kReadUser = 23,   // read into a user-space buffer (mapping obligation)
-  kWriteUser = 24,  // write from a user-space buffer
-  kPipeCreate = 25,
-  // Virtual memory.
-  kMmap = 30,
-  kMunmap = 31,
-  // Processes.
-  kSpawn = 40,
-  kWaitPid = 41,
-  kExit = 42,
-  kKill = 43,
-  kTakeSignal = 44,
-  // Futex.
-  kFutexWait = 50,
-  kFutexWake = 51,
-  // Network: UDP.
-  kUdpSocket = 60,
-  kUdpBind = 61,
-  kUdpSendTo = 62,
-  kUdpRecvFrom = 63,
-  // 70-75 belonged to a retired stream transport; never reassign them.
-  // Console.
-  kConsoleWrite = 80,
-  // Introspection: the kernel's contract counters (read-only).
-  kKstat = 90,
-  kKstatList = 91,
-  // Async submission/completion rings (src/kernel/ring.h).
-  kRingSetup = 100,
-  kRingSubmit = 101,
-  kRingWait = 102,
-  // Network: VTP (verified stream transport — windowed, AIMD, selective
-  // retransmit; src/net/vtp.h). accept/send/recv are ring-submittable with
-  // transient kWouldBlock parking.
-  kVtpListen = 110,
-  kVtpAccept = 111,
-  kVtpConnect = 112,
-  kVtpSend = 113,
-  kVtpRecv = 114,
-  kVtpClose = 115,
-};
-
 inline constexpr u32 kOpenCreate = 1u << 0;   // create if missing
 inline constexpr u32 kOpenTrunc = 1u << 1;    // truncate to zero
 inline constexpr u32 kOpenAppend = 1u << 2;   // start offset at EOF
 
 enum class SeekWhence : u32 { kSet = 0, kCur = 1, kEnd = 2 };
+
+// The largest backlog vtp_listen accepts. The backlog is the only bound on a
+// listener's queued and half-open connections, so an unchecked one would let
+// a SYN flood grow the stack's connection table without limit.
+inline constexpr u64 kMaxVtpBacklog = 4096;
+
+// --- Field codecs ------------------------------------------------------------
+//
+// One codec per wire field type: put appends the field, get decodes it into
+// `out` and returns false on truncated or malformed input. kMinBytes is the
+// shortest encoding, which bounds how many elements a count prefix can honestly
+// announce. Encoding: little-endian fixed-width integers (Fd as u32), bool as
+// one canonical byte, u32-length-prefixed strings and byte vectors,
+// u32-count-prefixed vectors, structs as their fields in order.
+template <typename T>
+struct Codec;
+
+// What a caller hands an encoder for a T field: views for the owning
+// containers, so encoding never copies an argument first.
+template <typename T>
+struct WireInT {
+  using type = const T&;
+};
+template <>
+struct WireInT<std::string> {
+  using type = std::string_view;
+};
+template <typename T>
+struct WireInT<std::vector<T>> {
+  using type = std::span<const T>;
+};
+template <typename T>
+using WireIn = typename WireInT<T>::type;
+
+template <typename T>
+bool get_into(std::optional<T> v, T& out) {
+  if (!v) {
+    return false;
+  }
+  out = std::move(*v);
+  return true;
+}
+
+template <typename T>
+  requires(std::integral<T> && !std::same_as<T, bool>)
+struct Codec<T> {
+  static_assert(sizeof(T) == 2 || sizeof(T) == 4 || sizeof(T) == 8);
+  using U = std::make_unsigned_t<T>;
+  static constexpr usize kMinBytes = sizeof(T);
+  static void put(Writer& w, T v) {
+    if constexpr (sizeof(T) == 2) {
+      w.put_u16(static_cast<U>(v));
+    } else if constexpr (sizeof(T) == 4) {
+      w.put_u32(static_cast<U>(v));
+    } else {
+      w.put_u64(static_cast<U>(v));
+    }
+  }
+  static bool get(Reader& r, T& out) {
+    std::optional<U> v;
+    if constexpr (sizeof(T) == 2) {
+      v = r.get_u16();
+    } else if constexpr (sizeof(T) == 4) {
+      v = r.get_u32();
+    } else {
+      v = r.get_u64();
+    }
+    out = static_cast<T>(v.value_or(0));
+    return v.has_value();
+  }
+};
+
+template <>
+struct Codec<bool> {
+  static constexpr usize kMinBytes = 1;
+  static void put(Writer& w, bool v) { w.put_bool(v); }
+  static bool get(Reader& r, bool& out) { return get_into(r.get_bool(), out); }
+};
+
+template <>
+struct Codec<Unit> {
+  static constexpr usize kMinBytes = 0;
+  static void put(Writer&, Unit) {}
+  static bool get(Reader&, Unit&) { return true; }
+};
+
+template <>
+struct Codec<VAddr> {
+  static constexpr usize kMinBytes = 8;
+  static void put(Writer& w, VAddr v) { w.put_u64(v.value); }
+  static bool get(Reader& r, VAddr& out) {
+    auto v = r.get_u64();
+    out = VAddr{v.value_or(0)};
+    return v.has_value();
+  }
+};
+
+template <>
+struct Codec<SeekWhence> {
+  static constexpr usize kMinBytes = 4;
+  static void put(Writer& w, SeekWhence v) { w.put_u32(static_cast<u32>(v)); }
+  static bool get(Reader& r, SeekWhence& out) {
+    auto v = r.get_u32();
+    if (!v || *v > static_cast<u32>(SeekWhence::kEnd)) {
+      return false;
+    }
+    out = static_cast<SeekWhence>(*v);
+    return true;
+  }
+};
+
+template <>
+struct Codec<std::string> {
+  static constexpr usize kMinBytes = 4;
+  static void put(Writer& w, std::string_view v) { w.put_string(v); }
+  static bool get(Reader& r, std::string& out) { return get_into(r.get_string(), out); }
+};
+
+template <typename T>
+struct Codec<std::vector<T>> {
+  static_assert(Codec<T>::kMinBytes > 0);
+  static constexpr usize kMinBytes = 4;
+  static void put(Writer& w, std::span<const T> v) {
+    w.put_u32(static_cast<u32>(v.size()));
+    for (const T& e : v) {
+      Codec<T>::put(w, e);
+    }
+  }
+  static bool get(Reader& r, std::vector<T>& out) {
+    auto n = r.get_u32();
+    // A count the rest of the frame cannot hold is malformed, so the
+    // reservation below is bounded by the frame, not by the count.
+    if (!n || *n > r.remaining() / Codec<T>::kMinBytes) {
+      return false;
+    }
+    out.clear();
+    out.reserve(*n);
+    for (u32 i = 0; i < *n; ++i) {
+      if (!Codec<T>::get(r, out.emplace_back())) {
+        return false;
+      }
+    }
+    return true;
+  }
+};
+
+template <>
+struct Codec<std::vector<u8>> {
+  static constexpr usize kMinBytes = 4;
+  static void put(Writer& w, std::span<const u8> v) { w.put_bytes(v); }
+  static bool get(Reader& r, std::vector<u8>& out) { return get_into(r.get_bytes(), out); }
+};
+
+template <typename M>
+struct MemberT;
+template <typename C, typename F>
+struct MemberT<F C::*> {
+  using Field = F;
+};
+template <auto M>
+using FieldOf = typename MemberT<decltype(M)>::Field;
+
+// A struct encoded as the listed fields, in order.
+template <typename T, auto... M>
+struct FieldsCodec {
+  static constexpr usize kMinBytes = (0 + ... + Codec<FieldOf<M>>::kMinBytes);
+  static void put(Writer& w, const T& v) { (Codec<FieldOf<M>>::put(w, v.*M), ...); }
+  static bool get(Reader& r, T& out) { return (Codec<FieldOf<M>>::get(r, out.*M) && ...); }
+};
+
+template <>
+struct Codec<FileStat>
+    : FieldsCodec<FileStat, &FileStat::inode, &FileStat::size, &FileStat::is_dir> {};
+template <>
+struct Codec<Datagram>
+    : FieldsCodec<Datagram, &Datagram::src_addr, &Datagram::src_port, &Datagram::payload> {};
+template <>
+struct Codec<RingSqe> : FieldsCodec<RingSqe, &RingSqe::user_data, &RingSqe::op, &RingSqe::args> {};
+template <>
+struct Codec<RingCqe>
+    : FieldsCodec<RingCqe, &RingCqe::user_data, &RingCqe::err, &RingCqe::payload> {};
+template <typename A, typename B>
+struct Codec<std::pair<A, B>>
+    : FieldsCodec<std::pair<A, B>, &std::pair<A, B>::first, &std::pair<A, B>::second> {};
+
+// --- The syscall table -------------------------------------------------------
+//
+// One row per syscall: X(name, number, Reply(Args...), flags). The row is the
+// only place the syscall's number, argument layout, reply layout and flags are
+// written. SysNr, the Sys facade, ring_sqe, the dispatcher's decoders, the
+// fault-injection gates and the ring's submittable and parkable sets are all
+// derived from it. A frame is [u32 nr][args in order]; a reply is
+// [u32 ErrorCode][Reply] (no Reply bytes unless the code is kOk).
+//
+// Flags:
+inline constexpr u32 kSysRing = 1u << 0;      // a ring accepts it as an SQE
+inline constexpr u32 kSysPark = 1u << 1;      // a ring parks its transient kWouldBlock
+inline constexpr u32 kSysIoError = 1u << 2;   // "syscall/io_error" may fail it
+inline constexpr u32 kSysNoMemory = 1u << 3;  // "syscall/no_memory" may fail it
+
+using FdPair = std::pair<Fd, Fd>;  // (read end, write end)
+
+// clang-format off
+#define VNROS_SYSCALLS(X)                                                                      \
+  X(kGetPid, 1, Pid(), 0)                                                                      \
+  /* Filesystem. */                                                                            \
+  X(kOpen, 10, Fd(std::string path, u32 flags), kSysRing | kSysIoError)                        \
+  X(kClose, 11, Unit(Fd fd), kSysRing)                                                         \
+  X(kRead, 12, std::vector<u8>(Fd fd, u64 len), kSysRing | kSysIoError)                        \
+  X(kWrite, 13, u64(Fd fd, std::vector<u8> data), kSysRing | kSysIoError)                      \
+  X(kLseek, 14, u64(Fd fd, i64 delta, SeekWhence whence), kSysRing)                            \
+  X(kFstat, 15, FileStat(Fd fd), kSysRing | kSysIoError)                                       \
+  X(kMkdir, 16, Unit(std::string path), kSysIoError)                                           \
+  X(kUnlink, 17, Unit(std::string path), kSysIoError)                                          \
+  X(kRmdir, 18, Unit(std::string path), kSysIoError)                                           \
+  X(kReaddir, 19, std::vector<std::string>(std::string path), kSysIoError)                     \
+  X(kRename, 20, Unit(std::string from, std::string to), kSysIoError)                          \
+  X(kTruncate, 21, Unit(std::string path, u64 size), kSysIoError)                              \
+  X(kFsync, 22, Unit(), kSysRing | kSysIoError)                                                \
+  /* Read into / write from a user-space buffer (the mapping obligation). */                   \
+  X(kReadUser, 23, u64(Fd fd, VAddr buffer, u64 len), kSysIoError)                             \
+  X(kWriteUser, 24, u64(Fd fd, VAddr buffer, u64 len), kSysIoError)                            \
+  X(kPipeCreate, 25, FdPair(), 0)                                                              \
+  /* Virtual memory. */                                                                        \
+  X(kMmap, 30, VAddr(u64 length, bool writable, bool lazy), kSysNoMemory)                      \
+  X(kMunmap, 31, Unit(VAddr base), 0)                                                          \
+  /* Processes. */                                                                             \
+  X(kSpawn, 40, Pid(), kSysNoMemory)                                                           \
+  X(kWaitPid, 41, i64(Pid child), 0)                                                           \
+  X(kExit, 42, Unit(i64 code), 0)                                                              \
+  X(kKill, 43, Unit(Pid target, u32 signal), 0)                                                \
+  X(kTakeSignal, 44, u32(), 0)                                                                 \
+  /* Futex. */                                                                                 \
+  X(kFutexWait, 50, Unit(VAddr uaddr, u32 expected, Tid tid), 0)                               \
+  X(kFutexWake, 51, u64(VAddr uaddr, u64 count), 0)                                            \
+  /* Network: UDP. */                                                                          \
+  X(kUdpSocket, 60, Fd(), 0)                                                                   \
+  X(kUdpBind, 61, Unit(Fd fd, Port port), 0)                                                   \
+  X(kUdpSendTo, 62, Unit(Fd fd, NetAddr dst, Port dst_port, std::vector<u8> data), kSysRing)   \
+  X(kUdpRecvFrom, 63, Datagram(Fd fd), kSysRing | kSysPark)                                    \
+  /* 70-75 belonged to a retired stream transport; never reassign them. */                     \
+  /* Console. */                                                                               \
+  X(kConsoleWrite, 80, Unit(std::string text), 0)                                              \
+  /* Introspection: the kernel's contract counters (read-only). */                             \
+  X(kKstat, 90, u64(std::string name), 0)                                                      \
+  X(kKstatList, 91, std::vector<std::string>(), 0)                                             \
+  /* Async submission/completion rings (src/kernel/ring.h). */                                 \
+  X(kRingSetup, 100, u32(u32 sq_slots, u32 cq_slots), 0)                                       \
+  X(kRingSubmit, 101, u32(u32 ring_id, std::vector<RingSqe> entries), 0)                       \
+  X(kRingWait, 102,                                                                            \
+    std::vector<RingCqe>(u32 ring_id, u32 min_complete, u32 max_reap, Tid tid), 0)             \
+  /* Network: VTP streams (src/net/vtp.h). */                                                  \
+  X(kVtpListen, 110, Fd(Port port, u64 backlog), 0)                                            \
+  X(kVtpAccept, 111, Fd(Fd listener), kSysRing | kSysPark)                                     \
+  X(kVtpConnect, 112, Fd(NetAddr dst, Port dst_port, Port src_port), 0)                        \
+  X(kVtpSend, 113, u64(Fd fd, std::vector<u8> data), kSysRing | kSysPark)                      \
+  X(kVtpRecv, 114, std::vector<u8>(Fd fd, u64 max_len), kSysRing | kSysPark)                   \
+  X(kVtpClose, 115, Unit(Fd fd), 0)
+// clang-format on
+
+// Syscall numbers (stable ABI).
+enum class SysNr : u32 {
+#define VNROS_SYS_ENUM(name, nr, sig, flags) name = nr,
+  VNROS_SYSCALLS(VNROS_SYS_ENUM)
+#undef VNROS_SYS_ENUM
+};
+
+// Every syscall, in table order.
+inline constexpr SysNr kSysNrs[] = {
+#define VNROS_SYS_LIST(name, nr, sig, flags) SysNr::name,
+    VNROS_SYSCALLS(VNROS_SYS_LIST)
+#undef VNROS_SYS_LIST
+};
+
+// The flags of a raw syscall number; 0 for a number outside the table.
+constexpr u32 sys_flags(u32 nr) {
+  switch (static_cast<SysNr>(nr)) {
+#define VNROS_SYS_FLAGS(name, number, sig, flags) \
+  case SysNr::name:                               \
+    return flags;
+    VNROS_SYSCALLS(VNROS_SYS_FLAGS)
+#undef VNROS_SYS_FLAGS
+  }
+  return 0;
+}
+
+template <u32 Flags, typename Sig>
+struct SysSpec;
+
+template <u32 Flags, typename R, typename... A>
+struct SysSpec<Flags, R(A...)> {
+  using Reply = R;
+  using Args = std::tuple<A...>;
+  static constexpr u32 kFlags = Flags;
+
+  // Appends the argument fields in declaration order (the frame minus nr).
+  static void encode(Writer& w, WireIn<A>... args) { (Codec<A>::put(w, args), ...); }
+
+  // Decodes one argument tuple that must use up the rest of the frame: a
+  // short, malformed or over-long frame is nullopt.
+  static std::optional<Args> decode(Reader& r) {
+    std::optional<Args> out(std::in_place);
+    bool ok = std::apply([&r](A&... a) { return (Codec<A>::get(r, a) && ...); }, *out);
+    if (!ok || !r.exhausted()) {
+      out.reset();
+    }
+    return out;
+  }
+};
+
+template <SysNr N>
+struct SysDesc;
+#define VNROS_SYS_DESC(name, nr, sig, flags) \
+  template <>                                \
+  struct SysDesc<SysNr::name> : SysSpec<flags, sig> {};
+VNROS_SYSCALLS(VNROS_SYS_DESC)
+#undef VNROS_SYS_DESC
+
+template <SysNr N>
+using SysReply = typename SysDesc<N>::Reply;
+template <SysNr N>
+using SysArgs = typename SysDesc<N>::Args;
+
+// Compile-time ABI pins over the table.
+consteval bool sys_numbers_unique() {
+  for (usize i = 0; i < std::size(kSysNrs); ++i) {
+    for (usize j = i + 1; j < std::size(kSysNrs); ++j) {
+      if (kSysNrs[i] == kSysNrs[j]) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+consteval bool sys_numbers_avoid_retired() {
+  for (SysNr nr : kSysNrs) {
+    if (static_cast<u32>(nr) >= 70 && static_cast<u32>(nr) <= 75) {
+      return false;
+    }
+  }
+  return true;
+}
+consteval bool sys_parkable_ops_are_ring_ops() {
+  for (SysNr nr : kSysNrs) {
+    u32 f = sys_flags(static_cast<u32>(nr));
+    if ((f & kSysPark) != 0 && (f & kSysRing) == 0) {
+      return false;
+    }
+  }
+  return true;
+}
+static_assert(sys_numbers_unique(), "two syscalls share a number");
+static_assert(sys_numbers_avoid_retired(), "syscall numbers 70-75 are retired");
+static_assert(sys_parkable_ops_are_ring_ops(), "a parkable syscall must be ring-submittable");
+
+// True when `A...` encode as syscall N's arguments.
+template <SysNr N, typename... A>
+concept SysArgsFor = requires(Writer& w, A&&... a) {
+  SysDesc<N>::encode(w, std::forward<A>(a)...);
+};
+
+// The synchronous frame of syscall N: [u32 nr][args].
+template <SysNr N, typename... A>
+  requires SysArgsFor<N, A...>
+std::vector<u8> sys_frame(A&&... args) {
+  Writer w;
+  w.put_u32(static_cast<u32>(N));
+  SysDesc<N>::encode(w, std::forward<A>(args)...);
+  return w.take();
+}
+
+// A ring submission of syscall N: its args are the synchronous frame after
+// the nr word, so ring and synchronous calls share one encoding.
+template <SysNr N, typename... A>
+  requires((SysDesc<N>::kFlags & kSysRing) != 0 && SysArgsFor<N, A...>)
+RingSqe ring_sqe(u64 user_data, A&&... args) {
+  Writer w;
+  SysDesc<N>::encode(w, std::forward<A>(args)...);
+  return RingSqe{user_data, static_cast<u32>(N), w.take()};
+}
+
+// The typed reply of syscall N from its (err, payload) pair, as a synchronous
+// reply or a CQE carries it. A kOk payload that does not decode to exactly
+// one Reply is kCorrupted.
+template <SysNr N>
+Result<SysReply<N>> sys_reply(ErrorCode err, std::span<const u8> payload) {
+  if (err != ErrorCode::kOk) {
+    return err;
+  }
+  Reader r(payload);
+  SysReply<N> out{};
+  if (!Codec<SysReply<N>>::get(r, out) || !r.exhausted()) {
+    return ErrorCode::kCorrupted;
+  }
+  return out;
+}
+
+template <SysNr N>
+Result<SysReply<N>> sys_reply(const RingCqe& cqe) {
+  return sys_reply<N>(static_cast<ErrorCode>(cqe.err), cqe.payload);
+}
 
 // An open descriptor. Files carry the read_spec's (path, offset) pair;
 // socket fds carry their transport identity.
@@ -147,71 +497,58 @@ class SyscallDispatcher {
     BorrowCell borrow;
   };
 
+  // Who is calling: the process, its core, and — for an op the ring reactor
+  // runs — where the handler reports what the op parks on or closes.
+  struct SysCtx {
+    Pid pid = kInvalidPid;
+    CoreId core = 0;
+    RingExecNote* note = nullptr;
+  };
+
   ProcState& proc_state(Pid pid);
   // Allocates a descriptor: pops the free list, else extends next_fd.
   // Caller holds mu_.
   static Fd alloc_fd(ProcState& ps);
   // Returns a closed descriptor to the free list. Caller holds mu_.
   static void release_fd(ProcState& ps, Fd fd);
+  // Allocates a descriptor for `of`. Takes mu_.
+  Fd install_fd(Pid pid, OpenFile of);
   // close / vtp_close: tears down the fd's object and retires the number.
   // Ring ops parked on a socket fd complete with kBadFd before the number
   // returns to the free list (SysRingTable::cancel). `vtp_only` restricts
   // the call to stream fds (vtp_close's contract).
-  ErrorCode close_fd(Pid pid, CoreId core, Reader& args, bool vtp_only, RingExecNote* note);
+  Result<Unit> close_fd(const SysCtx& c, Fd fd, bool vtp_only);
+  // The stream a non-listener VTP fd carries; kBadFd for anything else.
+  Result<ConnId> vtp_conn(Pid pid, Fd fd);
+  // The reactor's executor for ring_submit and ring_wait: exec_syscall with
+  // the caller's identity and a note.
+  SysRingTable::Executor ring_executor(const SysCtx& c);
 
   // The shared transition function: executes one syscall by number against
   // kernel state, appending the reply payload. Both the synchronous path
   // (handle) and the ring reactor (kernel_.rings()) dispatch through here,
-  // so a ring-executed op refines the synchronous one by construction.
-  // Fault-injection eligibility ("syscall/io_error", "syscall/no_memory")
-  // is applied here, once per execution attempt. The reactor passes a
-  // `note` for the handlers to report what an op parks on or closes; the
-  // synchronous path passes none.
+  // so a ring-executed op refines the synchronous one by construction. The
+  // reactor passes a `note` for the handlers to report what an op parks on
+  // or closes; the synchronous path passes none.
   ErrorCode exec_syscall(Pid pid, CoreId core, u32 nr, Reader& args, Writer& payload,
                          RingExecNote* note = nullptr);
-
-  // Handlers append their reply payload to `reply` and return the ErrorCode.
-  ErrorCode do_open(Pid pid, Reader& args, Writer& reply);
-  ErrorCode do_read(Pid pid, Reader& args, Writer& reply);
-  ErrorCode do_write(Pid pid, Reader& args, Writer& reply);
-  ErrorCode do_lseek(Pid pid, Reader& args, Writer& reply);
-  ErrorCode do_fstat(Pid pid, Reader& args, Writer& reply);
-  ErrorCode do_readdir(Pid pid, Reader& args, Writer& reply);
-  ErrorCode do_pipe_create(Pid pid, Reader& args, Writer& reply);
-  ErrorCode do_read_user(Pid pid, Reader& args, Writer& reply);
-  ErrorCode do_write_user(Pid pid, Reader& args, Writer& reply);
-  ErrorCode do_mmap(Pid pid, Reader& args, Writer& reply);
-  ErrorCode do_munmap(Pid pid, Reader& args, Writer& reply);
-  ErrorCode do_spawn(Pid pid, CoreId core, Reader& args, Writer& reply);
-  ErrorCode do_waitpid(Pid pid, CoreId core, Reader& args, Writer& reply);
-  ErrorCode do_exit(Pid pid, CoreId core, Reader& args, Writer& reply);
-  ErrorCode do_kill(Pid pid, CoreId core, Reader& args, Writer& reply);
-  ErrorCode do_take_signal(Pid pid, CoreId core, Reader& args, Writer& reply);
-  ErrorCode do_futex_wait(Pid pid, CoreId core, Reader& args, Writer& reply);
-  ErrorCode do_futex_wake(Pid pid, CoreId core, Reader& args, Writer& reply);
-  ErrorCode do_udp_socket(Pid pid, Reader& args, Writer& reply);
-  ErrorCode do_udp_bind(Pid pid, Reader& args, Writer& reply);
-  ErrorCode do_udp_sendto(Pid pid, Reader& args, Writer& reply);
-  // The parkable handlers name the event a kWouldBlock waits on in `note`.
-  ErrorCode do_udp_recvfrom(Pid pid, Reader& args, Writer& reply, RingExecNote* note);
-  ErrorCode do_vtp_listen(Pid pid, Reader& args, Writer& reply);
-  ErrorCode do_vtp_accept(Pid pid, Reader& args, Writer& reply, RingExecNote* note);
-  ErrorCode do_vtp_connect(Pid pid, Reader& args, Writer& reply);
-  ErrorCode do_vtp_send(Pid pid, Reader& args, Writer& reply, RingExecNote* note);
-  ErrorCode do_vtp_recv(Pid pid, Reader& args, Writer& reply, RingExecNote* note);
-  ErrorCode do_console_write(Pid pid, Reader& args, Writer& reply);
-  ErrorCode do_kstat(Pid pid, Reader& args, Writer& reply);
-  ErrorCode do_kstat_list(Pid pid, Reader& args, Writer& reply);
-  ErrorCode do_ring_setup(Pid pid, Reader& args, Writer& reply);
-  ErrorCode do_ring_submit(Pid pid, CoreId core, Reader& args, Writer& reply);
-  ErrorCode do_ring_wait(Pid pid, CoreId core, Reader& args, Writer& reply);
+  // One table row: applies the row's fault-injection gates ("syscall/
+  // io_error", "syscall/no_memory"), once per execution attempt, then decodes
+  // the arguments — exactly, before any handler runs — runs the handler and
+  // encodes its reply.
+  template <SysNr N>
+  ErrorCode exec(const SysCtx& c, Reader& args, Writer& payload);
+  // The handler of syscall N: typed arguments in, typed reply out. One
+  // explicit specialization per table row, in syscall.cc.
+  template <SysNr N>
+  Result<SysReply<N>> run(const SysCtx& c, SysArgs<N>& args);
 
   Kernel& kernel_;
   // Transient-error injection at the contract boundary: "syscall/io_error"
-  // fails filesystem syscalls with kIoError, "syscall/no_memory" fails
-  // mmap/spawn with kNoMemory — errors the §3 contract already allows, so
-  // a correct application must tolerate them (and the chaos harness checks
-  // that it does).
+  // fails the kSysIoError rows with kIoError, "syscall/no_memory" fails the
+  // kSysNoMemory rows with kNoMemory — errors the §3 contract already
+  // allows, so a correct application must tolerate them (and the chaos
+  // harness checks that it does).
   FaultSite* io_fault_site_ = &FaultRegistry::global().site("syscall/io_error");
   FaultSite* mem_fault_site_ = &FaultRegistry::global().site("syscall/no_memory");
   mutable std::mutex mu_;
@@ -235,62 +572,94 @@ class Sys {
   Pid pid() const { return pid_; }
 
   // --- Files ---------------------------------------------------------------
-  Result<Fd> open(std::string_view path, u32 flags = 0);
-  Result<Unit> close(Fd fd);
+  Result<Fd> open(std::string_view path, u32 flags = 0) {
+    return call<SysNr::kOpen>(path, flags);
+  }
+  Result<Unit> close(Fd fd) { return call<SysNr::kClose>(fd); }
   // Reads up to `len` bytes at the fd's offset, advancing it (§3 read_spec).
-  Result<std::vector<u8>> read(Fd fd, usize len);
+  Result<std::vector<u8>> read(Fd fd, usize len) { return call<SysNr::kRead>(fd, len); }
   // Writes at the fd's offset, advancing it; returns bytes written.
-  Result<u64> write(Fd fd, std::span<const u8> data);
-  Result<u64> lseek(Fd fd, i64 delta, SeekWhence whence);
-  Result<FileStat> fstat(Fd fd);
-  Result<Unit> mkdir(std::string_view path);
-  Result<Unit> unlink(std::string_view path);
-  Result<Unit> rmdir(std::string_view path);
-  Result<std::vector<std::string>> readdir(std::string_view path);
-  Result<Unit> rename(std::string_view from, std::string_view to);
-  Result<Unit> truncate(std::string_view path, u64 size);
-  Result<Unit> fsync();
+  Result<u64> write(Fd fd, std::span<const u8> data) { return call<SysNr::kWrite>(fd, data); }
+  Result<u64> lseek(Fd fd, i64 delta, SeekWhence whence) {
+    return call<SysNr::kLseek>(fd, delta, whence);
+  }
+  Result<FileStat> fstat(Fd fd) { return call<SysNr::kFstat>(fd); }
+  Result<Unit> mkdir(std::string_view path) { return call<SysNr::kMkdir>(path); }
+  Result<Unit> unlink(std::string_view path) { return call<SysNr::kUnlink>(path); }
+  Result<Unit> rmdir(std::string_view path) { return call<SysNr::kRmdir>(path); }
+  Result<std::vector<std::string>> readdir(std::string_view path) {
+    return call<SysNr::kReaddir>(path);
+  }
+  Result<Unit> rename(std::string_view from, std::string_view to) {
+    return call<SysNr::kRename>(from, to);
+  }
+  Result<Unit> truncate(std::string_view path, u64 size) {
+    return call<SysNr::kTruncate>(path, size);
+  }
+  Result<Unit> fsync() { return call<SysNr::kFsync>(); }
   // Reads into / writes from this process's own mapped memory.
-  Result<u64> read_user(Fd fd, VAddr buffer, usize len);
-  Result<u64> write_user(Fd fd, VAddr buffer, usize len);
+  Result<u64> read_user(Fd fd, VAddr buffer, usize len) {
+    return call<SysNr::kReadUser>(fd, buffer, len);
+  }
+  Result<u64> write_user(Fd fd, VAddr buffer, usize len) {
+    return call<SysNr::kWriteUser>(fd, buffer, len);
+  }
   // Creates a pipe; returns (read_fd, write_fd).
-  Result<std::pair<Fd, Fd>> pipe_create();
+  Result<FdPair> pipe_create() { return call<SysNr::kPipeCreate>(); }
 
   // --- Memory ----------------------------------------------------------------
-  Result<VAddr> mmap(u64 length, bool writable, bool lazy = false);
-  Result<Unit> munmap(VAddr base);
+  Result<VAddr> mmap(u64 length, bool writable, bool lazy = false) {
+    return call<SysNr::kMmap>(length, writable, lazy);
+  }
+  Result<Unit> munmap(VAddr base) { return call<SysNr::kMunmap>(base); }
 
   // --- Processes ---------------------------------------------------------------
-  Result<Pid> spawn();
-  Result<i32> waitpid(Pid child);   // kWouldBlock while running
-  Result<Unit> exit_proc(i32 code);
-  Result<Unit> kill(Pid target, u32 signal);
-  Result<u32> take_signal();
+  Result<Pid> spawn() { return call<SysNr::kSpawn>(); }
+  Result<i32> waitpid(Pid child) {  // kWouldBlock while running
+    auto code = call<SysNr::kWaitPid>(child);
+    return code.ok() ? Result<i32>(static_cast<i32>(code.value())) : code.error();
+  }
+  Result<Unit> exit_proc(i32 code) { return call<SysNr::kExit>(code); }
+  Result<Unit> kill(Pid target, u32 signal) { return call<SysNr::kKill>(target, signal); }
+  Result<u32> take_signal() { return call<SysNr::kTakeSignal>(); }
 
   // --- Futex -------------------------------------------------------------------
-  Result<Unit> futex_wait(VAddr uaddr, u32 expected, Tid tid);
-  Result<u64> futex_wake(VAddr uaddr, usize count);
+  Result<Unit> futex_wait(VAddr uaddr, u32 expected, Tid tid) {
+    return call<SysNr::kFutexWait>(uaddr, expected, tid);
+  }
+  Result<u64> futex_wake(VAddr uaddr, usize count) {
+    return call<SysNr::kFutexWake>(uaddr, count);
+  }
 
   // --- Network ------------------------------------------------------------------
-  Result<Fd> udp_socket();
-  Result<Unit> udp_bind(Fd fd, Port port);
-  Result<Unit> udp_sendto(Fd fd, NetAddr dst, Port dst_port, std::span<const u8> data);
-  Result<Datagram> udp_recvfrom(Fd fd);
+  Result<Fd> udp_socket() { return call<SysNr::kUdpSocket>(); }
+  Result<Unit> udp_bind(Fd fd, Port port) { return call<SysNr::kUdpBind>(fd, port); }
+  Result<Unit> udp_sendto(Fd fd, NetAddr dst, Port dst_port, std::span<const u8> data) {
+    return call<SysNr::kUdpSendTo>(fd, dst, dst_port, data);
+  }
+  Result<Datagram> udp_recvfrom(Fd fd) { return call<SysNr::kUdpRecvFrom>(fd); }
   // VTP stream sockets. vtp_send returns how many bytes the transport
   // accepted (partial under backpressure, kWouldBlock when none fit);
   // vtp_accept/vtp_recv return kWouldBlock while nothing is ready — all
   // three park cleanly when submitted through a ring. vtp_connect with
   // src_port 0 takes an unused ephemeral port; an explicit src_port whose
   // (dst, dst_port, src_port) tuple is already live fails kAlreadyExists.
-  Result<Fd> vtp_listen(Port port, usize backlog = 16);
-  Result<Fd> vtp_connect(NetAddr dst, Port dst_port, Port src_port);
-  Result<Fd> vtp_accept(Fd listener);
-  Result<u64> vtp_send(Fd fd, std::span<const u8> data);
-  Result<std::vector<u8>> vtp_recv(Fd fd, usize max_len);
-  Result<Unit> vtp_close(Fd fd);
+  // vtp_listen refuses a backlog above kMaxVtpBacklog.
+  Result<Fd> vtp_listen(Port port, usize backlog = 16) {
+    return call<SysNr::kVtpListen>(port, backlog);
+  }
+  Result<Fd> vtp_connect(NetAddr dst, Port dst_port, Port src_port) {
+    return call<SysNr::kVtpConnect>(dst, dst_port, src_port);
+  }
+  Result<Fd> vtp_accept(Fd listener) { return call<SysNr::kVtpAccept>(listener); }
+  Result<u64> vtp_send(Fd fd, std::span<const u8> data) { return call<SysNr::kVtpSend>(fd, data); }
+  Result<std::vector<u8>> vtp_recv(Fd fd, usize max_len) {
+    return call<SysNr::kVtpRecv>(fd, max_len);
+  }
+  Result<Unit> vtp_close(Fd fd) { return call<SysNr::kVtpClose>(fd); }
 
   // --- Console ---------------------------------------------------------------------
-  Result<Unit> console_write(std::string_view text);
+  Result<Unit> console_write(std::string_view text) { return call<SysNr::kConsoleWrite>(text); }
 
   // --- Async rings -------------------------------------------------------------------
   // io_uring-shaped submission/completion queues (src/kernel/ring.h): setup
@@ -298,103 +667,44 @@ class Sys {
   // SQ slots (typed kWouldBlock when none fits); wait reaps up to max_reap
   // completions, parking on the scheduler when fewer than min_complete are
   // ready and `tid` is nonzero (kWouldBlock signals the park — nothing
-  // reaped). Args inside each RingSqe use the synchronous frame encoding
-  // minus the leading nr word; see ring_args below.
-  Result<u32> ring_setup(u32 sq_slots, u32 cq_slots);
-  Result<u32> ring_submit(u32 ring_id, std::span<const RingSqe> entries);
+  // reaped). Build each RingSqe with ring_sqe<SysNr::k...>.
+  Result<u32> ring_setup(u32 sq_slots, u32 cq_slots) {
+    return call<SysNr::kRingSetup>(sq_slots, cq_slots);
+  }
+  Result<u32> ring_submit(u32 ring_id, std::span<const RingSqe> entries) {
+    return call<SysNr::kRingSubmit>(ring_id, entries);
+  }
   Result<std::vector<RingCqe>> ring_wait(u32 ring_id, u32 min_complete, u32 max_reap,
-                                         Tid tid = 0);
+                                         Tid tid = 0) {
+    return call<SysNr::kRingWait>(ring_id, min_complete, max_reap, tid);
+  }
 
   // --- Introspection ----------------------------------------------------------------
   // Reads one of the kernel's contract counters by stable name (e.g.
   // "fs/fsyncs"); kNotFound for names outside the published table. The value
   // is monotone in program order: a kstat read is never less than an earlier
   // read of the same name (obs/kstat_refinement VC).
-  Result<u64> kstat(std::string_view name);
+  Result<u64> kstat(std::string_view name) { return call<SysNr::kKstat>(name); }
   // Enumerates every published counter name.
-  Result<std::vector<std::string>> kstat_list();
+  Result<std::vector<std::string>> kstat_list() { return call<SysNr::kKstatList>(); }
 
  private:
-  // Sends a frame, returns the reply reader payload (after the error word).
-  Result<std::vector<u8>> invoke(Writer& frame);
+  // Sends syscall N's frame through the dispatcher and decodes its reply.
+  template <SysNr N, typename... A>
+  Result<SysReply<N>> call(A&&... args) {
+    std::vector<u8> reply = dispatcher_.handle(pid_, core_, sys_frame<N>(std::forward<A>(args)...));
+    Reader r(reply);
+    auto err = r.get_u32();
+    if (!err) {
+      return ErrorCode::kCorrupted;  // kernel reply must at least carry an error word
+    }
+    return sys_reply<N>(static_cast<ErrorCode>(*err), std::span<const u8>(reply).subspan(4));
+  }
 
   SyscallDispatcher& dispatcher_;
   Pid pid_;
   CoreId core_;
 };
-
-// Argument-frame builders for ring submissions: each returns the byte
-// encoding the corresponding synchronous syscall uses after the nr word, so
-// a RingSqe{user_data, nr, ring_args::...} is exactly the synchronous frame
-// split at the nr boundary. Keeping these next to the Sys facade makes the
-// marshalling obligation one definition, not two.
-namespace ring_args {
-
-inline std::vector<u8> open(std::string_view path, u32 flags = 0) {
-  Writer w;
-  w.put_string(path);
-  w.put_u32(flags);
-  return w.take();
-}
-
-inline std::vector<u8> close(Fd fd) {
-  Writer w;
-  w.put_u32(static_cast<u32>(fd));
-  return w.take();
-}
-
-inline std::vector<u8> read(Fd fd, usize len) {
-  Writer w;
-  w.put_u32(static_cast<u32>(fd));
-  w.put_u64(len);
-  return w.take();
-}
-
-inline std::vector<u8> write(Fd fd, std::span<const u8> data) {
-  Writer w;
-  w.put_u32(static_cast<u32>(fd));
-  w.put_bytes(data);
-  return w.take();
-}
-
-inline std::vector<u8> fsync() { return {}; }
-
-inline std::vector<u8> udp_sendto(Fd fd, NetAddr dst, Port dst_port, std::span<const u8> data) {
-  Writer w;
-  w.put_u32(static_cast<u32>(fd));
-  w.put_u32(dst);
-  w.put_u16(dst_port);
-  w.put_bytes(data);
-  return w.take();
-}
-
-inline std::vector<u8> udp_recvfrom(Fd fd) {
-  Writer w;
-  w.put_u32(static_cast<u32>(fd));
-  return w.take();
-}
-
-inline std::vector<u8> vtp_accept(Fd listener) {
-  Writer w;
-  w.put_u32(static_cast<u32>(listener));
-  return w.take();
-}
-
-inline std::vector<u8> vtp_send(Fd fd, std::span<const u8> data) {
-  Writer w;
-  w.put_u32(static_cast<u32>(fd));
-  w.put_bytes(data);
-  return w.take();
-}
-
-inline std::vector<u8> vtp_recv(Fd fd, usize max_len) {
-  Writer w;
-  w.put_u32(static_cast<u32>(fd));
-  w.put_u64(max_len);
-  return w.take();
-}
-
-}  // namespace ring_args
 
 }  // namespace vnros
 

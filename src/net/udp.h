@@ -21,6 +21,8 @@ struct Datagram {
   NetAddr src_addr = 0;
   Port src_port = 0;
   std::vector<u8> payload;
+
+  bool operator==(const Datagram&) const = default;
 };
 
 struct UdpStats {

@@ -52,22 +52,19 @@ class URingExecutor {
 
   struct OpAwaiter {
     URingExecutor* exec;
-    u32 op;
-    std::vector<u8> args;
+    RingSqe sqe;  // user_data is assigned at submission
     std::optional<RingOpResult> result;
     UTask::Handle handle{};
-    u64 user_data = 0;
 
     bool await_ready() {
       // Submit eagerly. A rejected submission (SQ full, ring not set up)
       // resolves immediately with the typed error instead of parking the
       // task forever on a completion that will never arrive.
-      auto ud = exec->submit_one(op, args);
-      if (!ud.ok()) {
-        result = RingOpResult{ud.error(), {}};
+      ErrorCode err = exec->submit_one(sqe);
+      if (err != ErrorCode::kOk) {
+        result = RingOpResult{err, {}};
         return true;
       }
-      user_data = ud.value();
       // The submit-side reactor pass may already have queued our CQE; we
       // still suspend and let the next poll() deliver it — completions are
       // only observable through ring_wait, so nothing is lost.
@@ -75,7 +72,7 @@ class URingExecutor {
     }
     void await_suspend(UTask::Handle h) {
       handle = h;
-      exec->waiters_[user_data] = this;
+      exec->waiters_[sqe.user_data] = this;
     }
     RingOpResult await_resume() {
       VNROS_CHECK(result.has_value());
@@ -83,12 +80,10 @@ class URingExecutor {
     }
   };
 
-  // co_await executor.submit(nr, ring_args::...) from inside a uthread.
-  OpAwaiter submit(u32 op, std::vector<u8> args) {
-    return OpAwaiter{this, op, std::move(args), std::nullopt};
-  }
-  OpAwaiter submit(SysNr op, std::vector<u8> args) {
-    return submit(static_cast<u32>(op), std::move(args));
+  // co_await executor.submit<SysNr::k...>(args...) from inside a uthread.
+  template <SysNr N, typename... A>
+  OpAwaiter submit(A&&... args) {
+    return OpAwaiter{this, ring_sqe<N>(0, std::forward<A>(args)...), std::nullopt};
   }
 
   // Reaps ready completions and re-queues their uthreads. Returns the number
@@ -122,16 +117,14 @@ class URingExecutor {
  private:
   friend struct OpAwaiter;
 
-  Result<u64> submit_one(u32 op, std::span<const u8> args) {
-    RingSqe sqe{next_user_data_++, op, std::vector<u8>(args.begin(), args.end())};
+  // Gives `sqe` the next user_data and submits it alone.
+  ErrorCode submit_one(RingSqe& sqe) {
+    sqe.user_data = next_user_data_++;
     auto accepted = sys_.ring_submit(ring_, std::span<const RingSqe>(&sqe, 1));
     if (!accepted.ok()) {
       return accepted.error();
     }
-    if (accepted.value() != 1) {
-      return ErrorCode::kWouldBlock;
-    }
-    return sqe.user_data;
+    return accepted.value() == 1 ? ErrorCode::kOk : ErrorCode::kWouldBlock;
   }
 
   UScheduler& sched_;

@@ -17,11 +17,9 @@
 #define VNROS_SRC_ULIB_UVTP_H_
 
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "src/base/result.h"
-#include "src/base/serde.h"
 #include "src/kernel/syscall.h"
 #include "src/ulib/uring.h"
 #include "src/ulib/uthread.h"
@@ -40,30 +38,32 @@ class UVtp {
   Result<Unit> close(Fd fd) { return sys_.vtp_close(fd); }
 
   // --- Awaitables ------------------------------------------------------------
-  // An OpAwaiter whose resume value is decoded into the typed result the
+  // An OpAwaiter for syscall N whose resume value is the typed result the
   // synchronous Sys method would have returned.
-  template <typename T>
+  template <SysNr N>
   struct Typed {
     URingExecutor::OpAwaiter inner;
-    T (*decode)(RingOpResult);
     bool await_ready() { return inner.await_ready(); }
     void await_suspend(UTask::Handle h) { inner.await_suspend(h); }
-    T await_resume() { return decode(inner.await_resume()); }
+    Result<SysReply<N>> await_resume() {
+      RingOpResult r = inner.await_resume();
+      return sys_reply<N>(r.err, r.payload);
+    }
   };
 
   // Parks until an established connection is queued; resumes with its fd.
-  Typed<Result<Fd>> accept(Fd listener) {
-    return {exec_.submit(SysNr::kVtpAccept, ring_args::vtp_accept(listener)), decode_fd};
+  Typed<SysNr::kVtpAccept> accept(Fd listener) {
+    return {exec_.submit<SysNr::kVtpAccept>(listener)};
   }
 
   // Parks while the send buffer is full; resumes with the bytes accepted.
-  Typed<Result<u64>> send(Fd fd, std::span<const u8> data) {
-    return {exec_.submit(SysNr::kVtpSend, ring_args::vtp_send(fd, data)), decode_sent};
+  Typed<SysNr::kVtpSend> send(Fd fd, std::span<const u8> data) {
+    return {exec_.submit<SysNr::kVtpSend>(fd, data)};
   }
 
   // Parks until in-order bytes (or the peer's FIN / a typed error) arrive.
-  Typed<Result<std::vector<u8>>> recv(Fd fd, usize max_len) {
-    return {exec_.submit(SysNr::kVtpRecv, ring_args::vtp_recv(fd, max_len)), decode_bytes};
+  Typed<SysNr::kVtpRecv> recv(Fd fd, usize max_len) {
+    return {exec_.submit<SysNr::kVtpRecv>(fd, max_len)};
   }
 
   // Convenience coroutine: awaits send() until the whole span is buffered.
@@ -81,42 +81,6 @@ class UVtp {
   }
 
  private:
-  static Result<Fd> decode_fd(RingOpResult r) {
-    if (r.err != ErrorCode::kOk) {
-      return r.err;
-    }
-    Reader rd(r.payload);
-    auto fd = rd.get_u32();
-    if (!fd) {
-      return ErrorCode::kCorrupted;
-    }
-    return static_cast<Fd>(*fd);
-  }
-
-  static Result<u64> decode_sent(RingOpResult r) {
-    if (r.err != ErrorCode::kOk) {
-      return r.err;
-    }
-    Reader rd(r.payload);
-    auto n = rd.get_u64();
-    if (!n) {
-      return ErrorCode::kCorrupted;
-    }
-    return *n;
-  }
-
-  static Result<std::vector<u8>> decode_bytes(RingOpResult r) {
-    if (r.err != ErrorCode::kOk) {
-      return r.err;
-    }
-    Reader rd(r.payload);
-    auto data = rd.get_bytes();
-    if (!data) {
-      return ErrorCode::kCorrupted;
-    }
-    return std::move(*data);
-  }
-
   URingExecutor& exec_;
   Sys& sys_;
 };

@@ -221,8 +221,7 @@ TEST(KstatTest, RingCountersTrackSubmissionAndCompletion) {
   ASSERT_TRUE(fd.ok());
   std::vector<u8> body = {'a', 'b'};
   std::vector<RingSqe> batch = {
-      RingSqe{1, static_cast<u32>(SysNr::kWrite), ring_args::write(fd.value(), body)},
-      RingSqe{2, static_cast<u32>(SysNr::kFsync), ring_args::fsync()}};
+      ring_sqe<SysNr::kWrite>(1, fd.value(), body), ring_sqe<SysNr::kFsync>(2)};
   ASSERT_EQ(sys.ring_submit(ring.value(), batch).value(), 2u);
   ASSERT_EQ(sys.ring_wait(ring.value(), 0, 4).value().size(), 2u);
   EXPECT_EQ(sys.kstat("ring/submitted").value(), sub0 + 2);

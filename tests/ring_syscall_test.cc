@@ -23,6 +23,15 @@ namespace {
 
 std::vector<u8> bytes(std::string_view s) { return std::vector<u8>(s.begin(), s.end()); }
 
+// ring_sqe takes exactly the arguments of the syscall it names, and only for
+// ring-submittable syscalls: anything else does not compile.
+template <SysNr N, typename... A>
+concept SqeBuilds = requires(u64 user_data, A... args) { ring_sqe<N>(user_data, args...); };
+static_assert(SqeBuilds<SysNr::kVtpSend, Fd, std::span<const u8>>);
+static_assert(!SqeBuilds<SysNr::kVtpRecv, Fd, std::span<const u8>>);
+static_assert(SqeBuilds<SysNr::kVtpRecv, Fd, u64>);
+static_assert(!SqeBuilds<SysNr::kRingSetup, u32, u32>);
+
 class RingSysTest : public ::testing::Test {
  protected:
   RingSysTest() : disp(kernel), boot(disp, kInvalidPid, 0), pid(spawn()), sys(disp, pid, 0) {}
@@ -41,9 +50,7 @@ class RingSysTest : public ::testing::Test {
     return sock.value();
   }
 
-  RingSqe recv_sqe(u64 ud, Fd sock) {
-    return RingSqe{ud, static_cast<u32>(SysNr::kUdpRecvFrom), ring_args::udp_recvfrom(sock)};
-  }
+  RingSqe recv_sqe(u64 ud, Fd sock) { return ring_sqe<SysNr::kUdpRecvFrom>(ud, sock); }
 
   // Ticks the (loopback) stack until a synchronous accept on `listener`
   // returns a stream.
@@ -105,8 +112,7 @@ TEST_F(RingSysTest, CqOverflowIsAccountedAndLossFree) {
   // spill to the accounted overflow list.
   std::vector<RingSqe> batch;
   for (u64 i = 1; i <= 4; ++i) {
-    batch.push_back(RingSqe{i, static_cast<u32>(SysNr::kWrite),
-                            ring_args::write(fd.value(), bytes("x"))});
+    batch.push_back(ring_sqe<SysNr::kWrite>(i, fd.value(), bytes("x")));
   }
   u64 overflows_before = kernel.rings().cq_overflows();
   ASSERT_EQ(sys.ring_submit(ring.value(), batch).value(), 4u);
@@ -200,9 +206,8 @@ TEST_F(RingSysTest, VtpSendAndRecvThroughRing) {
   // Park the recv first, then send through the ring; the recv stays pending
   // across vtp ticks until the stream delivers.
   std::vector<RingSqe> batch = {
-      RingSqe{1, static_cast<u32>(SysNr::kVtpRecv), ring_args::vtp_recv(server, 64)},
-      RingSqe{2, static_cast<u32>(SysNr::kVtpSend),
-              ring_args::vtp_send(client.value(), bytes("ring-stream"))},
+      ring_sqe<SysNr::kVtpRecv>(1, server, 64),
+      ring_sqe<SysNr::kVtpSend>(2, client.value(), bytes("ring-stream")),
   };
   ASSERT_EQ(sys.ring_submit(ring.value(), batch).value(), 2u);
   std::vector<u8> got;
@@ -216,13 +221,12 @@ TEST_F(RingSysTest, VtpSendAndRecvThroughRing) {
       if (cqe.user_data == 2) {
         send_done = true;
       } else {
-        Reader r(cqe.payload);
-        auto data = r.get_bytes();
-        ASSERT_TRUE(data.has_value());
-        got.insert(got.end(), data->begin(), data->end());
+        auto data = sys_reply<SysNr::kVtpRecv>(cqe);
+        ASSERT_TRUE(data.ok());
+        got.insert(got.end(), data.value().begin(), data.value().end());
         if (got.size() < 11) {
           // Re-arm the recv for the rest of the stream.
-          RingSqe again{1, static_cast<u32>(SysNr::kVtpRecv), ring_args::vtp_recv(server, 64)};
+          RingSqe again = ring_sqe<SysNr::kVtpRecv>(1, server, 64);
           ASSERT_EQ(sys.ring_submit(ring.value(), std::span<const RingSqe>(&again, 1)).value(),
                     1u);
         }
@@ -249,8 +253,8 @@ TEST_F(RingSysTest, CloseCompletesParkedRecvBeforeItsFdIsReused) {
   auto ring = sys.ring_setup(8, 8);
   ASSERT_TRUE(ring.ok());
   std::vector<RingSqe> park = {
-      RingSqe{1, static_cast<u32>(SysNr::kVtpAccept), ring_args::vtp_accept(listener.value())},
-      RingSqe{2, static_cast<u32>(SysNr::kVtpRecv), ring_args::vtp_recv(stale, 64)},
+      ring_sqe<SysNr::kVtpAccept>(1, listener.value()),
+      ring_sqe<SysNr::kVtpRecv>(2, stale, 64),
   };
   ASSERT_EQ(sys.ring_submit(ring.value(), park).value(), 2u);
 
@@ -273,18 +277,16 @@ TEST_F(RingSysTest, CloseCompletesParkedRecvBeforeItsFdIsReused) {
   EXPECT_TRUE(cqes.value()[0].payload.empty());
   ASSERT_EQ(cqes.value()[1].user_data, 1u);
   ASSERT_EQ(static_cast<ErrorCode>(cqes.value()[1].err), ErrorCode::kOk);
-  Reader ar(cqes.value()[1].payload);
-  Fd reused = static_cast<Fd>(ar.get_u32().value());
+  Fd reused = sys_reply<SysNr::kVtpAccept>(cqes.value()[1]).value();
   EXPECT_EQ(reused, stale) << "the accept should recycle the closed fd number";
 
-  RingSqe recv{3, static_cast<u32>(SysNr::kVtpRecv), ring_args::vtp_recv(reused, 64)};
+  RingSqe recv = ring_sqe<SysNr::kVtpRecv>(3, reused, 64);
   ASSERT_EQ(sys.ring_submit(ring.value(), std::span<const RingSqe>(&recv, 1)).value(), 1u);
   auto got = sys.ring_wait(ring.value(), 0, 8);
   ASSERT_TRUE(got.ok());
   ASSERT_EQ(got.value().size(), 1u);
   EXPECT_EQ(got.value()[0].user_data, 3u);
-  Reader rr(got.value()[0].payload);
-  EXPECT_EQ(rr.get_bytes().value(), bytes("fresh"));
+  EXPECT_EQ(sys_reply<SysNr::kVtpRecv>(got.value()[0]).value(), bytes("fresh"));
 }
 
 // A close the reactor itself executes cancels the ops parked on the fd right
@@ -300,13 +302,13 @@ TEST_F(RingSysTest, RingSubmittedCloseCancelsParkedOpsAfterItself) {
   auto ring = sys.ring_setup(8, 8);
   ASSERT_TRUE(ring.ok());
   std::vector<RingSqe> park = {
-      RingSqe{1, static_cast<u32>(SysNr::kVtpRecv), ring_args::vtp_recv(stream, 64)},
+      ring_sqe<SysNr::kVtpRecv>(1, stream, 64),
       recv_sqe(2, sock),
   };
   ASSERT_EQ(sys.ring_submit(ring.value(), park).value(), 2u);
   std::vector<RingSqe> close = {
-      RingSqe{3, static_cast<u32>(SysNr::kClose), ring_args::close(stream)},
-      RingSqe{4, static_cast<u32>(SysNr::kClose), ring_args::close(sock)},
+      ring_sqe<SysNr::kClose>(3, stream),
+      ring_sqe<SysNr::kClose>(4, sock),
   };
   ASSERT_EQ(sys.ring_submit(ring.value(), close).value(), 2u);
   auto cqes = sys.ring_wait(ring.value(), 0, 8);
@@ -348,8 +350,7 @@ TEST_F(RingSysTest, ParkedSendWakesWhenAcksFreeBufferSpace) {
 
   auto ring = sys.ring_setup(4, 4);
   ASSERT_TRUE(ring.ok());
-  RingSqe send{1, static_cast<u32>(SysNr::kVtpSend),
-               ring_args::vtp_send(client.value(), bytes("tail"))};
+  RingSqe send = ring_sqe<SysNr::kVtpSend>(1, client.value(), bytes("tail"));
   ASSERT_EQ(sys.ring_submit(ring.value(), std::span<const RingSqe>(&send, 1)).value(), 1u);
   for (int i = 0; i < 8; ++i) {
     kernel.vtp().tick();
@@ -368,9 +369,7 @@ TEST_F(RingSysTest, ParkedSendWakesWhenAcksFreeBufferSpace) {
     done = sys.ring_wait(ring.value(), 0, 4).value();
   }
   ASSERT_EQ(done.size(), 1u);
-  EXPECT_EQ(static_cast<ErrorCode>(done[0].err), ErrorCode::kOk);
-  Reader r(done[0].payload);
-  EXPECT_EQ(r.get_u64().value(), 4u);
+  EXPECT_EQ(sys_reply<SysNr::kVtpSend>(done[0]).value(), 4u);
 }
 
 // The reactor's tripwire: ops parked on idle sockets are never re-executed,
@@ -470,7 +469,7 @@ TEST(RingThreadsTest, TickerAndRingWaiterShareAStack) {
   bool armed = false;
   for (int spin = 0; spin < 2'000'000 && ring_ok && got.size() < total; ++spin) {
     if (!armed) {
-      RingSqe sqe{1, static_cast<u32>(SysNr::kVtpRecv), ring_args::vtp_recv(stream, 256)};
+      RingSqe sqe = ring_sqe<SysNr::kVtpRecv>(1, stream, 256);
       auto acc = ssys.ring_submit(ring.value(), std::span<const RingSqe>(&sqe, 1));
       ring_ok = acc.ok() && acc.value() == 1;
       armed = true;
@@ -478,11 +477,10 @@ TEST(RingThreadsTest, TickerAndRingWaiterShareAStack) {
     auto cqes = ssys.ring_wait(ring.value(), 0, 4);
     ring_ok = ring_ok && cqes.ok();
     for (const RingCqe& cqe : ring_ok ? cqes.value() : std::vector<RingCqe>{}) {
-      Reader r(cqe.payload);
-      auto data = r.get_bytes();
-      ring_ok = static_cast<ErrorCode>(cqe.err) == ErrorCode::kOk && data.has_value();
+      auto data = sys_reply<SysNr::kVtpRecv>(cqe);
+      ring_ok = data.ok();
       if (ring_ok) {
-        got.insert(got.end(), data->begin(), data->end());
+        got.insert(got.end(), data.value().begin(), data.value().end());
       }
       armed = false;
     }

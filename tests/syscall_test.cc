@@ -341,14 +341,34 @@ TEST_F(SysTest, EmptyFrameRejected) {
 }
 
 TEST_F(SysTest, TrailingGarbageRejected) {
-  Writer w;
-  w.put_u32(static_cast<u32>(SysNr::kFsync));
-  w.put_u8(0xFF);  // extra byte: frames are exact
-  auto reply = disp.handle(pid, 0, w.bytes());
-  Reader r(reply);
-  // kFsync reads no args but the dispatcher as a whole doesn't check
-  // exhaustion for it... it must still answer with *an* error word.
-  EXPECT_TRUE(r.get_u32().has_value());
+  // Frames are exact, also for syscalls that take no arguments: one byte past
+  // them is malformed.
+  for (SysNr nr : {SysNr::kFsync, SysNr::kGetPid}) {
+    Writer w;
+    w.put_u32(static_cast<u32>(nr));
+    w.put_u8(0xFF);
+    auto reply = disp.handle(pid, 0, w.bytes());
+    Reader r(reply);
+    EXPECT_EQ(static_cast<ErrorCode>(r.get_u32().value()), ErrorCode::kInvalidArgument);
+    EXPECT_TRUE(r.exhausted());
+  }
+  // The same fsync arguments as a ring SQE (getpid is not ring-submittable).
+  auto ring = sys.ring_setup(1, 1);
+  ASSERT_TRUE(ring.ok());
+  RingSqe sqe{7, static_cast<u32>(SysNr::kFsync), {0xFF}};
+  ASSERT_EQ(sys.ring_submit(ring.value(), std::span<const RingSqe>(&sqe, 1)).value(), 1u);
+  auto cqes = sys.ring_wait(ring.value(), 0, 1);
+  ASSERT_TRUE(cqes.ok());
+  ASSERT_EQ(cqes.value().size(), 1u);
+  EXPECT_EQ(static_cast<ErrorCode>(cqes.value()[0].err), ErrorCode::kInvalidArgument);
+}
+
+TEST_F(SysTest, VtpListenBacklogIsBounded) {
+  // The backlog is the only bound on a listener's queued and half-open
+  // connections, so the syscall boundary refuses an unbounded one.
+  EXPECT_EQ(sys.vtp_listen(90, ~u64{0}).error(), ErrorCode::kInvalidArgument);
+  EXPECT_EQ(sys.vtp_listen(90, kMaxVtpBacklog + 1).error(), ErrorCode::kInvalidArgument);
+  EXPECT_TRUE(sys.vtp_listen(90, kMaxVtpBacklog).ok());
 }
 
 }  // namespace

@@ -394,7 +394,7 @@ TEST_F(URingUTest, OtherTasksRunWhileOpInFlight) {
   std::vector<std::string> order;
   sched.spawn([](URingExecutor& ex, Fd f, std::vector<std::string>& log) -> UTask {
     log.push_back("w:submit");
-    RingOpResult r = co_await ex.submit(SysNr::kWrite, ring_args::write(f, bytes("ring!")));
+    RingOpResult r = co_await ex.submit<SysNr::kWrite>(f, bytes("ring!"));
     log.push_back("w:done");
     VNROS_CHECK(r.err == ErrorCode::kOk);
   }(exec, fd.value(), order));
@@ -419,10 +419,9 @@ TEST_F(URingUTest, ManyTasksEachCompleteTheirOwnOps) {
     ASSERT_TRUE(fd.ok());
     sched.spawn([](URingExecutor& ex, Fd f, int id, int& fin) -> UTask {
       std::string body = "task-" + std::to_string(id);
-      RingOpResult w =
-          co_await ex.submit(SysNr::kWrite, ring_args::write(f, bytes(body)));
+      RingOpResult w = co_await ex.submit<SysNr::kWrite>(f, bytes(body));
       VNROS_CHECK(w.err == ErrorCode::kOk);
-      RingOpResult s = co_await ex.submit(SysNr::kFsync, ring_args::fsync());
+      RingOpResult s = co_await ex.submit<SysNr::kFsync>();
       VNROS_CHECK(s.err == ErrorCode::kOk);
       ++fin;
     }(exec, fd.value(), t, done));
@@ -446,17 +445,14 @@ TEST_F(URingUTest, RecvParksUntilPeerTaskSends) {
   std::vector<u8> got;
   sched.spawn([](URingExecutor& ex, Fd s, std::vector<u8>& out) -> UTask {
     // Kernel parks this SQE on transient kWouldBlock instead of failing it.
-    RingOpResult r = co_await ex.submit(SysNr::kUdpRecvFrom, ring_args::udp_recvfrom(s));
-    VNROS_CHECK(r.err == ErrorCode::kOk);
-    Reader rd(r.payload);
-    (void)rd.get_u32();  // src addr
-    (void)rd.get_u16();  // src port
-    out = *rd.get_bytes();
+    RingOpResult r = co_await ex.submit<SysNr::kUdpRecvFrom>(s);
+    auto dg = sys_reply<SysNr::kUdpRecvFrom>(r.err, r.payload);
+    VNROS_CHECK(dg.ok());
+    out = dg.value().payload;
   }(exec, sock.value(), got));
   sched.spawn([](URingExecutor& ex, Fd s, NetAddr dst) -> UTask {
     co_await Yield{};  // make sure the receiver parks first
-    RingOpResult r = co_await ex.submit(
-        SysNr::kUdpSendTo, ring_args::udp_sendto(s, dst, 5000, bytes("wake up")));
+    RingOpResult r = co_await ex.submit<SysNr::kUdpSendTo>(s, dst, 5000, bytes("wake up"));
     VNROS_CHECK(r.err == ErrorCode::kOk);
   }(exec, sock.value(), self));
   pump();
@@ -473,18 +469,16 @@ TEST_F(URingUTest, SqFullResolvesAwaiterWithTypedError) {
   std::vector<u8> got;
   // Task A parks a recv: the pending SQE occupies the single SQ slot.
   sched.spawn([](URingExecutor& ex, Fd s, std::vector<u8>& out) -> UTask {
-    RingOpResult r = co_await ex.submit(SysNr::kUdpRecvFrom, ring_args::udp_recvfrom(s));
-    VNROS_CHECK(r.err == ErrorCode::kOk);
-    Reader rd(r.payload);
-    (void)rd.get_u32();
-    (void)rd.get_u16();
-    out = *rd.get_bytes();
+    RingOpResult r = co_await ex.submit<SysNr::kUdpRecvFrom>(s);
+    auto dg = sys_reply<SysNr::kUdpRecvFrom>(r.err, r.payload);
+    VNROS_CHECK(dg.ok());
+    out = dg.value().payload;
   }(tiny, sock.value(), got));
   // Task B's submit finds the SQ full; the awaitable resolves immediately
   // with the backpressure error instead of parking forever, and B unblocks A.
   sched.spawn([](URingExecutor& ex, Sys& sc, Fd s, NetAddr dst, ErrorCode& e) -> UTask {
     co_await Yield{};
-    RingOpResult r = co_await ex.submit(SysNr::kFsync, ring_args::fsync());
+    RingOpResult r = co_await ex.submit<SysNr::kFsync>();
     e = r.err;
     VNROS_CHECK(sc.udp_sendto(s, dst, 5001, bytes("relief")).ok());
   }(tiny, sys, sock.value(), kernel.net_addr(), blocked_err));
