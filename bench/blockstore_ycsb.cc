@@ -12,22 +12,28 @@
 // bounded degradation; queue collapse is not.
 //
 // Time is virtual: one tick = one serve_once() per node (the cluster's fixed
-// service capacity) + one VTP clock tick per host + one state-machine step
+// service capacity) + one VTP clock tick per host + one start() or poll()
 // per client. Latency is measured in ticks, so the whole sweep replays
 // bit-identically — no wall clock anywhere.
 //
-// The client-facing RPC plane rides VTP streams: each virtual client keeps
-// one connection per owner node and frames requests/replies as
-// [u32 len][body]; nodes serve them from ring-parked stream recvs. The
-// node-to-node plane (replication pushes) stays on datagrams.
-// Emits BENCH_blockstore_ycsb.json. Honors VNROS_BENCH_QUICK.
+// Each virtual client is one library BlockStoreClient — the client the
+// chaos runner, the app VCs and the examples check — driven through its
+// non-blocking start()/poll() core, one poll per tick. It keeps one VTP
+// stream per owner node and frames requests/replies as [u32 len][body];
+// nodes serve them from ring-parked stream recvs. The node-to-node plane
+// (replication pushes) stays on datagrams. Goodput counts kOk and kNotFound
+// replies only; every get's bytes are checked against what was written.
+// Emits BENCH_blockstore_ycsb.json. Honors VNROS_BENCH_QUICK. Exits
+// nonzero if a get returned bytes no client wrote to its key.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
-#include <span>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -35,7 +41,6 @@
 #include "src/app/blockstore.h"
 #include "src/base/contracts.h"
 #include "src/base/rng.h"
-#include "src/base/serde.h"
 #include "src/hw/network.h"
 #include "src/kernel/kernel.h"
 #include "src/kernel/syscall.h"
@@ -82,227 +87,21 @@ struct SweepConfig {
   u64 admission_burst = 8;
 };
 
-// One closed-loop virtual client: send, await the reply, account it, repeat.
-// kOverloaded replies trigger multiplicative backoff on the same owner —
-// the same discipline BlockStoreClient implements — so a gated sweep models
-// well-behaved tenants, not a retry stampede.
-class VClient {
- public:
-  VClient(Sys& sys, const ClusterView& view, const SweepConfig& cfg, u64 seed,
-          Port sport_base)
-      : sys_(sys), view_(view), cfg_(cfg), rng_(seed), sport_base_(sport_base) {
-    value_.resize(cfg_.value_bytes);
-    for (auto& b : value_) {
-      b = static_cast<u8>(rng_.next_u64());
+// One virtual client's closed-loop op stream. The client itself is a
+// library BlockStoreClient, polled once per tick.
+struct OpStream {
+  OpStream(u64 seed, usize value_bytes) : rng(seed), value(value_bytes) {
+    for (auto& b : value) {
+      b = static_cast<u8>(rng.next_u64());
     }
   }
 
-  void step(u64 tick) {
-    switch (state_) {
-      case State::kIdle:
-        begin_op(tick);
-        break;
-      case State::kBackoff:
-        if (tick >= resume_tick_) {
-          send(tick);  // re-issue the shed op
-        }
-        break;
-      case State::kWaiting:
-        poll(tick);
-        break;
-    }
-  }
-
-  u64 completed = 0;   // acked ops (goodput numerator)
-  u64 sheds = 0;       // kOverloaded replies absorbed
-  u64 timeouts = 0;    // re-sends after a silent reply window
-  u64 errors = 0;      // non-shed error replies (kNotFound on a cold key, ...)
-  std::vector<u64> latencies;  // ticks from first send to the final ack
-
- private:
-  enum class State { kIdle, kWaiting, kBackoff };
-
-  void begin_op(u64 tick) {
-    // YCSB-A: 50/50 read/update; the delete-heavy variant trades updates and
-    // reads for 25% sequenced deletes (tombstone churn under load, DESIGN
-    // §11). 80% of ops land on the hottest 20% of keys either way.
-    u64 roll = rng_.next_below(100);
-    if (cfg_.del_heavy) {
-      op_ = roll < 40 ? BsOp::kGet : roll < 75 ? BsOp::kPut : BsOp::kDel;
-    } else {
-      op_ = roll < 50 ? BsOp::kGet : BsOp::kPut;
-    }
-    usize universe = rng_.chance(8, 10) ? std::max<usize>(cfg_.keys / 5, 1) : cfg_.keys;
-    key_ = "ycsb" + std::to_string(rng_.next_below(universe));
-    op_start_ = tick;
-    backoff_ = 16;
-    send(tick);
-  }
-
-  // One VTP stream per owner node, lazily connected; requests and replies
-  // ride it framed as [u32 len][body]. A connection-level failure drops the
-  // channel — the next send() reconnects and the reply-timeout resend covers
-  // anything lost in between.
-  struct Chan {
-    Fd fd = kInvalidFd;
-    std::vector<u8> inbuf;
-    std::vector<u8> outbuf;
-  };
-
-  Chan* chan(BsNodeId owner) {
-    auto it = chans_.find(owner);
-    if (it != chans_.end()) {
-      return &it->second;
-    }
-    const BsPeer& peer = view_.directory.at(owner);
-    Port sport = static_cast<Port>(sport_base_ + (sport_off_++ & 7));
-    auto fd = sys_.vtp_connect(peer.addr, peer.port, sport);
-    if (!fd.ok()) {
-      return nullptr;
-    }
-    Chan& ch = chans_[owner];
-    ch.fd = fd.value();
-    return &ch;
-  }
-
-  void drop_chan(BsNodeId owner) {
-    auto it = chans_.find(owner);
-    if (it == chans_.end()) {
-      return;
-    }
-    if (it->second.fd != kInvalidFd) {
-      (void)sys_.vtp_close(it->second.fd);
-    }
-    chans_.erase(it);
-  }
-
-  // Push queued bytes into the stream. kWouldBlock keeps the remainder queued
-  // (never truncate mid-frame); a terminal error drops the channel.
-  void flush(BsNodeId owner) {
-    auto it = chans_.find(owner);
-    if (it == chans_.end() || it->second.outbuf.empty()) {
-      return;
-    }
-    Chan& ch = it->second;
-    while (!ch.outbuf.empty()) {
-      auto sent = sys_.vtp_send(ch.fd, std::span<const u8>(ch.outbuf));
-      if (sent.ok() && sent.value() > 0) {
-        ch.outbuf.erase(ch.outbuf.begin(),
-                        ch.outbuf.begin() + static_cast<isize>(sent.value()));
-        continue;
-      }
-      if (!sent.ok() && sent.error() != ErrorCode::kWouldBlock) {
-        drop_chan(owner);
-      }
-      return;
-    }
-  }
-
-  static std::optional<std::vector<u8>> pop_frame(Chan& ch) {
-    if (ch.inbuf.size() < 4) {
-      return std::nullopt;
-    }
-    Reader hdr(std::span<const u8>(ch.inbuf.data(), 4));
-    auto len = hdr.get_u32();
-    if (!len || ch.inbuf.size() < 4 + *len) {
-      return std::nullopt;
-    }
-    std::vector<u8> body(ch.inbuf.begin() + 4, ch.inbuf.begin() + 4 + *len);
-    ch.inbuf.erase(ch.inbuf.begin(), ch.inbuf.begin() + 4 + *len);
-    return body;
-  }
-
-  void send(u64 tick) {
-    req_id_ = next_req_id_++;
-    Writer w;
-    w.put_u8(static_cast<u8>(op_));
-    w.put_u64(req_id_);
-    w.put_string(key_);
-    if (op_ != BsOp::kGet) {
-      w.put_u64(++put_seq_);  // write-sequence stamp (see BlockStoreClient::rpc)
-    }
-    if (op_ == BsOp::kPut) {
-      w.put_bytes(value_);
-    }
-    owner_ = view_.owners(key_).front();
-    Chan* ch = chan(owner_);
-    if (ch != nullptr) {
-      Writer framed;
-      framed.put_u32(static_cast<u32>(w.bytes().size()));
-      ch->outbuf.insert(ch->outbuf.end(), framed.bytes().begin(), framed.bytes().end());
-      ch->outbuf.insert(ch->outbuf.end(), w.bytes().begin(), w.bytes().end());
-      flush(owner_);
-    }
-    // Connect failure: stay in kWaiting; the timeout resend retries the op.
-    sent_tick_ = tick;
-    state_ = State::kWaiting;
-  }
-
-  void poll(u64 tick) {
-    flush(owner_);  // drain any backpressured frames first
-    std::optional<std::vector<u8>> frame;
-    auto it = chans_.find(owner_);
-    if (it != chans_.end()) {
-      Chan& ch = it->second;
-      auto bytes = sys_.vtp_recv(ch.fd, 32 * 1024);
-      if (bytes.ok()) {
-        ch.inbuf.insert(ch.inbuf.end(), bytes.value().begin(), bytes.value().end());
-      } else if (bytes.error() != ErrorCode::kWouldBlock) {
-        drop_chan(owner_);
-      }
-      it = chans_.find(owner_);
-      if (it != chans_.end()) {
-        frame = pop_frame(it->second);
-      }
-    }
-    if (!frame) {
-      if (tick - sent_tick_ >= cfg_.reply_timeout_ticks) {
-        ++timeouts;
-        send(tick);  // resend with a fresh req id; ops are idempotent
-      }
-      return;
-    }
-    Reader r(*frame);
-    auto rid = r.get_u64();
-    auto err = r.get_u32();
-    if (!rid || !err || *rid != req_id_) {
-      return;  // malformed or stale: keep waiting
-    }
-    ErrorCode code = static_cast<ErrorCode>(*err);
-    if (code == ErrorCode::kOverloaded) {
-      ++sheds;
-      resume_tick_ = tick + backoff_;
-      backoff_ = std::min<u64>(backoff_ * 2, 256);
-      state_ = State::kBackoff;
-      return;
-    }
-    if (code != ErrorCode::kOk && code != ErrorCode::kNotFound) {
-      ++errors;
-    }
-    ++completed;
-    latencies.push_back(tick - op_start_);
-    state_ = State::kIdle;
-  }
-
-  Sys& sys_;
-  const ClusterView& view_;
-  const SweepConfig& cfg_;
-  Rng rng_;
-  Port sport_base_ = 0;
-  u16 sport_off_ = 0;
-  std::map<BsNodeId, Chan> chans_;
-  BsNodeId owner_ = 0;
-  State state_ = State::kIdle;
-  std::string key_;
-  BsOp op_ = BsOp::kGet;
-  std::vector<u8> value_;
-  u64 next_req_id_ = 1;
-  u64 put_seq_ = 0;
-  u64 req_id_ = 0;
-  u64 op_start_ = 0;
-  u64 sent_tick_ = 0;
-  u64 backoff_ = 16;
-  u64 resume_tick_ = 0;
+  Rng rng;
+  std::vector<u8> value;  // every put of this client writes these bytes
+  bool in_op = false;
+  BsOp op = BsOp::kGet;
+  usize key = 0;
+  u64 op_start = 0;
 };
 
 u64 percentile(std::vector<u64>& v, double p) {
@@ -321,6 +120,8 @@ struct SweepPoint {
   u64 p99 = 0;
   double shed_rate = 0;
   u64 timeouts = 0;
+  u64 errors = 0;
+  u64 bad_reads = 0;  // gets that returned bytes no one wrote to the key
 };
 
 SweepPoint run_sweep(const SweepConfig& cfg, usize num_clients, bool gated) {
@@ -356,10 +157,11 @@ SweepPoint run_sweep(const SweepConfig& cfg, usize num_clients, bool gated) {
   }
 
   // Preload the key universe (ungated, local API) so reads hit.
+  std::vector<std::vector<u8>> preload;
   {
     Rng rng(0x9C5Bull);
-    std::vector<u8> v(cfg.value_bytes);
     for (usize k = 0; k < cfg.keys; ++k) {
+      std::vector<u8>& v = preload.emplace_back(cfg.value_bytes);
       for (auto& b : v) {
         b = static_cast<u8>(rng.next_u64());
       }
@@ -378,17 +180,94 @@ SweepPoint run_sweep(const SweepConfig& cfg, usize num_clients, bool gated) {
     }
   }
 
-  // One shared client kernel; each virtual client gets a disjoint source-port
-  // block (8 ports: up to cfg.nodes streams plus reconnect slack).
+  // One shared client kernel; each virtual client is one library client
+  // polled once per tick. kOverloaded replies back off multiplicatively on
+  // the same owner, so a gated sweep models well-behaved tenants, not a
+  // retry stampede; a silent reply window re-sends, and no op gives up.
+  RetryPolicy policy;
+  policy.max_attempts = std::numeric_limits<usize>::max();
+  policy.polls_per_attempt = cfg.reply_timeout_ticks;
+  policy.overload_base_polls = 16;
+  policy.overload_max_polls = 256;
+  policy.jitter_ppm = 0;
   Host client_host(&net);
-  std::vector<std::unique_ptr<VClient>> clients;
+  std::vector<std::unique_ptr<BlockStoreClient>> clients;
+  std::vector<OpStream> streams;
+  std::map<std::vector<u8>, usize> writer_of;  // a client's value -> the client
   for (usize c = 0; c < num_clients; ++c) {
-    clients.push_back(std::make_unique<VClient>(client_host.sys, view, cfg,
-                                                0x5EEDull * (c + 1) + 17,
-                                                static_cast<Port>(20'000 + c * 8)));
+    clients.push_back(std::make_unique<BlockStoreClient>(
+        client_host.sys, view.directory.at(0).addr, kPort, std::function<void()>{}, policy));
+    clients.back()->set_cluster(view);
+    writer_of.emplace(streams.emplace_back(0x5EEDull * (c + 1) + 17, cfg.value_bytes).value, c);
   }
+  // A get may return the key's preload or the value of a client that has
+  // started a put on the key; anything else is a bad read.
+  std::vector<std::set<usize>> writers(cfg.keys);
+  SweepPoint pt;
+  u64 completed = 0;
+  std::vector<u64> latencies;  // ticks from start() to a goodput reply
 
-  auto tick_once = [&](u64 tick) {
+  // A client with no op in flight starts its next one; the others poll.
+  // An op that finishes on tick t is followed by the next op on tick t + 1.
+  // Goodput is kOk and kNotFound; any other terminal reply is an error.
+  auto step = [&](usize c, u64 tick, bool measured) {
+    OpStream& s = streams[c];
+    if (!s.in_op) {
+      // YCSB-A: 50/50 read/update; the delete-heavy variant trades updates
+      // and reads for 25% sequenced deletes (tombstone churn under load,
+      // DESIGN §11). 80% of ops land on the hottest 20% of keys either way.
+      u64 roll = s.rng.next_below(100);
+      if (cfg.del_heavy) {
+        s.op = roll < 40 ? BsOp::kGet : roll < 75 ? BsOp::kPut : BsOp::kDel;
+      } else {
+        s.op = roll < 50 ? BsOp::kGet : BsOp::kPut;
+      }
+      usize universe = s.rng.chance(8, 10) ? std::max<usize>(cfg.keys / 5, 1) : cfg.keys;
+      s.key = s.rng.next_below(universe);
+      if (s.op == BsOp::kPut) {
+        writers[s.key].insert(c);
+      }
+      s.op_start = tick;
+      s.in_op = true;
+      VNROS_CHECK(clients[c]->start(s.op, "ycsb" + std::to_string(s.key), s.value).ok());
+      return;
+    }
+    std::optional<Result<BsReply>> reply = clients[c]->poll();
+    if (!reply) {
+      return;
+    }
+    s.in_op = false;
+    if (reply->ok() && s.op == BsOp::kGet && reply->value().value != preload[s.key]) {
+      auto w = writer_of.find(reply->value().value);
+      pt.bad_reads += w == writer_of.end() || writers[s.key].count(w->second) == 0 ? 1 : 0;
+    }
+    if (!measured) {
+      return;
+    }
+    if (!reply->ok() && reply->error() != ErrorCode::kNotFound) {
+      ++pt.errors;
+      return;
+    }
+    ++completed;
+    latencies.push_back(tick - s.op_start);
+  };
+  // The retries a shed, a transient reply or a send error does not explain
+  // are reply windows that expired: a failed attempt of an op that has not
+  // given up is retried at once.
+  auto sheds_and_timeouts = [&] {
+    std::pair<u64, u64> n;
+    for (const auto& client : clients) {
+      RetryStats r = client->retry_stats();
+      n.first += r.overloads;
+      n.second += r.retries - r.overloads - r.transient_errors - r.send_errors;
+    }
+    return n;
+  };
+  std::pair<u64, u64> warm;
+  for (u64 t = 0; t < cfg.warmup_ticks + cfg.ticks; ++t) {
+    if (t == cfg.warmup_ticks) {
+      warm = sheds_and_timeouts();  // warmup accounting is dropped
+    }
     for (auto& node : nodes) {
       if (gated) {
         node->grant_tokens(cfg.admission_rate_ppm);
@@ -399,39 +278,18 @@ SweepPoint run_sweep(const SweepConfig& cfg, usize num_clients, bool gated) {
       h->kernel.vtp().tick();
     }
     client_host.kernel.vtp().tick();
-    for (auto& c : clients) {
-      c->step(tick);
+    for (usize c = 0; c < clients.size(); ++c) {
+      step(c, t, t >= cfg.warmup_ticks);
     }
-  };
-  for (u64 t = 0; t < cfg.warmup_ticks; ++t) {
-    tick_once(t);
   }
-  for (auto& c : clients) {  // drop warmup accounting
-    c->completed = 0;
-    c->sheds = 0;
-    c->timeouts = 0;
-    c->errors = 0;
-    c->latencies.clear();
-  }
-  for (u64 t = cfg.warmup_ticks; t < cfg.warmup_ticks + cfg.ticks; ++t) {
-    tick_once(t);
-  }
-
-  SweepPoint pt;
-  u64 completed = 0;
-  u64 sheds = 0;
-  std::vector<u64> all_latencies;
-  for (auto& c : clients) {
-    completed += c->completed;
-    sheds += c->sheds;
-    pt.timeouts += c->timeouts;
-    all_latencies.insert(all_latencies.end(), c->latencies.begin(), c->latencies.end());
-  }
+  auto [shed_total, timeout_total] = sheds_and_timeouts();
+  u64 sheds = shed_total - warm.first;
+  pt.timeouts = timeout_total - warm.second;
   pt.goodput_per_kilotick =
       static_cast<double>(completed) * 1000.0 / static_cast<double>(cfg.ticks);
-  pt.p50 = percentile(all_latencies, 0.50);
-  pt.p95 = percentile(all_latencies, 0.95);
-  pt.p99 = percentile(all_latencies, 0.99);
+  pt.p50 = percentile(latencies, 0.50);
+  pt.p95 = percentile(latencies, 0.95);
+  pt.p99 = percentile(latencies, 0.99);
   pt.shed_rate = completed + sheds == 0
                      ? 0
                      : static_cast<double>(sheds) / static_cast<double>(completed + sheds);
@@ -466,8 +324,9 @@ int main() {
   json.config("quick", quick);
 
   std::printf("# blockstore_ycsb: closed-loop YCSB over the sharded cluster\n");
-  std::printf("# %8s %8s %7s %12s %8s %8s %8s %10s %9s\n", "clients", "mix", "gate",
-              "goodput/kt", "p50", "p95", "p99", "shed_rate", "timeouts");
+  std::printf("# %8s %8s %7s %12s %8s %8s %8s %10s %9s %7s\n", "clients", "mix", "gate",
+              "goodput/kt", "p50", "p95", "p99", "shed_rate", "timeouts", "errors");
+  u64 bad_reads = 0;
   for (bool del_heavy : {false, true}) {
     cfg.del_heavy = del_heavy;
     for (bool gated : {false, true}) {
@@ -475,11 +334,18 @@ int main() {
         SweepPoint pt = run_sweep(cfg, n, gated);
         const char* mix = del_heavy ? "del" : "a";
         const char* tag = gated ? "gated" : "open";
-        std::printf("  %8zu %8s %7s %12.1f %8llu %8llu %8llu %10.3f %9llu\n", n, mix, tag,
+        std::printf("  %8zu %8s %7s %12.1f %8llu %8llu %8llu %10.3f %9llu %7llu\n", n, mix, tag,
                     pt.goodput_per_kilotick, static_cast<unsigned long long>(pt.p50),
                     static_cast<unsigned long long>(pt.p95),
                     static_cast<unsigned long long>(pt.p99), pt.shed_rate,
-                    static_cast<unsigned long long>(pt.timeouts));
+                    static_cast<unsigned long long>(pt.timeouts),
+                    static_cast<unsigned long long>(pt.errors));
+        if (pt.bad_reads != 0) {
+          std::fprintf(stderr, "blockstore_ycsb: %zu clients, mix %s, %s: %llu gets returned "
+                       "bytes that are neither the key's preload nor a value any client wrote\n",
+                       n, mix, tag, static_cast<unsigned long long>(pt.bad_reads));
+          bad_reads += pt.bad_reads;
+        }
         std::string prefix =
             std::string(del_heavy ? "del_" : "") + (gated ? "gated_" : "open_");
         double x = static_cast<double>(n);
@@ -489,9 +355,10 @@ int main() {
         json.row(prefix + "p99_ticks", x, static_cast<double>(pt.p99));
         json.row(prefix + "shed_rate", x, pt.shed_rate);
         json.row(prefix + "timeouts", x, static_cast<double>(pt.timeouts));
+        json.row(prefix + "errors", x, static_cast<double>(pt.errors));
       }
     }
   }
   json.write();
-  return 0;
+  return bad_reads == 0 ? 0 : 1;
 }

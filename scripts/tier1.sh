@@ -57,9 +57,23 @@ echo "== tier-1: chaos (ctest -L '^chaos$') =="
 ctest --test-dir build -L '^chaos$' --output-on-failure
 
 echo
+echo "== tier-1: YCSB quick sweep (library clients on the measured path) =="
+# blockstore_ycsb drives every virtual client through the library
+# BlockStoreClient's non-blocking core — the client chaos and the app VCs
+# check — and exits nonzero when a get returns bytes that are neither the
+# key's preload nor a value some client wrote to it. It runs from a
+# temporary directory so the committed BENCH_blockstore_ycsb.json is not
+# overwritten.
+ycsb_bin="$(pwd)/build/bench/blockstore_ycsb"
+ycsb_dir="$(mktemp -d)"
+trap 'rm -rf "${ycsb_dir}"' EXIT
+(cd "${ycsb_dir}" && VNROS_BENCH_QUICK=1 "${ycsb_bin}")
+
+echo
 echo "== tier-1: SysRing (ring VCs + edge cases + TSan) =="
-# The async submission/completion rings sit on the whole blockstore data
-# plane (serve pool, repair RPCs, client reply awaits). Gate on: the ring
+# The async submission/completion rings sit on the storage node's whole
+# data plane (serve pool, repair RPCs); clients read their streams with
+# direct vtp_recv calls. Gate on: the ring
 # refinement/uniqueness VCs and the no-lost-wakeup VCs of the
 # readiness-driven reactor (kernel/ring_readiness_seed1..3); the
 # SQ-full/CQ-overflow/parking edge cases, cancel-on-close and the

@@ -168,9 +168,12 @@ Result<std::vector<BlockKeyInfo>> AntiEntropyScheduler::fetch_leaf(const BsPeer&
   if (!reply.ok()) {
     return reply.error();
   }
+  // The smallest entry: an empty key's u32 length, seq and flags. A count
+  // the payload cannot hold is malformed, so it never sizes the reservation.
+  constexpr usize kMinEntryBytes = 4 + 8 + 1;
   Reader r(reply.value().payload);
   auto count = r.get_u32();
-  if (!count) {
+  if (!count || *count > r.remaining() / kMinEntryBytes) {
     return ErrorCode::kCorrupted;
   }
   std::vector<BlockKeyInfo> out;
@@ -365,25 +368,12 @@ Result<Unit> AntiEntropyScheduler::sync_full(const BsPeer& peer) {
     }
     return reply.error();
   }
-  Reader r(reply.value().payload);
-  auto count = r.get_u32();
-  if (!count) {
-    return ErrorCode::kCorrupted;
-  }
-  std::vector<BlockKeyInfo> remote;
-  remote.reserve(*count);
-  for (u32 i = 0; i < *count; ++i) {
-    auto key = r.get_string();
-    auto crc = r.get_u32();
-    auto seq = r.get_u64();
-    auto flags = r.get_u8();
-    if (!key || !crc || !seq || !flags) {
-      return ErrorCode::kCorrupted;
-    }
-    remote.push_back(BlockKeyInfo{std::move(*key), *crc, *seq, (*flags & 1) != 0});
+  auto remote = decode_inventory(reply.value().payload);
+  if (!remote.ok()) {
+    return remote.error();
   }
   std::vector<BlockKeyInfo> local = node_.list();
-  return diff_entries(local, remote, [&](const BlockKeyInfo* l, const BlockKeyInfo* rr) {
+  return diff_entries(local, remote.value(), [&](const BlockKeyInfo* l, const BlockKeyInfo* rr) {
     return reconcile(peer, l, rr);
   });
 }

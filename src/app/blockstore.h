@@ -79,6 +79,12 @@ struct BlockKeyInfo {
   bool operator==(const BlockKeyInfo&) const = default;
 };
 
+// Decodes a kList reply payload: [u32 count] then count (key, crc, seq,
+// flags) entries. kCorrupted when the payload is short, or when its count
+// claims more entries than the remaining bytes can hold, so a peer's count
+// never sizes an allocation.
+Result<std::vector<BlockKeyInfo>> decode_inventory(std::span<const u8> payload);
+
 struct BsPeer {
   NetAddr addr = 0;
   Port port = 0;
@@ -446,12 +452,12 @@ class BlockStoreNode {
   const u32 span_serve_;
 };
 
-// Client retry behaviour. All waiting is measured in pump polls — the
+// Client retry behaviour. All waiting is measured in polls — the
 // simulation's stand-in for wall-clock time — so schedules replay
 // deterministically from a seed.
 struct RetryPolicy {
   usize max_attempts = 16;       // sends per rpc (across all targets)
-  usize polls_per_attempt = 64;  // pump polls awaiting each reply
+  usize polls_per_attempt = 64;  // polls awaiting each reply
   u64 backoff_base_polls = 0;    // idle polls before retry 1; doubles per retry
   u64 backoff_max_polls = 0;     // exponential backoff cap (0 = uncapped)
   u64 jitter_ppm = 0;            // additive jitter: up to this fraction of the backoff
@@ -472,7 +478,7 @@ struct RetryPolicy {
 struct RetryStats {
   u64 attempts = 0;          // request frames sent
   u64 retries = 0;           // attempts beyond the first, per rpc
-  u64 backoff_polls = 0;     // pump polls spent idling in backoff
+  u64 backoff_polls = 0;     // polls spent idling in backoff
   u64 failovers = 0;         // switches to a different target
   u64 transient_errors = 0;  // kIoError/kNoMemory/kBusy replies absorbed by retry
   u64 send_errors = 0;       // local send failures absorbed by retry
@@ -483,6 +489,13 @@ struct RetryStats {
                              // stream died with a typed error
 };
 
+// A finished op's reply: the payload, plus the write sequence the serving
+// replica stamped on it (kGet only; 0 for every other op).
+struct BsReply {
+  std::vector<u8> value;
+  u64 seq = 0;
+};
+
 // Client library: request/response over one VTP stream per target, with
 // timeout + retry. The stream retransmits lost segments below the rpc
 // layer; an rpc whose reply misses its attempt window re-sends the request
@@ -491,11 +504,18 @@ struct RetryStats {
 // kIoError/kNoMemory, kBusy) are retried with exponential backoff + jitter;
 // when failover targets are configured, timeouts and transient errors
 // rotate the client to the next replica.
+//
+// The core is non-blocking and holds one op in flight per client object:
+// start() sends it and each poll() advances it by one poll. The blocking
+// ops (put/get/del/...) are start() plus a pump-then-poll loop, so a
+// harness that drives hundreds of clients on one thread polls each client
+// object itself and the blocking caller runs the very same state machine.
 class BlockStoreClient {
  public:
-  // `pump` advances the simulated world between poll attempts — the
-  // simulation's stand-in for wall-clock time. It must serve the nodes and
-  // tick every host's VTP stack. Each target gets one stream, connected
+  // `pump` advances the simulated world between the polls of a blocking op
+  // — the simulation's stand-in for wall-clock time. It must serve the
+  // nodes and tick every host's VTP stack; a client driven only through
+  // start()/poll() may pass none. Each target gets one stream, connected
   // lazily from a kernel-assigned source port and reconnected after any
   // terminal connection error; requests and replies are framed
   // [u32 len][body]. The client opens no datagram socket.
@@ -511,6 +531,7 @@ class BlockStoreClient {
   // list when the view maps to nothing. Ping/list keep the static targets.
   void set_cluster(const ClusterView& view) { view_ = view; }
 
+  // Blocking ops: each records one bs/rpc span.
   Result<Unit> put(std::string_view key, std::span<const u8> value);
   Result<std::vector<u8>> get(std::string_view key);
   // get() plus the write sequence the serving replica stamped on the bytes —
@@ -526,6 +547,21 @@ class BlockStoreClient {
   // than `target`'s copy, writing it into `target` at its original sequence.
   // Returns blocks repaired.
   Result<u64> sync_into(BlockStoreNode& target);
+
+  // Sends `op` (kPut carries `value`; kPut and kDel take a fresh write
+  // stamp). kBusy, with nothing sent, while an earlier op's reply has not
+  // yet been returned by poll().
+  Result<Unit> start(BsOp op, std::string_view key, std::span<const u8> value = {});
+  // Advances the op in flight by one poll — call it once per world step:
+  // one read of the awaited stream, reply matching, and the RetryPolicy
+  // ladder (attempt windows, backoff, failover, deadline). Returns the op's
+  // reply once it is done; an op that finished inside start() (every
+  // attempt failed before it had to wait) is returned without advancing.
+  // nullopt while the op waits, or when none is in flight.
+  std::optional<Result<BsReply>> poll();
+  // True while an op is in flight and not yet done: the next poll()
+  // advances it.
+  bool waiting() const { return op_.has_value() && !op_->reply.has_value(); }
 
   u64 retries() const { return c_retries_.value(); }
 
@@ -553,11 +589,45 @@ class BlockStoreClient {
 
   static bool transient(ErrorCode err);
 
-  // Sends `request` until a reply with its req_id arrives; returns payload.
-  // `seq_out` (optional) receives the reply's trailing write sequence
-  // (meaningful for kGet: the serving replica's stamp on the bytes).
-  Result<std::vector<u8>> rpc(BsOp op, std::string_view key, std::span<const u8> value,
-                              u64* seq_out = nullptr);
+  // One blocking op: start(), then pump and poll until the reply.
+  Result<BsReply> call(BsOp op, std::string_view key, std::span<const u8> value = {});
+
+  // The op in flight. It waits for a poll in one of three phases; `left`
+  // counts what the phase has left: backoff polls, sends of the frame, or
+  // polls of the reply window. kNextAttempt waits for nothing: the last
+  // attempt ended, and the next one starts at once.
+  enum class Phase { kNextAttempt, kBackoff, kSending, kAwaiting };
+  struct Op {
+    u64 req_id = 0;
+    std::vector<u8> frame;      // [u32 len][body], sent whole by each attempt
+    std::vector<BsPeer> route;  // the key's owners (ring mode) or targets_
+    bool ring_mode = false;
+    usize idx = 0;              // route entry the current attempt uses
+    usize attempt = 0;
+    u64 polls_used = 0;
+    u64 backoff = 0;            // the next timeout backoff
+    u64 overload_backoff = 0;   // the next kOverloaded backoff
+    bool overload_wait = false; // the next attempt is backpressure, not a probe
+    ErrorCode last_err = ErrorCode::kTimedOut;
+    Phase phase = Phase::kNextAttempt;
+    u64 left = 0;
+    usize sent = 0;             // frame bytes the stream accepted
+    std::optional<Result<BsReply>> reply;  // set once the op is done
+  };
+  // The retry ladder's steps: each runs until the op waits for a poll or
+  // the attempt ends (it sets the phase) or the op is done (it sets the
+  // reply). run_attempts() starts attempts while one ends without waiting.
+  void run_attempts();
+  void next_attempt();
+  void backoff_or_send();
+  void push_frame();
+  void await_reply();
+  void read_reply();
+  void end_attempt(ErrorCode err);
+  void give_up();
+  bool deadline_hit() const {
+    return policy_.deadline_polls != 0 && op_->polls_used >= policy_.deadline_polls;
+  }
 
   // One VTP stream to a server: the connection plus the reassembly buffer
   // for reply frames that arrived on it.
@@ -581,18 +651,15 @@ class BlockStoreClient {
   std::function<void()> pump_;
   RetryPolicy policy_;
   Rng rng_{0xC11E47ull};  // jitter; fixed seed keeps runs replayable
-  u32 ring_ = 0;              // reply ring: one vtp_recv SQE parked at a time
-  bool recv_armed_ = false;
-  Fd armed_fd_ = kInvalidFd;  // the stream fd the parked recv reads (kInvalidFd
-                              // once that stream is dropped)
   std::map<ChanKey, VtpChan> chans_;  // one stream per target
   std::set<ChanKey> dropped_;         // targets whose last stream died
+  std::optional<Op> op_;              // the op in flight
   u64 next_req_id_ = 1;
   u64 put_seq_ = 0;  // write-sequence stamp: orders this client's puts per key
                      // across replicas (apply-if-newer on every server path)
 
-  // Metrics ("bsc<N>/..."): per-core counters plus a span per rpc and a
-  // histogram of pump polls per rpc (the simulation's latency unit, so the
+  // Metrics ("bsc<N>/..."): per-core counters plus a span per blocking op
+  // and a histogram of polls per rpc (the simulation's latency unit, so the
   // distribution replays bit-identically from a seed).
   const std::string obs_prefix_;
   Counter& c_attempts_;

@@ -10,8 +10,24 @@ namespace vnros {
 
 namespace {
 
-// One parked stream recv pulls up to this much per completion.
+// One stream read pulls up to this much per poll.
 constexpr usize kChanRecvChunk = 32 * 1024;
+
+// Pops one whole [u32 len][body] frame off a stream's reassembly buffer;
+// nullopt until the header and the whole body have arrived.
+std::optional<std::vector<u8>> pop_frame(std::vector<u8>& inbuf) {
+  if (inbuf.size() < 4) {
+    return std::nullopt;
+  }
+  Reader fr(std::span<const u8>(inbuf.data(), 4));
+  u32 len = fr.get_u32().value_or(0);
+  if (inbuf.size() - 4 < len) {
+    return std::nullopt;  // header seen, body still in flight
+  }
+  std::vector<u8> body(inbuf.begin() + 4, inbuf.begin() + 4 + static_cast<std::ptrdiff_t>(len));
+  inbuf.erase(inbuf.begin(), inbuf.begin() + 4 + static_cast<std::ptrdiff_t>(len));
+  return body;
+}
 
 }  // namespace
 
@@ -61,11 +77,6 @@ void BlockStoreClient::drop_vtp_chan(ChanKey key) {
   if (it == chans_.end()) {
     return;
   }
-  // Closing the fd completes a recv parked on it with kBadFd; forget which
-  // stream it read, so that completion cannot touch a stream reusing the fd.
-  if (armed_fd_ == it->second.fd) {
-    armed_fd_ = kInvalidFd;
-  }
   (void)sys_.vtp_close(it->second.fd);
   chans_.erase(it);
   dropped_.insert(key);
@@ -83,13 +94,16 @@ bool BlockStoreClient::transient(ErrorCode err) {
          err == ErrorCode::kBusy || err == ErrorCode::kWouldBlock;
 }
 
-Result<std::vector<u8>> BlockStoreClient::rpc(BsOp op, std::string_view key,
-                                              std::span<const u8> value, u64* seq_out) {
-  SpanScope span(ObsRegistry::global().tracer(), span_rpc_);
-  u64 req_id = next_req_id_++;
+Result<Unit> BlockStoreClient::start(BsOp op, std::string_view key,
+                                     std::span<const u8> value) {
+  if (op_.has_value()) {
+    return ErrorCode::kBusy;
+  }
+  Op& o = op_.emplace();
+  o.req_id = next_req_id_++;
   Writer w;
   w.put_u8(static_cast<u8>(op));
-  w.put_u64(req_id);
+  w.put_u64(o.req_id);
   w.put_string(key);
   if (op == BsOp::kPut || op == BsOp::kPutReplica) {
     // Write-sequence stamp: servers order replica applies by it (retries of
@@ -103,6 +117,10 @@ Result<std::vector<u8>> BlockStoreClient::rpc(BsOp op, std::string_view key,
     // totally ordered on every replica it ever reaches.
     w.put_u64(++put_seq_);
   }
+  Writer framed;
+  framed.put_u32(static_cast<u32>(w.bytes().size()));
+  framed.put_raw(w.bytes());
+  o.frame = framed.take();
 
   // Routing. Ring mode (set_cluster + a keyed op): the route is the key's
   // owner list, primary first — placement is the same pure function the
@@ -111,318 +129,274 @@ Result<std::vector<u8>> BlockStoreClient::rpc(BsOp op, std::string_view key,
   // target that actually answered (stickiness) rather than wherever a failed
   // rpc's rotation happened to stop — re-probing a known-dead primary every
   // call would pay the full timeout on every op.
-  std::vector<BsPeer> ring_route;
   bool keyed = op == BsOp::kPut || op == BsOp::kGet || op == BsOp::kDel;
   if (view_.has_value() && keyed) {
     for (BsNodeId id : view_->owners(key)) {
       auto it = view_->directory.find(id);
       if (it != view_->directory.end()) {
-        ring_route.push_back(it->second);
+        o.route.push_back(it->second);
       }
     }
   }
-  const bool ring_mode = !ring_route.empty();
-  const std::vector<BsPeer>& route = ring_mode ? ring_route : targets_;
-  usize idx = 0;
-  if (!ring_mode) {
+  o.ring_mode = !o.route.empty();
+  if (!o.ring_mode) {
+    o.route = targets_;
     if (have_last_good_ && last_good_target_ < targets_.size() &&
         current_target_ != last_good_target_) {
       current_target_ = last_good_target_;
       c_sticky_resumes_.inc();
     }
-    idx = current_target_;
+    o.idx = current_target_;
   }
-  auto rotate = [&] {
-    if (route.size() < 2) {
-      return;
+  o.backoff = policy_.backoff_base_polls;
+  o.overload_backoff = policy_.overload_base_polls;
+  run_attempts();
+  return Unit{};
+}
+
+std::optional<Result<BsReply>> BlockStoreClient::poll() {
+  if (!op_.has_value()) {
+    return std::nullopt;
+  }
+  if (!op_->reply.has_value()) {
+    ++op_->polls_used;
+    switch (op_->phase) {
+      case Phase::kBackoff:
+        c_backoff_polls_.inc();
+        --op_->left;
+        backoff_or_send();
+        break;
+      case Phase::kSending:
+        push_frame();
+        break;
+      case Phase::kAwaiting:
+        read_reply();
+        break;
+      case Phase::kNextAttempt:
+        break;
     }
-    idx = (idx + 1) % route.size();
-    if (!ring_mode) {
-      current_target_ = idx;
+    run_attempts();
+    if (!op_->reply.has_value()) {
+      return std::nullopt;
+    }
+  }
+  Result<BsReply> reply = std::move(*op_->reply);
+  op_.reset();
+  return reply;
+}
+
+void BlockStoreClient::run_attempts() {
+  while (!op_->reply.has_value() && op_->phase == Phase::kNextAttempt) {
+    next_attempt();
+  }
+}
+
+void BlockStoreClient::next_attempt() {
+  Op& o = *op_;
+  if (o.attempt >= policy_.max_attempts) {
+    return give_up();
+  }
+  o.left = 0;
+  if (o.attempt > 0) {
+    c_retries_.inc();
+    // Exponential backoff with additive jitter, in polls. Jitter
+    // decorrelates retries from concurrent clients without breaking
+    // determinism (the jitter Rng is seeded). kOverloaded replies use their
+    // own (multiplicative) ladder: the server is alive and asking for
+    // space, which is different from a timeout probing for liveness.
+    u64& next = o.overload_wait ? o.overload_backoff : o.backoff;
+    u64 cap = o.overload_wait ? policy_.overload_max_polls : policy_.backoff_max_polls;
+    o.left = next;
+    next = cap != 0 ? std::min(next * 2, cap) : next * 2;
+    if (o.left > 0 && policy_.jitter_ppm > 0) {
+      u64 jspan = o.left * policy_.jitter_ppm / 1'000'000;
+      if (jspan > 0) {
+        o.left += rng_.next_range(0, jspan);
+      }
+    }
+    if (policy_.deadline_polls != 0 && o.left > 0) {
+      // Clamp the backoff to the deadline budget, reserving one attempt's
+      // polling window: an rpc never sleeps its whole remaining budget
+      // away and then fails without having probed the server one last
+      // time. (After the jitter draw, so the rng stream is
+      // schedule-independent.)
+      u64 remaining =
+          policy_.deadline_polls > o.polls_used ? policy_.deadline_polls - o.polls_used : 0;
+      u64 window = std::min<u64>(policy_.polls_per_attempt, remaining);
+      o.left = std::min(o.left, remaining - window);
+    }
+  }
+  backoff_or_send();
+}
+
+void BlockStoreClient::backoff_or_send() {
+  // The deadline is checked before every backoff poll and before the send:
+  // an rpc whose budget expires mid-backoff gives up unsent.
+  Op& o = *op_;
+  if (deadline_hit()) {
+    return give_up();
+  }
+  if (o.left > 0) {
+    o.phase = Phase::kBackoff;
+    return;
+  }
+  c_attempts_.inc();
+  o.overload_wait = false;
+  o.sent = 0;
+  o.left = policy_.polls_per_attempt;  // sends the frame may take
+  if (vtp_chan(o.route[o.idx]) == nullptr) {
+    // Connect refused locally (fd/port pressure): a send error.
+    c_send_errors_.inc();
+    return end_attempt(ErrorCode::kBusy);
+  }
+  push_frame();
+}
+
+void BlockStoreClient::push_frame() {
+  // send() buffers even mid-handshake, so a frame normally goes out in one
+  // call; kWouldBlock only means the send buffer is momentarily full, and
+  // the next poll tries again. A send error (a dead stream, a frame that
+  // never fit) ends the attempt: the request never entered the stream.
+  Op& o = *op_;
+  const ChanKey key{o.route[o.idx].addr, o.route[o.idx].port};
+  auto it = chans_.find(key);
+  while (it != chans_.end() && o.sent < o.frame.size() && o.left > 0) {
+    --o.left;
+    auto n = sys_.vtp_send(it->second.fd, std::span<const u8>(o.frame).subspan(o.sent));
+    if (!n.ok()) {
+      if (n.error() == ErrorCode::kWouldBlock) {
+        o.phase = Phase::kSending;
+        return;
+      }
+      drop_vtp_chan(key);  // terminal: reconnect on the next attempt
+      c_send_errors_.inc();
+      return end_attempt(n.error());
+    }
+    o.sent += static_cast<usize>(n.value());
+  }
+  if (o.sent == o.frame.size()) {
+    o.left = policy_.polls_per_attempt;
+    return await_reply();
+  }
+  if (o.sent != 0) {
+    drop_vtp_chan(key);  // a torn frame would desync the stream
+  }
+  c_send_errors_.inc();
+  end_attempt(ErrorCode::kWouldBlock);
+}
+
+void BlockStoreClient::await_reply() {
+  if (op_->left == 0) {
+    return end_attempt(ErrorCode::kTimedOut);
+  }
+  op_->phase = Phase::kAwaiting;
+}
+
+void BlockStoreClient::read_reply() {
+  // The wire: one VTP stream per target, [u32 len][body] frames both ways,
+  // read with one direct vtp_recv per poll. The transport retransmits lost
+  // segments itself, so loss is paid at the stream's RTO instead of the
+  // attempt timeout.
+  Op& o = *op_;
+  --o.left;
+  const ChanKey key{o.route[o.idx].addr, o.route[o.idx].port};
+  std::optional<std::vector<u8>> frame;
+  if (auto it = chans_.find(key); it != chans_.end()) {
+    auto got = sys_.vtp_recv(it->second.fd, kChanRecvChunk);
+    if (got.ok() || got.error() == ErrorCode::kWouldBlock) {
+      if (got.ok()) {
+        it->second.inbuf.insert(it->second.inbuf.end(), got.value().begin(), got.value().end());
+      }
+      frame = pop_frame(it->second.inbuf);
+    } else {
+      drop_vtp_chan(key);
+    }
+  }
+  if (!frame) {
+    return deadline_hit() ? end_attempt(ErrorCode::kTimedOut) : await_reply();
+  }
+  Reader r(*frame);
+  auto rid = r.get_u64();
+  auto err = r.get_u32();
+  auto payload = r.get_bytes();
+  if (!rid || !err || !payload || *rid != o.req_id) {
+    return await_reply();  // malformed, or a stale reply to an earlier rpc
+  }
+  ErrorCode code = static_cast<ErrorCode>(*err);
+  if (!o.ring_mode) {
+    // Any reply with our req_id proves this target is up and reachable.
+    have_last_good_ = true;
+    last_good_target_ = o.idx;
+  }
+  if (code == ErrorCode::kOverloaded) {
+    // Backpressure, not failure: the target is alive and shedding. Stay on
+    // it and yield (multiplicative backoff) instead of stampeding a
+    // healthy-but-busy replica's peers.
+    c_overloads_.inc();
+    o.overload_wait = true;
+    return end_attempt(code);
+  }
+  if (transient(code)) {
+    c_transient_errors_.inc();
+    VNROS_LOG_DEBUG("blockstore", "transient %s from target %zu (attempt %zu), retrying",
+                    error_name(code), o.idx, o.attempt);
+    return end_attempt(code);  // next attempt, possibly after failover
+  }
+  h_rpc_polls_.record(o.polls_used);
+  if (code == ErrorCode::kOk) {
+    o.reply = BsReply{std::move(*payload), r.get_u64().value_or(0)};
+  } else {
+    o.reply = code;
+  }
+}
+
+void BlockStoreClient::end_attempt(ErrorCode err) {
+  // Timed out or bounced with an error: rotate targets so a
+  // crashed/partitioned/faulting replica does not absorb every attempt.
+  // kOverloaded stays put — that target will have tokens again soon.
+  Op& o = *op_;
+  o.last_err = err;
+  if (!o.overload_wait && o.route.size() >= 2) {
+    o.idx = (o.idx + 1) % o.route.size();
+    if (!o.ring_mode) {
+      current_target_ = o.idx;
     }
     c_failovers_.inc();
-  };
-  auto mark_live = [&] {
-    // Any reply with our req_id proves this target is up and reachable.
-    if (!ring_mode) {
-      have_last_good_ = true;
-      last_good_target_ = idx;
-    }
-  };
-
-  u64 polls_used = 0;
-  u64 backoff = policy_.backoff_base_polls;
-  u64 overload_backoff = policy_.overload_base_polls;
-  auto pump_once = [&] {
-    if (pump_) {
-      pump_();
-    }
-    ++polls_used;
-  };
-  // The wire: one VTP stream per target, [u32 len][body] frames both ways.
-  // The reply await rides the client's ring — one vtp_recv SQE parked on the
-  // active target's stream — and the transport retransmits lost segments
-  // itself, so loss is paid at the stream's RTO instead of this loop's
-  // attempt timeout.
-  auto chan_key = [](const BsPeer& p) { return ChanKey{p.addr, p.port}; };
-  auto pop_frame = [](VtpChan& ch) -> std::optional<std::vector<u8>> {
-    if (ch.inbuf.size() < 4) {
-      return std::nullopt;
-    }
-    Reader fr(std::span<const u8>(ch.inbuf.data(), 4));
-    u32 len = fr.get_u32().value_or(0);
-    if (ch.inbuf.size() - 4 < len) {
-      return std::nullopt;  // header seen, body still in flight
-    }
-    std::vector<u8> body(ch.inbuf.begin() + 4,
-                         ch.inbuf.begin() + 4 + static_cast<std::ptrdiff_t>(len));
-    ch.inbuf.erase(ch.inbuf.begin(),
-                   ch.inbuf.begin() + 4 + static_cast<std::ptrdiff_t>(len));
-    return body;
-  };
-  auto vtp_send_request = [&](const BsPeer& target) -> ErrorCode {
-    VtpChan* ch = vtp_chan(target);
-    if (ch == nullptr) {
-      return ErrorCode::kBusy;  // connect refused locally (fd/port pressure)
-    }
-    Writer framed;
-    framed.put_u32(static_cast<u32>(w.bytes().size()));
-    framed.put_raw(w.bytes());
-    std::span<const u8> rest = framed.bytes();
-    // send() buffers even mid-handshake, so this normally accepts in one
-    // call; kWouldBlock only means the send buffer is momentarily full.
-    for (usize spin = 0; !rest.empty() && spin < policy_.polls_per_attempt; ++spin) {
-      auto n = sys_.vtp_send(ch->fd, rest);
-      if (!n.ok()) {
-        if (n.error() == ErrorCode::kWouldBlock) {
-          pump_once();
-          continue;
-        }
-        drop_vtp_chan(chan_key(target));  // terminal: reconnect on the next attempt
-        return n.error();
-      }
-      rest = rest.subspan(static_cast<usize>(n.value()));
-    }
-    if (rest.empty()) {
-      return ErrorCode::kOk;
-    }
-    if (rest.size() != framed.bytes().size()) {
-      drop_vtp_chan(chan_key(target));  // a torn frame would desync the stream
-    }
-    return ErrorCode::kWouldBlock;
-  };
-  auto vtp_poll_reply = [&](const BsPeer& target) -> std::optional<std::vector<u8>> {
-    // Reap into the stream the recv was parked on. A dropped stream's recv
-    // completes with kBadFd when its fd closes, and matches no stream.
-    if (ring_ != 0) {
-      auto cqes = sys_.ring_wait(ring_, 0, 4);
-      if (cqes.ok()) {
-        for (const RingCqe& cqe : cqes.value()) {
-          recv_armed_ = false;
-          auto armed = std::find_if(chans_.begin(), chans_.end(), [&](const auto& kv) {
-            return kv.second.fd == armed_fd_;
-          });
-          if (armed == chans_.end()) {
-            continue;  // its stream was dropped
-          }
-          auto bytes = sys_reply<SysNr::kVtpRecv>(cqe);
-          if (!bytes.ok()) {
-            // A terminal error killed the stream; a transient one (an
-            // injected ring fault) only consumed the parked recv, which the
-            // next poll re-arms.
-            if (!transient(bytes.error())) {
-              drop_vtp_chan(armed->first);
-            }
-            continue;
-          }
-          armed->second.inbuf.insert(armed->second.inbuf.end(), bytes.value().begin(),
-                                     bytes.value().end());
-        }
-      } else if (cqes.error() == ErrorCode::kNotFound) {
-        ring_ = 0;  // ring torn down (process state rebuilt): recreate
-        recv_armed_ = false;
-      }
-    }
-    auto it = chans_.find(chan_key(target));
-    if (it == chans_.end()) {
-      return std::nullopt;
-    }
-    // Park a recv on the active stream. If the single ring slot is still
-    // occupied by another open stream's recv (failover mid-park — only a
-    // close cancels), read this one directly until that completion drains.
-    bool parked_here = recv_armed_ && armed_fd_ == it->second.fd;
-    if (!recv_armed_) {
-      if (ring_ == 0) {
-        auto r = sys_.ring_setup(/*sq_slots=*/4, /*cq_slots=*/8);
-        if (r.ok()) {
-          ring_ = r.value();
-        }
-      }
-      if (ring_ != 0) {
-        RingSqe sqe = ring_sqe<SysNr::kVtpRecv>(req_id, it->second.fd, kChanRecvChunk);
-        auto acc = sys_.ring_submit(ring_, std::span<const RingSqe>(&sqe, 1));
-        if (acc.ok() && acc.value() == 1) {
-          recv_armed_ = true;
-          armed_fd_ = it->second.fd;
-          parked_here = true;
-        }
-      }
-    }
-    if (!parked_here) {
-      auto got = sys_.vtp_recv(it->second.fd, kChanRecvChunk);
-      if (got.ok()) {
-        it->second.inbuf.insert(it->second.inbuf.end(), got.value().begin(),
-                                got.value().end());
-      } else if (got.error() != ErrorCode::kWouldBlock) {
-        drop_vtp_chan(it->first);
-        return std::nullopt;
-      }
-    }
-    return pop_frame(it->second);
-  };
-  auto deadline_hit = [&] {
-    return policy_.deadline_polls != 0 && polls_used >= policy_.deadline_polls;
-  };
-  // Idles `wait` jittered polls; false if the rpc deadline expired mid-wait.
-  auto idle = [&](u64 wait) {
-    if (wait > 0 && policy_.jitter_ppm > 0) {
-      u64 jspan = wait * policy_.jitter_ppm / 1'000'000;
-      if (jspan > 0) {
-        wait += rng_.next_range(0, jspan);
-      }
-    }
-    if (policy_.deadline_polls != 0 && wait > 0) {
-      // Clamp the backoff to the deadline budget, reserving one attempt's
-      // polling window: an rpc never sleeps its whole remaining budget away
-      // and then fails without having probed the server one last time.
-      // (After the jitter draw, so the rng stream is schedule-independent.)
-      u64 remaining =
-          policy_.deadline_polls > polls_used ? policy_.deadline_polls - polls_used : 0;
-      u64 window = std::min<u64>(policy_.polls_per_attempt, remaining);
-      wait = std::min(wait, remaining - window);
-    }
-    for (u64 i = 0; i < wait; ++i) {
-      if (deadline_hit()) {
-        return false;
-      }
-      pump_once();
-      c_backoff_polls_.inc();
-    }
-    return !deadline_hit();
-  };
-  ErrorCode last_err = ErrorCode::kTimedOut;
-  bool overload_wait = false;  // next attempt is backpressure, not a retry probe
-  for (usize attempt = 0; attempt < policy_.max_attempts; ++attempt) {
-    if (attempt > 0) {
-      c_retries_.inc();
-      // Exponential backoff with additive jitter, in pump polls. Jitter
-      // decorrelates retries from concurrent clients without breaking
-      // determinism (the jitter Rng is seeded). kOverloaded replies use
-      // their own (multiplicative) ladder: the server is alive and asking
-      // for space, which is different from a timeout probing for liveness.
-      u64 wait = overload_wait ? overload_backoff : backoff;
-      if (overload_wait) {
-        overload_backoff *= 2;
-        if (policy_.overload_max_polls != 0) {
-          overload_backoff = std::min(overload_backoff, policy_.overload_max_polls);
-        }
-      } else {
-        backoff *= 2;
-        if (policy_.backoff_max_polls != 0) {
-          backoff = std::min(backoff, policy_.backoff_max_polls);
-        }
-      }
-      if (!idle(wait)) {
-        break;  // deadline expired mid-backoff
-      }
-    }
-    if (deadline_hit()) {
-      break;
-    }
-    c_attempts_.inc();
-    overload_wait = false;
-    const BsPeer& target = route[idx];
-    ErrorCode send_err = vtp_send_request(target);
-    if (send_err != ErrorCode::kOk) {
-      // Local send failure (a dead stream, a full send buffer): count it,
-      // back off, and retry — the request never entered the stream.
-      c_send_errors_.inc();
-      last_err = send_err;
-      rotate();
-      continue;
-    }
-    bool transient_reply = false;
-    for (usize poll = 0; poll < policy_.polls_per_attempt; ++poll) {
-      pump_once();
-      std::optional<std::vector<u8>> reply = vtp_poll_reply(target);
-      if (!reply) {
-        if (deadline_hit()) {
-          break;
-        }
-        continue;
-      }
-      Reader r(*reply);
-      auto rid = r.get_u64();
-      auto err = r.get_u32();
-      auto payload = r.get_bytes();
-      if (!rid || !err || !payload) {
-        continue;  // malformed reply: ignore, retry
-      }
-      if (*rid != req_id) {
-        continue;  // stale reply from an earlier (retried) request
-      }
-      ErrorCode code = static_cast<ErrorCode>(*err);
-      mark_live();
-      if (code == ErrorCode::kOk) {
-        h_rpc_polls_.record(polls_used);
-        if (seq_out != nullptr) {
-          *seq_out = r.get_u64().value_or(0);
-        }
-        return std::move(*payload);
-      }
-      if (code == ErrorCode::kOverloaded) {
-        // Backpressure, not failure: the target is alive and shedding.
-        // Stay on it and yield (multiplicative backoff) instead of
-        // stampeding a healthy-but-busy replica's peers.
-        c_overloads_.inc();
-        last_err = code;
-        transient_reply = true;
-        overload_wait = true;
-        break;
-      }
-      if (transient(code)) {
-        c_transient_errors_.inc();
-        last_err = code;
-        transient_reply = true;
-        VNROS_LOG_DEBUG("blockstore", "transient %s from target %zu (attempt %zu), retrying",
-                        error_name(code), idx, attempt);
-        break;  // next attempt, possibly after failover
-      }
-      h_rpc_polls_.record(polls_used);
-      return code;
-    }
-    // Timed out or bounced with a transient error: rotate targets so a
-    // crashed/partitioned/faulting replica does not absorb every attempt.
-    // kOverloaded stays put — that target will have tokens again soon.
-    if (!overload_wait) {
-      rotate();
-    }
-    if (!transient_reply) {
-      last_err = ErrorCode::kTimedOut;
-    }
   }
-  h_rpc_polls_.record(polls_used);
+  ++o.attempt;
+  o.phase = Phase::kNextAttempt;
+}
+
+void BlockStoreClient::give_up() {
+  Op& o = *op_;
+  h_rpc_polls_.record(o.polls_used);
   VNROS_LOG_DEBUG("blockstore",
                   "rpc gave up: %s (attempts=%llu retries=%llu backoff=%llu failovers=%llu)",
-                  error_name(last_err), static_cast<unsigned long long>(c_attempts_.value()),
+                  error_name(o.last_err), static_cast<unsigned long long>(c_attempts_.value()),
                   static_cast<unsigned long long>(c_retries_.value()),
                   static_cast<unsigned long long>(c_backoff_polls_.value()),
                   static_cast<unsigned long long>(c_failovers_.value()));
-  return last_err == ErrorCode::kOk ? ErrorCode::kTimedOut : last_err;
+  o.reply = o.last_err;
+}
+
+Result<BsReply> BlockStoreClient::call(BsOp op, std::string_view key,
+                                       std::span<const u8> value) {
+  SpanScope span(ObsRegistry::global().tracer(), span_rpc_);
+  if (auto started = start(op, key, value); !started.ok()) {
+    return started.error();
+  }
+  for (;;) {
+    if (waiting() && pump_) {
+      pump_();
+    }
+    if (auto reply = poll()) {
+      return std::move(*reply);
+    }
+  }
 }
 
 Result<Unit> BlockStoreClient::put(std::string_view key, std::span<const u8> value) {
-  auto r = rpc(BsOp::kPut, key, value);
+  auto r = call(BsOp::kPut, key, value);
   if (!r.ok()) {
     return r.error();
   }
@@ -430,34 +404,35 @@ Result<Unit> BlockStoreClient::put(std::string_view key, std::span<const u8> val
 }
 
 Result<std::vector<u8>> BlockStoreClient::get(std::string_view key) {
-  return rpc(BsOp::kGet, key, {});
-}
-
-Result<std::pair<std::vector<u8>, u64>> BlockStoreClient::get_with_seq(std::string_view key) {
-  u64 seq = 0;
-  auto r = rpc(BsOp::kGet, key, {}, &seq);
+  auto r = call(BsOp::kGet, key);
   if (!r.ok()) {
     return r.error();
   }
-  return std::make_pair(std::move(r.value()), seq);
+  return std::move(r.value().value);
+}
+
+Result<std::pair<std::vector<u8>, u64>> BlockStoreClient::get_with_seq(std::string_view key) {
+  auto r = call(BsOp::kGet, key);
+  if (!r.ok()) {
+    return r.error();
+  }
+  return std::make_pair(std::move(r.value().value), r.value().seq);
 }
 
 Result<Unit> BlockStoreClient::del(std::string_view key) {
-  auto r = rpc(BsOp::kDel, key, {});
+  auto r = call(BsOp::kDel, key);
   if (!r.ok()) {
     return r.error();
   }
   return Unit{};
 }
 
-Result<std::vector<BlockKeyInfo>> BlockStoreClient::list() {
-  auto raw = rpc(BsOp::kList, "", {});
-  if (!raw.ok()) {
-    return raw.error();
-  }
-  Reader r(raw.value());
+Result<std::vector<BlockKeyInfo>> decode_inventory(std::span<const u8> payload) {
+  // The smallest entry: an empty key's u32 length, crc, seq and flags.
+  constexpr usize kMinEntryBytes = 4 + 4 + 8 + 1;
+  Reader r(payload);
   auto count = r.get_u32();
-  if (!count) {
+  if (!count || *count > r.remaining() / kMinEntryBytes) {
     return ErrorCode::kCorrupted;
   }
   std::vector<BlockKeyInfo> out;
@@ -473,6 +448,14 @@ Result<std::vector<BlockKeyInfo>> BlockStoreClient::list() {
     out.push_back(BlockKeyInfo{std::move(*key), *crc, *seq, (*flags & 1) != 0});
   }
   return out;
+}
+
+Result<std::vector<BlockKeyInfo>> BlockStoreClient::list() {
+  auto r = call(BsOp::kList, "");
+  if (!r.ok()) {
+    return r.error();
+  }
+  return decode_inventory(r.value().value);
 }
 
 Result<u64> BlockStoreClient::sync_into(BlockStoreNode& target) {
@@ -503,8 +486,7 @@ Result<u64> BlockStoreClient::sync_into(BlockStoreNode& target) {
         return r.error();
       }
     } else {
-      u64 seq = 0;
-      auto value = rpc(BsOp::kGet, e.key, {}, &seq);
+      auto value = call(BsOp::kGet, e.key);
       if (!value.ok()) {
         if (value.error() == ErrorCode::kNotFound) {
           continue;  // deleted between the listing and the fetch
@@ -514,7 +496,8 @@ Result<u64> BlockStoreClient::sync_into(BlockStoreNode& target) {
       // Write at the source's sequence, not a fresh local stamp: repair must
       // restore the block's true position in the write order, never reorder
       // a stale copy above a newer one.
-      auto r = target.apply_remote(e.key, value.value(), seq != 0 ? seq : e.seq,
+      u64 seq = value.value().seq;
+      auto r = target.apply_remote(e.key, value.value().value, seq != 0 ? seq : e.seq,
                                    /*tombstone=*/false, &applied);
       if (!r.ok()) {
         return r.error();
@@ -528,7 +511,7 @@ Result<u64> BlockStoreClient::sync_into(BlockStoreNode& target) {
 }
 
 Result<Unit> BlockStoreClient::ping() {
-  auto r = rpc(BsOp::kPing, "", {});
+  auto r = call(BsOp::kPing, "");
   if (!r.ok()) {
     return r.error();
   }

@@ -394,9 +394,9 @@ class ChaosRunner {
       ++report_.faults_armed;
     }
     if (cfg_.ring_submit_fault_ppm > 0 && sched_rng_.chance_ppm(cfg_.ring_submit_fault_ppm)) {
-      // Fires on the next accepted SQE anywhere in the cluster (serve pools,
-      // repair RPCs, client reply awaits): it completes immediately with the
-      // injected error instead of executing. Every ring user re-arms its
+      // Fires on the next accepted SQE anywhere in the cluster (the nodes'
+      // serve pools and repair RPCs; the client reads its streams directly):
+      // it completes immediately with the injected error instead of executing. Every ring user re-arms its
       // parked receives, so the op is absorbed like a dropped datagram.
       reg.arm("syscall/ring_submit", one_shot);
       ++report_.faults_armed;

@@ -112,6 +112,9 @@ struct HistogramSnapshot {
 
   u64 mean() const { return count == 0 ? 0 : sum / count; }
 
+  // Adds `other` bucket by bucket: the snapshot of both histograms' records.
+  void merge(const HistogramSnapshot& other);
+
   // Lower bound of the bucket containing the p-th percentile (p in [0,100]).
   u64 percentile(double p) const;
 };

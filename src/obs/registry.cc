@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <sstream>
 
 #include "src/base/contracts.h"
@@ -26,6 +27,14 @@ HistogramSnapshot Histogram::snapshot() const {
     }
   }
   return snap;
+}
+
+void HistogramSnapshot::merge(const HistogramSnapshot& other) {
+  for (u32 b = 0; b < Histogram::kNumBuckets; ++b) {
+    buckets[b] += other.buckets[b];
+  }
+  count += other.count;
+  sum += other.sum;
 }
 
 u64 HistogramSnapshot::percentile(double p) const {
@@ -189,23 +198,85 @@ std::string json_escape(std::string_view s) {
   return out;
 }
 
+// Whether `id` is one instance_prefix() issued for a kind with `issued`
+// instances. Ids print without leading zeros, so "07" never was.
+bool issued_id(std::string_view id, u64 issued) {
+  if (id.empty() || (id.size() > 1 && id[0] == '0')) {
+    return false;
+  }
+  u64 v = 0;
+  auto [end, ec] = std::from_chars(id.data(), id.data() + id.size(), v);
+  return ec == std::errc{} && end == id.data() + id.size() && v < issued;
+}
+
+// The family of `name`: "bsc17/attempts" -> "bsc/attempts" when `issued`
+// (kind -> instances, as instance_prefix() counts them) shows "bsc17/" was
+// issued. The longest kind wins: with kinds vc_reg and vc_reg2, "vc_reg20/x"
+// is vc_reg2's instance 0 unless vc_reg issued 21 instances. Any other name
+// is its own family.
+std::string family_of(std::string_view name,
+                      const std::map<std::string, u64, std::less<>>& issued) {
+  std::string_view kind;
+  usize slash = 0;
+  for (const auto& [k, count] : issued) {
+    if (k.size() <= kind.size() || !name.starts_with(k)) {
+      continue;
+    }
+    usize end = name.find('/', k.size());
+    if (end != std::string_view::npos && issued_id(name.substr(k.size(), end - k.size()), count)) {
+      kind = k;
+      slash = end;
+    }
+  }
+  if (kind.empty()) {
+    return std::string(name);
+  }
+  return std::string(kind) + std::string(name.substr(slash));
+}
+
 }  // namespace
 
 std::string ObsRegistry::json() const {
+  std::map<std::string, u64, std::less<>> issued;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    issued = instance_ids_;
+  }
+  struct CounterFamily {
+    u64 sum = 0;
+    u64 max = 0;
+    u64 instances = 0;
+  };
+  std::map<std::string, CounterFamily> counters;
+  for (const auto& [name, value] : counters_snapshot()) {
+    CounterFamily& f = counters[family_of(name, issued)];
+    f.sum += value;
+    f.max = std::max(f.max, value);
+    ++f.instances;
+  }
+  std::map<std::string, std::pair<HistogramSnapshot, u64>> histograms;
+  for (const auto& [name, snap] : histograms_snapshot()) {
+    auto& [merged, instances] = histograms[family_of(name, issued)];
+    merged.merge(snap);
+    ++instances;
+  }
+
   std::ostringstream os;
   os << "{\"counters\":{";
   bool first = true;
-  for (const auto& [name, value] : counters_snapshot()) {
-    os << (first ? "" : ",") << "\"" << json_escape(name) << "\":" << value;
+  for (const auto& [name, f] : counters) {
+    os << (first ? "" : ",") << "\"" << json_escape(name) << "\":{\"sum\":" << f.sum
+       << ",\"max\":" << f.max << ",\"instances\":" << f.instances << "}";
     first = false;
   }
   os << "},\"histograms\":{";
   first = true;
-  for (const auto& [name, snap] : histograms_snapshot()) {
+  for (const auto& [name, h] : histograms) {
+    const auto& [snap, instances] = h;
     os << (first ? "" : ",") << "\"" << json_escape(name) << "\":{"
        << "\"count\":" << snap.count << ",\"sum\":" << snap.sum
        << ",\"mean\":" << snap.mean() << ",\"p50\":" << snap.percentile(50.0)
-       << ",\"p99\":" << snap.percentile(99.0) << "}";
+       << ",\"p99\":" << snap.percentile(99.0) << ",\"instances\":" << instances << "}";
     first = false;
   }
   os << "},\"spans\":{\"recorded\":" << tracer_.recorded()

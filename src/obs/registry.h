@@ -48,10 +48,14 @@ class ObsRegistry {
   std::vector<std::pair<std::string, u64>> counters_snapshot() const;
   std::vector<std::pair<std::string, HistogramSnapshot>> histograms_snapshot() const;
 
-  // The whole registry as one JSON object:
-  //   {"counters":{...},"histograms":{name:{count,sum,mean,p50,p99,max_bucket}},
+  // The whole registry as one JSON object, rolled up per metric family:
+  //   {"counters":{family:{sum,max,instances}},
+  //    "histograms":{family:{count,sum,mean,p50,p99,instances}},
   //    "spans":{"recorded":n,"dropped":n,"sites":{name:count}}}
-  // Wired into every BENCH_*.json via bench/bench_json.h.
+  // Every instance's "bsc17/attempts" folds into "bsc/attempts"; histograms
+  // merge bucket by bucket. A benchmark that builds thousands of instances
+  // still writes one entry per family. Wired into every BENCH_*.json via
+  // bench/bench_json.h; counters_snapshot() keeps the per-instance names.
   std::string json() const;
 
  private:

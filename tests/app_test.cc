@@ -1,13 +1,18 @@
 // Block-store application tests: node semantics, wire protocol, client
-// retries, crash recovery and replication.
+// retries, the client's non-blocking core, crash recovery and replication.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <memory>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "src/app/anti_entropy.h"
 #include "src/app/blockstore.h"
 #include "src/base/fault.h"
 #include "src/base/rng.h"
+#include "src/base/serde.h"
 #include "src/kernel/kernel.h"
 #include "src/kernel/syscall.h"
 
@@ -571,6 +576,304 @@ TEST(RetryPolicyTest, FailoverStickinessResumesOnLastGoodTarget) {
   EXPECT_EQ(n1.get("k").value(), bytes("v3"));
 }
 
+// --- The non-blocking client core --------------------------------------------
+
+// Three library clients interleaved through start()/poll() on one thread,
+// over one 3-node cluster, each on keys of its own. Mid-run the client host
+// loses its link to one node: ops whose primary it is time out inside
+// poll() and fail over to the key's other owner, and the link heals later.
+// Every reply is checked against a model of the acked writes.
+TEST(BlockStoreClientCoreTest, InterleavedClientsFailOverInsidePoll) {
+  Network net;
+  std::vector<std::unique_ptr<Host>> hosts;
+  std::vector<std::unique_ptr<BlockStoreNode>> nodes;
+  ClusterView view;
+  view.ring = PlacementRing(16);
+  view.replication = 2;
+  for (usize i = 0; i < 3; ++i) {
+    hosts.push_back(std::make_unique<Host>(&net));
+  }
+  for (usize i = 0; i < 3; ++i) {
+    nodes.push_back(std::make_unique<BlockStoreNode>(
+        hosts[i]->sys, 7000, std::vector<BsPeer>{}, [&nodes, i] {
+          for (usize j = 0; j < nodes.size(); ++j) {
+            if (j != i) {
+              nodes[j]->serve_once();
+            }
+          }
+        }));
+    ASSERT_TRUE(nodes[i]->init().ok());
+    view.ring.add_node(static_cast<BsNodeId>(i));
+    view.directory[static_cast<BsNodeId>(i)] = BsPeer{hosts[i]->kernel.net_addr(), 7000};
+  }
+  for (usize i = 0; i < 3; ++i) {
+    ClusterConfig cc;
+    cc.self = static_cast<BsNodeId>(i);
+    nodes[i]->configure_cluster(cc, view);
+  }
+
+  Host client_host(&net);
+  RetryPolicy policy;
+  policy.max_attempts = 64;
+  policy.polls_per_attempt = 24;
+  constexpr usize kClients = 3;
+  constexpr usize kKeysPerClient = 4;
+  constexpr usize kOpsPerClient = 60;
+  struct Script {
+    Rng rng{0};
+    usize done = 0;
+    bool in_op = false;
+    BsOp op = BsOp::kGet;
+    std::string key;
+    std::vector<u8> value;
+  };
+  std::vector<std::unique_ptr<BlockStoreClient>> clients;
+  std::vector<Script> scripts(kClients);
+  for (usize c = 0; c < kClients; ++c) {
+    clients.push_back(std::make_unique<BlockStoreClient>(
+        client_host.sys, view.directory.at(0).addr, 7000, std::function<void()>{}, policy));
+    clients.back()->set_cluster(view);
+    scripts[c].rng = Rng(0xC0DE + c);
+  }
+  std::map<std::string, std::vector<u8>> model;
+  // The cut node is the primary of client 0's first key, so that key's ops
+  // must fail over while the link is down.
+  BsNodeId cut = view.owners("c0-k0").front();
+  LinkAddr client_addr = client_host.kernel.net_addr();
+  LinkAddr cut_addr = hosts[cut]->kernel.net_addr();
+
+  usize finished = 0;
+  usize cut_step = 0;  // when the link went down
+  usize step = 1;
+  for (; step < 20'000 && finished < kClients * kOpsPerClient; ++step) {
+    if (cut_step == 0 && finished >= 40) {
+      net.partition(client_addr, cut_addr);
+      cut_step = step;
+    }
+    if (cut_step != 0 && step == cut_step + 400) {
+      net.heal(client_addr, cut_addr);
+    }
+    for (auto& node : nodes) {
+      node->serve_once();
+    }
+    for (auto& h : hosts) {
+      h->kernel.vtp().tick();
+    }
+    client_host.kernel.vtp().tick();
+    for (usize c = 0; c < kClients; ++c) {
+      Script& s = scripts[c];
+      BlockStoreClient& client = *clients[c];
+      if (!s.in_op) {
+        if (s.done == kOpsPerClient) {
+          continue;
+        }
+        u64 roll = s.rng.next_below(10);
+        s.op = roll < 5 ? BsOp::kPut : roll < 8 ? BsOp::kGet : BsOp::kDel;
+        s.key = "c" + std::to_string(c) + "-k" + std::to_string(s.rng.next_below(kKeysPerClient));
+        s.value.assign(1 + s.rng.next_below(64), static_cast<u8>(s.rng.next_u64()));
+        ASSERT_TRUE(client.start(s.op, s.key, s.value).ok());
+        s.in_op = true;
+        continue;
+      }
+      std::optional<Result<BsReply>> reply = client.poll();
+      if (!reply) {
+        continue;
+      }
+      s.in_op = false;
+      ++s.done;
+      ++finished;
+      SCOPED_TRACE("client " + std::to_string(c) + " op " + std::to_string(s.done) + " on " +
+                   s.key + " at step " + std::to_string(step));
+      auto it = model.find(s.key);
+      switch (s.op) {
+        case BsOp::kPut:
+          ASSERT_TRUE(reply->ok()) << error_name(reply->error());
+          model[s.key] = s.value;
+          break;
+        case BsOp::kDel:
+          ASSERT_TRUE(reply->ok()) << error_name(reply->error());
+          model.erase(s.key);
+          break;
+        default:
+          if (it == model.end()) {
+            ASSERT_FALSE(reply->ok());
+            EXPECT_EQ(reply->error(), ErrorCode::kNotFound);
+          } else {
+            ASSERT_TRUE(reply->ok()) << error_name(reply->error());
+            EXPECT_EQ(reply->value().value, it->second);
+          }
+          break;
+      }
+      EXPECT_FALSE(client.waiting());
+      EXPECT_EQ(client.poll(), std::nullopt);  // nothing in flight any more
+    }
+  }
+  ASSERT_EQ(finished, kClients * kOpsPerClient);
+  EXPECT_GT(step, cut_step + 400);  // the link healed mid-run
+  u64 failovers = 0;
+  for (const auto& client : clients) {
+    failovers += client->retry_stats().failovers;
+  }
+  EXPECT_GT(failovers, 0u);  // the cut forced ops onto their other owner
+}
+
+// One op in flight per client object: a second start() is refused with
+// kBusy before it builds, stamps or sends anything.
+TEST(BlockStoreClientCoreTest, StartWhileInFlightIsBusyAndSendsNothing) {
+  Network net;
+  Host server(&net);
+  Host client_host(&net);
+  BlockStoreNode node(server.sys, 7000);
+  ASSERT_TRUE(node.init().ok());
+  BlockStoreClient client(client_host.sys, server.kernel.net_addr(), 7000, {});
+  auto run = [&]() -> Result<BsReply> {
+    for (;;) {
+      node.serve_once();
+      tick(server, client_host);
+      if (auto reply = client.poll()) {
+        return std::move(*reply);
+      }
+    }
+  };
+
+  EXPECT_EQ(client.poll(), std::nullopt);  // idle: nothing to advance
+  ASSERT_TRUE(client.start(BsOp::kPut, "k", bytes("v")).ok());
+  u64 stamp = client.last_write_seq();
+  EXPECT_EQ(client.start(BsOp::kDel, "k").error(), ErrorCode::kBusy);
+  EXPECT_EQ(client.start(BsOp::kGet, "k").error(), ErrorCode::kBusy);
+  EXPECT_EQ(client.last_write_seq(), stamp);  // the refused del took no stamp
+  EXPECT_EQ(client.retry_stats().attempts, 1u);
+  EXPECT_TRUE(client.waiting());
+  ASSERT_TRUE(run().ok());
+  for (int i = 0; i < 8; ++i) {  // anything still in the stream gets served
+    node.serve_once();
+    tick(server, client_host);
+  }
+  EXPECT_EQ(node.stats().puts, 1u);
+  EXPECT_EQ(node.stats().dels, 0u);
+  EXPECT_EQ(node.stats().gets, 0u);
+
+  // Once poll() has returned the reply, the client takes the next op.
+  ASSERT_TRUE(client.start(BsOp::kGet, "k").ok());
+  auto got = run();
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(got.value().value, bytes("v"));
+  EXPECT_EQ(client.retry_stats().attempts, 2u);
+}
+
+// Every blocking op is start() plus a pump-and-poll loop inside one bs/rpc
+// span, however many attempts it takes: the put here first times out on a
+// target that never answers, then fails over.
+TEST(BlockStoreClientCoreTest, EachBlockingOpRecordsOneRpcSpan) {
+  Network net;
+  Host dead(&net);  // on the fabric, nothing serves
+  Host server(&net);
+  Host client_host(&net);
+  BlockStoreNode node(server.sys, 7000);
+  ASSERT_TRUE(node.init().ok());
+  RetryPolicy policy;
+  policy.polls_per_attempt = 8;
+  BlockStoreClient client(
+      client_host.sys, dead.kernel.net_addr(), 7000,
+      [&] {
+        node.serve_once();
+        tick(dead, server, client_host);
+      },
+      policy);
+  client.add_failover(server.kernel.net_addr(), 7000);
+
+  SpanTracer& tracer = ObsRegistry::global().tracer();
+  const u32 rpc_site = tracer.intern_site("bs/rpc");
+  tracer.clear();
+  tracer.set_enabled(true);
+  ASSERT_TRUE(client.put("k", bytes("v")).ok());
+  ASSERT_TRUE(client.get("k").ok());
+  ASSERT_TRUE(client.get_with_seq("k").ok());
+  EXPECT_EQ(client.get("missing").error(), ErrorCode::kNotFound);
+  ASSERT_TRUE(client.del("k").ok());
+  ASSERT_TRUE(client.ping().ok());
+  ASSERT_TRUE(client.list().ok());
+  tracer.set_enabled(false);
+  EXPECT_GT(client.retry_stats().failovers, 0u);
+
+  usize rpc_spans = 0;
+  for (const SpanEvent& ev : tracer.spans()) {
+    rpc_spans += ev.site == rpc_site ? 1 : 0;
+  }
+  EXPECT_EQ(tracer.dropped(), 0u);
+  EXPECT_EQ(rpc_spans, kMetricsEnabled ? 7u : 0u);
+  tracer.clear();
+}
+
+// A kList reply whose count claims more entries than its bytes can hold is
+// kCorrupted: the count is checked against the payload before it sizes any
+// allocation (0xFFFFFFFF entries would ask for about 240 GB).
+TEST(BlockStoreClientCoreTest, ListRefusesACountThePayloadCannotHold) {
+  Network net;
+  Host server(&net);  // a hand-written server that answers every request
+  Host client_host(&net);
+  auto listener = server.sys.vtp_listen(7000, 4);
+  ASSERT_TRUE(listener.ok());
+  Fd conn = kInvalidFd;
+  std::vector<u8> inbuf;
+  std::vector<u8> inventory;  // the crafted kList payload
+  auto pump = [&] {
+    tick(server, client_host);
+    if (conn == kInvalidFd) {
+      auto accepted = server.sys.vtp_accept(listener.value());
+      conn = accepted.ok() ? accepted.value() : kInvalidFd;
+      return;
+    }
+    auto got = server.sys.vtp_recv(conn, 4096);
+    if (got.ok()) {
+      inbuf.insert(inbuf.end(), got.value().begin(), got.value().end());
+    }
+    Reader r(inbuf);
+    auto len = r.get_u32();
+    auto op = r.get_u8();
+    auto req_id = r.get_u64();
+    if (!len || !op || !req_id || inbuf.size() < 4 + *len) {
+      return;
+    }
+    inbuf.erase(inbuf.begin(), inbuf.begin() + 4 + *len);
+    Writer body;
+    body.put_u64(*req_id);
+    body.put_u32(static_cast<u32>(ErrorCode::kOk));
+    body.put_bytes(inventory);
+    Writer framed;
+    framed.put_u32(static_cast<u32>(body.bytes().size()));
+    framed.put_raw(body.bytes());
+    ASSERT_TRUE(server.sys.vtp_send(conn, framed.bytes()).ok());
+  };
+  RetryPolicy policy;
+  policy.max_attempts = 1;
+  BlockStoreClient client(client_host.sys, server.kernel.net_addr(), 7000, pump, policy);
+
+  Writer huge;
+  huge.put_u32(0xFFFF'FFFFu);
+  inventory = huge.take();
+  EXPECT_EQ(client.list().error(), ErrorCode::kCorrupted);
+
+  Writer one_short;  // one entry claimed, one byte short of the smallest
+  one_short.put_u32(1);
+  one_short.put_raw(std::vector<u8>(16, 0));
+  inventory = one_short.take();
+  EXPECT_EQ(client.list().error(), ErrorCode::kCorrupted);
+
+  Writer two;
+  two.put_u32(2);
+  for (const BlockKeyInfo& e : {BlockKeyInfo{"a", 7, 3, false}, BlockKeyInfo{"b", 0, 9, true}}) {
+    two.put_string(e.key);
+    two.put_u32(e.crc);
+    two.put_u64(e.seq);
+    two.put_u8(e.tombstone ? 1 : 0);
+  }
+  inventory = two.take();
+  auto listed = client.list();
+  ASSERT_TRUE(listed.ok());
+  EXPECT_EQ(listed.value(), (std::vector<BlockKeyInfo>{{"a", 7, 3, false}, {"b", 0, 9, true}}));
+}
+
 // A serve_delay latency fault stalls the node (the request stays queued in
 // its stream — nothing is lost) and the client's retry budget rides it out.
 TEST(BlockStoreFaultTest, LatencyFaultStallsServeWithoutLoss) {
@@ -849,6 +1152,73 @@ TEST(AntiEntropyTest, FullInventoryBaselineConvergesThroughSameAccounting) {
 }
 
 // --- Hinted-handoff bound --------------------------------------------------
+
+// A peer whose Merkle leaf or full-inventory reply claims 0xFFFFFFFF
+// entries gets kCorrupted from both repair paths: the count is checked
+// against the payload before it sizes any allocation. The fake peer's
+// Merkle nodes differ from the local (empty) tree only along the path to
+// leaf 0, so the descent asks for exactly that leaf.
+TEST(AntiEntropyTest, RepairRefusesACountThePayloadCannotHold) {
+  Network net;
+  Host node_host(&net);
+  Host peer_host(&net);  // a hand-written peer: one datagram socket
+  BlockStoreNode node(node_host.sys, 7000);
+  ASSERT_TRUE(node.init().ok());
+  auto sock = peer_host.sys.udp_socket();
+  ASSERT_TRUE(sock.ok());
+  ASSERT_TRUE(peer_host.sys.udp_bind(sock.value(), 7001).ok());
+
+  const MerkleTree local = MerkleTree::build(node.list());
+  const usize leaf0 = MerkleTree::kFirstLeaf;
+  auto on_path = [&](usize idx) {
+    for (usize n = leaf0;; n = (n - 1) / MerkleTree::kFanout) {
+      if (n == idx) {
+        return true;
+      }
+      if (n == 0) {
+        return false;
+      }
+    }
+  };
+  Writer huge;
+  huge.put_u32(0xFFFF'FFFFu);
+  const std::vector<u8> huge_count = huge.take();
+  auto pump = [&] {
+    auto d = peer_host.sys.udp_recvfrom(sock.value());
+    if (!d.ok()) {
+      return;
+    }
+    Reader r(d.value().payload);
+    auto op = r.get_u8();
+    auto req_id = r.get_u64();
+    auto key = r.get_string();
+    ASSERT_TRUE(op && req_id && key);
+    std::vector<u8> payload = huge_count;  // kList and kMerkleLeaf
+    if (static_cast<BsOp>(*op) == BsOp::kMerkleNode) {
+      usize idx = r.get_u32().value_or(0);
+      Writer w;
+      w.put_u32(local.hash[idx] ^ (on_path(idx) ? 1u : 0u));
+      w.put_u32(static_cast<u32>(MerkleTree::kFanout));
+      for (usize c = 0; c < MerkleTree::kFanout; ++c) {
+        usize child = idx * MerkleTree::kFanout + 1 + c;
+        w.put_u32(local.hash[child] ^ (on_path(child) ? 1u : 0u));
+      }
+      payload = w.take();
+    }
+    Writer reply;
+    reply.put_u64(*req_id);
+    reply.put_u32(static_cast<u32>(ErrorCode::kOk));
+    reply.put_bytes(payload);
+    ASSERT_TRUE(peer_host.sys
+                    .udp_sendto(sock.value(), d.value().src_addr, d.value().src_port,
+                                reply.bytes())
+                    .ok());
+  };
+  AntiEntropyScheduler sched(node_host.sys, node, pump);
+  BsPeer peer{peer_host.kernel.net_addr(), 7001};
+  EXPECT_EQ(sched.sync_with(peer).error(), ErrorCode::kCorrupted);
+  EXPECT_EQ(sched.sync_full(peer).error(), ErrorCode::kCorrupted);
+}
 
 TEST(HintCapTest, PerPeerCapDropsOldestHint) {
   Network net;

@@ -153,6 +153,45 @@ TEST(ObsRegistryTest, LookupIsStableAndPrefixed) {
   EXPECT_NE(json.find("test/lookup_stable"), std::string::npos);
 }
 
+// json() writes one entry per metric family: each instance's counter folds
+// into "<kind>/<name>" with its sum, max and instance count, and histograms
+// merge bucket by bucket. A name whose prefix instance_prefix() never
+// issued is its own family.
+TEST(ObsRegistryTest, JsonRollsUpInstancesPerFamily) {
+  auto& reg = ObsRegistry::global();
+  std::string p0 = reg.instance_prefix("famtest");
+  std::string p1 = reg.instance_prefix("famtest");
+  reg.counter(p0 + "ops").add(3);
+  reg.counter(p1 + "ops").add(5);
+  reg.counter("famtest7/ops").add(11);  // only instances 0 and 1 were issued
+  reg.counter("famtest01/ops").add(2);  // ids print without leading zeros
+  reg.histogram(p0 + "lat").record(1);
+  reg.histogram(p1 + "lat").record(1);
+  reg.histogram(p1 + "lat").record(100);
+
+  std::string json = reg.json();
+  auto entry = [&](const std::string& family) {
+    usize at = json.find("\"" + family + "\":{");
+    return at == std::string::npos ? std::string() : json.substr(at, json.find('}', at) - at + 1);
+  };
+  const u64 on = kMetricsEnabled ? 1 : 0;
+  EXPECT_EQ(entry("famtest/ops"), "\"famtest/ops\":{\"sum\":" + std::to_string(8 * on) +
+                                      ",\"max\":" + std::to_string(5 * on) +
+                                      ",\"instances\":2}");
+  EXPECT_EQ(entry("famtest7/ops"), "\"famtest7/ops\":{\"sum\":" + std::to_string(11 * on) +
+                                       ",\"max\":" + std::to_string(11 * on) +
+                                       ",\"instances\":1}");
+  EXPECT_NE(entry("famtest01/ops"), "");
+  std::string lat = entry("famtest/lat");
+  EXPECT_NE(lat.find("\"count\":" + std::to_string(3 * on) + ",\"sum\":" +
+                     std::to_string(102 * on) + ","),
+            std::string::npos)
+      << lat;
+  EXPECT_NE(lat.find("\"instances\":2}"), std::string::npos) << lat;
+  EXPECT_EQ(json.find(p0), std::string::npos);
+  EXPECT_EQ(json.find(p1), std::string::npos);
+}
+
 TEST(KstatTest, ReadsKernelCountersThroughSyscall) {
   Kernel kernel;
   SyscallDispatcher disp(kernel);
