@@ -128,32 +128,25 @@ SweepPoint run_sweep(const SweepConfig& cfg, usize num_clients, bool gated) {
   Network net;
   std::vector<std::unique_ptr<Host>> hosts;
   std::vector<std::unique_ptr<BlockStoreNode>> nodes;
-  ClusterView view;
-  view.ring = PlacementRing(32);
-  view.replication = cfg.replication;
+  std::vector<BsPeer> members;
   for (usize i = 0; i < cfg.nodes; ++i) {
     hosts.push_back(std::make_unique<Host>(&net));
+    members.push_back(BsPeer{hosts[i]->kernel.net_addr(), kPort});
   }
   for (usize i = 0; i < cfg.nodes; ++i) {
     nodes.push_back(std::make_unique<BlockStoreNode>(
-        hosts[i]->sys, kPort, std::vector<BsPeer>{},
-        [&nodes, i] {
+        hosts[i]->sys, kPort, std::vector<BsPeer>{}, [&nodes, i] {
           for (usize j = 0; j < nodes.size(); ++j) {
             if (j != i) {
               nodes[j]->serve_once();
             }
           }
-        },
-        std::string{}, BsTransport::kVtp));
+        }));
     VNROS_CHECK(nodes[i]->init().ok());
-    view.ring.add_node(static_cast<BsNodeId>(i));
-    view.directory[static_cast<BsNodeId>(i)] =
-        BsPeer{hosts[i]->kernel.net_addr(), kPort};
   }
+  const ClusterView view = ClusterView::of(members, cfg.replication);
   for (usize i = 0; i < cfg.nodes; ++i) {
-    ClusterConfig cc;
-    cc.self = static_cast<BsNodeId>(i);
-    nodes[i]->configure_cluster(cc, view);
+    nodes[i]->configure_cluster({.self = static_cast<BsNodeId>(i)}, view);
   }
 
   // Preload the key universe (ungated, local API) so reads hit.

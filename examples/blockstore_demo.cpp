@@ -1,12 +1,13 @@
 // The paper's motivating application, end to end: a distributed block store
 // (GFS/S3-style) whose storage nodes run purely on the verified OS contract.
 //
-// Three simulated machines share a lossy network fabric: a primary storage
-// node with one replica peer, and a client. The client stores objects over
-// a VTP stream, the primary journals them durably and pushes them to the
-// replica over datagrams; then the
-// primary's disk suffers a power failure and a rebooted kernel recovers
-// every acknowledged object from the journal.
+// Three simulated machines share a lossy network fabric: two storage nodes
+// that form one ring (every key on both), and a client. The client stores
+// objects over a VTP stream through the primary, which journals each one
+// durably and pushes it to the replica over datagrams, parking a hint when
+// the lossy fabric eats the push or its ack; then the primary's disk
+// suffers a power failure and a rebooted kernel recovers every
+// acknowledged object from the journal.
 //
 //   ./build/examples/blockstore_demo
 #include <cstdio>
@@ -66,9 +67,14 @@ int main() {
 
   BlockStoreNode replica(replica_host.sys, 9001);
   VNROS_CHECK(replica.init().ok());
-  auto* node = new BlockStoreNode(primary->sys, 9000,
-                                  {BsPeer{replica_host.kernel.net_addr(), 9001}});
+  // The primary's pump serves the replica while a push waits for its ack.
+  auto* node = new BlockStoreNode(primary->sys, 9000, {}, [&] { replica.serve_once(); });
   VNROS_CHECK(node->init().ok());
+  ClusterView ring = ClusterView::of(
+      {BsPeer{primary->kernel.net_addr(), 9000}, BsPeer{replica_host.kernel.net_addr(), 9001}},
+      2);
+  node->configure_cluster({.self = 0}, ring);
+  replica.configure_cluster({.self = 1}, ring);
 
   BlockStoreClient client(client_host.sys, primary->kernel.net_addr(), 9000, [&] {
     node->serve_once();
@@ -90,8 +96,8 @@ int main() {
               primary->kernel.vtp().stats().retransmits +
                   client_host.kernel.vtp().stats().retransmits,
               client.retries());
-  std::printf("  primary stats: %lu puts, %lu replica pushes\n", node->stats().puts,
-              node->stats().replicas_pushed);
+  std::printf("  primary stats: %lu puts, %lu replica pushes, %lu hints parked\n",
+              node->stats().puts, node->stats().replicas_pushed, node->stats().hints_written);
 
   auto got = client.get("object-3");
   VNROS_CHECK(got.ok());
@@ -99,12 +105,13 @@ int main() {
               std::string(got.value().begin(), got.value().end()).c_str());
 
   // --- replica caught up ------------------------------------------------------
-  for (int i = 0; i < 64; ++i) {
-    node->serve_once();
-    replica.serve_once();
+  // A put whose push went unacked left a hint on the primary; delivering it
+  // is one more acked push.
+  for (int round = 0; round < 8 && replica.view().size() < 8; ++round) {
+    (void)node->deliver_hints();
   }
-  std::printf("  replica now holds %zu objects (pushed asynchronously)\n",
-              replica.view().size());
+  std::printf("  replica holds %zu objects (%lu parked hints delivered)\n",
+              replica.view().size(), node->stats().hints_delivered);
 
   // --- power failure on the primary --------------------------------------------
   std::printf("\npower failure on the primary: volatile disk cache lost...\n");

@@ -45,9 +45,6 @@ AntiEntropyScheduler::AntiEntropyScheduler(Sys& sys, BlockStoreNode& node,
 
 void AntiEntropyScheduler::tick() {
   ++now_;
-  if (!node_.clustered()) {
-    return;
-  }
   for (const auto& [id, peer] : node_.cluster_view().directory) {
     if (id == node_.self_id()) {
       continue;

@@ -1,15 +1,17 @@
 // Merkle-tree anti-entropy: background repair whose bandwidth scales with
 // *divergence*, not keyspace.
 //
-// The PR 7 full-inventory sync (BlockStoreClient::sync_into) ships every
-// (key, crc, seq) a replica holds on every pass — O(keyspace) wire bytes even
-// when the replicas already agree. This module replaces it as the background
-// repair path: each node summarizes its inventory as a fixed-shape hash tree
-// over key -> (seq, tombstone); two replicas exchange the tree top-down and
-// only descend into subtrees whose hashes differ, so an in-sync pair costs
-// one root exchange and a 1%-divergent pair costs O(log + divergent keys).
-// The old full-inventory sync is kept as the ablation baseline
-// (bench/ablate_anti_entropy measures both through the same byte accounting).
+// A full-inventory sync ships every (key, crc, seq) a replica holds on every
+// pass — O(keyspace) wire bytes even when the replicas already agree. The
+// Merkle exchange is the background repair path instead: each node
+// summarizes its inventory as a fixed-shape hash tree over
+// key -> (seq, tombstone); two replicas exchange the tree top-down and only
+// descend into subtrees whose hashes differ, so an in-sync pair costs one
+// root exchange and a 1%-divergent pair costs O(log + divergent keys).
+// AntiEntropyScheduler::sync_full is the one full-inventory path: the
+// Merkle ablation's baseline (bench/ablate_anti_entropy measures both
+// through the same byte accounting), reconciling key by key exactly as the
+// Merkle leaves do.
 //
 // Repair is subordinate to foreground traffic by construction:
 //   - every pass runs under a token budget (one token per RPC); an exhausted
@@ -114,9 +116,12 @@ class AntiEntropyScheduler {
   // made; the next pass continues), kOverloaded = peer is shedding (yield).
   Result<Unit> sync_with(const BsPeer& peer);
 
-  // Full-inventory exchange (the pre-Merkle PR 7 strategy) through the SAME
-  // rpc layer and byte accounting — the ablation baseline differs only in
-  // what goes over the wire, never in how it is measured.
+  // Full-inventory exchange through the SAME rpc layer, reconcile step and
+  // byte accounting as sync_with: one kList, then every key whose sequence
+  // differs is pulled (peer newer) or pushed (local newer). Equal sequences
+  // count as converged, as they do in the Merkle leaves. The ablation
+  // baseline differs only in what goes over the wire, never in how it is
+  // measured or applied.
   Result<Unit> sync_full(const BsPeer& peer);
 
   const RepairStats& stats() const { return stats_; }

@@ -278,25 +278,26 @@ VcOutcome vc_replication_push() {
   if (!replica.init().ok()) {
     return VcOutcome::fail("replica init failed");
   }
-  BlockStoreNode primary(primary_host.sys, 9000,
-                         {BsPeer{replica_host.kernel.net_addr(), 9001}});
+  BlockStoreNode primary(primary_host.sys, 9000, {}, [&] { replica.serve_once(); });
   if (!primary.init().ok()) {
     return VcOutcome::fail("primary init failed");
   }
+  ClusterView view = ClusterView::of(
+      {BsPeer{primary_host.kernel.net_addr(), 9000}, BsPeer{replica_host.kernel.net_addr(), 9001}},
+      2);
+  primary.configure_cluster({.self = 0}, view);
+  replica.configure_cluster({.self = 1}, view);
   BlockStoreClient client(client_host.sys, primary_host.kernel.net_addr(), 9000, [&] {
     primary.serve_once();
     replica.serve_once();
     tick(primary_host, replica_host, client_host);
   });
 
+  // The primary acks the put only after the replica acked its push, so the
+  // replica holds the block as soon as the client sees the ack.
   std::vector<u8> value{7, 7, 7, 7};
   if (!client.put("replicated", value).ok()) {
     return VcOutcome::fail("put failed");
-  }
-  // Drain any pending replication pushes.
-  for (int i = 0; i < 32; ++i) {
-    primary.serve_once();
-    replica.serve_once();
   }
   auto got = replica.get("replicated");
   if (!got.ok() || got.value() != value) {
@@ -304,6 +305,9 @@ VcOutcome vc_replication_push() {
   }
   if (primary.stats().replicas_pushed == 0 || replica.stats().replicas_applied == 0) {
     return VcOutcome::fail("replication counters not advanced");
+  }
+  if (primary.stats().hints_written != 0) {
+    return VcOutcome::fail("the push was hinted instead of acked");
   }
   return VcOutcome::pass();
 }
@@ -371,17 +375,23 @@ VcOutcome vc_view_matches_after_churn(u64 seed) {
 }
 
 
-// Anti-entropy: a replica that missed pushes (or rotted a block) converges
-// to the primary after one sync pass, and a second pass repairs nothing.
+// Anti-entropy: a replica that missed writes (and holds an older copy of
+// one block) converges to the primary after one full-inventory pass run by
+// its own scheduler, and a second pass pulls nothing.
 VcOutcome vc_anti_entropy_sync(u64 seed) {
   Network net;
   Host primary_host(&net);
   Host replica_host(&net);
-  Host syncer_host(&net);
-  BlockStoreNode primary(primary_host.sys, 9000);  // no push peers: replica starts stale
+  BlockStoreNode primary(primary_host.sys, 9000);  // unconfigured: replicates to no one
   BlockStoreNode replica(replica_host.sys, 9001);
   if (!primary.init().ok() || !replica.init().ok()) {
     return VcOutcome::fail("init failed");
+  }
+  // Both start with blk3's first write; the replica misses the overwrite
+  // below, so its copy is older by sequence.
+  if (!primary.put("blk3", std::vector<u8>{0x0}).ok() ||
+      !replica.put("blk3", std::vector<u8>{0x0}).ok()) {
+    return VcOutcome::fail("stale put failed");
   }
   Rng rng(seed);
   for (int i = 0; i < 12; ++i) {
@@ -390,27 +400,21 @@ VcOutcome vc_anti_entropy_sync(u64 seed) {
       return VcOutcome::fail("put failed");
     }
   }
-  // Give the replica one stale block (old checksum must be repaired too).
-  if (!replica.put("blk3", std::vector<u8>{0x0}).ok()) {
-    return VcOutcome::fail("stale put failed");
+  AntiEntropyScheduler ae(replica_host.sys, replica, [&] { primary.serve_once(); });
+  const BsPeer peer{primary_host.kernel.net_addr(), 9000};
+  auto synced = ae.sync_full(peer);
+  if (!synced.ok()) {
+    return VcOutcome::fail("sync failed: " + std::string(error_name(synced.error())));
   }
-  BlockStoreClient syncer(syncer_host.sys, primary_host.kernel.net_addr(), 9000, [&] {
-    primary.serve_once();
-    tick(primary_host, syncer_host);
-  });
-  auto repaired = syncer.sync_into(replica);
-  if (!repaired.ok()) {
-    return VcOutcome::fail("sync failed: " + std::string(error_name(repaired.error())));
-  }
-  if (repaired.value() != 12) {
-    return VcOutcome::fail("expected 12 repairs (11 missing + 1 divergent), got " +
-                           std::to_string(repaired.value()));
+  if (ae.stats().pulled != 12 || ae.stats().pushed != 0) {
+    return VcOutcome::fail("expected 12 pulls (11 missing + 1 older), got " +
+                           std::to_string(ae.stats().pulled) + " pulls and " +
+                           std::to_string(ae.stats().pushed) + " pushes");
   }
   if (replica.view() != primary.view()) {
     return VcOutcome::fail("replica did not converge to the primary");
   }
-  auto second = syncer.sync_into(replica);
-  if (!second.ok() || second.value() != 0) {
+  if (!ae.sync_full(peer).ok() || ae.stats().pulled != 12) {
     return VcOutcome::fail("second sync pass was not a no-op");
   }
   return VcOutcome::pass();
@@ -428,17 +432,19 @@ VcOutcome vc_read_repair() {
   if (!replica.init().ok()) {
     return VcOutcome::fail("replica init failed");
   }
-  std::vector<BsPeer> peers{BsPeer{replica_host.kernel.net_addr(), 9001}};
-  BlockStoreNode primary(primary_host.sys, 9000, peers, [&] { replica.serve_once(); });
+  BlockStoreNode primary(primary_host.sys, 9000, {}, [&] { replica.serve_once(); });
   if (!primary.init().ok()) {
     return VcOutcome::fail("primary init failed");
   }
+  ClusterView view = ClusterView::of(
+      {BsPeer{primary_host.kernel.net_addr(), 9000}, BsPeer{replica_host.kernel.net_addr(), 9001}},
+      2);
+  primary.configure_cluster({.self = 0}, view);
+  replica.configure_cluster({.self = 1}, view);
 
   std::vector<u8> value(300, 0x42);
   if (!primary.put("blk", value).ok()) {
     return VcOutcome::fail("put failed");
-  }
-  while (replica.serve_once()) {  // drain the replication push
   }
   if (replica.get("blk").error() != ErrorCode::kOk) {
     return VcOutcome::fail("replication push did not reach the replica");

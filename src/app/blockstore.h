@@ -18,10 +18,14 @@
 //   get(k):     returns the last acknowledged put, kNotFound if none,
 //               kCorrupted (never garbage) if storage bits rotted;
 //   del(k):     ack  =>  get(k) returns kNotFound.
+// A request body is bounded by kVtpConnBufMax (1 MiB): a put's key and
+// value together may hold at most 1 MiB less 25 bytes of request header,
+// and the client refuses a larger put with kInvalidArgument.
 //
-// Replication: a put to the primary is forwarded to its peers (best-effort
-// push in the static-peer configuration; acked pushes to the ring owner set
-// with hinted handoff in cluster mode — see ClusterView below).
+// Replication: a put (or sequenced delete) on its coordinator is pushed,
+// acked, to the key's other ring owners, and an owner that does not ack gets
+// a parked hint instead (see ClusterView below). A node that was never
+// configured has an empty view and replicates to no one.
 #ifndef VNROS_SRC_APP_BLOCKSTORE_H_
 #define VNROS_SRC_APP_BLOCKSTORE_H_
 
@@ -67,6 +71,13 @@ enum class BsTransport : u8 {
   kVtp = 1,
 };
 
+// Per-connection buffer bound on the client stream plane. A request body
+// ([u32 len][body] on the wire) may not exceed it: the client refuses to
+// send one (kInvalidArgument) and a node closes any stream whose frame
+// header claims more. A node also closes a stream whose unsent reply bytes
+// pass it (a slow consumer).
+inline constexpr usize kVtpConnBufMax = 1 << 20;
+
 // One entry of a kList reply / local inventory: enough to detect a missing
 // or divergent block without shipping its bytes. Tombstones (sequenced
 // deletes) are first-class entries so divergence over deletion is visible.
@@ -103,6 +114,20 @@ struct ClusterView {
 
   std::vector<BsNodeId> owners(std::string_view key) const {
     return ring.owners(key, replication);
+  }
+
+  // A fixed membership: member i is BsNodeId i, reached at members[i], on a
+  // ring of 32 points per member. Each member's node then takes the view
+  // with configure_cluster({.self = i}, view).
+  static ClusterView of(const std::vector<BsPeer>& members, usize replication) {
+    ClusterView v;
+    v.ring = PlacementRing(32);
+    v.replication = replication;
+    for (usize i = 0; i < members.size(); ++i) {
+      v.ring.add_node(static_cast<BsNodeId>(i));
+      v.directory[static_cast<BsNodeId>(i)] = members[i];
+    }
+    return v;
   }
 };
 
@@ -164,15 +189,19 @@ struct BlockStoreStats {
 class BlockStoreNode {
  public:
   // `sys` is this node's (process's) view of its OS. The node binds `port`.
-  // `pump` (optional) advances the simulated world; when set and peers are
-  // configured, a kCorrupted local read triggers read-repair: the block is
-  // fetched from a peer, re-persisted locally, and served instead of the
-  // corruption error. `fault_prefix` (optional) registers a
-  // "<prefix>/serve_delay" latency injection site: when armed with a
-  // FaultSpec whose delay is nonzero, serve_once() stalls for that many
-  // calls before touching its socket — a deterministic slow peer. Clients
-  // reach the node over VTP streams on `port`, peers over datagrams on the
-  // same port number; the trailing BsTransport is ignored.
+  // `pump` (optional) advances the simulated world while the node waits for
+  // another node: a replica push waits for its ack (without a pump the push
+  // is hinted at once), and a kCorrupted local read triggers read-repair —
+  // the block is fetched from another owner, re-persisted locally, and
+  // served instead of the corruption error. `fault_prefix` (optional)
+  // registers a "<prefix>/serve_delay" latency injection site: when armed
+  // with a FaultSpec whose delay is nonzero, serve_once() stalls for that
+  // many calls before touching its socket — a deterministic slow peer.
+  // Clients reach the node over VTP streams on `port`, peers over datagrams
+  // on the same port number. `peers` must be empty (checked) and the
+  // trailing BsTransport is unread: replication follows the view
+  // configure_cluster installs, and the two parameters stay only so callers
+  // that pass them by position compile.
   BlockStoreNode(Sys& sys, Port port, std::vector<BsPeer> peers = {},
                  std::function<void()> pump = {}, std::string fault_prefix = {},
                  BsTransport = BsTransport::kVtp);
@@ -182,9 +211,10 @@ class BlockStoreNode {
   // filesystem (recovery path).
   Result<Unit> init();
 
-  // Switches the node to cluster mode: placement and replication follow
-  // `view`'s ring instead of the static peer list. Call again after a
-  // reboot to restore the node's belief about the cluster.
+  // Sets the node's identity and its view: placement and replication follow
+  // `view`'s ring. Until the first call the view is empty and the node
+  // replicates to no one. Call again after a reboot to restore the node's
+  // belief about the cluster.
   void configure_cluster(const ClusterConfig& cfg, const ClusterView& view);
 
   // Adopts `next` and moves shards: every intact local block whose owner set
@@ -208,7 +238,6 @@ class BlockStoreNode {
   // after that ack. Returns hints delivered (applied) this pass.
   u64 deliver_hints();
 
-  bool clustered() const { return clustered_; }
   BsNodeId self_id() const { return cluster_.self; }
   const ClusterView& cluster_view() const { return view_; }
   u64 ring_version() const { return view_.ring.version(); }
@@ -241,7 +270,7 @@ class BlockStoreNode {
   Result<Unit> apply_remote(std::string_view key, std::span<const u8> value, u64 seq,
                             bool tombstone, bool* applied = nullptr);
 
-  // Bounded tombstone GC (cluster mode). For up to `max_batch` local
+  // Bounded tombstone GC. For up to `max_batch` local
   // tombstones: every other cluster member must ack the tombstone's
   // sequence (the ack certifies "I durably hold this key at seq >= yours
   // AND hold no older parked hint for it" — the kDelReplica handler drops
@@ -250,10 +279,11 @@ class BlockStoreNode {
   // never resurrect the deleted key. Returns tombstones reclaimed.
   u64 gc_tombstones(usize max_batch = 32);
 
-  // get(), but a kCorrupted local block is repaired from the peer list (if
-  // any) before failing: fetch from a peer over the repair socket, verify,
-  // re-persist locally, return the repaired bytes. This is what serve_once
-  // uses for kGet, so clients never see corruption a peer can cure.
+  // get(), but a kCorrupted local block is repaired from the key's other
+  // owners (if any) before failing: fetch from one over the repair socket,
+  // verify, re-persist locally, return the repaired bytes. This is what
+  // serve_once uses for kGet, so clients never see corruption a peer can
+  // cure.
   Result<std::vector<u8>> get_or_repair(std::string_view key);
 
   // Abstract view: every live (key, bytes) currently stored and intact
@@ -313,11 +343,10 @@ class BlockStoreNode {
   // corrupt (so any incoming write, including a re-pushed seq-0 legacy
   // block, may land).
   u64 local_seq(std::string_view key) const;
-  void push_replicas(std::string_view key, std::span<const u8> value, u64 seq);
   Result<BlockData> fetch_from_peer(const BsPeer& peer, std::string_view key);
   Result<BlockData> get_or_repair_block(std::string_view key);
 
-  // Cluster-mode plumbing.
+  // Replication plumbing.
   void replicate_put(std::string_view key, std::span<const u8> value, u64 seq);
   void replicate_del(std::string_view key, u64 seq);
   // Sends `op` to `peer` over the repair socket and awaits the ack as a ring
@@ -337,8 +366,7 @@ class BlockStoreNode {
   // the cap is reached. Returns false when the incoming hint (at `seq`) is
   // itself the oldest and should be dropped instead of written.
   bool reserve_hint_slot(BsNodeId owner, std::string_view key, u64 seq);
-  // Replica peers consulted by get_or_repair: the key's other ring owners
-  // in cluster mode, the static peer list otherwise.
+  // Replica peers consulted by get_or_repair: the key's other ring owners.
   std::vector<BsPeer> repair_peers(std::string_view key) const;
   // Admission gate for one served op: true = admitted (a token was taken),
   // false = shed. Always admits when admission is disabled.
@@ -354,13 +382,15 @@ class BlockStoreNode {
   void process_request(NetAddr src, Port src_port, std::span<const u8> payload);
   // The transport-independent request core: decodes one request payload,
   // executes it, and returns the reply bytes — or nullopt when the request
-  // warrants no reply (malformed, or an unacked replica push).
+  // is malformed and warrants no reply.
   std::optional<std::vector<u8>> handle_request(std::span<const u8> payload);
 
   // --- VTP stream serve plane (client connections) ---------------------------
   // One accepted client connection: inbuf reassembles [u32 len][body] frames
-  // off the byte stream; outbuf holds reply bytes the transport has not yet
-  // accepted (flushed every drain, closed past kVtpOutbufMax — slow consumer).
+  // off the byte stream (a header claiming more than kVtpConnBufMax closes
+  // the connection); outbuf holds reply bytes the transport has not yet
+  // accepted (flushed every drain, closed past kVtpConnBufMax — slow
+  // consumer).
   struct VtpServeConn {
     Fd fd = kInvalidFd;
     std::vector<u8> inbuf;
@@ -388,7 +418,6 @@ class BlockStoreNode {
 
   Sys& sys_;
   Port port_;
-  std::vector<BsPeer> peers_;
   std::function<void()> pump_;
   Fd sock_ = kInvalidFd;
   Fd repair_sock_ = kInvalidFd;  // dedicated socket: repair RPCs never steal
@@ -401,7 +430,6 @@ class BlockStoreNode {
   static constexpr u64 kAcceptTag = 1ull << 62;    // the parked VTP accept SQE
   static constexpr u64 kVtpConnTag = 1ull << 61;   // VTP recv CQE; low bits = slot
   static constexpr usize kVtpRecvChunk = 32 * 1024;  // per-recv byte bound
-  static constexpr usize kVtpOutbufMax = 1 << 20;    // slow-consumer close bound
   // Accept-queue + in-progress-handshake bound. Accepts drain one per serve
   // pass, so the backlog must absorb a whole client fleet connecting at once
   // (handshakes complete and requests buffer while the conn awaits accept).
@@ -420,7 +448,6 @@ class BlockStoreNode {
   std::map<u64, VtpServeConn> vtp_conns_;  // slot -> accepted connection
   u64 next_vtp_slot_ = 0;
 
-  bool clustered_ = false;
   ClusterConfig cluster_;
   ClusterView view_;
   AdmissionConfig admission_;
@@ -541,16 +568,10 @@ class BlockStoreClient {
   Result<Unit> ping();
   Result<std::vector<BlockKeyInfo>> list();
 
-  // Full-inventory anti-entropy repair (the baseline the Merkle scheduler in
-  // src/app/anti_entropy.h is ablated against): ships the complete remote
-  // inventory, then pulls every entry — tombstones included — that is newer
-  // than `target`'s copy, writing it into `target` at its original sequence.
-  // Returns blocks repaired.
-  Result<u64> sync_into(BlockStoreNode& target);
-
   // Sends `op` (kPut carries `value`; kPut and kDel take a fresh write
   // stamp). kBusy, with nothing sent, while an earlier op's reply has not
-  // yet been returned by poll().
+  // yet been returned by poll(); kInvalidArgument, with nothing sent, when
+  // the request body would exceed kVtpConnBufMax.
   Result<Unit> start(BsOp op, std::string_view key, std::span<const u8> value = {});
   // Advances the op in flight by one poll — call it once per world step:
   // one read of the awaited stream, reply matching, and the RetryPolicy

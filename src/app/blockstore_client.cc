@@ -1,7 +1,6 @@
 #include "src/app/blockstore.h"
 
 #include <algorithm>
-#include <map>
 
 #include "src/base/log.h"
 #include "src/base/serde.h"
@@ -99,23 +98,32 @@ Result<Unit> BlockStoreClient::start(BsOp op, std::string_view key,
   if (op_.has_value()) {
     return ErrorCode::kBusy;
   }
-  Op& o = op_.emplace();
-  o.req_id = next_req_id_++;
+  // The request id and the write stamp are taken only once the body is
+  // known to fit, so a refused op leaves no trace.
+  const bool stamped = op == BsOp::kPut || op == BsOp::kPutReplica || op == BsOp::kDel;
   Writer w;
   w.put_u8(static_cast<u8>(op));
-  w.put_u64(o.req_id);
+  w.put_u64(next_req_id_);
   w.put_string(key);
   if (op == BsOp::kPut || op == BsOp::kPutReplica) {
     // Write-sequence stamp: servers order replica applies by it (retries of
     // this rpc reuse the same stamp, so at-least-once delivery stays
     // idempotent; a newer put always carries a higher stamp).
-    w.put_u64(++put_seq_);
+    w.put_u64(put_seq_ + 1);
     w.put_bytes(value);
   } else if (op == BsOp::kDel) {
     // Deletes are sequenced writes (tombstones) and share the same stamp
     // counter as puts: a put-then-del (or del-then-put) from this client is
     // totally ordered on every replica it ever reaches.
-    w.put_u64(++put_seq_);
+    w.put_u64(put_seq_ + 1);
+  }
+  if (w.bytes().size() > kVtpConnBufMax) {
+    return ErrorCode::kInvalidArgument;  // every node would close the stream
+  }
+  Op& o = op_.emplace();
+  o.req_id = next_req_id_++;
+  if (stamped) {
+    ++put_seq_;
   }
   Writer framed;
   framed.put_u32(static_cast<u32>(w.bytes().size()));
@@ -456,58 +464,6 @@ Result<std::vector<BlockKeyInfo>> BlockStoreClient::list() {
     return r.error();
   }
   return decode_inventory(r.value().value);
-}
-
-Result<u64> BlockStoreClient::sync_into(BlockStoreNode& target) {
-  auto remote = list();
-  if (!remote.ok()) {
-    return remote.error();
-  }
-  // What the target already holds, by write sequence (tombstones included —
-  // a deletion the target missed must land as a deletion, not linger as the
-  // old value). The crc breaks same-sequence ties: two copies at the same
-  // sequence with different bytes (independently stamped direct writes) are
-  // divergence the full sweep repairs in the source's favor.
-  std::map<std::string, std::pair<u64, u32>> local;
-  for (const auto& e : target.list()) {
-    local[e.key] = {e.seq, e.crc};
-  }
-  u64 repaired = 0;
-  for (const auto& e : remote.value()) {
-    auto it = local.find(e.key);
-    if (it != local.end() && (it->second.first > e.seq ||
-                              (it->second.first == e.seq && it->second.second == e.crc))) {
-      continue;  // the target's copy is newer, or identical at the same seq
-    }
-    bool applied = false;
-    if (e.tombstone) {
-      auto r = target.apply_remote(e.key, {}, e.seq, /*tombstone=*/true, &applied);
-      if (!r.ok()) {
-        return r.error();
-      }
-    } else {
-      auto value = call(BsOp::kGet, e.key);
-      if (!value.ok()) {
-        if (value.error() == ErrorCode::kNotFound) {
-          continue;  // deleted between the listing and the fetch
-        }
-        return value.error();
-      }
-      // Write at the source's sequence, not a fresh local stamp: repair must
-      // restore the block's true position in the write order, never reorder
-      // a stale copy above a newer one.
-      u64 seq = value.value().seq;
-      auto r = target.apply_remote(e.key, value.value().value, seq != 0 ? seq : e.seq,
-                                   /*tombstone=*/false, &applied);
-      if (!r.ok()) {
-        return r.error();
-      }
-    }
-    if (applied) {
-      ++repaired;
-    }
-  }
-  return repaired;
 }
 
 Result<Unit> BlockStoreClient::ping() {

@@ -121,7 +121,6 @@ BlockStoreNode::BlockStoreNode(Sys& sys, Port port, std::vector<BsPeer> peers,
                                BsTransport)
     : sys_(sys),
       port_(port),
-      peers_(std::move(peers)),
       pump_(std::move(pump)),
       obs_prefix_(ObsRegistry::global().instance_prefix("bs")),
       c_puts_(ObsRegistry::global().counter(obs_prefix_ + "puts")),
@@ -142,6 +141,9 @@ BlockStoreNode::BlockStoreNode(Sys& sys, Port port, std::vector<BsPeer> peers,
       c_tombstones_gced_(ObsRegistry::global().counter(obs_prefix_ + "tombstones_gced")),
       h_serve_busy_(ObsRegistry::global().histogram(obs_prefix_ + "serve_busy")),
       span_serve_(ObsRegistry::global().tracer().intern_site("bs/serve")) {
+  // Replication follows the configured view only, so a node handed peers
+  // here would silently replicate to no one.
+  VNROS_CHECK(peers.empty());
   if (!fault_prefix.empty()) {
     delay_site_ = &FaultRegistry::global().site(fault_prefix + "/serve_delay");
   }
@@ -250,13 +252,8 @@ Result<Unit> BlockStoreNode::put_stamped(std::string_view key, std::span<const u
     return r;
   }
   c_puts_.inc();
-  if (!applied) {
-    return Unit{};  // superseded by a newer local write: nothing to replicate
-  }
-  if (clustered_) {
-    replicate_put(key, value, seq);
-  } else {
-    push_replicas(key, value, seq);
+  if (applied) {
+    replicate_put(key, value, seq);  // a superseded write has nothing to replicate
   }
   return Unit{};
 }
@@ -294,23 +291,6 @@ Result<Unit> BlockStoreNode::apply_remote(std::string_view key, std::span<const 
 u64 BlockStoreNode::local_seq(std::string_view key) const {
   auto r = read_block_file(sys_, key_path(key));
   return r.ok() ? r.value().seq : 0;
-}
-
-void BlockStoreNode::push_replicas(std::string_view key, std::span<const u8> value, u64 seq) {
-  if (peers_.empty() || sock_ == kInvalidFd) {
-    return;
-  }
-  Writer w;
-  w.put_u8(static_cast<u8>(BsOp::kPutReplica));
-  w.put_u64(0);  // replication pushes are unacked (client-level retries cover loss)
-  w.put_string(key);
-  w.put_u64(seq);
-  w.put_bytes(value);
-  for (const auto& peer : peers_) {
-    if (sys_.udp_sendto(sock_, peer.addr, peer.port, w.bytes()).ok()) {
-      c_replicas_pushed_.inc();
-    }
-  }
 }
 
 Result<std::vector<u8>> BlockStoreNode::get(std::string_view key) const {
@@ -466,9 +446,10 @@ Result<BlockStoreNode::BlockData> BlockStoreNode::get_or_repair_block(std::strin
   }
   c_gets_.inc();
   c_corrupt_reads_.inc();
-  // Local copy failed its checksum. Without peers (or while already inside a
-  // repair — pump() can recurse into serve_once) the error stands; otherwise
-  // pull the block from a replica, re-persist it, and serve the cured bytes.
+  // Local copy failed its checksum. Without other owners (or while already
+  // inside a repair — pump() can recurse into serve_once) the error stands;
+  // otherwise pull the block from a replica, re-persist it, and serve the
+  // cured bytes.
   std::vector<BsPeer> repair_from = repair_peers(key);
   if (in_repair_ || repair_from.empty() || pump_ == nullptr) {
     return ErrorCode::kCorrupted;
@@ -520,7 +501,7 @@ Result<Unit> BlockStoreNode::del_stamped(std::string_view key, u64 seq) {
     return r;
   }
   c_dels_.inc();
-  if (applied && clustered_) {
+  if (applied) {
     replicate_del(key, seq);
   }
   return Unit{};
@@ -573,13 +554,9 @@ std::map<std::string, std::vector<u8>> BlockStoreNode::view() const {
 void BlockStoreNode::configure_cluster(const ClusterConfig& cfg, const ClusterView& view) {
   cluster_ = cfg;
   view_ = view;
-  clustered_ = true;
 }
 
-void BlockStoreNode::set_cluster_view(const ClusterView& view) {
-  view_ = view;
-  clustered_ = true;
-}
+void BlockStoreNode::set_cluster_view(const ClusterView& view) { view_ = view; }
 
 void BlockStoreNode::grant_tokens(u64 ops_ppm) {
   tokens_ppm_ = std::min(tokens_ppm_ + ops_ppm, admission_.burst_ops * kOpCostPpm);
@@ -598,9 +575,6 @@ bool BlockStoreNode::admit_op() {
 }
 
 std::vector<BsPeer> BlockStoreNode::repair_peers(std::string_view key) const {
-  if (!clustered_) {
-    return peers_;
-  }
   std::vector<BsPeer> out;
   for (BsNodeId id : view_.owners(key)) {
     if (id == cluster_.self) {
@@ -711,9 +685,6 @@ bool BlockStoreNode::reserve_hint_slot(BsNodeId owner, std::string_view key, u64
   // the lowest-sequence (oldest) hint — or refuse the incoming one when IT
   // is the oldest. Either way the drop is counted; anti-entropy is the
   // backstop that eventually carries what the dropped hint would have.
-  if (cluster_.max_hints_per_peer == 0) {
-    return true;  // unbounded (legacy behaviour, not used by default)
-  }
   auto names = sys_.readdir("/hints");
   if (!names.ok()) {
     return true;  // can't enumerate: fail open, the write may still succeed
@@ -818,9 +789,7 @@ void BlockStoreNode::replicate_del(std::string_view key, u64 seq) {
 
 Result<RebalanceStats> BlockStoreNode::rebalance(const ClusterView& next) {
   ClusterView old = view_;
-  bool was_clustered = clustered_;
   view_ = next;
-  clustered_ = true;
   auto had = [](const std::vector<BsNodeId>& owners, BsNodeId id) {
     for (BsNodeId o : owners) {
       if (o == id) {
@@ -849,7 +818,7 @@ Result<RebalanceStats> BlockStoreNode::rebalance(const ClusterView& next) {
     const bool tomb = block.value().tombstone;
     ++st.scanned;
     std::vector<BsNodeId> new_owners = view_.owners(key);
-    std::vector<BsNodeId> old_owners = was_clustered ? old.owners(key) : std::vector<BsNodeId>{};
+    std::vector<BsNodeId> old_owners = old.owners(key);
     bool self_owner = had(new_owners, cluster_.self);
     // Owners gained by the view change lack the shard; everyone else already
     // got it on the write path (or will via hints/anti-entropy).
@@ -926,28 +895,26 @@ u64 BlockStoreNode::gc_tombstones(usize max_batch) {
     // Our own parked hints at or below the tombstone are superseded; drop
     // them first so self-delivery can never race the reclamation.
     drop_stale_hints(e.key, e.seq);
-    if (clustered_) {
-      bool all_acked = true;
-      for (const auto& [id, peer] : view_.directory) {
-        if (id == cluster_.self) {
-          continue;
-        }
-        if (!push_acked(peer, BsOp::kDelReplica, e.key, {}, e.seq).ok()) {
-          all_acked = false;
-          break;
-        }
+    bool all_acked = true;
+    for (const auto& [id, peer] : view_.directory) {
+      if (id == cluster_.self) {
+        continue;
       }
-      if (!all_acked) {
-        continue;  // someone unreachable: the tombstone must outlive them
+      if (!push_acked(peer, BsOp::kDelReplica, e.key, {}, e.seq).ok()) {
+        all_acked = false;
+        break;
       }
-      for (const auto& [id, peer] : view_.directory) {
-        if (id == cluster_.self) {
-          continue;
-        }
-        // Best effort: a lost GC message leaves a harmless tombstone that a
-        // later pass (or Merkle repair + next GC) reclaims.
-        (void)push_acked(peer, BsOp::kTombstoneGc, e.key, {}, e.seq);
+    }
+    if (!all_acked) {
+      continue;  // someone unreachable: the tombstone must outlive them
+    }
+    for (const auto& [id, peer] : view_.directory) {
+      if (id == cluster_.self) {
+        continue;
       }
+      // Best effort: a lost GC message leaves a harmless tombstone that a
+      // later pass (or Merkle repair + next GC) reclaims.
+      (void)push_acked(peer, BsOp::kTombstoneGc, e.key, {}, e.seq);
     }
     if (sys_.unlink(key_path(e.key)).ok()) {
       c_tombstones_gced_.inc();
@@ -961,9 +928,6 @@ u64 BlockStoreNode::gc_tombstones(usize max_batch) {
 }
 
 u64 BlockStoreNode::deliver_hints() {
-  if (!clustered_) {
-    return 0;
-  }
   auto names = sys_.readdir("/hints");
   if (!names.ok()) {
     return 0;
@@ -1217,6 +1181,12 @@ usize BlockStoreNode::on_vtp_bytes(u64 slot, std::span<const u8> bytes) {
   while (conn.inbuf.size() - off >= 4) {
     Reader fr(std::span<const u8>(conn.inbuf.data() + off, 4));
     u32 len = fr.get_u32().value_or(0);
+    if (len > kVtpConnBufMax) {
+      // No client sends a frame this large (start() refuses one); buffering
+      // it would let a single stream grow the node's memory without limit.
+      close_vtp_conn(slot);
+      return served;
+    }
     if (conn.inbuf.size() - off - 4 < len) {
       break;  // incomplete frame: wait for more stream bytes
     }
@@ -1233,7 +1203,7 @@ usize BlockStoreNode::on_vtp_bytes(u64 slot, std::span<const u8> bytes) {
   conn.inbuf.erase(conn.inbuf.begin(),
                    conn.inbuf.begin() + static_cast<std::ptrdiff_t>(off));
   vtp_flush(conn);
-  if (conn.fd != kInvalidFd && conn.outbuf.size() > kVtpOutbufMax) {
+  if (conn.fd != kInvalidFd && conn.outbuf.size() > kVtpConnBufMax) {
     close_vtp_conn(slot);  // slow consumer: bounded memory beats unbounded queue
   }
   return served;
@@ -1286,9 +1256,6 @@ std::optional<std::vector<u8>> BlockStoreNode::handle_request(std::span<const u8
                     opcode == BsOp::kGetBlock || opcode == BsOp::kMerkleNode ||
                     opcode == BsOp::kMerkleLeaf || opcode == BsOp::kTombstoneGc;
   if (storage_op && !admit_op()) {
-    if (*req_id == 0) {
-      return std::nullopt;  // unacked replica push: shed silently
-    }
     Writer shed;
     shed.put_u64(*req_id);
     shed.put_u32(static_cast<u32>(ErrorCode::kOverloaded));
@@ -1317,10 +1284,6 @@ std::optional<std::vector<u8>> BlockStoreNode::handle_request(std::span<const u8
         if (applied) {
           c_replicas_applied_.inc();
         }
-      }
-      // Replication pushes carry req_id 0: apply silently, no reply.
-      if (*req_id == 0) {
-        return std::nullopt;
       }
       break;
     }
@@ -1360,11 +1323,6 @@ std::optional<std::vector<u8>> BlockStoreNode::handle_request(std::span<const u8
         if (applied) {
           c_replicas_applied_.inc();
         }
-      }
-      // Like kPutReplica: applied locally, never re-forwarded; req_id 0
-      // means the sender is not waiting for an ack.
-      if (*req_id == 0) {
-        return std::nullopt;
       }
       break;
     }

@@ -59,37 +59,23 @@ struct ChaosHost {
   }
 };
 
-// What the client believes about one key. `history` is every value ever
-// attempted (acked or not) — the universe of non-garbage bytes. `certain`
-// is set only while the latest client op on the key was a successful put.
-struct KeyBelief {
-  std::vector<std::vector<u8>> history;
-  std::optional<std::vector<u8>> certain;
-
-  bool in_history(const std::vector<u8>& v) const {
-    for (const auto& h : history) {
-      if (h == v) {
-        return true;
-      }
-    }
-    return false;
-  }
-};
-
-// Heal mode: the per-key op history the linearizability checker validates.
-// The system under test is a replicated sequenced register — not strictly
-// linearizable mid-partition (an acked write can leave a hinted-unreachable
-// replica stale, so reads may serve old values) — so the sound checkable
-// spec is:
+// What the client knows about one key: every write it attempted (acked or
+// not — the put bytes are the universe of non-garbage values), and the
+// bytes it is certain of. The system under test is a replicated sequenced
+// register — not strictly linearizable mid-partition (an acked write can
+// leave a hinted-unreachable replica stale, so reads may serve old values)
+// — so the sound checkable spec is:
 //   - every read that returns (bytes, seq) must return EXACTLY the bytes of
 //     an attempted write with that stamp (failed writes count: at-least-once
 //     delivery means they may have landed);
-//   - at quiesce (fabric healed, hints drained, anti-entropy converged) the
-//     surviving state must carry a stamp >= every acknowledged write's, and
-//     an acknowledged delete with no later attempted write must read as
-//     absent on every node (no resurrection);
-//   - re-image data loss may lower the acknowledged floor (mirrors
-//     downgrade_lost_keys), but only when no surviving copy reaches it.
+//   - at every quiesce no node stores bytes the client never put under that
+//     key, and the certain bytes are readable on at least one node;
+//   - at heal-mode quiesce (fabric healed, hints drained, anti-entropy
+//     converged) the surviving state must carry a stamp >= every
+//     acknowledged write's, and an acknowledged delete with no later
+//     attempted write must read as absent on every node (no resurrection);
+//   - re-image data loss may drop the certain bytes and lower the
+//     acknowledged floor, but only when no surviving copy holds them.
 struct KeyHistory {
   struct Write {
     u64 seq = 0;
@@ -100,7 +86,18 @@ struct KeyHistory {
   std::vector<Write> writes;  // every attempted write, in invoke order
   u64 acked_floor = 0;        // highest acknowledged stamp (0 = none)
   bool acked_is_del = false;  // the op at acked_floor was a delete
+  // Set only while the latest write to the key was a successful put.
+  std::optional<std::vector<u8>> certain;
 
+  // Whether some attempted put carried exactly `v`.
+  bool was_put(const std::vector<u8>& v) const {
+    for (const auto& w : writes) {
+      if (!w.tombstone && w.bytes == v) {
+        return true;
+      }
+    }
+    return false;
+  }
   const Write* find_seq(u64 seq) const {
     for (const auto& w : writes) {
       if (w.seq == seq) {
@@ -122,11 +119,6 @@ class ChaosRunner {
  public:
   explicit ChaosRunner(const ChaosConfig& cfg) : cfg_(cfg), sched_rng_(cfg.seed) {
     VNROS_CHECK(cfg_.nodes >= 2);
-    // Heal mode rides on cluster machinery: Merkle repair discovers peers via
-    // the cluster view, and re-image bootstrap must preserve write stamps
-    // (the legacy anti_entropy_into re-stamps, which would invalidate the
-    // linearizability histories).
-    VNROS_CHECK(!cfg_.heal || cfg_.cluster);
     report_.seed = cfg_.seed;
   }
 
@@ -173,7 +165,8 @@ class ChaosRunner {
     std::unique_ptr<BlockDevice> disk;
     std::unique_ptr<ChaosHost> host;
     std::unique_ptr<BlockStoreNode> node;
-    std::unique_ptr<AntiEntropyScheduler> ae;  // heal mode: background Merkle repair
+    std::unique_ptr<AntiEntropyScheduler> ae;  // Merkle repair: re-image bootstrap,
+                                               // and background passes in heal mode
     LinkAddr addr = 0;
     BsNodeId id = 0;
     bool active = true;  // false once the member gracefully left (slots are
@@ -196,18 +189,13 @@ class ChaosRunner {
   }
 
   void boot_cluster() {
-    if (cfg_.cluster) {
-      view_.ring = PlacementRing(cfg_.vnodes);
-      view_.replication = std::min(cfg_.replication, cfg_.nodes);
-    }
     slots_.resize(cfg_.nodes);
+    std::vector<BsPeer> members;
     for (usize i = 0; i < cfg_.nodes; ++i) {
       boot_slot_machine(i);
-      if (cfg_.cluster) {
-        view_.ring.add_node(slots_[i].id);
-        view_.directory[slots_[i].id] = BsPeer{slots_[i].addr, kPort};
-      }
+      members.push_back(BsPeer{slots_[i].addr, kPort});
     }
+    view_ = ClusterView::of(members, std::min(cfg_.replication, cfg_.nodes));
     for (usize i = 0; i < cfg_.nodes; ++i) {
       make_node(i);
     }
@@ -226,22 +214,12 @@ class ChaosRunner {
     for (usize i = 1; i < cfg_.nodes; ++i) {
       client_->add_failover(slots_[i].addr, kPort);
     }
-    if (cfg_.cluster) {
-      client_->set_cluster(view_);
-    }
+    client_->set_cluster(view_);
   }
 
   void make_node(usize i) {
     auto& slot = slots_[i];
-    std::vector<BsPeer> peers;
-    if (!cfg_.cluster) {
-      for (usize j = 0; j < cfg_.nodes; ++j) {
-        if (j != i) {
-          peers.push_back(BsPeer{slots_[j].addr, kPort});
-        }
-      }
-    }
-    slot.node = std::make_unique<BlockStoreNode>(slot.host->sys, kPort, std::move(peers),
+    slot.node = std::make_unique<BlockStoreNode>(slot.host->sys, kPort, std::vector<BsPeer>{},
                                                  [this, i] { pump_except(i); }, slot.node_prefix);
     // A node booting mid-schedule can absorb a pending one-shot fault (e.g.
     // global syscall io_error) on its very first syscall. Boot is retried
@@ -254,30 +232,27 @@ class ChaosRunner {
                       error_name(booted.error()));
     }
     VNROS_CHECK(booted.ok());
-    if (cfg_.cluster) {
-      ClusterConfig cc;
-      cc.self = slot.id;
-      slot.node->configure_cluster(cc, view_);
-      if (cfg_.admission_rate_ppm > 0) {
-        AdmissionConfig ac;
-        ac.enabled = true;
-        ac.burst_ops = cfg_.admission_burst;
-        slot.node->set_admission(ac);
-        slot.node->grant_tokens(cfg_.admission_burst * 1'000'000);  // boot with a full bucket
-      }
+    ClusterConfig cc;
+    cc.self = slot.id;
+    slot.node->configure_cluster(cc, view_);
+    if (cfg_.admission_rate_ppm > 0) {
+      AdmissionConfig ac;
+      ac.enabled = true;
+      ac.burst_ops = cfg_.admission_burst;
+      slot.node->set_admission(ac);
+      slot.node->grant_tokens(cfg_.admission_burst * 1'000'000);  // boot with a full bucket
     }
-    if (cfg_.heal && cfg_.cluster) {
-      // Background Merkle repair. One tick per schedule step, so a peer gets
-      // a repair pass every ~64-96 steps. The seed is a pure function of the
-      // run seed and the slot, so a rebooted incarnation re-derives the same
-      // repair schedule and the whole run stays seed-replayable.
-      AntiEntropyConfig ae;
-      ae.interval_polls = 64;
-      ae.jitter_polls = 32;
-      ae.rng_seed = cfg_.seed ^ (0xAE00'0000ull + static_cast<u64>(i) * 0x9E37ull);
-      slot.ae = std::make_unique<AntiEntropyScheduler>(slot.host->sys, *slot.node,
-                                                       [this, i] { pump_except(i); }, ae);
-    }
+    // Merkle repair. Heal mode ticks it once per schedule step, so a peer
+    // gets a background pass every ~64-96 steps; every preset uses it to
+    // re-image a wiped disk over the wire. The seed is a pure function of
+    // the run seed and the slot, so a rebooted incarnation re-derives the
+    // same repair schedule and the whole run stays seed-replayable.
+    AntiEntropyConfig ae;
+    ae.interval_polls = 64;
+    ae.jitter_polls = 32;
+    ae.rng_seed = cfg_.seed ^ (0xAE00'0000ull + static_cast<u64>(i) * 0x9E37ull);
+    slot.ae = std::make_unique<AntiEntropyScheduler>(slot.host->sys, *slot.node,
+                                                     [this, i] { pump_except(i); }, ae);
   }
 
   usize active_count() const {
@@ -290,7 +265,7 @@ class ChaosRunner {
     return n;
   }
 
-  // Picks a uniformly random active slot. In legacy (non-cluster) runs every
+  // Picks a uniformly random active slot. Without membership events every
   // slot is active forever, so this draws exactly the stream the fixed seed
   // matrix was recorded against.
   usize pick_active() {
@@ -336,7 +311,7 @@ class ChaosRunner {
 
   void schedule_events(usize step) {
     auto& reg = FaultRegistry::global();
-    if (cfg_.cluster && cfg_.admission_rate_ppm > 0) {
+    if (cfg_.admission_rate_ppm > 0) {
       // The admission clock: one tick of tokens per schedule step. Ops that
       // outrun the rate are shed with kOverloaded and absorbed by the
       // client's backpressure ladder (or fail, leaving the key uncertain).
@@ -420,18 +395,18 @@ class ChaosRunner {
         (void)client_host_->sys.munmap(probe.value());
       }
     }
-    // Cluster-mode events last, each gated on `cluster` *before* touching the
-    // schedule Rng, so legacy configs draw the exact legacy stream.
-    if (cfg_.cluster && cfg_.join_ppm > 0 && slots_.size() < cfg_.max_nodes &&
+    // Membership and stall events next, each gated on its own ppm *before*
+    // touching the schedule Rng, so a preset that leaves them at 0 (legacy)
+    // draws no schedule numbers for them.
+    if (cfg_.join_ppm > 0 && slots_.size() < cfg_.max_nodes &&
         sched_rng_.chance_ppm(cfg_.join_ppm)) {
       join_node(step);
     }
-    if (cfg_.cluster && cfg_.leave_ppm > 0 &&
-        active_count() > std::max<usize>(2, view_.replication) &&
+    if (cfg_.leave_ppm > 0 && active_count() > std::max<usize>(2, view_.replication) &&
         sched_rng_.chance_ppm(cfg_.leave_ppm)) {
       leave_node(step);
     }
-    if (cfg_.cluster && cfg_.delay_ppm > 0 && sched_rng_.chance_ppm(cfg_.delay_ppm)) {
+    if (cfg_.delay_ppm > 0 && sched_rng_.chance_ppm(cfg_.delay_ppm)) {
       const auto& slot = slots_[pick_active()];
       FaultSpec stall;
       stall.probability_ppm = 1'000'000;
@@ -654,70 +629,68 @@ class ChaosRunner {
     if (!recoverable) {
       ++report_.reimages;
       VNROS_LOG_DEBUG("chaos", "node %zu unrecoverable at step %zu: re-imaged", i, step);
-      if (cfg_.heal) {
-        merkle_bootstrap(i);
-        downgrade_lost_floors();
-      } else {
-        anti_entropy_into(i);
-      }
+      merkle_bootstrap(i);
       downgrade_lost_keys();
     }
   }
 
-  // Heal-mode re-image bootstrap: Merkle passes against every live peer pull
-  // the surviving copies back over the wire with their write stamps intact —
-  // unlike anti_entropy_into, which re-stamps through node->put() and would
-  // invalidate the linearizability histories. Best-effort mid-schedule: a
-  // partitioned or shedding peer just leaves divergence for the background
-  // scheduler and the quiesce convergence loop to finish.
+  // Re-image bootstrap: Merkle passes against every live peer pull the
+  // surviving copies back over the wire with their write stamps intact, so
+  // the stamp histories stay valid. Best-effort mid-schedule: a partitioned
+  // or shedding peer just leaves divergence behind (in heal mode the
+  // background scheduler and the quiesce convergence loop finish it; the
+  // durability check needs only one intact copy).
   void merkle_bootstrap(usize i) {
-    auto& slot = slots_[i];
-    if (!slot.ae) {
-      return;
-    }
-    for (int round = 0; round < 2; ++round) {
-      bool all_clean = true;
-      for (auto& peer : slots_) {
-        if (&peer == &slot || !peer.active || !peer.node) {
-          continue;
-        }
-        peer.node->grant_tokens(64 * 1'000'000);
-        const u64 clean_before = slot.ae->stats().clean_passes;
-        (void)slot.ae->sync_with(BsPeer{peer.addr, kPort});
-        if (slot.ae->stats().clean_passes != clean_before + 1) {
-          all_clean = false;
-        }
-      }
-      if (all_clean) {
-        break;
-      }
+    if (!sync_with_peers(slots_[i])) {
+      (void)sync_with_peers(slots_[i]);  // a second round, as far as the fabric allows
     }
   }
 
-  // The heal-mode analog of downgrade_lost_keys: a re-image may destroy the
-  // only copy that carried a key's acknowledged stamp. If no surviving
-  // inventory entry (live or tombstone) reaches the acked floor, the floor
-  // drops to zero — legitimate data loss under total-disk failure, accounted
-  // separately so the report shows how often the schedule forced it.
-  void downgrade_lost_floors() {
-    std::map<std::string, u64> best;
+  // One Merkle pass from `slot` against every other live member, each peer's
+  // admission bucket refilled first (repair here is not an overload test).
+  // Returns whether every pass found matching roots.
+  bool sync_with_peers(NodeSlot& slot) {
+    bool all_clean = true;
+    for (auto& peer : slots_) {
+      if (&peer == &slot || !peer.active || !peer.node) {
+        continue;
+      }
+      peer.node->grant_tokens(64 * 1'000'000);
+      const u64 clean_before = slot.ae->stats().clean_passes;
+      (void)slot.ae->sync_with(BsPeer{peer.addr, kPort});
+      if (slot.ae->stats().clean_passes != clean_before + 1) {
+        all_clean = false;
+      }
+    }
+    return all_clean;
+  }
+
+  // A re-image destroys everything on one disk, so a key's acknowledged
+  // state may have lived only on the re-imaged node (no other owner acked
+  // it, and its hints died with the disk). That is legitimate data loss
+  // under total-disk failure, not a correctness bug: certain bytes that no
+  // node still serves become uncertain, and an acknowledged stamp that no
+  // surviving inventory entry (live or tombstone) reaches drops to zero —
+  // counted in acked_floor_drops so the report shows how often the
+  // schedule forced it.
+  void downgrade_lost_keys() {
+    std::vector<std::map<std::string, std::vector<u8>>> views;
+    std::map<std::string, u64> best;  // highest surviving stamp per key
     for (const auto& slot : slots_) {
       if (!slot.node) {
         continue;
       }
+      views.push_back(slot.node->view());
       for (const auto& e : slot.node->list()) {
-        auto [it, inserted] = best.try_emplace(e.key, e.seq);
-        if (!inserted) {
-          it->second = std::max(it->second, e.seq);
-        }
+        best[e.key] = std::max(best[e.key], e.seq);
       }
     }
     for (auto& [key, h] : histories_) {
-      if (h.acked_floor == 0) {
-        continue;
+      if (h.certain && !held(views, key, *h.certain)) {
+        VNROS_LOG_DEBUG("chaos", "certain key %s lost with its only replica", key.c_str());
+        h.certain.reset();
       }
-      auto it = best.find(key);
-      if (it == best.end() || it->second < h.acked_floor) {
+      if (h.acked_floor != 0 && best[key] < h.acked_floor) {
         VNROS_LOG_DEBUG("chaos", "acked floor of %s lost with its only replica", key.c_str());
         h.acked_floor = 0;
         h.acked_is_del = false;
@@ -726,68 +699,22 @@ class ChaosRunner {
     }
   }
 
-  // Repopulates a re-imaged node from the surviving replicas' local views.
-  // In cluster mode only the keys the node actually owns are restored —
-  // placement, not mirroring.
-  void anti_entropy_into(usize i) {
-    for (usize j = 0; j < slots_.size(); ++j) {
-      if (j == i || !slots_[j].node) {
-        continue;
-      }
-      for (const auto& [key, value] : slots_[j].node->view()) {
-        if (cfg_.cluster) {
-          auto owners = view_.owners(key);
-          if (std::find(owners.begin(), owners.end(), slots_[i].id) == owners.end()) {
-            continue;
-          }
-        }
-        auto have = slots_[i].node->get(key);
-        if (have.ok() && have.value() == value) {
-          continue;
-        }
-        if (!have.ok()) {
-          (void)slots_[i].node->put(key, value);
-        }
+  // Whether some node's view holds exactly `bytes` for `key`.
+  static bool held(const std::vector<std::map<std::string, std::vector<u8>>>& views,
+                   const std::string& key, const std::vector<u8>& bytes) {
+    for (const auto& view : views) {
+      auto it = view.find(key);
+      if (it != view.end() && it->second == bytes) {
+        return true;
       }
     }
-  }
-
-  // A re-image destroys everything on one disk. Any certain key whose acked
-  // bytes now exist on no replica was only ever held by the re-imaged node
-  // (best-effort replication never reached a peer): that is legitimate data
-  // loss under total-disk failure, not a correctness bug — downgrade the key
-  // to uncertain instead of failing the invariant on it later.
-  void downgrade_lost_keys() {
-    std::vector<std::map<std::string, std::vector<u8>>> views;
-    for (const auto& slot : slots_) {
-      if (slot.node) {
-        views.push_back(slot.node->view());
-      }
-    }
-    for (auto& [key, belief] : beliefs_) {
-      if (!belief.certain) {
-        continue;
-      }
-      bool held = false;
-      for (const auto& view : views) {
-        auto it = view.find(key);
-        if (it != view.end() && it->second == *belief.certain) {
-          held = true;
-          break;
-        }
-      }
-      if (!held) {
-        VNROS_LOG_DEBUG("chaos", "certain key %s lost with its only replica", key.c_str());
-        belief.certain.reset();
-      }
-    }
+    return false;
   }
 
   // --- Client workload ------------------------------------------------------
 
   void client_op(usize step) {
     std::string key = "key" + std::to_string(sched_rng_.next_below(cfg_.keys));
-    auto& belief = beliefs_[key];
     ++report_.ops;
     // One draw decides the op; the cut points move for the delete-heavy mix
     // (5/3/2 put/get/del instead of 6/3/1) without touching the rng stream,
@@ -800,55 +727,42 @@ class ChaosRunner {
       for (auto& b : value) {
         b = static_cast<u8>(sched_rng_.next_u64());
       }
-      belief.history.push_back(value);
       auto r = client_->put(key, value);
-      if (cfg_.heal) {
-        record_write(key, value, /*tombstone=*/false, r.ok());
-      }
-      if (r.ok()) {
-        ++report_.ops_ok;
-        belief.certain = std::move(value);
-      } else {
-        // Unacked: the put may or may not have applied anywhere (it may even
-        // have applied and destroyed the previous copy mid-overwrite), so
-        // nothing about this key is certain any more.
-        ++report_.ops_failed;
-        belief.certain.reset();
-      }
+      record_write(key, std::move(value), /*tombstone=*/false, r.ok());
     } else if (kind < get_cut) {
       auto r = client_->get_with_seq(key);
       if (r.ok()) {
         ++report_.ops_ok;
-        if (!belief.in_history(r.value().first)) {
-          fail(step, "get(" + key + ") returned bytes the client never wrote");
-        } else if (cfg_.heal) {
-          check_read(step, key, r.value().first, r.value().second);
-        }
+        check_read(step, key, r.value().first, r.value().second);
       } else {
         ++report_.ops_failed;  // kNotFound/corrupt/timeout: all acceptable
       }
     } else {
       auto r = client_->del(key);
-      if (cfg_.heal) {
-        record_write(key, {}, /*tombstone=*/true, r.ok());
-      }
-      if (r.ok()) {
-        ++report_.ops_ok;
-      } else {
-        ++report_.ops_failed;
-      }
-      // Acked or not, stale replicas may still hold (and later serve or
-      // repair from) older values, so a delete only removes certainty.
-      belief.certain.reset();
+      record_write(key, {}, /*tombstone=*/true, r.ok());
     }
   }
 
-  // Heal mode: every attempted write lands in the key's history under the
-  // stamp the client assigned it (retries reuse the stamp, so one op is one
-  // history entry). Acked writes raise the key's acknowledged floor.
+  // Every attempted write is counted in the report and lands in the key's
+  // history under the stamp the client assigned it (retries reuse the stamp,
+  // so one op is one history entry). Acked writes raise the key's
+  // acknowledged floor. Only an acked put leaves the key certain: an unacked
+  // put may or may not have applied anywhere (it may even have applied and
+  // destroyed the previous copy mid-overwrite), and after any delete, acked
+  // or not, stale replicas may still hold (and later serve or repair from)
+  // older values.
   void record_write(const std::string& key, std::vector<u8> value, bool tombstone, bool acked) {
     auto& h = histories_[key];
     const u64 seq = client_->last_write_seq();
+    if (acked) {
+      ++report_.ops_ok;
+    } else {
+      ++report_.ops_failed;
+    }
+    h.certain.reset();
+    if (acked && !tombstone) {
+      h.certain = value;
+    }
     h.writes.push_back(KeyHistory::Write{seq, std::move(value), tombstone, acked});
     if (acked && seq > h.acked_floor) {
       h.acked_floor = seq;
@@ -856,10 +770,10 @@ class ChaosRunner {
     }
   }
 
-  // Heal mode, checked at op time: a read that returns (bytes, stamp) must
-  // return EXACTLY the bytes of the attempted write that owns the stamp —
-  // stamps are globally unique, so a mismatch means a node spliced bytes
-  // across writes (or served a tombstone as data).
+  // Checked at op time: a read that returns (bytes, stamp) must return
+  // EXACTLY the bytes of the attempted write that owns the stamp — stamps
+  // are globally unique, so a mismatch means a node spliced bytes across
+  // writes (or served a tombstone as data).
   void check_read(usize step, const std::string& key, const std::vector<u8>& bytes, u64 seq) {
     ++report_.lin_reads_checked;
     const auto& h = histories_[key];
@@ -886,20 +800,18 @@ class ChaosRunner {
     for (int i = 0; i < 256; ++i) {
       pump_all();  // drain every in-flight datagram through the servers
     }
-    if (cfg_.cluster) {
-      // Hinted-handoff convergence: with the fabric healed, a few delivery
-      // passes must land every parked hint whose owner is still a member.
-      // Quiesce is not an overload test, so refill admission buckets first.
-      for (int round = 0; round < 4; ++round) {
-        for (auto& slot : slots_) {
-          if (slot.active && slot.node) {
-            slot.node->grant_tokens(64 * 1'000'000);
-            (void)slot.node->deliver_hints();
-          }
+    // Hinted-handoff convergence: with the fabric healed, a few delivery
+    // passes must land every parked hint whose owner is still a member.
+    // Quiesce is not an overload test, so refill admission buckets first.
+    for (int round = 0; round < 4; ++round) {
+      for (auto& slot : slots_) {
+        if (slot.active && slot.node) {
+          slot.node->grant_tokens(64 * 1'000'000);
+          (void)slot.node->deliver_hints();
         }
-        for (int i = 0; i < 32; ++i) {
-          pump_all();
-        }
+      }
+      for (int i = 0; i < 32; ++i) {
+        pump_all();
       }
     }
     if (cfg_.heal) {
@@ -930,36 +842,28 @@ class ChaosRunner {
         views.push_back(slot.node->view());
       }
     }
-    for (const auto& [key, belief] : beliefs_) {
-      for (usize j = 0; j < views.size(); ++j) {
-        auto it = views[j].find(key);
-        if (it != views[j].end() && !belief.in_history(it->second)) {
+    for (usize j = 0; j < views.size(); ++j) {
+      for (const auto& [key, bytes] : views[j]) {
+        auto h = histories_.find(key);
+        if (h == histories_.end() || !h->second.was_put(bytes)) {
           fail(step, "node " + std::to_string(j) + " stores garbage for " + key);
           return;
         }
       }
-      if (belief.certain) {
-        bool held = false;
-        for (const auto& view : views) {
-          auto it = view.find(key);
-          if (it != view.end() && it->second == *belief.certain) {
-            held = true;
-            break;
+    }
+    for (const auto& [key, h] : histories_) {
+      if (h.certain && !held(views, key, *h.certain)) {
+        for (usize j = 0; j < slots_.size(); ++j) {
+          if (!slots_[j].node) {
+            VNROS_LOG_DEBUG("chaos", "  slot %zu: departed", j);
+            continue;
           }
+          auto local = slots_[j].node->get(key);
+          VNROS_LOG_DEBUG("chaos", "  slot %zu: get(%s) -> %s", j, key.c_str(),
+                          local.ok() ? "stale bytes" : error_name(local.error()));
         }
-        if (!held) {
-          for (usize j = 0; j < slots_.size(); ++j) {
-            if (!slots_[j].node) {
-              VNROS_LOG_DEBUG("chaos", "  slot %zu: departed", j);
-              continue;
-            }
-            auto local = slots_[j].node->get(key);
-            VNROS_LOG_DEBUG("chaos", "  slot %zu: get(%s) -> %s", j, key.c_str(),
-                            local.ok() ? "stale bytes" : error_name(local.error()));
-          }
-          fail(step, "acked put of " + key + " readable on no node after quiesce");
-          return;
-        }
+        fail(step, "acked put of " + key + " readable on no node after quiesce");
+        return;
       }
     }
 
@@ -969,20 +873,17 @@ class ChaosRunner {
     // can only lag, not lead — and every read repair was triggered by a
     // corrupt local read.
     BlockStoreStats total = cumulative_stats();
-    u64 pushed_bound = total.replicas_pushed;
-    if (cfg_.heal) {
-      // Anti-entropy ships replicas through its own rpc layer, not the
-      // node's push_acked, so its pushes are missing from replicas_pushed.
-      // Each repair rpc puts at most kAeRpcAttempts datagrams on the wire,
-      // bounding the replica applications it can have caused.
-      u64 ae_rpcs = ae_rpcs_harvested_;
-      for (const auto& slot : slots_) {
-        if (slot.ae) {
-          ae_rpcs += slot.ae->stats().rpcs;
-        }
+    // Anti-entropy ships replicas through its own rpc layer, not the node's
+    // push_acked, so its pushes are missing from replicas_pushed. Each
+    // repair rpc puts at most kAeRpcAttempts datagrams on the wire, bounding
+    // the replica applications it can have caused.
+    u64 ae_rpcs = ae_rpcs_harvested_;
+    for (const auto& slot : slots_) {
+      if (slot.ae) {
+        ae_rpcs += slot.ae->stats().rpcs;
       }
-      pushed_bound += ae_rpcs * kAeRpcAttempts;
     }
+    const u64 pushed_bound = total.replicas_pushed + ae_rpcs * kAeRpcAttempts;
     if (total.replicas_applied > pushed_bound) {
       fail(step, "obs incoherence: " + std::to_string(total.replicas_applied) +
                      " replicas applied > " + std::to_string(pushed_bound) +
@@ -995,29 +896,27 @@ class ChaosRunner {
                      " corrupt reads");
       return;
     }
-    if (cfg_.cluster) {
-      // Membership belief agreement: after churn quiesces, every live member
-      // holds the same ring (version + order-insensitive fingerprint) as the
-      // runner's authoritative view.
-      for (usize j = 0; j < slots_.size(); ++j) {
-        if (!slots_[j].active || !slots_[j].node) {
-          continue;
-        }
-        if (slots_[j].node->ring_version() != view_.ring.version() ||
-            slots_[j].node->ring_fingerprint() != view_.ring.fingerprint()) {
-          fail(step, "node " + std::to_string(j) + " ring belief diverged (version " +
-                         std::to_string(slots_[j].node->ring_version()) + " vs " +
-                         std::to_string(view_.ring.version()) + ")");
-          return;
-        }
+    // Membership belief agreement: after churn quiesces, every live member
+    // holds the same ring (version + order-insensitive fingerprint) as the
+    // runner's authoritative view.
+    for (usize j = 0; j < slots_.size(); ++j) {
+      if (!slots_[j].active || !slots_[j].node) {
+        continue;
       }
-      // Hint coherence: a delivered hint was once written (across all
-      // incarnations — the same park-then-drain shape as pushed/applied).
-      if (total.hints_delivered > total.hints_written) {
-        fail(step, "obs incoherence: " + std::to_string(total.hints_delivered) +
-                       " hints delivered > " + std::to_string(total.hints_written) + " written");
+      if (slots_[j].node->ring_version() != view_.ring.version() ||
+          slots_[j].node->ring_fingerprint() != view_.ring.fingerprint()) {
+        fail(step, "node " + std::to_string(j) + " ring belief diverged (version " +
+                       std::to_string(slots_[j].node->ring_version()) + " vs " +
+                       std::to_string(view_.ring.version()) + ")");
         return;
       }
+    }
+    // Hint coherence: a delivered hint was once written (across all
+    // incarnations — the same park-then-drain shape as pushed/applied).
+    if (total.hints_delivered > total.hints_written) {
+      fail(step, "obs incoherence: " + std::to_string(total.hints_delivered) +
+                     " hints delivered > " + std::to_string(total.hints_written) + " written");
+      return;
     }
     ++report_.checks;
   }
@@ -1031,19 +930,8 @@ class ChaosRunner {
     for (int round = 0; round < 8; ++round) {
       bool all_clean = true;
       for (auto& slot : slots_) {
-        if (!slot.active || !slot.ae) {
-          continue;
-        }
-        for (auto& peer : slots_) {
-          if (&peer == &slot || !peer.active || !peer.node) {
-            continue;
-          }
-          peer.node->grant_tokens(64 * 1'000'000);  // quiesce is not an overload test
-          const u64 clean_before = slot.ae->stats().clean_passes;
-          (void)slot.ae->sync_with(BsPeer{peer.addr, kPort});
-          if (slot.ae->stats().clean_passes != clean_before + 1) {
-            all_clean = false;
-          }
+        if (slot.active && slot.ae && !sync_with_peers(slot)) {
+          all_clean = false;
         }
       }
       for (int i = 0; i < 32; ++i) {
@@ -1258,11 +1146,10 @@ class ChaosRunner {
   LinkAddr client_addr_ = 0;
   std::unique_ptr<BlockStoreClient> client_;
   std::vector<std::pair<LinkAddr, LinkAddr>> cuts_;
-  std::map<std::string, KeyBelief> beliefs_;
-  ClusterView view_;  // cluster mode: the runner's authoritative membership
+  ClusterView view_;  // the runner's authoritative membership
   std::vector<Flap> flaps_;              // heal mode: running flap storms
   std::map<usize, usize> slow_until_;    // heal mode: slot -> spell expiry step
-  std::map<std::string, KeyHistory> histories_;  // heal mode: lin-checker state
+  std::map<std::string, KeyHistory> histories_;  // stamp-checker state
   usize quiesces_ = 0;                   // heal mode: GC cadence counter
   u64 ae_rpcs_harvested_ = 0;            // repair rpcs from dead incarnations
   ChaosReport report_;

@@ -1,5 +1,7 @@
 // The chaos harness (robustness counterpart of the app VCs): a multi-node
 // block-store cluster driven by a seed-replayable adversarial schedule.
+// Every node is a ring member (ClusterView): writes replicate with acked
+// pushes and hints, the one replication protocol the benchmarks measure.
 //
 // Every source of nondeterminism — client op mix, crash points, partition
 // cuts, fault-site arming, torn-write lengths, crash-survival of cached
@@ -10,8 +12,9 @@
 //   - node crashes (BlockDevice::crash with partial persistence and torn
 //     sectors) followed by reboot + journal recovery at the same fabric
 //     address (KernelConfig::link_addr); unrecoverable disks are re-imaged
-//     (KernelConfig::format_on_recovery_failure) and repopulated by
-//     anti-entropy from the surviving replicas;
+//     (KernelConfig::format_on_recovery_failure) and repopulated over the
+//     wire by Merkle anti-entropy passes against the surviving members,
+//     which keep every block's write stamp;
 //   - network partitions (Network::partition/heal) that the client's
 //     failover policy must route around;
 //   - fault-site arming: per-node disk read/write errors and torn writes,
@@ -30,17 +33,18 @@
 //   3. detectability: reads never return bytes that fail the block CRC;
 //   4. obs coherence: the nodes' obs counters stay mutually consistent across
 //      crashes — replicas applied never exceed replicas pushed (the fabric
-//      never duplicates), and read repairs never exceed corrupt reads.
+//      never duplicates), and read repairs never exceed corrupt reads;
+//   5. stamps: every read's bytes are exactly those of the attempted write
+//      that owns the read's write stamp (checked at op time).
 //
 // Heal mode (ChaosConfig::heal) layers the self-healing storage story on
-// top: sequenced delete tombstones in the workload, silent disk bit-rot,
-// partition flap storms and sustained slow peers in the schedule, Merkle
-// anti-entropy + acknowledgement-gated tombstone GC at quiesce, and a
-// per-key linearizability checker that validates every read against the
-// "replicated sequenced register with quiesce points" spec — at quiesce the
-// converged state must carry the maximum write sequence, deleted keys must
-// stay deleted on every node (no resurrection), and all live members'
-// Merkle roots must agree.
+// top: silent disk bit-rot, partition flap storms and sustained slow peers
+// in the schedule, background Merkle anti-entropy, and at quiesce
+// anti-entropy convergence + acknowledgement-gated tombstone GC checked
+// against the "replicated sequenced register with quiesce points" spec —
+// the converged state must carry the maximum acknowledged write sequence,
+// deleted keys must stay deleted on every node (no resurrection), and all
+// live members' Merkle roots must agree.
 //
 // The client's ops ride VTP streams — the plane the benchmark measures —
 // and the runner's pump ticks every host's VTP stack: a crash resets the
@@ -81,13 +85,13 @@ struct ChaosConfig {
   u64 persist_ppm = 500'000;
   u64 torn_crash_ppm = 150'000;
 
-  // --- Cluster mode (membership churn) -------------------------------------
-  // Off by default; a legacy config draws exactly the legacy schedule from
-  // its seed (every new event is gated on `cluster` before touching the
-  // schedule Rng), so the fixed seed matrix replays unchanged.
-  bool cluster = false;        // consistent-hash placement instead of static peers
-  usize replication = 2;       // ring owners per key
-  usize vnodes = 32;           // virtual nodes per member
+  // --- Placement and membership churn --------------------------------------
+  // The `nodes` initial members form one consistent-hash ring
+  // (ClusterView::of: 32 points per member). Membership events are off by
+  // default, and every gate below checks its own ppm before touching the
+  // schedule Rng, so a preset without churn draws exactly the schedule it
+  // would without these knobs.
+  usize replication = 2;       // ring owners per key (capped by cluster size)
   usize max_nodes = 6;         // join cap (slots are never reused)
   u64 join_ppm = 0;            // per-step: boot a new member + rebalance all
   u64 leave_ppm = 0;           // per-step: graceful leave (aborts if it would
@@ -100,7 +104,8 @@ struct ChaosConfig {
   // --- Heal mode (self-healing storage: tombstones + Merkle anti-entropy) --
   // Off by default; every heal event is gated on `heal` *before* touching the
   // schedule Rng, so legacy and churn seed matrices replay unchanged.
-  bool heal = false;           // heal events + lin checker + Merkle repair at quiesce
+  bool heal = false;           // heal events + background Merkle passes + quiesce
+                               // convergence, tombstone GC and heal invariants
   bool del_heavy = false;      // client mix 5/3/2 put/get/del instead of 6/3/1
   u64 bit_rot_ppm = 0;         // per-step: arm one-shot silent disk corruption
   u64 bit_rot_bytes_max = 8;   // flipped bytes per fire, drawn from [1, max]
@@ -154,7 +159,7 @@ struct ChaosReport {
   u64 client_reconnects = 0;  // client streams re-opened after a typed error
   u64 checks = 0;       // invariant checkpoints passed
 
-  // Cluster-mode accounting.
+  // Membership, handoff and admission accounting.
   u64 joins = 0;
   u64 leaves = 0;
   u64 aborted_leaves = 0;  // graceful leaves that would have stranded a shard
@@ -165,19 +170,20 @@ struct ChaosReport {
   u64 stale_ignored = 0;   // replica writes refused as older than the local copy
   u64 delays_armed = 0;    // serve_delay stalls injected
 
-  // Heal-mode accounting.
+  // Self-healing accounting. The ae_* fields count heal mode's background
+  // and quiesce passes plus every preset's re-image bootstraps.
   u64 tombstones_written = 0;  // sequenced deletes persisted (all incarnations)
   u64 tombstones_gced = 0;     // tombstones reclaimed after shard-wide acks
   u64 hints_dropped = 0;       // hints evicted by the per-peer cap
   u64 bit_rot_reads = 0;       // reads that silently returned flipped bytes
   u64 flaps = 0;               // partition flap storms started
   u64 slow_spells = 0;         // sustained slow-peer spells started
-  u64 ae_passes = 0;           // Merkle exchanges run (background + quiesce)
+  u64 ae_passes = 0;           // Merkle exchanges run
   u64 ae_clean_passes = 0;     // exchanges where the roots already matched
   u64 ae_pulled = 0;           // blocks repaired by pulling from a peer
   u64 ae_pushed = 0;           // blocks repaired by pushing to a peer
   u64 ae_bytes = 0;            // repair wire bytes (requests + replies)
-  u64 lin_reads_checked = 0;   // reads validated against the sequenced-register spec
+  u64 lin_reads_checked = 0;   // reads whose bytes matched the write owning their stamp
   u64 acked_floor_drops = 0;   // keys downgraded after re-image data loss
 };
 

@@ -177,9 +177,9 @@ TEST(BlockStoreWireTest, EndToEndOverFabric) {
 }
 
 // A value far bigger than a typical MTU crosses both wires: the client's
-// stream (segmented at the MSS) to the primary, then the primary's
-// replication push to its peer — one node-to-node datagram, whose framing
-// must be just as exact (the fabric has no MTU).
+// stream (segmented at the MSS) to the primary, then the primary's acked
+// replication push to the other owner — one node-to-node datagram, whose
+// framing must be just as exact (the fabric has no MTU).
 TEST(BlockStoreWireTest, LargeValueCrossesDatagrams) {
   Network net;
   Host primary_host(&net);
@@ -187,9 +187,13 @@ TEST(BlockStoreWireTest, LargeValueCrossesDatagrams) {
   Host client_host(&net);
   BlockStoreNode replica(replica_host.sys, 7001);
   ASSERT_TRUE(replica.init().ok());
-  BlockStoreNode primary(primary_host.sys, 7000,
-                         {BsPeer{replica_host.kernel.net_addr(), 7001}});
+  BlockStoreNode primary(primary_host.sys, 7000, {}, [&] { replica.serve_once(); });
   ASSERT_TRUE(primary.init().ok());
+  ClusterView view = ClusterView::of(
+      {BsPeer{primary_host.kernel.net_addr(), 7000}, BsPeer{replica_host.kernel.net_addr(), 7001}},
+      2);
+  primary.configure_cluster({.self = 0}, view);
+  replica.configure_cluster({.self = 1}, view);
   BlockStoreClient client(client_host.sys, primary_host.kernel.net_addr(), 7000, [&] {
     primary.serve_once();
     replica.serve_once();
@@ -203,6 +207,71 @@ TEST(BlockStoreWireTest, LargeValueCrossesDatagrams) {
   ASSERT_TRUE(client.put("big", big).ok());
   EXPECT_EQ(client.get("big").value(), big);
   EXPECT_EQ(replica.get("big").value(), big);
+  EXPECT_EQ(primary.stats().hints_written, 0u);  // the push was acked, not parked
+}
+
+// A frame header whose length no request needs (here 2^32 - 1 bytes) closes
+// the connection: the node would otherwise buffer everything the client
+// streams after it, without limit, waiting for a body that never ends.
+TEST(BlockStoreWireTest, OversizedFrameHeaderClosesTheStream) {
+  Network net;
+  Host server(&net);
+  Host client_host(&net);
+  BlockStoreNode node(server.sys, 7000);
+  ASSERT_TRUE(node.init().ok());
+  auto fd = client_host.sys.vtp_connect(server.kernel.net_addr(), 7000, /*src_port=*/0);
+  ASSERT_TRUE(fd.ok());
+  Writer header;
+  header.put_u32(0xFFFF'FFFFu);
+  std::vector<u8> stream = header.take();
+  const std::vector<u8> chunk(4096, 0xAB);
+  for (int i = 0; i < 4; ++i) {
+    stream.insert(stream.end(), chunk.begin(), chunk.end());
+  }
+  usize sent = 0;
+  ErrorCode end = ErrorCode::kOk;
+  for (int poll = 0; poll < 256 && end == ErrorCode::kOk; ++poll) {
+    if (sent < stream.size()) {
+      auto n = client_host.sys.vtp_send(fd.value(), std::span<const u8>(stream).subspan(sent));
+      if (n.ok()) {
+        sent += n.value();
+      }
+    }
+    node.serve_once();
+    tick(server, client_host);
+    auto got = client_host.sys.vtp_recv(fd.value(), 4096);
+    if (!got.ok() && got.error() != ErrorCode::kWouldBlock) {
+      end = got.error();
+    }
+  }
+  EXPECT_TRUE(end == ErrorCode::kPipeClosed || end == ErrorCode::kConnReset)
+      << "the node kept the stream open: " << error_name(end);
+}
+
+// The client shares the node's bound: a put whose request body would pass
+// kVtpConnBufMax is refused with a typed error before anything is sent,
+// and the largest put that fits still lands.
+TEST(BlockStoreWireTest, ClientRefusesAPutPastTheFrameBound) {
+  Network net;
+  Host server(&net);
+  Host client_host(&net);
+  BlockStoreNode node(server.sys, 7000);
+  ASSERT_TRUE(node.init().ok());
+  RetryPolicy policy;
+  policy.polls_per_attempt = 2048;  // a 1 MiB frame crosses 16 KiB windows
+  BlockStoreClient client(
+      client_host.sys, server.kernel.net_addr(), 7000,
+      [&] {
+        node.serve_once();
+        tick(server, client_host);
+      },
+      policy);
+  // A put's body is 25 header bytes, the key ("big") and the value.
+  const usize fits = kVtpConnBufMax - 25 - 3;
+  EXPECT_EQ(client.put("big", std::vector<u8>(fits + 1, 1)).error(), ErrorCode::kInvalidArgument);
+  EXPECT_EQ(client.retry_stats().attempts, 0u);
+  ASSERT_TRUE(client.put("big", std::vector<u8>(fits, 1)).ok());
+  EXPECT_EQ(client.get("big").value().size(), fits);
 }
 
 // An attempt window shorter than the stream's RTO hands loss recovery back
@@ -323,10 +392,11 @@ TEST(BlockStoreCrashTest, AckedPutsSurviveReboot) {
 }
 
 // Crash during the replication push: the primary acks a put whose push to
-// the replica is lost (partitioned fabric), then the primary's disk crashes.
-// Whatever fraction of un-flushed sectors survives the crash, the acked put
-// must still be readable after recovery — put() fsyncs before acking — and
-// anti-entropy (sync_into) must bring the replica back in sync. Swept over
+// the replica is never acked (partitioned fabric), so it parks a hint; then
+// the primary's disk crashes. Whatever fraction of un-flushed sectors
+// survives the crash, the acked put must still be readable after recovery —
+// put() fsyncs before acking — and a full-inventory anti-entropy pass
+// (sync_full) run by the replica's scheduler must pull it back. Swept over
 // the crash persistence spectrum with fixed seeds so failures replay.
 TEST(BlockStoreCrashTest, AckedPutSurvivesCrashDuringReplicationPush) {
   struct Case {
@@ -349,13 +419,18 @@ TEST(BlockStoreCrashTest, AckedPutSurvivesCrashDuringReplicationPush) {
 
     {
       Host primary_host(&net, &disk);
-      BlockStoreNode primary(primary_host.sys, 7000,
-                             {BsPeer{replica_host.kernel.net_addr(), 7001}});
+      BlockStoreNode primary(primary_host.sys, 7000, {}, [&] { replica.serve_once(); });
       ASSERT_TRUE(primary.init().ok());
-      // Cut the primary<->replica link so the replication push is lost in
-      // flight, then crash the primary after it acks.
+      ClusterView view = ClusterView::of({BsPeer{primary_host.kernel.net_addr(), 7000},
+                                          BsPeer{replica_host.kernel.net_addr(), 7001}},
+                                         2);
+      primary.configure_cluster({.self = 0}, view);
+      replica.configure_cluster({.self = 1}, view);
+      // Cut the primary<->replica link so the replication push is never
+      // acked, then crash the primary after it acks the client.
       net.partition(primary_host.kernel.net_addr(), replica_host.kernel.net_addr());
       ASSERT_TRUE(primary.put("acked", bytes("must-survive")).ok());
+      EXPECT_EQ(primary.stats().hints_written, 1u);
       replica.serve_once();
       EXPECT_EQ(replica.get("acked").error(), ErrorCode::kNotFound);
       disk.crash(c.persist_ppm);
@@ -363,19 +438,13 @@ TEST(BlockStoreCrashTest, AckedPutSurvivesCrashDuringReplicationPush) {
     net.heal_all();
 
     Host rebooted(&net, &disk, /*recover=*/true);
-    BlockStoreNode primary(rebooted.sys, 7000,
-                           {BsPeer{replica_host.kernel.net_addr(), 7001}});
+    BlockStoreNode primary(rebooted.sys, 7000);
     ASSERT_TRUE(primary.init().ok());
     EXPECT_EQ(primary.get("acked").value(), bytes("must-survive"));
 
-    Host client_host(&net);
-    BlockStoreClient client(client_host.sys, rebooted.kernel.net_addr(), 7000, [&] {
-      primary.serve_once();
-      tick(rebooted, client_host);
-    });
-    auto repaired = client.sync_into(replica);
-    ASSERT_TRUE(repaired.ok());
-    EXPECT_GE(repaired.value(), 1u);
+    AntiEntropyScheduler ae(replica_host.sys, replica, [&] { primary.serve_once(); });
+    ASSERT_TRUE(ae.sync_full(BsPeer{rebooted.kernel.net_addr(), 7000}).ok());
+    EXPECT_EQ(ae.stats().pulled, 1u);
     EXPECT_EQ(replica.get("acked").value(), bytes("must-survive"));
   }
 }
@@ -907,15 +976,18 @@ TEST(BlockStoreReplicationTest, PutPropagatesToPeer) {
   Host replica_host(&net);
   BlockStoreNode replica(replica_host.sys, 7001);
   ASSERT_TRUE(replica.init().ok());
-  BlockStoreNode primary(primary_host.sys, 7000,
-                         {BsPeer{replica_host.kernel.net_addr(), 7001}});
+  BlockStoreNode primary(primary_host.sys, 7000, {}, [&] { replica.serve_once(); });
   ASSERT_TRUE(primary.init().ok());
+  ClusterView view = ClusterView::of(
+      {BsPeer{primary_host.kernel.net_addr(), 7000}, BsPeer{replica_host.kernel.net_addr(), 7001}},
+      2);
+  primary.configure_cluster({.self = 0}, view);
+  replica.configure_cluster({.self = 1}, view);
 
+  // The put returns only after the replica acked its push.
   ASSERT_TRUE(primary.put("r", bytes("replicated")).ok());
-  for (int i = 0; i < 16; ++i) {
-    replica.serve_once();
-  }
   EXPECT_EQ(replica.get("r").value(), bytes("replicated"));
+  EXPECT_EQ(primary.stats().hints_written, 0u);
 }
 
 // Ack waits nest: the pump a replica-ack wait runs can serve a request that

@@ -1,17 +1,21 @@
 // The chaos suite (ctest label: chaos): seeded adversarial schedules against
 // a replicated block-store cluster (src/app/chaos.h). Every client op rides
 // the VTP stream plane the benchmark measures, so each schedule checks that
-// path under crashes, partitions and injected faults. One table of four
+// path under crashes, partitions and injected faults, and every node is a
+// ring member replicating with acked pushes and hints. One table of four
 // presets runs the same eight frozen seeds:
-//   legacy — 3 static-peer nodes: crashes with partial persistence and torn
-//            sectors, dirty reboots, partitions, disk/syscall/OOM faults;
-//   churn  — cluster mode: seeded joins and graceful leaves plus serve-delay
-//            stalls on top of the legacy adversity;
-//   heal   — churn plus sequenced deletes, silent bit-rot, partition flap
-//            storms, slow peers, background Merkle repair and a per-read
-//            linearizability checker (DESIGN.md §11.3);
+//   legacy — a fixed 3-member ring with every key on every member: crashes
+//            with partial persistence and torn sectors, dirty reboots,
+//            partitions, disk/syscall/OOM faults;
+//   churn  — seeded joins and graceful leaves plus serve-delay stalls on
+//            top of the legacy adversity;
+//   heal   — churn plus a delete-heavy mix, silent bit-rot, partition flap
+//            storms, slow peers, background Merkle repair and converged-
+//            state checks at quiesce (DESIGN.md §11.3);
 //   ring   — heal with both SysRing fault sites armed (submit kills and
 //            completion deferrals across the async syscall data plane).
+// Every preset re-images a wiped disk over the wire with Merkle passes and
+// checks each read's bytes against the write that owns its stamp.
 // A failure prints the seed; replay it under every preset with
 //   VNROS_CHAOS_SEED=0x... ./chaos_test --gtest_filter='*ReplayFromEnv*'
 #include <gtest/gtest.h>
@@ -38,6 +42,7 @@ std::vector<u8> bytes(std::string_view s) { return std::vector<u8>(s.begin(), s.
 ChaosConfig legacy_config(u64 seed) {
   ChaosConfig c;
   c.seed = seed;
+  c.replication = 3;  // every member owns every key
   return c;
 }
 
@@ -48,9 +53,7 @@ ChaosConfig churn_config(u64 seed) {
   c.steps = 300;
   c.keys = 12;
   c.check_every = 60;
-  c.cluster = true;
   c.replication = 2;
-  c.vnodes = 32;
   c.max_nodes = 6;
   c.join_ppm = 35'000;
   c.leave_ppm = 35'000;
@@ -66,9 +69,7 @@ ChaosConfig heal_config(u64 seed) {
   c.steps = 300;
   c.keys = 12;
   c.check_every = 60;
-  c.cluster = true;
   c.replication = 2;
-  c.vnodes = 32;
   c.max_nodes = 6;
   c.join_ppm = 25'000;
   c.leave_ppm = 25'000;
@@ -94,9 +95,7 @@ ChaosConfig ring_config(u64 seed) {
   c.steps = 250;
   c.keys = 12;
   c.check_every = 50;
-  c.cluster = true;
   c.replication = 2;
-  c.vnodes = 32;
   c.max_nodes = 6;
   c.join_ppm = 20'000;
   c.leave_ppm = 20'000;
