@@ -2,8 +2,8 @@
 //
 // Two replicas share a seeded keyspace; a fraction of the keys diverge
 // (newer versions and tombstones on one side). The stale node then repairs
-// through the SAME rpc layer and byte accounting (AntiEntropyScheduler)
-// under both strategies:
+// through the same peer call (BlockStoreNode::call_peer) and byte
+// accounting (AntiEntropyScheduler) under both strategies:
 //   - merkle: root exchange + top-down descent into divergent subtrees
 //     (sync_with) — wire cost tracks divergence;
 //   - full:   the PR 7 baseline, ship the whole (key, crc, seq) inventory
@@ -160,8 +160,15 @@ Point run_cell(Strategy strategy, usize keys, double frac, usize value_bytes,
   Host a_host(&net);
   Host b_host(&net);
   Host fg_host(&net);
-  BlockStoreNode a(a_host.sys, kPortA);
   BlockStoreNode b(b_host.sys, kPortB);
+  BsPeer peer_b{b_host.kernel.net_addr(), kPortB};
+  Foreground fg(fg_host.sys, peer_b, keys, seed ^ 0xF9ull);
+  // The repairing node's pump: B serves, and the foreground reader steps.
+  auto pump = [&] {
+    b.serve_once();
+    fg.step();
+  };
+  BlockStoreNode a(a_host.sys, kPortA, {}, pump);
   VNROS_CHECK(a.init().ok() && b.init().ok());
 
   Rng rng(seed);
@@ -191,16 +198,9 @@ Point run_cell(Strategy strategy, usize keys, double frac, usize value_bytes,
                                keys + 1 + i, tomb).ok());
   }
 
-  BsPeer peer_b{b_host.kernel.net_addr(), kPortB};
-  Foreground fg(fg_host.sys, peer_b, keys, seed ^ 0xF9ull);
-  auto pump = [&] {
-    b.serve_once();
-    fg.step();
-  };
-
   AntiEntropyConfig cfg;
   cfg.tokens_per_pass = ~u64{0} >> 1;  // the budget is not under test here
-  AntiEntropyScheduler sched(a_host.sys, a, pump, cfg);
+  AntiEntropyScheduler sched(a, cfg);
 
   auto sync_once = [&] {
     auto r = strategy == Strategy::kMerkle ? sched.sync_with(peer_b) : sched.sync_full(peer_b);

@@ -104,7 +104,7 @@ cmake --build build-tsan -j"${JOBS}" --target net_test
 ./build-tsan/tests/net_test --gtest_filter='*Vtp*'
 
 echo
-echo "== tier-1: ASan+UBSan build (fs_test + app_test + chaos_test + checksums + VTP + syscalls) =="
+echo "== tier-1: ASan+UBSan build (fs_test + app_test + chaos_test + checksums + VTP + syscalls + app VCs) =="
 # The fault-injection and chaos paths unwind through error branches the
 # happy-path suite never touches; run them — every chaos preset — under
 # address+UB sanitizers. The checksum tests and VCs run here too: the
@@ -115,7 +115,9 @@ echo "== tier-1: ASan+UBSan build (fs_test + app_test + chaos_test + checksums +
 # lifetime bug the sanitizers see first. And so do the syscall and ring
 # tests and the sys_* VCs: the table's generic decoders parse untrusted
 # frames byte by byte, and the marshalling VC feeds them every strict prefix
-# of every syscall's frame.
+# of every syscall's frame. The app VCs (Vc_app.*) drive the node's peer
+# call — replica pushes, read-repair, anti-entropy, tombstone GC — through
+# its nested ring waits and reply stash.
 cmake -B build-asan -S . -DVNROS_SAN=address >/dev/null
 cmake --build build-asan -j"${JOBS}" --target fs_test app_test chaos_test base_test net_test \
   syscall_test ring_syscall_test vc_suite_test
@@ -126,15 +128,15 @@ cmake --build build-asan -j"${JOBS}" --target fs_test app_test chaos_test base_t
 ./build-asan/tests/net_test
 ./build-asan/tests/syscall_test
 ./build-asan/tests/ring_syscall_test
-./build-asan/tests/vc_suite_test --gtest_filter='*crc*:*corruption*:*vtp*:*sys_*'
+./build-asan/tests/vc_suite_test --gtest_filter='*crc*:*corruption*:*vtp*:*sys_*:Vc_app.*'
 
 echo
-echo "== tier-1: UBSan build (chaos_test + app_test + checksums + VTP + syscalls) =="
+echo "== tier-1: UBSan build (chaos_test + app_test + checksums + VTP + syscalls + app VCs) =="
 # Pure UBSan (no recovery, no ASan shadow-memory slowdown) over every chaos
 # preset: the stream framing and repair/GC/bit-rot paths do a lot of
 # byte-level (de)serialization and seq arithmetic — exactly where silent UB
-# would hide. The checksum, VTP and syscall tests and VCs run here for the
-# same reasons as above.
+# would hide. The checksum, VTP, syscall and app tests and VCs run here for
+# the same reasons as above.
 cmake -B build-ubsan -S . -DVNROS_SAN=undefined >/dev/null
 cmake --build build-ubsan -j"${JOBS}" --target chaos_test app_test base_test net_test \
   syscall_test ring_syscall_test vc_suite_test
@@ -144,7 +146,7 @@ cmake --build build-ubsan -j"${JOBS}" --target chaos_test app_test base_test net
 ./build-ubsan/tests/net_test
 ./build-ubsan/tests/syscall_test
 ./build-ubsan/tests/ring_syscall_test
-./build-ubsan/tests/vc_suite_test --gtest_filter='*crc*:*corruption*:*vtp*:*sys_*'
+./build-ubsan/tests/vc_suite_test --gtest_filter='*crc*:*corruption*:*vtp*:*sys_*:Vc_app.*'
 
 echo
 echo "tier1: OK"

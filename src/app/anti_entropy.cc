@@ -7,6 +7,12 @@
 #include "src/base/serde.h"
 
 namespace vnros {
+namespace {
+
+// Sends per repair RPC, and pump polls awaiting each reply.
+constexpr PeerRetry kRepairRpcRetry{.attempts = 2, .window = 64};
+
+}  // namespace
 
 usize MerkleTree::bucket_of(std::string_view key) {
   std::span<const u8> bytes(reinterpret_cast<const u8*>(key.data()), key.size());
@@ -39,9 +45,8 @@ MerkleTree MerkleTree::build(const std::vector<BlockKeyInfo>& inventory) {
   return t;
 }
 
-AntiEntropyScheduler::AntiEntropyScheduler(Sys& sys, BlockStoreNode& node,
-                                           std::function<void()> pump, AntiEntropyConfig cfg)
-    : sys_(sys), node_(node), pump_(std::move(pump)), cfg_(cfg), rng_(cfg.rng_seed) {}
+AntiEntropyScheduler::AntiEntropyScheduler(BlockStoreNode& node, AntiEntropyConfig cfg)
+    : node_(node), cfg_(cfg), rng_(cfg.rng_seed) {}
 
 void AntiEntropyScheduler::tick() {
   ++now_;
@@ -64,79 +69,29 @@ void AntiEntropyScheduler::tick() {
   }
 }
 
-std::vector<u8> AntiEntropyScheduler::make_request(BsOp op, std::string_view key,
-                                                   u64 req_id) const {
-  Writer w;
-  w.put_u8(static_cast<u8>(op));
-  w.put_u64(req_id);
-  w.put_string(key);
-  return w.take();
-}
-
-Result<AntiEntropyScheduler::RpcReply> AntiEntropyScheduler::do_rpc(
-    const BsPeer& peer, const std::vector<u8>& request) {
+Result<BsReply> AntiEntropyScheduler::rpc(const BsPeer& peer, BsOp op, std::string_view key,
+                                          std::span<const u8> body) {
   if (budget_ == 0) {
     return ErrorCode::kBusy;  // pass budget spent: park the rest
   }
   --budget_;
-  if (sock_ == kInvalidFd) {
-    auto sock = sys_.udp_socket();
-    if (!sock.ok()) {
-      return sock.error();
-    }
-    sock_ = sock.value();
-  }
-  // The req_id is embedded at offset 1 by the caller; recover it for reply
-  // matching (stale replies from earlier RPCs share this socket).
-  Reader req(request);
-  (void)req.get_u8();
-  u64 req_id = req.get_u64().value_or(0);
   ++stats_.rpcs;
-  ErrorCode last = ErrorCode::kTimedOut;
-  for (usize attempt = 0; attempt < cfg_.rpc_attempts; ++attempt) {
-    auto sent = sys_.udp_sendto(sock_, peer.addr, peer.port, request);
-    if (!sent.ok()) {
-      last = sent.error();
-      continue;
-    }
-    stats_.bytes_sent += request.size();
-    for (usize poll = 0; poll < cfg_.rpc_polls; ++poll) {
-      if (pump_) {
-        pump_();
-      }
-      auto reply = sys_.udp_recvfrom(sock_);
-      if (!reply.ok()) {
-        continue;
-      }
-      Reader r(reply.value().payload);
-      auto rid = r.get_u64();
-      auto err = r.get_u32();
-      auto payload = r.get_bytes();
-      if (!rid || !err || !payload || *rid != req_id) {
-        continue;
-      }
-      stats_.bytes_received += reply.value().payload.size();
-      ErrorCode code = static_cast<ErrorCode>(*err);
-      if (code != ErrorCode::kOk) {
-        return code;
-      }
-      return RpcReply{std::move(*payload), r.get_u64().value_or(0)};
-    }
-  }
-  return last;
+  PeerTraffic traffic;
+  auto reply = node_.call_peer(peer, op, key, body, kRepairRpcRetry, &traffic);
+  stats_.bytes_sent += traffic.sent;
+  stats_.bytes_received += traffic.received;
+  return reply;
 }
 
 Result<AntiEntropyScheduler::NodeReply> AntiEntropyScheduler::fetch_node(const BsPeer& peer,
                                                                          u32 idx) {
-  std::vector<u8> req = make_request(BsOp::kMerkleNode, "", next_req_id_++);
-  Writer extra;
-  extra.put_u32(idx);
-  req.insert(req.end(), extra.bytes().begin(), extra.bytes().end());
-  auto reply = do_rpc(peer, req);
+  Writer body;
+  body.put_u32(idx);
+  auto reply = rpc(peer, BsOp::kMerkleNode, "", body.bytes());
   if (!reply.ok()) {
     return reply.error();
   }
-  Reader r(reply.value().payload);
+  Reader r(reply.value().value);
   NodeReply out;
   auto hash = r.get_u32();
   auto count = r.get_u32();
@@ -157,18 +112,16 @@ Result<AntiEntropyScheduler::NodeReply> AntiEntropyScheduler::fetch_node(const B
 
 Result<std::vector<BlockKeyInfo>> AntiEntropyScheduler::fetch_leaf(const BsPeer& peer,
                                                                    u32 bucket) {
-  std::vector<u8> req = make_request(BsOp::kMerkleLeaf, "", next_req_id_++);
-  Writer extra;
-  extra.put_u32(bucket);
-  req.insert(req.end(), extra.bytes().begin(), extra.bytes().end());
-  auto reply = do_rpc(peer, req);
+  Writer body;
+  body.put_u32(bucket);
+  auto reply = rpc(peer, BsOp::kMerkleLeaf, "", body.bytes());
   if (!reply.ok()) {
     return reply.error();
   }
   // The smallest entry: an empty key's u32 length, seq and flags. A count
   // the payload cannot hold is malformed, so it never sizes the reservation.
   constexpr usize kMinEntryBytes = 4 + 8 + 1;
-  Reader r(reply.value().payload);
+  Reader r(reply.value().value);
   auto count = r.get_u32();
   if (!count || *count > r.remaining() / kMinEntryBytes) {
     return ErrorCode::kCorrupted;
@@ -188,19 +141,17 @@ Result<std::vector<BlockKeyInfo>> AntiEntropyScheduler::fetch_leaf(const BsPeer&
 }
 
 Result<Unit> AntiEntropyScheduler::pull_block(const BsPeer& peer, std::string_view key) {
-  auto reply = do_rpc(peer, make_request(BsOp::kGetBlock, key, next_req_id_++));
+  auto reply = rpc(peer, BsOp::kGetBlock, key);
   if (!reply.ok()) {
     return reply.error();
   }
-  Reader r(reply.value().payload);
-  auto tomb = r.get_u8();
-  if (!tomb) {
-    return ErrorCode::kCorrupted;
+  auto block = decode_block_reply(std::move(reply.value()));
+  if (!block.ok()) {
+    return block.error();
   }
-  std::vector<u8> bytes(reply.value().payload.begin() + 1, reply.value().payload.end());
   bool applied = false;
-  auto stored =
-      node_.apply_remote(key, bytes, reply.value().seq, (*tomb & 1) != 0, &applied);
+  auto stored = node_.apply_remote(key, block.value().bytes, block.value().seq,
+                                   block.value().tombstone, &applied);
   if (!stored.ok()) {
     return stored;
   }
@@ -211,26 +162,19 @@ Result<Unit> AntiEntropyScheduler::pull_block(const BsPeer& peer, std::string_vi
 }
 
 Result<Unit> AntiEntropyScheduler::push_block(const BsPeer& peer, const BlockKeyInfo& info) {
-  std::vector<u8> req;
-  if (info.tombstone) {
-    req = make_request(BsOp::kDelReplica, info.key, next_req_id_++);
-    Writer extra;
-    extra.put_u64(info.seq);
-    req.insert(req.end(), extra.bytes().begin(), extra.bytes().end());
-  } else {
+  Writer body;
+  body.put_u64(info.seq);
+  if (!info.tombstone) {
     auto value = node_.get(info.key);
     if (!value.ok()) {
       // The block changed (deleted/corrupted) since list(): let the next
       // pass ship whatever it settled into.
       return Unit{};
     }
-    req = make_request(BsOp::kPutReplica, info.key, next_req_id_++);
-    Writer extra;
-    extra.put_u64(info.seq);
-    extra.put_bytes(value.value());
-    req.insert(req.end(), extra.bytes().begin(), extra.bytes().end());
+    body.put_bytes(value.value());
   }
-  auto reply = do_rpc(peer, req);
+  auto reply = rpc(peer, info.tombstone ? BsOp::kDelReplica : BsOp::kPutReplica, info.key,
+                   body.bytes());
   if (!reply.ok()) {
     return reply.error();
   }
@@ -358,14 +302,14 @@ Result<Unit> AntiEntropyScheduler::sync_with(const BsPeer& peer) {
 Result<Unit> AntiEntropyScheduler::sync_full(const BsPeer& peer) {
   ++stats_.passes;
   budget_ = ~u64{0};  // baseline is unmetered: it measures full-inventory cost
-  auto reply = do_rpc(peer, make_request(BsOp::kList, "", next_req_id_++));
+  auto reply = rpc(peer, BsOp::kList, "");
   if (!reply.ok()) {
     if (reply.error() == ErrorCode::kOverloaded) {
       ++stats_.yields;
     }
     return reply.error();
   }
-  auto remote = decode_inventory(reply.value().payload);
+  auto remote = decode_inventory(reply.value().value);
   if (!remote.ok()) {
     return remote.error();
   }

@@ -13,6 +13,12 @@
 // through the same byte accounting), reconciling key by key exactly as the
 // Merkle leaves do.
 //
+// Every repair RPC is one BlockStoreNode::call_peer, the call replica
+// pushes and read-repair fetches make: it leaves from the node's repair
+// socket and waits on its repair ring, so the scheduler owns no socket and
+// no pump, and the node it repairs must have a pump. Its pushes count in
+// the node's replicas_pushed like every other replica datagram.
+//
 // Repair is subordinate to foreground traffic by construction:
 //   - every pass runs under a token budget (one token per RPC); an exhausted
 //     budget parks the rest of the pass for the next deadline;
@@ -31,7 +37,6 @@
 #define VNROS_SRC_APP_ANTI_ENTROPY_H_
 
 #include <array>
-#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -72,14 +77,13 @@ struct MerkleTree {
 };
 
 // One repair pass driver's knobs. All waiting is in pump polls (the
-// simulation's clock), all randomness from the scheduler's seeded Rng —
-// repair schedules replay bit-identically.
+// simulation's clock): each RPC makes up to 2 sends, each awaited for 64
+// polls. All randomness comes from the scheduler's seeded Rng — repair
+// schedules replay bit-identically.
 struct AntiEntropyConfig {
   u64 interval_polls = 256;  // base ticks between passes against one peer
   u64 jitter_polls = 64;     // additive per-deadline jitter (de-synchronizes peers)
   u64 tokens_per_pass = 48;  // RPC budget per pass (1 token per request)
-  usize rpc_attempts = 2;    // sends per repair RPC
-  usize rpc_polls = 64;      // pump polls awaiting each reply
   u64 rng_seed = 0xA17E'0001ull;
 };
 
@@ -102,8 +106,7 @@ struct RepairStats {
 // are also callable directly (quiesce paths, benches).
 class AntiEntropyScheduler {
  public:
-  AntiEntropyScheduler(Sys& sys, BlockStoreNode& node, std::function<void()> pump,
-                       AntiEntropyConfig cfg = {});
+  explicit AntiEntropyScheduler(BlockStoreNode& node, AntiEntropyConfig cfg = {});
 
   // Advances the repair clock one poll; runs at most the passes whose
   // deadlines expired. A peer first seen at tick T gets a deadline jittered
@@ -116,7 +119,7 @@ class AntiEntropyScheduler {
   // made; the next pass continues), kOverloaded = peer is shedding (yield).
   Result<Unit> sync_with(const BsPeer& peer);
 
-  // Full-inventory exchange through the SAME rpc layer, reconcile step and
+  // Full-inventory exchange through the same peer call, reconcile step and
   // byte accounting as sync_with: one kList, then every key whose sequence
   // differs is pulled (peer newer) or pushed (local newer). Equal sequences
   // count as converged, as they do in the Merkle leaves. The ablation
@@ -133,16 +136,13 @@ class AntiEntropyScheduler {
     u32 child_count = 0;
     std::array<u32, MerkleTree::kFanout> children{};
   };
-  struct RpcReply {
-    std::vector<u8> payload;
-    u64 seq = 0;
-  };
 
-  // Sends a fully-serialized request until its req_id is answered; charges
-  // one budget token. The reply's error code is surfaced as-is (kOk =>
-  // payload valid); kBusy = budget exhausted before sending.
-  Result<RpcReply> do_rpc(const BsPeer& peer, const std::vector<u8>& request);
-  std::vector<u8> make_request(BsOp op, std::string_view key, u64 req_id) const;
+  // One repair RPC through the node's call_peer, charged one budget token
+  // and counted in the stats' rpcs and wire bytes. The reply's error code is
+  // surfaced as-is (kOk => payload valid); kBusy = budget exhausted before
+  // sending.
+  Result<BsReply> rpc(const BsPeer& peer, BsOp op, std::string_view key,
+                      std::span<const u8> body = {});
 
   Result<NodeReply> fetch_node(const BsPeer& peer, u32 idx);
   Result<std::vector<BlockKeyInfo>> fetch_leaf(const BsPeer& peer, u32 bucket);
@@ -153,13 +153,9 @@ class AntiEntropyScheduler {
   Result<Unit> pull_block(const BsPeer& peer, std::string_view key);
   Result<Unit> push_block(const BsPeer& peer, const BlockKeyInfo& info);
 
-  Sys& sys_;
   BlockStoreNode& node_;
-  std::function<void()> pump_;
   AntiEntropyConfig cfg_;
   Rng rng_;
-  Fd sock_ = kInvalidFd;
-  u64 next_req_id_ = 1;
   u64 now_ = 0;
   u64 budget_ = 0;  // tokens left in the current pass
   std::map<BsNodeId, u64> next_due_;

@@ -383,7 +383,7 @@ VcOutcome vc_anti_entropy_sync(u64 seed) {
   Host primary_host(&net);
   Host replica_host(&net);
   BlockStoreNode primary(primary_host.sys, 9000);  // unconfigured: replicates to no one
-  BlockStoreNode replica(replica_host.sys, 9001);
+  BlockStoreNode replica(replica_host.sys, 9001, {}, [&] { primary.serve_once(); });
   if (!primary.init().ok() || !replica.init().ok()) {
     return VcOutcome::fail("init failed");
   }
@@ -400,7 +400,7 @@ VcOutcome vc_anti_entropy_sync(u64 seed) {
       return VcOutcome::fail("put failed");
     }
   }
-  AntiEntropyScheduler ae(replica_host.sys, replica, [&] { primary.serve_once(); });
+  AntiEntropyScheduler ae(replica);
   const BsPeer peer{primary_host.kernel.net_addr(), 9000};
   auto synced = ae.sync_full(peer);
   if (!synced.ok()) {
@@ -911,7 +911,7 @@ VcOutcome vc_tombstone_no_resurrection(u64 seed) {
   // Heal and repair through anti-entropy alone: the tombstone travels as a
   // first-class sequenced write and supersedes the stale copy.
   c.net.heal_all();
-  AntiEntropyScheduler ae(c.hosts[0]->sys, *c.nodes[0], [&] { c.pump_except(0); });
+  AntiEntropyScheduler ae(*c.nodes[0]);
   if (!ae.sync_with(BsPeer{c.hosts[1]->kernel.net_addr(), 9101}).ok()) {
     return VcOutcome::fail("anti-entropy pass failed");
   }
@@ -955,8 +955,11 @@ VcOutcome vc_anti_entropy_converges(u64 seed) {
   Network net;
   Host a_host(&net);
   Host b_host(&net);
-  BlockStoreNode a(a_host.sys, 9000);
-  BlockStoreNode b(b_host.sys, 9001);
+  // Each node's pump serves the other: a pass waits for the peer's replies.
+  BlockStoreNode* b_ptr = nullptr;
+  BlockStoreNode a(a_host.sys, 9000, {}, [&] { b_ptr->serve_once(); });
+  BlockStoreNode b(b_host.sys, 9001, {}, [&] { a.serve_once(); });
+  b_ptr = &b;
   if (!a.init().ok() || !b.init().ok()) {
     return VcOutcome::fail("init failed");
   }
@@ -991,8 +994,8 @@ VcOutcome vc_anti_entropy_converges(u64 seed) {
 
   AntiEntropyConfig cfg;
   cfg.tokens_per_pass = 1'000'000;  // convergence VC: budget is not under test
-  AntiEntropyScheduler ab(a_host.sys, a, [&] { b.serve_once(); }, cfg);
-  AntiEntropyScheduler ba(b_host.sys, b, [&] { a.serve_once(); }, cfg);
+  AntiEntropyScheduler ab(a, cfg);
+  AntiEntropyScheduler ba(b, cfg);
   BsPeer peer_a{a_host.kernel.net_addr(), 9000};
   BsPeer peer_b{b_host.kernel.net_addr(), 9001};
   if (!ab.sync_with(peer_b).ok() || !ba.sync_with(peer_a).ok()) {

@@ -96,11 +96,46 @@ struct BlockKeyInfo {
 // never sizes an allocation.
 Result<std::vector<BlockKeyInfo>> decode_inventory(std::span<const u8> payload);
 
+// A finished op's reply: the payload, plus the write sequence the serving
+// replica stamped on it (kGet and kGetBlock; 0 for every other op).
+struct BsReply {
+  std::vector<u8> value;
+  u64 seq = 0;
+};
+
+// One block as a node stores it: the payload bytes, the write sequence
+// stamped when they were written, and whether it is a tombstone (a
+// sequenced delete marker, with no bytes).
+struct DecodedBlock {
+  u64 seq = 0;
+  bool tombstone = false;
+  std::vector<u8> bytes;
+};
+
+// Decodes a kGetBlock reply: [u8 tombstone][bytes], the sequence riding in
+// BsReply::seq. kCorrupted when the flag byte is missing or not 0/1, or
+// when a tombstone carries bytes.
+Result<DecodedBlock> decode_block_reply(BsReply reply);
+
 struct BsPeer {
   NetAddr addr = 0;
   Port port = 0;
 
   bool operator==(const BsPeer&) const = default;
+};
+
+// How long one peer call tries: up to `attempts` sends, each awaited for
+// `window` pump polls.
+struct PeerRetry {
+  usize attempts = 1;
+  usize window = 1;
+};
+
+// Wire bytes one peer call moved: every send's request bytes, and the bytes
+// of the reply that ended it.
+struct PeerTraffic {
+  u64 sent = 0;
+  u64 received = 0;
 };
 
 // Shared cluster belief: the placement ring plus the directory mapping each
@@ -190,10 +225,10 @@ class BlockStoreNode {
  public:
   // `sys` is this node's (process's) view of its OS. The node binds `port`.
   // `pump` (optional) advances the simulated world while the node waits for
-  // another node: a replica push waits for its ack (without a pump the push
-  // is hinted at once), and a kCorrupted local read triggers read-repair —
-  // the block is fetched from another owner, re-persisted locally, and
-  // served instead of the corruption error. `fault_prefix` (optional)
+  // another node's reply inside call_peer: replica pushes, read-repair
+  // fetches and anti-entropy RPCs all wait there. Without a pump every peer
+  // call fails with kUnsupported, so a push is hinted at once, a corrupt
+  // read stays kCorrupted and anti-entropy cannot run. `fault_prefix` (optional)
   // registers a "<prefix>/serve_delay" latency injection site: when armed
   // with a FaultSpec whose delay is nonzero, serve_once() stalls for that
   // many calls before touching its socket — a deterministic slow peer.
@@ -280,11 +315,25 @@ class BlockStoreNode {
   u64 gc_tombstones(usize max_batch = 32);
 
   // get(), but a kCorrupted local block is repaired from the key's other
-  // owners (if any) before failing: fetch from one over the repair socket,
-  // verify, re-persist locally, return the repaired bytes. This is what
-  // serve_once uses for kGet, so clients never see corruption a peer can
-  // cure.
+  // owners (if any) before failing: the raw block is fetched from one
+  // (kGetBlock through call_peer) and re-persisted locally at its sequence.
+  // A fetched value is returned; a fetched tombstone is re-persisted as one
+  // and answers kNotFound. This is what serve_once uses for kGet, so
+  // clients never see corruption a peer can cure.
   Result<std::vector<u8>> get_or_repair(std::string_view key);
+
+  // The node's one request/reply call to a peer. It sends
+  // [op][req_id][key][body] from the repair socket under a fresh req_id and
+  // waits for the reply on the repair ring (await_repair_reply), re-sending
+  // only after a send fails or a window passes in silence. The first reply
+  // carrying the req_id ends the call: its payload and sequence on kOk, the
+  // peer's error code otherwise. kTimedOut (or the last send error) when
+  // every attempt went unanswered; kUnsupported when the node has no pump.
+  // A send of a write op (kPutReplica, kDelReplica, kTombstoneGc) counts in
+  // replicas_pushed. `traffic` (optional) accumulates the wire bytes.
+  Result<BsReply> call_peer(const BsPeer& peer, BsOp op, std::string_view key,
+                            std::span<const u8> body, PeerRetry retry,
+                            PeerTraffic* traffic = nullptr);
 
   // Abstract view: every live (key, bytes) currently stored and intact
   // (tombstones are deletion markers, not values — they are excluded).
@@ -317,13 +366,6 @@ class BlockStoreNode {
   static std::string key_path(std::string_view key);
 
  private:
-  // One fetched/decoded block: payload bytes plus the write sequence stamped
-  // by the client (or assigned locally) when the bytes were stored.
-  struct BlockData {
-    std::vector<u8> bytes;
-    u64 seq = 0;
-  };
-
   Result<Unit> put_local(std::string_view key, std::span<const u8> value, u64 seq,
                          bool tombstone);
   // The coordinator write path with an explicit sequence (serve_once passes
@@ -343,15 +385,17 @@ class BlockStoreNode {
   // corrupt (so any incoming write, including a re-pushed seq-0 legacy
   // block, may land).
   u64 local_seq(std::string_view key) const;
-  Result<BlockData> fetch_from_peer(const BsPeer& peer, std::string_view key);
-  Result<BlockData> get_or_repair_block(std::string_view key);
+  // get_or_repair with the block's sequence; a cured tombstone reads as
+  // kNotFound.
+  Result<DecodedBlock> get_or_repair_block(std::string_view key);
 
   // Replication plumbing.
   void replicate_put(std::string_view key, std::span<const u8> value, u64 seq);
   void replicate_del(std::string_view key, u64 seq);
-  // Sends `op` to `peer` over the repair socket and awaits the ack as a ring
-  // completion, pumping up to cluster_.ack_deadline_polls polls (one re-send
-  // at half the deadline).
+  // A write op (kPutReplica carries `value` and `seq`; kDelReplica and
+  // kTombstoneGc carry `seq`) through call_peer, in two windows of half
+  // cluster_.ack_deadline_polls each. kOk only when the peer acked kOk: an
+  // error reply fails the push at once, as two silent windows do.
   Result<Unit> push_acked(const BsPeer& peer, BsOp op, std::string_view key,
                           std::span<const u8> value, u64 seq);
   Result<Unit> write_hint(BsNodeId owner, std::string_view key, std::span<const u8> value,
@@ -378,7 +422,7 @@ class BlockStoreNode {
   // exhausted).
   bool ensure_serve_ring();
   // Handles one node-to-node request datagram; the reply goes straight back
-  // with udp_sendto.
+  // to the sender as one datagram, with no ring submit.
   void process_request(NetAddr src, Port src_port, std::span<const u8> payload);
   // The transport-independent request core: decodes one request payload,
   // executes it, and returns the reply bytes — or nullopt when the request
@@ -409,7 +453,7 @@ class BlockStoreNode {
   // single recv SQE parked on repair_sock_ (via the repair ring), pumping up
   // to `polls` times. Returns the whole matched reply payload (req_id word
   // included); kTimedOut when the budget runs out. Waits nest — the pump can
-  // serve a request that pushes from this node — so a reply for another
+  // serve a request that calls a peer from this node — so a reply for another
   // in-flight wait is stashed for it; replies for RPCs no wait awaits any
   // more (timed out) are dropped.
   Result<std::vector<u8>> await_repair_reply(u64 req_id, usize polls);
@@ -420,7 +464,7 @@ class BlockStoreNode {
   Port port_;
   std::function<void()> pump_;
   Fd sock_ = kInvalidFd;
-  Fd repair_sock_ = kInvalidFd;  // dedicated socket: repair RPCs never steal
+  Fd repair_sock_ = kInvalidFd;  // call_peer's socket: peer replies never steal
                                  // datagrams destined for the service socket
   bool in_repair_ = false;       // re-entrancy guard (pump may recurse into us)
   u64 next_repair_req_id_ = 1;
@@ -437,7 +481,7 @@ class BlockStoreNode {
   static_assert(kVtpBacklog <= kMaxVtpBacklog, "vtp_listen would refuse the serve backlog");
   u32 serve_ring_ = 0;        // 0 = not yet set up
   usize serve_recvs_ = 0;     // recv SQEs currently parked (<= kServeWorkers)
-  u32 repair_ring_ = 0;       // dedicated ring for repair/ack RPC replies
+  u32 repair_ring_ = 0;       // dedicated ring for call_peer's replies
   bool repair_recv_armed_ = false;  // one recv SQE parked on repair_sock_
   std::vector<u64> awaiting_;       // req_ids of the in-flight repair waits
   std::map<u64, std::vector<u8>> stashed_replies_;  // req_id -> a reply reaped
@@ -514,13 +558,6 @@ struct RetryStats {
                              // instead of re-probing a dead rotation residue
   u64 reconnects = 0;        // streams re-opened to a target whose previous
                              // stream died with a typed error
-};
-
-// A finished op's reply: the payload, plus the write sequence the serving
-// replica stamped on it (kGet only; 0 for every other op).
-struct BsReply {
-  std::vector<u8> value;
-  u64 seq = 0;
 };
 
 // Client library: request/response over one VTP stream per target, with

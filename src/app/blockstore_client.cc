@@ -100,12 +100,12 @@ Result<Unit> BlockStoreClient::start(BsOp op, std::string_view key,
   }
   // The request id and the write stamp are taken only once the body is
   // known to fit, so a refused op leaves no trace.
-  const bool stamped = op == BsOp::kPut || op == BsOp::kPutReplica || op == BsOp::kDel;
+  const bool stamped = op == BsOp::kPut || op == BsOp::kDel;
   Writer w;
   w.put_u8(static_cast<u8>(op));
   w.put_u64(next_req_id_);
   w.put_string(key);
-  if (op == BsOp::kPut || op == BsOp::kPutReplica) {
+  if (op == BsOp::kPut) {
     // Write-sequence stamp: servers order replica applies by it (retries of
     // this rpc reuse the same stamp, so at-least-once delivery stays
     // idempotent; a newer put always carries a higher stamp).

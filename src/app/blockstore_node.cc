@@ -56,13 +56,8 @@ std::optional<std::string> decode_hex_key(std::string_view name) {
   return key;
 }
 
-// One decoded block-format file: the payload plus its write sequence and
-// whether it is a tombstone (a sequenced delete marker).
-struct DecodedBlock {
-  u64 seq = 0;
-  bool tombstone = false;
-  std::vector<u8> bytes;
-};
+// Sends per read-repair fetch, and pump polls awaiting each reply.
+constexpr PeerRetry kRepairRetry{.attempts = 4, .window = 64};
 
 // Reads and checksum-verifies one block-format file
 // ([crc][len'][seq][payload]); kCorrupted on any framing or checksum
@@ -309,8 +304,24 @@ Result<std::vector<u8>> BlockStoreNode::get(std::string_view key) const {
   return std::move(r.value().bytes);
 }
 
-Result<BlockStoreNode::BlockData> BlockStoreNode::fetch_from_peer(const BsPeer& peer,
-                                                                  std::string_view key) {
+Result<DecodedBlock> decode_block_reply(BsReply reply) {
+  if (reply.value.empty() || reply.value[0] > 1) {
+    return ErrorCode::kCorrupted;
+  }
+  const bool tombstone = reply.value[0] == 1;
+  if (tombstone && reply.value.size() > 1) {
+    return ErrorCode::kCorrupted;
+  }
+  reply.value.erase(reply.value.begin());
+  return DecodedBlock{reply.seq, tombstone, std::move(reply.value)};
+}
+
+Result<BsReply> BlockStoreNode::call_peer(const BsPeer& peer, BsOp op, std::string_view key,
+                                          std::span<const u8> body, PeerRetry retry,
+                                          PeerTraffic* traffic) {
+  if (pump_ == nullptr) {
+    return ErrorCode::kUnsupported;  // cannot await a reply without a world pump
+  }
   if (repair_sock_ == kInvalidFd) {
     auto sock = sys_.udp_socket();
     if (!sock.ok()) {
@@ -318,40 +329,52 @@ Result<BlockStoreNode::BlockData> BlockStoreNode::fetch_from_peer(const BsPeer& 
     }
     repair_sock_ = sock.value();
   }
-  u64 req_id = next_repair_req_id_++;
+  const u64 req_id = next_repair_req_id_++;
   Writer w;
-  w.put_u8(static_cast<u8>(BsOp::kGet));
+  w.put_u8(static_cast<u8>(op));
   w.put_u64(req_id);
   w.put_string(key);
-
-  constexpr usize kRepairAttempts = 4;
-  constexpr usize kRepairPolls = 64;
-  for (usize attempt = 0; attempt < kRepairAttempts; ++attempt) {
+  w.put_raw(body);
+  const bool write_op =
+      op == BsOp::kPutReplica || op == BsOp::kDelReplica || op == BsOp::kTombstoneGc;
+  ErrorCode last = ErrorCode::kTimedOut;
+  for (usize attempt = 0; attempt < retry.attempts; ++attempt) {
     auto sent = sys_.udp_sendto(repair_sock_, peer.addr, peer.port, w.bytes());
     if (!sent.ok()) {
+      last = sent.error();
       continue;
     }
-    auto reply = await_repair_reply(req_id, kRepairPolls);
+    if (traffic != nullptr) {
+      traffic->sent += w.size();
+    }
+    // Every write datagram put on the wire counts as pushed; the receiver
+    // counts at most one apply per datagram, so applied <= pushed (the chaos
+    // obs-coherence check) holds by construction.
+    if (write_op) {
+      c_replicas_pushed_.inc();
+    }
+    auto reply = await_repair_reply(req_id, retry.window);
     if (!reply.ok()) {
-      continue;  // timed out (or the repair ring is gone): re-send
+      continue;  // silence inside the window (or the repair ring is gone): re-send
+    }
+    if (traffic != nullptr) {
+      traffic->received += reply.value().size();
     }
     Reader r(reply.value());
     (void)r.get_u64();  // req_id, already matched
     auto err = r.get_u32();
     auto payload = r.get_bytes();
     if (!err || !payload) {
-      continue;
+      return ErrorCode::kCorrupted;
     }
     if (static_cast<ErrorCode>(*err) != ErrorCode::kOk) {
       return static_cast<ErrorCode>(*err);
     }
-    // kGet replies carry the block's write sequence after the payload so a
-    // read-repair re-persists the bytes at their true position in the
-    // write order (not as a fresh write that could shadow a newer value).
-    auto seq = r.get_u64();
-    return BlockData{std::move(*payload), seq.value_or(0)};
+    // The trailing write sequence (kGet and kGetBlock) lets a fetched block
+    // be re-persisted at its true place in the write order.
+    return BsReply{std::move(*payload), r.get_u64().value_or(0)};
   }
-  return ErrorCode::kTimedOut;
+  return last;
 }
 
 Result<std::vector<u8>> BlockStoreNode::await_repair_reply(u64 req_id, usize polls) {
@@ -432,14 +455,14 @@ Result<std::vector<u8>> BlockStoreNode::get_or_repair(std::string_view key) {
   return std::move(r.value().bytes);
 }
 
-Result<BlockStoreNode::BlockData> BlockStoreNode::get_or_repair_block(std::string_view key) {
+Result<DecodedBlock> BlockStoreNode::get_or_repair_block(std::string_view key) {
   auto local = read_block_file(sys_, key_path(key));
   if (local.ok()) {
     c_gets_.inc();
     if (local.value().tombstone) {
       return ErrorCode::kNotFound;  // deleted: absence is the correct answer
     }
-    return BlockData{std::move(local.value().bytes), local.value().seq};
+    return local;
   }
   if (local.error() != ErrorCode::kCorrupted) {
     return local.error();
@@ -448,19 +471,21 @@ Result<BlockStoreNode::BlockData> BlockStoreNode::get_or_repair_block(std::strin
   c_corrupt_reads_.inc();
   // Local copy failed its checksum. Without other owners (or while already
   // inside a repair — pump() can recurse into serve_once) the error stands;
-  // otherwise pull the block from a replica, re-persist it, and serve the
-  // cured bytes.
+  // otherwise pull the raw block from a replica, re-persist it, and serve
+  // the cure: the bytes, or kNotFound for a tombstone.
   std::vector<BsPeer> repair_from = repair_peers(key);
-  if (in_repair_ || repair_from.empty() || pump_ == nullptr) {
+  if (in_repair_ || repair_from.empty()) {
     return ErrorCode::kCorrupted;
   }
   in_repair_ = true;
-  Result<BlockData> repaired = ErrorCode::kCorrupted;
+  Result<DecodedBlock> repaired = ErrorCode::kCorrupted;
   for (const auto& peer : repair_from) {
-    auto fetched = fetch_from_peer(peer, key);
-    if (fetched.ok()) {
-      repaired = std::move(fetched);
-      break;
+    auto reply = call_peer(peer, BsOp::kGetBlock, key, {}, kRepairRetry);
+    if (reply.ok()) {
+      repaired = decode_block_reply(std::move(reply.value()));
+      if (repaired.ok()) {
+        break;
+      }
     }
   }
   in_repair_ = false;
@@ -470,15 +495,17 @@ Result<BlockStoreNode::BlockData> BlockStoreNode::get_or_repair_block(std::strin
   }
   // Re-persist at the peer's sequence: the cure restores the block's true
   // place in the write order instead of minting a new one.
-  auto stored = put_local(key, repaired.value().bytes, repaired.value().seq,
-                          /*tombstone=*/false);
-  if (stored.ok()) {
+  const DecodedBlock& block = repaired.value();
+  if (put_local(key, block.bytes, block.seq, block.tombstone).ok()) {
     c_read_repairs_.inc();
     VNROS_LOG_DEBUG("blockstore", "read-repaired %zu-byte block from peer",
-                    repaired.value().bytes.size());
+                    block.bytes.size());
   }
   // Even if re-persisting failed (e.g. injected disk fault) the fetched
-  // bytes are checksum-verified by the peer's get(); serve them.
+  // block passed the peer's checksum; serve it.
+  if (block.tombstone) {
+    return ErrorCode::kNotFound;
+  }
   return repaired;
 }
 
@@ -590,58 +617,20 @@ std::vector<BsPeer> BlockStoreNode::repair_peers(std::string_view key) const {
 
 Result<Unit> BlockStoreNode::push_acked(const BsPeer& peer, BsOp op, std::string_view key,
                                         std::span<const u8> value, u64 seq) {
-  if (pump_ == nullptr) {
-    return ErrorCode::kUnsupported;  // cannot await an ack without a world pump
-  }
-  if (repair_sock_ == kInvalidFd) {
-    auto sock = sys_.udp_socket();
-    if (!sock.ok()) {
-      return sock.error();
-    }
-    repair_sock_ = sock.value();
-  }
-  u64 req_id = next_repair_req_id_++;
-  Writer w;
-  w.put_u8(static_cast<u8>(op));
-  w.put_u64(req_id);
-  w.put_string(key);
+  Writer body;
+  body.put_u64(seq);  // the stamp, sequenced delete or GC horizon rides along
   if (op == BsOp::kPutReplica) {
-    w.put_u64(seq);
-    w.put_bytes(value);
-  } else if (op == BsOp::kDelReplica || op == BsOp::kTombstoneGc) {
-    w.put_u64(seq);  // sequenced delete / GC horizon: the stamp rides along
+    body.put_bytes(value);
   }
   // The ack deadline splits into two send windows: one re-send at the half
   // mark cures a dropped datagram (either direction) without a spin knob.
-  ErrorCode last = ErrorCode::kTimedOut;
-  const usize window = std::max<usize>(1, cluster_.ack_deadline_polls / 2);
-  for (usize attempt = 0; attempt < 2; ++attempt) {
-    auto sent = sys_.udp_sendto(repair_sock_, peer.addr, peer.port, w.bytes());
-    if (!sent.ok()) {
-      last = sent.error();
-      continue;
-    }
-    // Every replica datagram put on the wire counts as pushed; the receiver
-    // counts at most one apply per datagram, so applied <= pushed (the PR 5
-    // obs-coherence invariant) is preserved by construction.
-    c_replicas_pushed_.inc();
-    auto reply = await_repair_reply(req_id, window);
-    if (!reply.ok()) {
-      continue;  // no ack inside the window: re-send once, then hint
-    }
-    Reader r(reply.value());
-    (void)r.get_u64();  // req_id, already matched
-    auto err = r.get_u32();
-    if (!err) {
-      continue;
-    }
-    ErrorCode code = static_cast<ErrorCode>(*err);
-    if (code == ErrorCode::kOk) {
-      return Unit{};
-    }
-    last = code;  // the peer answered with an error; maybe the re-send cures it
+  const PeerRetry retry{.attempts = 2,
+                        .window = std::max<usize>(1, cluster_.ack_deadline_polls / 2)};
+  auto reply = call_peer(peer, op, key, body.bytes(), retry);
+  if (!reply.ok()) {
+    return reply.error();
   }
-  return last;
+  return Unit{};
 }
 
 std::string BlockStoreNode::hint_path(BsNodeId owner, std::string_view key) const {
@@ -979,14 +968,12 @@ u64 BlockStoreNode::deliver_hints() {
       }
       continue;
     }
-    if (pump_ == nullptr) {
-      continue;
-    }
     // The hint rides with its original write sequence, so delivery cannot
     // regress a newer value: the owner applies if-newer and acks either way
     // (a stale refusal still certifies the owner durably holds the key).
-    // No ack (unreachable, shedding) keeps the hint parked for a later pass.
-    // A parked tombstone is delivered as the sequenced delete it is.
+    // No ack (unreachable, shedding, no pump) keeps the hint parked for a
+    // later pass. A parked tombstone is delivered as the sequenced delete it
+    // is.
     BsOp hint_op = hint.value().tombstone ? BsOp::kDelReplica : BsOp::kPutReplica;
     if (push_acked(it->second, hint_op, *key, hint.value().bytes, hint.value().seq).ok()) {
       (void)sys_.unlink(path);
@@ -1265,7 +1252,7 @@ std::optional<std::vector<u8>> BlockStoreNode::handle_request(std::span<const u8
 
   ErrorCode err = ErrorCode::kInvalidArgument;
   std::vector<u8> value_out;
-  u64 seq_out = 0;  // kGet replies carry the block's write sequence
+  u64 seq_out = 0;  // kGet and kGetBlock replies carry the write sequence
   switch (static_cast<BsOp>(*op)) {
     case BsOp::kPut: {
       auto seq = r.get_u64();
@@ -1328,10 +1315,11 @@ std::optional<std::vector<u8>> BlockStoreNode::handle_request(std::span<const u8
     }
     case BsOp::kGetBlock: {
       if (r.exhausted()) {
-        // Repair fetch: unlike kGet, tombstones are first-class here — the
-        // reply leads with a tombstone byte so anti-entropy can pull deletes
-        // as faithfully as values. Corrupt local copies surface as
-        // kCorrupted (the puller tries another peer).
+        // Repair fetch (read-repair and anti-entropy): unlike kGet,
+        // tombstones are first-class here — the reply leads with a tombstone
+        // byte (decode_block_reply) so repair pulls deletes as faithfully as
+        // values — and a local copy is never repaired in turn: a corrupt one
+        // surfaces as kCorrupted (the puller tries another peer).
         auto block = read_block_file(sys_, key_path(*key));
         if (block.ok()) {
           Writer bw;
@@ -1428,7 +1416,7 @@ std::optional<std::vector<u8>> BlockStoreNode::handle_request(std::span<const u8
   reply.put_u64(*req_id);
   reply.put_u32(static_cast<u32>(err));
   reply.put_bytes(value_out);
-  reply.put_u64(seq_out);  // trailing write sequence (meaningful for kGet)
+  reply.put_u64(seq_out);  // trailing write sequence (meaningful for kGet and kGetBlock)
   return reply.take();
 }
 

@@ -246,13 +246,13 @@ class ChaosRunner {
     // gets a background pass every ~64-96 steps; every preset uses it to
     // re-image a wiped disk over the wire. The seed is a pure function of
     // the run seed and the slot, so a rebooted incarnation re-derives the
-    // same repair schedule and the whole run stays seed-replayable.
+    // same repair schedule and the whole run stays seed-replayable. Its
+    // RPCs are the node's peer calls, waiting on the node's pump.
     AntiEntropyConfig ae;
     ae.interval_polls = 64;
     ae.jitter_polls = 32;
     ae.rng_seed = cfg_.seed ^ (0xAE00'0000ull + static_cast<u64>(i) * 0x9E37ull);
-    slot.ae = std::make_unique<AntiEntropyScheduler>(slot.host->sys, *slot.node,
-                                                     [this, i] { pump_except(i); }, ae);
+    slot.ae = std::make_unique<AntiEntropyScheduler>(*slot.node, ae);
   }
 
   usize active_count() const {
@@ -871,23 +871,14 @@ class ChaosRunner {
     // accumulated at crash time). Every applied replica was pushed by some
     // peer — the runner's fabric never duplicates datagrams, so applications
     // can only lag, not lead — and every read repair was triggered by a
-    // corrupt local read.
+    // corrupt local read. Replica pushes, hint deliveries, handoffs and
+    // anti-entropy pushes all leave a node through call_peer, which counts
+    // each datagram, so the bound is exact.
     BlockStoreStats total = cumulative_stats();
-    // Anti-entropy ships replicas through its own rpc layer, not the node's
-    // push_acked, so its pushes are missing from replicas_pushed. Each
-    // repair rpc puts at most kAeRpcAttempts datagrams on the wire, bounding
-    // the replica applications it can have caused.
-    u64 ae_rpcs = ae_rpcs_harvested_;
-    for (const auto& slot : slots_) {
-      if (slot.ae) {
-        ae_rpcs += slot.ae->stats().rpcs;
-      }
-    }
-    const u64 pushed_bound = total.replicas_pushed + ae_rpcs * kAeRpcAttempts;
-    if (total.replicas_applied > pushed_bound) {
+    if (total.replicas_applied > total.replicas_pushed) {
       fail(step, "obs incoherence: " + std::to_string(total.replicas_applied) +
-                     " replicas applied > " + std::to_string(pushed_bound) +
-                     " pushed (incl. repair rpc bound)");
+                     " replicas applied > " + std::to_string(total.replicas_pushed) +
+                     " pushed");
       return;
     }
     if (total.read_repairs > total.corrupt_reads) {
@@ -1075,7 +1066,6 @@ class ChaosRunner {
       report_.ae_pulled += s.pulled;
       report_.ae_pushed += s.pushed;
       report_.ae_bytes += s.bytes_sent + s.bytes_received;
-      ae_rpcs_harvested_ += s.rpcs;
     }
   }
 
@@ -1136,8 +1126,6 @@ class ChaosRunner {
     bool cut = false;
   };
 
-  static constexpr u64 kAeRpcAttempts = 2;  // AntiEntropyConfig default
-
   ChaosConfig cfg_;
   Rng sched_rng_;
   Network net_;
@@ -1151,7 +1139,6 @@ class ChaosRunner {
   std::map<usize, usize> slow_until_;    // heal mode: slot -> spell expiry step
   std::map<std::string, KeyHistory> histories_;  // stamp-checker state
   usize quiesces_ = 0;                   // heal mode: GC cadence counter
-  u64 ae_rpcs_harvested_ = 0;            // repair rpcs from dead incarnations
   ChaosReport report_;
 };
 

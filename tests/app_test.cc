@@ -414,7 +414,12 @@ TEST(BlockStoreCrashTest, AckedPutSurvivesCrashDuringReplicationPush) {
     Network net;
     BlockDevice disk(16384, c.disk_seed);
     Host replica_host(&net);
-    BlockStoreNode replica(replica_host.sys, 7001);
+    BlockStoreNode* rebooted_primary = nullptr;  // served by the replica's pump once up
+    BlockStoreNode replica(replica_host.sys, 7001, {}, [&] {
+      if (rebooted_primary != nullptr) {
+        rebooted_primary->serve_once();
+      }
+    });
     ASSERT_TRUE(replica.init().ok());
 
     {
@@ -442,7 +447,8 @@ TEST(BlockStoreCrashTest, AckedPutSurvivesCrashDuringReplicationPush) {
     ASSERT_TRUE(primary.init().ok());
     EXPECT_EQ(primary.get("acked").value(), bytes("must-survive"));
 
-    AntiEntropyScheduler ae(replica_host.sys, replica, [&] { primary.serve_once(); });
+    rebooted_primary = &primary;
+    AntiEntropyScheduler ae(replica);
     ASSERT_TRUE(ae.sync_full(BsPeer{rebooted.kernel.net_addr(), 7000}).ok());
     EXPECT_EQ(ae.stats().pulled, 1u);
     EXPECT_EQ(replica.get("acked").value(), bytes("must-survive"));
@@ -1033,6 +1039,47 @@ TEST(BlockStoreReplicationTest, NestedAckWaitKeepsTheOuterAck) {
   EXPECT_EQ(a.stats().hints_written, 0u);
 }
 
+// An owner that answers a push with an error has answered: the reply ends
+// the peer call, so the push is hinted at once instead of re-sent, just as
+// an owner that stays silent through both windows is.
+TEST(BlockStoreReplicationTest, ErrorReplyEndsThePushWithoutAResend) {
+  Network net;
+  Host primary_host(&net);
+  Host peer_host(&net);  // a hand-written owner that fails every push
+  auto sock = peer_host.sys.udp_socket();
+  ASSERT_TRUE(sock.ok());
+  ASSERT_TRUE(peer_host.sys.udp_bind(sock.value(), 7001).ok());
+  usize requests = 0;
+  BlockStoreNode primary(primary_host.sys, 7000, {}, [&] {
+    auto d = peer_host.sys.udp_recvfrom(sock.value());
+    if (!d.ok()) {
+      return;
+    }
+    ++requests;
+    Reader r(d.value().payload);
+    (void)r.get_u8();  // op
+    auto req_id = r.get_u64();
+    Writer reply;
+    reply.put_u64(req_id.value_or(0));
+    reply.put_u32(static_cast<u32>(ErrorCode::kIoError));
+    reply.put_bytes(std::span<const u8>());
+    ASSERT_TRUE(peer_host.sys
+                    .udp_sendto(sock.value(), d.value().src_addr, d.value().src_port,
+                                reply.bytes())
+                    .ok());
+  });
+  ASSERT_TRUE(primary.init().ok());
+  ClusterView view = ClusterView::of(
+      {BsPeer{primary_host.kernel.net_addr(), 7000}, BsPeer{peer_host.kernel.net_addr(), 7001}},
+      2);
+  primary.configure_cluster({.self = 0}, view);
+
+  ASSERT_TRUE(primary.put("k", bytes("v")).ok());
+  EXPECT_EQ(requests, 1u);
+  EXPECT_EQ(primary.stats().replicas_pushed, 1u);
+  EXPECT_EQ(primary.stats().hints_written, 1u);
+}
+
 // --- Sequenced delete tombstones -------------------------------------------
 
 TEST(TombstoneTest, DeleteIsSequencedTombstone) {
@@ -1088,6 +1135,45 @@ TEST(TombstoneTest, GcReclaimsAcknowledgedTombstones) {
   EXPECT_EQ(node.gc_tombstones(), 0u);  // idempotent: nothing left to reclaim
 }
 
+// A rotted tombstone is cured like any other block: read-repair pulls the
+// peer's raw block (kGetBlock), re-persists the tombstone at its sequence
+// and answers kNotFound. Every other owner holds the delete, so neither
+// kCorrupted nor a failed repair is the right answer.
+TEST(TombstoneTest, ReadRepairCuresARottedTombstone) {
+  Network net;
+  Host primary_host(&net);
+  Host replica_host(&net);
+  BlockStoreNode replica(replica_host.sys, 7001);
+  ASSERT_TRUE(replica.init().ok());
+  BlockStoreNode primary(primary_host.sys, 7000, {}, [&] { replica.serve_once(); });
+  ASSERT_TRUE(primary.init().ok());
+  ClusterView view = ClusterView::of(
+      {BsPeer{primary_host.kernel.net_addr(), 7000}, BsPeer{replica_host.kernel.net_addr(), 7001}},
+      2);
+  primary.configure_cluster({.self = 0}, view);
+  replica.configure_cluster({.self = 1}, view);
+  ASSERT_TRUE(primary.put("k", bytes("doomed")).ok());
+  ASSERT_TRUE(primary.del("k").ok());
+  ASSERT_EQ(replica.get("k").error(), ErrorCode::kNotFound);  // the delete replicated
+  auto before = primary.list();
+  ASSERT_EQ(before.size(), 1u);
+  ASSERT_TRUE(before[0].tombstone);
+
+  // Rot the tombstone's sequence word (bytes 8..15 of the block header).
+  auto fd = primary_host.sys.open(BlockStoreNode::key_path("k"), 0);
+  ASSERT_TRUE(fd.ok());
+  (void)primary_host.sys.lseek(fd.value(), 8, SeekWhence::kSet);
+  std::vector<u8> flip{0x5A};
+  (void)primary_host.sys.write(fd.value(), flip);
+  (void)primary_host.sys.close(fd.value());
+  ASSERT_EQ(primary.get("k").error(), ErrorCode::kCorrupted);
+
+  EXPECT_EQ(primary.get_or_repair("k").error(), ErrorCode::kNotFound);
+  EXPECT_EQ(primary.stats().read_repairs, 1u);
+  EXPECT_EQ(primary.stats().failed_repairs, 0u);
+  EXPECT_EQ(primary.list(), before);  // the tombstone, back at the delete's sequence
+}
+
 // --- Merkle tree -----------------------------------------------------------
 
 TEST(MerkleTreeTest, EqualInventoriesEqualRoots) {
@@ -1136,8 +1222,8 @@ TEST(AntiEntropyTest, SyncConvergesDivergentReplicas) {
   Network net;
   Host a_host(&net);
   Host b_host(&net);
-  BlockStoreNode a(a_host.sys, 7000);
   BlockStoreNode b(b_host.sys, 7001);
+  BlockStoreNode a(a_host.sys, 7000, {}, [&] { b.serve_once(); });
   ASSERT_TRUE(a.init().ok());
   ASSERT_TRUE(b.init().ok());
   // Diverge in both directions plus one key where B is strictly newer.
@@ -1148,7 +1234,7 @@ TEST(AntiEntropyTest, SyncConvergesDivergentReplicas) {
   ASSERT_TRUE(b.apply_remote("shared", bytes("new"), 9, false).ok());
   ASSERT_TRUE(b.apply_remote("deleted-on-b", {}, 30, true).ok());
 
-  AntiEntropyScheduler sched(a_host.sys, a, [&] { b.serve_once(); });
+  AntiEntropyScheduler sched(a);
   BsPeer peer{b_host.kernel.net_addr(), 7001};
   ASSERT_TRUE(sched.sync_with(peer).ok());
   // A pulled B's copies (incl. the tombstone), pushed its own, and both
@@ -1161,6 +1247,9 @@ TEST(AntiEntropyTest, SyncConvergesDivergentReplicas) {
   EXPECT_EQ(MerkleTree::build(a.list()).root(), MerkleTree::build(b.list()).root());
   EXPECT_EQ(sched.stats().pulled, 3u);
   EXPECT_EQ(sched.stats().pushed, 2u);
+  // The pushes left through the node's peer call, which counts them.
+  EXPECT_EQ(a.stats().replicas_pushed, 2u);
+  EXPECT_EQ(b.stats().replicas_applied, 2u);
   EXPECT_GT(sched.stats().bytes_sent, 0u);
   EXPECT_GT(sched.stats().bytes_received, 0u);
   // Converged pair: the next pass is one root exchange, nothing shipped.
@@ -1174,8 +1263,8 @@ TEST(AntiEntropyTest, TokenBudgetParksPassAndResumes) {
   Network net;
   Host a_host(&net);
   Host b_host(&net);
-  BlockStoreNode a(a_host.sys, 7000);
   BlockStoreNode b(b_host.sys, 7001);
+  BlockStoreNode a(a_host.sys, 7000, {}, [&] { b.serve_once(); });
   ASSERT_TRUE(a.init().ok());
   ASSERT_TRUE(b.init().ok());
   for (int i = 0; i < 32; ++i) {
@@ -1187,7 +1276,7 @@ TEST(AntiEntropyTest, TokenBudgetParksPassAndResumes) {
   // but far short of 32 leaf-fetch + pull pairs: the pass must park with
   // partial progress, not livelock re-walking the tree.
   cfg.tokens_per_pass = 24;
-  AntiEntropyScheduler sched(a_host.sys, a, [&] { b.serve_once(); }, cfg);
+  AntiEntropyScheduler sched(a, cfg);
   BsPeer peer{b_host.kernel.net_addr(), 7001};
   auto first = sched.sync_with(peer);
   ASSERT_FALSE(first.ok());
@@ -1207,15 +1296,15 @@ TEST(AntiEntropyTest, FullInventoryBaselineConvergesThroughSameAccounting) {
   Network net;
   Host a_host(&net);
   Host b_host(&net);
-  BlockStoreNode a(a_host.sys, 7000);
   BlockStoreNode b(b_host.sys, 7001);
+  BlockStoreNode a(a_host.sys, 7000, {}, [&] { b.serve_once(); });
   ASSERT_TRUE(a.init().ok());
   ASSERT_TRUE(b.init().ok());
   for (int i = 0; i < 6; ++i) {
     ASSERT_TRUE(a.apply_remote("k" + std::to_string(i), bytes("v"), static_cast<u64>(i + 1),
                                false).ok());
   }
-  AntiEntropyScheduler sched(a_host.sys, a, [&] { b.serve_once(); });
+  AntiEntropyScheduler sched(a);
   BsPeer peer{b_host.kernel.net_addr(), 7001};
   ASSERT_TRUE(sched.sync_full(peer).ok());
   EXPECT_EQ(MerkleTree::build(a.list()).root(), MerkleTree::build(b.list()).root());
@@ -1234,7 +1323,8 @@ TEST(AntiEntropyTest, RepairRefusesACountThePayloadCannotHold) {
   Network net;
   Host node_host(&net);
   Host peer_host(&net);  // a hand-written peer: one datagram socket
-  BlockStoreNode node(node_host.sys, 7000);
+  std::function<void()> pump;  // the peer's step, set below
+  BlockStoreNode node(node_host.sys, 7000, {}, [&] { pump(); });
   ASSERT_TRUE(node.init().ok());
   auto sock = peer_host.sys.udp_socket();
   ASSERT_TRUE(sock.ok());
@@ -1255,7 +1345,7 @@ TEST(AntiEntropyTest, RepairRefusesACountThePayloadCannotHold) {
   Writer huge;
   huge.put_u32(0xFFFF'FFFFu);
   const std::vector<u8> huge_count = huge.take();
-  auto pump = [&] {
+  pump = [&] {
     auto d = peer_host.sys.udp_recvfrom(sock.value());
     if (!d.ok()) {
       return;
@@ -1286,7 +1376,7 @@ TEST(AntiEntropyTest, RepairRefusesACountThePayloadCannotHold) {
                                 reply.bytes())
                     .ok());
   };
-  AntiEntropyScheduler sched(node_host.sys, node, pump);
+  AntiEntropyScheduler sched(node);
   BsPeer peer{peer_host.kernel.net_addr(), 7001};
   EXPECT_EQ(sched.sync_with(peer).error(), ErrorCode::kCorrupted);
   EXPECT_EQ(sched.sync_full(peer).error(), ErrorCode::kCorrupted);
