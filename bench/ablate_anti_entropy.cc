@@ -18,16 +18,22 @@
 //     full-inventory pays O(keyspace) every period and Merkle pays one root
 //     exchange;
 //   - fg_p50/p95:  latency (in pump polls) of a closed-loop foreground
-//     reader against the serving node for a fixed poll window that contains
-//     the repair pass — background repair must not move the foreground tail
-//     (compare against the `none` baseline rows).
+//     reader — a library BlockStoreClient on a VTP stream to the serving
+//     node — for a fixed poll window that contains the repair pass.
+//     Background repair must not move the foreground tail (compare against
+//     the `none` baseline rows).
+//
+// The reader checks every reply against what B holds. B is never written in
+// the window (A is strictly older, so repair only pulls), so a kOk must
+// carry B's bytes for the key and a kNotFound must be a key B tombstoned.
+// Any other reply fails the run: the binary exits nonzero.
 //
 // Everything is virtual-time and seeded: the sweep replays bit-identically.
 // Emits BENCH_ablate_anti_entropy.json. Honors VNROS_BENCH_QUICK.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -36,7 +42,6 @@
 #include "src/app/blockstore.h"
 #include "src/base/contracts.h"
 #include "src/base/rng.h"
-#include "src/base/serde.h"
 #include "src/hw/network.h"
 #include "src/kernel/kernel.h"
 #include "src/kernel/syscall.h"
@@ -70,65 +75,6 @@ struct Host {
   }
 };
 
-// Closed-loop foreground reader against the node that also serves repair
-// RPCs: one step per pump poll, latency measured in polls from send to
-// reply. Repair is supposed to be invisible here.
-class Foreground {
- public:
-  Foreground(Sys& sys, const BsPeer& peer, usize keys, u64 seed)
-      : sys_(sys), peer_(peer), keys_(keys), rng_(seed) {
-    auto sock = sys_.udp_socket();
-    VNROS_CHECK(sock.ok());
-    sock_ = sock.value();
-  }
-
-  void step() {
-    ++polls_;
-    if (!waiting_) {
-      send();
-      return;
-    }
-    auto reply = sys_.udp_recvfrom(sock_);
-    if (!reply.ok()) {
-      return;
-    }
-    Reader r(reply.value().payload);
-    auto rid = r.get_u64();
-    auto err = r.get_u32();
-    if (!rid || !err || *rid != req_id_) {
-      return;
-    }
-    latencies.push_back(polls_ - sent_at_);
-    waiting_ = false;
-  }
-
-  u64 polls() const { return polls_; }
-  std::vector<u64> latencies;
-
- private:
-  void send() {
-    req_id_ = next_id_++;
-    Writer w;
-    w.put_u8(static_cast<u8>(BsOp::kGet));
-    w.put_u64(req_id_);
-    w.put_string("ae" + std::to_string(rng_.next_below(keys_)));
-    (void)sys_.udp_sendto(sock_, peer_.addr, peer_.port, w.bytes());
-    sent_at_ = polls_;
-    waiting_ = true;
-  }
-
-  Sys& sys_;
-  BsPeer peer_;
-  usize keys_;
-  Rng rng_;
-  Fd sock_ = kInvalidFd;
-  u64 polls_ = 0;
-  u64 next_id_ = 1;
-  u64 req_id_ = 0;
-  u64 sent_at_ = 0;
-  bool waiting_ = false;
-};
-
 u64 percentile(std::vector<u64>& v, double p) {
   if (v.empty()) {
     return 0;
@@ -147,7 +93,7 @@ struct Point {
   u64 pulled = 0;
   u64 fg_p50 = 0;
   u64 fg_p95 = 0;
-  u64 fg_samples = 0;
+  u64 fg_bad = 0;  // replies that were neither B's bytes nor B's tombstone
 };
 
 // One measured cell: seed `keys` identical blocks on both nodes, diverge
@@ -162,11 +108,50 @@ Point run_cell(Strategy strategy, usize keys, double frac, usize value_bytes,
   Host fg_host(&net);
   BlockStoreNode b(b_host.sys, kPortB);
   BsPeer peer_b{b_host.kernel.net_addr(), kPortB};
-  Foreground fg(fg_host.sys, peer_b, keys, seed ^ 0xF9ull);
-  // The repairing node's pump: B serves, and the foreground reader steps.
+  // What B holds for each key: its bytes, or nullopt for a tombstone.
+  std::vector<std::optional<std::vector<u8>>> b_holds(keys);
+
+  // The closed-loop foreground reader: one library client on a stream to B,
+  // one step per pump poll — it starts a get, or polls the one in flight.
+  // Latency is counted in polls from start to reply.
+  BlockStoreClient reader(fg_host.sys, ClusterView::of({peer_b}, 1), {});
+  Rng fg_rng(seed ^ 0xF9ull);
+  u64 fg_polls = 0;
+  u64 sent_at = 0;
+  usize fg_key = 0;
+  bool in_flight = false;
+  std::vector<u64> latencies;
+  Point pt;
+  auto fg_step = [&] {
+    ++fg_polls;
+    if (!in_flight) {
+      fg_key = static_cast<usize>(fg_rng.next_below(keys));
+      VNROS_CHECK(reader.start(BsOp::kGet, "ae" + std::to_string(fg_key)).ok());
+      sent_at = fg_polls;
+      in_flight = true;
+      return;
+    }
+    auto reply = reader.poll();
+    if (!reply) {
+      return;
+    }
+    in_flight = false;
+    const std::optional<std::vector<u8>>& held = b_holds[fg_key];
+    const bool matches = reply->ok() ? held.has_value() && reply->value().value == *held
+                                     : reply->error() == ErrorCode::kNotFound && !held;
+    if (!matches) {
+      ++pt.fg_bad;
+      return;
+    }
+    latencies.push_back(fg_polls - sent_at);
+  };
+  // The repairing node's pump: B serves, the reader steps, and both ends of
+  // the reader's stream tick.
   auto pump = [&] {
     b.serve_once();
-    fg.step();
+    fg_step();
+    b_host.kernel.vtp().tick();
+    fg_host.kernel.vtp().tick();
   };
   BlockStoreNode a(a_host.sys, kPortA, {}, pump);
   VNROS_CHECK(a.init().ok() && b.init().ok());
@@ -180,22 +165,23 @@ Point run_cell(Strategy strategy, usize keys, double frac, usize value_bytes,
     std::string key = "ae" + std::to_string(k);
     VNROS_CHECK(a.apply_remote(key, value, k + 1, false).ok());
     VNROS_CHECK(b.apply_remote(key, value, k + 1, false).ok());
+    b_holds[k] = value;
   }
 
-  Point pt;
   pt.divergent = std::max<usize>(static_cast<usize>(static_cast<double>(keys) * frac),
                                  frac > 0 ? 1 : 0);
   usize stride = pt.divergent == 0 ? 1 : std::max<usize>(keys / pt.divergent, 1);
   for (usize i = 0; i < pt.divergent; ++i) {
-    std::string key = "ae" + std::to_string((i * stride) % keys);
+    const usize k = (i * stride) % keys;
     bool tomb = (i % 4) == 3;
     if (!tomb) {
       for (auto& byte : value) {
         byte = static_cast<u8>(rng.next_u64());
       }
     }
-    VNROS_CHECK(b.apply_remote(key, tomb ? std::vector<u8>{} : value,
+    VNROS_CHECK(b.apply_remote("ae" + std::to_string(k), tomb ? std::vector<u8>{} : value,
                                keys + 1 + i, tomb).ok());
+    b_holds[k] = tomb ? std::nullopt : std::optional<std::vector<u8>>(value);
   }
 
   AntiEntropyConfig cfg;
@@ -215,12 +201,11 @@ Point run_cell(Strategy strategy, usize keys, double frac, usize value_bytes,
     sync_once();  // steady state: the pair is already converged
     pt.clean_bytes = sched.stats().bytes_sent + sched.stats().bytes_received - pt.pass_bytes;
   }
-  while (fg.polls() < window_polls) {  // equal-length foreground window per cell
+  while (fg_polls < window_polls) {  // equal-length foreground window per cell
     pump();
   }
-  pt.fg_p50 = percentile(fg.latencies, 0.50);
-  pt.fg_p95 = percentile(fg.latencies, 0.95);
-  pt.fg_samples = fg.latencies.size();
+  pt.fg_p50 = percentile(latencies, 0.50);
+  pt.fg_p95 = percentile(latencies, 0.95);
   return pt;
 }
 
@@ -253,6 +238,7 @@ int main() {
   double merkle_pass_at_1pct = 0;
   double full_pass_at_1pct = 0;
   u64 none_p50 = 0;
+  u64 fg_bad = 0;
 
   for (Strategy strategy : {Strategy::kNone, Strategy::kMerkle, Strategy::kFull}) {
     const char* tag = strategy == Strategy::kNone    ? "none"
@@ -260,6 +246,12 @@ int main() {
                                                        : "full";
     for (double frac : fractions) {
       Point pt = run_cell(strategy, keys, frac, value_bytes, window_polls, 0xAB1A7Eull);
+      if (pt.fg_bad != 0) {
+        std::fprintf(stderr, "FAIL: %s at %.1f%%: %llu foreground reads were neither B's bytes "
+                     "nor B's tombstone\n", tag, frac * 100.0,
+                     static_cast<unsigned long long>(pt.fg_bad));
+        fg_bad += pt.fg_bad;
+      }
       // A repair epoch: the divergence arises once, the periodic loop runs
       // `epoch_passes` times — one repairing pass plus steady-state passes.
       u64 epoch_bytes = pt.pass_bytes + (epoch_passes - 1) * pt.clean_bytes;
@@ -301,5 +293,5 @@ int main() {
   json.row("full_over_merkle_pass_ratio", 1.0, pass_ratio);
   json.row("full_over_merkle_epoch_ratio", 1.0, epoch_ratio);
   json.write();
-  return 0;
+  return fg_bad == 0 ? 0 : 1;
 }

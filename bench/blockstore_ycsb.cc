@@ -188,9 +188,8 @@ SweepPoint run_sweep(const SweepConfig& cfg, usize num_clients, bool gated) {
   std::vector<OpStream> streams;
   std::map<std::vector<u8>, usize> writer_of;  // a client's value -> the client
   for (usize c = 0; c < num_clients; ++c) {
-    clients.push_back(std::make_unique<BlockStoreClient>(
-        client_host.sys, view.directory.at(0).addr, kPort, std::function<void()>{}, policy));
-    clients.back()->set_cluster(view);
+    clients.push_back(std::make_unique<BlockStoreClient>(client_host.sys, view,
+                                                         std::function<void()>{}, policy));
     writer_of.emplace(streams.emplace_back(0x5EEDull * (c + 1) + 17, cfg.value_bytes).value, c);
   }
   // A get may return the key's preload or the value of a client that has

@@ -76,13 +76,14 @@ int main() {
   node->configure_cluster({.self = 0}, ring);
   replica.configure_cluster({.self = 1}, ring);
 
-  BlockStoreClient client(client_host.sys, primary->kernel.net_addr(), 9000, [&] {
-    node->serve_once();
-    replica.serve_once();
-    primary->kernel.vtp().tick();
-    replica_host.kernel.vtp().tick();
-    client_host.kernel.vtp().tick();
-  });
+  BlockStoreClient client(
+      client_host.sys, ClusterView::of({{primary->kernel.net_addr(), 9000}}, 1), [&] {
+        node->serve_once();
+        replica.serve_once();
+        primary->kernel.vtp().tick();
+        replica_host.kernel.vtp().tick();
+        client_host.kernel.vtp().tick();
+      });
 
   // --- store some objects ---------------------------------------------------
   std::printf("storing 8 objects through the lossy fabric...\n");

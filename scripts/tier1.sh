@@ -70,6 +70,18 @@ trap 'rm -rf "${ycsb_dir}"' EXIT
 (cd "${ycsb_dir}" && VNROS_BENCH_QUICK=1 "${ycsb_bin}")
 
 echo
+echo "== tier-1: A9 anti-entropy quick sweep (library reader, checked reads) =="
+# ablate_anti_entropy repairs one node from another while a library
+# BlockStoreClient reads the serving node over a VTP stream. It exits
+# nonzero when a read is neither the serving node's bytes for the key nor
+# its tombstone. Like the YCSB stage it runs from a temporary directory, so
+# the committed BENCH_ablate_anti_entropy.json is not overwritten.
+a9_bin="$(pwd)/build/bench/ablate_anti_entropy"
+a9_dir="$(mktemp -d)"
+trap 'rm -rf "${ycsb_dir}" "${a9_dir}"' EXIT
+(cd "${a9_dir}" && VNROS_BENCH_QUICK=1 "${a9_bin}")
+
+echo
 echo "== tier-1: SysRing (ring VCs + edge cases + TSan) =="
 # The async submission/completion rings sit on the storage node's whole
 # data plane (serve pool, repair RPCs); clients read their streams with

@@ -129,10 +129,11 @@ VcOutcome vc_refines_map(u64 seed, FabricConfig fabric, usize ops) {
   if (!node.init().ok()) {
     return VcOutcome::fail("server init failed");
   }
-  BlockStoreClient client(client_host.sys, server.kernel.net_addr(), 9000, [&] {
-    node.serve_once();
-    tick(server, client_host);
-  });
+  BlockStoreClient client(
+      client_host.sys, ClusterView::of({{server.kernel.net_addr(), 9000}}, 1), [&] {
+        node.serve_once();
+        tick(server, client_host);
+      });
 
   Rng rng(seed);
   std::map<std::string, std::vector<u8>> model;
@@ -287,11 +288,12 @@ VcOutcome vc_replication_push() {
       2);
   primary.configure_cluster({.self = 0}, view);
   replica.configure_cluster({.self = 1}, view);
-  BlockStoreClient client(client_host.sys, primary_host.kernel.net_addr(), 9000, [&] {
-    primary.serve_once();
-    replica.serve_once();
-    tick(primary_host, replica_host, client_host);
-  });
+  BlockStoreClient client(
+      client_host.sys, ClusterView::of({{primary_host.kernel.net_addr(), 9000}}, 1), [&] {
+        primary.serve_once();
+        replica.serve_once();
+        tick(primary_host, replica_host, client_host);
+      });
 
   // The primary acks the put only after the replica acked its push, so the
   // replica holds the block as soon as the client sees the ack.
@@ -480,47 +482,57 @@ VcOutcome vc_read_repair() {
 
 // --- Retry policy / failover -----------------------------------------------------------
 
-// With the primary partitioned away, the client's failover rotation lands
-// the operation on the second replica instead of timing out.
+// With the key's primary cut off from the client, the client's failover
+// rotation lands the operation on the key's other owner instead of timing
+// out; that owner coordinates the put and replicates it to the primary over
+// the node-to-node link, which the cut leaves up.
 VcOutcome vc_retry_failover() {
   Network net;
   Host h0(&net);
   Host h1(&net);
   Host client_host(&net);
   BlockStoreNode n0(h0.sys, 9000);
-  BlockStoreNode n1(h1.sys, 9000);
+  BlockStoreNode n1(h1.sys, 9000, {}, [&] { n0.serve_once(); });
   if (!n0.init().ok() || !n1.init().ok()) {
     return VcOutcome::fail("node init failed");
   }
+  const ClusterView view =
+      ClusterView::of({BsPeer{h0.kernel.net_addr(), 9000}, BsPeer{h1.kernel.net_addr(), 9000}}, 2);
+  n0.configure_cluster({.self = 0}, view);
+  n1.configure_cluster({.self = 1}, view);
   RetryPolicy policy;
   policy.max_attempts = 6;
   policy.polls_per_attempt = 16;
   policy.backoff_base_polls = 2;
   policy.backoff_max_polls = 16;
   policy.jitter_ppm = 250'000;
-  BlockStoreClient client(client_host.sys, h0.kernel.net_addr(), 9000,
+  BlockStoreClient client(client_host.sys, view,
                           [&] {
                             n0.serve_once();
                             n1.serve_once();
                             tick(h0, h1, client_host);
                           },
                           policy);
-  client.add_failover(h1.kernel.net_addr(), 9000);
+  // A key whose primary is n0, the node the partition cuts off.
+  std::string key = "k";
+  for (usize i = 0; view.owners(key).front() != 0; ++i) {
+    key = "k" + std::to_string(i);
+  }
 
   net.partition(client_host.kernel.net_addr(), h0.kernel.net_addr());
   std::vector<u8> value{9, 9, 9};
-  if (!client.put("k", value).ok()) {
+  if (!client.put(key, value).ok()) {
     return VcOutcome::fail("put did not fail over around the partition");
   }
   if (client.retry_stats().failovers == 0) {
     return VcOutcome::fail("failover not counted");
   }
-  auto held = n1.get("k");
+  auto held = n1.get(key);
   if (!held.ok() || held.value() != value) {
     return VcOutcome::fail("failover target does not hold the value");
   }
   net.heal_all();
-  auto got = client.get("k");
+  auto got = client.get(key);  // from the primary, which holds n1's replica push
   if (!got.ok() || got.value() != value) {
     return VcOutcome::fail("get after heal failed");
   }
@@ -544,7 +556,8 @@ VcOutcome vc_retry_transient(u64 seed) {
   policy.max_attempts = 8;
   policy.polls_per_attempt = 16;
   policy.backoff_base_polls = 1;
-  BlockStoreClient client(client_host.sys, server_host.kernel.net_addr(), 9000,
+  BlockStoreClient client(client_host.sys,
+                          ClusterView::of({{server_host.kernel.net_addr(), 9000}}, 1),
                           [&] {
                             node.serve_once();
                             tick(server_host, client_host);
@@ -665,9 +678,7 @@ struct MiniCluster {
 VcOutcome vc_placement_refines(u64 seed) {
   MiniCluster c(4, 2);
   Host client_host(&c.net);
-  BlockStoreClient client(client_host.sys, c.hosts[0]->kernel.net_addr(), 9100,
-                          [&] { c.client_pump(client_host); });
-  client.set_cluster(c.view);
+  BlockStoreClient client(client_host.sys, c.view, [&] { c.client_pump(client_host); });
 
   Rng rng(seed);
   std::map<std::string, std::vector<u8>> model;
@@ -730,9 +741,7 @@ VcOutcome vc_placement_refines(u64 seed) {
 VcOutcome vc_rebalance_preserves_durability(u64 seed) {
   MiniCluster c(3, 2);
   Host client_host(&c.net);
-  BlockStoreClient client(client_host.sys, c.hosts[0]->kernel.net_addr(), 9100,
-                          [&] { c.client_pump(client_host); });
-  client.set_cluster(c.view);
+  BlockStoreClient client(client_host.sys, c.view, [&] { c.client_pump(client_host); });
 
   Rng rng(seed);
   std::map<std::string, std::vector<u8>> model;
@@ -870,9 +879,7 @@ VcOutcome vc_rebalance_preserves_durability(u64 seed) {
 VcOutcome vc_tombstone_no_resurrection(u64 seed) {
   MiniCluster c(2, 2);
   Host client_host(&c.net);
-  BlockStoreClient client(client_host.sys, c.hosts[0]->kernel.net_addr(), 9100,
-                          [&] { c.client_pump(client_host); });
-  client.set_cluster(c.view);
+  BlockStoreClient client(client_host.sys, c.view, [&] { c.client_pump(client_host); });
 
   Rng rng(seed);
   std::vector<u8> value = random_value(rng, 300);
@@ -1097,7 +1104,7 @@ VcOutcome vc_stream_reconnect_after_reboot(u64 seed) {
   Rng rng(seed);
   bool crash_next_poll = false;
   bool rebooted = false;
-  BlockStoreClient client(rig.client_host.sys, rig.addr, 9000, [&] {
+  BlockStoreClient client(rig.client_host.sys, ClusterView::of({{rig.addr, 9000}}, 1), [&] {
     if (crash_next_poll) {
       crash_next_poll = false;
       rebooted = rig.reboot(rng.next_range(0, 1'000'000));
@@ -1150,7 +1157,7 @@ VcOutcome vc_stream_unserved_request_lands_once(u64 seed) {
   bool rebooted = false;
   bool stored_before_crash = false;
   const std::string key = "unserved";
-  BlockStoreClient client(rig.client_host.sys, rig.addr, 9000, [&] {
+  BlockStoreClient client(rig.client_host.sys, ClusterView::of({{rig.addr, 9000}}, 1), [&] {
     if (!starved) {
       rig.pump();
       return;
@@ -1227,7 +1234,7 @@ VcOutcome vc_stream_partition_heals_mid_stream(u64 seed) {
   u64 op = 0;
   u64 cut_left = 0;
   bool healed = false;
-  BlockStoreClient client(client_host.sys, b, 9000, [&] {
+  BlockStoreClient client(client_host.sys, ClusterView::of({{b, 9000}}, 1), [&] {
     if (op == cut_op && !healed && cut_left == 0) {
       net.partition(a, b);
       cut_left = cut_polls;

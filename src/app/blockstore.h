@@ -11,6 +11,12 @@
 // whole point: with the OS contract verified below and this logic verified
 // above, the stack composes.
 //
+// Each plane serves only its own role's ops (BsOp lists which). Streams
+// serve the client ops; the peer datagram socket serves the replication,
+// repair, anti-entropy and GC ops. A known op that arrives on the other
+// plane is refused with kNotPermitted before admission: it takes no token
+// and changes nothing.
+//
 // Abstract spec (checked by app/* VCs): the node refines the map
 // key -> bytes with operations
 //   put(k, v):  ack  =>  get(k) returns exactly v until overwritten/deleted,
@@ -46,12 +52,14 @@
 
 namespace vnros {
 
-// Wire protocol opcodes.
+// Wire protocol opcodes, grouped by the plane that serves them.
 enum class BsOp : u8 {
+  // Client ops: served on VTP streams only.
   kPut = 1,
   kGet = 2,
   kDel = 3,  // sequenced: carries the client's write-sequence stamp
   kPing = 4,
+  // Peer ops: served on the peer datagram socket only.
   kPutReplica = 5,   // replication push: applied locally, never re-forwarded
   kList = 6,         // anti-entropy: enumerate (key, crc, seq, tombstone)
   kDelReplica = 7,   // replicated (sequenced) delete: tombstone apply-if-newer
@@ -59,6 +67,12 @@ enum class BsOp : u8 {
   kMerkleNode = 9,   // anti-entropy: one Merkle node's hash + child hashes
   kMerkleLeaf = 10,  // anti-entropy: one Merkle leaf bucket's (key, seq, flag)s
   kTombstoneGc = 11, // tombstone GC: drop your tombstone for key if seq <= S
+};
+
+// The two planes a node serves on.
+enum class BsPlane : u8 {
+  kClient,  // VTP streams: kPut, kGet, kDel, kPing
+  kPeer,    // the peer datagram socket: every other op
 };
 
 // The client-facing wire. VTP streams are the only client plane: the
@@ -296,12 +310,15 @@ class BlockStoreNode {
   Result<std::vector<u8>> get(std::string_view key) const;
   Result<Unit> del(std::string_view key);
 
-  // Apply-if-newer ingress for repair/anti-entropy: persists (value, seq) —
-  // or a tombstone at seq when `tombstone` — unless the local intact copy is
-  // strictly newer. `applied` (optional) reports whether the bytes landed.
-  // This is the only sanctioned way for an external repair driver to write
-  // into a node: the sequence rides along, so repair can never resurrect a
-  // value the cluster has already superseded.
+  // Apply-if-newer, the one write entry point below the coordinator paths:
+  // persists (value, seq) — or a tombstone at seq when `tombstone` — unless
+  // the local intact copy is strictly newer, in which case the write is
+  // refused as stale but still reported kOk (the caller's bytes are durably
+  // superseded). `applied` (optional) reports whether the bytes landed, so
+  // callers can count real applies apart from stale refusals. Replica
+  // pushes, hint delivery, the coordinator paths and every external repair
+  // driver write through it: the sequence rides along, so repair can never
+  // resurrect a value the cluster has already superseded.
   Result<Unit> apply_remote(std::string_view key, std::span<const u8> value, u64 seq,
                             bool tombstone, bool* applied = nullptr);
 
@@ -374,13 +391,6 @@ class BlockStoreNode {
   // The coordinator delete path: a sequenced tombstone write (apply-if-newer
   // like every other write), replicated with acked pushes + hints like a put.
   Result<Unit> del_stamped(std::string_view key, u64 seq);
-  // Apply-if-newer: persists (value, seq) — or a tombstone — unless the
-  // local intact copy has a strictly newer sequence, in which case the write
-  // is refused as stale but still reported kOk (the caller's bytes are
-  // durably superseded). Sets `applied` so callers can count real applies
-  // apart from stale refusals.
-  Result<Unit> apply_replica(std::string_view key, std::span<const u8> value, u64 seq,
-                             bool tombstone, bool* applied);
   // Sequence of the local intact copy (live or tombstone); 0 when missing or
   // corrupt (so any incoming write, including a re-pushed seq-0 legacy
   // block, may land).
@@ -421,13 +431,14 @@ class BlockStoreNode {
   // on the peer datagram socket. False when the kernel refuses (ring
   // exhausted).
   bool ensure_serve_ring();
-  // Handles one node-to-node request datagram; the reply goes straight back
-  // to the sender as one datagram, with no ring submit.
+  // Handles one node-to-node request datagram on the peer plane; the reply
+  // goes straight back to the sender as one datagram, with no ring submit.
   void process_request(NetAddr src, Port src_port, std::span<const u8> payload);
-  // The transport-independent request core: decodes one request payload,
-  // executes it, and returns the reply bytes — or nullopt when the request
-  // is malformed and warrants no reply.
-  std::optional<std::vector<u8>> handle_request(std::span<const u8> payload);
+  // The request core both planes share: decodes one request payload that
+  // arrived on `plane`, executes it, and returns the reply bytes — or
+  // nullopt when the request is malformed and warrants no reply. An op that
+  // `plane` does not serve gets kNotPermitted before admission.
+  std::optional<std::vector<u8>> handle_request(BsPlane plane, std::span<const u8> payload);
 
   // --- VTP stream serve plane (client connections) ---------------------------
   // One accepted client connection: inbuf reassembles [u32 len][body] frames
@@ -527,7 +538,7 @@ class BlockStoreNode {
 // simulation's stand-in for wall-clock time — so schedules replay
 // deterministically from a seed.
 struct RetryPolicy {
-  usize max_attempts = 16;       // sends per rpc (across all targets)
+  usize max_attempts = 16;       // sends per rpc (across the op's route)
   usize polls_per_attempt = 64;  // polls awaiting each reply
   u64 backoff_base_polls = 0;    // idle polls before retry 1; doubles per retry
   u64 backoff_max_polls = 0;     // exponential backoff cap (0 = uncapped)
@@ -550,49 +561,45 @@ struct RetryStats {
   u64 attempts = 0;          // request frames sent
   u64 retries = 0;           // attempts beyond the first, per rpc
   u64 backoff_polls = 0;     // polls spent idling in backoff
-  u64 failovers = 0;         // switches to a different target
+  u64 failovers = 0;         // switches to the route's next member
   u64 transient_errors = 0;  // kIoError/kNoMemory/kBusy replies absorbed by retry
   u64 send_errors = 0;       // local send failures absorbed by retry
   u64 overloads = 0;         // kOverloaded replies absorbed by backpressure
-  u64 sticky_resumes = 0;    // rpcs that resumed on the last known-live target
-                             // instead of re-probing a dead rotation residue
-  u64 reconnects = 0;        // streams re-opened to a target whose previous
+  u64 reconnects = 0;        // streams re-opened to a member whose previous
                              // stream died with a typed error
 };
 
-// Client library: request/response over one VTP stream per target, with
-// timeout + retry. The stream retransmits lost segments below the rpc
-// layer; an rpc whose reply misses its attempt window re-sends the request
-// (operations are idempotent, so at-least-once delivery preserves the
-// abstract map semantics). Transient server errors (fault-injected
-// kIoError/kNoMemory, kBusy) are retried with exponential backoff + jitter;
-// when failover targets are configured, timeouts and transient errors
-// rotate the client to the next replica.
+// Client library: request/response over one VTP stream per member, with
+// timeout + retry. The client routes by its ClusterView only: a keyed op
+// (put/get/del) goes to the key's owners, primary first, and a ping to the
+// view's members in id order. The stream retransmits lost segments below
+// the rpc layer; an rpc whose reply misses its attempt window re-sends the
+// request (operations are idempotent, so at-least-once delivery preserves
+// the abstract map semantics). Transient server errors (fault-injected
+// kIoError/kNoMemory, kBusy) are retried with exponential backoff +
+// jitter; timeouts and transient errors rotate the rpc to the next member
+// of its route.
 //
 // The core is non-blocking and holds one op in flight per client object:
 // start() sends it and each poll() advances it by one poll. The blocking
-// ops (put/get/del/...) are start() plus a pump-then-poll loop, so a
+// ops (put/get/del/ping) are start() plus a pump-then-poll loop, so a
 // harness that drives hundreds of clients on one thread polls each client
 // object itself and the blocking caller runs the very same state machine.
 class BlockStoreClient {
  public:
+  // `view` is the cluster the client routes by; a harness that talks to one
+  // node passes a one-member view of it (ClusterView::of({{addr, port}}, 1)).
   // `pump` advances the simulated world between the polls of a blocking op
   // — the simulation's stand-in for wall-clock time. It must serve the
   // nodes and tick every host's VTP stack; a client driven only through
-  // start()/poll() may pass none. Each target gets one stream, connected
+  // start()/poll() may pass none. Each member gets one stream, connected
   // lazily from a kernel-assigned source port and reconnected after any
   // terminal connection error; requests and replies are framed
   // [u32 len][body]. The client opens no datagram socket.
-  BlockStoreClient(Sys& sys, NetAddr server, Port server_port, std::function<void()> pump,
+  BlockStoreClient(Sys& sys, ClusterView view, std::function<void()> pump,
                    RetryPolicy policy = {});
 
-  // Adds a replica the client may rotate to when the current target times
-  // out or keeps returning transient errors.
-  void add_failover(NetAddr addr, Port port);
-
-  // Switches keyed ops (put/get/del) to ring routing: each rpc is sent to
-  // the key's owner list (primary first), falling back to the static target
-  // list when the view maps to nothing. Ping/list keep the static targets.
+  // Adopts a new view (a membership change); the next op routes by it.
   void set_cluster(const ClusterView& view) { view_ = view; }
 
   // Blocking ops: each records one bs/rpc span.
@@ -603,12 +610,14 @@ class BlockStoreClient {
   Result<std::pair<std::vector<u8>, u64>> get_with_seq(std::string_view key);
   Result<Unit> del(std::string_view key);
   Result<Unit> ping();
-  Result<std::vector<BlockKeyInfo>> list();
 
   // Sends `op` (kPut carries `value`; kPut and kDel take a fresh write
-  // stamp). kBusy, with nothing sent, while an earlier op's reply has not
-  // yet been returned by poll(); kInvalidArgument, with nothing sent, when
-  // the request body would exceed kVtpConnBufMax.
+  // stamp). Each refusal below sends nothing and uses no request id or
+  // stamp: kBusy while an earlier op's reply has not yet been returned by
+  // poll(); kNotFound when the view cannot route `op` (a key with no owner
+  // in the directory, a ping to an empty view, or a peer op, which no
+  // client sends); kInvalidArgument when the request body would exceed
+  // kVtpConnBufMax.
   Result<Unit> start(BsOp op, std::string_view key, std::span<const u8> value = {});
   // Advances the op in flight by one poll — call it once per world step:
   // one read of the awaited stream, reply matching, and the RetryPolicy
@@ -633,14 +642,9 @@ class BlockStoreClient {
     return RetryStats{c_attempts_.value(),         c_retries_.value(),
                       c_backoff_polls_.value(),    c_failovers_.value(),
                       c_transient_errors_.value(), c_send_errors_.value(),
-                      c_overloads_.value(),        c_sticky_resumes_.value(),
-                      c_reconnects_.value()};
+                      c_overloads_.value(),        c_reconnects_.value()};
   }
   const RetryPolicy& policy() const { return policy_; }
-
-  // The target the next rpc will be sent to (index 0 = the constructor's
-  // server; failover targets follow in add_failover order).
-  usize current_target() const { return current_target_; }
 
  private:
   using ChanKey = std::pair<NetAddr, Port>;
@@ -658,8 +662,7 @@ class BlockStoreClient {
   struct Op {
     u64 req_id = 0;
     std::vector<u8> frame;      // [u32 len][body], sent whole by each attempt
-    std::vector<BsPeer> route;  // the key's owners (ring mode) or targets_
-    bool ring_mode = false;
+    std::vector<BsPeer> route;  // the key's owners, or the members for a ping
     usize idx = 0;              // route entry the current attempt uses
     usize attempt = 0;
     u64 polls_used = 0;
@@ -696,21 +699,17 @@ class BlockStoreClient {
   // The channel to `peer`, connecting on first use. nullptr when connect
   // fails (the attempt machinery treats that as a send error and retries).
   VtpChan* vtp_chan(const BsPeer& peer);
-  // Closes a stream after a typed error; the next rpc to that target
+  // Closes a stream after a typed error; the next rpc to that member
   // reconnects (counted in reconnects).
   void drop_vtp_chan(ChanKey key);
 
   Sys& sys_;
-  std::vector<BsPeer> targets_;  // [0] = primary, rest = failover replicas
-  usize current_target_ = 0;
-  bool have_last_good_ = false;  // stickiness: resume rpcs on the last target
-  usize last_good_target_ = 0;   // that actually answered (static routing only)
-  std::optional<ClusterView> view_;  // set_cluster: ring routing for keyed ops
+  ClusterView view_;  // every op routes by it
   std::function<void()> pump_;
   RetryPolicy policy_;
   Rng rng_{0xC11E47ull};  // jitter; fixed seed keeps runs replayable
-  std::map<ChanKey, VtpChan> chans_;  // one stream per target
-  std::set<ChanKey> dropped_;         // targets whose last stream died
+  std::map<ChanKey, VtpChan> chans_;  // one stream per member
+  std::set<ChanKey> dropped_;         // members whose last stream died
   std::optional<Op> op_;              // the op in flight
   u64 next_req_id_ = 1;
   u64 put_seq_ = 0;  // write-sequence stamp: orders this client's puts per key
@@ -727,7 +726,6 @@ class BlockStoreClient {
   Counter& c_transient_errors_;
   Counter& c_send_errors_;
   Counter& c_overloads_;
-  Counter& c_sticky_resumes_;
   Counter& c_reconnects_;
   Histogram& h_rpc_polls_;
   const u32 span_rpc_;

@@ -30,9 +30,10 @@ std::optional<std::vector<u8>> pop_frame(std::vector<u8>& inbuf) {
 
 }  // namespace
 
-BlockStoreClient::BlockStoreClient(Sys& sys, NetAddr server, Port server_port,
-                                   std::function<void()> pump, RetryPolicy policy)
+BlockStoreClient::BlockStoreClient(Sys& sys, ClusterView view, std::function<void()> pump,
+                                   RetryPolicy policy)
     : sys_(sys),
+      view_(std::move(view)),
       pump_(std::move(pump)),
       policy_(policy),
       obs_prefix_(ObsRegistry::global().instance_prefix("bsc")),
@@ -43,12 +44,9 @@ BlockStoreClient::BlockStoreClient(Sys& sys, NetAddr server, Port server_port,
       c_transient_errors_(ObsRegistry::global().counter(obs_prefix_ + "transient_errors")),
       c_send_errors_(ObsRegistry::global().counter(obs_prefix_ + "send_errors")),
       c_overloads_(ObsRegistry::global().counter(obs_prefix_ + "overloads")),
-      c_sticky_resumes_(ObsRegistry::global().counter(obs_prefix_ + "sticky_resumes")),
       c_reconnects_(ObsRegistry::global().counter(obs_prefix_ + "reconnects")),
       h_rpc_polls_(ObsRegistry::global().histogram(obs_prefix_ + "rpc_polls")),
-      span_rpc_(ObsRegistry::global().tracer().intern_site("bs/rpc")) {
-  targets_.push_back(BsPeer{server, server_port});
-}
+      span_rpc_(ObsRegistry::global().tracer().intern_site("bs/rpc")) {}
 
 BlockStoreClient::VtpChan* BlockStoreClient::vtp_chan(const BsPeer& peer) {
   const ChanKey key{peer.addr, peer.port};
@@ -81,12 +79,8 @@ void BlockStoreClient::drop_vtp_chan(ChanKey key) {
   dropped_.insert(key);
 }
 
-void BlockStoreClient::add_failover(NetAddr addr, Port port) {
-  targets_.push_back(BsPeer{addr, port});
-}
-
 bool BlockStoreClient::transient(ErrorCode err) {
-  // Errors a later attempt (possibly against another replica) can cure:
+  // Errors a later attempt (possibly against another member) can cure:
   // injected device/memory faults and momentary contention. Semantic
   // outcomes (kNotFound, kCorrupted, kInvalidArgument, ...) pass through.
   return err == ErrorCode::kIoError || err == ErrorCode::kNoMemory ||
@@ -98,8 +92,27 @@ Result<Unit> BlockStoreClient::start(BsOp op, std::string_view key,
   if (op_.has_value()) {
     return ErrorCode::kBusy;
   }
-  // The request id and the write stamp are taken only once the body is
-  // known to fit, so a refused op leaves no trace.
+  // Routing, by the view only: a keyed op goes to the key's owners, primary
+  // first (placement is the same pure function the nodes use, so a fresh
+  // view sends every op straight to its owner), and a ping to the members
+  // in id order. Later attempts rotate along the route.
+  std::vector<BsPeer> route;
+  if (op == BsOp::kPut || op == BsOp::kGet || op == BsOp::kDel) {
+    for (BsNodeId id : view_.owners(key)) {
+      if (auto it = view_.directory.find(id); it != view_.directory.end()) {
+        route.push_back(it->second);
+      }
+    }
+  } else if (op == BsOp::kPing) {
+    for (const auto& [id, member] : view_.directory) {
+      route.push_back(member);
+    }
+  }
+  if (route.empty()) {
+    return ErrorCode::kNotFound;
+  }
+  // The request id and the write stamp are taken only once the op is known
+  // to be routable and its body to fit, so a refused op leaves no trace.
   const bool stamped = op == BsOp::kPut || op == BsOp::kDel;
   Writer w;
   w.put_u8(static_cast<u8>(op));
@@ -129,33 +142,7 @@ Result<Unit> BlockStoreClient::start(BsOp op, std::string_view key,
   framed.put_u32(static_cast<u32>(w.bytes().size()));
   framed.put_raw(w.bytes());
   o.frame = framed.take();
-
-  // Routing. Ring mode (set_cluster + a keyed op): the route is the key's
-  // owner list, primary first — placement is the same pure function the
-  // servers use, so a fresh view sends every op straight to its owner.
-  // Static mode: the constructor/add_failover targets, resuming on the last
-  // target that actually answered (stickiness) rather than wherever a failed
-  // rpc's rotation happened to stop — re-probing a known-dead primary every
-  // call would pay the full timeout on every op.
-  bool keyed = op == BsOp::kPut || op == BsOp::kGet || op == BsOp::kDel;
-  if (view_.has_value() && keyed) {
-    for (BsNodeId id : view_->owners(key)) {
-      auto it = view_->directory.find(id);
-      if (it != view_->directory.end()) {
-        o.route.push_back(it->second);
-      }
-    }
-  }
-  o.ring_mode = !o.route.empty();
-  if (!o.ring_mode) {
-    o.route = targets_;
-    if (have_last_good_ && last_good_target_ < targets_.size() &&
-        current_target_ != last_good_target_) {
-      current_target_ = last_good_target_;
-      c_sticky_resumes_.inc();
-    }
-    o.idx = current_target_;
-  }
+  o.route = std::move(route);
   o.backoff = policy_.backoff_base_polls;
   o.overload_backoff = policy_.overload_base_polls;
   run_attempts();
@@ -301,7 +288,7 @@ void BlockStoreClient::await_reply() {
 }
 
 void BlockStoreClient::read_reply() {
-  // The wire: one VTP stream per target, [u32 len][body] frames both ways,
+  // The wire: one VTP stream per member, [u32 len][body] frames both ways,
   // read with one direct vtp_recv per poll. The transport retransmits lost
   // segments itself, so loss is paid at the stream's RTO instead of the
   // attempt timeout.
@@ -331,13 +318,8 @@ void BlockStoreClient::read_reply() {
     return await_reply();  // malformed, or a stale reply to an earlier rpc
   }
   ErrorCode code = static_cast<ErrorCode>(*err);
-  if (!o.ring_mode) {
-    // Any reply with our req_id proves this target is up and reachable.
-    have_last_good_ = true;
-    last_good_target_ = o.idx;
-  }
   if (code == ErrorCode::kOverloaded) {
-    // Backpressure, not failure: the target is alive and shedding. Stay on
+    // Backpressure, not failure: the member is alive and shedding. Stay on
     // it and yield (multiplicative backoff) instead of stampeding a
     // healthy-but-busy replica's peers.
     c_overloads_.inc();
@@ -346,7 +328,7 @@ void BlockStoreClient::read_reply() {
   }
   if (transient(code)) {
     c_transient_errors_.inc();
-    VNROS_LOG_DEBUG("blockstore", "transient %s from target %zu (attempt %zu), retrying",
+    VNROS_LOG_DEBUG("blockstore", "transient %s from route member %zu (attempt %zu), retrying",
                     error_name(code), o.idx, o.attempt);
     return end_attempt(code);  // next attempt, possibly after failover
   }
@@ -359,16 +341,13 @@ void BlockStoreClient::read_reply() {
 }
 
 void BlockStoreClient::end_attempt(ErrorCode err) {
-  // Timed out or bounced with an error: rotate targets so a
+  // Timed out or bounced with an error: rotate along the route so a
   // crashed/partitioned/faulting replica does not absorb every attempt.
-  // kOverloaded stays put — that target will have tokens again soon.
+  // kOverloaded stays put — that member will have tokens again soon.
   Op& o = *op_;
   o.last_err = err;
   if (!o.overload_wait && o.route.size() >= 2) {
     o.idx = (o.idx + 1) % o.route.size();
-    if (!o.ring_mode) {
-      current_target_ = o.idx;
-    }
     c_failovers_.inc();
   }
   ++o.attempt;
@@ -456,14 +435,6 @@ Result<std::vector<BlockKeyInfo>> decode_inventory(std::span<const u8> payload) 
     out.push_back(BlockKeyInfo{std::move(*key), *crc, *seq, (*flags & 1) != 0});
   }
   return out;
-}
-
-Result<std::vector<BlockKeyInfo>> BlockStoreClient::list() {
-  auto r = call(BsOp::kList, "");
-  if (!r.ok()) {
-    return r.error();
-  }
-  return decode_inventory(r.value().value);
 }
 
 Result<Unit> BlockStoreClient::ping() {

@@ -28,10 +28,18 @@ namespace {
 constexpr usize kBlockHeader = 16;
 constexpr u32 kTombstoneFlag = 0x8000'0000u;
 
-constexpr char kHexDigits[] = "0123456789abcdef";
-
 // One admitted op, in admission-bucket units (millionths of an op).
 constexpr u64 kOpCostPpm = 1'000'000;
+
+// Appends `key` to `out` in lowercase hex, the encoding of block and hint
+// file names: any key bytes make a valid name ("ab" -> "6162").
+void append_hex_key(std::string& out, std::string_view key) {
+  constexpr char kHexDigits[] = "0123456789abcdef";
+  for (char c : key) {
+    out.push_back(kHexDigits[(static_cast<u8>(c) >> 4) & 0xF]);
+    out.push_back(kHexDigits[static_cast<u8>(c) & 0xF]);
+  }
+}
 
 // Decodes a pure-hex name back into the key it encodes; nullopt for names
 // that are not hex (".tmp" sidecars, foreign files).
@@ -54,6 +62,26 @@ std::optional<std::string> decode_hex_key(std::string_view name) {
     key.push_back(static_cast<char>((hi << 4) | lo));
   }
   return key;
+}
+
+// The plane that serves `op`; nullopt for an opcode no plane knows.
+std::optional<BsPlane> plane_of(BsOp op) {
+  switch (op) {
+    case BsOp::kPut:
+    case BsOp::kGet:
+    case BsOp::kDel:
+    case BsOp::kPing:
+      return BsPlane::kClient;
+    case BsOp::kPutReplica:
+    case BsOp::kList:
+    case BsOp::kDelReplica:
+    case BsOp::kGetBlock:
+    case BsOp::kMerkleNode:
+    case BsOp::kMerkleLeaf:
+    case BsOp::kTombstoneGc:
+      return BsPlane::kPeer;
+  }
+  return std::nullopt;
 }
 
 // Sends per read-repair fetch, and pump polls awaiting each reply.
@@ -104,10 +132,7 @@ Result<DecodedBlock> read_block_file(Sys& sys, const std::string& path) {
 
 std::string BlockStoreNode::key_path(std::string_view key) {
   std::string path = "/blocks/";
-  for (char c : key) {
-    path.push_back(kHexDigits[(static_cast<u8>(c) >> 4) & 0xF]);
-    path.push_back(kHexDigits[static_cast<u8>(c) & 0xF]);
-  }
+  append_hex_key(path, key);
   return path;
 }
 
@@ -242,7 +267,7 @@ Result<Unit> BlockStoreNode::put(std::string_view key, std::span<const u8> value
 Result<Unit> BlockStoreNode::put_stamped(std::string_view key, std::span<const u8> value,
                                          u64 seq) {
   bool applied = false;
-  auto r = apply_replica(key, value, seq, /*tombstone=*/false, &applied);
+  auto r = apply_remote(key, value, seq, /*tombstone=*/false, &applied);
   if (!r.ok()) {
     return r;
   }
@@ -253,8 +278,8 @@ Result<Unit> BlockStoreNode::put_stamped(std::string_view key, std::span<const u
   return Unit{};
 }
 
-Result<Unit> BlockStoreNode::apply_replica(std::string_view key, std::span<const u8> value,
-                                           u64 seq, bool tombstone, bool* applied) {
+Result<Unit> BlockStoreNode::apply_remote(std::string_view key, std::span<const u8> value,
+                                          u64 seq, bool tombstone, bool* applied) {
   auto local = read_block_file(sys_, key_path(key));
   if (!local.ok() && local.error() != ErrorCode::kNotFound &&
       local.error() != ErrorCode::kCorrupted) {
@@ -276,11 +301,6 @@ Result<Unit> BlockStoreNode::apply_replica(std::string_view key, std::span<const
     *applied = r.ok();
   }
   return r;
-}
-
-Result<Unit> BlockStoreNode::apply_remote(std::string_view key, std::span<const u8> value,
-                                          u64 seq, bool tombstone, bool* applied) {
-  return apply_replica(key, value, seq, tombstone, applied);
 }
 
 u64 BlockStoreNode::local_seq(std::string_view key) const {
@@ -523,7 +543,7 @@ Result<Unit> BlockStoreNode::del_stamped(std::string_view key, u64 seq) {
   // outcome). A lagging replica pushing the old value later is refused as
   // stale by the tombstone's sequence: no resurrection.
   bool applied = false;
-  auto r = apply_replica(key, {}, seq, /*tombstone=*/true, &applied);
+  auto r = apply_remote(key, {}, seq, /*tombstone=*/true, &applied);
   if (!r.ok()) {
     return r;
   }
@@ -635,10 +655,7 @@ Result<Unit> BlockStoreNode::push_acked(const BsPeer& peer, BsOp op, std::string
 
 std::string BlockStoreNode::hint_path(BsNodeId owner, std::string_view key) const {
   std::string path = "/hints/" + std::to_string(owner) + "_";
-  for (char c : key) {
-    path.push_back(kHexDigits[(static_cast<u8>(c) >> 4) & 0xF]);
-    path.push_back(kHexDigits[static_cast<u8>(c) & 0xF]);
-  }
+  append_hex_key(path, key);
   return path;
 }
 
@@ -652,10 +669,7 @@ void BlockStoreNode::drop_stale_hints(std::string_view key, u64 seq) {
     return;
   }
   std::string hexkey;
-  for (char c : key) {
-    hexkey.push_back(kHexDigits[(static_cast<u8>(c) >> 4) & 0xF]);
-    hexkey.push_back(kHexDigits[static_cast<u8>(c) & 0xF]);
-  }
+  append_hex_key(hexkey, key);
   for (const auto& name : names.value()) {
     auto us = name.find('_');
     if (us == std::string::npos || std::string_view(name).substr(us + 1) != hexkey) {
@@ -956,8 +970,8 @@ u64 BlockStoreNode::deliver_hints() {
       // A view change made us the owner: apply locally (if-newer — our own
       // copy may already have overtaken the parked bytes).
       bool applied = false;
-      if (!apply_replica(*key, hint.value().bytes, hint.value().seq,
-                         hint.value().tombstone, &applied)
+      if (!apply_remote(*key, hint.value().bytes, hint.value().seq, hint.value().tombstone,
+                        &applied)
                .ok()) {
         continue;  // disk fault: retry on a later pass
       }
@@ -1100,7 +1114,7 @@ bool BlockStoreNode::serve_once() {
 
 void BlockStoreNode::process_request(NetAddr src, Port src_port,
                                      std::span<const u8> payload) {
-  auto reply = handle_request(payload);
+  auto reply = handle_request(BsPlane::kPeer, payload);
   if (!reply) {
     return;
   }
@@ -1177,7 +1191,8 @@ usize BlockStoreNode::on_vtp_bytes(u64 slot, std::span<const u8> bytes) {
     if (conn.inbuf.size() - off - 4 < len) {
       break;  // incomplete frame: wait for more stream bytes
     }
-    auto reply = handle_request(std::span<const u8>(conn.inbuf.data() + off + 4, len));
+    auto reply =
+        handle_request(BsPlane::kClient, std::span<const u8>(conn.inbuf.data() + off + 4, len));
     off += 4 + len;
     ++served;
     if (reply) {
@@ -1224,7 +1239,8 @@ void BlockStoreNode::close_vtp_conn(u64 slot) {
   vtp_conns_.erase(it);
 }
 
-std::optional<std::vector<u8>> BlockStoreNode::handle_request(std::span<const u8> payload) {
+std::optional<std::vector<u8>> BlockStoreNode::handle_request(BsPlane plane,
+                                                              std::span<const u8> payload) {
   SpanScope span(ObsRegistry::global().tracer(), span_serve_);
   Reader r(payload);
   auto op = r.get_u8();
@@ -1233,27 +1249,34 @@ std::optional<std::vector<u8>> BlockStoreNode::handle_request(std::span<const u8
   if (!op || !req_id || !key) {
     return std::nullopt;  // malformed request: drop (no reply semantics)
   }
+  auto refuse = [&](ErrorCode code) {
+    Writer w;
+    w.put_u64(*req_id);
+    w.put_u32(static_cast<u32>(code));
+    w.put_bytes(std::span<const u8>());
+    return w.take();
+  };
 
+  // The plane check comes first: a known op on the other plane is refused
+  // before admission, so it takes no token and changes nothing. Unknown
+  // opcodes fall through to the switch's kInvalidArgument.
+  const BsOp opcode = static_cast<BsOp>(*op);
+  const std::optional<BsPlane> home = plane_of(opcode);
+  if (home.has_value() && *home != plane) {
+    return refuse(ErrorCode::kNotPermitted);
+  }
   // Admission control: storage ops (not ping/list — the control plane stays
   // responsive) cost one token. An empty bucket sheds the request with a
   // typed kOverloaded so clients back off instead of failing over.
-  BsOp opcode = static_cast<BsOp>(*op);
-  bool storage_op = opcode == BsOp::kPut || opcode == BsOp::kGet || opcode == BsOp::kDel ||
-                    opcode == BsOp::kPutReplica || opcode == BsOp::kDelReplica ||
-                    opcode == BsOp::kGetBlock || opcode == BsOp::kMerkleNode ||
-                    opcode == BsOp::kMerkleLeaf || opcode == BsOp::kTombstoneGc;
+  const bool storage_op = home.has_value() && opcode != BsOp::kPing && opcode != BsOp::kList;
   if (storage_op && !admit_op()) {
-    Writer shed;
-    shed.put_u64(*req_id);
-    shed.put_u32(static_cast<u32>(ErrorCode::kOverloaded));
-    shed.put_bytes(std::span<const u8>());
-    return shed.take();
+    return refuse(ErrorCode::kOverloaded);
   }
 
   ErrorCode err = ErrorCode::kInvalidArgument;
   std::vector<u8> value_out;
   u64 seq_out = 0;  // kGet and kGetBlock replies carry the write sequence
-  switch (static_cast<BsOp>(*op)) {
+  switch (opcode) {
     case BsOp::kPut: {
       auto seq = r.get_u64();
       auto value = r.get_bytes();
@@ -1267,7 +1290,7 @@ std::optional<std::vector<u8>> BlockStoreNode::handle_request(std::span<const u8
       auto value = r.get_bytes();
       if (seq && value && r.exhausted()) {
         bool applied = false;
-        err = apply_replica(*key, *value, *seq, /*tombstone=*/false, &applied).error();
+        err = apply_remote(*key, *value, *seq, /*tombstone=*/false, &applied).error();
         if (applied) {
           c_replicas_applied_.inc();
         }
@@ -1306,7 +1329,7 @@ std::optional<std::vector<u8>> BlockStoreNode::handle_request(std::span<const u8
         // reclaim the tombstone once every member has acked.
         drop_stale_hints(*key, *seq);
         bool applied = false;
-        err = apply_replica(*key, {}, *seq, /*tombstone=*/true, &applied).error();
+        err = apply_remote(*key, {}, *seq, /*tombstone=*/true, &applied).error();
         if (applied) {
           c_replicas_applied_.inc();
         }

@@ -209,12 +209,8 @@ class ChaosRunner {
     policy.backoff_max_polls = 64;
     policy.jitter_ppm = 250'000;
     policy.deadline_polls = 2'000;
-    client_ = std::make_unique<BlockStoreClient>(client_host_->sys, slots_[0].addr, kPort,
+    client_ = std::make_unique<BlockStoreClient>(client_host_->sys, view_,
                                                  [this] { pump_all(); }, policy);
-    for (usize i = 1; i < cfg_.nodes; ++i) {
-      client_->add_failover(slots_[i].addr, kPort);
-    }
-    client_->set_cluster(view_);
   }
 
   void make_node(usize i) {
@@ -532,7 +528,6 @@ class ChaosRunner {
         rebalance_slot(j, step);
       }
     }
-    client_->add_failover(slot.addr, kPort);
     client_->set_cluster(view_);
     ++report_.joins;
     VNROS_LOG_DEBUG("chaos", "node %zu joined at step %zu", i, step);

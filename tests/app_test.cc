@@ -54,6 +54,16 @@ void tick(Hosts&... hosts) {
   (hosts.kernel.vtp().tick(), ...);
 }
 
+// The `n`th of "k0", "k1", ... whose primary in `view` is member `id`.
+std::string key_with_primary(const ClusterView& view, BsNodeId id, usize n = 0) {
+  for (usize i = 0;; ++i) {
+    std::string key = "k" + std::to_string(i);
+    if (view.owners(key).front() == id && n-- == 0) {
+      return key;
+    }
+  }
+}
+
 TEST(BlockStoreNodeTest, KeyPathIsHexEncoded) {
   EXPECT_EQ(BlockStoreNode::key_path("ab"), "/blocks/6162");
   EXPECT_EQ(BlockStoreNode::key_path(std::string("\x00\xff", 2)), "/blocks/00ff");
@@ -162,10 +172,11 @@ TEST(BlockStoreWireTest, EndToEndOverFabric) {
   Host client_host(&net);
   BlockStoreNode node(server.sys, 7000);
   ASSERT_TRUE(node.init().ok());
-  BlockStoreClient client(client_host.sys, server.kernel.net_addr(), 7000, [&] {
-    node.serve_once();
-    tick(server, client_host);
-  });
+  BlockStoreClient client(
+      client_host.sys, ClusterView::of({{server.kernel.net_addr(), 7000}}, 1), [&] {
+        node.serve_once();
+        tick(server, client_host);
+      });
 
   ASSERT_TRUE(client.ping().ok());
   ASSERT_TRUE(client.put("wire-key", bytes("wire-value")).ok());
@@ -194,11 +205,12 @@ TEST(BlockStoreWireTest, LargeValueCrossesDatagrams) {
       2);
   primary.configure_cluster({.self = 0}, view);
   replica.configure_cluster({.self = 1}, view);
-  BlockStoreClient client(client_host.sys, primary_host.kernel.net_addr(), 7000, [&] {
-    primary.serve_once();
-    replica.serve_once();
-    tick(primary_host, replica_host, client_host);
-  });
+  BlockStoreClient client(
+      client_host.sys, ClusterView::of({{primary_host.kernel.net_addr(), 7000}}, 1), [&] {
+        primary.serve_once();
+        replica.serve_once();
+        tick(primary_host, replica_host, client_host);
+      });
   std::vector<u8> big(100'000);
   Rng rng(5);
   for (auto& b : big) {
@@ -248,6 +260,128 @@ TEST(BlockStoreWireTest, OversizedFrameHeaderClosesTheStream) {
       << "the node kept the stream open: " << error_name(end);
 }
 
+// Each plane serves only its own role's ops. A client stream that sends a
+// well-formed peer op, and a datagram that carries a client op, both get
+// kNotPermitted: nothing is stored or dropped, and the tombstone survives
+// the kTombstoneGc. An unknown opcode is still kInvalidArgument. Neither
+// refusal passes admission, so neither takes a token: with one token in the
+// bucket, refused ops on both planes leave it for the client put sent last.
+TEST(BlockStoreWireTest, EachPlaneRefusesTheOthersOps) {
+  Network net;
+  Host server(&net);
+  Host client_host(&net);
+  BlockStoreNode node(server.sys, 7000);
+  ASSERT_TRUE(node.init().ok());
+  ASSERT_TRUE(node.put("live", bytes("original")).ok());
+  ASSERT_TRUE(node.put("gone", bytes("doomed")).ok());
+  ASSERT_TRUE(node.del("gone").ok());
+  const std::vector<BlockKeyInfo> before = node.list();
+  ASSERT_EQ(before.size(), 2u);
+
+  // [op][req_id][key], then the op's fields: a write sequence, and the
+  // value for a put.
+  u64 next_req_id = 1;
+  auto request = [&](BsOp op, std::string_view key, std::optional<u64> seq = std::nullopt,
+                     std::optional<std::vector<u8>> value = std::nullopt) {
+    Writer w;
+    w.put_u8(static_cast<u8>(op));
+    w.put_u64(next_req_id++);
+    w.put_string(key);
+    if (seq) {
+      w.put_u64(*seq);
+    }
+    if (value) {
+      w.put_bytes(*value);
+    }
+    return w.take();
+  };
+  // Every reply's error code, in arrival order.
+  std::vector<ErrorCode> codes;
+  auto record = [&](std::span<const u8> reply) {
+    Reader r(reply);
+    auto rid = r.get_u64();
+    auto err = r.get_u32();
+    ASSERT_TRUE(rid && err);
+    codes.push_back(static_cast<ErrorCode>(*err));
+  };
+
+  // The stream plane: requests framed [u32 len][body] on one connection.
+  auto fd = client_host.sys.vtp_connect(server.kernel.net_addr(), 7000, /*src_port=*/0);
+  ASSERT_TRUE(fd.ok());
+  std::vector<u8> inbuf;
+  auto on_stream = [&](const std::vector<std::vector<u8>>& bodies) {
+    Writer framed;
+    for (const auto& body : bodies) {
+      framed.put_u32(static_cast<u32>(body.size()));
+      framed.put_raw(body);
+    }
+    EXPECT_TRUE(client_host.sys.vtp_send(fd.value(), framed.bytes()).ok());
+    codes.clear();
+    for (int poll = 0; poll < 256 && codes.size() < bodies.size(); ++poll) {
+      node.serve_once();
+      tick(server, client_host);
+      auto got = client_host.sys.vtp_recv(fd.value(), 4096);
+      if (got.ok()) {
+        inbuf.insert(inbuf.end(), got.value().begin(), got.value().end());
+      }
+      for (;;) {
+        Reader fr(inbuf);
+        auto len = fr.get_u32();
+        auto body = len ? fr.get_raw(*len) : std::nullopt;
+        if (!body) {
+          break;
+        }
+        record(*body);
+        inbuf.erase(inbuf.begin(), inbuf.begin() + 4 + *len);
+      }
+    }
+    return codes;
+  };
+  // The peer plane: one datagram per request, to the node's peer socket.
+  auto sock = client_host.sys.udp_socket();
+  ASSERT_TRUE(sock.ok());
+  auto on_peer_socket = [&](const std::vector<std::vector<u8>>& bodies) {
+    for (const auto& body : bodies) {
+      EXPECT_TRUE(
+          client_host.sys.udp_sendto(sock.value(), server.kernel.net_addr(), 7000, body).ok());
+    }
+    codes.clear();
+    for (int poll = 0; poll < 64 && codes.size() < bodies.size(); ++poll) {
+      node.serve_once();
+      if (auto d = client_host.sys.udp_recvfrom(sock.value()); d.ok()) {
+        record(d.value().payload);
+      }
+    }
+    return codes;
+  };
+  using Codes = std::vector<ErrorCode>;
+
+  EXPECT_EQ(on_stream({request(BsOp::kPutReplica, "live", 100, bytes("forged")),
+                       request(BsOp::kDelReplica, "live", 100),
+                       request(BsOp::kTombstoneGc, "gone", 100), request(BsOp::kGetBlock, "live"),
+                       request(BsOp::kList, "")}),
+            Codes(5, ErrorCode::kNotPermitted));
+  EXPECT_EQ(on_peer_socket({request(BsOp::kPut, "planted", 100, bytes("forged")),
+                            request(BsOp::kGet, "live"), request(BsOp::kDel, "live", 100),
+                            request(BsOp::kPing, "")}),
+            Codes(4, ErrorCode::kNotPermitted));
+  EXPECT_EQ(node.list(), before);  // nothing stored, and the tombstone survived
+  EXPECT_EQ(node.get("live").value_or(std::vector<u8>{}), bytes("original"));
+
+  AdmissionConfig admission;
+  admission.enabled = true;
+  admission.burst_ops = 1;
+  node.set_admission(admission);
+  node.grant_tokens(1'000'000);  // exactly one op in the bucket
+  EXPECT_EQ(on_stream({request(BsOp::kGetBlock, "live"), request(static_cast<BsOp>(99), "live")}),
+            (Codes{ErrorCode::kNotPermitted, ErrorCode::kInvalidArgument}));
+  EXPECT_EQ(on_peer_socket({request(BsOp::kGet, "live")}), Codes{ErrorCode::kNotPermitted});
+  EXPECT_EQ(on_stream({request(BsOp::kPut, "admitted", 200, bytes("value"))}),
+            Codes{ErrorCode::kOk});
+  EXPECT_EQ(node.stats().sheds, 0u);
+  EXPECT_EQ(node.get("admitted").value_or(std::vector<u8>{}), bytes("value"));
+}
+
 // The client shares the node's bound: a put whose request body would pass
 // kVtpConnBufMax is refused with a typed error before anything is sent,
 // and the largest put that fits still lands.
@@ -260,7 +394,7 @@ TEST(BlockStoreWireTest, ClientRefusesAPutPastTheFrameBound) {
   RetryPolicy policy;
   policy.polls_per_attempt = 2048;  // a 1 MiB frame crosses 16 KiB windows
   BlockStoreClient client(
-      client_host.sys, server.kernel.net_addr(), 7000,
+      client_host.sys, ClusterView::of({{server.kernel.net_addr(), 7000}}, 1),
       [&] {
         node.serve_once();
         tick(server, client_host);
@@ -289,7 +423,7 @@ TEST(BlockStoreWireTest, RetriesSurviveLoss) {
   policy.max_attempts = 64;
   policy.polls_per_attempt = VtpStack::kRtoTicks / 2;
   BlockStoreClient client(
-      client_host.sys, server.kernel.net_addr(), 7000,
+      client_host.sys, ClusterView::of({{server.kernel.net_addr(), 7000}}, 1),
       [&] {
         node.serve_once();
         tick(server, client_host);
@@ -311,10 +445,11 @@ TEST(BlockStoreWireTest, StreamTransportEndToEnd) {
   Host client_host(&net);
   BlockStoreNode node(server.sys, 7000);
   ASSERT_TRUE(node.init().ok());
-  BlockStoreClient client(client_host.sys, server.kernel.net_addr(), 7000, [&] {
-    node.serve_once();
-    tick(server, client_host);
-  });
+  BlockStoreClient client(
+      client_host.sys, ClusterView::of({{server.kernel.net_addr(), 7000}}, 1), [&] {
+        node.serve_once();
+        tick(server, client_host);
+      });
 
   ASSERT_TRUE(client.ping().ok());
   ASSERT_TRUE(client.put("wire-key", bytes("wire-value")).ok());
@@ -336,10 +471,11 @@ TEST(BlockStoreWireTest, StreamTransportLargeValue) {
   Host client_host(&net);
   BlockStoreNode node(server.sys, 7000);
   ASSERT_TRUE(node.init().ok());
-  BlockStoreClient client(client_host.sys, server.kernel.net_addr(), 7000, [&] {
-    node.serve_once();
-    tick(server, client_host);
-  });
+  BlockStoreClient client(
+      client_host.sys, ClusterView::of({{server.kernel.net_addr(), 7000}}, 1), [&] {
+        node.serve_once();
+        tick(server, client_host);
+      });
   std::vector<u8> big(100'000);
   Rng rng(6);
   for (auto& b : big) {
@@ -360,10 +496,11 @@ TEST(BlockStoreWireTest, StreamTransportSurvivesLoss) {
   Host client_host(&net);
   BlockStoreNode node(server.sys, 7000);
   ASSERT_TRUE(node.init().ok());
-  BlockStoreClient client(client_host.sys, server.kernel.net_addr(), 7000, [&] {
-    node.serve_once();
-    tick(server, client_host);
-  });
+  BlockStoreClient client(
+      client_host.sys, ClusterView::of({{server.kernel.net_addr(), 7000}}, 1), [&] {
+        node.serve_once();
+        tick(server, client_host);
+      });
   for (int i = 0; i < 25; ++i) {
     std::string key = "k" + std::to_string(i);
     ASSERT_TRUE(client.put(key, bytes(key + "-value")).ok()) << key;
@@ -470,7 +607,8 @@ TEST(RetryPolicyTest, BackoffRespectsCap) {
   policy.backoff_base_polls = 4;
   policy.backoff_max_polls = 8;
   policy.jitter_ppm = 0;
-  BlockStoreClient client(client_host.sys, server.kernel.net_addr(), 7000, {}, policy);
+  BlockStoreClient client(client_host.sys, ClusterView::of({{server.kernel.net_addr(), 7000}}, 1),
+                          {}, policy);
   EXPECT_EQ(client.get("k").error(), ErrorCode::kTimedOut);
   // Four retries backed off 4, 8, 8, 8 polls (doubling clamps at the cap).
   EXPECT_EQ(client.retry_stats().retries, 4u);
@@ -488,7 +626,8 @@ TEST(RetryPolicyTest, JitterBounded) {
   policy.backoff_base_polls = 8;
   policy.backoff_max_polls = 0;  // uncapped
   policy.jitter_ppm = 500'000;   // up to +50%
-  BlockStoreClient client(client_host.sys, server.kernel.net_addr(), 7000, {}, policy);
+  BlockStoreClient client(client_host.sys, ClusterView::of({{server.kernel.net_addr(), 7000}}, 1),
+                          {}, policy);
   EXPECT_FALSE(client.get("k").ok());
   // Two retries: waits drawn from [8, 12] and [16, 24].
   EXPECT_GE(client.retry_stats().backoff_polls, 8u + 16u);
@@ -510,7 +649,8 @@ TEST(RetryPolicyTest, DeadlineExpiresMidRetry) {
   policy.backoff_base_polls = 64;  // longer than the whole deadline
   policy.jitter_ppm = 0;
   policy.deadline_polls = 30;      // one window (20) + a partial window (10)
-  BlockStoreClient client(client_host.sys, server.kernel.net_addr(), 7000, {}, policy);
+  BlockStoreClient client(client_host.sys, ClusterView::of({{server.kernel.net_addr(), 7000}}, 1),
+                          {}, policy);
   EXPECT_EQ(client.get("k").error(), ErrorCode::kTimedOut);
   EXPECT_EQ(client.retry_stats().attempts, 2u);   // the clamp bought a final probe
   EXPECT_EQ(client.retry_stats().backoff_polls, 0u);  // and zero polls were slept
@@ -530,7 +670,8 @@ TEST(RetryPolicyTest, DeadlineClampsFinalBackoff) {
   policy.backoff_base_polls = 64;  // would overshoot: 20 + 64 + 20 > 100
   policy.jitter_ppm = 0;
   policy.deadline_polls = 100;
-  BlockStoreClient client(client_host.sys, server.kernel.net_addr(), 7000, {}, policy);
+  BlockStoreClient client(client_host.sys, ClusterView::of({{server.kernel.net_addr(), 7000}}, 1),
+                          {}, policy);
   EXPECT_EQ(client.get("k").error(), ErrorCode::kTimedOut);
   EXPECT_EQ(client.retry_stats().attempts, 2u);
   EXPECT_EQ(client.retry_stats().backoff_polls, 60u);  // 64 clamped to 60
@@ -547,7 +688,8 @@ TEST(RetryPolicyTest, TornFrameDropsTheStream) {
   RetryPolicy policy;
   policy.max_attempts = 2;
   policy.polls_per_attempt = 4;
-  BlockStoreClient client(client_host.sys, server.kernel.net_addr(), 7000, {}, policy);
+  BlockStoreClient client(client_host.sys, ClusterView::of({{server.kernel.net_addr(), 7000}}, 1),
+                          {}, policy);
   std::vector<u8> huge(VtpStack::kSndBufMax + 1024, 0x5A);
   EXPECT_EQ(client.put("huge", huge).error(), ErrorCode::kWouldBlock);
   EXPECT_EQ(client.retry_stats().send_errors, 2u);
@@ -555,8 +697,8 @@ TEST(RetryPolicyTest, TornFrameDropsTheStream) {
 }
 
 // kOverloaded is backpressure, not failure: the client must wait out the
-// shed on the SAME target — zero failovers even with a healthy standby
-// configured — and succeed once the bucket refills.
+// shed on the key's primary — zero failovers even with a healthy standby in
+// the view — and succeed once the bucket refills.
 TEST(RetryPolicyTest, OverloadedBacksOffWithoutFailover) {
   Network net;
   Host server(&net);
@@ -578,8 +720,10 @@ TEST(RetryPolicyTest, OverloadedBacksOffWithoutFailover) {
   policy.polls_per_attempt = 16;
   policy.overload_base_polls = 8;
   policy.overload_max_polls = 64;
+  const ClusterView view = ClusterView::of(
+      {BsPeer{server.kernel.net_addr(), 7000}, BsPeer{standby_host.kernel.net_addr(), 7001}}, 2);
   BlockStoreClient client(
-      client_host.sys, server.kernel.net_addr(), 7000,
+      client_host.sys, view,
       [&] {
         node.serve_once();
         standby.serve_once();
@@ -589,66 +733,17 @@ TEST(RetryPolicyTest, OverloadedBacksOffWithoutFailover) {
         }
       },
       policy);
-  client.add_failover(standby_host.kernel.net_addr(), 7001);
+  // Both keys have the overloaded node as their primary.
+  const std::string a = key_with_primary(view, 0);
+  const std::string b = key_with_primary(view, 0, 1);
 
-  ASSERT_TRUE(client.put("a", bytes("first")).ok());   // consumes the token
-  ASSERT_TRUE(client.put("b", bytes("second")).ok());  // shed, then admitted
+  ASSERT_TRUE(client.put(a, bytes("first")).ok());   // consumes the token
+  ASSERT_TRUE(client.put(b, bytes("second")).ok());  // shed, then admitted
   EXPECT_GT(client.retry_stats().overloads, 0u);
   EXPECT_EQ(client.retry_stats().failovers, 0u);
   EXPECT_GT(node.stats().sheds, 0u);
-  EXPECT_EQ(standby.get("b").error(), ErrorCode::kNotFound);  // never stampeded
-}
-
-// Failover stickiness: an rpc resumes on the last target that actually
-// answered, not on whatever a failed rpc's rotation residue points at.
-TEST(RetryPolicyTest, FailoverStickinessResumesOnLastGoodTarget) {
-  Network net;
-  Host h0(&net);
-  Host h1(&net);
-  Host h2(&net);
-  Host client_host(&net);
-  BlockStoreNode n0(h0.sys, 7000);
-  BlockStoreNode n1(h1.sys, 7001);
-  BlockStoreNode n2(h2.sys, 7002);
-  ASSERT_TRUE(n0.init().ok());
-  ASSERT_TRUE(n1.init().ok());
-  ASSERT_TRUE(n2.init().ok());
-
-  RetryPolicy policy;
-  policy.max_attempts = 2;
-  policy.polls_per_attempt = 12;
-  BlockStoreClient client(
-      client_host.sys, h0.kernel.net_addr(), 7000,
-      [&] {
-        n0.serve_once();
-        n1.serve_once();
-        n2.serve_once();
-        tick(h0, h1, h2, client_host);
-      },
-      policy);
-  client.add_failover(h1.kernel.net_addr(), 7001);
-  client.add_failover(h2.kernel.net_addr(), 7002);
-  LinkAddr cl = client_host.kernel.net_addr();
-
-  // Only target 1 is reachable: the first op fails over 0 -> 1 and records
-  // 1 as last-good.
-  net.partition(cl, h0.kernel.net_addr());
-  net.partition(cl, h2.kernel.net_addr());
-  ASSERT_TRUE(client.put("k", bytes("v1")).ok());
-  EXPECT_EQ(client.current_target(), 1u);
-
-  // Everything dark: the op fails and its rotation parks elsewhere.
-  net.partition(cl, h1.kernel.net_addr());
-  EXPECT_FALSE(client.put("k", bytes("v2")).ok());
-  EXPECT_NE(client.current_target(), 1u);
-
-  // Target 1 comes back: the next op must resume there directly.
-  net.heal(cl, h1.kernel.net_addr());
-  u64 attempts_before = client.retry_stats().attempts;
-  ASSERT_TRUE(client.put("k", bytes("v3")).ok());
-  EXPECT_EQ(client.retry_stats().attempts - attempts_before, 1u);  // first try hit
-  EXPECT_GT(client.retry_stats().sticky_resumes, 0u);
-  EXPECT_EQ(n1.get("k").value(), bytes("v3"));
+  EXPECT_EQ(node.get(b).value(), bytes("second"));
+  EXPECT_EQ(standby.get(b).error(), ErrorCode::kNotFound);  // never stampeded
 }
 
 // --- The non-blocking client core --------------------------------------------
@@ -705,9 +800,8 @@ TEST(BlockStoreClientCoreTest, InterleavedClientsFailOverInsidePoll) {
   std::vector<std::unique_ptr<BlockStoreClient>> clients;
   std::vector<Script> scripts(kClients);
   for (usize c = 0; c < kClients; ++c) {
-    clients.push_back(std::make_unique<BlockStoreClient>(
-        client_host.sys, view.directory.at(0).addr, 7000, std::function<void()>{}, policy));
-    clients.back()->set_cluster(view);
+    clients.push_back(std::make_unique<BlockStoreClient>(client_host.sys, view,
+                                                         std::function<void()>{}, policy));
     scripts[c].rng = Rng(0xC0DE + c);
   }
   std::map<std::string, std::vector<u8>> model;
@@ -800,7 +894,8 @@ TEST(BlockStoreClientCoreTest, StartWhileInFlightIsBusyAndSendsNothing) {
   Host client_host(&net);
   BlockStoreNode node(server.sys, 7000);
   ASSERT_TRUE(node.init().ok());
-  BlockStoreClient client(client_host.sys, server.kernel.net_addr(), 7000, {});
+  BlockStoreClient client(client_host.sys, ClusterView::of({{server.kernel.net_addr(), 7000}}, 1),
+                          {});
   auto run = [&]() -> Result<BsReply> {
     for (;;) {
       node.serve_once();
@@ -836,9 +931,44 @@ TEST(BlockStoreClientCoreTest, StartWhileInFlightIsBusyAndSendsNothing) {
   EXPECT_EQ(client.retry_stats().attempts, 2u);
 }
 
+// An op the view cannot route is refused inside start(), with nothing sent
+// and no write stamp taken: every op on an empty view, and a peer op, which
+// no client sends, on any view.
+TEST(BlockStoreClientCoreTest, StartRefusesAnOpTheViewCannotRoute) {
+  Network net;
+  Host server(&net);
+  Host client_host(&net);
+  BlockStoreNode node(server.sys, 7000);
+  ASSERT_TRUE(node.init().ok());
+  const ClusterView no_members;
+  BlockStoreClient empty(client_host.sys, no_members, {});
+  EXPECT_EQ(empty.start(BsOp::kPut, "k", bytes("v")).error(), ErrorCode::kNotFound);
+  EXPECT_EQ(empty.start(BsOp::kDel, "k").error(), ErrorCode::kNotFound);
+  EXPECT_EQ(empty.start(BsOp::kGet, "k").error(), ErrorCode::kNotFound);
+  EXPECT_EQ(empty.start(BsOp::kPing, "").error(), ErrorCode::kNotFound);
+  EXPECT_EQ(empty.put("k", bytes("v")).error(), ErrorCode::kNotFound);
+  EXPECT_FALSE(empty.waiting());
+  EXPECT_EQ(empty.poll(), std::nullopt);
+  EXPECT_EQ(empty.retry_stats().attempts, 0u);
+  EXPECT_EQ(empty.last_write_seq(), 0u);
+
+  BlockStoreClient client(client_host.sys, ClusterView::of({{server.kernel.net_addr(), 7000}}, 1),
+                          [&] {
+                            node.serve_once();
+                            tick(server, client_host);
+                          });
+  EXPECT_EQ(client.start(BsOp::kPutReplica, "k", bytes("v")).error(), ErrorCode::kNotFound);
+  EXPECT_EQ(client.start(BsOp::kList, "").error(), ErrorCode::kNotFound);
+  EXPECT_EQ(client.retry_stats().attempts, 0u);
+  ASSERT_TRUE(client.put("k", bytes("v")).ok());
+  EXPECT_EQ(client.last_write_seq(), 1u);  // the first stamp the client used
+  EXPECT_EQ(client.retry_stats().attempts, 1u);
+}
+
 // Every blocking op is start() plus a pump-and-poll loop inside one bs/rpc
-// span, however many attempts it takes: the put here first times out on a
-// target that never answers, then fails over.
+// span, however many attempts it takes: each op on the key here, and the
+// ping, first times out on a member that never answers (the key's primary,
+// and the lowest id), then fails over.
 TEST(BlockStoreClientCoreTest, EachBlockingOpRecordsOneRpcSpan) {
   Network net;
   Host dead(&net);  // on the fabric, nothing serves
@@ -848,26 +978,27 @@ TEST(BlockStoreClientCoreTest, EachBlockingOpRecordsOneRpcSpan) {
   ASSERT_TRUE(node.init().ok());
   RetryPolicy policy;
   policy.polls_per_attempt = 8;
+  const ClusterView view = ClusterView::of(
+      {BsPeer{dead.kernel.net_addr(), 7000}, BsPeer{server.kernel.net_addr(), 7000}}, 2);
   BlockStoreClient client(
-      client_host.sys, dead.kernel.net_addr(), 7000,
+      client_host.sys, view,
       [&] {
         node.serve_once();
         tick(dead, server, client_host);
       },
       policy);
-  client.add_failover(server.kernel.net_addr(), 7000);
+  const std::string key = key_with_primary(view, 0);
 
   SpanTracer& tracer = ObsRegistry::global().tracer();
   const u32 rpc_site = tracer.intern_site("bs/rpc");
   tracer.clear();
   tracer.set_enabled(true);
-  ASSERT_TRUE(client.put("k", bytes("v")).ok());
-  ASSERT_TRUE(client.get("k").ok());
-  ASSERT_TRUE(client.get_with_seq("k").ok());
+  ASSERT_TRUE(client.put(key, bytes("v")).ok());
+  ASSERT_TRUE(client.get(key).ok());
+  ASSERT_TRUE(client.get_with_seq(key).ok());
   EXPECT_EQ(client.get("missing").error(), ErrorCode::kNotFound);
-  ASSERT_TRUE(client.del("k").ok());
+  ASSERT_TRUE(client.del(key).ok());
   ASSERT_TRUE(client.ping().ok());
-  ASSERT_TRUE(client.list().ok());
   tracer.set_enabled(false);
   EXPECT_GT(client.retry_stats().failovers, 0u);
 
@@ -876,64 +1007,22 @@ TEST(BlockStoreClientCoreTest, EachBlockingOpRecordsOneRpcSpan) {
     rpc_spans += ev.site == rpc_site ? 1 : 0;
   }
   EXPECT_EQ(tracer.dropped(), 0u);
-  EXPECT_EQ(rpc_spans, kMetricsEnabled ? 7u : 0u);
+  EXPECT_EQ(rpc_spans, kMetricsEnabled ? 6u : 0u);
   tracer.clear();
 }
 
 // A kList reply whose count claims more entries than its bytes can hold is
 // kCorrupted: the count is checked against the payload before it sizes any
 // allocation (0xFFFFFFFF entries would ask for about 240 GB).
-TEST(BlockStoreClientCoreTest, ListRefusesACountThePayloadCannotHold) {
-  Network net;
-  Host server(&net);  // a hand-written server that answers every request
-  Host client_host(&net);
-  auto listener = server.sys.vtp_listen(7000, 4);
-  ASSERT_TRUE(listener.ok());
-  Fd conn = kInvalidFd;
-  std::vector<u8> inbuf;
-  std::vector<u8> inventory;  // the crafted kList payload
-  auto pump = [&] {
-    tick(server, client_host);
-    if (conn == kInvalidFd) {
-      auto accepted = server.sys.vtp_accept(listener.value());
-      conn = accepted.ok() ? accepted.value() : kInvalidFd;
-      return;
-    }
-    auto got = server.sys.vtp_recv(conn, 4096);
-    if (got.ok()) {
-      inbuf.insert(inbuf.end(), got.value().begin(), got.value().end());
-    }
-    Reader r(inbuf);
-    auto len = r.get_u32();
-    auto op = r.get_u8();
-    auto req_id = r.get_u64();
-    if (!len || !op || !req_id || inbuf.size() < 4 + *len) {
-      return;
-    }
-    inbuf.erase(inbuf.begin(), inbuf.begin() + 4 + *len);
-    Writer body;
-    body.put_u64(*req_id);
-    body.put_u32(static_cast<u32>(ErrorCode::kOk));
-    body.put_bytes(inventory);
-    Writer framed;
-    framed.put_u32(static_cast<u32>(body.bytes().size()));
-    framed.put_raw(body.bytes());
-    ASSERT_TRUE(server.sys.vtp_send(conn, framed.bytes()).ok());
-  };
-  RetryPolicy policy;
-  policy.max_attempts = 1;
-  BlockStoreClient client(client_host.sys, server.kernel.net_addr(), 7000, pump, policy);
-
+TEST(BlockStoreWireTest, DecodeInventoryRefusesACountThePayloadCannotHold) {
   Writer huge;
   huge.put_u32(0xFFFF'FFFFu);
-  inventory = huge.take();
-  EXPECT_EQ(client.list().error(), ErrorCode::kCorrupted);
+  EXPECT_EQ(decode_inventory(huge.bytes()).error(), ErrorCode::kCorrupted);
 
   Writer one_short;  // one entry claimed, one byte short of the smallest
   one_short.put_u32(1);
   one_short.put_raw(std::vector<u8>(16, 0));
-  inventory = one_short.take();
-  EXPECT_EQ(client.list().error(), ErrorCode::kCorrupted);
+  EXPECT_EQ(decode_inventory(one_short.bytes()).error(), ErrorCode::kCorrupted);
 
   Writer two;
   two.put_u32(2);
@@ -943,8 +1032,7 @@ TEST(BlockStoreClientCoreTest, ListRefusesACountThePayloadCannotHold) {
     two.put_u64(e.seq);
     two.put_u8(e.tombstone ? 1 : 0);
   }
-  inventory = two.take();
-  auto listed = client.list();
+  auto listed = decode_inventory(two.bytes());
   ASSERT_TRUE(listed.ok());
   EXPECT_EQ(listed.value(), (std::vector<BlockKeyInfo>{{"a", 7, 3, false}, {"b", 0, 9, true}}));
 }
@@ -959,10 +1047,11 @@ TEST(BlockStoreFaultTest, LatencyFaultStallsServeWithoutLoss) {
   Host client_host(&net);
   BlockStoreNode node(server.sys, 7000, {}, {}, "slownode");
   ASSERT_TRUE(node.init().ok());
-  BlockStoreClient client(client_host.sys, server.kernel.net_addr(), 7000, [&] {
-    node.serve_once();
-    tick(server, client_host);
-  });
+  BlockStoreClient client(
+      client_host.sys, ClusterView::of({{server.kernel.net_addr(), 7000}}, 1), [&] {
+        node.serve_once();
+        tick(server, client_host);
+      });
   ASSERT_TRUE(client.put("warm", bytes("up")).ok());
 
   FaultSpec stall;

@@ -435,9 +435,7 @@ struct ChurnCluster {
 TEST(ChurnInFlightTest, JoinDuringInFlightPut) {
   ChurnCluster c(3, 2);
   Host client_host(&c.net);
-  BlockStoreClient client(client_host.sys, c.view.directory[0].addr, c.view.directory[0].port,
-                          [&] { c.client_pump(client_host); });
-  client.set_cluster(c.view);
+  BlockStoreClient client(client_host.sys, c.view, [&] { c.client_pump(client_host); });
 
   // Seed some shards so the join actually moves data.
   for (int i = 0; i < 6; ++i) {
@@ -486,9 +484,7 @@ TEST(ChurnInFlightTest, JoinDuringInFlightPut) {
 TEST(ChurnInFlightTest, LeaveDuringInFlightPut) {
   ChurnCluster c(4, 2);
   Host client_host(&c.net);
-  BlockStoreClient client(client_host.sys, c.view.directory[0].addr, c.view.directory[0].port,
-                          [&] { c.client_pump(client_host); });
-  client.set_cluster(c.view);
+  BlockStoreClient client(client_host.sys, c.view, [&] { c.client_pump(client_host); });
 
   for (int i = 0; i < 8; ++i) {
     ASSERT_TRUE(client.put("pre" + std::to_string(i), bytes("v" + std::to_string(i))).ok());

@@ -192,7 +192,8 @@ TEST(IntegrationTest, ThreeNodeBlockStoreCluster) {
     }
     client_host.kernel.vtp().tick();
   };
-  BlockStoreClient client(client_host.sys, hosts[0].kernel.net_addr(), 7000, pump);
+  BlockStoreClient client(client_host.sys, ClusterView::of({{hosts[0].kernel.net_addr(), 7000}}, 1),
+                          pump);
 
   for (int i = 0; i < 5; ++i) {
     std::string key = "obj" + std::to_string(i);
