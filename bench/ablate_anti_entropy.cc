@@ -17,16 +17,16 @@
 //     which the divergence arises once — the deployment measurand, where
 //     full-inventory pays O(keyspace) every period and Merkle pays one root
 //     exchange;
-//   - fg_p50/p95:  latency (in pump polls) of a closed-loop foreground
-//     reader — a library BlockStoreClient on a VTP stream to the serving
-//     node — for a fixed poll window that contains the repair pass.
-//     Background repair must not move the foreground tail (compare against
-//     the `none` baseline rows).
+//   - fg_reads:    reads a closed-loop foreground reader — a library
+//     BlockStoreClient on a VTP stream to the serving node — completed and
+//     checked in a fixed poll window that contains the repair pass.
 //
 // The reader checks every reply against what B holds. B is never written in
 // the window (A is strictly older, so repair only pulls), so a kOk must
 // carry B's bytes for the key and a kNotFound must be a key B tombstoned.
-// Any other reply fails the run: the binary exits nonzero.
+// Any other reply fails the run: the binary exits nonzero. The reader's
+// latency is not reported: B answers each read in the pump poll it arrives
+// in, so it reads 1 poll in every cell, with or without repair.
 //
 // Everything is virtual-time and seeded: the sweep replays bit-identically.
 // Emits BENCH_ablate_anti_entropy.json. Honors VNROS_BENCH_QUICK.
@@ -75,14 +75,6 @@ struct Host {
   }
 };
 
-u64 percentile(std::vector<u64>& v, double p) {
-  if (v.empty()) {
-    return 0;
-  }
-  std::sort(v.begin(), v.end());
-  return v[static_cast<usize>(p * static_cast<double>(v.size() - 1))];
-}
-
 enum class Strategy { kNone, kMerkle, kFull };
 
 struct Point {
@@ -91,9 +83,8 @@ struct Point {
   u64 clean_bytes = 0;  // one steady-state pass after convergence
   u64 pass_rpcs = 0;
   u64 pulled = 0;
-  u64 fg_p50 = 0;
-  u64 fg_p95 = 0;
-  u64 fg_bad = 0;  // replies that were neither B's bytes nor B's tombstone
+  u64 fg_reads = 0;  // replies checked against what B holds
+  u64 fg_bad = 0;    // replies that were neither B's bytes nor B's tombstone
 };
 
 // One measured cell: seed `keys` identical blocks on both nodes, diverge
@@ -113,21 +104,17 @@ Point run_cell(Strategy strategy, usize keys, double frac, usize value_bytes,
 
   // The closed-loop foreground reader: one library client on a stream to B,
   // one step per pump poll — it starts a get, or polls the one in flight.
-  // Latency is counted in polls from start to reply.
   BlockStoreClient reader(fg_host.sys, ClusterView::of({peer_b}, 1), {});
   Rng fg_rng(seed ^ 0xF9ull);
   u64 fg_polls = 0;
-  u64 sent_at = 0;
   usize fg_key = 0;
   bool in_flight = false;
-  std::vector<u64> latencies;
   Point pt;
   auto fg_step = [&] {
     ++fg_polls;
     if (!in_flight) {
       fg_key = static_cast<usize>(fg_rng.next_below(keys));
       VNROS_CHECK(reader.start(BsOp::kGet, "ae" + std::to_string(fg_key)).ok());
-      sent_at = fg_polls;
       in_flight = true;
       return;
     }
@@ -136,14 +123,13 @@ Point run_cell(Strategy strategy, usize keys, double frac, usize value_bytes,
       return;
     }
     in_flight = false;
+    ++pt.fg_reads;
     const std::optional<std::vector<u8>>& held = b_holds[fg_key];
     const bool matches = reply->ok() ? held.has_value() && reply->value().value == *held
                                      : reply->error() == ErrorCode::kNotFound && !held;
     if (!matches) {
       ++pt.fg_bad;
-      return;
     }
-    latencies.push_back(fg_polls - sent_at);
   };
   // The repairing node's pump: B serves, the reader steps, and both ends of
   // the reader's stream tick.
@@ -204,8 +190,6 @@ Point run_cell(Strategy strategy, usize keys, double frac, usize value_bytes,
   while (fg_polls < window_polls) {  // equal-length foreground window per cell
     pump();
   }
-  pt.fg_p50 = percentile(latencies, 0.50);
-  pt.fg_p95 = percentile(latencies, 0.95);
   return pt;
 }
 
@@ -230,14 +214,13 @@ int main() {
   json.config("quick", quick);
 
   std::printf("# ablate_anti_entropy: repair bytes should track divergence, not keyspace\n");
-  std::printf("# %8s %10s %9s %11s %11s %11s %7s %7s\n", "strategy", "divergence",
-              "divergent", "pass_bytes", "clean_bytes", "epoch_bytes", "fg_p50", "fg_p95");
+  std::printf("# %8s %10s %9s %11s %11s %11s %8s\n", "strategy", "divergence", "divergent",
+              "pass_bytes", "clean_bytes", "epoch_bytes", "fg_reads");
 
   double merkle_epoch_at_1pct = 0;
   double full_epoch_at_1pct = 0;
   double merkle_pass_at_1pct = 0;
   double full_pass_at_1pct = 0;
-  u64 none_p50 = 0;
   u64 fg_bad = 0;
 
   for (Strategy strategy : {Strategy::kNone, Strategy::kMerkle, Strategy::kFull}) {
@@ -256,23 +239,18 @@ int main() {
       // `epoch_passes` times — one repairing pass plus steady-state passes.
       u64 epoch_bytes = pt.pass_bytes + (epoch_passes - 1) * pt.clean_bytes;
       double x = frac * 100.0;
-      std::printf("  %8s %9.1f%% %9zu %11llu %11llu %11llu %7llu %7llu\n", tag, x,
-                  pt.divergent, static_cast<unsigned long long>(pt.pass_bytes),
+      std::printf("  %8s %9.1f%% %9zu %11llu %11llu %11llu %8llu\n", tag, x, pt.divergent,
+                  static_cast<unsigned long long>(pt.pass_bytes),
                   static_cast<unsigned long long>(pt.clean_bytes),
                   static_cast<unsigned long long>(epoch_bytes),
-                  static_cast<unsigned long long>(pt.fg_p50),
-                  static_cast<unsigned long long>(pt.fg_p95));
+                  static_cast<unsigned long long>(pt.fg_reads));
       std::string prefix = std::string(tag) + "_";
       json.row(prefix + "pass_bytes", x, static_cast<double>(pt.pass_bytes));
       json.row(prefix + "clean_bytes", x, static_cast<double>(pt.clean_bytes));
       json.row(prefix + "epoch_bytes", x, static_cast<double>(epoch_bytes));
       json.row(prefix + "pass_rpcs", x, static_cast<double>(pt.pass_rpcs));
       json.row(prefix + "pulled", x, static_cast<double>(pt.pulled));
-      json.row(prefix + "fg_p50_polls", x, static_cast<double>(pt.fg_p50));
-      json.row(prefix + "fg_p95_polls", x, static_cast<double>(pt.fg_p95));
-      if (strategy == Strategy::kNone) {
-        none_p50 = pt.fg_p50;
-      }
+      json.row(prefix + "fg_reads", x, static_cast<double>(pt.fg_reads));
       if (frac <= 0.011) {
         if (strategy == Strategy::kMerkle) {
           merkle_epoch_at_1pct = static_cast<double>(epoch_bytes);
@@ -287,9 +265,8 @@ int main() {
 
   double epoch_ratio = merkle_epoch_at_1pct > 0 ? full_epoch_at_1pct / merkle_epoch_at_1pct : 0;
   double pass_ratio = merkle_pass_at_1pct > 0 ? full_pass_at_1pct / merkle_pass_at_1pct : 0;
-  std::printf("# at 1%% divergence: full/merkle = %.1fx per repair pass, %.1fx per epoch "
-              "(baseline fg p50 = %llu polls)\n",
-              pass_ratio, epoch_ratio, static_cast<unsigned long long>(none_p50));
+  std::printf("# at 1%% divergence: full/merkle = %.1fx per repair pass, %.1fx per epoch\n",
+              pass_ratio, epoch_ratio);
   json.row("full_over_merkle_pass_ratio", 1.0, pass_ratio);
   json.row("full_over_merkle_epoch_ratio", 1.0, epoch_ratio);
   json.write();

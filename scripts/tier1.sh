@@ -116,7 +116,7 @@ cmake --build build-tsan -j"${JOBS}" --target net_test
 ./build-tsan/tests/net_test --gtest_filter='*Vtp*'
 
 echo
-echo "== tier-1: ASan+UBSan build (fs_test + app_test + chaos_test + checksums + VTP + syscalls + app VCs) =="
+echo "== tier-1: ASan+UBSan build (fs_test + app_test + chaos_test + checksums + VTP + syscalls + fs and app VCs) =="
 # The fault-injection and chaos paths unwind through error branches the
 # happy-path suite never touches; run them — every chaos preset — under
 # address+UB sanitizers. The checksum tests and VCs run here too: the
@@ -129,7 +129,9 @@ echo "== tier-1: ASan+UBSan build (fs_test + app_test + chaos_test + checksums +
 # frames byte by byte, and the marshalling VC feeds them every strict prefix
 # of every syscall's frame. The app VCs (Vc_app.*) drive the node's peer
 # call — replica pushes, read-repair, anti-entropy, tombstone GC — through
-# its nested ring waits and reply stash.
+# its nested ring waits and reply stash. The fs VCs (*fs_*: kernel/fs_* and
+# kernel/nrfs_*) drive the fs commit path, which decodes journal records
+# byte by byte and runs under injected device faults.
 cmake -B build-asan -S . -DVNROS_SAN=address >/dev/null
 cmake --build build-asan -j"${JOBS}" --target fs_test app_test chaos_test base_test net_test \
   syscall_test ring_syscall_test vc_suite_test
@@ -140,25 +142,26 @@ cmake --build build-asan -j"${JOBS}" --target fs_test app_test chaos_test base_t
 ./build-asan/tests/net_test
 ./build-asan/tests/syscall_test
 ./build-asan/tests/ring_syscall_test
-./build-asan/tests/vc_suite_test --gtest_filter='*crc*:*corruption*:*vtp*:*sys_*:Vc_app.*'
+./build-asan/tests/vc_suite_test --gtest_filter='*crc*:*corruption*:*vtp*:*sys_*:*fs_*:Vc_app.*'
 
 echo
-echo "== tier-1: UBSan build (chaos_test + app_test + checksums + VTP + syscalls + app VCs) =="
+echo "== tier-1: UBSan build (chaos_test + app_test + fs + checksums + VTP + syscalls + app VCs) =="
 # Pure UBSan (no recovery, no ASan shadow-memory slowdown) over every chaos
 # preset: the stream framing and repair/GC/bit-rot paths do a lot of
 # byte-level (de)serialization and seq arithmetic — exactly where silent UB
-# would hide. The checksum, VTP, syscall and app tests and VCs run here for
-# the same reasons as above.
+# would hide. The fs, checksum, VTP, syscall and app tests and VCs run here
+# for the same reasons as above.
 cmake -B build-ubsan -S . -DVNROS_SAN=undefined >/dev/null
-cmake --build build-ubsan -j"${JOBS}" --target chaos_test app_test base_test net_test \
+cmake --build build-ubsan -j"${JOBS}" --target chaos_test app_test fs_test base_test net_test \
   syscall_test ring_syscall_test vc_suite_test
 ./build-ubsan/tests/chaos_test
 ./build-ubsan/tests/app_test
+./build-ubsan/tests/fs_test
 ./build-ubsan/tests/base_test
 ./build-ubsan/tests/net_test
 ./build-ubsan/tests/syscall_test
 ./build-ubsan/tests/ring_syscall_test
-./build-ubsan/tests/vc_suite_test --gtest_filter='*crc*:*corruption*:*vtp*:*sys_*:Vc_app.*'
+./build-ubsan/tests/vc_suite_test --gtest_filter='*crc*:*corruption*:*vtp*:*sys_*:*fs_*:Vc_app.*'
 
 echo
 echo "tier1: OK"

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <type_traits>
+#include <utility>
 
 #include "src/base/contracts.h"
 #include "src/base/crc.h"
@@ -13,17 +15,6 @@ namespace {
 constexpr u64 kSbMagic = 0x766E'726F'7346'5321ull;  // "vnrosFS!"
 constexpr u32 kRecMagic = 0x4A524E4C;               // "JRNL"
 constexpr u64 kRootIno = 1;
-
-// Journal payload opcodes.
-enum class FsOp : u8 {
-  kMkdir = 1,
-  kRmdir = 2,
-  kCreate = 3,
-  kUnlink = 4,
-  kRename = 5,
-  kWrite = 6,
-  kTruncate = 7,
-};
 
 // On-disk record header (fixed prefix, before the payload).
 struct RecHeader {
@@ -40,7 +31,84 @@ bool valid_name(std::string_view name) {
   return !name.empty() && name.size() <= 255 && name.find('/') == std::string_view::npos;
 }
 
+template <typename... F>
+struct Overloaded : F... {
+  using F::operator()...;
+};
+
+// The record codec of the mutations' three field types.
+template <typename T>
+void put_field(Writer& w, const T& v) {
+  if constexpr (std::is_same_v<T, std::string>) {
+    w.put_string(v);
+  } else if constexpr (std::is_same_v<T, u64>) {
+    w.put_u64(v);
+  } else {
+    static_assert(std::is_same_v<T, std::vector<u8>>);
+    w.put_bytes(v);
+  }
+}
+
+template <typename T>
+bool get_field(Reader& r, T& out) {
+  std::optional<T> v;
+  if constexpr (std::is_same_v<T, std::string>) {
+    v = r.get_string();
+  } else if constexpr (std::is_same_v<T, u64>) {
+    v = r.get_u64();
+  } else {
+    static_assert(std::is_same_v<T, std::vector<u8>>);
+    v = r.get_bytes();
+  }
+  if (!v) {
+    return false;
+  }
+  out = std::move(*v);
+  return true;
+}
+
+// A default-valued FsMutation holding alternative `index` (< its size).
+template <usize I = 0>
+FsMutation blank_mutation(usize index) {
+  if constexpr (I + 1 < std::variant_size_v<FsMutation>) {
+    if (index != I) {
+      return blank_mutation<I + 1>(index);
+    }
+  }
+  return FsMutation(std::in_place_index<I>);
+}
+
 }  // namespace
+
+std::vector<u8> encode_fs_record(const FsMutation& m) {
+  Writer w;
+  w.put_u8(static_cast<u8>(m.index() + 1));
+  std::visit(
+      [&w](const auto& op) {
+        std::apply([&](auto... field) { (put_field(w, op.*field), ...); }, op.kFields);
+      },
+      m);
+  return w.take();
+}
+
+std::optional<FsMutation> decode_fs_record(std::span<const u8> payload) {
+  Reader r(payload);
+  auto opcode = r.get_u8();
+  if (!opcode || *opcode == 0 || *opcode > std::variant_size_v<FsMutation>) {
+    return std::nullopt;
+  }
+  FsMutation m = blank_mutation(*opcode - 1u);
+  const bool ok = std::visit(
+      [&r](auto& op) {
+        return std::apply([&](auto... field) { return (get_field(r, op.*field) && ...); },
+                          op.kFields);
+      },
+      m);
+  if (!ok || !r.exhausted()) {
+    return std::nullopt;
+  }
+  return m;
+}
 
 MemFs::MemFs() : MemFs(nullptr) {}
 
@@ -193,69 +261,12 @@ Result<Unit> MemFs::replay_journal() {
     if (crc32c(payload) != *crc) {
       break;  // torn record: end of valid prefix
     }
-    // Apply. Replay of a record journaled after a successful apply cannot
-    // fail; a failure means the journal and state machine disagree.
-    Reader body(payload);
-    auto opcode = body.get_u8();
-    if (!opcode) {
-      break;
-    }
-    switch (static_cast<FsOp>(*opcode)) {
-      case FsOp::kMkdir: {
-        auto path = body.get_string();
-        if (!path || !do_mkdir(*path).ok()) {
-          return ErrorCode::kCorrupted;
-        }
-        break;
-      }
-      case FsOp::kRmdir: {
-        auto path = body.get_string();
-        if (!path || !do_rmdir(*path).ok()) {
-          return ErrorCode::kCorrupted;
-        }
-        break;
-      }
-      case FsOp::kCreate: {
-        auto path = body.get_string();
-        if (!path || !do_create(*path).ok()) {
-          return ErrorCode::kCorrupted;
-        }
-        break;
-      }
-      case FsOp::kUnlink: {
-        auto path = body.get_string();
-        if (!path || !do_unlink(*path).ok()) {
-          return ErrorCode::kCorrupted;
-        }
-        break;
-      }
-      case FsOp::kRename: {
-        auto from = body.get_string();
-        auto to = body.get_string();
-        if (!from || !to || !do_rename(*from, *to).ok()) {
-          return ErrorCode::kCorrupted;
-        }
-        break;
-      }
-      case FsOp::kWrite: {
-        auto path = body.get_string();
-        auto offset = body.get_u64();
-        auto data = body.get_bytes();
-        if (!path || !offset || !data || !do_write(*path, *offset, *data).ok()) {
-          return ErrorCode::kCorrupted;
-        }
-        break;
-      }
-      case FsOp::kTruncate: {
-        auto path = body.get_string();
-        auto size = body.get_u64();
-        if (!path || !size || !do_truncate(*path, *size).ok()) {
-          return ErrorCode::kCorrupted;
-        }
-        break;
-      }
-      default:
-        return ErrorCode::kCorrupted;
+    // A record is journaled only after its checks passed on this same
+    // state, so replaying it cannot fail; a failure means the journal and
+    // the state machine disagree.
+    auto m = decode_fs_record(payload);
+    if (!m || !step(*m).ok()) {
+      return ErrorCode::kCorrupted;
     }
     s += rec_sectors;
   }
@@ -327,7 +338,7 @@ Result<Unit> MemFs::load_state(std::span<const u8> bytes) {
   // dirs came from a std::set => sorted => parents precede children.
   for (u32 i = 0; i < *ndirs; ++i) {
     auto path = r.get_string();
-    if (!path || !do_mkdir(*path).ok()) {
+    if (!path || !step(FsMkdir{std::move(*path)}).ok()) {
       return ErrorCode::kCorrupted;
     }
   }
@@ -338,10 +349,10 @@ Result<Unit> MemFs::load_state(std::span<const u8> bytes) {
   for (u32 i = 0; i < *nfiles; ++i) {
     auto path = r.get_string();
     auto data = r.get_bytes();
-    if (!path || !data || !do_create(*path).ok()) {
+    if (!path || !data || !step(FsCreate{*path}).ok()) {
       return ErrorCode::kCorrupted;
     }
-    if (!data->empty() && !do_write(*path, 0, *data).ok()) {
+    if (!data->empty() && !step(FsWrite{std::move(*path), 0, std::move(*data)}).ok()) {
       return ErrorCode::kCorrupted;
     }
   }
@@ -397,20 +408,19 @@ Result<Unit> MemFs::checkpoint_locked() {
 }
 
 Result<Unit> MemFs::journal_append(std::span<const u8> payload) {
-  if (dev_ == nullptr) {
-    return Unit{};  // in-memory mode
-  }
   SpanScope span(ObsRegistry::global().tracer(), span_journal_commit_);
   u64 total = kRecHeaderBytes + payload.size();
   u64 need = sectors_for(total);
+  if (need > journal_capacity_sectors()) {
+    return ErrorCode::kNoSpace;  // the record would not fit even a fresh journal
+  }
   if (journal_head_ + need > dev_->num_sectors()) {
+    // Compact the current, pre-op state; the record then starts the fresh
+    // journal of the checkpoint's epoch.
     auto ck = checkpoint_locked();
     if (!ck.ok()) {
       return ck.error();
     }
-    // After compaction the record is already part of the checkpointed state;
-    // nothing further to journal.
-    return Unit{};
   }
   Writer w;
   w.put_u32(kRecMagic);
@@ -503,327 +513,194 @@ Result<std::pair<u64, std::string>> MemFs::lookup_parent(std::string_view path) 
   return std::pair<u64, std::string>{ino, parts.value().back()};
 }
 
-// --- Unjournaled mutation cores --------------------------------------------------
+// --- The mutation path -------------------------------------------------------------
 
-Result<Unit> MemFs::do_mkdir(std::string_view path) {
-  auto parent = lookup_parent(path);
-  if (!parent.ok()) {
-    return parent.error();
-  }
-  auto& [pino, name] = parent.value();
-  Inode& dir = inodes_.at(pino);
-  if (dir.entries.count(name) != 0) {
-    return ErrorCode::kAlreadyExists;
-  }
-  u64 ino = next_ino_++;
-  inodes_[ino] = Inode{.is_dir = true, .data = {}, .entries = {}};
-  inodes_.at(pino).entries[name] = ino;  // re-lookup: map may have rehashed
-  return Unit{};
-}
-
-Result<Unit> MemFs::do_rmdir(std::string_view path) {
-  auto parent = lookup_parent(path);
-  if (!parent.ok()) {
-    return parent.error();
-  }
-  auto& [pino, name] = parent.value();
-  Inode& dir = inodes_.at(pino);
-  auto it = dir.entries.find(name);
-  if (it == dir.entries.end()) {
-    return ErrorCode::kNotFound;
-  }
-  Inode& target = inodes_.at(it->second);
-  if (!target.is_dir) {
-    return ErrorCode::kNotDirectory;
-  }
-  if (!target.entries.empty()) {
-    return ErrorCode::kNotEmpty;
-  }
-  inodes_.erase(it->second);
-  dir.entries.erase(it);
-  return Unit{};
-}
-
-Result<Unit> MemFs::do_create(std::string_view path) {
-  auto parent = lookup_parent(path);
-  if (!parent.ok()) {
-    return parent.error();
-  }
-  auto& [pino, name] = parent.value();
-  Inode& dir = inodes_.at(pino);
-  if (dir.entries.count(name) != 0) {
-    return ErrorCode::kAlreadyExists;
-  }
-  u64 ino = next_ino_++;
-  inodes_[ino] = Inode{.is_dir = false, .data = {}, .entries = {}};
-  inodes_.at(pino).entries[name] = ino;
-  return Unit{};
-}
-
-Result<Unit> MemFs::do_unlink(std::string_view path) {
-  auto parent = lookup_parent(path);
-  if (!parent.ok()) {
-    return parent.error();
-  }
-  auto& [pino, name] = parent.value();
-  Inode& dir = inodes_.at(pino);
-  auto it = dir.entries.find(name);
-  if (it == dir.entries.end()) {
-    return ErrorCode::kNotFound;
-  }
-  if (inodes_.at(it->second).is_dir) {
-    return ErrorCode::kIsDirectory;
-  }
-  inodes_.erase(it->second);
-  dir.entries.erase(it);
-  return Unit{};
-}
-
-Result<Unit> MemFs::do_rename(std::string_view from, std::string_view to) {
-  auto src = lookup_parent(from);
-  if (!src.ok()) {
-    return src.error();
-  }
-  auto dst = lookup_parent(to);
-  if (!dst.ok()) {
-    return dst.error();
-  }
-  auto& [src_ino, src_name] = src.value();
-  auto& [dst_ino, dst_name] = dst.value();
-  Inode& src_dir = inodes_.at(src_ino);
-  auto it = src_dir.entries.find(src_name);
-  if (it == src_dir.entries.end()) {
-    return ErrorCode::kNotFound;
-  }
-  u64 moving = it->second;
-  Inode& dst_dir = inodes_.at(dst_ino);
-  auto existing = dst_dir.entries.find(dst_name);
-  if (existing != dst_dir.entries.end()) {
-    // POSIX replace semantics for files: rename atomically unlinks the old
-    // destination file (this is what makes write-temp-then-rename a crash-safe
-    // publish). Directories are never replaced.
-    if (inodes_.at(existing->second).is_dir) {
+Result<MemFs::Target> MemFs::check(const FsMutation& m) const {
+  // An entry mkdir or create adds: its parent directory exists and the name
+  // is free.
+  auto free_entry = [this](std::string_view path) -> Result<Target> {
+    auto parent = lookup_parent(path);
+    if (!parent.ok()) {
+      return parent.error();
+    }
+    auto& [dir, name] = parent.value();
+    if (inodes_.at(dir).entries.count(name) != 0) {
+      return ErrorCode::kAlreadyExists;
+    }
+    return Target{.dir = dir, .name = std::move(name)};
+  };
+  // An entry rmdir or unlink removes: it exists.
+  auto entry = [this](std::string_view path) -> Result<Target> {
+    auto parent = lookup_parent(path);
+    if (!parent.ok()) {
+      return parent.error();
+    }
+    auto& [dir, name] = parent.value();
+    const auto& entries = inodes_.at(dir).entries;
+    auto it = entries.find(name);
+    if (it == entries.end()) {
+      return ErrorCode::kNotFound;
+    }
+    return Target{.dir = dir, .name = std::move(name), .ino = it->second};
+  };
+  // A file write or truncate resizes: it exists, and `fits` says its new
+  // size stays within kMaxFileBytes.
+  auto file = [this](std::string_view path, bool fits) -> Result<Target> {
+    auto ino = lookup(path);
+    if (!ino.ok()) {
+      return ino.error();
+    }
+    if (inodes_.at(ino.value()).is_dir) {
       return ErrorCode::kIsDirectory;
     }
-    if (inodes_.at(moving).is_dir) {
-      return ErrorCode::kNotDirectory;
+    if (!fits) {
+      return ErrorCode::kNoSpace;
     }
-    // Renaming a path onto itself is a no-op, not a self-unlink.
-    if (existing->second == moving) {
-      return Unit{};
-    }
+    return Target{.ino = ino.value()};
+  };
+  return std::visit(
+      Overloaded{
+          [&](const FsMkdir& op) { return free_entry(op.path); },
+          [&](const FsCreate& op) { return free_entry(op.path); },
+          [&](const FsRmdir& op) -> Result<Target> {
+            auto t = entry(op.path);
+            if (!t.ok()) {
+              return t;
+            }
+            const Inode& dir = inodes_.at(t.value().ino);
+            if (!dir.is_dir) {
+              return ErrorCode::kNotDirectory;
+            }
+            if (!dir.entries.empty()) {
+              return ErrorCode::kNotEmpty;
+            }
+            return t;
+          },
+          [&](const FsUnlink& op) -> Result<Target> {
+            auto t = entry(op.path);
+            if (t.ok() && inodes_.at(t.value().ino).is_dir) {
+              return ErrorCode::kIsDirectory;
+            }
+            return t;
+          },
+          [&](const FsRename& op) -> Result<Target> {
+            auto src = lookup_parent(op.from);
+            if (!src.ok()) {
+              return src.error();
+            }
+            auto dst = lookup_parent(op.to);
+            if (!dst.ok()) {
+              return dst.error();
+            }
+            auto& [src_dir, src_name] = src.value();
+            auto& [dst_dir, dst_name] = dst.value();
+            const auto& src_entries = inodes_.at(src_dir).entries;
+            auto it = src_entries.find(src_name);
+            if (it == src_entries.end()) {
+              return ErrorCode::kNotFound;
+            }
+            const u64 moving = it->second;
+            const bool moving_dir = inodes_.at(moving).is_dir;
+            const auto& dst_entries = inodes_.at(dst_dir).entries;
+            auto existing = dst_entries.find(dst_name);
+            Target t{.dir = src_dir,
+                     .name = std::move(src_name),
+                     .ino = moving,
+                     .to_dir = dst_dir,
+                     .to_name = std::move(dst_name)};
+            if (existing != dst_entries.end()) {
+              // POSIX replace semantics for files: rename atomically unlinks
+              // the old destination file (this is what makes
+              // write-temp-then-rename a crash-safe publish). Directories are
+              // never replaced.
+              if (inodes_.at(existing->second).is_dir) {
+                return ErrorCode::kIsDirectory;
+              }
+              if (moving_dir) {
+                return ErrorCode::kNotDirectory;
+              }
+              // Renaming a path onto itself is a no-op, not a self-unlink.
+              if (existing->second == moving) {
+                return t;
+              }
+            }
+            // Moving a directory under itself would orphan the subtree.
+            if (moving_dir && op.to.starts_with(op.from + "/")) {
+              return ErrorCode::kInvalidArgument;
+            }
+            return t;
+          },
+          [&](const FsWrite& op) {
+            return file(op.path, op.offset <= kMaxFileBytes &&
+                                     op.data.size() <= kMaxFileBytes - op.offset);
+          },
+          [&](const FsTruncate& op) { return file(op.path, op.size <= kMaxFileBytes); },
+      },
+      m);
+}
+
+void MemFs::apply(const FsMutation& m, const Target& t) {
+  auto add = [&](bool is_dir) {
+    const u64 ino = next_ino_++;
+    inodes_[ino] = Inode{.is_dir = is_dir, .data = {}, .entries = {}};
+    inodes_.at(t.dir).entries[t.name] = ino;
+  };
+  auto remove = [&] {
+    inodes_.erase(t.ino);
+    inodes_.at(t.dir).entries.erase(t.name);
+  };
+  std::visit(Overloaded{
+                 [&](const FsMkdir&) { add(true); },
+                 [&](const FsCreate&) { add(false); },
+                 [&](const FsRmdir&) { remove(); },
+                 [&](const FsUnlink&) { remove(); },
+                 [&](const FsRename&) {
+                   if (t.dir == t.to_dir && t.name == t.to_name) {
+                     return;  // onto itself
+                   }
+                   auto& to_entries = inodes_.at(t.to_dir).entries;
+                   auto replaced = to_entries.find(t.to_name);
+                   if (replaced != to_entries.end()) {
+                     inodes_.erase(replaced->second);
+                   }
+                   inodes_.at(t.dir).entries.erase(t.name);
+                   to_entries[t.to_name] = t.ino;
+                 },
+                 [&](const FsWrite& op) {
+                   std::vector<u8>& data = inodes_.at(t.ino).data;
+                   data.resize(std::max<u64>(data.size(), op.offset + op.data.size()), 0);
+                   std::copy(op.data.begin(), op.data.end(),
+                             data.begin() + static_cast<std::ptrdiff_t>(op.offset));
+                 },
+                 [&](const FsTruncate& op) { inodes_.at(t.ino).data.resize(op.size, 0); },
+             },
+             m);
+}
+
+Result<Unit> MemFs::step(const FsMutation& m) {
+  auto t = check(m);
+  if (!t.ok()) {
+    return t.error();
   }
-  // Moving a directory under itself would orphan the subtree.
-  if (inodes_.at(moving).is_dir) {
-    std::string from_prefix = std::string(from) + "/";
-    if (std::string(to).rfind(from_prefix, 0) == 0) {
-      return ErrorCode::kInvalidArgument;
-    }
-  }
-  if (existing != dst_dir.entries.end()) {
-    inodes_.erase(existing->second);
-    dst_dir.entries.erase(existing);
-  }
-  src_dir.entries.erase(it);
-  inodes_.at(dst_ino).entries[dst_name] = moving;
+  apply(m, t.value());
   return Unit{};
 }
 
-Result<u64> MemFs::do_write(std::string_view path, u64 offset, std::span<const u8> data) {
-  auto ino = lookup(path);
-  if (!ino.ok()) {
-    return ino.error();
-  }
-  Inode& node = inodes_.at(ino.value());
-  if (node.is_dir) {
-    return ErrorCode::kIsDirectory;
-  }
-  if (offset + data.size() > node.data.size()) {
-    node.data.resize(offset + data.size(), 0);
-  }
-  std::copy(data.begin(), data.end(), node.data.begin() + static_cast<std::ptrdiff_t>(offset));
-  return static_cast<u64>(data.size());
-}
-
-Result<Unit> MemFs::do_truncate(std::string_view path, u64 new_size) {
-  auto ino = lookup(path);
-  if (!ino.ok()) {
-    return ino.error();
-  }
-  Inode& node = inodes_.at(ino.value());
-  if (node.is_dir) {
-    return ErrorCode::kIsDirectory;
-  }
-  node.data.resize(new_size, 0);
-  return Unit{};
-}
-
-// --- Public (journaled) operations -----------------------------------------------
-
-std::vector<u8> MemFs::file_data_locked(std::string_view path) const {
-  auto ino = lookup(path);
-  VNROS_CHECK(ino.ok());
-  return inodes_.at(ino.value()).data;
-}
-
-void MemFs::set_file_data_locked(std::string_view path, std::vector<u8> data) {
-  auto ino = lookup(path);
-  VNROS_CHECK(ino.ok());
-  inodes_.at(ino.value()).data = std::move(data);
-}
-
-Result<Unit> MemFs::mkdir(std::string_view path) {
+Result<u64> MemFs::commit(const FsMutation& m) {
   std::lock_guard<std::mutex> lock(*mu_);
-  auto r = do_mkdir(path);
-  if (!r.ok()) {
-    return r;
+  auto t = check(m);
+  if (!t.ok()) {
+    return t.error();
   }
-  Writer w;
-  w.put_u8(static_cast<u8>(FsOp::kMkdir));
-  w.put_string(path);
-  auto j = journal_append(w.bytes());
-  if (!j.ok()) {
-    VNROS_CHECK(do_rmdir(path).ok());
-    return j;
-  }
-  return j;
-}
-
-Result<Unit> MemFs::rmdir(std::string_view path) {
-  std::lock_guard<std::mutex> lock(*mu_);
-  auto r = do_rmdir(path);
-  if (!r.ok()) {
-    return r;
-  }
-  Writer w;
-  w.put_u8(static_cast<u8>(FsOp::kRmdir));
-  w.put_string(path);
-  auto j = journal_append(w.bytes());
-  if (!j.ok()) {
-    VNROS_CHECK(do_mkdir(path).ok());
-    return j;
-  }
-  return j;
-}
-
-Result<Unit> MemFs::create(std::string_view path) {
-  std::lock_guard<std::mutex> lock(*mu_);
-  auto r = do_create(path);
-  if (!r.ok()) {
-    return r;
-  }
-  Writer w;
-  w.put_u8(static_cast<u8>(FsOp::kCreate));
-  w.put_string(path);
-  auto j = journal_append(w.bytes());
-  if (!j.ok()) {
-    VNROS_CHECK(do_unlink(path).ok());
-    return j;
-  }
-  return j;
-}
-
-Result<Unit> MemFs::unlink(std::string_view path) {
-  std::lock_guard<std::mutex> lock(*mu_);
-  auto pre = lookup(path);
-  std::vector<u8> old_data;
-  if (pre.ok() && !inodes_.at(pre.value()).is_dir) {
-    old_data = inodes_.at(pre.value()).data;
-  }
-  auto r = do_unlink(path);
-  if (!r.ok()) {
-    return r;
-  }
-  Writer w;
-  w.put_u8(static_cast<u8>(FsOp::kUnlink));
-  w.put_string(path);
-  auto j = journal_append(w.bytes());
-  if (!j.ok()) {
-    VNROS_CHECK(do_create(path).ok());
-    set_file_data_locked(path, std::move(old_data));
-    return j;
-  }
-  return j;
-}
-
-Result<Unit> MemFs::rename(std::string_view from, std::string_view to) {
-  std::lock_guard<std::mutex> lock(*mu_);
-  // If this rename will replace an existing destination file, capture its
-  // bytes so a failed journal append can roll the replacement back too.
-  bool replaced = false;
-  std::vector<u8> old_dest;
-  auto from_ino = lookup(from);
-  auto to_ino = lookup(to);
-  if (from_ino.ok() && to_ino.ok() && from_ino.value() != to_ino.value() &&
-      !inodes_.at(to_ino.value()).is_dir) {
-    replaced = true;
-    old_dest = inodes_.at(to_ino.value()).data;
-  }
-  auto r = do_rename(from, to);
-  if (!r.ok()) {
-    return r;
-  }
-  Writer w;
-  w.put_u8(static_cast<u8>(FsOp::kRename));
-  w.put_string(from);
-  w.put_string(to);
-  auto j = journal_append(w.bytes());
-  if (!j.ok()) {
-    VNROS_CHECK(do_rename(to, from).ok());
-    if (replaced) {
-      VNROS_CHECK(do_create(to).ok());
-      set_file_data_locked(to, std::move(old_dest));
+  if (dev_ != nullptr) {
+    auto j = journal_append(encode_fs_record(m));
+    if (!j.ok()) {
+      return j.error();
     }
-    return j;
   }
-  return j;
-}
-
-Result<u64> MemFs::write(std::string_view path, u64 offset, std::span<const u8> data) {
-  std::lock_guard<std::mutex> lock(*mu_);
-  auto pre = lookup(path);
-  std::vector<u8> old_data;
-  if (pre.ok() && !inodes_.at(pre.value()).is_dir) {
-    old_data = inodes_.at(pre.value()).data;
-  }
-  auto r = do_write(path, offset, data);
-  if (!r.ok()) {
-    return r;
-  }
-  Writer w;
-  w.put_u8(static_cast<u8>(FsOp::kWrite));
-  w.put_string(path);
-  w.put_u64(offset);
-  w.put_bytes(data);
-  auto j = journal_append(w.bytes());
-  if (!j.ok()) {
-    set_file_data_locked(path, std::move(old_data));
-    return j.error();
-  }
-  return r;
-}
-
-Result<Unit> MemFs::truncate(std::string_view path, u64 new_size) {
-  std::lock_guard<std::mutex> lock(*mu_);
-  auto pre = lookup(path);
-  std::vector<u8> old_data;
-  if (pre.ok() && !inodes_.at(pre.value()).is_dir) {
-    old_data = inodes_.at(pre.value()).data;
-  }
-  auto r = do_truncate(path, new_size);
-  if (!r.ok()) {
-    return r;
-  }
-  Writer w;
-  w.put_u8(static_cast<u8>(FsOp::kTruncate));
-  w.put_string(path);
-  w.put_u64(new_size);
-  auto j = journal_append(w.bytes());
-  if (!j.ok()) {
-    set_file_data_locked(path, std::move(old_data));
-    return j;
-  }
-  return j;
+  apply(m, t.value());
+  const auto* w = std::get_if<FsWrite>(&m);
+  return w != nullptr ? u64{w->data.size()} : u64{0};
 }
 
 Result<Unit> MemFs::fsync() {

@@ -3,19 +3,24 @@
 // recovery.
 //
 // Persistence model (what the crash-consistency VCs check):
-//   - every mutating operation appends one journal record (CRC-protected,
-//     epoch-tagged) before being acknowledged;
+//   - every mutation is one FsMutation value (below) and commits in
+//     write-ahead order: its checks run on the current state, its journal
+//     record (CRC-protected, epoch-tagged) is appended, and only then does
+//     the in-memory state change. A failed check or journal write therefore
+//     leaves nothing to undo: a failed mutation is never visible;
 //   - fsync() is the only durability barrier (BlockDevice::flush);
 //   - after a simulated crash (volatile cache partially lost), recover()
-//     replays the longest valid journal prefix. The recovered state is
-//     therefore the state after some prefix of acknowledged operations, and
-//     the prefix provably includes everything acknowledged before the last
-//     completed fsync — exactly the contract applications (and the paper's
-//     S3 storage-node example) rely on.
-//   - when the journal area fills, fsync() compacts: a full-state checkpoint
-//     is written and the journal restarts under a new epoch. Crash at any
-//     point of compaction recovers either the old or the new state, never a
-//     mix (epoch tagging).
+//     replays the longest valid journal prefix through the same
+//     checks-then-change core. The recovered state is therefore the state
+//     after some prefix of acknowledged operations, and the prefix provably
+//     includes everything acknowledged before the last completed fsync —
+//     exactly the contract applications (and the paper's S3 storage-node
+//     example) rely on.
+//   - when a record does not fit in the rest of the journal, the commit
+//     first compacts: the current, pre-op state is written as a full-state
+//     checkpoint, the journal restarts under a new epoch, and the record is
+//     appended to it. Crash at any point of compaction recovers either the
+//     old or the new state, never a mix (epoch tagging).
 //
 // The abstract state is FsAbsState: which directories exist and what bytes
 // each file holds. kernel/fs_* VCs drive MemFs and the FsModel reference
@@ -31,6 +36,8 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <tuple>
+#include <variant>
 #include <vector>
 
 #include "src/base/result.h"
@@ -56,6 +63,60 @@ struct FsAbsState {
   bool operator==(const FsAbsState&) const = default;
 };
 
+// The largest file MemFs holds, the same as the syscall layer's per-request
+// I/O bound. A write or truncate that would grow a file past it is refused
+// with kNoSpace before anything is journaled.
+inline constexpr u64 kMaxFileBytes = u64{16} << 20;
+
+// --- Mutations -----------------------------------------------------------------
+//
+// The seven fs mutations, each declared once. One value is what
+// MemFs::commit checks, journals and applies, what journal replay decodes,
+// and what NrFs logs to every replica. A journal record's payload is
+// [u8 opcode][kFields in order]: the opcode is the mutation's index in
+// FsMutation plus one, strings and byte vectors are u32-length-prefixed and
+// u64s little-endian (src/base/serde.h).
+struct FsMkdir {
+  std::string path;
+  static constexpr auto kFields = std::tuple{&FsMkdir::path};
+};
+struct FsRmdir {  // the directory must be empty
+  std::string path;
+  static constexpr auto kFields = std::tuple{&FsRmdir::path};
+};
+struct FsCreate {  // an empty regular file
+  std::string path;
+  static constexpr auto kFields = std::tuple{&FsCreate::path};
+};
+struct FsUnlink {  // a regular file
+  std::string path;
+  static constexpr auto kFields = std::tuple{&FsUnlink::path};
+};
+struct FsRename {
+  std::string from;
+  std::string to;
+  static constexpr auto kFields = std::tuple{&FsRename::from, &FsRename::to};
+};
+struct FsWrite {
+  std::string path;
+  u64 offset = 0;
+  std::vector<u8> data;
+  static constexpr auto kFields = std::tuple{&FsWrite::path, &FsWrite::offset, &FsWrite::data};
+};
+struct FsTruncate {
+  std::string path;
+  u64 size = 0;
+  static constexpr auto kFields = std::tuple{&FsTruncate::path, &FsTruncate::size};
+};
+
+using FsMutation =
+    std::variant<FsMkdir, FsRmdir, FsCreate, FsUnlink, FsRename, FsWrite, FsTruncate>;
+
+// The journal record payload of `m`.
+std::vector<u8> encode_fs_record(const FsMutation& m);
+// nullopt on an unknown opcode, a truncated field or trailing bytes.
+std::optional<FsMutation> decode_fs_record(std::span<const u8> payload);
+
 // Snapshot of the filesystem's obs counters (see stats()).
 struct FsStats {
   u64 journal_records = 0;
@@ -79,17 +140,29 @@ class MemFs {
   MemFs(MemFs&&) = default;
   MemFs& operator=(MemFs&&) = default;
 
+  // The one mutation path. `m`'s checks run on the current state, its
+  // record is appended to the journal, and only then does the state change;
+  // a failed check or journal write changes no path, byte or inode number.
+  // Returns the bytes written for an FsWrite and 0 for every other mutation.
+  Result<u64> commit(const FsMutation& m);
+
   // --- Namespace operations -------------------------------------------------
-  Result<Unit> mkdir(std::string_view path);
-  Result<Unit> rmdir(std::string_view path);            // must be empty
-  Result<Unit> create(std::string_view path);           // empty regular file
-  Result<Unit> unlink(std::string_view path);           // remove regular file
+  Result<Unit> mkdir(std::string_view path) { return unit_of(commit(FsMkdir{std::string(path)})); }
+  Result<Unit> rmdir(std::string_view path) { return unit_of(commit(FsRmdir{std::string(path)})); }
+  Result<Unit> create(std::string_view path) {
+    return unit_of(commit(FsCreate{std::string(path)}));
+  }
+  Result<Unit> unlink(std::string_view path) {
+    return unit_of(commit(FsUnlink{std::string(path)}));
+  }
   // POSIX replace semantics: an existing destination *file* is atomically
   // replaced (old bytes unreachable from the instant the rename commits),
   // which is what makes write-temp-then-rename a crash-safe publish. A
   // directory destination is rejected with kIsDirectory; a directory source
   // never replaces a file (kNotDirectory).
-  Result<Unit> rename(std::string_view from, std::string_view to);
+  Result<Unit> rename(std::string_view from, std::string_view to) {
+    return unit_of(commit(FsRename{std::string(from), std::string(to)}));
+  }
   Result<std::vector<std::string>> readdir(std::string_view path) const;
   Result<FileStat> stat(std::string_view path) const;
 
@@ -100,11 +173,15 @@ class MemFs {
 
   // Writes at `offset`, zero-filling any gap, extending the file. Returns
   // bytes written (always data.size() on success).
-  Result<u64> write(std::string_view path, u64 offset, std::span<const u8> data);
+  Result<u64> write(std::string_view path, u64 offset, std::span<const u8> data) {
+    return commit(FsWrite{std::string(path), offset, {data.begin(), data.end()}});
+  }
 
-  Result<Unit> truncate(std::string_view path, u64 new_size);
+  Result<Unit> truncate(std::string_view path, u64 new_size) {
+    return unit_of(commit(FsTruncate{std::string(path), new_size}));
+  }
 
-  // Durability barrier; may compact the journal into a checkpoint.
+  // Durability barrier: every record appended so far reaches stable storage.
   Result<Unit> fsync();
 
   // --- Introspection ----------------------------------------------------------
@@ -132,22 +209,27 @@ class MemFs {
   Result<u64> lookup(std::string_view path) const;                    // ino of path
   Result<std::pair<u64, std::string>> lookup_parent(std::string_view path) const;
 
-  // The unjournaled core of each mutation (used by both the public ops and
-  // journal replay, so replay is bit-identical to first execution).
-  Result<Unit> do_mkdir(std::string_view path);
-  Result<Unit> do_rmdir(std::string_view path);
-  Result<Unit> do_create(std::string_view path);
-  Result<Unit> do_unlink(std::string_view path);
-  Result<Unit> do_rename(std::string_view from, std::string_view to);
-  Result<u64> do_write(std::string_view path, u64 offset, std::span<const u8> data);
-  Result<Unit> do_truncate(std::string_view path, u64 new_size);
+  // What a checked mutation changes, as its checks found it, so that
+  // apply() repeats no lookup and cannot fail.
+  struct Target {
+    u64 dir = 0;         // directory of the entry the op adds, removes or moves
+    std::string name{};  // that entry (a rename's source)
+    u64 ino = 0;         // the inode the op removes, moves, writes or truncates
+    u64 to_dir = 0;      // a rename's destination entry
+    std::string to_name{};
+  };
 
-  // Undo support: when a mutation applied in memory but its journal record
-  // could not be written (device I/O error), the mutation is rolled back so
-  // a failed operation is never visible — I/O errors propagate without
-  // corrupting metadata (kernel/fs_io_error_* VCs).
-  std::vector<u8> file_data_locked(std::string_view path) const;
-  void set_file_data_locked(std::string_view path, std::vector<u8> data);
+  // The checks-then-change core. check() runs every check of `m` on the
+  // current state and changes nothing; apply() then changes the state and
+  // cannot fail. commit() journals between the two; replay_journal() and
+  // load_state() run them back to back through step(), so replay is
+  // bit-identical to first execution.
+  Result<Target> check(const FsMutation& m) const;
+  void apply(const FsMutation& m, const Target& t);
+  Result<Unit> step(const FsMutation& m);
+  static Result<Unit> unit_of(const Result<u64>& r) {
+    return r.ok() ? Result<Unit>(Unit{}) : Result<Unit>(r.error());
+  }
 
   // Journaling.
   Result<Unit> journal_append(std::span<const u8> payload);

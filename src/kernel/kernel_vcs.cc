@@ -575,6 +575,7 @@ struct FsModel {
     if (s.dirs.count(p) != 0) return ErrorCode::kIsDirectory;
     auto it = s.files.find(p);
     if (it == s.files.end()) return ErrorCode::kNotFound;
+    if (off > kMaxFileBytes || data.size() > kMaxFileBytes - off) return ErrorCode::kNoSpace;
     if (off + data.size() > it->second.size()) {
       it->second.resize(off + data.size(), 0);
     }
@@ -585,11 +586,12 @@ struct FsModel {
     if (s.dirs.count(p) != 0) return ErrorCode::kIsDirectory;
     auto it = s.files.find(p);
     if (it == s.files.end()) return ErrorCode::kNotFound;
+    if (size > kMaxFileBytes) return ErrorCode::kNoSpace;
     it->second.resize(size, 0);
     return ErrorCode::kOk;
   }
   // POSIX-style rename: a file destination is atomically replaced; a
-  // directory destination is never replaced. Mirrors MemFs::do_rename's check
+  // directory destination is never replaced. Mirrors MemFs::check's rename
   // order so error codes agree step-by-step.
   ErrorCode rename(const std::string& from, const std::string& to) {
     if (!parent_ok(s, from)) return ErrorCode::kNotFound;
@@ -765,7 +767,7 @@ VcOutcome vc_fs_model_equivalence(u64 seed, usize steps) {
 // Directed check of the rename replace semantics (POSIX): a file destination
 // is atomically replaced (its old inode is gone, the source bytes are served
 // under the new name), a directory destination is rejected, and the replace
-// survives recovery (journal replay runs the same do_rename).
+// survives recovery (journal replay runs the same checks-then-change core).
 VcOutcome vc_fs_rename_replace() {
   BlockDevice dev(8192);
   auto fsr = MemFs::format(dev);
@@ -1662,61 +1664,69 @@ VcOutcome vc_vm_lazy_write_protection() {
 
 // --- NR-replicated filesystem ------------------------------------------------------------
 
+// A seeded mutation of any of the seven kinds over the small path pools.
+// Renames move a file onto a file path (replacing whatever is there) or a
+// directory onto a directory path.
+FsMutation pick_mutation(Rng& rng, int step) {
+  switch (rng.next_below(7)) {
+    case 0: return FsMkdir{pick_dir(rng)};
+    case 1: return FsRmdir{pick_dir(rng)};
+    case 2: return FsCreate{pick_path(rng)};
+    case 3: return FsUnlink{pick_path(rng)};
+    case 4: {
+      const bool dirs = rng.chance(1, 4);
+      std::string from = dirs ? pick_dir(rng) : pick_path(rng);
+      std::string to = dirs ? pick_dir(rng) : pick_path(rng);
+      return FsRename{std::move(from), std::move(to)};
+    }
+    case 5: {
+      std::string path = pick_path(rng);
+      u64 off = rng.next_below(64);
+      return FsWrite{std::move(path), off,
+                     std::vector<u8>(rng.next_range(1, 80), static_cast<u8>(step))};
+    }
+    default: {
+      std::string path = pick_path(rng);
+      return FsTruncate{std::move(path), rng.next_below(128)};
+    }
+  }
+}
+
+// NrFs commits every mutation kind through the shared FsMutation, and each
+// reply equals a single MemFs's.
 VcOutcome vc_nrfs_matches_memfs(u64 seed) {
+  static const char* const kNames[] = {"mkdir",  "rmdir", "create",  "unlink",
+                                       "rename", "write", "truncate"};
   Topology topo(4, 2);
   NrFs nrfs(topo);
   MemFs reference;
   auto tok = nrfs.register_thread(0);
   Rng rng(seed);
   for (int i = 0; i < 250; ++i) {
-    std::string path = pick_path(rng);
-    switch (rng.next_below(5)) {
-      case 0: {
-        std::string d = pick_dir(rng);
-        if (nrfs.mkdir(tok, d) != reference.mkdir(d).error()) {
-          return VcOutcome::fail("mkdir diverged");
-        }
-        break;
+    if (rng.chance(1, 5)) {
+      std::string path = pick_path(rng);
+      u64 off = rng.next_below(64);
+      u64 len = rng.next_range(1, 80);
+      auto a = nrfs.read(tok, path, off, len);
+      std::vector<u8> buf(len);
+      auto b = reference.read(path, off, buf);
+      if (a.ok() != b.ok()) {
+        return VcOutcome::fail("read result kind diverged");
       }
-      case 1:
-        if (nrfs.create(tok, path) != reference.create(path).error()) {
-          return VcOutcome::fail("create diverged");
+      if (a.ok()) {
+        buf.resize(b.value());
+        if (a.value() != buf) {
+          return VcOutcome::fail("read bytes diverged");
         }
-        break;
-      case 2: {
-        std::vector<u8> data(rng.next_range(1, 80), static_cast<u8>(i));
-        u64 off = rng.next_below(64);
-        auto a = nrfs.write(tok, path, off, data);
-        auto b = reference.write(path, off, data);
-        if (a.error() != b.error()) {
-          return VcOutcome::fail("write diverged");
-        }
-        break;
       }
-      case 3:
-        if (nrfs.unlink(tok, path) != reference.unlink(path).error()) {
-          return VcOutcome::fail("unlink diverged");
-        }
-        break;
-      case 4: {
-        u64 off = rng.next_below(64);
-        u64 len = rng.next_range(1, 80);
-        auto a = nrfs.read(tok, path, off, len);
-        std::vector<u8> buf(len);
-        auto b = reference.read(path, off, buf);
-        if (a.ok() != b.ok()) {
-          return VcOutcome::fail("read result kind diverged");
-        }
-        if (a.ok()) {
-          buf.resize(b.value());
-          if (a.value() != buf) {
-            return VcOutcome::fail("read bytes diverged");
-          }
-        }
-        break;
-      }
-      default:
-        break;
+      continue;
+    }
+    FsMutation m = pick_mutation(rng, i);
+    auto a = nrfs.commit(tok, m);
+    auto b = reference.commit(m);
+    if (a.error() != b.error() || a.value_or(0) != b.value_or(0)) {
+      return VcOutcome::fail(std::string(kNames[m.index()]) + " diverged at step " +
+                             std::to_string(i));
     }
   }
   // Replicated view == reference view, on every replica.
@@ -1736,7 +1746,7 @@ VcOutcome vc_nrfs_concurrent_convergence(u64 seed) {
   NrFs nrfs(topo);
   {
     auto tok = nrfs.register_thread(0);
-    (void)nrfs.mkdir(tok, "/d");
+    (void)nrfs.commit(tok, FsMkdir{"/d"});
   }
   Rng seeder(seed);
   std::vector<std::thread> workers;
@@ -1748,10 +1758,10 @@ VcOutcome vc_nrfs_concurrent_convergence(u64 seed) {
       for (int i = 0; i < 300; ++i) {
         std::string path = "/d/f" + std::to_string(rng.next_below(8));
         switch (rng.next_below(3)) {
-          case 0: (void)nrfs.create(tok, path); break;
+          case 0: (void)nrfs.commit(tok, FsCreate{path}); break;
           case 1: {
-            std::vector<u8> data(8, static_cast<u8>(t));
-            (void)nrfs.write(tok, path, rng.next_below(32), data);
+            u64 off = rng.next_below(32);
+            (void)nrfs.commit(tok, FsWrite{path, off, std::vector<u8>(8, static_cast<u8>(t))});
             break;
           }
           default: (void)nrfs.read(tok, path, 0, 16); break;
@@ -1774,9 +1784,23 @@ VcOutcome vc_nrfs_concurrent_convergence(u64 seed) {
 
 // --- Fault injection -------------------------------------------------------------
 
+// Every path in `fs` with its inode number.
+std::map<std::string, u64> inodes_of(const MemFs& fs) {
+  FsAbsState v = fs.view();
+  std::map<std::string, u64> out;
+  for (const auto& d : v.dirs) {
+    out[d] = fs.stat(d).value().inode;
+  }
+  for (const auto& [f, bytes] : v.files) {
+    out[f] = fs.stat(f).value().inode;
+  }
+  return out;
+}
+
 // A mutating op that dies on an injected device error must be invisible: it
-// returns the error AND leaves the abstract state exactly as it was (the
-// journal-failure rollback). The filesystem keeps working afterwards.
+// returns the error AND leaves the abstract state and every inode number
+// exactly as they were (the record is written before anything changes, so
+// there is nothing to undo). The filesystem keeps working afterwards.
 VcOutcome vc_fs_io_error_rollback(u64 seed) {
   auto& reg = FaultRegistry::global();
   reg.reseed(seed);
@@ -1787,19 +1811,24 @@ VcOutcome vc_fs_io_error_rollback(u64 seed) {
   }
   MemFs fs = std::move(made.value());
   if (!fs.mkdir("/d").ok() || !fs.create("/d/base").ok() ||
-      !fs.write("/d/base", 0, std::vector<u8>(64, 0x5A)).ok()) {
+      !fs.write("/d/base", 0, std::vector<u8>(64, 0x5A)).ok() || !fs.create("/d/victim").ok() ||
+      !fs.write("/d/victim", 0, std::vector<u8>(32, 0x33)).ok() || !fs.mkdir("/d/empty").ok()) {
     return VcOutcome::fail("setup failed");
   }
 
+  static const char* const kOps[] = {"mkdir",  "create", "write",  "truncate",
+                                     "rename", "unlink", "rmdir",  "rename-replace"};
   FaultSpec one_shot;
   one_shot.probability_ppm = 1'000'000;
   one_shot.one_shot = true;
   Rng rng(seed);
   for (int i = 0; i < 30; ++i) {
     FsAbsState before = fs.view();
+    std::map<std::string, u64> inodes_before = inodes_of(fs);
     reg.arm("vc/fsfaultdev/write_error", one_shot);
     ErrorCode err = ErrorCode::kOk;
-    switch (rng.next_below(5)) {
+    const u64 op = rng.next_below(8);
+    switch (op) {
       case 0:
         err = fs.mkdir("/d/dir" + std::to_string(i)).error();
         break;
@@ -1818,23 +1847,36 @@ VcOutcome vc_fs_io_error_rollback(u64 seed) {
       case 3:
         err = fs.truncate("/d/base", rng.next_below(128)).error();
         break;
-      default:
+      case 4:
         err = fs.rename("/d/base", "/d/moved").error();
         break;
+      case 5:
+        err = fs.unlink("/d/victim").error();
+        break;
+      case 6:
+        err = fs.rmdir("/d/empty").error();
+        break;
+      default:
+        err = fs.rename("/d/base", "/d/victim").error();
+        break;
     }
+    const std::string what = std::string(kOps[op]) + " at step " + std::to_string(i);
     if (err == ErrorCode::kOk) {
-      return VcOutcome::fail("mutating op succeeded with a write fault armed");
+      return VcOutcome::fail(what + " succeeded with a write fault armed");
     }
     if (err != ErrorCode::kIoError) {
-      return VcOutcome::fail(std::string("wrong error surfaced: ") + error_name(err));
+      return VcOutcome::fail(what + ": wrong error surfaced: " + error_name(err));
     }
     if (!(fs.view() == before)) {
-      return VcOutcome::fail("failed op mutated the abstract state");
+      return VcOutcome::fail("failed " + what + " mutated the abstract state");
+    }
+    if (inodes_of(fs) != inodes_before) {
+      return VcOutcome::fail("failed " + what + " changed an inode number");
     }
   }
   // The same ops succeed once the faults are gone, and the state persists.
   if (!fs.create("/d/after").ok() || !fs.write("/d/after", 0, std::vector<u8>{1, 2, 3}).ok() ||
-      !fs.fsync().ok()) {
+      !fs.rename("/d/base", "/d/victim").ok() || !fs.rmdir("/d/empty").ok() || !fs.fsync().ok()) {
     return VcOutcome::fail("filesystem broken after injected faults");
   }
   FsAbsState final_state = fs.view();

@@ -3,13 +3,13 @@
 // NR).
 //
 // FsDs wraps the in-memory MemFs as an NR Dispatch structure: every mutation
-// is a logged WriteOp replayed identically on every replica (MemFs is
-// deterministic, including inode-number assignment), reads are served
-// replica-locally under the distributed reader lock. Persistence composes at
-// a different layer (the journaled MemFs over a BlockDevice); NrFs is the
-// scalability half of the design, and kernel/nrfs_* VCs check that the
-// replicas never diverge and that NrFs is observationally equivalent to a
-// single MemFs.
+// is a logged FsMutation (src/kernel/fs.h) that each replica commits
+// identically (MemFs is deterministic, including inode-number assignment),
+// and reads are served replica-locally under the distributed reader lock.
+// Persistence composes at a different layer (the journaled MemFs over a
+// BlockDevice); NrFs is the scalability half of the design, and
+// kernel/nrfs_* VCs check that the replicas never diverge and that NrFs is
+// observationally equivalent to a single MemFs.
 #ifndef VNROS_SRC_KERNEL_NRFS_H_
 #define VNROS_SRC_KERNEL_NRFS_H_
 
@@ -24,37 +24,8 @@
 namespace vnros {
 
 struct FsDs {
-  struct MkdirOp {
-    std::string path;
-  };
-  struct RmdirOp {
-    std::string path;
-  };
-  struct CreateOp {
-    std::string path;
-  };
-  struct UnlinkOp {
-    std::string path;
-  };
-  struct RenameOp {
-    std::string from;
-    std::string to;
-  };
-  struct WriteDataOp {
-    std::string path;
-    u64 offset = 0;
-    std::vector<u8> data;
-  };
-  struct TruncateOp {
-    std::string path;
-    u64 size = 0;
-  };
-
-  struct WriteOp {
-    std::variant<std::monostate, MkdirOp, RmdirOp, CreateOp, UnlinkOp, RenameOp, WriteDataOp,
-                 TruncateOp>
-        op;
-  };
+  // Every replica commits the same logged mutation through MemFs::commit.
+  using WriteOp = FsMutation;
 
   struct ReadDataOp {
     std::string path;
@@ -128,28 +99,9 @@ struct FsDs {
 
   Response dispatch_mut(const WriteOp& op) {
     Response resp;
-    if (const auto* m = std::get_if<MkdirOp>(&op.op)) {
-      resp.err = fs.mkdir(m->path).error();
-    } else if (const auto* r = std::get_if<RmdirOp>(&op.op)) {
-      resp.err = fs.rmdir(r->path).error();
-    } else if (const auto* c = std::get_if<CreateOp>(&op.op)) {
-      resp.err = fs.create(c->path).error();
-    } else if (const auto* u = std::get_if<UnlinkOp>(&op.op)) {
-      resp.err = fs.unlink(u->path).error();
-    } else if (const auto* rn = std::get_if<RenameOp>(&op.op)) {
-      resp.err = fs.rename(rn->from, rn->to).error();
-    } else if (const auto* w = std::get_if<WriteDataOp>(&op.op)) {
-      auto wr = fs.write(w->path, w->offset, w->data);
-      resp.err = wr.error();
-      if (wr.ok()) {
-        resp.err = ErrorCode::kOk;
-        resp.length = wr.value();
-      }
-    } else if (const auto* t = std::get_if<TruncateOp>(&op.op)) {
-      resp.err = fs.truncate(t->path, t->size).error();
-    } else {
-      resp.err = ErrorCode::kInvalidArgument;
-    }
+    auto r = fs.commit(op);
+    resp.err = r.error();
+    resp.length = r.value_or(0);
     return resp;
   }
 };
@@ -162,44 +114,14 @@ class NrFs {
 
   ThreadToken register_thread(CoreId core) { return repl_.register_thread(core); }
 
-  ErrorCode mkdir(const ThreadToken& t, std::string path) {
-    FsDs::WriteOp op;
-    op.op = FsDs::MkdirOp{std::move(path)};
-    return repl_.execute_mut(t, op).err;
-  }
-  ErrorCode rmdir(const ThreadToken& t, std::string path) {
-    FsDs::WriteOp op;
-    op.op = FsDs::RmdirOp{std::move(path)};
-    return repl_.execute_mut(t, op).err;
-  }
-  ErrorCode create(const ThreadToken& t, std::string path) {
-    FsDs::WriteOp op;
-    op.op = FsDs::CreateOp{std::move(path)};
-    return repl_.execute_mut(t, op).err;
-  }
-  ErrorCode unlink(const ThreadToken& t, std::string path) {
-    FsDs::WriteOp op;
-    op.op = FsDs::UnlinkOp{std::move(path)};
-    return repl_.execute_mut(t, op).err;
-  }
-  ErrorCode rename(const ThreadToken& t, std::string from, std::string to) {
-    FsDs::WriteOp op;
-    op.op = FsDs::RenameOp{std::move(from), std::move(to)};
-    return repl_.execute_mut(t, op).err;
-  }
-  Result<u64> write(const ThreadToken& t, std::string path, u64 offset, std::vector<u8> data) {
-    FsDs::WriteOp op;
-    op.op = FsDs::WriteDataOp{std::move(path), offset, std::move(data)};
-    auto resp = repl_.execute_mut(t, op);
+  // A mutation, logged once and committed on every replica. Returns the
+  // bytes written for an FsWrite and 0 for every other mutation.
+  Result<u64> commit(const ThreadToken& t, FsMutation m) {
+    auto resp = repl_.execute_mut(t, std::move(m));
     if (resp.err != ErrorCode::kOk) {
       return resp.err;
     }
     return resp.length;
-  }
-  ErrorCode truncate(const ThreadToken& t, std::string path, u64 size) {
-    FsDs::WriteOp op;
-    op.op = FsDs::TruncateOp{std::move(path), size};
-    return repl_.execute_mut(t, op).err;
   }
 
   Result<std::vector<u8>> read(const ThreadToken& t, std::string path, u64 offset, u64 len) {

@@ -131,7 +131,8 @@ Result<Fd> SyscallDispatcher::run<SysNr::kOpen>(const SysCtx& c, SysArgs<SysNr::
   if (st.value().is_dir) {
     return ErrorCode::kIsDirectory;
   }
-  if ((flags & kOpenTrunc) != 0) {
+  // Truncating an empty file changes nothing, so it journals nothing.
+  if ((flags & kOpenTrunc) != 0 && st.value().size != 0) {
     auto tr = fs.truncate(path, 0);
     if (!tr.ok()) {
       return tr.error();

@@ -4,7 +4,10 @@
 
 #include <string>
 
+#include "src/base/crc.h"
+#include "src/base/fault.h"
 #include "src/base/rng.h"
+#include "src/base/serde.h"
 #include "src/hw/block_device.h"
 #include "src/kernel/fs.h"
 #include "src/kernel/nrfs.h"
@@ -315,6 +318,118 @@ TEST(MemFsPersistTest, CompactionKeepsStateAndResetsJournal) {
   EXPECT_TRUE(rec.value().view() == before);
 }
 
+TEST(MemFsPersistTest, FailedCompactionChangesNothing) {
+  // A record that does not fit in the rest of the journal first compacts the
+  // pre-op state. When that compaction fails, the op fails and changes
+  // nothing: no path, byte or inode number, no checkpoint and no record.
+  BlockDevice dev(64, 0xC0FFEEull, "fstest/compactdev");
+  auto fsr = MemFs::format(dev);
+  ASSERT_TRUE(fsr.ok());
+  MemFs fs = std::move(fsr.value());
+  ASSERT_TRUE(fs.create("/f").ok());
+  ASSERT_TRUE(fs.create("/g").ok());
+  const std::vector<u8> chunk(1000, 0xA5);
+  const u64 record_sectors = 3;  // a 1000-byte write record spans 3 sectors
+  while (fs.journal_head_sector() + record_sectors <= dev.num_sectors()) {
+    ASSERT_TRUE(fs.write("/f", 0, chunk).ok());
+  }
+  ASSERT_EQ(fs.stats().checkpoints, 0u);
+  const FsAbsState before = fs.view();
+  const u64 f_ino = fs.stat("/f").value().inode;
+  const u64 g_ino = fs.stat("/g").value().inode;
+  const u64 records = fs.stats().journal_records;
+
+  auto& reg = FaultRegistry::global();
+  FaultSpec one_shot;
+  one_shot.probability_ppm = 1'000'000;
+  one_shot.one_shot = true;
+  reg.arm("fstest/compactdev/write_error", one_shot);
+  const std::vector<u8> next(1000, 0x5A);
+  EXPECT_EQ(fs.write("/g", 0, next).error(), ErrorCode::kIoError);
+  reg.disarm_prefix("fstest/compactdev/");
+  EXPECT_TRUE(fs.view() == before);
+  EXPECT_EQ(fs.stat("/f").value().inode, f_ino);
+  EXPECT_EQ(fs.stat("/g").value().inode, g_ino);
+  EXPECT_EQ(fs.stats().checkpoints, 0u);
+  EXPECT_EQ(fs.stats().journal_records, records);
+
+  // Without the fault the same write compacts, appends its record to the
+  // fresh journal, and survives recovery.
+  ASSERT_EQ(fs.write("/g", 0, next).value(), next.size());
+  EXPECT_EQ(fs.stats().checkpoints, 1u);
+  EXPECT_EQ(fs.stats().journal_records, records + 1);
+  ASSERT_TRUE(fs.fsync().ok());
+  const FsAbsState after = fs.view();
+  EXPECT_EQ(after.files.at("/g"), next);
+  auto rec = MemFs::recover(dev);
+  ASSERT_TRUE(rec.ok());
+  EXPECT_TRUE(rec.value().view() == after);
+}
+
+TEST(MemFsPersistTest, RecordLargerThanTheJournalIsRefused) {
+  // A record that would not fit even a fresh journal gets kNoSpace before
+  // any compaction, and changes nothing.
+  BlockDevice dev(64);
+  auto fsr = MemFs::format(dev);
+  ASSERT_TRUE(fsr.ok());
+  MemFs fs = std::move(fsr.value());
+  ASSERT_TRUE(fs.create("/f").ok());
+  const FsAbsState before = fs.view();
+  const std::vector<u8> whole_device(dev.num_sectors() * kSectorSize, 0x42);
+  EXPECT_EQ(fs.write("/f", 0, whole_device).error(), ErrorCode::kNoSpace);
+  EXPECT_TRUE(fs.view() == before);
+  EXPECT_EQ(fs.stats().checkpoints, 0u);
+  EXPECT_EQ(fs.stats().journal_records, 1u);
+}
+
+// --- Journal records ----------------------------------------------------------------
+
+// The payload of each mutation's journal record, byte for byte:
+// [u8 opcode][fields], strings and bytes u32-length-prefixed, u64s
+// little-endian. Recovery reads disks written with this layout, so it must
+// not drift.
+TEST(FsRecordTest, EachMutationWritesItsPinnedPayload) {
+  const std::vector<std::pair<FsMutation, std::vector<u8>>> cases = {
+      {FsMkdir{"/d"}, {1, 2, 0, 0, 0, '/', 'd'}},
+      {FsCreate{"/d/f"}, {3, 4, 0, 0, 0, '/', 'd', '/', 'f'}},
+      {FsWrite{"/d/f", 2, {'x', 'y'}},
+       {6, 4, 0, 0, 0, '/', 'd', '/', 'f', 2, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 'x', 'y'}},
+      {FsTruncate{"/d/f", 1}, {7, 4, 0, 0, 0, '/', 'd', '/', 'f', 1, 0, 0, 0, 0, 0, 0, 0}},
+      {FsRename{"/d/f", "/d/g"},
+       {5, 4, 0, 0, 0, '/', 'd', '/', 'f', 4, 0, 0, 0, '/', 'd', '/', 'g'}},
+      {FsUnlink{"/d/g"}, {4, 4, 0, 0, 0, '/', 'd', '/', 'g'}},
+      {FsRmdir{"/d"}, {2, 2, 0, 0, 0, '/', 'd'}},
+  };
+  BlockDevice dev(64);
+  auto fsr = MemFs::format(dev);
+  ASSERT_TRUE(fsr.ok());
+  MemFs fs = std::move(fsr.value());
+  u64 sector = fs.journal_head_sector();
+  for (const auto& [m, payload] : cases) {
+    EXPECT_EQ(encode_fs_record(m), payload) << "opcode " << m.index() + 1;
+    auto decoded = decode_fs_record(payload);
+    ASSERT_TRUE(decoded.has_value());
+    EXPECT_EQ(encode_fs_record(*decoded), payload);
+    // The record on the device: [magic][epoch][len][crc32c(payload)][payload].
+    ASSERT_TRUE(fs.commit(m).ok());
+    std::vector<u8> raw(kSectorSize);
+    ASSERT_TRUE(dev.read(sector++, raw).ok());
+    Reader r(raw);
+    EXPECT_EQ(r.get_u32(), 0x4A524E4Cu);
+    EXPECT_EQ(r.get_u64(), 1u);
+    EXPECT_EQ(r.get_u32(), payload.size());
+    EXPECT_EQ(r.get_u32(), crc32c(payload));
+    EXPECT_EQ(r.get_raw(payload.size()), payload);
+  }
+  EXPECT_EQ(fs.journal_head_sector(), sector);
+  // A payload that is not exactly one record is refused.
+  EXPECT_FALSE(decode_fs_record(std::vector<u8>{}).has_value());
+  EXPECT_FALSE(decode_fs_record(std::vector<u8>{0, 0, 0, 0, 0}).has_value());
+  EXPECT_FALSE(decode_fs_record(std::vector<u8>{8, 0, 0, 0, 0}).has_value());
+  EXPECT_FALSE(decode_fs_record(std::vector<u8>{1, 2, 0, 0, 0, '/'}).has_value());
+  EXPECT_FALSE(decode_fs_record(std::vector<u8>{1, 2, 0, 0, 0, '/', 'd', 0}).has_value());
+}
+
 
 // --- NR-replicated filesystem ----------------------------------------------------
 
@@ -322,9 +437,9 @@ TEST(NrFsTest, BasicOpsThroughReplication) {
   Topology topo(4, 2);
   NrFs fs(topo);
   auto tok = fs.register_thread(0);
-  ASSERT_EQ(fs.mkdir(tok, "/d"), ErrorCode::kOk);
-  ASSERT_EQ(fs.create(tok, "/d/f"), ErrorCode::kOk);
-  ASSERT_EQ(fs.write(tok, "/d/f", 0, bytes("replicated")).value(), 10u);
+  ASSERT_TRUE(fs.commit(tok, FsMkdir{"/d"}).ok());
+  ASSERT_TRUE(fs.commit(tok, FsCreate{"/d/f"}).ok());
+  ASSERT_EQ(fs.commit(tok, FsWrite{"/d/f", 0, bytes("replicated")}).value(), 10u);
   auto r = fs.read(tok, "/d/f", 0, 64);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.value(), bytes("replicated"));
@@ -341,8 +456,8 @@ TEST(NrFsTest, CrossNodeVisibility) {
   NrFs fs(topo);
   auto t0 = fs.register_thread(0);   // node 0
   auto t1 = fs.register_thread(2);   // node 1
-  ASSERT_EQ(fs.create(t0, "/x"), ErrorCode::kOk);
-  ASSERT_EQ(fs.write(t0, "/x", 0, bytes("cross")).error(), ErrorCode::kOk);
+  ASSERT_TRUE(fs.commit(t0, FsCreate{"/x"}).ok());
+  ASSERT_EQ(fs.commit(t0, FsWrite{"/x", 0, bytes("cross")}).error(), ErrorCode::kOk);
   // The other node's replica must observe it on the next read.
   auto r = fs.read(t1, "/x", 0, 16);
   ASSERT_TRUE(r.ok());
@@ -353,10 +468,10 @@ TEST(NrFsTest, ErrorsReplicateIdentically) {
   Topology topo(2, 1);
   NrFs fs(topo);
   auto tok = fs.register_thread(0);
-  EXPECT_EQ(fs.create(tok, "/no/parent"), ErrorCode::kNotFound);
-  EXPECT_EQ(fs.unlink(tok, "/missing"), ErrorCode::kNotFound);
-  ASSERT_EQ(fs.mkdir(tok, "/d"), ErrorCode::kOk);
-  EXPECT_EQ(fs.mkdir(tok, "/d"), ErrorCode::kAlreadyExists);
+  EXPECT_EQ(fs.commit(tok, FsCreate{"/no/parent"}).error(), ErrorCode::kNotFound);
+  EXPECT_EQ(fs.commit(tok, FsUnlink{"/missing"}).error(), ErrorCode::kNotFound);
+  ASSERT_TRUE(fs.commit(tok, FsMkdir{"/d"}).ok());
+  EXPECT_EQ(fs.commit(tok, FsMkdir{"/d"}).error(), ErrorCode::kAlreadyExists);
 }
 
 }  // namespace

@@ -5,8 +5,10 @@
 
 #include <string>
 
+#include "src/kernel/fs.h"
 #include "src/kernel/kernel.h"
 #include "src/kernel/syscall.h"
+#include "src/obs/counter.h"
 
 namespace vnros {
 namespace {
@@ -93,6 +95,60 @@ TEST_F(SysTest, OpenTruncAndAppend) {
   auto fd_trunc = sys.open("/f", kOpenTrunc);
   ASSERT_TRUE(fd_trunc.ok());
   EXPECT_EQ(sys.fstat(fd_trunc.value()).value().size, 0u);
+}
+
+TEST_F(SysTest, OpenCreateTruncJournalsOnlyWhatChanges) {
+  // open(O_CREAT|O_TRUNC) journals a create for a new file and a truncate
+  // only for a file that has bytes: truncating an empty file changes nothing.
+  if constexpr (!kMetricsEnabled) {
+    GTEST_SKIP() << "fs/journal_records reads 0 with metrics compiled out";
+  }
+  auto records = [&] { return sys.kstat("fs/journal_records").value(); };
+  u64 before = records();
+  auto fd = sys.open("/f", kOpenCreate | kOpenTrunc);
+  ASSERT_TRUE(fd.ok());
+  EXPECT_EQ(records(), before + 1);  // the create
+  ASSERT_TRUE(sys.close(fd.value()).ok());
+
+  before = records();
+  fd = sys.open("/f", kOpenCreate | kOpenTrunc);
+  ASSERT_TRUE(fd.ok());
+  EXPECT_EQ(records(), before);  // an existing empty file: nothing to journal
+  ASSERT_EQ(sys.write(fd.value(), bytes("abc")).value(), 3u);
+  ASSERT_TRUE(sys.close(fd.value()).ok());
+
+  before = records();
+  fd = sys.open("/f", kOpenCreate | kOpenTrunc);
+  ASSERT_TRUE(fd.ok());
+  EXPECT_EQ(records(), before + 1);  // the truncate
+  EXPECT_EQ(sys.fstat(fd.value()).value().size, 0u);
+}
+
+TEST_F(SysTest, FileSizeIsBounded) {
+  // No file grows past kMaxFileBytes: a truncate or a write past it is
+  // refused with kNoSpace before anything is journaled, and the file is left
+  // as it was.
+  auto fd = sys.open("/f", kOpenCreate);
+  ASSERT_TRUE(fd.ok());
+  ASSERT_EQ(sys.write(fd.value(), bytes("keep")).value(), 4u);
+  const u64 records = sys.kstat("fs/journal_records").value();
+  EXPECT_EQ(sys.truncate("/f", u64{1} << 62).error(), ErrorCode::kNoSpace);
+  EXPECT_EQ(sys.truncate("/f", kMaxFileBytes + 1).error(), ErrorCode::kNoSpace);
+  ASSERT_EQ(sys.lseek(fd.value(), i64{1} << 62, SeekWhence::kSet).value(), u64{1} << 62);
+  EXPECT_EQ(sys.write(fd.value(), bytes("x")).error(), ErrorCode::kNoSpace);
+  ASSERT_EQ(sys.lseek(fd.value(), static_cast<i64>(kMaxFileBytes), SeekWhence::kSet).value(),
+            kMaxFileBytes);
+  EXPECT_EQ(sys.write(fd.value(), bytes("x")).error(), ErrorCode::kNoSpace);
+  // A direct write whose end would wrap past u64's range is refused too.
+  EXPECT_EQ(kernel.fs().write("/f", ~u64{0} - 1, bytes("xy")).error(), ErrorCode::kNoSpace);
+  EXPECT_EQ(sys.kstat("fs/journal_records").value(), records);
+  EXPECT_EQ(sys.fstat(fd.value()).value().size, 4u);
+
+  // The file keeps working: a write at offset 0 lands.
+  ASSERT_EQ(sys.lseek(fd.value(), 0, SeekWhence::kSet).value(), 0u);
+  ASSERT_EQ(sys.write(fd.value(), bytes("K")).value(), 1u);
+  ASSERT_EQ(sys.lseek(fd.value(), 0, SeekWhence::kSet).value(), 0u);
+  EXPECT_EQ(sys.read(fd.value(), 16).value(), bytes("Keep"));
 }
 
 TEST_F(SysTest, IndependentOffsetsPerFd) {
