@@ -43,7 +43,7 @@
 #include "src/base/contracts.h"
 #include "src/base/rng.h"
 #include "src/hw/network.h"
-#include "src/kernel/kernel.h"
+#include "src/kernel/machine.h"
 #include "src/kernel/syscall.h"
 
 namespace vnros {
@@ -51,29 +51,6 @@ namespace {
 
 constexpr Port kPortA = 9400;
 constexpr Port kPortB = 9401;
-
-struct Host {
-  Kernel kernel;
-  SyscallDispatcher disp;
-  Pid pid;
-  Sys sys;
-
-  explicit Host(Network* net) : kernel(config_of(net)), disp(kernel), pid(spawn(disp)),
-                                sys(disp, pid, 0) {}
-
-  static KernelConfig config_of(Network* net) {
-    KernelConfig c;
-    c.network = net;
-    return c;
-  }
-
-  static Pid spawn(SyscallDispatcher& disp) {
-    Sys boot(disp, kInvalidPid, 0);
-    auto p = boot.spawn();
-    VNROS_CHECK(p.ok());
-    return p.value();
-  }
-};
 
 enum class Strategy { kNone, kMerkle, kFull };
 
@@ -94,9 +71,9 @@ struct Point {
 Point run_cell(Strategy strategy, usize keys, double frac, usize value_bytes,
                u64 window_polls, u64 seed) {
   Network net;
-  Host a_host(&net);
-  Host b_host(&net);
-  Host fg_host(&net);
+  Machine a_host({.network = &net});
+  Machine b_host({.network = &net});
+  Machine fg_host({.network = &net});
   BlockStoreNode b(b_host.sys, kPortB);
   BsPeer peer_b{b_host.kernel.net_addr(), kPortB};
   // What B holds for each key: its bytes, or nullopt for a tombstone.

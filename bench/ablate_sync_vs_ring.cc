@@ -29,7 +29,7 @@
 #include "src/base/rng.h"
 #include "src/base/serde.h"
 #include "src/hw/network.h"
-#include "src/kernel/kernel.h"
+#include "src/kernel/machine.h"
 #include "src/kernel/ring.h"
 #include "src/kernel/syscall.h"
 
@@ -38,29 +38,6 @@ namespace {
 
 constexpr Port kPort = 9400;
 constexpr usize kWorkers = 4;  // ring arm: parked recv SQEs (mirrors BlockStoreNode)
-
-struct Host {
-  Kernel kernel;
-  SyscallDispatcher disp;
-  Pid pid;
-  Sys sys;
-
-  explicit Host(Network* net) : kernel(config_of(net)), disp(kernel), pid(spawn(disp)),
-                                sys(disp, pid, 0) {}
-
-  static KernelConfig config_of(Network* net) {
-    KernelConfig c;
-    c.network = net;
-    return c;
-  }
-
-  static Pid spawn(SyscallDispatcher& disp) {
-    Sys boot(disp, kInvalidPid, 0);
-    auto p = boot.spawn();
-    VNROS_CHECK(p.ok());
-    return p.value();
-  }
-};
 
 enum class MiniOp : u8 { kPut = 1, kGet = 2 };
 
@@ -277,9 +254,9 @@ struct ArmResult {
 template <typename Server>
 ArmResult run_arm(usize num_clients, usize ticks, usize warmup) {
   Network net;
-  Host server_host(&net);
+  Machine server_host({.network = &net});
   Server server(server_host.sys);
-  Host client_host(&net);
+  Machine client_host({.network = &net});
   std::vector<std::unique_ptr<Client>> clients;
   for (usize c = 0; c < num_clients; ++c) {
     clients.push_back(std::make_unique<Client>(client_host.sys, server_host.kernel.net_addr(),

@@ -39,39 +39,13 @@
 
 #include "bench/bench_json.h"
 #include "src/app/blockstore.h"
+#include "src/app/sim_cluster.h"
 #include "src/base/contracts.h"
 #include "src/base/rng.h"
-#include "src/hw/network.h"
-#include "src/kernel/kernel.h"
-#include "src/kernel/syscall.h"
+#include "src/kernel/machine.h"
 
 namespace vnros {
 namespace {
-
-constexpr Port kPort = 9300;
-
-struct Host {
-  Kernel kernel;
-  SyscallDispatcher disp;
-  Pid pid;
-  Sys sys;
-
-  explicit Host(Network* net) : kernel(config_of(net)), disp(kernel), pid(spawn(disp)),
-                                sys(disp, pid, 0) {}
-
-  static KernelConfig config_of(Network* net) {
-    KernelConfig c;
-    c.network = net;
-    return c;
-  }
-
-  static Pid spawn(SyscallDispatcher& disp) {
-    Sys boot(disp, kInvalidPid, 0);
-    auto p = boot.spawn();
-    VNROS_CHECK(p.ok());
-    return p.value();
-  }
-};
 
 struct SweepConfig {
   usize nodes = 3;
@@ -125,29 +99,8 @@ struct SweepPoint {
 };
 
 SweepPoint run_sweep(const SweepConfig& cfg, usize num_clients, bool gated) {
-  Network net;
-  std::vector<std::unique_ptr<Host>> hosts;
-  std::vector<std::unique_ptr<BlockStoreNode>> nodes;
-  std::vector<BsPeer> members;
-  for (usize i = 0; i < cfg.nodes; ++i) {
-    hosts.push_back(std::make_unique<Host>(&net));
-    members.push_back(BsPeer{hosts[i]->kernel.net_addr(), kPort});
-  }
-  for (usize i = 0; i < cfg.nodes; ++i) {
-    nodes.push_back(std::make_unique<BlockStoreNode>(
-        hosts[i]->sys, kPort, std::vector<BsPeer>{}, [&nodes, i] {
-          for (usize j = 0; j < nodes.size(); ++j) {
-            if (j != i) {
-              nodes[j]->serve_once();
-            }
-          }
-        }));
-    VNROS_CHECK(nodes[i]->init().ok());
-  }
-  const ClusterView view = ClusterView::of(members, cfg.replication);
-  for (usize i = 0; i < cfg.nodes; ++i) {
-    nodes[i]->configure_cluster({.self = static_cast<BsNodeId>(i)}, view);
-  }
+  SimCluster cluster(cfg.nodes, cfg.replication);
+  const ClusterView& view = cluster.view();
 
   // Preload the key universe (ungated, local API) so reads hit.
   std::vector<std::vector<u8>> preload;
@@ -159,18 +112,18 @@ SweepPoint run_sweep(const SweepConfig& cfg, usize num_clients, bool gated) {
         b = static_cast<u8>(rng.next_u64());
       }
       std::string key = "ycsb" + std::to_string(k);
-      BsNodeId owner = view.owners(key).front();
-      VNROS_CHECK(nodes[owner]->put(key, v).ok());
+      VNROS_CHECK(cluster.node(view.owners(key).front()).put(key, v).ok());
     }
   }
   if (gated) {
-    for (auto& node : nodes) {
+    for (usize i = 0; i < cluster.size(); ++i) {
       AdmissionConfig ac;
       ac.enabled = true;
       ac.burst_ops = cfg.admission_burst;
-      node->set_admission(ac);
-      node->grant_tokens(cfg.admission_burst * 1'000'000);
+      cluster.node(i).set_admission(ac);
+      cluster.node(i).grant_tokens(cfg.admission_burst * 1'000'000);
     }
+    cluster.set_admission_rate(cfg.admission_rate_ppm);
   }
 
   // One shared client kernel; each virtual client is one library client
@@ -183,7 +136,7 @@ SweepPoint run_sweep(const SweepConfig& cfg, usize num_clients, bool gated) {
   policy.overload_base_polls = 16;
   policy.overload_max_polls = 256;
   policy.jitter_ppm = 0;
-  Host client_host(&net);
+  Machine client_host({.network = &cluster.net()});
   std::vector<std::unique_ptr<BlockStoreClient>> clients;
   std::vector<OpStream> streams;
   std::map<std::vector<u8>, usize> writer_of;  // a client's value -> the client
@@ -260,16 +213,7 @@ SweepPoint run_sweep(const SweepConfig& cfg, usize num_clients, bool gated) {
     if (t == cfg.warmup_ticks) {
       warm = sheds_and_timeouts();  // warmup accounting is dropped
     }
-    for (auto& node : nodes) {
-      if (gated) {
-        node->grant_tokens(cfg.admission_rate_ppm);
-      }
-      node->serve_once();
-    }
-    for (auto& h : hosts) {
-      h->kernel.vtp().tick();
-    }
-    client_host.kernel.vtp().tick();
+    cluster.pump(client_host);
     for (usize c = 0; c < clients.size(); ++c) {
       step(c, t, t >= cfg.warmup_ticks);
     }

@@ -11,40 +11,16 @@
 //
 //   ./build/examples/blockstore_demo
 #include <cstdio>
+#include <memory>
 #include <string>
 
 #include "src/app/blockstore.h"
-#include "src/kernel/kernel.h"
-#include "src/kernel/syscall.h"
+#include "src/app/sim_cluster.h"
+#include "src/kernel/machine.h"
 
 using namespace vnros;  // NOLINT: example brevity
 
 namespace {
-
-struct Machine {
-  Kernel kernel;
-  SyscallDispatcher disp;
-  Pid pid;
-  Sys sys;
-
-  Machine(Network* net, BlockDevice* disk, bool recover)
-      : kernel(config(net, disk, recover)), disp(kernel), pid(boot(disp)), sys(disp, pid, 0) {}
-
-  static KernelConfig config(Network* net, BlockDevice* disk, bool recover) {
-    KernelConfig c;
-    c.network = net;
-    c.disk = disk;
-    c.recover_fs = recover;
-    return c;
-  }
-
-  static Pid boot(SyscallDispatcher& disp) {
-    Sys init(disp, kInvalidPid, 0);
-    auto pid = init.spawn();
-    VNROS_CHECK(pid.ok());
-    return pid.value();
-  }
-};
 
 std::vector<u8> bytes(const std::string& s) { return std::vector<u8>(s.begin(), s.end()); }
 
@@ -58,32 +34,23 @@ int main() {
   FabricConfig fabric;
   fabric.loss_ppm = 100'000;
   fabric.dup_ppm = 20'000;
-  Network net(fabric);
+  // Member 0, the primary, boots on a disk that survives the "reboot"
+  // below; member 1 is the replica. A node's pump serves the other member
+  // while a push waits for its ack.
+  SimCluster cluster(2, 2, fabric, [](usize member) {
+    SimCluster::MemberSpec spec;
+    if (member == 0) {
+      spec.disk = std::make_unique<BlockDevice>(16384);
+    }
+    return spec;
+  });
+  BlockStoreNode& primary = cluster.node(0);
+  BlockStoreNode& replica = cluster.node(1);
+  Machine client_host({.network = &cluster.net()});
 
-  BlockDevice primary_disk(16384);  // survives the "reboot" below
-  auto* primary = new Machine(&net, &primary_disk, false);
-  Machine replica_host(&net, nullptr, false);
-  Machine client_host(&net, nullptr, false);
-
-  BlockStoreNode replica(replica_host.sys, 9001);
-  VNROS_CHECK(replica.init().ok());
-  // The primary's pump serves the replica while a push waits for its ack.
-  auto* node = new BlockStoreNode(primary->sys, 9000, {}, [&] { replica.serve_once(); });
-  VNROS_CHECK(node->init().ok());
-  ClusterView ring = ClusterView::of(
-      {BsPeer{primary->kernel.net_addr(), 9000}, BsPeer{replica_host.kernel.net_addr(), 9001}},
-      2);
-  node->configure_cluster({.self = 0}, ring);
-  replica.configure_cluster({.self = 1}, ring);
-
-  BlockStoreClient client(
-      client_host.sys, ClusterView::of({{primary->kernel.net_addr(), 9000}}, 1), [&] {
-        node->serve_once();
-        replica.serve_once();
-        primary->kernel.vtp().tick();
-        replica_host.kernel.vtp().tick();
-        client_host.kernel.vtp().tick();
-      });
+  // The client talks to the primary only; each poll is one world step.
+  BlockStoreClient client(client_host.sys, ClusterView::of({cluster.peer(0)}, 1),
+                          [&] { cluster.pump(client_host); });
 
   // --- store some objects ---------------------------------------------------
   std::printf("storing 8 objects through the lossy fabric...\n");
@@ -94,11 +61,12 @@ int main() {
     VNROS_CHECK(r.ok());
   }
   std::printf("  done; the stream retransmitted %lu segments, the client retried %lu rpcs\n",
-              primary->kernel.vtp().stats().retransmits +
+              cluster.machine(0).kernel.vtp().stats().retransmits +
                   client_host.kernel.vtp().stats().retransmits,
               client.retries());
   std::printf("  primary stats: %lu puts, %lu replica pushes, %lu hints parked\n",
-              node->stats().puts, node->stats().replicas_pushed, node->stats().hints_written);
+              primary.stats().puts, primary.stats().replicas_pushed,
+              primary.stats().hints_written);
 
   auto got = client.get("object-3");
   VNROS_CHECK(got.ok());
@@ -109,22 +77,21 @@ int main() {
   // A put whose push went unacked left a hint on the primary; delivering it
   // is one more acked push.
   for (int round = 0; round < 8 && replica.view().size() < 8; ++round) {
-    (void)node->deliver_hints();
+    (void)primary.deliver_hints();
   }
   std::printf("  replica holds %zu objects (%lu parked hints delivered)\n",
-              replica.view().size(), node->stats().hints_delivered);
+              replica.view().size(), primary.stats().hints_delivered);
 
   // --- power failure on the primary --------------------------------------------
   std::printf("\npower failure on the primary: volatile disk cache lost...\n");
-  usize objects_before = node->view().size();
-  delete node;
-  delete primary;
-  primary_disk.crash(0);  // adversarial: nothing unflushed survives
+  usize objects_before = primary.view().size();
+  cluster.disk(0).crash(0);  // adversarial: nothing unflushed survives
 
   // --- reboot & recover ----------------------------------------------------------
-  Machine rebooted(&net, &primary_disk, /*recover=*/true);
-  BlockStoreNode recovered(rebooted.sys, 9000);
-  VNROS_CHECK(recovered.init().ok());
+  // A fresh kernel mounts the same disk at the primary's address and
+  // replays the journal.
+  VNROS_CHECK(cluster.reboot(0));
+  BlockStoreNode& recovered = cluster.node(0);
   auto view = recovered.view();
   std::printf("rebooted kernel replayed the journal: %zu/%zu objects recovered\n", view.size(),
               objects_before);

@@ -116,7 +116,7 @@ cmake --build build-tsan -j"${JOBS}" --target net_test
 ./build-tsan/tests/net_test --gtest_filter='*Vtp*'
 
 echo
-echo "== tier-1: ASan+UBSan build (fs_test + app_test + chaos_test + checksums + VTP + syscalls + fs and app VCs) =="
+echo "== tier-1: ASan+UBSan build (fs_test + app_test + chaos_test + integration_test + checksums + VTP + syscalls + fs and app VCs) =="
 # The fault-injection and chaos paths unwind through error branches the
 # happy-path suite never touches; run them — every chaos preset — under
 # address+UB sanitizers. The checksum tests and VCs run here too: the
@@ -131,13 +131,16 @@ echo "== tier-1: ASan+UBSan build (fs_test + app_test + chaos_test + checksums +
 # call — replica pushes, read-repair, anti-entropy, tombstone GC — through
 # its nested ring waits and reply stash. The fs VCs (*fs_*: kernel/fs_* and
 # kernel/nrfs_*) drive the fs commit path, which decodes journal records
-# byte by byte and runs under injected device faults.
+# byte by byte and runs under injected device faults. integration_test's
+# cluster test boots through Machine and the SimCluster rig, the boot and
+# world-step path every cluster harness shares.
 cmake -B build-asan -S . -DVNROS_SAN=address >/dev/null
-cmake --build build-asan -j"${JOBS}" --target fs_test app_test chaos_test base_test net_test \
-  syscall_test ring_syscall_test vc_suite_test
+cmake --build build-asan -j"${JOBS}" --target fs_test app_test chaos_test integration_test \
+  base_test net_test syscall_test ring_syscall_test vc_suite_test
 ./build-asan/tests/fs_test
 ./build-asan/tests/app_test
 ./build-asan/tests/chaos_test
+./build-asan/tests/integration_test
 ./build-asan/tests/base_test
 ./build-asan/tests/net_test
 ./build-asan/tests/syscall_test
@@ -145,17 +148,18 @@ cmake --build build-asan -j"${JOBS}" --target fs_test app_test chaos_test base_t
 ./build-asan/tests/vc_suite_test --gtest_filter='*crc*:*corruption*:*vtp*:*sys_*:*fs_*:Vc_app.*'
 
 echo
-echo "== tier-1: UBSan build (chaos_test + app_test + fs + checksums + VTP + syscalls + app VCs) =="
+echo "== tier-1: UBSan build (chaos_test + app_test + integration_test + fs + checksums + VTP + syscalls + app VCs) =="
 # Pure UBSan (no recovery, no ASan shadow-memory slowdown) over every chaos
 # preset: the stream framing and repair/GC/bit-rot paths do a lot of
 # byte-level (de)serialization and seq arithmetic — exactly where silent UB
-# would hide. The fs, checksum, VTP, syscall and app tests and VCs run here
-# for the same reasons as above.
+# would hide. The fs, checksum, VTP, syscall, integration and app tests and
+# VCs run here for the same reasons as above.
 cmake -B build-ubsan -S . -DVNROS_SAN=undefined >/dev/null
-cmake --build build-ubsan -j"${JOBS}" --target chaos_test app_test fs_test base_test net_test \
-  syscall_test ring_syscall_test vc_suite_test
+cmake --build build-ubsan -j"${JOBS}" --target chaos_test app_test integration_test fs_test \
+  base_test net_test syscall_test ring_syscall_test vc_suite_test
 ./build-ubsan/tests/chaos_test
 ./build-ubsan/tests/app_test
+./build-ubsan/tests/integration_test
 ./build-ubsan/tests/fs_test
 ./build-ubsan/tests/base_test
 ./build-ubsan/tests/net_test

@@ -12,45 +12,13 @@
 
 #include "src/app/anti_entropy.h"
 #include "src/app/blockstore.h"
+#include "src/app/sim_cluster.h"
 #include "src/base/fault.h"
 #include "src/base/rng.h"
-#include "src/kernel/kernel.h"
-#include "src/kernel/syscall.h"
+#include "src/kernel/machine.h"
 
 namespace vnros {
 namespace {
-
-// One simulated machine with a ready-to-use process and Sys facade.
-struct Host {
-  Kernel kernel;
-  SyscallDispatcher disp;
-  Pid pid;
-  Sys sys;
-
-  explicit Host(Network* net, BlockDevice* disk = nullptr, bool recover = false,
-                std::optional<LinkAddr> addr = std::nullopt)
-      : kernel(make_config(net, disk, recover, addr)),
-        disp(kernel),
-        pid(boot_pid(disp)),
-        sys(disp, pid, 0) {}
-
-  static KernelConfig make_config(Network* net, BlockDevice* disk, bool recover,
-                                  std::optional<LinkAddr> addr) {
-    KernelConfig config;
-    config.network = net;
-    config.disk = disk;
-    config.recover_fs = recover;
-    config.link_addr = addr;
-    return config;
-  }
-
-  static Pid boot_pid(SyscallDispatcher& disp) {
-    Sys boot(disp, kInvalidPid, 0);
-    auto pid = boot.spawn();
-    VNROS_CHECK(pid.ok());
-    return pid.value();
-  }
-};
 
 // Advances each host's VTP stack one tick: the stream plane's retransmit,
 // probe and reap timers run here, in every client pump.
@@ -77,7 +45,7 @@ std::string random_key(Rng& rng) {
 
 VcOutcome vc_put_get_roundtrip() {
   Network net;
-  Host host(&net);
+  Machine host({.network = &net});
   BlockStoreNode node(host.sys, 9000);
   if (!node.init().ok()) {
     return VcOutcome::fail("init failed");
@@ -123,8 +91,8 @@ VcOutcome vc_put_get_roundtrip() {
 
 VcOutcome vc_refines_map(u64 seed, FabricConfig fabric, usize ops) {
   Network net(fabric, seed ^ 0xFAB);
-  Host server(&net);
-  Host client_host(&net);
+  Machine server({.network = &net});
+  Machine client_host({.network = &net});
   BlockStoreNode node(server.sys, 9000);
   if (!node.init().ok()) {
     return VcOutcome::fail("server init failed");
@@ -187,7 +155,7 @@ VcOutcome vc_crash_recovery(u64 seed) {
   BlockDevice disk(16384, seed);
   std::map<std::string, std::vector<u8>> acked;
   {
-    Host host(&net, &disk, /*recover=*/false);
+    Machine host({.network = &net, .disk = &disk});
     BlockStoreNode node(host.sys, 9000);
     if (!node.init().ok()) {
       return VcOutcome::fail("init failed");
@@ -206,7 +174,7 @@ VcOutcome vc_crash_recovery(u64 seed) {
   }
   // Reboot: a fresh kernel mounts the same disk with journal recovery.
   Network net2;
-  Host rebooted(&net2, &disk, /*recover=*/true);
+  Machine rebooted({.network = &net2, .disk = &disk, .recover_fs = true});
   BlockStoreNode node(rebooted.sys, 9000);
   if (!node.init().ok()) {
     return VcOutcome::fail("re-init after recovery failed");
@@ -228,7 +196,7 @@ VcOutcome vc_crash_recovery(u64 seed) {
 
 VcOutcome vc_corruption_detected() {
   Network net;
-  Host host(&net);
+  Machine host({.network = &net});
   BlockStoreNode node(host.sys, 9000);
   if (!node.init().ok()) {
     return VcOutcome::fail("init failed");
@@ -270,30 +238,12 @@ VcOutcome vc_corruption_detected() {
 // --- Replication -----------------------------------------------------------------------------
 
 VcOutcome vc_replication_push() {
-  Network net;
-  Host primary_host(&net);
-  Host replica_host(&net);
-  Host client_host(&net);
-
-  BlockStoreNode replica(replica_host.sys, 9001);
-  if (!replica.init().ok()) {
-    return VcOutcome::fail("replica init failed");
-  }
-  BlockStoreNode primary(primary_host.sys, 9000, {}, [&] { replica.serve_once(); });
-  if (!primary.init().ok()) {
-    return VcOutcome::fail("primary init failed");
-  }
-  ClusterView view = ClusterView::of(
-      {BsPeer{primary_host.kernel.net_addr(), 9000}, BsPeer{replica_host.kernel.net_addr(), 9001}},
-      2);
-  primary.configure_cluster({.self = 0}, view);
-  replica.configure_cluster({.self = 1}, view);
-  BlockStoreClient client(
-      client_host.sys, ClusterView::of({{primary_host.kernel.net_addr(), 9000}}, 1), [&] {
-        primary.serve_once();
-        replica.serve_once();
-        tick(primary_host, replica_host, client_host);
-      });
+  SimCluster c(2, 2);
+  BlockStoreNode& primary = c.node(0);
+  BlockStoreNode& replica = c.node(1);
+  Machine client_host({.network = &c.net()});
+  BlockStoreClient client(client_host.sys, ClusterView::of({c.peer(0)}, 1),
+                          [&] { c.pump(client_host); });
 
   // The primary acks the put only after the replica acked its push, so the
   // replica holds the block as soon as the client sees the ack.
@@ -322,7 +272,7 @@ VcOutcome vc_overwrite_then_crash(u64 seed) {
   BlockDevice disk(16384, seed);
   std::vector<u8> v1(200, 0x01), v2(300, 0x02), v3(100, 0x03);
   {
-    Host host(&net, &disk, false);
+    Machine host({.network = &net, .disk = &disk});
     BlockStoreNode node(host.sys, 9000);
     if (!node.init().ok()) {
       return VcOutcome::fail("init failed");
@@ -333,7 +283,7 @@ VcOutcome vc_overwrite_then_crash(u64 seed) {
     disk.crash(0);
   }
   Network net2;
-  Host rebooted(&net2, &disk, true);
+  Machine rebooted({.network = &net2, .disk = &disk, .recover_fs = true});
   BlockStoreNode node(rebooted.sys, 9000);
   if (!node.init().ok()) {
     return VcOutcome::fail("re-init failed");
@@ -348,7 +298,7 @@ VcOutcome vc_overwrite_then_crash(u64 seed) {
 // The abstract view stays exact through heavy mixed churn (local API).
 VcOutcome vc_view_matches_after_churn(u64 seed) {
   Network net;
-  Host host(&net);
+  Machine host({.network = &net});
   BlockStoreNode node(host.sys, 9000);
   if (!node.init().ok()) {
     return VcOutcome::fail("init failed");
@@ -382,8 +332,8 @@ VcOutcome vc_view_matches_after_churn(u64 seed) {
 // its own scheduler, and a second pass pulls nothing.
 VcOutcome vc_anti_entropy_sync(u64 seed) {
   Network net;
-  Host primary_host(&net);
-  Host replica_host(&net);
+  Machine primary_host({.network = &net});
+  Machine replica_host({.network = &net});
   BlockStoreNode primary(primary_host.sys, 9000);  // unconfigured: replicates to no one
   BlockStoreNode replica(replica_host.sys, 9001, {}, [&] { primary.serve_once(); });
   if (!primary.init().ok() || !replica.init().ok()) {
@@ -427,22 +377,10 @@ VcOutcome vc_anti_entropy_sync(u64 seed) {
 // A locally-corrupted block is cured from a replica instead of surfacing
 // kCorrupted to the client: fetch from the peer, verify, re-persist, serve.
 VcOutcome vc_read_repair() {
-  Network net;
-  Host primary_host(&net);
-  Host replica_host(&net);
-  BlockStoreNode replica(replica_host.sys, 9001);
-  if (!replica.init().ok()) {
-    return VcOutcome::fail("replica init failed");
-  }
-  BlockStoreNode primary(primary_host.sys, 9000, {}, [&] { replica.serve_once(); });
-  if (!primary.init().ok()) {
-    return VcOutcome::fail("primary init failed");
-  }
-  ClusterView view = ClusterView::of(
-      {BsPeer{primary_host.kernel.net_addr(), 9000}, BsPeer{replica_host.kernel.net_addr(), 9001}},
-      2);
-  primary.configure_cluster({.self = 0}, view);
-  replica.configure_cluster({.self = 1}, view);
+  SimCluster c(2, 2);
+  BlockStoreNode& primary = c.node(0);
+  BlockStoreNode& replica = c.node(1);
+  Sys& primary_sys = c.machine(0).sys;
 
   std::vector<u8> value(300, 0x42);
   if (!primary.put("blk", value).ok()) {
@@ -453,14 +391,14 @@ VcOutcome vc_read_repair() {
   }
 
   // Rot a payload byte behind the primary's back.
-  auto fd = primary_host.sys.open(BlockStoreNode::key_path("blk"), 0);
+  auto fd = primary_sys.open(BlockStoreNode::key_path("blk"), 0);
   if (!fd.ok()) {
     return VcOutcome::fail("tamper open failed");
   }
-  (void)primary_host.sys.lseek(fd.value(), 100, SeekWhence::kSet);
+  (void)primary_sys.lseek(fd.value(), 100, SeekWhence::kSet);
   std::vector<u8> flip{0x43};
-  (void)primary_host.sys.write(fd.value(), flip);
-  (void)primary_host.sys.close(fd.value());
+  (void)primary_sys.write(fd.value(), flip);
+  (void)primary_sys.close(fd.value());
 
   if (primary.get("blk").error() != ErrorCode::kCorrupted) {
     return VcOutcome::fail("tampered block not detected as corrupt");
@@ -487,39 +425,22 @@ VcOutcome vc_read_repair() {
 // out; that owner coordinates the put and replicates it to the primary over
 // the node-to-node link, which the cut leaves up.
 VcOutcome vc_retry_failover() {
-  Network net;
-  Host h0(&net);
-  Host h1(&net);
-  Host client_host(&net);
-  BlockStoreNode n0(h0.sys, 9000);
-  BlockStoreNode n1(h1.sys, 9000, {}, [&] { n0.serve_once(); });
-  if (!n0.init().ok() || !n1.init().ok()) {
-    return VcOutcome::fail("node init failed");
-  }
-  const ClusterView view =
-      ClusterView::of({BsPeer{h0.kernel.net_addr(), 9000}, BsPeer{h1.kernel.net_addr(), 9000}}, 2);
-  n0.configure_cluster({.self = 0}, view);
-  n1.configure_cluster({.self = 1}, view);
+  SimCluster c(2, 2);
+  Machine client_host({.network = &c.net()});
   RetryPolicy policy;
   policy.max_attempts = 6;
   policy.polls_per_attempt = 16;
   policy.backoff_base_polls = 2;
   policy.backoff_max_polls = 16;
   policy.jitter_ppm = 250'000;
-  BlockStoreClient client(client_host.sys, view,
-                          [&] {
-                            n0.serve_once();
-                            n1.serve_once();
-                            tick(h0, h1, client_host);
-                          },
-                          policy);
-  // A key whose primary is n0, the node the partition cuts off.
+  BlockStoreClient client(client_host.sys, c.view(), [&] { c.pump(client_host); }, policy);
+  // A key whose primary is member 0, the node the partition cuts off.
   std::string key = "k";
-  for (usize i = 0; view.owners(key).front() != 0; ++i) {
+  for (usize i = 0; c.view().owners(key).front() != 0; ++i) {
     key = "k" + std::to_string(i);
   }
 
-  net.partition(client_host.kernel.net_addr(), h0.kernel.net_addr());
+  c.net().partition(client_host.kernel.net_addr(), c.addr(0));
   std::vector<u8> value{9, 9, 9};
   if (!client.put(key, value).ok()) {
     return VcOutcome::fail("put did not fail over around the partition");
@@ -527,12 +448,12 @@ VcOutcome vc_retry_failover() {
   if (client.retry_stats().failovers == 0) {
     return VcOutcome::fail("failover not counted");
   }
-  auto held = n1.get(key);
+  auto held = c.node(1).get(key);
   if (!held.ok() || held.value() != value) {
     return VcOutcome::fail("failover target does not hold the value");
   }
-  net.heal_all();
-  auto got = client.get(key);  // from the primary, which holds n1's replica push
+  c.net().heal_all();
+  auto got = client.get(key);  // from the primary, which holds member 1's replica push
   if (!got.ok() || got.value() != value) {
     return VcOutcome::fail("get after heal failed");
   }
@@ -546,8 +467,8 @@ VcOutcome vc_retry_transient(u64 seed) {
   auto& reg = FaultRegistry::global();
   reg.reseed(seed);
   Network net;
-  Host server_host(&net);
-  Host client_host(&net);
+  Machine server_host({.network = &net});
+  Machine client_host({.network = &net});
   BlockStoreNode node(server_host.sys, 9000);
   if (!node.init().ok()) {
     return VcOutcome::fail("node init failed");
@@ -584,91 +505,6 @@ VcOutcome vc_retry_transient(u64 seed) {
 
 // --- Cluster placement / rebalancing ---------------------------------------------
 
-// N simulated machines, each running a cluster-mode node on its own kernel,
-// sharing one fabric. Node i's pump drains every other active node, the
-// same topology the chaos harness uses, so acked replica pushes complete
-// inside a single caller poll.
-struct MiniCluster {
-  Network net;
-  std::vector<std::unique_ptr<Host>> hosts;
-  std::vector<std::unique_ptr<BlockStoreNode>> nodes;
-  std::vector<bool> active;
-  ClusterView view;
-
-  MiniCluster(usize n, usize replication) {
-    view.replication = replication;
-    for (usize i = 0; i < n; ++i) {
-      add_member();
-    }
-    announce();
-  }
-
-  // Boots a new member and adds it to the shared view. Existing members
-  // keep their old belief on purpose: a join is only complete once they
-  // rebalance() into (or are announce()d) the new view — exactly the diff
-  // rebalance needs to compute which shards move.
-  BsNodeId add_member() {
-    BsNodeId id = static_cast<BsNodeId>(nodes.size());
-    Port port = static_cast<Port>(9100 + id);
-    usize slot = nodes.size();
-    hosts.push_back(std::make_unique<Host>(&net));
-    nodes.push_back(std::make_unique<BlockStoreNode>(hosts[slot]->sys, port,
-                                                    std::vector<BsPeer>{},
-                                                    [this, slot] { pump_except(slot); }));
-    active.push_back(true);
-    VNROS_CHECK(nodes[slot]->init().ok());
-    view.ring.add_node(id);
-    view.directory[id] = BsPeer{hosts[slot]->kernel.net_addr(), port};
-    ClusterConfig cfg;
-    cfg.self = id;
-    nodes[slot]->configure_cluster(cfg, view);
-    return id;
-  }
-
-  // Adopts the current view everywhere without moving data.
-  void announce() {
-    for (usize i = 0; i < nodes.size(); ++i) {
-      if (active[i]) {
-        nodes[i]->set_cluster_view(view);
-      }
-    }
-  }
-
-  void pump_except(usize skip) {
-    for (usize i = 0; i < nodes.size(); ++i) {
-      if (i != skip && active[i]) {
-        nodes[i]->serve_once();
-      }
-    }
-  }
-  void pump_all() { pump_except(nodes.size()); }
-
-  // One poll of a client's world: every active node serves, then every
-  // host's VTP stack — the client's included — advances a tick.
-  void client_pump(Host& client) {
-    pump_all();
-    for (auto& h : hosts) {
-      h->kernel.vtp().tick();
-    }
-    client.kernel.vtp().tick();
-  }
-
-  void drain(usize polls = 64) {
-    for (usize i = 0; i < polls; ++i) {
-      pump_all();
-    }
-  }
-
-  bool is_owner(const std::string& key, BsNodeId id) const {
-    for (BsNodeId o : view.owners(key)) {
-      if (o == id) {
-        return true;
-      }
-    }
-    return false;
-  }
-};
-
 // app/placement_refines: after a seeded op mix against a clean 4-node
 // cluster, (a) every node's belief about the ring (version + fingerprint)
 // matches the coordinator view, (b) every model key is byte-identical on
@@ -676,9 +512,9 @@ struct MiniCluster {
 // needed hinted handoff — on a clean fabric the owner function and the data
 // placement agree exactly.
 VcOutcome vc_placement_refines(u64 seed) {
-  MiniCluster c(4, 2);
-  Host client_host(&c.net);
-  BlockStoreClient client(client_host.sys, c.view, [&] { c.client_pump(client_host); });
+  SimCluster c(4, 2);
+  Machine client_host({.network = &c.net()});
+  BlockStoreClient client(client_host.sys, c.view(), [&] { c.pump(client_host); });
 
   Rng rng(seed);
   std::map<std::string, std::vector<u8>> model;
@@ -699,23 +535,23 @@ VcOutcome vc_placement_refines(u64 seed) {
   }
   c.drain();
 
-  for (usize i = 0; i < c.nodes.size(); ++i) {
-    if (c.nodes[i]->ring_version() != c.view.ring.version() ||
-        c.nodes[i]->ring_fingerprint() != c.view.ring.fingerprint()) {
+  for (usize i = 0; i < c.size(); ++i) {
+    if (c.node(i).ring_version() != c.view().ring.version() ||
+        c.node(i).ring_fingerprint() != c.view().ring.fingerprint()) {
       return VcOutcome::fail("node " + std::to_string(i) + " belief diverged from the view");
     }
-    if (c.nodes[i]->stats().hints_written != 0) {
+    if (c.node(i).stats().hints_written != 0) {
       return VcOutcome::fail("clean fabric should never need hinted handoff");
     }
   }
   for (const auto& [key, value] : model) {
-    auto owners = c.view.owners(key);
+    auto owners = c.view().owners(key);
     if (owners.size() != 2) {
       return VcOutcome::fail("owner set has wrong arity");
     }
-    for (usize i = 0; i < c.nodes.size(); ++i) {
-      auto got = c.nodes[i]->get(key);
-      if (c.is_owner(key, static_cast<BsNodeId>(i))) {
+    for (usize i = 0; i < c.size(); ++i) {
+      auto got = c.node(i).get(key);
+      if (c.is_owner(key, i)) {
         if (!got.ok() || got.value() != value) {
           return VcOutcome::fail("owner " + std::to_string(i) + " missing/divergent for " + key);
         }
@@ -725,8 +561,8 @@ VcOutcome vc_placement_refines(u64 seed) {
     }
   }
   // Deleted keys are gone everywhere (kDelReplica reached every owner).
-  for (usize i = 0; i < c.nodes.size(); ++i) {
-    for (const auto& [key, value] : c.nodes[i]->view()) {
+  for (usize i = 0; i < c.size(); ++i) {
+    for (const auto& [key, value] : c.node(i).view()) {
       if (model.count(key) == 0) {
         return VcOutcome::fail("deleted key survives on node " + std::to_string(i));
       }
@@ -739,9 +575,9 @@ VcOutcome vc_placement_refines(u64 seed) {
 // its current owner set and through the client) across a node join, a
 // graceful leave, and a hinted handoff through a partition.
 VcOutcome vc_rebalance_preserves_durability(u64 seed) {
-  MiniCluster c(3, 2);
-  Host client_host(&c.net);
-  BlockStoreClient client(client_host.sys, c.view, [&] { c.client_pump(client_host); });
+  SimCluster c(3, 2);
+  Machine client_host({.network = &c.net()});
+  BlockStoreClient client(client_host.sys, c.view(), [&] { c.pump(client_host); });
 
   Rng rng(seed);
   std::map<std::string, std::vector<u8>> model;
@@ -756,12 +592,12 @@ VcOutcome vc_rebalance_preserves_durability(u64 seed) {
 
   auto check_placement = [&](const char* phase) -> std::optional<std::string> {
     for (const auto& [key, value] : model) {
-      for (usize i = 0; i < c.nodes.size(); ++i) {
-        if (!c.active[i]) {
+      for (usize i = 0; i < c.size(); ++i) {
+        if (!c.active(i)) {
           continue;
         }
-        if (c.is_owner(key, static_cast<BsNodeId>(i))) {
-          auto got = c.nodes[i]->get(key);
+        if (c.is_owner(key, i)) {
+          auto got = c.node(i).get(key);
           if (!got.ok() || got.value() != value) {
             return std::string(phase) + ": owner " + std::to_string(i) + " lost " + key;
           }
@@ -776,30 +612,30 @@ VcOutcome vc_rebalance_preserves_durability(u64 seed) {
   };
 
   // --- Join: a fourth node enters; everyone rebalances to the new view.
-  BsNodeId joined = c.add_member();
-  for (usize i = 0; i < c.nodes.size(); ++i) {
-    if (static_cast<BsNodeId>(i) == joined) {
+  const usize joined = c.join();
+  for (usize i = 0; i < c.size(); ++i) {
+    if (i == joined) {
       continue;
     }
-    auto st = c.nodes[i]->rebalance(c.view);
+    auto st = c.node(i).rebalance(c.view());
     if (!st.ok() || st.value().failed != 0) {
       return VcOutcome::fail("join rebalance failed on node " + std::to_string(i));
     }
   }
-  client.set_cluster(c.view);
+  client.set_cluster(c.view());
   c.drain();
   if (auto err = check_placement("after join")) {
     return VcOutcome::fail(*err);
   }
   // Shards actually moved onto the joiner (it owns ~replication/n of keys).
-  if (c.nodes[joined]->view().empty()) {
+  if (c.node(joined).view().empty()) {
     return VcOutcome::fail("joiner received no shards");
   }
   // Non-owners released their copies after the acked handoff.
   for (const auto& [key, value] : model) {
-    for (usize i = 0; i < c.nodes.size(); ++i) {
-      if (c.active[i] && !c.is_owner(key, static_cast<BsNodeId>(i)) &&
-          c.nodes[i]->get(key).ok()) {
+    for (usize i = 0; i < c.size(); ++i) {
+      if (c.active(i) && !c.is_owner(key, i) &&
+          c.node(i).get(key).ok()) {
         return VcOutcome::fail("node " + std::to_string(i) + " kept a dropped shard: " + key);
       }
     }
@@ -807,25 +643,21 @@ VcOutcome vc_rebalance_preserves_durability(u64 seed) {
 
   // --- Graceful leave: node 0 hands everything off, aborting if any shard
   // could not be placed (failed > 0 would mean walking off with data).
-  ClusterView candidate = c.view;
-  candidate.ring.remove_node(0);
-  candidate.directory.erase(0);
-  auto leave = c.nodes[0]->rebalance(candidate);
+  auto leave = c.node(0).rebalance(c.without(0));
   if (!leave.ok()) {
     return VcOutcome::fail("leave rebalance errored");
   }
   if (leave.value().failed != 0) {
     return VcOutcome::fail("graceful leave would strand shards; abort path taken");
   }
-  c.view = candidate;
-  c.active[0] = false;
-  for (usize i = 1; i < c.nodes.size(); ++i) {
-    auto st = c.nodes[i]->rebalance(c.view);
+  c.leave(0);
+  for (usize i = 1; i < c.size(); ++i) {
+    auto st = c.node(i).rebalance(c.view());
     if (!st.ok() || st.value().failed != 0) {
       return VcOutcome::fail("post-leave rebalance failed on node " + std::to_string(i));
     }
   }
-  client.set_cluster(c.view);
+  client.set_cluster(c.view());
   c.drain();
   if (auto err = check_placement("after leave")) {
     return VcOutcome::fail(*err);
@@ -834,32 +666,32 @@ VcOutcome vc_rebalance_preserves_durability(u64 seed) {
   // --- Hinted handoff: cut the link between one key's two owners, write
   // through the primary (ack + parked hint), heal, deliver.
   std::string hkey = "hinted-key";
-  auto owners = c.view.owners(hkey);
+  auto owners = c.view().owners(hkey);
   if (owners.size() != 2) {
     return VcOutcome::fail("expected 2 owners for the hint scenario");
   }
   BsNodeId p = owners[0], q = owners[1];
-  c.net.partition(c.hosts[p]->kernel.net_addr(), c.hosts[q]->kernel.net_addr());
+  c.net().partition(c.addr(p), c.addr(q));
   std::vector<u8> hval = random_value(rng, 200);
   if (!client.put(hkey, hval).ok()) {
     return VcOutcome::fail("put through a partitioned owner pair failed");
   }
   model[hkey] = hval;
-  if (c.nodes[p]->stats().hints_written == 0) {
+  if (c.node(p).stats().hints_written == 0) {
     return VcOutcome::fail("partitioned co-owner did not produce a hint");
   }
-  if (c.nodes[q]->get(hkey).ok()) {
+  if (c.node(q).get(hkey).ok()) {
     return VcOutcome::fail("partitioned co-owner mysteriously holds the value");
   }
-  c.net.heal_all();
-  if (c.nodes[p]->deliver_hints() == 0) {
+  c.net().heal_all();
+  if (c.node(p).deliver_hints() == 0) {
     return VcOutcome::fail("hint delivery after heal delivered nothing");
   }
-  auto cured = c.nodes[q]->get(hkey);
+  auto cured = c.node(q).get(hkey);
   if (!cured.ok() || cured.value() != hval) {
     return VcOutcome::fail("co-owner lacks the value after hint delivery");
   }
-  if (c.nodes[p]->stats().hints_delivered == 0) {
+  if (c.node(p).stats().hints_delivered == 0) {
     return VcOutcome::fail("hint delivery not counted");
   }
   if (auto err = check_placement("after heal")) {
@@ -877,9 +709,9 @@ VcOutcome vc_rebalance_preserves_durability(u64 seed) {
 // then reclaims the tombstone on every member, and the deleted bytes never
 // reappear anywhere afterwards.
 VcOutcome vc_tombstone_no_resurrection(u64 seed) {
-  MiniCluster c(2, 2);
-  Host client_host(&c.net);
-  BlockStoreClient client(client_host.sys, c.view, [&] { c.client_pump(client_host); });
+  SimCluster c(2, 2);
+  Machine client_host({.network = &c.net()});
+  BlockStoreClient client(client_host.sys, c.view(), [&] { c.pump(client_host); });
 
   Rng rng(seed);
   std::vector<u8> value = random_value(rng, 300);
@@ -887,18 +719,18 @@ VcOutcome vc_tombstone_no_resurrection(u64 seed) {
     return VcOutcome::fail("seed put failed");
   }
   c.drain();
-  if (!c.nodes[0]->get("doomed").ok() || !c.nodes[1]->get("doomed").ok()) {
+  if (!c.node(0).get("doomed").ok() || !c.node(1).get("doomed").ok()) {
     return VcOutcome::fail("put did not replicate to both owners");
   }
 
   // Partition the owners: the delete acks on the reachable owner and parks
   // a tombstone hint for the unreachable one.
-  c.net.partition(c.hosts[0]->kernel.net_addr(), c.hosts[1]->kernel.net_addr());
+  c.net().partition(c.addr(0), c.addr(1));
   if (!client.del("doomed").ok()) {
     return VcOutcome::fail("del through the partition failed");
   }
   u64 tomb_seq = 0;
-  for (const auto& e : c.nodes[0]->list()) {
+  for (const auto& e : c.node(0).list()) {
     if (e.key == "doomed" && e.tombstone) {
       tomb_seq = e.seq;
     }
@@ -906,45 +738,45 @@ VcOutcome vc_tombstone_no_resurrection(u64 seed) {
   if (tomb_seq == 0) {
     return VcOutcome::fail("delete did not leave a sequenced tombstone");
   }
-  if (c.nodes[0]->get("doomed").error() != ErrorCode::kNotFound) {
+  if (c.node(0).get("doomed").error() != ErrorCode::kNotFound) {
     return VcOutcome::fail("deleting owner still serves the key");
   }
   // The lagging co-owner still holds the doomed bytes — resurrection fuel.
-  auto stale = c.nodes[1]->get("doomed");
+  auto stale = c.node(1).get("doomed");
   if (!stale.ok() || stale.value() != value) {
     return VcOutcome::fail("co-owner unexpectedly lost the pre-delete value");
   }
 
   // Heal and repair through anti-entropy alone: the tombstone travels as a
   // first-class sequenced write and supersedes the stale copy.
-  c.net.heal_all();
-  AntiEntropyScheduler ae(*c.nodes[0]);
-  if (!ae.sync_with(BsPeer{c.hosts[1]->kernel.net_addr(), 9101}).ok()) {
+  c.net().heal_all();
+  AntiEntropyScheduler ae(c.node(0));
+  if (!ae.sync_with(c.peer(1)).ok()) {
     return VcOutcome::fail("anti-entropy pass failed");
   }
   if (ae.stats().pushed == 0) {
     return VcOutcome::fail("anti-entropy did not push the tombstone");
   }
-  if (c.nodes[1]->get("doomed").error() != ErrorCode::kNotFound) {
+  if (c.node(1).get("doomed").error() != ErrorCode::kNotFound) {
     return VcOutcome::fail("tombstone did not supersede the stale copy");
   }
 
   // Acknowledgement-gated GC: the deleting owner certifies every member
   // applied the delete, drops its own superseded hint, reclaims its
   // tombstone, and tells the peer to reclaim too.
-  if (c.nodes[0]->gc_tombstones() == 0) {
+  if (c.node(0).gc_tombstones() == 0) {
     return VcOutcome::fail("gc reclaimed nothing despite full acknowledgement");
   }
-  (void)c.nodes[1]->gc_tombstones();
-  if (c.nodes[0]->stats().tombstones_gced == 0) {
+  (void)c.node(1).gc_tombstones();
+  if (c.node(0).stats().tombstones_gced == 0) {
     return VcOutcome::fail("gc not counted");
   }
   for (usize i = 0; i < 2; ++i) {
-    (void)c.nodes[i]->deliver_hints();  // any surviving hint would replay now
-    if (c.nodes[i]->get("doomed").error() != ErrorCode::kNotFound) {
+    (void)c.node(i).deliver_hints();  // any surviving hint would replay now
+    if (c.node(i).get("doomed").error() != ErrorCode::kNotFound) {
       return VcOutcome::fail("key resurrected on node " + std::to_string(i));
     }
-    for (const auto& e : c.nodes[i]->list()) {
+    for (const auto& e : c.node(i).list()) {
       if (e.key == "doomed") {
         return VcOutcome::fail("tombstone survives GC on node " + std::to_string(i));
       }
@@ -960,8 +792,8 @@ VcOutcome vc_tombstone_no_resurrection(u64 seed) {
 // deleted. A further pass in each direction is a clean root exchange.
 VcOutcome vc_anti_entropy_converges(u64 seed) {
   Network net;
-  Host a_host(&net);
-  Host b_host(&net);
+  Machine a_host({.network = &net});
+  Machine b_host({.network = &net});
   // Each node's pump serves the other: a pass waits for the peer's replies.
   BlockStoreNode* b_ptr = nullptr;
   BlockStoreNode a(a_host.sys, 9000, {}, [&] { b_ptr->serve_once(); });
@@ -1056,40 +888,28 @@ VcOutcome vc_anti_entropy_converges(u64 seed) {
 // --- The stream plane under failure ------------------------------------------------
 
 // One node whose machine can lose power and reboot at the same fabric
-// address (journal recovery on the same disk), plus a client host. pump()
-// is the client's world: the node serves, then both VTP stacks tick.
+// address (journal recovery on the same disk), plus a client machine.
+// pump() is the client's world step.
 struct StreamRig {
-  Network net;
-  BlockDevice disk;
-  std::unique_ptr<Host> server;
-  std::unique_ptr<BlockStoreNode> node;
-  Host client_host;
-  LinkAddr addr;
+  SimCluster cluster;
+  Machine client_host;
 
   explicit StreamRig(u64 seed)
-      : disk(16384, seed),
-        server(std::make_unique<Host>(&net, &disk)),
-        node(std::make_unique<BlockStoreNode>(server->sys, 9000)),
-        client_host(&net),
-        addr(server->kernel.net_addr()) {
-    VNROS_CHECK(node->init().ok());
-  }
+      : cluster(1, 1, {},
+                [seed](usize) {
+                  return SimCluster::MemberSpec{std::make_unique<BlockDevice>(16384, seed), {}};
+                }),
+        client_host({.network = &cluster.net()}) {}
 
-  void pump() {
-    node->serve_once();
-    tick(*server, client_host);
-  }
+  BlockStoreNode& node() { return cluster.node(0); }
+  void pump() { cluster.pump(client_host); }
 
   // Power loss: the kernel, every stream it held and the serving process
   // die; each unflushed sector survives with probability persist_ppm. The
   // machine reboots at the same address and replays its journal.
   bool reboot(u64 persist_ppm) {
-    node.reset();
-    server.reset();
-    disk.crash(persist_ppm);
-    server = std::make_unique<Host>(&net, &disk, /*recover=*/true, addr);
-    node = std::make_unique<BlockStoreNode>(server->sys, 9000);
-    return node->init().ok();
+    cluster.disk(0).crash(persist_ppm);
+    return cluster.reboot(0);
   }
 };
 
@@ -1104,7 +924,7 @@ VcOutcome vc_stream_reconnect_after_reboot(u64 seed) {
   Rng rng(seed);
   bool crash_next_poll = false;
   bool rebooted = false;
-  BlockStoreClient client(rig.client_host.sys, ClusterView::of({{rig.addr, 9000}}, 1), [&] {
+  BlockStoreClient client(rig.client_host.sys, rig.cluster.view(), [&] {
     if (crash_next_poll) {
       crash_next_poll = false;
       rebooted = rig.reboot(rng.next_range(0, 1'000'000));
@@ -1157,17 +977,17 @@ VcOutcome vc_stream_unserved_request_lands_once(u64 seed) {
   bool rebooted = false;
   bool stored_before_crash = false;
   const std::string key = "unserved";
-  BlockStoreClient client(rig.client_host.sys, ClusterView::of({{rig.addr, 9000}}, 1), [&] {
+  BlockStoreClient client(rig.client_host.sys, rig.cluster.view(), [&] {
     if (!starved) {
       rig.pump();
       return;
     }
-    tick(*rig.server, rig.client_host);
+    tick(rig.cluster.machine(0), rig.client_host);
     // On a clean fabric the only segment the node's kernel can send on the
     // idle stream is the ACK of the request bytes.
     if (rig.client_host.kernel.vtp().stats().segments_rx > rx_before) {
       starved = false;
-      stored_before_crash = rig.node->get(key).ok();
+      stored_before_crash = rig.node().get(key).ok();
       rebooted = rig.reboot(rng.next_range(0, 1'000'000));
     }
   });
@@ -1199,13 +1019,13 @@ VcOutcome vc_stream_unserved_request_lands_once(u64 seed) {
   if (client.retry_stats().reconnects == 0) {
     return VcOutcome::fail("the retry did not ride a fresh stream");
   }
-  if (rig.node->stats().puts != 1) {
-    return VcOutcome::fail("the retried put landed " + std::to_string(rig.node->stats().puts) +
+  if (rig.node().stats().puts != 1) {
+    return VcOutcome::fail("the retried put landed " + std::to_string(rig.node().stats().puts) +
                            " times on the rebooted node");
   }
   acked[key] = value;
   for (const auto& [k, v] : acked) {
-    auto got = rig.node->get(k);
+    auto got = rig.node().get(k);
     if (!got.ok() || got.value() != v) {
       return VcOutcome::fail("acked put of " + k + " missing after the reboot");
     }
@@ -1220,8 +1040,8 @@ VcOutcome vc_stream_unserved_request_lands_once(u64 seed) {
 // node must end up holding exactly the model's map.
 VcOutcome vc_stream_partition_heals_mid_stream(u64 seed) {
   Network net;
-  Host server(&net);
-  Host client_host(&net);
+  Machine server({.network = &net});
+  Machine client_host({.network = &net});
   BlockStoreNode node(server.sys, 9000);
   if (!node.init().ok()) {
     return VcOutcome::fail("init failed");

@@ -183,16 +183,6 @@ struct ClusterView {
 // Per-node cluster parameters (fixed at configure_cluster time).
 struct ClusterConfig {
   BsNodeId self = 0;
-  // Total pump-poll budget awaiting each replica ack. Replies arrive as ring
-  // completions (the repair socket keeps one recv SQE parked in the kernel),
-  // so this is a deadline, not a spin count: the push is re-sent once at
-  // half the deadline and abandoned (hinted) when the budget runs out.
-  usize ack_deadline_polls = 192;
-  // Hinted-handoff bound: at most this many hints parked per unreachable
-  // peer. Past the cap the lowest-sequence (oldest) hint for that peer is
-  // dropped (counted in hints_dropped) — anti-entropy remains the backstop
-  // for whatever a dropped hint would have carried.
-  usize max_hints_per_peer = 64;
 };
 
 // Admission control: a token bucket over served storage ops. Tokens are in
@@ -237,6 +227,17 @@ struct BlockStoreStats {
 
 class BlockStoreNode {
  public:
+  // Total pump-poll budget awaiting each replica ack. Replies arrive as ring
+  // completions (the repair socket keeps one recv SQE parked in the kernel),
+  // so this is a deadline, not a spin count: the push is re-sent once at
+  // half the deadline and abandoned (hinted) when the budget runs out.
+  static constexpr usize kAckDeadlinePolls = 192;
+  // Hinted-handoff bound: at most this many hints parked per unreachable
+  // peer. Past the cap the lowest-sequence (oldest) hint for that peer is
+  // dropped (counted in hints_dropped) — anti-entropy remains the backstop
+  // for whatever a dropped hint would have carried.
+  static constexpr usize kMaxHintsPerPeer = 64;
+
   // `sys` is this node's (process's) view of its OS. The node binds `port`.
   // `pump` (optional) advances the simulated world while the node waits for
   // another node's reply inside call_peer: replica pushes, read-repair
@@ -404,7 +405,7 @@ class BlockStoreNode {
   void replicate_del(std::string_view key, u64 seq);
   // A write op (kPutReplica carries `value` and `seq`; kDelReplica and
   // kTombstoneGc carry `seq`) through call_peer, in two windows of half
-  // cluster_.ack_deadline_polls each. kOk only when the peer acked kOk: an
+  // kAckDeadlinePolls each. kOk only when the peer acked kOk: an
   // error reply fails the push at once, as two silent windows do.
   Result<Unit> push_acked(const BsPeer& peer, BsOp op, std::string_view key,
                           std::span<const u8> value, u64 seq);
@@ -451,12 +452,15 @@ class BlockStoreNode {
     std::vector<u8> inbuf;
     std::vector<u8> outbuf;
     bool recv_armed = false;
+    bool serving = false;  // an on_vtp_bytes call is serving its frames
   };
   // Keeps the VTP listener up, one accept SQE parked (kAcceptTag), and one
   // recv SQE parked per accepted connection (kVtpConnTag | slot).
   void ensure_vtp_serve();
   // Consumes newly received stream bytes for `slot`: reassembles frames,
   // runs handle_request on each, frames the replies into outbuf, flushes.
+  // A call nested inside another one's request for the same connection only
+  // appends the bytes; the outer call serves them after its current frame.
   usize on_vtp_bytes(u64 slot, std::span<const u8> bytes);
   void vtp_flush(VtpServeConn& conn);
   void close_vtp_conn(u64 slot);

@@ -645,7 +645,7 @@ Result<Unit> BlockStoreNode::push_acked(const BsPeer& peer, BsOp op, std::string
   // The ack deadline splits into two send windows: one re-send at the half
   // mark cures a dropped datagram (either direction) without a spin knob.
   const PeerRetry retry{.attempts = 2,
-                        .window = std::max<usize>(1, cluster_.ack_deadline_polls / 2)};
+                        .window = kAckDeadlinePolls / 2};
   auto reply = call_peer(peer, op, key, body.bytes(), retry);
   if (!reply.ok()) {
     return reply.error();
@@ -716,7 +716,7 @@ bool BlockStoreNode::reserve_hint_slot(BsNodeId owner, std::string_view key, u64
       min_path = path;
     }
   }
-  if (count < cluster_.max_hints_per_peer) {
+  if (count < kMaxHintsPerPeer) {
     return true;
   }
   c_hints_dropped_.inc();
@@ -1173,14 +1173,23 @@ usize BlockStoreNode::on_vtp_bytes(u64 slot, std::span<const u8> bytes) {
   if (it == vtp_conns_.end()) {
     return 0;
   }
-  VtpServeConn& conn = it->second;
-  conn.inbuf.insert(conn.inbuf.end(), bytes.begin(), bytes.end());
+  it->second.inbuf.insert(it->second.inbuf.end(), bytes.begin(), bytes.end());
+  // A request can wait on a peer, and the peer's pump can run this node's
+  // serve loop nested: a nested pass that reaps more of this stream only
+  // appends, and the outermost pass serves every frame once, in order.
+  if (it->second.serving) {
+    return 0;
+  }
+  it->second.serving = true;
   // Reassemble [u32 len][body] frames off the stream; each complete body is
   // one request, its reply framed back onto the same stream.
   usize served = 0;
-  usize off = 0;
-  while (conn.inbuf.size() - off >= 4) {
-    Reader fr(std::span<const u8>(conn.inbuf.data() + off, 4));
+  for (;;) {
+    VtpServeConn& conn = it->second;
+    if (conn.inbuf.size() < 4) {
+      break;
+    }
+    Reader fr(std::span<const u8>(conn.inbuf.data(), 4));
     u32 len = fr.get_u32().value_or(0);
     if (len > kVtpConnBufMax) {
       // No client sends a frame this large (start() refuses one); buffering
@@ -1188,22 +1197,29 @@ usize BlockStoreNode::on_vtp_bytes(u64 slot, std::span<const u8> bytes) {
       close_vtp_conn(slot);
       return served;
     }
-    if (conn.inbuf.size() - off - 4 < len) {
+    if (conn.inbuf.size() - 4 < len) {
       break;  // incomplete frame: wait for more stream bytes
     }
-    auto reply =
-        handle_request(BsPlane::kClient, std::span<const u8>(conn.inbuf.data() + off + 4, len));
-    off += 4 + len;
+    // The frame leaves the buffer before it is served, so a nested pass
+    // never sees it again.
+    const std::vector<u8> frame(conn.inbuf.begin() + 4, conn.inbuf.begin() + 4 + len);
+    conn.inbuf.erase(conn.inbuf.begin(), conn.inbuf.begin() + 4 + len);
+    auto reply = handle_request(BsPlane::kClient, frame);
     ++served;
+    it = vtp_conns_.find(slot);  // a nested pass may have closed the stream
+    if (it == vtp_conns_.end()) {
+      return served;
+    }
     if (reply) {
       Writer fw;
       fw.put_u32(static_cast<u32>(reply->size()));
-      conn.outbuf.insert(conn.outbuf.end(), fw.bytes().begin(), fw.bytes().end());
-      conn.outbuf.insert(conn.outbuf.end(), reply->begin(), reply->end());
+      VtpServeConn& out = it->second;
+      out.outbuf.insert(out.outbuf.end(), fw.bytes().begin(), fw.bytes().end());
+      out.outbuf.insert(out.outbuf.end(), reply->begin(), reply->end());
     }
   }
-  conn.inbuf.erase(conn.inbuf.begin(),
-                   conn.inbuf.begin() + static_cast<std::ptrdiff_t>(off));
+  VtpServeConn& conn = it->second;
+  conn.serving = false;
   vtp_flush(conn);
   if (conn.fd != kInvalidFd && conn.outbuf.size() > kVtpConnBufMax) {
     close_vtp_conn(slot);  // slow consumer: bounded memory beats unbounded queue

@@ -5,59 +5,32 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <ostream>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "src/app/anti_entropy.h"
 #include "src/app/blockstore.h"
+#include "src/app/sim_cluster.h"
 #include "src/base/contracts.h"
 #include "src/base/fault.h"
 #include "src/base/log.h"
 #include "src/base/rng.h"
 #include "src/hw/block_device.h"
 #include "src/hw/network.h"
-#include "src/kernel/kernel.h"
-#include "src/kernel/syscall.h"
+#include "src/kernel/machine.h"
 #include "src/obs/registry.h"
 
 namespace vnros {
 namespace {
 
-constexpr Port kPort = 9000;
 constexpr u64 kDiskSectors = 16384;
 
-// One simulated machine with a ready-to-use process and Sys facade (the
-// app_vcs Host pattern, extended with the reboot knobs).
-struct ChaosHost {
-  Kernel kernel;
-  SyscallDispatcher disp;
-  Pid pid;
-  Sys sys;
-
-  ChaosHost(Network* net, BlockDevice* disk, bool recover, std::optional<LinkAddr> addr)
-      : kernel(make_config(net, disk, recover, addr)),
-        disp(kernel),
-        pid(boot_pid(disp)),
-        sys(disp, pid, 0) {}
-
-  static KernelConfig make_config(Network* net, BlockDevice* disk, bool recover,
-                                  std::optional<LinkAddr> addr) {
-    KernelConfig config;
-    config.network = net;
-    config.disk = disk;
-    config.recover_fs = recover;
-    config.link_addr = addr;
-    config.format_on_recovery_failure = recover;
-    return config;
-  }
-
-  static Pid boot_pid(SyscallDispatcher& disp) {
-    Sys boot(disp, kInvalidPid, 0);
-    auto pid = boot.spawn();
-    VNROS_CHECK(pid.ok());
-    return pid.value();
-  }
-};
+// Member i's fault sites: its disk's under "chaos/disk<i>" and its node's
+// serve_delay under "chaos/node<i>".
+std::string disk_prefix(usize i) { return "chaos/disk" + std::to_string(i); }
+std::string node_prefix(usize i) { return "chaos/node" + std::to_string(i); }
 
 // What the client knows about one key: every write it attempted (acked or
 // not — the put bytes are the universe of non-garbage values), and the
@@ -161,46 +134,21 @@ class ChaosRunner {
   }
 
  private:
-  struct NodeSlot {
-    std::unique_ptr<BlockDevice> disk;
-    std::unique_ptr<ChaosHost> host;
-    std::unique_ptr<BlockStoreNode> node;
-    std::unique_ptr<AntiEntropyScheduler> ae;  // Merkle repair: re-image bootstrap,
-                                               // and background passes in heal mode
-    LinkAddr addr = 0;
-    BsNodeId id = 0;
-    bool active = true;  // false once the member gracefully left (slots are
-                         // never reused, so id == slot index forever)
-    std::string fault_prefix;
-    std::string node_prefix;  // serve_delay latency-injection site prefix
-  };
-
-  void boot_slot_machine(usize i) {
-    auto& slot = slots_[i];
-    slot.id = static_cast<BsNodeId>(i);
-    slot.active = true;
-    slot.fault_prefix = "chaos/disk" + std::to_string(i);
-    slot.node_prefix = "chaos/node" + std::to_string(i);
-    slot.disk = std::make_unique<BlockDevice>(kDiskSectors, cfg_.seed * 1000003ull + i,
-                                              slot.fault_prefix);
-    slot.host = std::make_unique<ChaosHost>(&net_, slot.disk.get(), /*recover=*/false,
-                                            std::nullopt);
-    slot.addr = slot.host->kernel.net_addr();
-  }
-
+  // The cluster: member i boots on its own seeded disk, with its fault
+  // sites under disk_prefix(i) and node_prefix(i), and the client machine
+  // joins the fabric last. Every client poll is one rig world step.
   void boot_cluster() {
-    slots_.resize(cfg_.nodes);
-    std::vector<BsPeer> members;
+    const u64 seed = cfg_.seed;
+    rig_ = std::make_unique<SimCluster>(
+        cfg_.nodes, std::min(cfg_.replication, cfg_.nodes), FabricConfig{}, [seed](usize i) {
+          return SimCluster::MemberSpec{
+              std::make_unique<BlockDevice>(kDiskSectors, seed * 1000003ull + i, disk_prefix(i)),
+              node_prefix(i)};
+        });
     for (usize i = 0; i < cfg_.nodes; ++i) {
-      boot_slot_machine(i);
-      members.push_back(BsPeer{slots_[i].addr, kPort});
+      equip(i);
     }
-    view_ = ClusterView::of(members, std::min(cfg_.replication, cfg_.nodes));
-    for (usize i = 0; i < cfg_.nodes; ++i) {
-      make_node(i);
-    }
-    client_host_ = std::make_unique<ChaosHost>(&net_, nullptr, /*recover=*/false, std::nullopt);
-    client_addr_ = client_host_->kernel.net_addr();
+    client_host_ = std::make_unique<Machine>(KernelConfig{.network = &rig_->net()});
 
     RetryPolicy policy;
     policy.max_attempts = 6;
@@ -209,98 +157,72 @@ class ChaosRunner {
     policy.backoff_max_polls = 64;
     policy.jitter_ppm = 250'000;
     policy.deadline_polls = 2'000;
-    client_ = std::make_unique<BlockStoreClient>(client_host_->sys, view_,
-                                                 [this] { pump_all(); }, policy);
+    client_ = std::make_unique<BlockStoreClient>(client_host_->sys, rig_->view(),
+                                                 [this] { pump(); }, policy);
   }
 
-  void make_node(usize i) {
-    auto& slot = slots_[i];
-    slot.node = std::make_unique<BlockStoreNode>(slot.host->sys, kPort, std::vector<BsPeer>{},
-                                                 [this, i] { pump_except(i); }, slot.node_prefix);
-    // A node booting mid-schedule can absorb a pending one-shot fault (e.g.
-    // global syscall io_error) on its very first syscall. Boot is retried
-    // like an operator would: one-shots are consumed by the failed attempt,
-    // so a bounded number of retries either boots or proves the fault
-    // persistent (which no schedule arms).
-    Result<Unit> booted = ErrorCode::kIoError;
-    for (int attempt = 0; attempt < 3 && !(booted = slot.node->init()).ok(); ++attempt) {
-      VNROS_LOG_DEBUG("chaos", "node %zu init attempt failed: %s", i,
-                      error_name(booted.error()));
-    }
-    VNROS_CHECK(booted.ok());
-    ClusterConfig cc;
-    cc.self = slot.id;
-    slot.node->configure_cluster(cc, view_);
+  // Equips a freshly booted member: its admission bucket and its Merkle
+  // repair scheduler.
+  void equip(usize i) {
+    BlockStoreNode& node = rig_->node(i);
     if (cfg_.admission_rate_ppm > 0) {
       AdmissionConfig ac;
       ac.enabled = true;
       ac.burst_ops = cfg_.admission_burst;
-      slot.node->set_admission(ac);
-      slot.node->grant_tokens(cfg_.admission_burst * 1'000'000);  // boot with a full bucket
+      node.set_admission(ac);
+      node.grant_tokens(cfg_.admission_burst * 1'000'000);  // boot with a full bucket
     }
     // Merkle repair. Heal mode ticks it once per schedule step, so a peer
     // gets a background pass every ~64-96 steps; every preset uses it to
     // re-image a wiped disk over the wire. The seed is a pure function of
-    // the run seed and the slot, so a rebooted incarnation re-derives the
+    // the run seed and the member, so a rebooted incarnation re-derives the
     // same repair schedule and the whole run stays seed-replayable. Its
     // RPCs are the node's peer calls, waiting on the node's pump.
     AntiEntropyConfig ae;
     ae.interval_polls = 64;
     ae.jitter_polls = 32;
     ae.rng_seed = cfg_.seed ^ (0xAE00'0000ull + static_cast<u64>(i) * 0x9E37ull);
-    slot.ae = std::make_unique<AntiEntropyScheduler>(*slot.node, ae);
+    ae_.resize(rig_->size());
+    ae_[i] = std::make_unique<AntiEntropyScheduler>(node, ae);
   }
+
+  // The client's world step (SimCluster::pump).
+  void pump() { rig_->pump(*client_host_); }
 
   usize active_count() const {
     usize n = 0;
-    for (const auto& slot : slots_) {
-      if (slot.active) {
+    for (usize i = 0; i < rig_->size(); ++i) {
+      if (rig_->active(i)) {
         ++n;
       }
     }
     return n;
   }
 
-  // Picks a uniformly random active slot. Without membership events every
-  // slot is active forever, so this draws exactly the stream the fixed seed
-  // matrix was recorded against.
+  // Picks a uniformly random active member. Without membership events every
+  // member is active forever, so this draws exactly the stream the fixed
+  // seed matrix was recorded against.
   usize pick_active() {
     std::vector<usize> idx;
-    for (usize i = 0; i < slots_.size(); ++i) {
-      if (slots_[i].active) {
+    for (usize i = 0; i < rig_->size(); ++i) {
+      if (rig_->active(i)) {
         idx.push_back(i);
       }
     }
     return idx[sched_rng_.next_below(idx.size())];
   }
 
-  // The client's pump: every node serves, then every host's VTP stack —
-  // the client's included — advances one tick (retransmits, window probes,
-  // reaping). Node-to-node waits use pump_except: datagrams need no tick.
-  void pump_all() {
-    net_.release_held();
-    for (auto& slot : slots_) {
-      if (slot.node) {
-        slot.node->serve_once();
+  // The fabric addresses a cut or a flap storm may pick: every active
+  // member's, then the client's.
+  std::vector<LinkAddr> cut_ends() const {
+    std::vector<LinkAddr> ends;
+    for (usize i = 0; i < rig_->size(); ++i) {
+      if (rig_->active(i)) {
+        ends.push_back(rig_->addr(i));
       }
     }
-    for (auto& slot : slots_) {
-      if (slot.host) {
-        slot.host->kernel.vtp().tick();
-      }
-    }
-    if (client_host_) {
-      client_host_->kernel.vtp().tick();
-    }
-  }
-
-  void pump_except(usize skip) {
-    net_.release_held();
-    for (usize j = 0; j < slots_.size(); ++j) {
-      if (j != skip && slots_[j].node) {
-        slots_[j].node->serve_once();
-      }
-    }
+    ends.push_back(client_host_->kernel.net_addr());
+    return ends;
   }
 
   // --- Adversarial events ---------------------------------------------------
@@ -311,9 +233,9 @@ class ChaosRunner {
       // The admission clock: one tick of tokens per schedule step. Ops that
       // outrun the rate are shed with kOverloaded and absorbed by the
       // client's backpressure ladder (or fail, leaving the key uncertain).
-      for (auto& slot : slots_) {
-        if (slot.active && slot.node) {
-          slot.node->grant_tokens(cfg_.admission_rate_ppm);
+      for (usize i = 0; i < rig_->size(); ++i) {
+        if (rig_->active(i)) {
+          rig_->node(i).grant_tokens(cfg_.admission_rate_ppm);
         }
       }
     }
@@ -325,24 +247,18 @@ class ChaosRunner {
     }
     if (sched_rng_.chance_ppm(cfg_.partition_ppm)) {
       // Cut a random pair among {active nodes, client}.
-      std::vector<LinkAddr> ends;
-      for (const auto& slot : slots_) {
-        if (slot.active) {
-          ends.push_back(slot.addr);
-        }
-      }
-      ends.push_back(client_addr_);
+      std::vector<LinkAddr> ends = cut_ends();
       LinkAddr a = ends[sched_rng_.next_below(ends.size())];
       LinkAddr b = ends[sched_rng_.next_below(ends.size())];
-      if (a != b && !net_.partitioned(a, b)) {
-        net_.partition(a, b);
+      if (a != b && !rig_->net().partitioned(a, b)) {
+        rig_->net().partition(a, b);
         cuts_.push_back({a, b});
         ++report_.partitions;
       }
     }
     if (!cuts_.empty() && sched_rng_.chance_ppm(cfg_.heal_ppm)) {
       usize idx = sched_rng_.next_below(cuts_.size());
-      net_.heal(cuts_[idx].first, cuts_[idx].second);
+      rig_->net().heal(cuts_[idx].first, cuts_[idx].second);
       cuts_.erase(cuts_.begin() + static_cast<isize>(idx));
       ++report_.heals;
     }
@@ -350,14 +266,13 @@ class ChaosRunner {
     one_shot.probability_ppm = 1'000'000;
     one_shot.one_shot = true;
     if (sched_rng_.chance_ppm(cfg_.disk_fault_ppm)) {
-      const auto& slot = slots_[pick_active()];
+      const usize i = pick_active();
       const char* kind = sched_rng_.chance_ppm(500'000) ? "/write_error" : "/read_error";
-      reg.arm(slot.fault_prefix + kind, one_shot);
+      reg.arm(disk_prefix(i) + kind, one_shot);
       ++report_.faults_armed;
     }
     if (sched_rng_.chance_ppm(cfg_.torn_write_ppm)) {
-      const auto& slot = slots_[pick_active()];
-      reg.arm(slot.fault_prefix + "/torn_write", one_shot);
+      reg.arm(disk_prefix(pick_active()) + "/torn_write", one_shot);
       ++report_.faults_armed;
     }
     if (sched_rng_.chance_ppm(cfg_.syscall_fault_ppm)) {
@@ -394,21 +309,21 @@ class ChaosRunner {
     // Membership and stall events next, each gated on its own ppm *before*
     // touching the schedule Rng, so a preset that leaves them at 0 (legacy)
     // draws no schedule numbers for them.
-    if (cfg_.join_ppm > 0 && slots_.size() < cfg_.max_nodes &&
+    if (cfg_.join_ppm > 0 && rig_->size() < cfg_.max_nodes &&
         sched_rng_.chance_ppm(cfg_.join_ppm)) {
       join_node(step);
     }
-    if (cfg_.leave_ppm > 0 && active_count() > std::max<usize>(2, view_.replication) &&
+    if (cfg_.leave_ppm > 0 && active_count() > std::max<usize>(2, rig_->view().replication) &&
         sched_rng_.chance_ppm(cfg_.leave_ppm)) {
       leave_node(step);
     }
     if (cfg_.delay_ppm > 0 && sched_rng_.chance_ppm(cfg_.delay_ppm)) {
-      const auto& slot = slots_[pick_active()];
+      const usize i = pick_active();
       FaultSpec stall;
       stall.probability_ppm = 1'000'000;
       stall.one_shot = true;
       stall.delay = sched_rng_.next_range(8, cfg_.delay_polls_max);
-      reg.arm(slot.node_prefix + "/serve_delay", stall);
+      reg.arm(node_prefix(i) + "/serve_delay", stall);
       ++report_.faults_armed;
       ++report_.delays_armed;
     }
@@ -418,12 +333,12 @@ class ChaosRunner {
       // Silent media decay: the next read of some sector returns flipped
       // bytes with no I/O error. Only the block CRC stands between this and
       // serving garbage.
-      const auto& slot = slots_[pick_active()];
+      const usize i = pick_active();
       FaultSpec rot;
       rot.probability_ppm = 1'000'000;
       rot.one_shot = true;
       rot.corrupt_bytes = sched_rng_.next_range(1, cfg_.bit_rot_bytes_max);
-      reg.arm(slot.fault_prefix + "/bit_rot", rot);
+      reg.arm(disk_prefix(i) + "/bit_rot", rot);
       ++report_.faults_armed;
     }
     if (cfg_.heal) {
@@ -435,9 +350,9 @@ class ChaosRunner {
         start_slow_spell(step);
       }
       expire_slow_spells(step);
-      for (auto& slot : slots_) {
-        if (slot.active && slot.ae) {
-          slot.ae->tick();
+      for (usize i = 0; i < rig_->size(); ++i) {
+        if (rig_->active(i) && ae_[i]) {
+          ae_[i]->tick();
         }
       }
     }
@@ -447,13 +362,7 @@ class ChaosRunner {
   // until its toggle budget runs out — the pathological case for repair
   // protocols that assume a partition is either up or down for a while.
   void start_flap() {
-    std::vector<LinkAddr> ends;
-    for (const auto& slot : slots_) {
-      if (slot.active) {
-        ends.push_back(slot.addr);
-      }
-    }
-    ends.push_back(client_addr_);
+    std::vector<LinkAddr> ends = cut_ends();
     LinkAddr a = ends[sched_rng_.next_below(ends.size())];
     LinkAddr b = ends[sched_rng_.next_below(ends.size())];
     usize toggles = sched_rng_.next_range(2, cfg_.flap_toggles_max);
@@ -467,15 +376,15 @@ class ChaosRunner {
   void advance_flaps() {
     for (auto it = flaps_.begin(); it != flaps_.end();) {
       if (it->cut) {
-        net_.heal(it->a, it->b);
+        rig_->net().heal(it->a, it->b);
         it->cut = false;
       } else {
-        net_.partition(it->a, it->b);
+        rig_->net().partition(it->a, it->b);
         it->cut = true;
       }
       if (--it->toggles_left == 0) {
         if (it->cut) {
-          net_.heal(it->a, it->b);
+          rig_->net().heal(it->a, it->b);
         }
         it = flaps_.erase(it);
       } else {
@@ -494,7 +403,7 @@ class ChaosRunner {
     spell.probability_ppm = 1'000'000;
     spell.one_shot = false;
     spell.delay = cfg_.slow_peer_polls;
-    FaultRegistry::global().arm(slots_[i].node_prefix + "/serve_delay", spell);
+    FaultRegistry::global().arm(node_prefix(i) + "/serve_delay", spell);
     slow_until_[i] = step + len;
     ++report_.slow_spells;
     ++report_.faults_armed;
@@ -502,8 +411,8 @@ class ChaosRunner {
 
   void expire_slow_spells(usize step) {
     for (auto it = slow_until_.begin(); it != slow_until_.end();) {
-      if (step >= it->second || !slots_[it->first].active) {
-        FaultRegistry::global().disarm(slots_[it->first].node_prefix + "/serve_delay");
+      if (step >= it->second || !rig_->active(it->first)) {
+        FaultRegistry::global().disarm(node_prefix(it->first) + "/serve_delay");
         it = slow_until_.erase(it);
       } else {
         ++it;
@@ -516,19 +425,14 @@ class ChaosRunner {
   // shards whose owner set now includes the joiner (in-flight client ops keep
   // pumping underneath via the nodes' pump callbacks).
   void join_node(usize step) {
-    usize i = slots_.size();
-    slots_.emplace_back();
-    boot_slot_machine(i);
-    auto& slot = slots_[i];
-    view_.ring.add_node(slot.id);
-    view_.directory[slot.id] = BsPeer{slot.addr, kPort};
-    make_node(i);  // configures the joiner with the grown view
-    for (usize j = 0; j < slots_.size(); ++j) {
-      if (j != i && slots_[j].active && slots_[j].node) {
-        rebalance_slot(j, step);
+    const usize i = rig_->join();  // the joiner boots into the grown view
+    equip(i);
+    for (usize j = 0; j < rig_->size(); ++j) {
+      if (j != i && rig_->active(j)) {
+        rebalance_member(j, step);
       }
     }
-    client_->set_cluster(view_);
+    client_->set_cluster(rig_->view());
     ++report_.joins;
     VNROS_LOG_DEBUG("chaos", "node %zu joined at step %zu", i, step);
   }
@@ -540,33 +444,26 @@ class ChaosRunner {
   // last intact copy.
   void leave_node(usize step) {
     usize i = pick_active();
-    auto& slot = slots_[i];
-    ClusterView candidate = view_;
-    candidate.ring.remove_node(slot.id);
-    candidate.directory.erase(slot.id);
-    auto moved = slot.node->rebalance(candidate);
+    auto moved = rig_->node(i).rebalance(rig_->without(i));
     if (!moved.ok() || moved.value().failed > 0) {
-      slot.node->set_cluster_view(view_);  // restore membership belief
+      rig_->node(i).set_cluster_view(rig_->view());  // restore membership belief
       ++report_.aborted_leaves;
       VNROS_LOG_DEBUG("chaos", "node %zu leave aborted at step %zu", i, step);
       return;
     }
-    view_ = candidate;
-    harvest_node_stats(slot);
-    harvest_ae_stats(slot);
+    harvest_node_stats(i);
+    harvest_ae_stats(i);
     auto& reg = FaultRegistry::global();
-    reg.disarm_prefix(slot.fault_prefix);
-    reg.disarm(slot.node_prefix + "/serve_delay");
-    slot.ae.reset();
-    slot.node.reset();
-    slot.host.reset();
-    slot.active = false;
-    for (usize j = 0; j < slots_.size(); ++j) {
-      if (slots_[j].active && slots_[j].node) {
-        rebalance_slot(j, step);
+    reg.disarm_prefix(disk_prefix(i));
+    reg.disarm(node_prefix(i) + "/serve_delay");
+    ae_[i].reset();
+    rig_->leave(i);
+    for (usize j = 0; j < rig_->size(); ++j) {
+      if (rig_->active(j)) {
+        rebalance_member(j, step);
       }
     }
-    client_->set_cluster(view_);
+    client_->set_cluster(rig_->view());
     ++report_.leaves;
     VNROS_LOG_DEBUG("chaos", "node %zu left at step %zu", i, step);
   }
@@ -575,8 +472,8 @@ class ChaosRunner {
   // Errors (an injected fault mid-rebalance) are survivable: the member has
   // adopted the view and keeps any block it failed to move, so the next
   // quiesce still finds every acked byte somewhere.
-  void rebalance_slot(usize j, usize step) {
-    auto st = slots_[j].node->rebalance(view_);
+  void rebalance_member(usize j, usize step) {
+    auto st = rig_->node(j).rebalance(rig_->view());
     if (!st.ok()) {
       VNROS_LOG_DEBUG("chaos", "node %zu rebalance error at step %zu: %s", j, step,
                       error_name(st.error()));
@@ -585,7 +482,6 @@ class ChaosRunner {
 
   void crash_node(usize i, usize step) {
     auto& reg = FaultRegistry::global();
-    auto& slot = slots_[i];
     ++report_.crashes;
 
     // Global (per-process) sites are always quiesced across a reboot; the
@@ -597,29 +493,21 @@ class ChaosRunner {
     reg.disarm("frame_alloc/oom");
     const bool dirty_reboot = sched_rng_.chance_ppm(300'000);
     if (!dirty_reboot) {
-      reg.disarm_prefix(slot.fault_prefix);
+      reg.disarm_prefix(disk_prefix(i));
     }
     // A crash kills the (possibly stalled) serving process; its armed
     // serve_delay dies with it.
-    reg.disarm(slot.node_prefix + "/serve_delay");
+    reg.disarm(node_prefix(i) + "/serve_delay");
 
-    harvest_node_stats(slot);
-    harvest_ae_stats(slot);
-    slot.ae.reset();
-    slot.node.reset();
-    slot.host.reset();
-    slot.disk->crash(cfg_.persist_ppm, cfg_.torn_crash_ppm);
-
-    // Probe recovery first so the runner knows whether the kernel's
-    // format-on-failure fallback will engage (the probe is idempotent:
-    // recover() re-checkpoints, so running it twice recovers the same state).
-    const bool recoverable = [&] {
-      auto probe = MemFs::recover(*slot.disk);
-      return probe.ok();
-    }();
-
-    slot.host = std::make_unique<ChaosHost>(&net_, slot.disk.get(), /*recover=*/true, slot.addr);
-    make_node(i);
+    harvest_node_stats(i);
+    harvest_ae_stats(i);
+    ae_[i].reset();
+    // Power loss: unflushed sectors survive (or tear) by the crash dice,
+    // then the member reboots at its address; an unrecoverable journal is
+    // re-formatted by the kernel's fallback.
+    rig_->disk(i).crash(cfg_.persist_ppm, cfg_.torn_crash_ppm);
+    const bool recoverable = rig_->reboot(i);
+    equip(i);
 
     if (!recoverable) {
       ++report_.reimages;
@@ -636,24 +524,24 @@ class ChaosRunner {
   // background scheduler and the quiesce convergence loop finish it; the
   // durability check needs only one intact copy).
   void merkle_bootstrap(usize i) {
-    if (!sync_with_peers(slots_[i])) {
-      (void)sync_with_peers(slots_[i]);  // a second round, as far as the fabric allows
+    if (!sync_with_peers(i)) {
+      (void)sync_with_peers(i);  // a second round, as far as the fabric allows
     }
   }
 
-  // One Merkle pass from `slot` against every other live member, each peer's
-  // admission bucket refilled first (repair here is not an overload test).
-  // Returns whether every pass found matching roots.
-  bool sync_with_peers(NodeSlot& slot) {
+  // One Merkle pass from member i against every other live member, each
+  // peer's admission bucket refilled first (repair here is not an overload
+  // test). Returns whether every pass found matching roots.
+  bool sync_with_peers(usize i) {
     bool all_clean = true;
-    for (auto& peer : slots_) {
-      if (&peer == &slot || !peer.active || !peer.node) {
+    for (usize j = 0; j < rig_->size(); ++j) {
+      if (j == i || !rig_->active(j)) {
         continue;
       }
-      peer.node->grant_tokens(64 * 1'000'000);
-      const u64 clean_before = slot.ae->stats().clean_passes;
-      (void)slot.ae->sync_with(BsPeer{peer.addr, kPort});
-      if (slot.ae->stats().clean_passes != clean_before + 1) {
+      rig_->node(j).grant_tokens(64 * 1'000'000);
+      const u64 clean_before = ae_[i]->stats().clean_passes;
+      (void)ae_[i]->sync_with(rig_->peer(j));
+      if (ae_[i]->stats().clean_passes != clean_before + 1) {
         all_clean = false;
       }
     }
@@ -671,12 +559,12 @@ class ChaosRunner {
   void downgrade_lost_keys() {
     std::vector<std::map<std::string, std::vector<u8>>> views;
     std::map<std::string, u64> best;  // highest surviving stamp per key
-    for (const auto& slot : slots_) {
-      if (!slot.node) {
+    for (usize i = 0; i < rig_->size(); ++i) {
+      if (!rig_->active(i)) {
         continue;
       }
-      views.push_back(slot.node->view());
-      for (const auto& e : slot.node->list()) {
+      views.push_back(rig_->node(i).view());
+      for (const auto& e : rig_->node(i).list()) {
         best[e.key] = std::max(best[e.key], e.seq);
       }
     }
@@ -788,25 +676,25 @@ class ChaosRunner {
 
   void quiesce_and_check(usize step) {
     FaultRegistry::global().disarm_all();
-    net_.heal_all();
+    rig_->net().heal_all();
     cuts_.clear();
     flaps_.clear();        // heal_all() flattened the storms
     slow_until_.clear();   // disarm_all() ended the spells
     for (int i = 0; i < 256; ++i) {
-      pump_all();  // drain every in-flight datagram through the servers
+      pump();  // drain every in-flight datagram through the servers
     }
     // Hinted-handoff convergence: with the fabric healed, a few delivery
     // passes must land every parked hint whose owner is still a member.
     // Quiesce is not an overload test, so refill admission buckets first.
     for (int round = 0; round < 4; ++round) {
-      for (auto& slot : slots_) {
-        if (slot.active && slot.node) {
-          slot.node->grant_tokens(64 * 1'000'000);
-          (void)slot.node->deliver_hints();
+      for (usize i = 0; i < rig_->size(); ++i) {
+        if (rig_->active(i)) {
+          rig_->node(i).grant_tokens(64 * 1'000'000);
+          (void)rig_->node(i).deliver_hints();
         }
       }
       for (int i = 0; i < 32; ++i) {
-        pump_all();
+        pump();
       }
     }
     if (cfg_.heal) {
@@ -832,9 +720,9 @@ class ChaosRunner {
     }
 
     std::vector<std::map<std::string, std::vector<u8>>> views;
-    for (const auto& slot : slots_) {
-      if (slot.node) {
-        views.push_back(slot.node->view());
+    for (usize i = 0; i < rig_->size(); ++i) {
+      if (rig_->active(i)) {
+        views.push_back(rig_->node(i).view());
       }
     }
     for (usize j = 0; j < views.size(); ++j) {
@@ -848,13 +736,13 @@ class ChaosRunner {
     }
     for (const auto& [key, h] : histories_) {
       if (h.certain && !held(views, key, *h.certain)) {
-        for (usize j = 0; j < slots_.size(); ++j) {
-          if (!slots_[j].node) {
-            VNROS_LOG_DEBUG("chaos", "  slot %zu: departed", j);
+        for (usize j = 0; j < rig_->size(); ++j) {
+          if (!rig_->active(j)) {
+            VNROS_LOG_DEBUG("chaos", "  member %zu: departed", j);
             continue;
           }
-          auto local = slots_[j].node->get(key);
-          VNROS_LOG_DEBUG("chaos", "  slot %zu: get(%s) -> %s", j, key.c_str(),
+          auto local = rig_->node(j).get(key);
+          VNROS_LOG_DEBUG("chaos", "  member %zu: get(%s) -> %s", j, key.c_str(),
                           local.ok() ? "stale bytes" : error_name(local.error()));
         }
         fail(step, "acked put of " + key + " readable on no node after quiesce");
@@ -885,15 +773,17 @@ class ChaosRunner {
     // Membership belief agreement: after churn quiesces, every live member
     // holds the same ring (version + order-insensitive fingerprint) as the
     // runner's authoritative view.
-    for (usize j = 0; j < slots_.size(); ++j) {
-      if (!slots_[j].active || !slots_[j].node) {
+    const ClusterView& view = rig_->view();
+    for (usize j = 0; j < rig_->size(); ++j) {
+      if (!rig_->active(j)) {
         continue;
       }
-      if (slots_[j].node->ring_version() != view_.ring.version() ||
-          slots_[j].node->ring_fingerprint() != view_.ring.fingerprint()) {
+      const BlockStoreNode& node = rig_->node(j);
+      if (node.ring_version() != view.ring.version() ||
+          node.ring_fingerprint() != view.ring.fingerprint()) {
         fail(step, "node " + std::to_string(j) + " ring belief diverged (version " +
-                       std::to_string(slots_[j].node->ring_version()) + " vs " +
-                       std::to_string(view_.ring.version()) + ")");
+                       std::to_string(node.ring_version()) + " vs " +
+                       std::to_string(view.ring.version()) + ")");
         return;
       }
     }
@@ -915,13 +805,13 @@ class ChaosRunner {
   bool ae_converge(usize step) {
     for (int round = 0; round < 8; ++round) {
       bool all_clean = true;
-      for (auto& slot : slots_) {
-        if (slot.active && slot.ae && !sync_with_peers(slot)) {
+      for (usize i = 0; i < rig_->size(); ++i) {
+        if (rig_->active(i) && ae_[i] && !sync_with_peers(i)) {
           all_clean = false;
         }
       }
       for (int i = 0; i < 32; ++i) {
-        pump_all();
+        pump();
       }
       if (all_clean) {
         return true;
@@ -936,18 +826,18 @@ class ChaosRunner {
   // tombstone to every peer and kTombstoneGc reclaims it there), leaving the
   // rest clean and cheap.
   void run_tombstone_gc() {
-    for (auto& slot : slots_) {
-      if (!slot.active || !slot.node) {
+    for (usize i = 0; i < rig_->size(); ++i) {
+      if (!rig_->active(i)) {
         continue;
       }
-      for (auto& peer : slots_) {
-        if (peer.active && peer.node) {
-          peer.node->grant_tokens(64 * 1'000'000);
+      for (usize j = 0; j < rig_->size(); ++j) {
+        if (rig_->active(j)) {
+          rig_->node(j).grant_tokens(64 * 1'000'000);
         }
       }
-      (void)slot.node->gc_tombstones(64);
-      for (int i = 0; i < 32; ++i) {
-        pump_all();
+      (void)rig_->node(i).gc_tombstones(64);
+      for (int poll = 0; poll < 32; ++poll) {
+        pump();
       }
     }
   }
@@ -957,11 +847,11 @@ class ChaosRunner {
     // (quiesce anti-entropy runs whole-inventory passes between all pairs, so
     // at this point the inventories are mirrors).
     std::vector<std::vector<BlockKeyInfo>> invs;
-    std::vector<usize> inv_slot;
-    for (usize j = 0; j < slots_.size(); ++j) {
-      if (slots_[j].active && slots_[j].node) {
-        invs.push_back(slots_[j].node->list());
-        inv_slot.push_back(j);
+    std::vector<usize> inv_member;
+    for (usize j = 0; j < rig_->size(); ++j) {
+      if (rig_->active(j)) {
+        invs.push_back(rig_->node(j).list());
+        inv_member.push_back(j);
       }
     }
     if (invs.empty()) {
@@ -970,8 +860,8 @@ class ChaosRunner {
     const u32 root0 = MerkleTree::build(invs[0]).root();
     for (usize k = 1; k < invs.size(); ++k) {
       if (MerkleTree::build(invs[k]).root() != root0) {
-        fail(step, "merkle root of node " + std::to_string(inv_slot[k]) +
-                       " diverges from node " + std::to_string(inv_slot[0]) +
+        fail(step, "merkle root of node " + std::to_string(inv_member[k]) +
+                       " diverges from node " + std::to_string(inv_member[0]) +
                        " after anti-entropy");
         return false;
       }
@@ -1032,9 +922,9 @@ class ChaosRunner {
   // Called right before a crash destroys the incarnation (its registry
   // counters stay put, but the rebooted node gets a fresh instance prefix)
   // and once per surviving node at finalize.
-  void harvest_node_stats(const NodeSlot& slot) {
-    if (slot.node) {
-      BlockStoreStats s = slot.node->stats();
+  void harvest_node_stats(usize i) {
+    if (rig_->active(i)) {
+      BlockStoreStats s = rig_->node(i).stats();
       report_.read_repairs += s.read_repairs;
       report_.replicas_pushed += s.replicas_pushed;
       report_.replicas_applied += s.replicas_applied;
@@ -1053,9 +943,9 @@ class ChaosRunner {
   // Folds a repair scheduler's stats into the run totals (same lifecycle as
   // harvest_node_stats: at crash/leave before the incarnation dies, and once
   // per survivor at finalize).
-  void harvest_ae_stats(const NodeSlot& slot) {
-    if (slot.ae) {
-      const RepairStats& s = slot.ae->stats();
+  void harvest_ae_stats(usize i) {
+    if (ae_[i]) {
+      const RepairStats& s = ae_[i]->stats();
       report_.ae_passes += s.passes;
       report_.ae_clean_passes += s.clean_passes;
       report_.ae_pulled += s.pulled;
@@ -1076,9 +966,9 @@ class ChaosRunner {
     total.stale_ignored = report_.stale_ignored;
     total.hints_written = report_.hints_written;
     total.hints_delivered = report_.hints_delivered;
-    for (const auto& slot : slots_) {
-      if (slot.node) {
-        BlockStoreStats s = slot.node->stats();
+    for (usize i = 0; i < rig_->size(); ++i) {
+      if (rig_->active(i)) {
+        BlockStoreStats s = rig_->node(i).stats();
         total.replicas_pushed += s.replicas_pushed;
         total.replicas_applied += s.replicas_applied;
         total.corrupt_reads += s.corrupt_reads;
@@ -1093,14 +983,12 @@ class ChaosRunner {
   }
 
   void finalize_report() {
-    for (const auto& slot : slots_) {
-      harvest_node_stats(slot);
-      harvest_ae_stats(slot);
-      if (slot.disk) {
-        // Devices outlive node incarnations, so bit-rot totals are read once
-        // here instead of being harvested per reboot.
-        report_.bit_rot_reads += slot.disk->stats().bit_rot_reads;
-      }
+    for (usize i = 0; i < rig_->size(); ++i) {
+      harvest_node_stats(i);
+      harvest_ae_stats(i);
+      // Devices outlive node incarnations, so bit-rot totals are read once
+      // here instead of being harvested per reboot.
+      report_.bit_rot_reads += rig_->disk(i).stats().bit_rot_reads;
     }
     report_.fault_fires = FaultRegistry::global().total_fires();
     report_.client_failovers = client_->retry_stats().failovers;
@@ -1123,15 +1011,15 @@ class ChaosRunner {
 
   ChaosConfig cfg_;
   Rng sched_rng_;
-  Network net_;
-  std::vector<NodeSlot> slots_;
-  std::unique_ptr<ChaosHost> client_host_;
-  LinkAddr client_addr_ = 0;
+  std::unique_ptr<SimCluster> rig_;  // its view is the runner's authoritative membership
+  // Per member: Merkle repair (re-image bootstrap, and background passes in
+  // heal mode); null while the member is down or after it left.
+  std::vector<std::unique_ptr<AntiEntropyScheduler>> ae_;
+  std::unique_ptr<Machine> client_host_;
   std::unique_ptr<BlockStoreClient> client_;
   std::vector<std::pair<LinkAddr, LinkAddr>> cuts_;
-  ClusterView view_;  // the runner's authoritative membership
   std::vector<Flap> flaps_;              // heal mode: running flap storms
-  std::map<usize, usize> slow_until_;    // heal mode: slot -> spell expiry step
+  std::map<usize, usize> slow_until_;    // heal mode: member -> spell expiry step
   std::map<std::string, KeyHistory> histories_;  // stamp-checker state
   usize quiesces_ = 0;                   // heal mode: GC cadence counter
   ChaosReport report_;
@@ -1140,5 +1028,30 @@ class ChaosRunner {
 }  // namespace
 
 ChaosReport run_chaos(const ChaosConfig& config) { return ChaosRunner(config).run(); }
+
+void PrintTo(const ChaosReport& r, std::ostream* os) {
+  *os << "ok=" << r.ok << " message=\"" << r.message << "\" seed=" << r.seed
+      << " ops=" << r.ops << " ops_ok=" << r.ops_ok << " ops_failed=" << r.ops_failed
+      << " crashes=" << r.crashes << " reimages=" << r.reimages
+      << " partitions=" << r.partitions << " heals=" << r.heals
+      << " faults_armed=" << r.faults_armed << " fault_fires=" << r.fault_fires
+      << " read_repairs=" << r.read_repairs << " replicas_pushed=" << r.replicas_pushed
+      << " replicas_applied=" << r.replicas_applied << " corrupt_reads=" << r.corrupt_reads
+      << " spans_recorded=" << r.spans_recorded << " client_failovers=" << r.client_failovers
+      << " client_retries=" << r.client_retries
+      << " client_reconnects=" << r.client_reconnects << " checks=" << r.checks
+      << " joins=" << r.joins << " leaves=" << r.leaves
+      << " aborted_leaves=" << r.aborted_leaves << " rebalanced=" << r.rebalanced
+      << " hints_written=" << r.hints_written << " hints_delivered=" << r.hints_delivered
+      << " sheds=" << r.sheds << " stale_ignored=" << r.stale_ignored
+      << " delays_armed=" << r.delays_armed << " tombstones_written=" << r.tombstones_written
+      << " tombstones_gced=" << r.tombstones_gced << " hints_dropped=" << r.hints_dropped
+      << " bit_rot_reads=" << r.bit_rot_reads << " flaps=" << r.flaps
+      << " slow_spells=" << r.slow_spells << " ae_passes=" << r.ae_passes
+      << " ae_clean_passes=" << r.ae_clean_passes << " ae_pulled=" << r.ae_pulled
+      << " ae_pushed=" << r.ae_pushed << " ae_bytes=" << r.ae_bytes
+      << " lin_reads_checked=" << r.lin_reads_checked
+      << " acked_floor_drops=" << r.acked_floor_drops;
+}
 
 }  // namespace vnros

@@ -57,6 +57,7 @@
 #ifndef VNROS_SRC_APP_CHAOS_H_
 #define VNROS_SRC_APP_CHAOS_H_
 
+#include <iosfwd>
 #include <string>
 
 #include "src/base/types.h"
@@ -185,7 +186,16 @@ struct ChaosReport {
   u64 ae_bytes = 0;            // repair wire bytes (requests + replies)
   u64 lin_reads_checked = 0;   // reads whose bytes matched the write owning their stamp
   u64 acked_floor_drops = 0;   // keys downgraded after re-image data loss
+
+  // Two runs of one config must agree on every field (the determinism
+  // contract that makes a printed seed useful).
+  bool operator==(const ChaosReport&) const = default;
 };
+
+// Writes every field on one line as `name=value` pairs, in declaration
+// order. gtest finds it through ADL, so a failed comparison prints both
+// reports whole.
+void PrintTo(const ChaosReport& report, std::ostream* os);
 
 // Runs one seeded chaos schedule to completion (or first invariant
 // violation). Uses the process-global FaultRegistry; do not run two

@@ -692,6 +692,10 @@ Result<u64> MemFs::commit(const FsMutation& m) {
   if (!t.ok()) {
     return t.error();
   }
+  const auto* w = std::get_if<FsWrite>(&m);
+  if (w != nullptr && w->data.empty()) {
+    return u64{0};  // POSIX write(2) of 0 bytes: checked, then nothing changes
+  }
   if (dev_ != nullptr) {
     auto j = journal_append(encode_fs_record(m));
     if (!j.ok()) {
@@ -699,7 +703,6 @@ Result<u64> MemFs::commit(const FsMutation& m) {
     }
   }
   apply(m, t.value());
-  const auto* w = std::get_if<FsWrite>(&m);
   return w != nullptr ? u64{w->data.size()} : u64{0};
 }
 

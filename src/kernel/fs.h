@@ -143,6 +143,7 @@ class MemFs {
   // The one mutation path. `m`'s checks run on the current state, its
   // record is appended to the journal, and only then does the state change;
   // a failed check or journal write changes no path, byte or inode number.
+  // An FsWrite of no bytes stops after its checks: no record, no new size.
   // Returns the bytes written for an FsWrite and 0 for every other mutation.
   Result<u64> commit(const FsMutation& m);
 

@@ -50,7 +50,7 @@ struct KernelConfig {
   // of attaching at the end, so peers keep working addresses across the
   // crash; and optionally fall back to mkfs when recovery finds the disk
   // unrecoverable (the node is re-imaged and repopulated by anti-entropy).
-  std::optional<LinkAddr> link_addr;
+  std::optional<LinkAddr> link_addr = std::nullopt;
   bool format_on_recovery_failure = false;
 };
 

@@ -22,6 +22,7 @@
 #include "src/kernel/fs.h"
 #include "src/kernel/futex.h"
 #include "src/kernel/kernel.h"
+#include "src/kernel/machine.h"
 #include "src/kernel/nrfs.h"
 #include "src/kernel/pipe.h"
 #include "src/kernel/process.h"
@@ -576,6 +577,7 @@ struct FsModel {
     auto it = s.files.find(p);
     if (it == s.files.end()) return ErrorCode::kNotFound;
     if (off > kMaxFileBytes || data.size() > kMaxFileBytes - off) return ErrorCode::kNoSpace;
+    if (data.empty()) return ErrorCode::kOk;  // a write of 0 bytes changes nothing
     if (off + data.size() > it->second.size()) {
       it->second.resize(off + data.size(), 0);
     }
@@ -683,7 +685,7 @@ std::string fs_step(MemFs& fs, FsModel& model, Rng& rng) {
     case 4: {
       std::string p = pick_path(rng);
       u64 off = rng.next_below(64);
-      std::vector<u8> data(rng.next_range(1, 100));
+      std::vector<u8> data(rng.next_range(0, 100));  // 0: a write that changes nothing
       for (auto& c : data) {
         c = static_cast<u8>(rng.next_u64());
       }
@@ -924,15 +926,8 @@ VcOutcome vc_fs_checkpoint_compaction() {
 // --- Syscall layer -------------------------------------------------------------------
 
 VcOutcome vc_sys_read_contract(u64 seed) {
-  Kernel kernel;
-  SyscallDispatcher disp(kernel);
-  // Bootstrap: pid 0 acts as init and spawns the process under test.
-  Sys boot(disp, kInvalidPid, 0);
-  auto proc = boot.spawn();
-  if (!proc.ok()) {
-    return VcOutcome::fail("spawn failed");
-  }
-  Sys sys(disp, proc.value(), 0);
+  Machine machine;
+  Sys& sys = machine.sys;
 
   auto fd = sys.open("/data", kOpenCreate);
   if (!fd.ok()) {
@@ -1116,11 +1111,8 @@ std::optional<std::string> check_sys_row(Rng& rng, SyscallDispatcher& disp, Pid 
 // VNROS_SYSCALLS), plus mutation fuzz of a valid read frame: the dispatcher
 // answers every mutated frame with an error word.
 VcOutcome vc_sys_marshalling_rejects_garbage(u64 seed) {
-  Kernel kernel;
-  SyscallDispatcher disp(kernel);
-  Sys boot(disp, kInvalidPid, 0);
-  auto proc = boot.spawn();
-  Sys sys(disp, proc.value(), 0);
+  Machine machine;
+  Sys& sys = machine.sys;
   auto fd = sys.open("/x", kOpenCreate);
   std::vector<u8> data{1, 2, 3};
   (void)sys.write(fd.value(), data);
@@ -1129,7 +1121,7 @@ VcOutcome vc_sys_marshalling_rejects_garbage(u64 seed) {
   for (int draw = 0; draw < 4; ++draw) {
     auto bad = [&]<usize... I>(std::index_sequence<I...>) {
       std::optional<std::string> first;
-      ((first = check_sys_row<kSysNrs[I]>(rng, disp, proc.value())).has_value() || ...);
+      ((first = check_sys_row<kSysNrs[I]>(rng, machine.disp, machine.pid)).has_value() || ...);
       return first;
     }(std::make_index_sequence<std::size(kSysNrs)>{});
     if (bad) {
@@ -1144,7 +1136,7 @@ VcOutcome vc_sys_marshalling_rejects_garbage(u64 seed) {
     if (rng.chance(1, 4)) {
       fuzzed.push_back(static_cast<u8>(rng.next_u64()));
     }
-    auto reply = disp.handle(proc.value(), 0, fuzzed);
+    auto reply = machine.disp.handle(machine.pid, 0, fuzzed);
     Reader r(reply);
     if (!r.get_u32()) {
       return VcOutcome::fail("reply without error word");
@@ -1173,11 +1165,9 @@ VcOutcome vc_sys_fd_isolation() {
 }
 
 VcOutcome vc_sys_user_copy_roundtrip() {
-  Kernel kernel;
-  SyscallDispatcher disp(kernel);
-  Sys boot(disp, kInvalidPid, 0);
-  auto pid = boot.spawn();
-  Sys sys(disp, pid.value(), 0);
+  Machine machine;
+  Kernel& kernel = machine.kernel;
+  Sys& sys = machine.sys;
 
   auto buf = sys.mmap(3 * kPageSize, true);
   if (!buf.ok()) {
@@ -1198,7 +1188,7 @@ VcOutcome vc_sys_user_copy_roundtrip() {
   }
   // write_user: user memory -> a second file; then compare.
   auto fd2 = sys.open("/copy", kOpenCreate);
-  Process* proc = kernel.procs().get(pid.value());
+  Process* proc = kernel.procs().get(machine.pid);
   std::vector<u8> check(5000);
   (void)proc->vm().copy_in(buf.value().offset(100), check);
   if (check != data) {
@@ -1221,11 +1211,8 @@ VcOutcome vc_sys_user_copy_roundtrip() {
 // readdir returns lexicographically sorted names (deterministic directory
 // iteration is part of the contract the paper's spec style demands).
 VcOutcome vc_sys_readdir_sorted() {
-  Kernel kernel;
-  SyscallDispatcher disp(kernel);
-  Sys boot(disp, kInvalidPid, 0);
-  auto pid = boot.spawn();
-  Sys sys(disp, pid.value(), 0);
+  Machine machine;
+  Sys& sys = machine.sys;
   (void)sys.mkdir("/dir");
   for (const char* name : {"zeta", "alpha", "mid", "beta"}) {
     (void)sys.open(std::string("/dir/") + name, kOpenCreate);
@@ -1246,11 +1233,8 @@ VcOutcome vc_sys_readdir_sorted() {
 // fresh OpenFile — no offset or path leaks from its previous life. The
 // free list keeps the fd namespace bounded under open/close churn.
 VcOutcome vc_sys_fd_reuse_safe() {
-  Kernel kernel;
-  SyscallDispatcher disp(kernel);
-  Sys boot(disp, kInvalidPid, 0);
-  auto pid = boot.spawn();
-  Sys sys(disp, pid.value(), 0);
+  Machine machine;
+  Sys& sys = machine.sys;
   auto fd1 = sys.open("/a", kOpenCreate);
   if (!fd1.ok() || sys.write(fd1.value(), std::vector<u8>{'A', 'A', 'A'}).error() !=
                        ErrorCode::kOk) {
@@ -1294,11 +1278,8 @@ VcOutcome vc_sys_fd_reuse_safe() {
 
 // kOpenAppend positions at EOF; kOpenTrunc wins when both are given.
 VcOutcome vc_sys_open_flag_matrix() {
-  Kernel kernel;
-  SyscallDispatcher disp(kernel);
-  Sys boot(disp, kInvalidPid, 0);
-  auto pid = boot.spawn();
-  Sys sys(disp, pid.value(), 0);
+  Machine machine;
+  Sys& sys = machine.sys;
   auto fd = sys.open("/f", kOpenCreate);
   std::vector<u8> ten(10, 'x');
   (void)sys.write(fd.value(), ten);
@@ -1329,11 +1310,9 @@ VcOutcome vc_sys_open_flag_matrix() {
 // than a value. This VC lives with the kernel VCs (obs cannot depend on the
 // kernel) but belongs to the obs/* suite by name.
 VcOutcome vc_obs_kstat_refinement() {
-  Kernel kernel;
-  SyscallDispatcher disp(kernel);
-  Sys boot(disp, kInvalidPid, 0);
-  auto pid = boot.spawn();
-  Sys sys(disp, pid.value(), 0);
+  Machine machine;
+  Kernel& kernel = machine.kernel;
+  Sys& sys = machine.sys;
 
   // Generate activity that moves fs/frames counters.
   (void)sys.mkdir("/k");
@@ -1552,11 +1531,8 @@ VcOutcome vc_pipe_close_semantics() {
 
 // Pipes through the full syscall boundary (fd routing + marshalling).
 VcOutcome vc_pipe_via_syscalls() {
-  Kernel kernel;
-  SyscallDispatcher disp(kernel);
-  Sys boot(disp, kInvalidPid, 0);
-  auto pid = boot.spawn();
-  Sys sys(disp, pid.value(), 0);
+  Machine machine;
+  Sys& sys = machine.sys;
   auto ends = sys.pipe_create();
   if (!ends.ok()) {
     return VcOutcome::fail("pipe_create failed");
@@ -1961,14 +1937,8 @@ VcOutcome vc_frame_alloc_injected_oom() {
 // the next call succeeds.
 VcOutcome vc_sys_fault_injection() {
   auto& reg = FaultRegistry::global();
-  Kernel kernel;
-  SyscallDispatcher disp(kernel);
-  Sys boot(disp, kInvalidPid, 0);
-  auto proc = boot.spawn();
-  if (!proc.ok()) {
-    return VcOutcome::fail("spawn failed");
-  }
-  Sys sys(disp, proc.value(), 0);
+  Machine machine;
+  Sys& sys = machine.sys;
 
   FaultSpec one_shot;
   one_shot.probability_ppm = 1'000'000;
@@ -2016,16 +1986,13 @@ std::vector<u8> ring_sync_frame(const RingSqe& sqe) {
 // queue) are excluded here — parking is the one intended divergence, and
 // ring_completion_unique plus ring_syscall_test cover it.
 VcOutcome vc_ring_refines_sync(u64 seed) {
-  Kernel ka, kb;
-  SyscallDispatcher da(ka), db(kb);
-  Sys boota(da, kInvalidPid, 0), bootb(db, kInvalidPid, 0);
-  auto pa = boota.spawn();
-  auto pb = bootb.spawn();
-  if (!pa.ok() || !pb.ok() || pa.value() != pb.value()) {
+  Machine ma, mb;
+  if (ma.pid != mb.pid) {
     return VcOutcome::fail("mirrored spawn diverged");
   }
-  Sys sa(da, pa.value(), 0), sb(db, pb.value(), 0);
-  if (ka.net_addr() != kb.net_addr()) {
+  Sys& sa = ma.sys;
+  Sys& sb = mb.sys;
+  if (ma.kernel.net_addr() != mb.kernel.net_addr()) {
     return VcOutcome::fail("mirrored kernels got different fabric addresses");
   }
   auto ring = sb.ring_setup(8, 8);
@@ -2080,7 +2047,7 @@ VcOutcome vc_ring_refines_sync(u64 seed) {
         [[fallthrough]];
       case 5: {
         std::vector<u8> payload(1 + rng.next_below(32), static_cast<u8>(i));
-        sqe = ring_sqe<SysNr::kUdpSendTo>(user_data, ua.value(), ka.net_addr(), 7000, payload);
+        sqe = ring_sqe<SysNr::kUdpSendTo>(user_data, ua.value(), ma.kernel.net_addr(), 7000, payload);
         break;
       }
       case 6:
@@ -2098,7 +2065,7 @@ VcOutcome vc_ring_refines_sync(u64 seed) {
         break;
     }
 
-    std::vector<u8> reply_a = da.handle(pa.value(), 0, ring_sync_frame(sqe));
+    std::vector<u8> reply_a = ma.disp.handle(ma.pid, 0, ring_sync_frame(sqe));
     auto accepted = sb.ring_submit(ring.value(), std::span<const RingSqe>(&sqe, 1));
     if (!accepted.ok() || accepted.value() != 1) {
       return VcOutcome::fail("single-entry submit not accepted");
@@ -2147,7 +2114,7 @@ VcOutcome vc_ring_refines_sync(u64 seed) {
     std::vector<u8> data(8 + i, static_cast<u8>('0' + i));
     ++user_data;
     RingSqe sqe = ring_sqe<SysNr::kWrite>(user_data, open_a.value(), data);
-    expect[user_data] = da.handle(pa.value(), 0, ring_sync_frame(sqe));
+    expect[user_data] = ma.disp.handle(ma.pid, 0, ring_sync_frame(sqe));
     batch.push_back(std::move(sqe));
   }
   auto accepted = sb.ring_submit(ring.value(), batch);
@@ -2176,7 +2143,7 @@ VcOutcome vc_ring_refines_sync(u64 seed) {
     }
   }
 
-  if (!(da.view(pa.value()) == db.view(pb.value()))) {
+  if (!(ma.disp.view(ma.pid) == mb.disp.view(mb.pid))) {
     return VcOutcome::fail("final abstract state diverged between sync and ring");
   }
   return VcOutcome::pass();
@@ -2188,11 +2155,9 @@ VcOutcome vc_ring_refines_sync(u64 seed) {
 VcOutcome vc_ring_completion_unique(u64 seed) {
   FaultRegistry& freg = FaultRegistry::global();
   freg.reseed(seed * 0x9E37'79B9'7F4A'7C15ull + 1);
-  Kernel kernel;
-  SyscallDispatcher disp(kernel);
-  Sys boot(disp, kInvalidPid, 0);
-  auto pid = boot.spawn();
-  Sys sys(disp, pid.value(), 0);
+  Machine machine;
+  Kernel& kernel = machine.kernel;
+  Sys& sys = machine.sys;
   auto ring = sys.ring_setup(32, 4);  // small CQ: reaping lag must overflow
   if (!ring.ok()) {
     return VcOutcome::fail("ring_setup failed");
@@ -2279,8 +2244,8 @@ VcOutcome vc_ring_completion_unique(u64 seed) {
       }
     }
     // The books must balance at every step.
-    usize in_flight = kernel.rings().in_flight(pid.value(), ring.value());
-    usize ready = kernel.rings().ready(pid.value(), ring.value());
+    usize in_flight = kernel.rings().in_flight(machine.pid, ring.value());
+    usize ready = kernel.rings().ready(machine.pid, ring.value());
     if (accepted_total != reaped.size() + ready + in_flight) {
       freg.disarm("syscall/ring_submit");
       return VcOutcome::fail("accepted != reaped + ready + in_flight");
@@ -2304,8 +2269,8 @@ VcOutcome vc_ring_completion_unique(u64 seed) {
   if (!outstanding.empty()) {
     return VcOutcome::fail("accepted SQEs never completed");
   }
-  if (kernel.rings().in_flight(pid.value(), ring.value()) != 0 ||
-      kernel.rings().ready(pid.value(), ring.value()) != 0) {
+  if (kernel.rings().in_flight(machine.pid, ring.value()) != 0 ||
+      kernel.rings().ready(machine.pid, ring.value()) != 0) {
     return VcOutcome::fail("ring not empty after full drain");
   }
   if (kMetricsEnabled && kernel.rings().cq_overflows() == 0) {
@@ -2334,18 +2299,12 @@ VcOutcome ring_readiness_schedule(u64 seed, FaultRegistry& freg) {
   lossy.dup_ppm = 40'000;
   lossy.reorder_ppm = 60'000;
   Network net(lossy, seed ^ 0x5EED'0000ull);
-  KernelConfig kc;
-  kc.network = &net;
-  Kernel sk(kc);
-  Kernel ck(kc);
-  SyscallDispatcher sd(sk), cd(ck);
-  Sys sboot(sd, kInvalidPid, 0), cboot(cd, kInvalidPid, 0);
-  auto spid = sboot.spawn();
-  auto cpid = cboot.spawn();
-  if (!spid.ok() || !cpid.ok()) {
-    return VcOutcome::fail("spawn failed");
-  }
-  Sys ss(sd, spid.value(), 0), cs(cd, cpid.value(), 0);
+  Machine server({.network = &net});
+  Machine client({.network = &net});
+  Kernel& sk = server.kernel;
+  Kernel& ck = client.kernel;
+  Sys& ss = server.sys;
+  Sys& cs = client.sys;
   constexpr Port kServe = 5000;
   constexpr Port kDgramPort = 6000;
   constexpr Port kBack = 7000;  // the client's toggled listener
@@ -2394,7 +2353,7 @@ VcOutcome ring_readiness_schedule(u64 seed, FaultRegistry& freg) {
   usize dgram_armed = 0;
   bool listener_open = true;
   bool dsock_open = true;
-  const Pid pid = spid.value();
+  const Pid pid = server.pid;
   // Coverage: a schedule that parked nothing, delivered nothing, cancelled
   // nothing or never saw a stream fail proves nothing.
   u64 parked_seen = 0, bytes_in = 0, cancels = 0, accepts = 0, failures = 0, dgrams = 0;

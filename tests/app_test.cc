@@ -13,39 +13,13 @@
 #include "src/base/fault.h"
 #include "src/base/rng.h"
 #include "src/base/serde.h"
-#include "src/kernel/kernel.h"
-#include "src/kernel/syscall.h"
+#include "src/app/sim_cluster.h"
+#include "src/kernel/machine.h"
 
 namespace vnros {
 namespace {
 
 std::vector<u8> bytes(std::string_view s) { return std::vector<u8>(s.begin(), s.end()); }
-
-struct Host {
-  Kernel kernel;
-  SyscallDispatcher disp;
-  Pid pid;
-  Sys sys;
-
-  explicit Host(Network* net, BlockDevice* disk = nullptr, bool recover = false)
-      : kernel(config_of(net, disk, recover)), disp(kernel), pid(spawn(disp)),
-        sys(disp, pid, 0) {}
-
-  static KernelConfig config_of(Network* net, BlockDevice* disk, bool recover) {
-    KernelConfig c;
-    c.network = net;
-    c.disk = disk;
-    c.recover_fs = recover;
-    return c;
-  }
-
-  static Pid spawn(SyscallDispatcher& disp) {
-    Sys boot(disp, kInvalidPid, 0);
-    auto p = boot.spawn();
-    EXPECT_TRUE(p.ok());
-    return p.value();
-  }
-};
 
 // Advances each host's VTP stack one tick: the stream plane's retransmit,
 // probe and reap timers run here, in every client pump.
@@ -71,7 +45,7 @@ TEST(BlockStoreNodeTest, KeyPathIsHexEncoded) {
 
 TEST(BlockStoreNodeTest, LocalPutGetDel) {
   Network net;
-  Host host(&net);
+  Machine host({.network = &net});
   BlockStoreNode node(host.sys, 7000);
   ASSERT_TRUE(node.init().ok());
   ASSERT_TRUE(node.put("k", bytes("value")).ok());
@@ -82,7 +56,7 @@ TEST(BlockStoreNodeTest, LocalPutGetDel) {
 
 TEST(BlockStoreNodeTest, EmptyValueAllowed) {
   Network net;
-  Host host(&net);
+  Machine host({.network = &net});
   BlockStoreNode node(host.sys, 7000);
   ASSERT_TRUE(node.init().ok());
   ASSERT_TRUE(node.put("empty", {}).ok());
@@ -95,7 +69,7 @@ TEST(BlockStoreNodeTest, EmptyValueAllowed) {
 
 TEST(BlockStoreNodeTest, InitIsIdempotent) {
   Network net;
-  Host host(&net);
+  Machine host({.network = &net});
   BlockStoreNode node(host.sys, 7000);
   ASSERT_TRUE(node.init().ok());
   // A second node process re-initializing over the same fs: mkdir tolerated,
@@ -106,7 +80,7 @@ TEST(BlockStoreNodeTest, InitIsIdempotent) {
 
 TEST(BlockStoreNodeTest, ViewSkipsCorruptBlocks) {
   Network net;
-  Host host(&net);
+  Machine host({.network = &net});
   BlockStoreNode node(host.sys, 7000);
   ASSERT_TRUE(node.init().ok());
   ASSERT_TRUE(node.put("good", bytes("fine")).ok());
@@ -135,7 +109,7 @@ TEST(BlockStoreNodeTest, FaultMidPutPreservesAckedValue) {
   faults.disarm_all();
   Network net;
   BlockDevice disk(16384, 0x9A7Full, "apptest_midput");
-  Host host(&net, &disk);
+  Machine host({.network = &net, .disk = &disk});
   BlockStoreNode node(host.sys, 7000);
   ASSERT_TRUE(node.init().ok());
   std::vector<u8> acked = bytes("acked-original-value");
@@ -168,8 +142,8 @@ TEST(BlockStoreNodeTest, FaultMidPutPreservesAckedValue) {
 
 TEST(BlockStoreWireTest, EndToEndOverFabric) {
   Network net;
-  Host server(&net);
-  Host client_host(&net);
+  Machine server({.network = &net});
+  Machine client_host({.network = &net});
   BlockStoreNode node(server.sys, 7000);
   ASSERT_TRUE(node.init().ok());
   BlockStoreClient client(
@@ -193,9 +167,9 @@ TEST(BlockStoreWireTest, EndToEndOverFabric) {
 // framing must be just as exact (the fabric has no MTU).
 TEST(BlockStoreWireTest, LargeValueCrossesDatagrams) {
   Network net;
-  Host primary_host(&net);
-  Host replica_host(&net);
-  Host client_host(&net);
+  Machine primary_host({.network = &net});
+  Machine replica_host({.network = &net});
+  Machine client_host({.network = &net});
   BlockStoreNode replica(replica_host.sys, 7001);
   ASSERT_TRUE(replica.init().ok());
   BlockStoreNode primary(primary_host.sys, 7000, {}, [&] { replica.serve_once(); });
@@ -227,8 +201,8 @@ TEST(BlockStoreWireTest, LargeValueCrossesDatagrams) {
 // streams after it, without limit, waiting for a body that never ends.
 TEST(BlockStoreWireTest, OversizedFrameHeaderClosesTheStream) {
   Network net;
-  Host server(&net);
-  Host client_host(&net);
+  Machine server({.network = &net});
+  Machine client_host({.network = &net});
   BlockStoreNode node(server.sys, 7000);
   ASSERT_TRUE(node.init().ok());
   auto fd = client_host.sys.vtp_connect(server.kernel.net_addr(), 7000, /*src_port=*/0);
@@ -268,8 +242,8 @@ TEST(BlockStoreWireTest, OversizedFrameHeaderClosesTheStream) {
 // bucket, refused ops on both planes leave it for the client put sent last.
 TEST(BlockStoreWireTest, EachPlaneRefusesTheOthersOps) {
   Network net;
-  Host server(&net);
-  Host client_host(&net);
+  Machine server({.network = &net});
+  Machine client_host({.network = &net});
   BlockStoreNode node(server.sys, 7000);
   ASSERT_TRUE(node.init().ok());
   ASSERT_TRUE(node.put("live", bytes("original")).ok());
@@ -387,8 +361,8 @@ TEST(BlockStoreWireTest, EachPlaneRefusesTheOthersOps) {
 // and the largest put that fits still lands.
 TEST(BlockStoreWireTest, ClientRefusesAPutPastTheFrameBound) {
   Network net;
-  Host server(&net);
-  Host client_host(&net);
+  Machine server({.network = &net});
+  Machine client_host({.network = &net});
   BlockStoreNode node(server.sys, 7000);
   ASSERT_TRUE(node.init().ok());
   RetryPolicy policy;
@@ -415,8 +389,8 @@ TEST(BlockStoreWireTest, RetriesSurviveLoss) {
   FabricConfig fabric;
   fabric.loss_ppm = 300'000;  // 30% loss
   Network net(fabric, 77);
-  Host server(&net);
-  Host client_host(&net);
+  Machine server({.network = &net});
+  Machine client_host({.network = &net});
   BlockStoreNode node(server.sys, 7000);
   ASSERT_TRUE(node.init().ok());
   RetryPolicy policy;
@@ -441,8 +415,8 @@ TEST(BlockStoreWireTest, RetriesSurviveLoss) {
 // holds exactly one descriptor — that stream — and no datagram socket.
 TEST(BlockStoreWireTest, StreamTransportEndToEnd) {
   Network net;
-  Host server(&net);
-  Host client_host(&net);
+  Machine server({.network = &net});
+  Machine client_host({.network = &net});
   BlockStoreNode node(server.sys, 7000);
   ASSERT_TRUE(node.init().ok());
   BlockStoreClient client(
@@ -467,8 +441,8 @@ TEST(BlockStoreWireTest, StreamTransportLargeValue) {
   // transport segments it, the node reassembles the [len][body] frame
   // across many parked recv completions.
   Network net;
-  Host server(&net);
-  Host client_host(&net);
+  Machine server({.network = &net});
+  Machine client_host({.network = &net});
   BlockStoreNode node(server.sys, 7000);
   ASSERT_TRUE(node.init().ok());
   BlockStoreClient client(
@@ -492,8 +466,8 @@ TEST(BlockStoreWireTest, StreamTransportSurvivesLoss) {
   FabricConfig fabric;
   fabric.loss_ppm = 100'000;  // 10% loss
   Network net(fabric, 78);
-  Host server(&net);
-  Host client_host(&net);
+  Machine server({.network = &net});
+  Machine client_host({.network = &net});
   BlockStoreNode node(server.sys, 7000);
   ASSERT_TRUE(node.init().ok());
   BlockStoreClient client(
@@ -515,14 +489,14 @@ TEST(BlockStoreCrashTest, AckedPutsSurviveReboot) {
   Network net;
   BlockDevice disk(16384, 99);
   {
-    Host host(&net, &disk);
+    Machine host({.network = &net, .disk = &disk});
     BlockStoreNode node(host.sys, 7000);
     ASSERT_TRUE(node.init().ok());
     ASSERT_TRUE(node.put("persist-me", bytes("durable")).ok());
     disk.crash(0);  // worst case: all unflushed state gone
   }
   Network net2;
-  Host rebooted(&net2, &disk, /*recover=*/true);
+  Machine rebooted({.network = &net2, .disk = &disk, .recover_fs = true});
   BlockStoreNode node(rebooted.sys, 7000);
   ASSERT_TRUE(node.init().ok());
   EXPECT_EQ(node.get("persist-me").value(), bytes("durable"));
@@ -550,7 +524,7 @@ TEST(BlockStoreCrashTest, AckedPutSurvivesCrashDuringReplicationPush) {
     SCOPED_TRACE("persist_ppm=" + std::to_string(c.persist_ppm));
     Network net;
     BlockDevice disk(16384, c.disk_seed);
-    Host replica_host(&net);
+    Machine replica_host({.network = &net});
     BlockStoreNode* rebooted_primary = nullptr;  // served by the replica's pump once up
     BlockStoreNode replica(replica_host.sys, 7001, {}, [&] {
       if (rebooted_primary != nullptr) {
@@ -560,7 +534,7 @@ TEST(BlockStoreCrashTest, AckedPutSurvivesCrashDuringReplicationPush) {
     ASSERT_TRUE(replica.init().ok());
 
     {
-      Host primary_host(&net, &disk);
+      Machine primary_host({.network = &net, .disk = &disk});
       BlockStoreNode primary(primary_host.sys, 7000, {}, [&] { replica.serve_once(); });
       ASSERT_TRUE(primary.init().ok());
       ClusterView view = ClusterView::of({BsPeer{primary_host.kernel.net_addr(), 7000},
@@ -579,7 +553,7 @@ TEST(BlockStoreCrashTest, AckedPutSurvivesCrashDuringReplicationPush) {
     }
     net.heal_all();
 
-    Host rebooted(&net, &disk, /*recover=*/true);
+    Machine rebooted({.network = &net, .disk = &disk, .recover_fs = true});
     BlockStoreNode primary(rebooted.sys, 7000);
     ASSERT_TRUE(primary.init().ok());
     EXPECT_EQ(primary.get("acked").value(), bytes("must-survive"));
@@ -599,8 +573,8 @@ TEST(BlockStoreCrashTest, AckedPutSurvivesCrashDuringReplicationPush) {
 // backoff_polls counter must equal the closed-form sum.
 TEST(RetryPolicyTest, BackoffRespectsCap) {
   Network net;
-  Host server(&net);  // bound to the fabric but nothing serves
-  Host client_host(&net);
+  Machine server({.network = &net});  // bound to the fabric but nothing serves
+  Machine client_host({.network = &net});
   RetryPolicy policy;
   policy.max_attempts = 5;
   policy.polls_per_attempt = 4;
@@ -618,8 +592,8 @@ TEST(RetryPolicyTest, BackoffRespectsCap) {
 // With jitter on, every wait lands in [w, w * (1 + jitter_ppm/1e6)].
 TEST(RetryPolicyTest, JitterBounded) {
   Network net;
-  Host server(&net);
-  Host client_host(&net);
+  Machine server({.network = &net});
+  Machine client_host({.network = &net});
   RetryPolicy policy;
   policy.max_attempts = 3;
   policy.polls_per_attempt = 4;
@@ -641,8 +615,8 @@ TEST(RetryPolicyTest, JitterBounded) {
 // second (final) probe runs right up to the deadline.
 TEST(RetryPolicyTest, DeadlineExpiresMidRetry) {
   Network net;
-  Host server(&net);
-  Host client_host(&net);
+  Machine server({.network = &net});
+  Machine client_host({.network = &net});
   RetryPolicy policy;
   policy.max_attempts = 10;
   policy.polls_per_attempt = 20;
@@ -662,8 +636,8 @@ TEST(RetryPolicyTest, DeadlineExpiresMidRetry) {
 // from 64) + 20 (attempt 2).
 TEST(RetryPolicyTest, DeadlineClampsFinalBackoff) {
   Network net;
-  Host server(&net);
-  Host client_host(&net);
+  Machine server({.network = &net});
+  Machine client_host({.network = &net});
   RetryPolicy policy;
   policy.max_attempts = 10;
   policy.polls_per_attempt = 20;
@@ -683,8 +657,8 @@ TEST(RetryPolicyTest, DeadlineClampsFinalBackoff) {
 // client drops the stream and the next attempt opens a new one.
 TEST(RetryPolicyTest, TornFrameDropsTheStream) {
   Network net;
-  Host server(&net);  // nothing serves or ticks: the send buffer only fills
-  Host client_host(&net);
+  Machine server({.network = &net});  // nothing serves or ticks: the send buffer only fills
+  Machine client_host({.network = &net});
   RetryPolicy policy;
   policy.max_attempts = 2;
   policy.polls_per_attempt = 4;
@@ -701,9 +675,9 @@ TEST(RetryPolicyTest, TornFrameDropsTheStream) {
 // the view — and succeed once the bucket refills.
 TEST(RetryPolicyTest, OverloadedBacksOffWithoutFailover) {
   Network net;
-  Host server(&net);
-  Host standby_host(&net);
-  Host client_host(&net);
+  Machine server({.network = &net});
+  Machine standby_host({.network = &net});
+  Machine client_host({.network = &net});
   BlockStoreNode node(server.sys, 7000);
   ASSERT_TRUE(node.init().ok());
   BlockStoreNode standby(standby_host.sys, 7001);
@@ -754,35 +728,9 @@ TEST(RetryPolicyTest, OverloadedBacksOffWithoutFailover) {
 // poll() and fail over to the key's other owner, and the link heals later.
 // Every reply is checked against a model of the acked writes.
 TEST(BlockStoreClientCoreTest, InterleavedClientsFailOverInsidePoll) {
-  Network net;
-  std::vector<std::unique_ptr<Host>> hosts;
-  std::vector<std::unique_ptr<BlockStoreNode>> nodes;
-  ClusterView view;
-  view.ring = PlacementRing(16);
-  view.replication = 2;
-  for (usize i = 0; i < 3; ++i) {
-    hosts.push_back(std::make_unique<Host>(&net));
-  }
-  for (usize i = 0; i < 3; ++i) {
-    nodes.push_back(std::make_unique<BlockStoreNode>(
-        hosts[i]->sys, 7000, std::vector<BsPeer>{}, [&nodes, i] {
-          for (usize j = 0; j < nodes.size(); ++j) {
-            if (j != i) {
-              nodes[j]->serve_once();
-            }
-          }
-        }));
-    ASSERT_TRUE(nodes[i]->init().ok());
-    view.ring.add_node(static_cast<BsNodeId>(i));
-    view.directory[static_cast<BsNodeId>(i)] = BsPeer{hosts[i]->kernel.net_addr(), 7000};
-  }
-  for (usize i = 0; i < 3; ++i) {
-    ClusterConfig cc;
-    cc.self = static_cast<BsNodeId>(i);
-    nodes[i]->configure_cluster(cc, view);
-  }
-
-  Host client_host(&net);
+  SimCluster cluster(3, 2);
+  const ClusterView& view = cluster.view();
+  Machine client_host({.network = &cluster.net()});
   RetryPolicy policy;
   policy.max_attempts = 64;
   policy.polls_per_attempt = 24;
@@ -809,26 +757,20 @@ TEST(BlockStoreClientCoreTest, InterleavedClientsFailOverInsidePoll) {
   // must fail over while the link is down.
   BsNodeId cut = view.owners("c0-k0").front();
   LinkAddr client_addr = client_host.kernel.net_addr();
-  LinkAddr cut_addr = hosts[cut]->kernel.net_addr();
+  LinkAddr cut_addr = cluster.addr(cut);
 
   usize finished = 0;
   usize cut_step = 0;  // when the link went down
   usize step = 1;
   for (; step < 20'000 && finished < kClients * kOpsPerClient; ++step) {
     if (cut_step == 0 && finished >= 40) {
-      net.partition(client_addr, cut_addr);
+      cluster.net().partition(client_addr, cut_addr);
       cut_step = step;
     }
     if (cut_step != 0 && step == cut_step + 400) {
-      net.heal(client_addr, cut_addr);
+      cluster.net().heal(client_addr, cut_addr);
     }
-    for (auto& node : nodes) {
-      node->serve_once();
-    }
-    for (auto& h : hosts) {
-      h->kernel.vtp().tick();
-    }
-    client_host.kernel.vtp().tick();
+    cluster.pump(client_host);
     for (usize c = 0; c < kClients; ++c) {
       Script& s = scripts[c];
       BlockStoreClient& client = *clients[c];
@@ -890,8 +832,8 @@ TEST(BlockStoreClientCoreTest, InterleavedClientsFailOverInsidePoll) {
 // kBusy before it builds, stamps or sends anything.
 TEST(BlockStoreClientCoreTest, StartWhileInFlightIsBusyAndSendsNothing) {
   Network net;
-  Host server(&net);
-  Host client_host(&net);
+  Machine server({.network = &net});
+  Machine client_host({.network = &net});
   BlockStoreNode node(server.sys, 7000);
   ASSERT_TRUE(node.init().ok());
   BlockStoreClient client(client_host.sys, ClusterView::of({{server.kernel.net_addr(), 7000}}, 1),
@@ -936,8 +878,8 @@ TEST(BlockStoreClientCoreTest, StartWhileInFlightIsBusyAndSendsNothing) {
 // no client sends, on any view.
 TEST(BlockStoreClientCoreTest, StartRefusesAnOpTheViewCannotRoute) {
   Network net;
-  Host server(&net);
-  Host client_host(&net);
+  Machine server({.network = &net});
+  Machine client_host({.network = &net});
   BlockStoreNode node(server.sys, 7000);
   ASSERT_TRUE(node.init().ok());
   const ClusterView no_members;
@@ -971,9 +913,9 @@ TEST(BlockStoreClientCoreTest, StartRefusesAnOpTheViewCannotRoute) {
 // and the lowest id), then fails over.
 TEST(BlockStoreClientCoreTest, EachBlockingOpRecordsOneRpcSpan) {
   Network net;
-  Host dead(&net);  // on the fabric, nothing serves
-  Host server(&net);
-  Host client_host(&net);
+  Machine dead({.network = &net});  // on the fabric, nothing serves
+  Machine server({.network = &net});
+  Machine client_host({.network = &net});
   BlockStoreNode node(server.sys, 7000);
   ASSERT_TRUE(node.init().ok());
   RetryPolicy policy;
@@ -1043,8 +985,8 @@ TEST(BlockStoreFaultTest, LatencyFaultStallsServeWithoutLoss) {
   auto& reg = FaultRegistry::global();
   reg.disarm_all();
   Network net;
-  Host server(&net);
-  Host client_host(&net);
+  Machine server({.network = &net});
+  Machine client_host({.network = &net});
   BlockStoreNode node(server.sys, 7000, {}, {}, "slownode");
   ASSERT_TRUE(node.init().ok());
   BlockStoreClient client(
@@ -1067,8 +1009,8 @@ TEST(BlockStoreFaultTest, LatencyFaultStallsServeWithoutLoss) {
 
 TEST(BlockStoreReplicationTest, PutPropagatesToPeer) {
   Network net;
-  Host primary_host(&net);
-  Host replica_host(&net);
+  Machine primary_host({.network = &net});
+  Machine replica_host({.network = &net});
   BlockStoreNode replica(replica_host.sys, 7001);
   ASSERT_TRUE(replica.init().ok());
   BlockStoreNode primary(primary_host.sys, 7000, {}, [&] { replica.serve_once(); });
@@ -1092,8 +1034,8 @@ TEST(BlockStoreReplicationTest, PutPropagatesToPeer) {
 // whole first send window (half the ack deadline) and a re-send.
 TEST(BlockStoreReplicationTest, NestedAckWaitKeepsTheOuterAck) {
   Network net;
-  Host a_host(&net);
-  Host b_host(&net);
+  Machine a_host({.network = &net});
+  Machine b_host({.network = &net});
   BlockStoreNode b(b_host.sys, 7001);
   ASSERT_TRUE(b.init().ok());
   BlockStoreNode* a_ptr = nullptr;
@@ -1133,8 +1075,8 @@ TEST(BlockStoreReplicationTest, NestedAckWaitKeepsTheOuterAck) {
 // an owner that stays silent through both windows is.
 TEST(BlockStoreReplicationTest, ErrorReplyEndsThePushWithoutAResend) {
   Network net;
-  Host primary_host(&net);
-  Host peer_host(&net);  // a hand-written owner that fails every push
+  Machine primary_host({.network = &net});
+  Machine peer_host({.network = &net});  // a hand-written owner that fails every push
   auto sock = peer_host.sys.udp_socket();
   ASSERT_TRUE(sock.ok());
   ASSERT_TRUE(peer_host.sys.udp_bind(sock.value(), 7001).ok());
@@ -1171,9 +1113,141 @@ TEST(BlockStoreReplicationTest, ErrorReplyEndsThePushWithoutAResend) {
 
 // --- Sequenced delete tombstones -------------------------------------------
 
+// A node re-entered through a peer's replica wait must still serve each
+// stream frame once, in order. Two nodes own every key, and each node's
+// pump serves the other and ticks all three VTP stacks (A9's pump shape), so
+// a nested pass can reap more bytes of a stream whose frames the outer pass
+// is still serving. One raw stream to A pipelines a small put and a 64 KiB
+// put; a put waits at B on each of two other streams, so A's first push
+// makes B serve them, and B's pushes run A's serve loop nested. Both of A's
+// puts must land once with their bytes, each request id must get exactly
+// one reply, and the stream must stay open.
+TEST(BlockStoreWireTest, NestedServePassServesAPipelinedStreamOnce) {
+  Network net;
+  Machine a_host({.network = &net});
+  Machine b_host({.network = &net});
+  Machine client_host({.network = &net});
+  auto tick_all = [&] { tick(a_host, b_host, client_host); };
+  BlockStoreNode* a_ptr = nullptr;
+  BlockStoreNode b(b_host.sys, 7000, {}, [&] {
+    a_ptr->serve_once();
+    tick_all();
+  });
+  BlockStoreNode a(a_host.sys, 7000, {}, [&] {
+    b.serve_once();
+    tick_all();
+  });
+  a_ptr = &a;
+  ASSERT_TRUE(a.init().ok());
+  ASSERT_TRUE(b.init().ok());
+  const ClusterView view = ClusterView::of(
+      {BsPeer{a_host.kernel.net_addr(), 7000}, BsPeer{b_host.kernel.net_addr(), 7000}}, 2);
+  a.configure_cluster({.self = 0}, view);
+  b.configure_cluster({.self = 1}, view);
+
+  // [u32 len][op][req_id][key][seq][value]: one framed client put.
+  auto framed_put = [](u64 req_id, std::string_view key, const std::vector<u8>& value) {
+    Writer body;
+    body.put_u8(static_cast<u8>(BsOp::kPut));
+    body.put_u64(req_id);
+    body.put_string(key);
+    body.put_u64(req_id);  // the write stamp
+    body.put_bytes(value);
+    Writer frame;
+    frame.put_u32(static_cast<u32>(body.size()));
+    frame.put_raw(body.bytes());
+    return frame.take();
+  };
+  struct Stream {
+    Fd fd = kInvalidFd;
+    std::vector<u8> out;   // request bytes not yet accepted by the transport
+    std::vector<u8> in;    // reply bytes not yet parsed
+    std::map<u64, std::vector<ErrorCode>> replies;  // req_id -> every reply's code
+    ErrorCode end = ErrorCode::kOk;  // the stream's terminal error, if any
+  };
+  Stream to_a, to_b1, to_b2;
+  const std::vector<u8> small(16, 0x01);
+  const std::vector<u8> big(64 * 1024, 0x02);
+  to_a.out = framed_put(1, "k1", small);
+  const std::vector<u8> second = framed_put(2, "k2", big);
+  to_a.out.insert(to_a.out.end(), second.begin(), second.end());
+  to_b1.out = framed_put(3, "b1", bytes("via b"));
+  to_b2.out = framed_put(4, "b2", bytes("via b too"));
+  for (auto [st, addr] : {std::pair{&to_a, a_host.kernel.net_addr()},
+                          std::pair{&to_b1, b_host.kernel.net_addr()},
+                          std::pair{&to_b2, b_host.kernel.net_addr()}}) {
+    auto fd = client_host.sys.vtp_connect(addr, 7000, /*src_port=*/0);
+    ASSERT_TRUE(fd.ok());
+    st->fd = fd.value();
+  }
+  auto step = [&](Stream& st) {
+    if (!st.out.empty()) {
+      auto n = client_host.sys.vtp_send(st.fd, st.out);
+      if (n.ok()) {
+        st.out.erase(st.out.begin(), st.out.begin() + static_cast<std::ptrdiff_t>(n.value()));
+      }
+    }
+    auto got = client_host.sys.vtp_recv(st.fd, 4096);
+    if (!got.ok()) {
+      if (got.error() != ErrorCode::kWouldBlock) {
+        st.end = got.error();
+      }
+      return;
+    }
+    st.in.insert(st.in.end(), got.value().begin(), got.value().end());
+    for (;;) {
+      Reader fr(st.in);
+      auto len = fr.get_u32();
+      auto body = len ? fr.get_raw(*len) : std::nullopt;
+      if (!body) {
+        break;
+      }
+      Reader r(*body);
+      auto rid = r.get_u64();
+      auto err = r.get_u32();
+      ASSERT_TRUE(rid && err);
+      st.replies[*rid].push_back(static_cast<ErrorCode>(*err));
+      st.in.erase(st.in.begin(), st.in.begin() + 4 + *len);
+    }
+  };
+  // The nodes accept the three streams (one accept per serve pass) and park
+  // a recv on each. Then the requests reach the kernels while no node
+  // serves, so B's two puts wait together while A serves its first frame.
+  for (int poll = 0; poll < 8; ++poll) {
+    a.serve_once();
+    b.serve_once();
+    tick_all();
+  }
+  for (int poll = 0; poll < 8; ++poll) {
+    for (Stream* st : {&to_a, &to_b1, &to_b2}) {
+      step(*st);
+    }
+    tick_all();
+  }
+  for (int poll = 0; poll < 256; ++poll) {
+    a.serve_once();
+    b.serve_once();
+    tick_all();
+    for (Stream* st : {&to_a, &to_b1, &to_b2}) {
+      step(*st);
+    }
+  }
+
+  using Codes = std::vector<ErrorCode>;
+  EXPECT_EQ(to_a.end, ErrorCode::kOk) << "A closed the pipelined stream: " << error_name(to_a.end);
+  EXPECT_EQ(to_a.replies, (std::map<u64, Codes>{{1, {ErrorCode::kOk}}, {2, {ErrorCode::kOk}}}));
+  EXPECT_EQ(to_b1.replies, (std::map<u64, Codes>{{3, {ErrorCode::kOk}}}));
+  EXPECT_EQ(to_b2.replies, (std::map<u64, Codes>{{4, {ErrorCode::kOk}}}));
+  EXPECT_EQ(a.stats().puts, 2u) << "A served a put more than once";
+  EXPECT_EQ(b.stats().puts, 2u);
+  EXPECT_EQ(a.get("k1").value_or(std::vector<u8>{}), small);
+  EXPECT_EQ(a.get("k2").value_or(std::vector<u8>{}), big);
+  EXPECT_EQ(b.get("k2").value_or(std::vector<u8>{}), big);
+}
+
 TEST(TombstoneTest, DeleteIsSequencedTombstone) {
   Network net;
-  Host host(&net);
+  Machine host({.network = &net});
   BlockStoreNode node(host.sys, 7000);
   ASSERT_TRUE(node.init().ok());
   ASSERT_TRUE(node.put("k", bytes("v")).ok());
@@ -1192,7 +1266,7 @@ TEST(TombstoneTest, DeleteIsSequencedTombstone) {
 
 TEST(TombstoneTest, SurvivingTombstoneRefusesStaleWrite) {
   Network net;
-  Host host(&net);
+  Machine host({.network = &net});
   BlockStoreNode node(host.sys, 7000);
   ASSERT_TRUE(node.init().ok());
   ASSERT_TRUE(node.apply_remote("k", bytes("old"), 5, /*tombstone=*/false).ok());
@@ -1209,7 +1283,7 @@ TEST(TombstoneTest, SurvivingTombstoneRefusesStaleWrite) {
 
 TEST(TombstoneTest, GcReclaimsAcknowledgedTombstones) {
   Network net;
-  Host host(&net);
+  Machine host({.network = &net});
   BlockStoreNode node(host.sys, 7000);
   ASSERT_TRUE(node.init().ok());
   ASSERT_TRUE(node.put("gone", bytes("v")).ok());
@@ -1230,8 +1304,8 @@ TEST(TombstoneTest, GcReclaimsAcknowledgedTombstones) {
 // kCorrupted nor a failed repair is the right answer.
 TEST(TombstoneTest, ReadRepairCuresARottedTombstone) {
   Network net;
-  Host primary_host(&net);
-  Host replica_host(&net);
+  Machine primary_host({.network = &net});
+  Machine replica_host({.network = &net});
   BlockStoreNode replica(replica_host.sys, 7001);
   ASSERT_TRUE(replica.init().ok());
   BlockStoreNode primary(primary_host.sys, 7000, {}, [&] { replica.serve_once(); });
@@ -1309,8 +1383,8 @@ TEST(MerkleTreeTest, TombstoneStateIsPartOfTheHash) {
 
 TEST(AntiEntropyTest, SyncConvergesDivergentReplicas) {
   Network net;
-  Host a_host(&net);
-  Host b_host(&net);
+  Machine a_host({.network = &net});
+  Machine b_host({.network = &net});
   BlockStoreNode b(b_host.sys, 7001);
   BlockStoreNode a(a_host.sys, 7000, {}, [&] { b.serve_once(); });
   ASSERT_TRUE(a.init().ok());
@@ -1350,8 +1424,8 @@ TEST(AntiEntropyTest, SyncConvergesDivergentReplicas) {
 
 TEST(AntiEntropyTest, TokenBudgetParksPassAndResumes) {
   Network net;
-  Host a_host(&net);
-  Host b_host(&net);
+  Machine a_host({.network = &net});
+  Machine b_host({.network = &net});
   BlockStoreNode b(b_host.sys, 7001);
   BlockStoreNode a(a_host.sys, 7000, {}, [&] { b.serve_once(); });
   ASSERT_TRUE(a.init().ok());
@@ -1383,8 +1457,8 @@ TEST(AntiEntropyTest, TokenBudgetParksPassAndResumes) {
 
 TEST(AntiEntropyTest, FullInventoryBaselineConvergesThroughSameAccounting) {
   Network net;
-  Host a_host(&net);
-  Host b_host(&net);
+  Machine a_host({.network = &net});
+  Machine b_host({.network = &net});
   BlockStoreNode b(b_host.sys, 7001);
   BlockStoreNode a(a_host.sys, 7000, {}, [&] { b.serve_once(); });
   ASSERT_TRUE(a.init().ok());
@@ -1410,8 +1484,8 @@ TEST(AntiEntropyTest, FullInventoryBaselineConvergesThroughSameAccounting) {
 // leaf 0, so the descent asks for exactly that leaf.
 TEST(AntiEntropyTest, RepairRefusesACountThePayloadCannotHold) {
   Network net;
-  Host node_host(&net);
-  Host peer_host(&net);  // a hand-written peer: one datagram socket
+  Machine node_host({.network = &net});
+  Machine peer_host({.network = &net});  // a hand-written peer: one datagram socket
   std::function<void()> pump;  // the peer's step, set below
   BlockStoreNode node(node_host.sys, 7000, {}, [&] { pump(); });
   ASSERT_TRUE(node.init().ok());
@@ -1473,11 +1547,12 @@ TEST(AntiEntropyTest, RepairRefusesACountThePayloadCannotHold) {
 
 TEST(HintCapTest, PerPeerCapDropsOldestHint) {
   Network net;
-  Host host(&net);
+  Machine host({.network = &net});
   BlockStoreNode node(host.sys, 7000);
   ASSERT_TRUE(node.init().ok());
-  // Two-member view whose other member does not exist on the fabric: every
-  // replicated put times out and parks a hint for the phantom owner.
+  // Two-member view whose other member does not exist on the fabric. The
+  // node has no pump, so every replica push fails at once and parks a hint
+  // for the phantom owner.
   ClusterView view;
   view.replication = 2;
   view.ring = PlacementRing(16);
@@ -1485,18 +1560,15 @@ TEST(HintCapTest, PerPeerCapDropsOldestHint) {
   view.ring.add_node(1);
   view.directory[0] = BsPeer{host.kernel.net_addr(), 7000};
   view.directory[1] = BsPeer{0xDEAD, 7001};  // unreachable phantom
-  ClusterConfig cc;
-  cc.self = 0;
-  cc.ack_deadline_polls = 8;  // fail fast: the phantom never answers
-  cc.max_hints_per_peer = 4;
-  node.configure_cluster(cc, view);
+  node.configure_cluster({.self = 0}, view);
 
-  for (int i = 0; i < 7; ++i) {
+  constexpr usize kCap = BlockStoreNode::kMaxHintsPerPeer;
+  for (usize i = 0; i < kCap + 3; ++i) {
     ASSERT_TRUE(node.put("key" + std::to_string(i), bytes("v")).ok());
   }
-  // The queue is bounded at 4 parked hints; the 3 overflow parks each
+  // The queue is bounded at kCap parked hints; the 3 overflow parks each
   // evicted the then-oldest hint (drop-oldest, newest data survives).
-  EXPECT_EQ(node.stats().hints_written, 7u);
+  EXPECT_EQ(node.stats().hints_written, kCap + 3);
   EXPECT_EQ(node.stats().hints_dropped, 3u);
   auto names = host.sys.readdir("/hints");
   ASSERT_TRUE(names.ok());
@@ -1506,7 +1578,7 @@ TEST(HintCapTest, PerPeerCapDropsOldestHint) {
       ++parked;
     }
   }
-  EXPECT_EQ(parked, 4u);
+  EXPECT_EQ(parked, kCap);
 }
 
 }  // namespace

@@ -22,15 +22,14 @@
 
 #include <cstdlib>
 #include <functional>
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "src/app/blockstore.h"
 #include "src/app/chaos.h"
-#include "src/kernel/kernel.h"
-#include "src/kernel/syscall.h"
+#include "src/app/sim_cluster.h"
+#include "src/kernel/machine.h"
 
 namespace vnros {
 namespace {
@@ -162,50 +161,8 @@ u64 total(const std::vector<ChaosReport>& reports, u64 ChaosReport::*field) {
 // the client's stream reconnects included.
 void expect_same_schedule(const ChaosConfig& config) {
   ChaosReport a = run_chaos(config);
-  ChaosReport b = run_chaos(config);
   ASSERT_TRUE(a.ok) << a.message;
-  EXPECT_EQ(a.ok, b.ok);
-  EXPECT_EQ(a.message, b.message);
-  EXPECT_EQ(a.ops, b.ops);
-  EXPECT_EQ(a.ops_ok, b.ops_ok);
-  EXPECT_EQ(a.ops_failed, b.ops_failed);
-  EXPECT_EQ(a.crashes, b.crashes);
-  EXPECT_EQ(a.reimages, b.reimages);
-  EXPECT_EQ(a.partitions, b.partitions);
-  EXPECT_EQ(a.heals, b.heals);
-  EXPECT_EQ(a.faults_armed, b.faults_armed);
-  EXPECT_EQ(a.fault_fires, b.fault_fires);
-  EXPECT_EQ(a.read_repairs, b.read_repairs);
-  EXPECT_EQ(a.replicas_pushed, b.replicas_pushed);
-  EXPECT_EQ(a.replicas_applied, b.replicas_applied);
-  EXPECT_EQ(a.corrupt_reads, b.corrupt_reads);
-  EXPECT_EQ(a.spans_recorded, b.spans_recorded);
-  EXPECT_EQ(a.client_failovers, b.client_failovers);
-  EXPECT_EQ(a.client_retries, b.client_retries);
-  EXPECT_EQ(a.client_reconnects, b.client_reconnects);
-  EXPECT_EQ(a.checks, b.checks);
-  EXPECT_EQ(a.joins, b.joins);
-  EXPECT_EQ(a.leaves, b.leaves);
-  EXPECT_EQ(a.aborted_leaves, b.aborted_leaves);
-  EXPECT_EQ(a.rebalanced, b.rebalanced);
-  EXPECT_EQ(a.hints_written, b.hints_written);
-  EXPECT_EQ(a.hints_delivered, b.hints_delivered);
-  EXPECT_EQ(a.sheds, b.sheds);
-  EXPECT_EQ(a.stale_ignored, b.stale_ignored);
-  EXPECT_EQ(a.delays_armed, b.delays_armed);
-  EXPECT_EQ(a.tombstones_written, b.tombstones_written);
-  EXPECT_EQ(a.tombstones_gced, b.tombstones_gced);
-  EXPECT_EQ(a.hints_dropped, b.hints_dropped);
-  EXPECT_EQ(a.bit_rot_reads, b.bit_rot_reads);
-  EXPECT_EQ(a.flaps, b.flaps);
-  EXPECT_EQ(a.slow_spells, b.slow_spells);
-  EXPECT_EQ(a.ae_passes, b.ae_passes);
-  EXPECT_EQ(a.ae_clean_passes, b.ae_clean_passes);
-  EXPECT_EQ(a.ae_pulled, b.ae_pulled);
-  EXPECT_EQ(a.ae_pushed, b.ae_pushed);
-  EXPECT_EQ(a.ae_bytes, b.ae_bytes);
-  EXPECT_EQ(a.lin_reads_checked, b.lin_reads_checked);
-  EXPECT_EQ(a.acked_floor_drops, b.acked_floor_drops);
+  EXPECT_EQ(a, run_chaos(config));
 }
 
 // --- legacy ----------------------------------------------------------------------
@@ -334,108 +291,18 @@ TEST(ChaosRingTest, SameSeedSameSchedule) { expect_same_schedule(ring_config(0xB
 // put's request is on the wire — the tightest interleaving the simulation
 // can express.
 
-struct Host {
-  Kernel kernel;
-  SyscallDispatcher disp;
-  Pid pid;
-  Sys sys;
-
-  explicit Host(Network* net) : kernel(config_of(net)), disp(kernel), pid(spawn(disp)),
-                                sys(disp, pid, 0) {}
-
-  static KernelConfig config_of(Network* net) {
-    KernelConfig c;
-    c.network = net;
-    return c;
-  }
-
-  static Pid spawn(SyscallDispatcher& disp) {
-    Sys boot(disp, kInvalidPid, 0);
-    auto p = boot.spawn();
-    EXPECT_TRUE(p.ok());
-    return p.value();
-  }
-};
-
-struct ChurnCluster {
-  Network net;
-  std::vector<std::unique_ptr<Host>> hosts;
-  std::vector<std::unique_ptr<BlockStoreNode>> nodes;
-  std::vector<bool> active;
-  ClusterView view;
-  std::function<void()> on_pump;  // churn hook: runs at the start of each client poll
-
-  explicit ChurnCluster(usize n, usize replication) {
-    view.replication = replication;
-    for (usize i = 0; i < n; ++i) {
-      add_member();
-    }
-    for (usize i = 0; i < n; ++i) {
-      nodes[i]->set_cluster_view(view);
-    }
-  }
-
-  BsNodeId add_member() {
-    BsNodeId id = static_cast<BsNodeId>(nodes.size());
-    Port port = static_cast<Port>(9200 + id);
-    usize slot = nodes.size();
-    hosts.push_back(std::make_unique<Host>(&net));
-    nodes.push_back(std::make_unique<BlockStoreNode>(
-        hosts[slot]->sys, port, std::vector<BsPeer>{}, [this, slot] { pump_except(slot); }));
-    active.push_back(true);
-    EXPECT_TRUE(nodes[slot]->init().ok());
-    view.ring.add_node(id);
-    view.directory[id] = BsPeer{hosts[slot]->kernel.net_addr(), port};
-    ClusterConfig cfg;
-    cfg.self = id;
-    nodes[slot]->configure_cluster(cfg, view);
-    return id;
-  }
-
-  void pump_except(usize skip) {
-    for (usize i = 0; i < nodes.size(); ++i) {
-      if (i != skip && active[i] && nodes[i]) {
-        nodes[i]->serve_once();
-      }
-    }
-  }
-  void pump_all() { pump_except(nodes.size()); }
-
-  // One poll of the client's world. The hook runs before the servers get a
-  // turn: a membership change fired on the client's first poll lands after
-  // its request was sent but before any node serves it — a genuinely
-  // in-flight op. Then every node serves and every host's VTP stack ticks.
-  void client_pump(Host& client) {
+TEST(ChurnInFlightTest, JoinDuringInFlightPut) {
+  SimCluster c(3, 2);
+  Machine client_host({.network = &c.net()});
+  // The churn hook runs at the start of each client poll, before any node
+  // serves: a change fired on a put's first poll races its request.
+  std::function<void()> on_pump;
+  BlockStoreClient client(client_host.sys, c.view(), [&] {
     if (on_pump) {
       on_pump();
     }
-    pump_all();
-    for (auto& h : hosts) {
-      h->kernel.vtp().tick();
-    }
-    client.kernel.vtp().tick();
-  }
-
-  void drain(usize polls = 96) {
-    for (usize i = 0; i < polls; ++i) {
-      pump_all();
-    }
-  }
-
-  bool is_owner(const std::string& key, BsNodeId id) const {
-    for (BsNodeId o : view.owners(key)) {
-      if (o == id) {
-        return true;
-      }
-    }
-    return false;
-  }
-};
-
-TEST(ChurnInFlightTest, JoinDuringInFlightPut) {
-  ChurnCluster c(3, 2);
-  Host client_host(&c.net);
-  BlockStoreClient client(client_host.sys, c.view, [&] { c.client_pump(client_host); });
+    c.pump(client_host);
+  });
 
   // Seed some shards so the join actually moves data.
   for (int i = 0; i < 6; ++i) {
@@ -446,33 +313,33 @@ TEST(ChurnInFlightTest, JoinDuringInFlightPut) {
   // served) a fourth node joins and every pre-existing member rebalances
   // into the grown view.
   bool joined = false;
-  c.on_pump = [&] {
+  on_pump = [&] {
     if (joined) {
       return;
     }
     joined = true;
-    c.add_member();
-    for (usize j = 0; j + 1 < c.nodes.size(); ++j) {
-      auto st = c.nodes[j]->rebalance(c.view);
+    c.join();
+    for (usize j = 0; j + 1 < c.size(); ++j) {
+      auto st = c.node(j).rebalance(c.view());
       ASSERT_TRUE(st.ok());
     }
   };
   ASSERT_TRUE(client.put("racer", bytes("mid-join")).ok());
   ASSERT_TRUE(joined);
-  c.on_pump = {};
+  on_pump = {};
 
   // Converge: one more rebalance pass + hint delivery, then the new view's
   // owners must both hold the put.
-  client.set_cluster(c.view);
-  for (usize j = 0; j < c.nodes.size(); ++j) {
-    ASSERT_TRUE(c.nodes[j]->rebalance(c.view).ok());
-    (void)c.nodes[j]->deliver_hints();
+  client.set_cluster(c.view());
+  for (usize j = 0; j < c.size(); ++j) {
+    ASSERT_TRUE(c.node(j).rebalance(c.view()).ok());
+    (void)c.node(j).deliver_hints();
   }
   c.drain();
   EXPECT_EQ(client.get("racer").value(), bytes("mid-join"));
-  for (usize j = 0; j < c.nodes.size(); ++j) {
-    auto local = c.nodes[j]->get("racer");
-    if (c.is_owner("racer", static_cast<BsNodeId>(j))) {
+  for (usize j = 0; j < c.size(); ++j) {
+    auto local = c.node(j).get("racer");
+    if (c.is_owner("racer", j)) {
       EXPECT_EQ(local.value(), bytes("mid-join")) << "owner " << j << " missing the racing put";
     }
   }
@@ -482,9 +349,17 @@ TEST(ChurnInFlightTest, JoinDuringInFlightPut) {
 }
 
 TEST(ChurnInFlightTest, LeaveDuringInFlightPut) {
-  ChurnCluster c(4, 2);
-  Host client_host(&c.net);
-  BlockStoreClient client(client_host.sys, c.view, [&] { c.client_pump(client_host); });
+  SimCluster c(4, 2);
+  Machine client_host({.network = &c.net()});
+  // The churn hook runs at the start of each client poll, before any node
+  // serves: a change fired on a put's first poll races its request.
+  std::function<void()> on_pump;
+  BlockStoreClient client(client_host.sys, c.view(), [&] {
+    if (on_pump) {
+      on_pump();
+    }
+    c.pump(client_host);
+  });
 
   for (int i = 0; i < 8; ++i) {
     ASSERT_TRUE(client.put("pre" + std::to_string(i), bytes("v" + std::to_string(i))).ok());
@@ -493,44 +368,39 @@ TEST(ChurnInFlightTest, LeaveDuringInFlightPut) {
   // The leaver must not be an owner of the racing key (its process serves
   // that rpc's shard movement, not the rpc itself) — pick one.
   const std::string key = "racer";
-  usize leaver = c.nodes.size();
-  for (usize j = 0; j < c.nodes.size(); ++j) {
-    if (!c.is_owner(key, static_cast<BsNodeId>(j))) {
+  usize leaver = c.size();
+  for (usize j = 0; j < c.size(); ++j) {
+    if (!c.is_owner(key, j)) {
       leaver = j;
       break;
     }
   }
-  ASSERT_LT(leaver, c.nodes.size());
+  ASSERT_LT(leaver, c.size());
 
   bool left = false;
-  c.on_pump = [&] {
+  on_pump = [&] {
     if (left) {
       return;
     }
     left = true;
-    ClusterView candidate = c.view;
-    candidate.ring.remove_node(static_cast<BsNodeId>(leaver));
-    candidate.directory.erase(static_cast<BsNodeId>(leaver));
-    auto st = c.nodes[leaver]->rebalance(candidate);
+    auto st = c.node(leaver).rebalance(c.without(leaver));
     ASSERT_TRUE(st.ok());
     EXPECT_EQ(st.value().failed, 0u) << "graceful leave stranded a shard";
-    c.view = candidate;
-    c.active[leaver] = false;
-    c.nodes[leaver].reset();
-    for (usize j = 0; j < c.nodes.size(); ++j) {
-      if (c.active[j] && c.nodes[j]) {
-        ASSERT_TRUE(c.nodes[j]->rebalance(c.view).ok());
+    c.leave(leaver);
+    for (usize j = 0; j < c.size(); ++j) {
+      if (c.active(j)) {
+        ASSERT_TRUE(c.node(j).rebalance(c.view()).ok());
       }
     }
   };
   ASSERT_TRUE(client.put(key, bytes("mid-leave")).ok());
   ASSERT_TRUE(left);
-  c.on_pump = {};
+  on_pump = {};
 
-  client.set_cluster(c.view);
-  for (usize j = 0; j < c.nodes.size(); ++j) {
-    if (c.active[j] && c.nodes[j]) {
-      (void)c.nodes[j]->deliver_hints();
+  client.set_cluster(c.view());
+  for (usize j = 0; j < c.size(); ++j) {
+    if (c.active(j)) {
+      (void)c.node(j).deliver_hints();
     }
   }
   c.drain();

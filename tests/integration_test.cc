@@ -9,8 +9,10 @@
 #include <thread>
 
 #include "src/app/blockstore.h"
+#include "src/app/sim_cluster.h"
 #include "src/base/rng.h"
 #include "src/kernel/kernel.h"
+#include "src/kernel/machine.h"
 #include "src/kernel/syscall.h"
 #include "src/pt/address_space.h"
 #include "src/pt/interp.h"
@@ -19,29 +21,6 @@ namespace vnros {
 namespace {
 
 std::vector<u8> bytes(std::string_view s) { return std::vector<u8>(s.begin(), s.end()); }
-
-// One simulated machine with a ready process (used by the cluster tests).
-struct Host {
-  Kernel kernel;
-  SyscallDispatcher disp;
-  Pid pid;
-  Sys sys;
-
-  explicit Host(Network* net)
-      : kernel([net] {
-          KernelConfig c;
-          c.network = net;
-          return c;
-        }()),
-        disp(kernel),
-        pid([this] {
-          Sys boot(disp, kInvalidPid, 0);
-          auto p = boot.spawn();
-          VNROS_CHECK(p.ok());
-          return p.value();
-        }()),
-        sys(disp, pid, 0) {}
-};
 
 TEST(IntegrationTest, ProducerConsumerThroughTheFilesystem) {
   Kernel kernel;
@@ -162,71 +141,41 @@ TEST(IntegrationTest, ThreeNodeBlockStoreCluster) {
   // A three-member ring that places every key on every member; the client
   // talks to the primary, which acks each put only after both replicas
   // acked their pushes, so every replica can serve the reads.
-  Network net;
-  Host hosts[] = {Host(&net), Host(&net), Host(&net)};
-  Host client_host(&net);
-
-  BlockStoreNode replica1(hosts[1].sys, 7001);
-  BlockStoreNode replica2(hosts[2].sys, 7002);
-  ASSERT_TRUE(replica1.init().ok());
-  ASSERT_TRUE(replica2.init().ok());
-  BlockStoreNode primary(hosts[0].sys, 7000, {}, [&] {
-    replica1.serve_once();
-    replica2.serve_once();
-  });
-  ASSERT_TRUE(primary.init().ok());
-  ClusterView view = ClusterView::of({BsPeer{hosts[0].kernel.net_addr(), 7000},
-                                      BsPeer{hosts[1].kernel.net_addr(), 7001},
-                                      BsPeer{hosts[2].kernel.net_addr(), 7002}},
-                                     3);
-  primary.configure_cluster({.self = 0}, view);
-  replica1.configure_cluster({.self = 1}, view);
-  replica2.configure_cluster({.self = 2}, view);
-
-  auto pump = [&] {
-    primary.serve_once();
-    replica1.serve_once();
-    replica2.serve_once();
-    for (Host& h : hosts) {
-      h.kernel.vtp().tick();
-    }
-    client_host.kernel.vtp().tick();
-  };
-  BlockStoreClient client(client_host.sys, ClusterView::of({{hosts[0].kernel.net_addr(), 7000}}, 1),
-                          pump);
+  SimCluster c(3, 3);
+  Machine client_host({.network = &c.net()});
+  BlockStoreClient client(client_host.sys, ClusterView::of({c.peer(0)}, 1),
+                          [&] { c.pump(client_host); });
 
   for (int i = 0; i < 5; ++i) {
     std::string key = "obj" + std::to_string(i);
     ASSERT_TRUE(client.put(key, bytes("data-" + std::to_string(i))).ok());
   }
-  EXPECT_EQ(primary.stats().hints_written, 0u);
+  EXPECT_EQ(c.node(0).stats().hints_written, 0u);
   for (int i = 0; i < 5; ++i) {
     std::string key = "obj" + std::to_string(i);
     std::vector<u8> expect = bytes("data-" + std::to_string(i));
-    EXPECT_EQ(primary.get(key).value(), expect);
-    EXPECT_EQ(replica1.get(key).value(), expect);
-    EXPECT_EQ(replica2.get(key).value(), expect);
+    for (usize m = 0; m < c.size(); ++m) {
+      EXPECT_EQ(c.node(m).get(key).value(), expect) << "member " << m;
+    }
   }
 }
 
 TEST(IntegrationTest, SchedulerDrivesSimulatedWorkers) {
   // Simulated threads round through the scheduler while futexes gate a
   // simulated critical section — the process-model concurrency story.
-  Kernel kernel;
-  SyscallDispatcher disp(kernel);
-  Sys boot(disp, kInvalidPid, 0);
-  auto pid = boot.spawn();
-  Sys sys(disp, pid.value(), 0);
+  Machine m;
+  Kernel& kernel = m.kernel;
+  Sys& sys = m.sys;
 
   auto region = sys.mmap(kPageSize, true);
   ASSERT_TRUE(region.ok());
   VAddr lock_word = region.value();
-  Process* proc = kernel.procs().get(pid.value());
+  Process* proc = kernel.procs().get(m.pid);
   ASSERT_TRUE(proc->vm().write_u32(lock_word, 1).ok());  // "locked"
 
   auto tok = kernel.sched().register_core(0);
   for (Tid t = 1; t <= 3; ++t) {
-    ASSERT_EQ(kernel.sched().add_thread(tok, t, pid.value(), 1, 0), ErrorCode::kOk);
+    ASSERT_EQ(kernel.sched().add_thread(tok, t, m.pid, 1, 0), ErrorCode::kOk);
   }
   // All three block on the locked word.
   for (Tid t = 1; t <= 3; ++t) {

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "src/kernel/kernel.h"
+#include "src/kernel/machine.h"
 #include "src/kernel/syscall.h"
 #include "src/obs/registry.h"
 
@@ -193,12 +194,8 @@ TEST(ObsRegistryTest, JsonRollsUpInstancesPerFamily) {
 }
 
 TEST(KstatTest, ReadsKernelCountersThroughSyscall) {
-  Kernel kernel;
-  SyscallDispatcher disp(kernel);
-  Sys boot(disp, kInvalidPid, 0);
-  auto pid = boot.spawn();
-  ASSERT_TRUE(pid.ok());
-  Sys sys(disp, pid.value(), 0);
+  Machine machine;
+  Sys& sys = machine.sys;
 
   auto names = sys.kstat_list();
   ASSERT_TRUE(names.ok());
@@ -245,12 +242,8 @@ TEST(KstatTest, RingCountersTrackSubmissionAndCompletion) {
   if constexpr (!kMetricsEnabled) {
     GTEST_SKIP() << "counters compiled out";
   }
-  Kernel kernel;
-  SyscallDispatcher disp(kernel);
-  Sys boot(disp, kInvalidPid, 0);
-  auto pid = boot.spawn();
-  ASSERT_TRUE(pid.ok());
-  Sys sys(disp, pid.value(), 0);
+  Machine machine;
+  Sys& sys = machine.sys;
 
   u64 sub0 = sys.kstat("ring/submitted").value();
   u64 comp0 = sys.kstat("ring/completed").value();

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "src/kernel/kernel.h"
+#include "src/kernel/machine.h"
 #include "src/kernel/ring.h"
 #include "src/kernel/syscall.h"
 #include "src/obs/counter.h"
@@ -32,16 +33,9 @@ static_assert(!SqeBuilds<SysNr::kVtpRecv, Fd, std::span<const u8>>);
 static_assert(SqeBuilds<SysNr::kVtpRecv, Fd, u64>);
 static_assert(!SqeBuilds<SysNr::kRingSetup, u32, u32>);
 
-class RingSysTest : public ::testing::Test {
+// One machine; each test runs as its process (`sys`, `pid`).
+class RingSysTest : public ::testing::Test, protected Machine {
  protected:
-  RingSysTest() : disp(kernel), boot(disp, kInvalidPid, 0), pid(spawn()), sys(disp, pid, 0) {}
-
-  Pid spawn() {
-    auto p = boot.spawn();
-    EXPECT_TRUE(p.ok());
-    return p.value();
-  }
-
   // A bound UDP socket whose queue is empty: recvfrom through the ring parks.
   Fd bound_socket(Port port) {
     auto sock = sys.udp_socket();
@@ -65,12 +59,6 @@ class RingSysTest : public ::testing::Test {
     ADD_FAILURE() << "handshake did not complete";
     return kInvalidFd;
   }
-
-  Kernel kernel;
-  SyscallDispatcher disp;
-  Sys boot;
-  Pid pid;
-  Sys sys;
 };
 
 TEST_F(RingSysTest, SqFullReturnsTypedWouldBlock) {
@@ -414,22 +402,18 @@ TEST_F(RingSysTest, ParkedOpsRunAgainOnlyWhenTheirSocketSignals) {
 // on the same stream. Every byte arrives, in order.
 TEST(RingThreadsTest, TickerAndRingWaiterShareAStack) {
   Network net;
-  KernelConfig sc;
-  sc.network = &net;
-  Kernel server(sc);
-  Kernel client(sc);
-  SyscallDispatcher sd(server), cd(client);
-  Sys sboot(sd, kInvalidPid, 0), cboot(cd, kInvalidPid, 0);
-  Sys ssys(sd, sboot.spawn().value(), 0);
-  Sys csys(cd, cboot.spawn().value(), 0);
+  Machine server({.network = &net});
+  Machine client({.network = &net});
+  Sys& ssys = server.sys;
+  Sys& csys = client.sys;
   auto listener = ssys.vtp_listen(90);
   ASSERT_TRUE(listener.ok());
-  auto conn = csys.vtp_connect(server.net_addr(), 90, 3000);
+  auto conn = csys.vtp_connect(server.kernel.net_addr(), 90, 3000);
   ASSERT_TRUE(conn.ok());
   Fd stream = kInvalidFd;
   for (int i = 0; i < 200 && stream == kInvalidFd; ++i) {
-    client.vtp().tick();
-    server.vtp().tick();
+    client.kernel.vtp().tick();
+    server.kernel.vtp().tick();
     auto acc = ssys.vtp_accept(listener.value());
     if (acc.ok()) {
       stream = acc.value();
@@ -456,8 +440,8 @@ TEST(RingThreadsTest, TickerAndRingWaiterShareAStack) {
         }
         sent.insert(sent.end(), chunk.begin(), chunk.end());
       }
-      client.vtp().tick();
-      server.vtp().tick();
+      client.kernel.vtp().tick();
+      server.kernel.vtp().tick();
     }
   });
   usize total = 0;

@@ -7,6 +7,7 @@
 
 #include "src/kernel/fs.h"
 #include "src/kernel/kernel.h"
+#include "src/kernel/machine.h"
 #include "src/kernel/syscall.h"
 #include "src/obs/counter.h"
 
@@ -15,22 +16,8 @@ namespace {
 
 std::vector<u8> bytes(std::string_view s) { return std::vector<u8>(s.begin(), s.end()); }
 
-class SysTest : public ::testing::Test {
- protected:
-  SysTest() : disp(kernel), boot(disp, kInvalidPid, 0), pid(spawn()), sys(disp, pid, 0) {}
-
-  Pid spawn() {
-    auto p = boot.spawn();
-    EXPECT_TRUE(p.ok());
-    return p.value();
-  }
-
-  Kernel kernel;
-  SyscallDispatcher disp;
-  Sys boot;
-  Pid pid;
-  Sys sys;
-};
+// One machine; each test runs as its process (`sys`, `pid`).
+class SysTest : public ::testing::Test, protected Machine {};
 
 // --- Files --------------------------------------------------------------------
 
@@ -122,6 +109,25 @@ TEST_F(SysTest, OpenCreateTruncJournalsOnlyWhatChanges) {
   ASSERT_TRUE(fd.ok());
   EXPECT_EQ(records(), before + 1);  // the truncate
   EXPECT_EQ(sys.fstat(fd.value()).value().size, 0u);
+}
+
+TEST_F(SysTest, ZeroLengthWriteChangesNothing) {
+  // POSIX write(2) with a count of 0 changes nothing: past EOF it neither
+  // extends the file nor journals a record. Its checks still run, so a
+  // missing path or a directory still fails.
+  if constexpr (!kMetricsEnabled) {
+    GTEST_SKIP() << "fs/journal_records reads 0 with metrics compiled out";
+  }
+  auto fd = sys.open("/f", kOpenCreate);
+  ASSERT_TRUE(fd.ok());
+  ASSERT_EQ(sys.lseek(fd.value(), 1000, SeekWhence::kSet).value(), 1000u);
+  const u64 records = sys.kstat("fs/journal_records").value();
+  EXPECT_EQ(sys.write(fd.value(), {}).value(), 0u);
+  EXPECT_EQ(sys.fstat(fd.value()).value().size, 0u);
+  EXPECT_EQ(sys.kstat("fs/journal_records").value(), records);
+  ASSERT_TRUE(sys.mkdir("/d").ok());
+  EXPECT_EQ(kernel.fs().write("/missing", 0, {}).error(), ErrorCode::kNotFound);
+  EXPECT_EQ(kernel.fs().write("/d", 0, {}).error(), ErrorCode::kIsDirectory);
 }
 
 TEST_F(SysTest, FileSizeIsBounded) {
@@ -270,7 +276,7 @@ TEST_F(SysTest, FutexSyscalls) {
 // --- Sockets -------------------------------------------------------------------------------
 
 TEST_F(SysTest, UdpLoopbackBetweenProcesses) {
-  auto p2 = boot.spawn();
+  auto p2 = Sys(disp, kInvalidPid, 0).spawn();
   Sys other(disp, p2.value(), 1);
 
   auto server = other.udp_socket();
@@ -375,7 +381,7 @@ TEST_F(SysTest, PipeFdsAreProcessLocal) {
   auto ends = sys.pipe_create();
   auto [rfd, wfd] = ends.value();
   (void)wfd;
-  auto p2 = boot.spawn();
+  auto p2 = Sys(disp, kInvalidPid, 0).spawn();
   Sys other(disp, p2.value(), 1);
   EXPECT_EQ(other.read(rfd, 1).error(), ErrorCode::kBadFd);
 }

@@ -7,6 +7,7 @@
 #include "src/base/rng.h"
 #include "src/kernel/futex.h"
 #include "src/kernel/kernel.h"
+#include "src/kernel/machine.h"
 #include "src/kernel/syscall.h"
 #include "src/ulib/alloc.h"
 #include "src/ulib/sync.h"
@@ -349,19 +350,11 @@ TEST(UThreadTest, PingPong) {
 
 std::vector<u8> bytes(std::string_view s) { return std::vector<u8>(s.begin(), s.end()); }
 
-class URingUTest : public ::testing::Test {
+class URingUTest : public ::testing::Test, protected Machine {
  protected:
-  URingUTest()
-      : disp(kernel), boot(disp, kInvalidPid, 0), pid(spawn_proc()), sys(disp, pid, 0),
-        exec(sched, sys) {
+  URingUTest() : exec(sched, sys) {
     auto ok = exec.init(16, 16);
     EXPECT_TRUE(ok.ok());
-  }
-
-  Pid spawn_proc() {
-    auto p = boot.spawn();
-    EXPECT_TRUE(p.ok());
-    return p.value();
   }
 
   // Drives green threads and ring completions together until quiescent:
@@ -379,11 +372,6 @@ class URingUTest : public ::testing::Test {
     return iters;
   }
 
-  Kernel kernel;
-  SyscallDispatcher disp;
-  Sys boot;
-  Pid pid;
-  Sys sys;
   UScheduler sched;
   URingExecutor exec;
 };
