@@ -127,9 +127,11 @@ echo "== tier-1: ASan+UBSan build (fs_test + app_test + chaos_test + integration
 # lifetime bug the sanitizers see first. And so do the syscall and ring
 # tests and the sys_* VCs: the table's generic decoders parse untrusted
 # frames byte by byte, and the marshalling VC feeds them every strict prefix
-# of every syscall's frame. The app VCs (Vc_app.*) drive the node's peer
-# call — replica pushes, read-repair, anti-entropy, tombstone GC — through
-# its nested ring waits and reply stash. The fs VCs (*fs_*: kernel/fs_* and
+# of every syscall's frame; the header round-trip VCs (*header_roundtrip*)
+# do the same for the IP, UDP and VTP headers. The app VCs (Vc_app.*) drive
+# the node's peer call — replica pushes, read-repair, anti-entropy,
+# tombstone GC — through its nested ring waits and reply stash, and
+# app/wire_* feeds the node every strict prefix of every op's request. The fs VCs (*fs_*: kernel/fs_* and
 # kernel/nrfs_*) drive the fs commit path, which decodes journal records
 # byte by byte and runs under injected device faults. integration_test's
 # cluster test boots through Machine and the SimCluster rig, the boot and
@@ -145,7 +147,7 @@ cmake --build build-asan -j"${JOBS}" --target fs_test app_test chaos_test integr
 ./build-asan/tests/net_test
 ./build-asan/tests/syscall_test
 ./build-asan/tests/ring_syscall_test
-./build-asan/tests/vc_suite_test --gtest_filter='*crc*:*corruption*:*vtp*:*sys_*:*fs_*:Vc_app.*'
+./build-asan/tests/vc_suite_test --gtest_filter='*crc*:*corruption*:*vtp*:*header_roundtrip*:*sys_*:*fs_*:Vc_app.*'
 
 echo
 echo "== tier-1: UBSan build (chaos_test + app_test + integration_test + fs + checksums + VTP + syscalls + app VCs) =="
@@ -165,7 +167,7 @@ cmake --build build-ubsan -j"${JOBS}" --target chaos_test app_test integration_t
 ./build-ubsan/tests/net_test
 ./build-ubsan/tests/syscall_test
 ./build-ubsan/tests/ring_syscall_test
-./build-ubsan/tests/vc_suite_test --gtest_filter='*crc*:*corruption*:*vtp*:*sys_*:*fs_*:Vc_app.*'
+./build-ubsan/tests/vc_suite_test --gtest_filter='*crc*:*corruption*:*vtp*:*header_roundtrip*:*sys_*:*fs_*:Vc_app.*'
 
 echo
 echo "tier1: OK"

@@ -29,16 +29,14 @@ MerkleTree MerkleTree::build(const std::vector<BlockKeyInfo>& inventory) {
   for (usize b = 0; b < kLeaves; ++b) {
     Writer w;
     for (const auto& e : t.buckets[b]) {
-      w.put_string(e.key);
-      w.put_u64(e.seq);
-      w.put_u8(e.tombstone ? 1 : 0);
+      MerkleLeafEntry::put(w, e);
     }
     t.hash[kFirstLeaf + b] = crc32c(w.bytes());
   }
   for (usize idx = kFirstLeaf; idx-- > 0;) {
     Writer w;
     for (usize c = 0; c < kFanout; ++c) {
-      w.put_u32(t.hash[idx * kFanout + 1 + c]);
+      Codec<u32>::put(w, t.hash[idx * kFanout + 1 + c]);
     }
     t.hash[idx] = crc32c(w.bytes());
   }
@@ -69,79 +67,38 @@ void AntiEntropyScheduler::tick() {
   }
 }
 
-Result<BsReply> AntiEntropyScheduler::rpc(const BsPeer& peer, BsOp op, std::string_view key,
-                                          std::span<const u8> body) {
+Result<BsReply> AntiEntropyScheduler::rpc(const BsPeer& peer, BsOp op, BsRequest req) {
   if (budget_ == 0) {
     return ErrorCode::kBusy;  // pass budget spent: park the rest
   }
   --budget_;
   ++stats_.rpcs;
   PeerTraffic traffic;
-  auto reply = node_.call_peer(peer, op, key, body, kRepairRpcRetry, &traffic);
+  auto reply = node_.call_peer(peer, op, req, kRepairRpcRetry, &traffic);
   stats_.bytes_sent += traffic.sent;
   stats_.bytes_received += traffic.received;
   return reply;
 }
 
-Result<AntiEntropyScheduler::NodeReply> AntiEntropyScheduler::fetch_node(const BsPeer& peer,
-                                                                         u32 idx) {
-  Writer body;
-  body.put_u32(idx);
-  auto reply = rpc(peer, BsOp::kMerkleNode, "", body.bytes());
+template <BsOp N>
+Result<BsPayloadOf<N>> AntiEntropyScheduler::fetch(const BsPeer& peer, BsRequest req) {
+  auto reply = rpc(peer, N, req);
   if (!reply.ok()) {
     return reply.error();
   }
-  Reader r(reply.value().value);
-  NodeReply out;
-  auto hash = r.get_u32();
-  auto count = r.get_u32();
-  if (!hash || !count || *count > MerkleTree::kFanout) {
-    return ErrorCode::kCorrupted;
-  }
-  out.hash = *hash;
-  out.child_count = *count;
-  for (u32 c = 0; c < *count; ++c) {
-    auto child = r.get_u32();
-    if (!child) {
-      return ErrorCode::kCorrupted;
-    }
-    out.children[c] = *child;
-  }
-  return out;
+  return bs_payload<N>(reply.value().value);
 }
 
-Result<std::vector<BlockKeyInfo>> AntiEntropyScheduler::fetch_leaf(const BsPeer& peer,
-                                                                   u32 bucket) {
-  Writer body;
-  body.put_u32(bucket);
-  auto reply = rpc(peer, BsOp::kMerkleLeaf, "", body.bytes());
-  if (!reply.ok()) {
-    return reply.error();
-  }
-  // The smallest entry: an empty key's u32 length, seq and flags. A count
-  // the payload cannot hold is malformed, so it never sizes the reservation.
-  constexpr usize kMinEntryBytes = 4 + 8 + 1;
-  Reader r(reply.value().value);
-  auto count = r.get_u32();
-  if (!count || *count > r.remaining() / kMinEntryBytes) {
+Result<MerkleNodePayload> AntiEntropyScheduler::fetch_node(const BsPeer& peer, u32 idx) {
+  auto node = fetch<BsOp::kMerkleNode>(peer, {.index = idx});
+  if (node.ok() && node.value().children.size() > MerkleTree::kFanout) {
     return ErrorCode::kCorrupted;
   }
-  std::vector<BlockKeyInfo> out;
-  out.reserve(*count);
-  for (u32 i = 0; i < *count; ++i) {
-    auto key = r.get_string();
-    auto seq = r.get_u64();
-    auto flags = r.get_u8();
-    if (!key || !seq || !flags) {
-      return ErrorCode::kCorrupted;
-    }
-    out.push_back(BlockKeyInfo{std::move(*key), 0, *seq, (*flags & 1) != 0});
-  }
-  return out;
+  return node;
 }
 
 Result<Unit> AntiEntropyScheduler::pull_block(const BsPeer& peer, std::string_view key) {
-  auto reply = rpc(peer, BsOp::kGetBlock, key);
+  auto reply = rpc(peer, BsOp::kGetBlock, {.key = key});
   if (!reply.ok()) {
     return reply.error();
   }
@@ -162,19 +119,18 @@ Result<Unit> AntiEntropyScheduler::pull_block(const BsPeer& peer, std::string_vi
 }
 
 Result<Unit> AntiEntropyScheduler::push_block(const BsPeer& peer, const BlockKeyInfo& info) {
-  Writer body;
-  body.put_u64(info.seq);
+  std::vector<u8> value;
   if (!info.tombstone) {
-    auto value = node_.get(info.key);
-    if (!value.ok()) {
+    auto got = node_.get(info.key);
+    if (!got.ok()) {
       // The block changed (deleted/corrupted) since list(): let the next
       // pass ship whatever it settled into.
       return Unit{};
     }
-    body.put_bytes(value.value());
+    value = std::move(got.value());
   }
-  auto reply = rpc(peer, info.tombstone ? BsOp::kDelReplica : BsOp::kPutReplica, info.key,
-                   body.bytes());
+  auto reply = rpc(peer, info.tombstone ? BsOp::kDelReplica : BsOp::kPutReplica,
+                   {.key = info.key, .seq = info.seq, .value = value});
   if (!reply.ok()) {
     return reply.error();
   }
@@ -260,13 +216,13 @@ Result<Unit> AntiEntropyScheduler::sync_with(const BsPeer& peer) {
   // Top-down descent: only subtrees whose hashes differ are expanded, so
   // wire cost tracks divergence. The node reply carries child hashes, so
   // each interior fetch prunes four subtrees at once.
-  std::vector<std::pair<usize, NodeReply>> frontier;
+  std::vector<std::pair<usize, MerkleNodePayload>> frontier;
   frontier.emplace_back(0, root.value());
   std::vector<u32> divergent_leaves;
   while (!frontier.empty()) {
     auto [idx, nr] = frontier.back();
     frontier.pop_back();
-    for (usize c = 0; c < MerkleTree::kFanout && c < nr.child_count; ++c) {
+    for (usize c = 0; c < nr.children.size(); ++c) {
       usize child = idx * MerkleTree::kFanout + 1 + c;
       if (nr.children[c] == local.hash[child]) {
         continue;
@@ -283,7 +239,7 @@ Result<Unit> AntiEntropyScheduler::sync_with(const BsPeer& peer) {
     }
   }
   for (u32 bucket : divergent_leaves) {
-    auto remote = fetch_leaf(peer, bucket);
+    auto remote = fetch<BsOp::kMerkleLeaf>(peer, {.index = bucket});
     if (!remote.ok()) {
       return classify(remote.error());
     }
@@ -302,15 +258,11 @@ Result<Unit> AntiEntropyScheduler::sync_with(const BsPeer& peer) {
 Result<Unit> AntiEntropyScheduler::sync_full(const BsPeer& peer) {
   ++stats_.passes;
   budget_ = ~u64{0};  // baseline is unmetered: it measures full-inventory cost
-  auto reply = rpc(peer, BsOp::kList, "");
-  if (!reply.ok()) {
-    if (reply.error() == ErrorCode::kOverloaded) {
+  auto remote = fetch<BsOp::kList>(peer);
+  if (!remote.ok()) {
+    if (remote.error() == ErrorCode::kOverloaded) {
       ++stats_.yields;
     }
-    return reply.error();
-  }
-  auto remote = decode_inventory(reply.value().value);
-  if (!remote.ok()) {
     return remote.error();
   }
   std::vector<BlockKeyInfo> local = node_.list();

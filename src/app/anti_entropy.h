@@ -51,10 +51,11 @@ namespace vnros {
 // Fixed-shape Merkle tree over a node's block inventory. Keys hash into 64
 // leaf buckets; interior nodes have fanout 4 (85 nodes total, heap-indexed:
 // children of i are 4i+1..4i+4, root is 0). A leaf hashes its bucket's
-// (key, seq, tombstone) entries in key order; an interior node hashes its
-// four child hashes. Equal roots => equal (key -> seq, tombstone) maps
-// (modulo crc32c collisions, which the chaos suite's value checks would
-// surface as a divergence that "converged" to different bytes).
+// entries in key order, each encoded as a MerkleLeafEntry (src/app/wire.h);
+// an interior node hashes its four child hashes. Equal roots => equal
+// (key -> seq, tombstone) maps (modulo crc32c collisions, which the chaos
+// suite's value checks would surface as a divergence that "converged" to
+// different bytes).
 //
 // The shape is fixed (not keyspace-dependent) so two nodes can compare trees
 // index-by-index without negotiating structure.
@@ -128,24 +129,20 @@ class AntiEntropyScheduler {
   Result<Unit> sync_full(const BsPeer& peer);
 
   const RepairStats& stats() const { return stats_; }
-  void reset_stats() { stats_ = RepairStats{}; }
 
  private:
-  struct NodeReply {
-    u32 hash = 0;
-    u32 child_count = 0;
-    std::array<u32, MerkleTree::kFanout> children{};
-  };
-
   // One repair RPC through the node's call_peer, charged one budget token
   // and counted in the stats' rpcs and wire bytes. The reply's error code is
   // surfaced as-is (kOk => payload valid); kBusy = budget exhausted before
   // sending.
-  Result<BsReply> rpc(const BsPeer& peer, BsOp op, std::string_view key,
-                      std::span<const u8> body = {});
+  Result<BsReply> rpc(const BsPeer& peer, BsOp op, BsRequest req = {});
+  // rpc() of op N with its reply payload decoded (kCorrupted when it does
+  // not decode).
+  template <BsOp N>
+  Result<BsPayloadOf<N>> fetch(const BsPeer& peer, BsRequest req = {});
 
-  Result<NodeReply> fetch_node(const BsPeer& peer, u32 idx);
-  Result<std::vector<BlockKeyInfo>> fetch_leaf(const BsPeer& peer, u32 bucket);
+  // Merkle node `idx`: kCorrupted when it claims more than kFanout children.
+  Result<MerkleNodePayload> fetch_node(const BsPeer& peer, u32 idx);
   // Reconciles one divergent (key, seq, tombstone) pair: pulls when the peer
   // is newer, pushes when we are. `peer_seq` 0 = peer lacks the key.
   Result<Unit> reconcile(const BsPeer& peer, const BlockKeyInfo* local,

@@ -8,6 +8,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "src/app/anti_entropy.h"
@@ -1101,6 +1102,107 @@ VcOutcome vc_stream_partition_heals_mid_stream(u64 seed) {
   return VcOutcome::pass();
 }
 
+// --- Wire marshalling -------------------------------------------------------------
+//
+// The marshalling obligation over the blockstore wire, row by row of
+// VNROS_BS_OPS (src/app/wire.h), as kernel/sys_marshalling_* checks the
+// syscall table.
+
+// A seeded reply payload of op N (a Merkle leaf entry carries no crc).
+template <BsOp N>
+BsPayloadOf<N> arbitrary_payload(Rng& rng) {
+  using P = BsPayloadOf<N>;
+  if constexpr (std::is_same_v<P, TailBytes>) {
+    return {random_value(rng, 64)};
+  } else if constexpr (std::is_same_v<P, BlockPayload>) {
+    return {rng.chance(1, 2), {random_value(rng, 64)}};
+  } else if constexpr (std::is_same_v<P, MerkleNodePayload>) {
+    return {rng.next_u32(), std::vector<u32>(rng.chance(1, 2) ? MerkleTree::kFanout : 0, 7)};
+  } else if constexpr (std::is_same_v<P, std::vector<BlockKeyInfo>>) {
+    std::vector<BlockKeyInfo> out(rng.next_below(4));
+    for (auto& e : out) {
+      e = {random_key(rng), N == BsOp::kList ? rng.next_u32() : 0, rng.next_u64(),
+           rng.chance(1, 2)};
+    }
+    return out;
+  } else {
+    return P{};
+  }
+}
+
+// One row of the op table:
+//   - a seeded request round-trips through the head and the row's body;
+//   - handled on the plane that serves the op, each strict prefix of the
+//     request, and the request plus one byte, gets no reply or
+//     kInvalidArgument, and the node's view() and list() stay as they were;
+//   - a seeded reply payload round-trips through the row's payload codec,
+//     and no strict prefix of the reply that carries it decodes; nor of the
+//     payload itself, unless it ends in raw bytes (a kGet value, a
+//     kGetBlock block), whose end only the reply's payload length marks.
+template <BsOp N>
+std::optional<std::string> check_bs_row(Rng& rng, BlockStoreNode& node) {
+  const std::string row = "op " + std::to_string(static_cast<int>(N)) + ": ";
+  const std::string key = random_key(rng);
+  const std::vector<u8> value = random_value(rng, 32);
+  const std::vector<u8> bytes = bs_request_bytes({.op = static_cast<u8>(N),
+                                                  .req_id = rng.next_u64() >> 1,
+                                                  .key = key,
+                                                  .seq = rng.next_u64(),
+                                                  .value = value,
+                                                  .index = rng.next_u32()});
+  Reader r(bytes);
+  BsRequest back;
+  if (!BsHead::get(r, back) || !bs_get_body(r, back) || bs_request_bytes(back) != bytes) {
+    return row + "the request does not round-trip";
+  }
+  std::vector<u8> over = bytes;
+  over.push_back(static_cast<u8>(rng.next_u64()));
+  const auto view = node.view();
+  const auto list = node.list();
+  for (usize cut = 0; cut <= bytes.size(); ++cut) {
+    auto probe = cut < bytes.size() ? std::span<const u8>(bytes).first(cut) : over;
+    auto reply = node.handle_request(bs_op_info(N)->plane, probe);
+    auto frame = reply ? bs_reply(*reply) : std::nullopt;
+    if (reply && (!frame || frame->err != static_cast<u32>(ErrorCode::kInvalidArgument))) {
+      return row + "a request of " + std::to_string(probe.size()) + " of " +
+             std::to_string(bytes.size()) + " bytes was not refused";
+    }
+  }
+  if (node.view() != view || node.list() != list) {
+    return row + "a malformed request changed the node";
+  }
+
+  using P = BsPayloadOf<N>;
+  const P payload = arbitrary_payload<N>(rng);
+  const std::vector<u8> wire = bs_payload_bytes<N>(payload);
+  auto decoded = bs_payload<N>(wire);
+  constexpr bool kEndsRaw = std::is_same_v<P, TailBytes> || std::is_same_v<P, BlockPayload>;
+  if (!decoded.ok() || !(decoded.value() == payload) ||
+      !(kEndsRaw || round_trips<P, typename BsDesc<N>::Payload>(payload)) ||
+      !round_trips<BsReplyFrame, BsRefusal>({.req_id = 1, .err = 0, .payload = wire})) {
+    return row + "a reply payload does not round-trip, or a strict prefix is accepted";
+  }
+  return std::nullopt;
+}
+
+// The marshalling obligation over the whole op table, on a node holding a
+// value and a tombstone that a wrongly accepted request could disturb.
+VcOutcome vc_wire_rejects_garbage(u64 seed) {
+  Machine host;
+  BlockStoreNode node(host.sys, 9000);
+  if (!node.init().ok() || !node.put("alpha", std::vector<u8>{1, 2, 3}).ok() ||
+      !node.del("beta").ok()) {
+    return VcOutcome::fail("setup failed");
+  }
+  Rng rng(seed);
+  std::optional<std::string> bad;
+#define VNROS_BS_CHECK(name, opcode, plane, body, payload, flags) \
+  bad = bad ? bad : check_bs_row<BsOp::name>(rng, node);
+  VNROS_BS_OPS(VNROS_BS_CHECK)
+#undef VNROS_BS_CHECK
+  return bad ? VcOutcome::fail(*bad) : VcOutcome::pass();
+}
+
 }  // namespace
 
 void register_app_vcs(VcRegistry& reg) {
@@ -1162,6 +1264,10 @@ void register_app_vcs(VcRegistry& reg) {
     reg.add("app/stream_partition_heals_mid_stream_seed" + std::to_string(seed),
             VcCategory::kApplication,
             [seed] { return vc_stream_partition_heals_mid_stream(seed); });
+  }
+  for (u64 seed = 1; seed <= 3; ++seed) {
+    reg.add("app/wire_rejects_garbage_seed" + std::to_string(seed), VcCategory::kApplication,
+            [seed] { return vc_wire_rejects_garbage(seed); });
   }
 }
 

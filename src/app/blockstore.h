@@ -11,11 +11,11 @@
 // whole point: with the OS contract verified below and this logic verified
 // above, the stack composes.
 //
-// Each plane serves only its own role's ops (BsOp lists which). Streams
-// serve the client ops; the peer datagram socket serves the replication,
-// repair, anti-entropy and GC ops. A known op that arrives on the other
-// plane is refused with kNotPermitted before admission: it takes no token
-// and changes nothing.
+// Each plane serves only its own role's ops (the op table in src/app/wire.h
+// lists which). Streams serve the client ops; the peer datagram socket
+// serves the replication, repair, anti-entropy and GC ops. A known op that
+// arrives on the other plane is refused with kNotPermitted before
+// admission: it takes no token and changes nothing.
 //
 // Abstract spec (checked by app/* VCs): the node refines the map
 // key -> bytes with operations
@@ -44,6 +44,7 @@
 #include <vector>
 
 #include "src/app/ring.h"
+#include "src/app/wire.h"
 #include "src/base/fault.h"
 #include "src/base/result.h"
 #include "src/base/rng.h"
@@ -51,29 +52,6 @@
 #include "src/obs/registry.h"
 
 namespace vnros {
-
-// Wire protocol opcodes, grouped by the plane that serves them.
-enum class BsOp : u8 {
-  // Client ops: served on VTP streams only.
-  kPut = 1,
-  kGet = 2,
-  kDel = 3,  // sequenced: carries the client's write-sequence stamp
-  kPing = 4,
-  // Peer ops: served on the peer datagram socket only.
-  kPutReplica = 5,   // replication push: applied locally, never re-forwarded
-  kList = 6,         // anti-entropy: enumerate (key, crc, seq, tombstone)
-  kDelReplica = 7,   // replicated (sequenced) delete: tombstone apply-if-newer
-  kGetBlock = 8,     // repair fetch: raw block (tombstone flag + seq + bytes)
-  kMerkleNode = 9,   // anti-entropy: one Merkle node's hash + child hashes
-  kMerkleLeaf = 10,  // anti-entropy: one Merkle leaf bucket's (key, seq, flag)s
-  kTombstoneGc = 11, // tombstone GC: drop your tombstone for key if seq <= S
-};
-
-// The two planes a node serves on.
-enum class BsPlane : u8 {
-  kClient,  // VTP streams: kPut, kGet, kDel, kPing
-  kPeer,    // the peer datagram socket: every other op
-};
 
 // The client-facing wire. VTP streams are the only client plane: the
 // transport retransmits at its own RTO, requests and replies are
@@ -84,31 +62,6 @@ enum class BsPlane : u8 {
 enum class BsTransport : u8 {
   kVtp = 1,
 };
-
-// Per-connection buffer bound on the client stream plane. A request body
-// ([u32 len][body] on the wire) may not exceed it: the client refuses to
-// send one (kInvalidArgument) and a node closes any stream whose frame
-// header claims more. A node also closes a stream whose unsent reply bytes
-// pass it (a slow consumer).
-inline constexpr usize kVtpConnBufMax = 1 << 20;
-
-// One entry of a kList reply / local inventory: enough to detect a missing
-// or divergent block without shipping its bytes. Tombstones (sequenced
-// deletes) are first-class entries so divergence over deletion is visible.
-struct BlockKeyInfo {
-  std::string key;
-  u32 crc = 0;  // crc32c of the payload bytes (crc of "" for tombstones)
-  u64 seq = 0;  // write sequence of the local copy
-  bool tombstone = false;
-
-  bool operator==(const BlockKeyInfo&) const = default;
-};
-
-// Decodes a kList reply payload: [u32 count] then count (key, crc, seq,
-// flags) entries. kCorrupted when the payload is short, or when its count
-// claims more entries than the remaining bytes can hold, so a peer's count
-// never sizes an allocation.
-Result<std::vector<BlockKeyInfo>> decode_inventory(std::span<const u8> payload);
 
 // A finished op's reply: the payload, plus the write sequence the serving
 // replica stamped on it (kGet and kGetBlock; 0 for every other op).
@@ -126,9 +79,9 @@ struct DecodedBlock {
   std::vector<u8> bytes;
 };
 
-// Decodes a kGetBlock reply: [u8 tombstone][bytes], the sequence riding in
-// BsReply::seq. kCorrupted when the flag byte is missing or not 0/1, or
-// when a tombstone carries bytes.
+// Decodes a kGetBlock reply: its BlockPayload, the sequence riding in
+// BsReply::seq. kCorrupted when the payload is malformed (a missing flag
+// byte, or one other than 0 or 1), or when a tombstone carries bytes.
 Result<DecodedBlock> decode_block_reply(BsReply reply);
 
 struct BsPeer {
@@ -340,17 +293,17 @@ class BlockStoreNode {
   // clients never see corruption a peer can cure.
   Result<std::vector<u8>> get_or_repair(std::string_view key);
 
-  // The node's one request/reply call to a peer. It sends
-  // [op][req_id][key][body] from the repair socket under a fresh req_id and
-  // waits for the reply on the repair ring (await_repair_reply), re-sending
-  // only after a send fails or a window passes in silence. The first reply
-  // carrying the req_id ends the call: its payload and sequence on kOk, the
-  // peer's error code otherwise. kTimedOut (or the last send error) when
-  // every attempt went unanswered; kUnsupported when the node has no pump.
-  // A send of a write op (kPutReplica, kDelReplica, kTombstoneGc) counts in
-  // replicas_pushed. `traffic` (optional) accumulates the wire bytes.
-  Result<BsReply> call_peer(const BsPeer& peer, BsOp op, std::string_view key,
-                            std::span<const u8> body, PeerRetry retry,
+  // The node's one request/reply call to a peer. It sends `op` with req's
+  // key and body fields (as op's row declares them) from the repair socket
+  // under a fresh req_id and waits for the reply on the repair ring
+  // (await_repair_reply), re-sending only after a send fails or a window
+  // passes in silence. The first reply carrying the req_id ends the call:
+  // its payload and sequence on kOk, the peer's error code otherwise.
+  // kTimedOut (or the last send error) when every attempt went unanswered;
+  // kUnsupported when the node has no pump. A send of a replica push (a
+  // kBsPush row) counts in replicas_pushed. `traffic` (optional)
+  // accumulates the wire bytes.
+  Result<BsReply> call_peer(const BsPeer& peer, BsOp op, BsRequest req, PeerRetry retry,
                             PeerTraffic* traffic = nullptr);
 
   // Abstract view: every live (key, bytes) currently stored and intact
@@ -360,6 +313,14 @@ class BlockStoreNode {
   // Anti-entropy inventory: (key, crc, seq, tombstone) for every intact
   // block, tombstones included — sync must see deletions to propagate them.
   std::vector<BlockKeyInfo> list() const;
+
+  // The request core both planes share, run by serve_once on every request
+  // that arrives (as SyscallDispatcher::handle is for syscalls): decodes one
+  // request that arrived on `plane`, executes it, and returns the reply
+  // bytes — or nullopt when the request head is malformed and warrants no
+  // reply. An op that `plane` does not serve gets kNotPermitted before
+  // admission.
+  std::optional<std::vector<u8>> handle_request(BsPlane plane, std::span<const u8> payload);
 
   // Thin view over the obs counters ("bs<N>/..."): race-free merged reads.
   BlockStoreStats stats() const {
@@ -373,11 +334,6 @@ class BlockStoreNode {
                            c_tombstones_written_.value(), c_tombstones_gced_.value()};
   }
   Port port() const { return port_; }
-
-  // Reads one of the kernel's contract counters (e.g. "fs/fsyncs") through
-  // the kstat syscall — the §3 way for the application to introspect the OS.
-  // The node never touches kernel internals, here or anywhere.
-  Result<u64> kernel_stat(std::string_view name) const { return sys_.kstat(name); }
 
   // Path of the file backing `key` ("/blocks/<hex>"): public so tests can
   // inject storage corruption at the right place.
@@ -435,21 +391,19 @@ class BlockStoreNode {
   // Handles one node-to-node request datagram on the peer plane; the reply
   // goes straight back to the sender as one datagram, with no ring submit.
   void process_request(NetAddr src, Port src_port, std::span<const u8> payload);
-  // The request core both planes share: decodes one request payload that
-  // arrived on `plane`, executes it, and returns the reply bytes — or
-  // nullopt when the request is malformed and warrants no reply. An op that
-  // `plane` does not serve gets kNotPermitted before admission.
-  std::optional<std::vector<u8>> handle_request(BsPlane plane, std::span<const u8> payload);
+  // Executes one decoded, admitted request, filling the reply's error code,
+  // payload and sequence.
+  void serve_request(const BsRequest& req, BsReplyFrame& reply);
 
   // --- VTP stream serve plane (client connections) ---------------------------
-  // One accepted client connection: inbuf reassembles [u32 len][body] frames
-  // off the byte stream (a header claiming more than kVtpConnBufMax closes
-  // the connection); outbuf holds reply bytes the transport has not yet
+  // One accepted client connection: `in` reassembles request frames off
+  // the byte stream (a header claiming more than kVtpConnBufMax closes the
+  // connection); outbuf holds reply bytes the transport has not yet
   // accepted (flushed every drain, closed past kVtpConnBufMax — slow
   // consumer).
   struct VtpServeConn {
     Fd fd = kInvalidFd;
-    std::vector<u8> inbuf;
+    StreamFramer in;
     std::vector<u8> outbuf;
     bool recv_armed = false;
     bool serving = false;  // an on_vtp_bytes call is serving its frames
@@ -648,7 +602,6 @@ class BlockStoreClient {
                       c_transient_errors_.value(), c_send_errors_.value(),
                       c_overloads_.value(),        c_reconnects_.value()};
   }
-  const RetryPolicy& policy() const { return policy_; }
 
  private:
   using ChanKey = std::pair<NetAddr, Port>;
@@ -694,11 +647,11 @@ class BlockStoreClient {
     return policy_.deadline_polls != 0 && op_->polls_used >= policy_.deadline_polls;
   }
 
-  // One VTP stream to a server: the connection plus the reassembly buffer
-  // for reply frames that arrived on it.
+  // One VTP stream to a server: the connection plus the reassembly of the
+  // reply frames that arrived on it.
   struct VtpChan {
     Fd fd = kInvalidFd;
-    std::vector<u8> inbuf;
+    StreamFramer in;
   };
   // The channel to `peer`, connecting on first use. nullptr when connect
   // fails (the attempt machinery treats that as a send error and retries).

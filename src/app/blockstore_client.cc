@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "src/base/log.h"
-#include "src/base/serde.h"
 
 namespace vnros {
 
@@ -11,22 +10,6 @@ namespace {
 
 // One stream read pulls up to this much per poll.
 constexpr usize kChanRecvChunk = 32 * 1024;
-
-// Pops one whole [u32 len][body] frame off a stream's reassembly buffer;
-// nullopt until the header and the whole body have arrived.
-std::optional<std::vector<u8>> pop_frame(std::vector<u8>& inbuf) {
-  if (inbuf.size() < 4) {
-    return std::nullopt;
-  }
-  Reader fr(std::span<const u8>(inbuf.data(), 4));
-  u32 len = fr.get_u32().value_or(0);
-  if (inbuf.size() - 4 < len) {
-    return std::nullopt;  // header seen, body still in flight
-  }
-  std::vector<u8> body(inbuf.begin() + 4, inbuf.begin() + 4 + static_cast<std::ptrdiff_t>(len));
-  inbuf.erase(inbuf.begin(), inbuf.begin() + 4 + static_cast<std::ptrdiff_t>(len));
-  return body;
-}
 
 }  // namespace
 
@@ -96,14 +79,18 @@ Result<Unit> BlockStoreClient::start(BsOp op, std::string_view key,
   // first (placement is the same pure function the nodes use, so a fresh
   // view sends every op straight to its owner), and a ping to the members
   // in id order. Later attempts rotate along the route.
+  const std::optional<BsOpInfo> info = bs_op_info(op);
+  if (!info || info->plane != BsPlane::kClient) {
+    return ErrorCode::kNotFound;  // a peer op has no client route
+  }
   std::vector<BsPeer> route;
-  if (op == BsOp::kPut || op == BsOp::kGet || op == BsOp::kDel) {
+  if ((info->flags & kBsKeyed) != 0) {
     for (BsNodeId id : view_.owners(key)) {
       if (auto it = view_.directory.find(id); it != view_.directory.end()) {
         route.push_back(it->second);
       }
     }
-  } else if (op == BsOp::kPing) {
+  } else {
     for (const auto& [id, member] : view_.directory) {
       route.push_back(member);
     }
@@ -113,24 +100,17 @@ Result<Unit> BlockStoreClient::start(BsOp op, std::string_view key,
   }
   // The request id and the write stamp are taken only once the op is known
   // to be routable and its body to fit, so a refused op leaves no trace.
-  const bool stamped = op == BsOp::kPut || op == BsOp::kDel;
-  Writer w;
-  w.put_u8(static_cast<u8>(op));
-  w.put_u64(next_req_id_);
-  w.put_string(key);
-  if (op == BsOp::kPut) {
-    // Write-sequence stamp: servers order replica applies by it (retries of
-    // this rpc reuse the same stamp, so at-least-once delivery stays
-    // idempotent; a newer put always carries a higher stamp).
-    w.put_u64(put_seq_ + 1);
-    w.put_bytes(value);
-  } else if (op == BsOp::kDel) {
-    // Deletes are sequenced writes (tombstones) and share the same stamp
-    // counter as puts: a put-then-del (or del-then-put) from this client is
-    // totally ordered on every replica it ever reaches.
-    w.put_u64(put_seq_ + 1);
-  }
-  if (w.bytes().size() > kVtpConnBufMax) {
+  // Writes (puts and sequenced deletes) share one stamp counter: servers
+  // order replica applies by it, retries of this rpc reuse it (at-least-once
+  // delivery stays idempotent), and a put-then-del (or del-then-put) from
+  // this client is totally ordered on every replica it ever reaches.
+  const bool stamped = (info->flags & kBsStamped) != 0;
+  const std::vector<u8> body = bs_request_bytes({.op = static_cast<u8>(op),
+                                                 .req_id = next_req_id_,
+                                                 .key = key,
+                                                 .seq = stamped ? put_seq_ + 1 : 0,
+                                                 .value = value});
+  if (body.size() > kVtpConnBufMax) {
     return ErrorCode::kInvalidArgument;  // every node would close the stream
   }
   Op& o = op_.emplace();
@@ -138,10 +118,7 @@ Result<Unit> BlockStoreClient::start(BsOp op, std::string_view key,
   if (stamped) {
     ++put_seq_;
   }
-  Writer framed;
-  framed.put_u32(static_cast<u32>(w.bytes().size()));
-  framed.put_raw(w.bytes());
-  o.frame = framed.take();
+  StreamFramer::put(o.frame, body);
   o.route = std::move(route);
   o.backoff = policy_.backoff_base_polls;
   o.overload_backoff = policy_.overload_base_polls;
@@ -300,9 +277,15 @@ void BlockStoreClient::read_reply() {
     auto got = sys_.vtp_recv(it->second.fd, kChanRecvChunk);
     if (got.ok() || got.error() == ErrorCode::kWouldBlock) {
       if (got.ok()) {
-        it->second.inbuf.insert(it->second.inbuf.end(), got.value().begin(), got.value().end());
+        it->second.in.push(got.value());
       }
-      frame = pop_frame(it->second.inbuf);
+      frame = it->second.in.pop();
+      if (it->second.in.corrupt()) {
+        // No reply is that long: the stream is corrupt. Drop it, as a torn
+        // frame does, and let the next attempt reconnect.
+        drop_vtp_chan(key);
+        return end_attempt(ErrorCode::kCorrupted);
+      }
     } else {
       drop_vtp_chan(key);
     }
@@ -310,14 +293,11 @@ void BlockStoreClient::read_reply() {
   if (!frame) {
     return deadline_hit() ? end_attempt(ErrorCode::kTimedOut) : await_reply();
   }
-  Reader r(*frame);
-  auto rid = r.get_u64();
-  auto err = r.get_u32();
-  auto payload = r.get_bytes();
-  if (!rid || !err || !payload || *rid != o.req_id) {
+  auto reply = bs_reply(*frame);
+  if (!reply || reply->req_id != o.req_id) {
     return await_reply();  // malformed, or a stale reply to an earlier rpc
   }
-  ErrorCode code = static_cast<ErrorCode>(*err);
+  ErrorCode code = static_cast<ErrorCode>(reply->err);
   if (code == ErrorCode::kOverloaded) {
     // Backpressure, not failure: the member is alive and shedding. Stay on
     // it and yield (multiplicative backoff) instead of stampeding a
@@ -334,7 +314,7 @@ void BlockStoreClient::read_reply() {
   }
   h_rpc_polls_.record(o.polls_used);
   if (code == ErrorCode::kOk) {
-    o.reply = BsReply{std::move(*payload), r.get_u64().value_or(0)};
+    o.reply = BsReply{std::move(reply->payload), reply->seq};
   } else {
     o.reply = code;
   }
@@ -412,29 +392,6 @@ Result<Unit> BlockStoreClient::del(std::string_view key) {
     return r.error();
   }
   return Unit{};
-}
-
-Result<std::vector<BlockKeyInfo>> decode_inventory(std::span<const u8> payload) {
-  // The smallest entry: an empty key's u32 length, crc, seq and flags.
-  constexpr usize kMinEntryBytes = 4 + 4 + 8 + 1;
-  Reader r(payload);
-  auto count = r.get_u32();
-  if (!count || *count > r.remaining() / kMinEntryBytes) {
-    return ErrorCode::kCorrupted;
-  }
-  std::vector<BlockKeyInfo> out;
-  out.reserve(*count);
-  for (u32 i = 0; i < *count; ++i) {
-    auto key = r.get_string();
-    auto crc = r.get_u32();
-    auto seq = r.get_u64();
-    auto flags = r.get_u8();
-    if (!key || !crc || !seq || !flags) {
-      return ErrorCode::kCorrupted;
-    }
-    out.push_back(BlockKeyInfo{std::move(*key), *crc, *seq, (*flags & 1) != 0});
-  }
-  return out;
 }
 
 Result<Unit> BlockStoreClient::ping() {

@@ -64,26 +64,6 @@ std::optional<std::string> decode_hex_key(std::string_view name) {
   return key;
 }
 
-// The plane that serves `op`; nullopt for an opcode no plane knows.
-std::optional<BsPlane> plane_of(BsOp op) {
-  switch (op) {
-    case BsOp::kPut:
-    case BsOp::kGet:
-    case BsOp::kDel:
-    case BsOp::kPing:
-      return BsPlane::kClient;
-    case BsOp::kPutReplica:
-    case BsOp::kList:
-    case BsOp::kDelReplica:
-    case BsOp::kGetBlock:
-    case BsOp::kMerkleNode:
-    case BsOp::kMerkleLeaf:
-    case BsOp::kTombstoneGc:
-      return BsPlane::kPeer;
-  }
-  return std::nullopt;
-}
-
 // Sends per read-repair fetch, and pump polls awaiting each reply.
 constexpr PeerRetry kRepairRetry{.attempts = 4, .window = 64};
 
@@ -325,20 +305,19 @@ Result<std::vector<u8>> BlockStoreNode::get(std::string_view key) const {
 }
 
 Result<DecodedBlock> decode_block_reply(BsReply reply) {
-  if (reply.value.empty() || reply.value[0] > 1) {
+  auto block = bs_payload<BsOp::kGetBlock>(reply.value);
+  if (!block.ok()) {
+    return block.error();
+  }
+  BlockPayload& b = block.value();
+  if (b.tombstone && !b.bytes.bytes.empty()) {
     return ErrorCode::kCorrupted;
   }
-  const bool tombstone = reply.value[0] == 1;
-  if (tombstone && reply.value.size() > 1) {
-    return ErrorCode::kCorrupted;
-  }
-  reply.value.erase(reply.value.begin());
-  return DecodedBlock{reply.seq, tombstone, std::move(reply.value)};
+  return DecodedBlock{reply.seq, b.tombstone, std::move(b.bytes.bytes)};
 }
 
-Result<BsReply> BlockStoreNode::call_peer(const BsPeer& peer, BsOp op, std::string_view key,
-                                          std::span<const u8> body, PeerRetry retry,
-                                          PeerTraffic* traffic) {
+Result<BsReply> BlockStoreNode::call_peer(const BsPeer& peer, BsOp op, BsRequest req,
+                                          PeerRetry retry, PeerTraffic* traffic) {
   if (pump_ == nullptr) {
     return ErrorCode::kUnsupported;  // cannot await a reply without a world pump
   }
@@ -349,50 +328,43 @@ Result<BsReply> BlockStoreNode::call_peer(const BsPeer& peer, BsOp op, std::stri
     }
     repair_sock_ = sock.value();
   }
-  const u64 req_id = next_repair_req_id_++;
-  Writer w;
-  w.put_u8(static_cast<u8>(op));
-  w.put_u64(req_id);
-  w.put_string(key);
-  w.put_raw(body);
-  const bool write_op =
-      op == BsOp::kPutReplica || op == BsOp::kDelReplica || op == BsOp::kTombstoneGc;
+  req.op = static_cast<u8>(op);
+  req.req_id = next_repair_req_id_++;
+  const std::vector<u8> request = bs_request_bytes(req);
+  const bool push = (bs_op_info(op)->flags & kBsPush) != 0;
   ErrorCode last = ErrorCode::kTimedOut;
   for (usize attempt = 0; attempt < retry.attempts; ++attempt) {
-    auto sent = sys_.udp_sendto(repair_sock_, peer.addr, peer.port, w.bytes());
+    auto sent = sys_.udp_sendto(repair_sock_, peer.addr, peer.port, request);
     if (!sent.ok()) {
       last = sent.error();
       continue;
     }
     if (traffic != nullptr) {
-      traffic->sent += w.size();
+      traffic->sent += request.size();
     }
-    // Every write datagram put on the wire counts as pushed; the receiver
+    // Every push datagram put on the wire counts as pushed; the receiver
     // counts at most one apply per datagram, so applied <= pushed (the chaos
     // obs-coherence check) holds by construction.
-    if (write_op) {
+    if (push) {
       c_replicas_pushed_.inc();
     }
-    auto reply = await_repair_reply(req_id, retry.window);
+    auto reply = await_repair_reply(req.req_id, retry.window);
     if (!reply.ok()) {
       continue;  // silence inside the window (or the repair ring is gone): re-send
     }
     if (traffic != nullptr) {
       traffic->received += reply.value().size();
     }
-    Reader r(reply.value());
-    (void)r.get_u64();  // req_id, already matched
-    auto err = r.get_u32();
-    auto payload = r.get_bytes();
-    if (!err || !payload) {
+    auto frame = bs_reply(reply.value());
+    if (!frame) {
       return ErrorCode::kCorrupted;
     }
-    if (static_cast<ErrorCode>(*err) != ErrorCode::kOk) {
-      return static_cast<ErrorCode>(*err);
+    if (static_cast<ErrorCode>(frame->err) != ErrorCode::kOk) {
+      return static_cast<ErrorCode>(frame->err);
     }
-    // The trailing write sequence (kGet and kGetBlock) lets a fetched block
-    // be re-persisted at its true place in the write order.
-    return BsReply{std::move(*payload), r.get_u64().value_or(0)};
+    // The write sequence (kGet and kGetBlock) lets a fetched block be
+    // re-persisted at its true place in the write order.
+    return BsReply{std::move(frame->payload), frame->seq};
   }
   return last;
 }
@@ -448,7 +420,7 @@ Result<std::vector<u8>> BlockStoreNode::poll_repair_reply(u64 req_id, usize poll
       }
       std::vector<u8>& payload = dg.value().payload;
       Reader r(payload);
-      auto rid = r.get_u64();
+      auto rid = wire_get<u64>(r);  // every reply leads with its req_id
       if (rid && *rid == req_id) {
         return std::move(payload);
       }
@@ -500,7 +472,7 @@ Result<DecodedBlock> BlockStoreNode::get_or_repair_block(std::string_view key) {
   in_repair_ = true;
   Result<DecodedBlock> repaired = ErrorCode::kCorrupted;
   for (const auto& peer : repair_from) {
-    auto reply = call_peer(peer, BsOp::kGetBlock, key, {}, kRepairRetry);
+    auto reply = call_peer(peer, BsOp::kGetBlock, {.key = key}, kRepairRetry);
     if (reply.ok()) {
       repaired = decode_block_reply(std::move(reply.value()));
       if (repaired.ok()) {
@@ -637,16 +609,11 @@ std::vector<BsPeer> BlockStoreNode::repair_peers(std::string_view key) const {
 
 Result<Unit> BlockStoreNode::push_acked(const BsPeer& peer, BsOp op, std::string_view key,
                                         std::span<const u8> value, u64 seq) {
-  Writer body;
-  body.put_u64(seq);  // the stamp, sequenced delete or GC horizon rides along
-  if (op == BsOp::kPutReplica) {
-    body.put_bytes(value);
-  }
   // The ack deadline splits into two send windows: one re-send at the half
   // mark cures a dropped datagram (either direction) without a spin knob.
   const PeerRetry retry{.attempts = 2,
                         .window = kAckDeadlinePolls / 2};
-  auto reply = call_peer(peer, op, key, body.bytes(), retry);
+  auto reply = call_peer(peer, op, {.key = key, .seq = seq, .value = value}, retry);
   if (!reply.ok()) {
     return reply.error();
   }
@@ -1173,7 +1140,7 @@ usize BlockStoreNode::on_vtp_bytes(u64 slot, std::span<const u8> bytes) {
   if (it == vtp_conns_.end()) {
     return 0;
   }
-  it->second.inbuf.insert(it->second.inbuf.end(), bytes.begin(), bytes.end());
+  it->second.in.push(bytes);
   // A request can wait on a peer, and the peer's pump can run this node's
   // serve loop nested: a nested pass that reaps more of this stream only
   // appends, and the outermost pass serves every frame once, in order.
@@ -1181,41 +1148,31 @@ usize BlockStoreNode::on_vtp_bytes(u64 slot, std::span<const u8> bytes) {
     return 0;
   }
   it->second.serving = true;
-  // Reassemble [u32 len][body] frames off the stream; each complete body is
-  // one request, its reply framed back onto the same stream.
+  // Each complete frame off the stream is one request, its reply framed
+  // back onto the same stream.
   usize served = 0;
   for (;;) {
-    VtpServeConn& conn = it->second;
-    if (conn.inbuf.size() < 4) {
-      break;
-    }
-    Reader fr(std::span<const u8>(conn.inbuf.data(), 4));
-    u32 len = fr.get_u32().value_or(0);
-    if (len > kVtpConnBufMax) {
+    // The frame leaves the buffer before it is served, so a nested pass
+    // never sees it again.
+    StreamFramer& in = it->second.in;
+    const std::optional<std::vector<u8>> frame = in.pop();
+    if (in.corrupt()) {
       // No client sends a frame this large (start() refuses one); buffering
       // it would let a single stream grow the node's memory without limit.
       close_vtp_conn(slot);
       return served;
     }
-    if (conn.inbuf.size() - 4 < len) {
+    if (!frame) {
       break;  // incomplete frame: wait for more stream bytes
     }
-    // The frame leaves the buffer before it is served, so a nested pass
-    // never sees it again.
-    const std::vector<u8> frame(conn.inbuf.begin() + 4, conn.inbuf.begin() + 4 + len);
-    conn.inbuf.erase(conn.inbuf.begin(), conn.inbuf.begin() + 4 + len);
-    auto reply = handle_request(BsPlane::kClient, frame);
+    auto reply = handle_request(BsPlane::kClient, *frame);
     ++served;
     it = vtp_conns_.find(slot);  // a nested pass may have closed the stream
     if (it == vtp_conns_.end()) {
       return served;
     }
     if (reply) {
-      Writer fw;
-      fw.put_u32(static_cast<u32>(reply->size()));
-      VtpServeConn& out = it->second;
-      out.outbuf.insert(out.outbuf.end(), fw.bytes().begin(), fw.bytes().end());
-      out.outbuf.insert(out.outbuf.end(), reply->begin(), reply->end());
+      StreamFramer::put(it->second.outbuf, *reply);
     }
   }
   VtpServeConn& conn = it->second;
@@ -1259,204 +1216,133 @@ std::optional<std::vector<u8>> BlockStoreNode::handle_request(BsPlane plane,
                                                               std::span<const u8> payload) {
   SpanScope span(ObsRegistry::global().tracer(), span_serve_);
   Reader r(payload);
-  auto op = r.get_u8();
-  auto req_id = r.get_u64();
-  auto key = r.get_string();
-  if (!op || !req_id || !key) {
+  BsRequest req;
+  if (!BsHead::get(r, req)) {
     return std::nullopt;  // malformed request: drop (no reply semantics)
   }
   auto refuse = [&](ErrorCode code) {
-    Writer w;
-    w.put_u64(*req_id);
-    w.put_u32(static_cast<u32>(code));
-    w.put_bytes(std::span<const u8>());
-    return w.take();
+    return to_wire<BsReplyFrame, BsRefusal>({.req_id = req.req_id, .err = static_cast<u32>(code)});
   };
-
   // The plane check comes first: a known op on the other plane is refused
-  // before admission, so it takes no token and changes nothing. Unknown
-  // opcodes fall through to the switch's kInvalidArgument.
-  const BsOp opcode = static_cast<BsOp>(*op);
-  const std::optional<BsPlane> home = plane_of(opcode);
-  if (home.has_value() && *home != plane) {
+  // before admission, so it takes no token and changes nothing. An opcode
+  // no row declares gets kInvalidArgument below.
+  const std::optional<BsOpInfo> op = bs_op_info(static_cast<BsOp>(req.op));
+  if (op && op->plane != plane) {
     return refuse(ErrorCode::kNotPermitted);
   }
   // Admission control: storage ops (not ping/list — the control plane stays
   // responsive) cost one token. An empty bucket sheds the request with a
   // typed kOverloaded so clients back off instead of failing over.
-  const bool storage_op = home.has_value() && opcode != BsOp::kPing && opcode != BsOp::kList;
-  if (storage_op && !admit_op()) {
+  if (op && (op->flags & kBsAdmit) != 0 && !admit_op()) {
     return refuse(ErrorCode::kOverloaded);
   }
+  BsReplyFrame reply{.req_id = req.req_id, .err = static_cast<u32>(ErrorCode::kInvalidArgument)};
+  if (op && bs_get_body(r, req)) {
+    serve_request(req, reply);
+  }
+  return to_wire(reply);
+}
 
+void BlockStoreNode::serve_request(const BsRequest& req, BsReplyFrame& reply) {
   ErrorCode err = ErrorCode::kInvalidArgument;
-  std::vector<u8> value_out;
-  u64 seq_out = 0;  // kGet and kGetBlock replies carry the write sequence
-  switch (opcode) {
-    case BsOp::kPut: {
-      auto seq = r.get_u64();
-      auto value = r.get_bytes();
-      if (seq && value && r.exhausted()) {
-        err = put_stamped(*key, *value, *seq).error();
-      }
+  switch (static_cast<BsOp>(req.op)) {
+    case BsOp::kPut:
+      err = put_stamped(req.key, req.value, req.seq).error();
       break;
-    }
     case BsOp::kPutReplica: {
-      auto seq = r.get_u64();
-      auto value = r.get_bytes();
-      if (seq && value && r.exhausted()) {
-        bool applied = false;
-        err = apply_remote(*key, *value, *seq, /*tombstone=*/false, &applied).error();
-        if (applied) {
-          c_replicas_applied_.inc();
-        }
+      bool applied = false;
+      err = apply_remote(req.key, req.value, req.seq, /*tombstone=*/false, &applied).error();
+      if (applied) {
+        c_replicas_applied_.inc();
       }
       break;
     }
     case BsOp::kGet: {
-      if (r.exhausted()) {
-        auto v = get_or_repair_block(*key);
-        err = v.error();
-        if (v.ok()) {
-          err = ErrorCode::kOk;
-          value_out = std::move(v.value().bytes);
-          seq_out = v.value().seq;
-        }
+      auto v = get_or_repair_block(req.key);
+      err = v.error();
+      if (v.ok()) {
+        reply.payload = bs_payload_bytes<BsOp::kGet>(TailBytes{std::move(v.value().bytes)});
+        reply.seq = v.value().seq;
       }
       break;
     }
-    case BsOp::kDel: {
-      auto seq = r.get_u64();
-      if (seq && r.exhausted()) {
-        // Coordinated deletes arrive pre-stamped by the client, exactly like
-        // coordinated puts: retries replay the same stamp, so at-least-once
-        // delivery stays idempotent.
-        err = del_stamped(*key, *seq).error();
-      }
+    case BsOp::kDel:
+      // Coordinated deletes arrive pre-stamped by the client, exactly like
+      // coordinated puts: retries replay the same stamp, so at-least-once
+      // delivery stays idempotent.
+      err = del_stamped(req.key, req.seq).error();
       break;
-    }
     case BsOp::kDelReplica: {
-      auto seq = r.get_u64();
-      if (seq && r.exhausted()) {
-        // The GC barrier: before acking a tombstone we discard every parked
-        // hint for the key at or below its sequence. The ack therefore
-        // certifies BOTH "I durably hold >= seq" and "no stale hint of mine
-        // can resurrect this key" — which is what lets the coordinator
-        // reclaim the tombstone once every member has acked.
-        drop_stale_hints(*key, *seq);
-        bool applied = false;
-        err = apply_remote(*key, {}, *seq, /*tombstone=*/true, &applied).error();
-        if (applied) {
-          c_replicas_applied_.inc();
-        }
+      // The GC barrier: before acking a tombstone we discard every parked
+      // hint for the key at or below its sequence. The ack therefore
+      // certifies BOTH "I durably hold >= seq" and "no stale hint of mine
+      // can resurrect this key" — which is what lets the coordinator
+      // reclaim the tombstone once every member has acked.
+      drop_stale_hints(req.key, req.seq);
+      bool applied = false;
+      err = apply_remote(req.key, {}, req.seq, /*tombstone=*/true, &applied).error();
+      if (applied) {
+        c_replicas_applied_.inc();
       }
       break;
     }
     case BsOp::kGetBlock: {
-      if (r.exhausted()) {
-        // Repair fetch (read-repair and anti-entropy): unlike kGet,
-        // tombstones are first-class here — the reply leads with a tombstone
-        // byte (decode_block_reply) so repair pulls deletes as faithfully as
-        // values — and a local copy is never repaired in turn: a corrupt one
-        // surfaces as kCorrupted (the puller tries another peer).
-        auto block = read_block_file(sys_, key_path(*key));
-        if (block.ok()) {
-          Writer bw;
-          bw.put_u8(block.value().tombstone ? 1 : 0);
-          bw.put_raw(block.value().bytes);
-          value_out = bw.take();
-          seq_out = block.value().seq;
-          err = ErrorCode::kOk;
-        } else {
-          err = block.error();
-        }
+      // Repair fetch (read-repair and anti-entropy): unlike kGet,
+      // tombstones are first-class here — the payload leads with a
+      // tombstone byte (BlockPayload) so repair pulls deletes as faithfully
+      // as values — and a local copy is never repaired in turn: a corrupt
+      // one surfaces as kCorrupted (the puller tries another peer).
+      auto block = read_block_file(sys_, key_path(req.key));
+      err = block.error();
+      if (block.ok()) {
+        reply.payload = bs_payload_bytes<BsOp::kGetBlock>(
+            {block.value().tombstone, TailBytes{std::move(block.value().bytes)}});
+        reply.seq = block.value().seq;
       }
       break;
     }
-    case BsOp::kMerkleNode: {
-      auto idx = r.get_u32();
-      if (idx && r.exhausted() && *idx < MerkleTree::kNodes) {
+    case BsOp::kMerkleNode:
+      if (req.index < MerkleTree::kNodes) {
         MerkleTree t = MerkleTree::build(list());
-        Writer mw;
-        mw.put_u32(t.hash[*idx]);
-        if (MerkleTree::is_leaf(*idx)) {
-          mw.put_u32(0);
-        } else {
-          mw.put_u32(static_cast<u32>(MerkleTree::kFanout));
-          for (usize c = 0; c < MerkleTree::kFanout; ++c) {
-            mw.put_u32(t.hash[*idx * MerkleTree::kFanout + 1 + c]);
-          }
+        MerkleNodePayload node{.hash = t.hash[req.index]};
+        if (!MerkleTree::is_leaf(req.index)) {
+          const auto first = t.hash.begin() + req.index * MerkleTree::kFanout + 1;
+          node.children.assign(first, first + MerkleTree::kFanout);
         }
-        value_out = mw.take();
+        reply.payload = bs_payload_bytes<BsOp::kMerkleNode>(node);
         err = ErrorCode::kOk;
       }
       break;
-    }
-    case BsOp::kMerkleLeaf: {
-      auto bucket = r.get_u32();
-      if (bucket && r.exhausted() && *bucket < MerkleTree::kLeaves) {
+    case BsOp::kMerkleLeaf:
+      if (req.index < MerkleTree::kLeaves) {
         MerkleTree t = MerkleTree::build(list());
-        Writer mw;
-        mw.put_u32(static_cast<u32>(t.buckets[*bucket].size()));
-        for (const auto& e : t.buckets[*bucket]) {
-          mw.put_string(e.key);
-          mw.put_u64(e.seq);
-          mw.put_u8(e.tombstone ? 1 : 0);
-        }
-        value_out = mw.take();
+        reply.payload = bs_payload_bytes<BsOp::kMerkleLeaf>(t.buckets[req.index]);
         err = ErrorCode::kOk;
       }
       break;
-    }
     case BsOp::kTombstoneGc: {
-      auto seq = r.get_u64();
-      if (seq && r.exhausted()) {
-        // "Drop your tombstone for this key if it is no newer than S." Only
-        // ever sent after every member acked the tombstone at S, so removal
-        // cannot re-open a resurrection window. Idempotent: a missing or
-        // newer block is already the desired end state.
-        auto block = read_block_file(sys_, key_path(*key));
-        if (block.ok() && block.value().tombstone && block.value().seq <= *seq) {
-          if (sys_.unlink(key_path(*key)).ok()) {
-            c_tombstones_gced_.inc();
-          }
+      // "Drop your tombstone for this key if it is no newer than S." Only
+      // ever sent after every member acked the tombstone at S, so removal
+      // cannot re-open a resurrection window. Idempotent: a missing or
+      // newer block is already the desired end state.
+      auto block = read_block_file(sys_, key_path(req.key));
+      if (block.ok() && block.value().tombstone && block.value().seq <= req.seq) {
+        if (sys_.unlink(key_path(req.key)).ok()) {
+          c_tombstones_gced_.inc();
         }
-        err = ErrorCode::kOk;
       }
+      err = ErrorCode::kOk;
       break;
     }
-    case BsOp::kPing: {
-      if (r.exhausted()) {
-        err = ErrorCode::kOk;
-      }
+    case BsOp::kPing:
+      err = ErrorCode::kOk;
       break;
-    }
-    case BsOp::kList: {
-      if (r.exhausted()) {
-        Writer lw;
-        auto entries = list();
-        lw.put_u32(static_cast<u32>(entries.size()));
-        for (const auto& e : entries) {
-          lw.put_string(e.key);
-          lw.put_u32(e.crc);
-          lw.put_u64(e.seq);
-          lw.put_u8(e.tombstone ? 1 : 0);  // flags: bit 0 = tombstone
-        }
-        value_out = lw.take();
-        err = ErrorCode::kOk;
-      }
-      break;
-    }
-    default:
+    case BsOp::kList:
+      reply.payload = bs_payload_bytes<BsOp::kList>(list());
+      err = ErrorCode::kOk;
       break;
   }
-
-  Writer reply;
-  reply.put_u64(*req_id);
-  reply.put_u32(static_cast<u32>(err));
-  reply.put_bytes(value_out);
-  reply.put_u64(seq_out);  // trailing write sequence (meaningful for kGet and kGetBlock)
-  return reply.take();
+  reply.err = static_cast<u32>(err);
 }
 
 }  // namespace vnros

@@ -16,14 +16,29 @@ constexpr u64 kSbMagic = 0x766E'726F'7346'5321ull;  // "vnrosFS!"
 constexpr u32 kRecMagic = 0x4A524E4C;               // "JRNL"
 constexpr u64 kRootIno = 1;
 
-// On-disk record header (fixed prefix, before the payload).
+// The header a journal record and a checkpoint both start with, before
+// their payload.
 struct RecHeader {
-  u32 magic;
-  u64 epoch;
-  u32 len;
-  u32 crc;
+  u32 magic = kRecMagic;
+  u64 epoch = 0;
+  u32 len = 0;  // payload bytes
+  u32 crc = 0;  // crc32c of the payload
 };
-constexpr usize kRecHeaderBytes = 4 + 8 + 4 + 4;
+
+// Sector 0, followed by the crc32c of these fields.
+struct Superblock {
+  u64 magic = kSbMagic;
+  u64 epoch = 0;
+  bool ckpt_valid = false;
+  u64 ckpt_sectors = 0;
+};
+
+// A checkpoint's payload: every directory, then every file and its bytes,
+// each in path order (so parents precede children).
+struct FsImage {
+  std::vector<std::string> dirs;
+  std::vector<std::pair<std::string, std::vector<u8>>> files;
+};
 
 u64 sectors_for(u64 bytes) { return (bytes + kSectorSize - 1) / kSectorSize; }
 
@@ -35,37 +50,6 @@ template <typename... F>
 struct Overloaded : F... {
   using F::operator()...;
 };
-
-// The record codec of the mutations' three field types.
-template <typename T>
-void put_field(Writer& w, const T& v) {
-  if constexpr (std::is_same_v<T, std::string>) {
-    w.put_string(v);
-  } else if constexpr (std::is_same_v<T, u64>) {
-    w.put_u64(v);
-  } else {
-    static_assert(std::is_same_v<T, std::vector<u8>>);
-    w.put_bytes(v);
-  }
-}
-
-template <typename T>
-bool get_field(Reader& r, T& out) {
-  std::optional<T> v;
-  if constexpr (std::is_same_v<T, std::string>) {
-    v = r.get_string();
-  } else if constexpr (std::is_same_v<T, u64>) {
-    v = r.get_u64();
-  } else {
-    static_assert(std::is_same_v<T, std::vector<u8>>);
-    v = r.get_bytes();
-  }
-  if (!v) {
-    return false;
-  }
-  out = std::move(*v);
-  return true;
-}
 
 // A default-valued FsMutation holding alternative `index` (< its size).
 template <usize I = 0>
@@ -80,30 +64,62 @@ FsMutation blank_mutation(usize index) {
 
 }  // namespace
 
+template <>
+struct Codec<RecHeader>
+    : FieldsCodec<RecHeader, &RecHeader::magic, &RecHeader::epoch, &RecHeader::len,
+                  &RecHeader::crc> {};
+template <>
+struct Codec<Superblock>
+    : FieldsCodec<Superblock, &Superblock::magic, &Superblock::epoch, &Superblock::ckpt_valid,
+                  &Superblock::ckpt_sectors> {};
+template <>
+struct Codec<FsImage> : FieldsCodec<FsImage, &FsImage::dirs, &FsImage::files> {};
+
+namespace {
+
+constexpr usize kRecHeaderBytes = Codec<RecHeader>::kMinBytes;  // every field is fixed-width
+
+// One record as it goes on the device: its header over `payload`, zero-padded
+// to whole sectors.
+std::vector<u8> record_sectors(u64 epoch, std::span<const u8> payload) {
+  Writer w;
+  Codec<RecHeader>::put(w, RecHeader{.epoch = epoch,
+                                     .len = static_cast<u32>(payload.size()),
+                                     .crc = crc32c(payload)});
+  w.put_raw(payload);
+  std::vector<u8> raw = w.take();
+  raw.resize(sectors_for(raw.size()) * kSectorSize, 0);
+  return raw;
+}
+
+// The header `raw` starts with, when it heads a record of `epoch`.
+std::optional<RecHeader> record_header(std::span<const u8> raw, u64 epoch) {
+  Reader r(raw);
+  auto hdr = wire_get<RecHeader>(r);
+  if (!hdr || hdr->magic != kRecMagic || hdr->epoch != epoch) {
+    return std::nullopt;
+  }
+  return hdr;
+}
+
+}  // namespace
+
 std::vector<u8> encode_fs_record(const FsMutation& m) {
   Writer w;
-  w.put_u8(static_cast<u8>(m.index() + 1));
-  std::visit(
-      [&w](const auto& op) {
-        std::apply([&](auto... field) { (put_field(w, op.*field), ...); }, op.kFields);
-      },
-      m);
+  Codec<u8>::put(w, static_cast<u8>(m.index() + 1));
+  std::visit([&w](const auto& op) { Codec<std::decay_t<decltype(op)>>::put(w, op); }, m);
   return w.take();
 }
 
 std::optional<FsMutation> decode_fs_record(std::span<const u8> payload) {
   Reader r(payload);
-  auto opcode = r.get_u8();
+  auto opcode = wire_get<u8>(r);
   if (!opcode || *opcode == 0 || *opcode > std::variant_size_v<FsMutation>) {
     return std::nullopt;
   }
   FsMutation m = blank_mutation(*opcode - 1u);
-  const bool ok = std::visit(
-      [&r](auto& op) {
-        return std::apply([&](auto... field) { return (get_field(r, op.*field) && ...); },
-                          op.kFields);
-      },
-      m);
+  const bool ok =
+      std::visit([&r](auto& op) { return Codec<std::decay_t<decltype(op)>>::get(r, op); }, m);
   if (!ok || !r.exhausted()) {
     return std::nullopt;
   }
@@ -159,22 +175,17 @@ Result<MemFs> MemFs::recover(BlockDevice& dev) {
   if (!rd.ok()) {
     return rd.error();
   }
-  Reader sb(sb_bytes);
-  auto magic = sb.get_u64();
-  auto epoch = sb.get_u64();
-  auto ckpt_valid = sb.get_bool();
-  auto ckpt_sectors = sb.get_u64();
-  auto crc = sb.get_u32();
-  if (!magic || *magic != kSbMagic || !epoch || !ckpt_valid || !ckpt_sectors || !crc) {
+  Reader sb_reader(sb_bytes);
+  auto sb = wire_get<Superblock>(sb_reader);
+  const usize covered = sb_reader.position();
+  auto crc = wire_get<u32>(sb_reader);
+  if (!sb || !crc || sb->magic != kSbMagic ||
+      *crc != crc32c(std::span<const u8>(sb_bytes.data(), covered))) {
     return ErrorCode::kCorrupted;
   }
-  u32 expect = crc32c(std::span<const u8>(sb_bytes.data(), sb.position() - 4));
-  if (*crc != expect) {
-    return ErrorCode::kCorrupted;
-  }
-  fs.epoch_ = *epoch;
-  fs.ckpt_valid_ = *ckpt_valid;
-  fs.ckpt_sectors_ = *ckpt_sectors;
+  fs.epoch_ = sb->epoch;
+  fs.ckpt_valid_ = sb->ckpt_valid;
+  fs.ckpt_sectors_ = sb->ckpt_sectors;
 
   // Load the checkpoint, if one is valid.
   if (fs.ckpt_valid_) {
@@ -185,21 +196,16 @@ Result<MemFs> MemFs::recover(BlockDevice& dev) {
         return r.error();
       }
     }
-    Reader hdr(raw);
-    auto rmagic = hdr.get_u32();
-    auto repoch = hdr.get_u64();
-    auto rlen = hdr.get_u32();
-    auto rcrc = hdr.get_u32();
     // The checkpoint epoch must match the superblock's: a failed checkpoint
     // attempt can leave a newer-epoch image in the checkpoint area while the
     // superblock still describes the old one — that mix must be detected,
     // never loaded.
-    if (!rmagic || *rmagic != kRecMagic || !repoch || *repoch != fs.epoch_ || !rlen || !rcrc ||
-        kRecHeaderBytes + *rlen > raw.size()) {
+    auto hdr = record_header(raw, fs.epoch_);
+    if (!hdr || kRecHeaderBytes + hdr->len > raw.size()) {
       return ErrorCode::kCorrupted;
     }
-    std::span<const u8> payload(raw.data() + kRecHeaderBytes, *rlen);
-    if (crc32c(payload) != *rcrc) {
+    std::span<const u8> payload(raw.data() + kRecHeaderBytes, hdr->len);
+    if (crc32c(payload) != hdr->crc) {
       return ErrorCode::kCorrupted;
     }
     auto loaded = fs.load_state(payload);
@@ -238,15 +244,11 @@ Result<Unit> MemFs::replay_journal() {
       // so recovery fails loudly instead of recovering a stale state.
       return r.error();
     }
-    Reader hdr(sector);
-    auto magic = hdr.get_u32();
-    auto epoch = hdr.get_u64();
-    auto len = hdr.get_u32();
-    auto crc = hdr.get_u32();
-    if (!magic || *magic != kRecMagic || !epoch || *epoch != epoch_ || !len || !crc) {
+    auto hdr = record_header(sector, epoch_);
+    if (!hdr) {
       break;
     }
-    u64 rec_sectors = sectors_for(kRecHeaderBytes + *len);
+    u64 rec_sectors = sectors_for(kRecHeaderBytes + hdr->len);
     if (s + rec_sectors > end) {
       break;
     }
@@ -257,8 +259,8 @@ Result<Unit> MemFs::replay_journal() {
         return rr.error();  // device error, not a torn record: fail recovery
       }
     }
-    std::span<const u8> payload(raw.data() + kRecHeaderBytes, *len);
-    if (crc32c(payload) != *crc) {
+    std::span<const u8> payload(raw.data() + kRecHeaderBytes, hdr->len);
+    if (crc32c(payload) != hdr->crc) {
       break;  // torn record: end of valid prefix
     }
     // A record is journaled only after its checks passed on this same
@@ -276,11 +278,9 @@ Result<Unit> MemFs::replay_journal() {
 
 Result<Unit> MemFs::write_superblock() {
   Writer w;
-  w.put_u64(kSbMagic);
-  w.put_u64(epoch_);
-  w.put_bool(ckpt_valid_);
-  w.put_u64(ckpt_sectors_);
-  w.put_u32(crc32c(w.bytes()));
+  Codec<Superblock>::put(
+      w, Superblock{.epoch = epoch_, .ckpt_valid = ckpt_valid_, .ckpt_sectors = ckpt_sectors_});
+  Codec<u32>::put(w, crc32c(w.bytes()));
   std::vector<u8> sector(kSectorSize, 0);
   VNROS_CHECK(w.size() <= kSectorSize);
   std::memcpy(sector.data(), w.bytes().data(), w.size());
@@ -288,9 +288,9 @@ Result<Unit> MemFs::write_superblock() {
 }
 
 std::vector<u8> MemFs::serialize_state_locked() const {
-  FsAbsState state;
   // Enumerate via the same traversal as view() (but we already hold the
   // lock): rebuild paths from the inode tree.
+  FsImage image;
   struct Item {
     u64 ino;
     std::string path;
@@ -304,25 +304,17 @@ std::vector<u8> MemFs::serialize_state_locked() const {
       const Inode& child = inodes_.at(child_ino);
       std::string child_path = item.path + "/" + name;
       if (child.is_dir) {
-        state.dirs.insert(child_path);
+        image.dirs.push_back(child_path);
         stack.push_back({child_ino, child_path});
       } else {
-        state.files[child_path] = child.data;
+        image.files.emplace_back(std::move(child_path), child.data);
       }
     }
   }
-
-  Writer w;
-  w.put_u32(static_cast<u32>(state.dirs.size()));
-  for (const auto& d : state.dirs) {
-    w.put_string(d);
-  }
-  w.put_u32(static_cast<u32>(state.files.size()));
-  for (const auto& [path, data] : state.files) {
-    w.put_string(path);
-    w.put_bytes(data);
-  }
-  return w.take();
+  std::sort(image.dirs.begin(), image.dirs.end());
+  std::sort(image.files.begin(), image.files.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  return to_wire(image);
 }
 
 Result<Unit> MemFs::load_state(std::span<const u8> bytes) {
@@ -330,29 +322,21 @@ Result<Unit> MemFs::load_state(std::span<const u8> bytes) {
   next_ino_ = 2;
   inodes_[kRootIno] = Inode{.is_dir = true, .data = {}, .entries = {}};
 
-  Reader r(bytes);
-  auto ndirs = r.get_u32();
-  if (!ndirs) {
+  auto image = from_wire<FsImage>(bytes);
+  if (!image) {
     return ErrorCode::kCorrupted;
   }
-  // dirs came from a std::set => sorted => parents precede children.
-  for (u32 i = 0; i < *ndirs; ++i) {
-    auto path = r.get_string();
-    if (!path || !step(FsMkdir{std::move(*path)}).ok()) {
+  // Sorted paths: parents precede children.
+  for (std::string& path : image->dirs) {
+    if (!step(FsMkdir{std::move(path)}).ok()) {
       return ErrorCode::kCorrupted;
     }
   }
-  auto nfiles = r.get_u32();
-  if (!nfiles) {
-    return ErrorCode::kCorrupted;
-  }
-  for (u32 i = 0; i < *nfiles; ++i) {
-    auto path = r.get_string();
-    auto data = r.get_bytes();
-    if (!path || !data || !step(FsCreate{*path}).ok()) {
+  for (auto& [path, data] : image->files) {
+    if (!step(FsCreate{path}).ok()) {
       return ErrorCode::kCorrupted;
     }
-    if (!data->empty() && !step(FsWrite{std::move(*path), 0, std::move(*data)}).ok()) {
+    if (!data.empty() && !step(FsWrite{std::move(path), 0, std::move(data)}).ok()) {
       return ErrorCode::kCorrupted;
     }
   }
@@ -369,14 +353,7 @@ Result<Unit> MemFs::checkpoint_locked() {
     return ErrorCode::kNoSpace;  // device misconfigured for this dataset
   }
 
-  Writer w;
-  w.put_u32(kRecMagic);
-  w.put_u64(epoch_ + 1);
-  w.put_u32(static_cast<u32>(payload.size()));
-  w.put_u32(crc32c(payload));
-  w.put_raw(payload);
-  std::vector<u8> raw = w.take();
-  raw.resize(need_sectors * kSectorSize, 0);
+  const std::vector<u8> raw = record_sectors(epoch_ + 1, payload);
   for (u64 s = 0; s < need_sectors; ++s) {
     auto wr = dev_->write(1 + s, std::span<const u8>(raw.data() + s * kSectorSize, kSectorSize));
     if (!wr.ok()) {
@@ -422,14 +399,7 @@ Result<Unit> MemFs::journal_append(std::span<const u8> payload) {
       return ck.error();
     }
   }
-  Writer w;
-  w.put_u32(kRecMagic);
-  w.put_u64(epoch_);
-  w.put_u32(static_cast<u32>(payload.size()));
-  w.put_u32(crc32c(payload));
-  w.put_raw(payload);
-  std::vector<u8> raw = w.take();
-  raw.resize(need * kSectorSize, 0);
+  const std::vector<u8> raw = record_sectors(epoch_, payload);
   for (u64 s = 0; s < need; ++s) {
     auto wr = dev_->write(journal_head_ + s,
                           std::span<const u8>(raw.data() + s * kSectorSize, kSectorSize));

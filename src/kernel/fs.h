@@ -36,11 +36,11 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <tuple>
 #include <variant>
 #include <vector>
 
 #include "src/base/result.h"
+#include "src/base/serde.h"
 #include "src/base/types.h"
 #include "src/hw/block_device.h"
 #include "src/obs/registry.h"
@@ -73,44 +73,52 @@ inline constexpr u64 kMaxFileBytes = u64{16} << 20;
 // The seven fs mutations, each declared once. One value is what
 // MemFs::commit checks, journals and applies, what journal replay decodes,
 // and what NrFs logs to every replica. A journal record's payload is
-// [u8 opcode][kFields in order]: the opcode is the mutation's index in
-// FsMutation plus one, strings and byte vectors are u32-length-prefixed and
-// u64s little-endian (src/base/serde.h).
+// [u8 opcode][fields in order]: the opcode is the mutation's index in
+// FsMutation plus one, and the fields are the ones each mutation's Codec
+// lists below (src/base/serde.h).
 struct FsMkdir {
   std::string path;
-  static constexpr auto kFields = std::tuple{&FsMkdir::path};
 };
 struct FsRmdir {  // the directory must be empty
   std::string path;
-  static constexpr auto kFields = std::tuple{&FsRmdir::path};
 };
 struct FsCreate {  // an empty regular file
   std::string path;
-  static constexpr auto kFields = std::tuple{&FsCreate::path};
 };
 struct FsUnlink {  // a regular file
   std::string path;
-  static constexpr auto kFields = std::tuple{&FsUnlink::path};
 };
 struct FsRename {
   std::string from;
   std::string to;
-  static constexpr auto kFields = std::tuple{&FsRename::from, &FsRename::to};
 };
 struct FsWrite {
   std::string path;
   u64 offset = 0;
   std::vector<u8> data;
-  static constexpr auto kFields = std::tuple{&FsWrite::path, &FsWrite::offset, &FsWrite::data};
 };
 struct FsTruncate {
   std::string path;
   u64 size = 0;
-  static constexpr auto kFields = std::tuple{&FsTruncate::path, &FsTruncate::size};
 };
 
 using FsMutation =
     std::variant<FsMkdir, FsRmdir, FsCreate, FsUnlink, FsRename, FsWrite, FsTruncate>;
+
+template <>
+struct Codec<FsMkdir> : FieldsCodec<FsMkdir, &FsMkdir::path> {};
+template <>
+struct Codec<FsRmdir> : FieldsCodec<FsRmdir, &FsRmdir::path> {};
+template <>
+struct Codec<FsCreate> : FieldsCodec<FsCreate, &FsCreate::path> {};
+template <>
+struct Codec<FsUnlink> : FieldsCodec<FsUnlink, &FsUnlink::path> {};
+template <>
+struct Codec<FsRename> : FieldsCodec<FsRename, &FsRename::from, &FsRename::to> {};
+template <>
+struct Codec<FsWrite> : FieldsCodec<FsWrite, &FsWrite::path, &FsWrite::offset, &FsWrite::data> {};
+template <>
+struct Codec<FsTruncate> : FieldsCodec<FsTruncate, &FsTruncate::path, &FsTruncate::size> {};
 
 // The journal record payload of `m`.
 std::vector<u8> encode_fs_record(const FsMutation& m);

@@ -93,7 +93,6 @@ class Kernel {
   Scheduler& sched() { return sched_; }
   ProcessManager& procs() { return procs_; }
   MemFs& fs() { return fs_; }
-  FutexTable& futex() { return futex_; }
   PipeTable& pipes() { return pipes_; }
   SimFutex& simfutex() { return *simfutex_; }
   SysRingTable& rings() { return *rings_; }
@@ -147,7 +146,6 @@ class Kernel {
   Scheduler sched_;
   ProcessManager procs_;
   MemFs fs_;
-  FutexTable futex_;
   PipeTable pipes_;
   std::unique_ptr<SimFutex> simfutex_;
   std::unique_ptr<SysRingTable> rings_;

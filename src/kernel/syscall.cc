@@ -86,13 +86,13 @@ SysAbsState SyscallDispatcher::view(Pid pid) const {
 std::vector<u8> SyscallDispatcher::handle(Pid pid, CoreId core, std::span<const u8> frame) {
   Reader args(frame);
   Writer reply;
-  auto nr = args.get_u32();
+  auto nr = wire_get<u32>(args);
   ErrorCode err = ErrorCode::kInvalidArgument;
   Writer payload;
   if (nr) {
     err = exec_syscall(pid, core, *nr, args, payload);
   }
-  reply.put_u32(static_cast<u32>(err));
+  Codec<u32>::put(reply, static_cast<u32>(err));
   reply.put_raw(payload.bytes());
   return reply.take();
 }

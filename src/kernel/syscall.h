@@ -20,7 +20,6 @@
 #ifndef VNROS_SRC_KERNEL_SYSCALL_H_
 #define VNROS_SRC_KERNEL_SYSCALL_H_
 
-#include <concepts>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -29,7 +28,6 @@
 #include <string>
 #include <string_view>
 #include <tuple>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -52,170 +50,12 @@ enum class SeekWhence : u32 { kSet = 0, kCur = 1, kEnd = 2 };
 // a SYN flood grow the stack's connection table without limit.
 inline constexpr u64 kMaxVtpBacklog = 4096;
 
-// --- Field codecs ------------------------------------------------------------
-//
-// One codec per wire field type: put appends the field, get decodes it into
-// `out` and returns false on truncated or malformed input. kMinBytes is the
-// shortest encoding, which bounds how many elements a count prefix can honestly
-// announce. Encoding: little-endian fixed-width integers (Fd as u32), bool as
-// one canonical byte, u32-length-prefixed strings and byte vectors,
-// u32-count-prefixed vectors, structs as their fields in order.
-template <typename T>
-struct Codec;
-
-// What a caller hands an encoder for a T field: views for the owning
-// containers, so encoding never copies an argument first.
-template <typename T>
-struct WireInT {
-  using type = const T&;
-};
+// The kernel types a syscall frame carries, as field lists for the codec
+// in src/base/serde.h.
 template <>
-struct WireInT<std::string> {
-  using type = std::string_view;
+struct WireEnum<SeekWhence> {
+  static constexpr SeekWhence kValues[] = {SeekWhence::kSet, SeekWhence::kCur, SeekWhence::kEnd};
 };
-template <typename T>
-struct WireInT<std::vector<T>> {
-  using type = std::span<const T>;
-};
-template <typename T>
-using WireIn = typename WireInT<T>::type;
-
-template <typename T>
-bool get_into(std::optional<T> v, T& out) {
-  if (!v) {
-    return false;
-  }
-  out = std::move(*v);
-  return true;
-}
-
-template <typename T>
-  requires(std::integral<T> && !std::same_as<T, bool>)
-struct Codec<T> {
-  static_assert(sizeof(T) == 2 || sizeof(T) == 4 || sizeof(T) == 8);
-  using U = std::make_unsigned_t<T>;
-  static constexpr usize kMinBytes = sizeof(T);
-  static void put(Writer& w, T v) {
-    if constexpr (sizeof(T) == 2) {
-      w.put_u16(static_cast<U>(v));
-    } else if constexpr (sizeof(T) == 4) {
-      w.put_u32(static_cast<U>(v));
-    } else {
-      w.put_u64(static_cast<U>(v));
-    }
-  }
-  static bool get(Reader& r, T& out) {
-    std::optional<U> v;
-    if constexpr (sizeof(T) == 2) {
-      v = r.get_u16();
-    } else if constexpr (sizeof(T) == 4) {
-      v = r.get_u32();
-    } else {
-      v = r.get_u64();
-    }
-    out = static_cast<T>(v.value_or(0));
-    return v.has_value();
-  }
-};
-
-template <>
-struct Codec<bool> {
-  static constexpr usize kMinBytes = 1;
-  static void put(Writer& w, bool v) { w.put_bool(v); }
-  static bool get(Reader& r, bool& out) { return get_into(r.get_bool(), out); }
-};
-
-template <>
-struct Codec<Unit> {
-  static constexpr usize kMinBytes = 0;
-  static void put(Writer&, Unit) {}
-  static bool get(Reader&, Unit&) { return true; }
-};
-
-template <>
-struct Codec<VAddr> {
-  static constexpr usize kMinBytes = 8;
-  static void put(Writer& w, VAddr v) { w.put_u64(v.value); }
-  static bool get(Reader& r, VAddr& out) {
-    auto v = r.get_u64();
-    out = VAddr{v.value_or(0)};
-    return v.has_value();
-  }
-};
-
-template <>
-struct Codec<SeekWhence> {
-  static constexpr usize kMinBytes = 4;
-  static void put(Writer& w, SeekWhence v) { w.put_u32(static_cast<u32>(v)); }
-  static bool get(Reader& r, SeekWhence& out) {
-    auto v = r.get_u32();
-    if (!v || *v > static_cast<u32>(SeekWhence::kEnd)) {
-      return false;
-    }
-    out = static_cast<SeekWhence>(*v);
-    return true;
-  }
-};
-
-template <>
-struct Codec<std::string> {
-  static constexpr usize kMinBytes = 4;
-  static void put(Writer& w, std::string_view v) { w.put_string(v); }
-  static bool get(Reader& r, std::string& out) { return get_into(r.get_string(), out); }
-};
-
-template <typename T>
-struct Codec<std::vector<T>> {
-  static_assert(Codec<T>::kMinBytes > 0);
-  static constexpr usize kMinBytes = 4;
-  static void put(Writer& w, std::span<const T> v) {
-    w.put_u32(static_cast<u32>(v.size()));
-    for (const T& e : v) {
-      Codec<T>::put(w, e);
-    }
-  }
-  static bool get(Reader& r, std::vector<T>& out) {
-    auto n = r.get_u32();
-    // A count the rest of the frame cannot hold is malformed, so the
-    // reservation below is bounded by the frame, not by the count.
-    if (!n || *n > r.remaining() / Codec<T>::kMinBytes) {
-      return false;
-    }
-    out.clear();
-    out.reserve(*n);
-    for (u32 i = 0; i < *n; ++i) {
-      if (!Codec<T>::get(r, out.emplace_back())) {
-        return false;
-      }
-    }
-    return true;
-  }
-};
-
-template <>
-struct Codec<std::vector<u8>> {
-  static constexpr usize kMinBytes = 4;
-  static void put(Writer& w, std::span<const u8> v) { w.put_bytes(v); }
-  static bool get(Reader& r, std::vector<u8>& out) { return get_into(r.get_bytes(), out); }
-};
-
-template <typename M>
-struct MemberT;
-template <typename C, typename F>
-struct MemberT<F C::*> {
-  using Field = F;
-};
-template <auto M>
-using FieldOf = typename MemberT<decltype(M)>::Field;
-
-// A struct encoded as the listed fields, in order.
-template <typename T, auto... M>
-struct FieldsCodec {
-  static constexpr usize kMinBytes = (0 + ... + Codec<FieldOf<M>>::kMinBytes);
-  static void put(Writer& w, const T& v) { (Codec<FieldOf<M>>::put(w, v.*M), ...); }
-  static bool get(Reader& r, T& out) { return (Codec<FieldOf<M>>::get(r, out.*M) && ...); }
-};
-
 template <>
 struct Codec<FileStat>
     : FieldsCodec<FileStat, &FileStat::inode, &FileStat::size, &FileStat::is_dir> {};
@@ -227,9 +67,6 @@ struct Codec<RingSqe> : FieldsCodec<RingSqe, &RingSqe::user_data, &RingSqe::op, 
 template <>
 struct Codec<RingCqe>
     : FieldsCodec<RingCqe, &RingCqe::user_data, &RingCqe::err, &RingCqe::payload> {};
-template <typename A, typename B>
-struct Codec<std::pair<A, B>>
-    : FieldsCodec<std::pair<A, B>, &std::pair<A, B>::first, &std::pair<A, B>::second> {};
 
 // --- The syscall table -------------------------------------------------------
 //
@@ -412,7 +249,7 @@ template <SysNr N, typename... A>
   requires SysArgsFor<N, A...>
 std::vector<u8> sys_frame(A&&... args) {
   Writer w;
-  w.put_u32(static_cast<u32>(N));
+  Codec<u32>::put(w, static_cast<u32>(N));
   SysDesc<N>::encode(w, std::forward<A>(args)...);
   return w.take();
 }
@@ -435,12 +272,11 @@ Result<SysReply<N>> sys_reply(ErrorCode err, std::span<const u8> payload) {
   if (err != ErrorCode::kOk) {
     return err;
   }
-  Reader r(payload);
-  SysReply<N> out{};
-  if (!Codec<SysReply<N>>::get(r, out) || !r.exhausted()) {
+  auto out = from_wire<SysReply<N>>(payload);
+  if (!out) {
     return ErrorCode::kCorrupted;
   }
-  return out;
+  return std::move(*out);
 }
 
 template <SysNr N>
@@ -694,7 +530,7 @@ class Sys {
   Result<SysReply<N>> call(A&&... args) {
     std::vector<u8> reply = dispatcher_.handle(pid_, core_, sys_frame<N>(std::forward<A>(args)...));
     Reader r(reply);
-    auto err = r.get_u32();
+    auto err = wire_get<u32>(r);
     if (!err) {
       return ErrorCode::kCorrupted;  // kernel reply must at least carry an error word
     }

@@ -3,9 +3,10 @@
 // A deliberately small stack (§6 names a verified network stack as an open
 // research artifact): link frames carry IPv4-lite datagrams, which carry
 // either UDP segments or VTP (verified transport protocol, a TCP-lite)
-// segments. All headers serialize through src/base/serde so the round-trip
-// verification conditions (net/header_roundtrip_*) cover every field, and a
-// truncated or corrupted header decodes to nullopt rather than garbage.
+// segments. Each header lists its fields once, as a Codec (src/base/serde.h),
+// so the round-trip verification conditions (net/*header_roundtrip*) cover
+// every field, and a truncated or corrupted header, or one whose protocol or
+// segment type is unknown, decodes to nullopt rather than garbage.
 #ifndef VNROS_SRC_NET_HEADERS_H_
 #define VNROS_SRC_NET_HEADERS_H_
 
@@ -33,9 +34,6 @@ struct IpHeader {
   IpProto proto = IpProto::kUdp;
   u8 ttl = 16;
 
-  void encode(Writer& w) const;
-  static std::optional<IpHeader> decode(Reader& r);
-
   bool operator==(const IpHeader&) const = default;
 };
 
@@ -43,9 +41,6 @@ struct UdpHeader {
   Port src_port = 0;
   Port dst_port = 0;
   u32 checksum = 0;  // crc32c of the payload
-
-  void encode(Writer& w) const;
-  static std::optional<UdpHeader> decode(Reader& r);
 
   bool operator==(const UdpHeader&) const = default;
 };
@@ -71,11 +66,29 @@ struct VtpHeader {
   u32 wnd = 0;   // receiver-advertised window, in bytes past `ack`
   u32 checksum = 0;
 
-  void encode(Writer& w) const;
-  static std::optional<VtpHeader> decode(Reader& r);
-
   bool operator==(const VtpHeader&) const = default;
 };
+
+template <>
+struct WireEnum<IpProto> {
+  static constexpr IpProto kValues[] = {IpProto::kUdp, IpProto::kVtp};
+};
+template <>
+struct WireEnum<VtpType> {
+  static constexpr VtpType kValues[] = {VtpType::kSyn,  VtpType::kSynAck, VtpType::kData,
+                                        VtpType::kAck,  VtpType::kFin,    VtpType::kRst};
+};
+
+template <>
+struct Codec<IpHeader>
+    : FieldsCodec<IpHeader, &IpHeader::src, &IpHeader::dst, &IpHeader::proto, &IpHeader::ttl> {};
+template <>
+struct Codec<UdpHeader> : FieldsCodec<UdpHeader, &UdpHeader::src_port, &UdpHeader::dst_port,
+                                      &UdpHeader::checksum> {};
+template <>
+struct Codec<VtpHeader>
+    : FieldsCodec<VtpHeader, &VtpHeader::src_port, &VtpHeader::dst_port, &VtpHeader::type,
+                  &VtpHeader::seq, &VtpHeader::ack, &VtpHeader::wnd, &VtpHeader::checksum> {};
 
 }  // namespace vnros
 

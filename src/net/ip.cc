@@ -2,31 +2,9 @@
 
 namespace vnros {
 
-void IpHeader::encode(Writer& w) const {
-  w.put_u32(src);
-  w.put_u32(dst);
-  w.put_u8(static_cast<u8>(proto));
-  w.put_u8(ttl);
-}
-
-std::optional<IpHeader> IpHeader::decode(Reader& r) {
-  auto src = r.get_u32();
-  auto dst = r.get_u32();
-  auto proto = r.get_u8();
-  auto ttl = r.get_u8();
-  if (!src || !dst || !proto || !ttl) {
-    return std::nullopt;
-  }
-  if (*proto != static_cast<u8>(IpProto::kUdp) && *proto != static_cast<u8>(IpProto::kVtp)) {
-    return std::nullopt;
-  }
-  return IpHeader{*src, *dst, static_cast<IpProto>(*proto), *ttl};
-}
-
 Result<Unit> IpStack::send(NetAddr dst, IpProto proto, std::span<const u8> payload) {
   Writer w;
-  IpHeader hdr{addr(), dst, proto, 16};
-  hdr.encode(w);
+  Codec<IpHeader>::put(w, IpHeader{addr(), dst, proto, 16});
   w.put_raw(payload);
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -46,7 +24,7 @@ usize IpStack::poll() {
   while (auto frame = dev_.poll_rx()) {
     ++processed;
     Reader r(frame->payload);
-    auto hdr = IpHeader::decode(r);
+    auto hdr = wire_get<IpHeader>(r);
     std::function<void(const IpHeader&, std::span<const u8>)> handler;
     {
       std::lock_guard<std::mutex> lock(mu_);

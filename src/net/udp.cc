@@ -4,22 +4,6 @@
 
 namespace vnros {
 
-void UdpHeader::encode(Writer& w) const {
-  w.put_u16(src_port);
-  w.put_u16(dst_port);
-  w.put_u32(checksum);
-}
-
-std::optional<UdpHeader> UdpHeader::decode(Reader& r) {
-  auto src = r.get_u16();
-  auto dst = r.get_u16();
-  auto csum = r.get_u32();
-  if (!src || !dst || !csum) {
-    return std::nullopt;
-  }
-  return UdpHeader{*src, *dst, *csum};
-}
-
 UdpStack::UdpStack(IpStack& ip) : ip_(ip) {
   ip_.register_proto(IpProto::kUdp, [this](const IpHeader& hdr, std::span<const u8> payload) {
     on_datagram(hdr, payload);
@@ -52,8 +36,7 @@ Result<Unit> UdpStack::unbind(Port port) {
 Result<Unit> UdpStack::send(NetAddr dst, Port dst_port, Port src_port,
                             std::span<const u8> payload) {
   Writer w;
-  UdpHeader hdr{src_port, dst_port, crc32c(payload)};
-  hdr.encode(w);
+  Codec<UdpHeader>::put(w, UdpHeader{src_port, dst_port, crc32c(payload)});
   w.put_raw(payload);
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -85,7 +68,7 @@ usize UdpStack::pending(Port port) const {
 
 void UdpStack::on_datagram(const IpHeader& ip, std::span<const u8> payload) {
   Reader r(payload);
-  auto hdr = UdpHeader::decode(r);
+  auto hdr = wire_get<UdpHeader>(r);
   std::lock_guard<std::mutex> lock(mu_);
   if (!hdr) {
     ++stats_.rx_bad_checksum;

@@ -30,33 +30,6 @@ u64 tuple_key(NetAddr peer, Port local, Port remote) {
 
 }  // namespace
 
-void VtpHeader::encode(Writer& w) const {
-  w.put_u16(src_port);
-  w.put_u16(dst_port);
-  w.put_u8(static_cast<u8>(type));
-  w.put_u64(seq);
-  w.put_u64(ack);
-  w.put_u32(wnd);
-  w.put_u32(checksum);
-}
-
-std::optional<VtpHeader> VtpHeader::decode(Reader& r) {
-  auto src = r.get_u16();
-  auto dst = r.get_u16();
-  auto type = r.get_u8();
-  auto seq = r.get_u64();
-  auto ack = r.get_u64();
-  auto wnd = r.get_u32();
-  auto csum = r.get_u32();
-  if (!src || !dst || !type || !seq || !ack || !wnd || !csum) {
-    return std::nullopt;
-  }
-  if (*type < static_cast<u8>(VtpType::kSyn) || *type > static_cast<u8>(VtpType::kRst)) {
-    return std::nullopt;
-  }
-  return VtpHeader{*src, *dst, static_cast<VtpType>(*type), *seq, *ack, *wnd, *csum};
-}
-
 VtpStack::VtpStack(IpStack& ip, VirtualClock& clock)
     : ip_(ip),
       clock_(clock),
@@ -252,22 +225,19 @@ void VtpStack::transmit(Conn& conn, VtpType type, u64 seq, u64 ack,
     return;  // injected loss at the stack boundary (retransmit must recover)
   }
   Writer w;
-  VtpHeader hdr{conn.local_port, conn.peer_port, type, seq, ack,
-                static_cast<u32>(conn.advertised_wnd()), crc32c(payload)};
-  hdr.encode(w);
+  Codec<VtpHeader>::put(w, VtpHeader{conn.local_port, conn.peer_port, type, seq, ack,
+                                     static_cast<u32>(conn.advertised_wnd()), crc32c(payload)});
   w.put_raw(payload);
   c_segments_tx_.inc();
   (void)ip_.send(conn.peer, IpProto::kVtp, w.bytes());
 }
 
 void VtpStack::transmit_rst(NetAddr dst, Port src_port, Port dst_port, ErrorCode reason) {
-  Writer w;
-  VtpHeader hdr{src_port, dst_port, VtpType::kRst, static_cast<u64>(reason), 0, 0,
-                crc32c(std::span<const u8>{})};
-  hdr.encode(w);
+  const VtpHeader hdr{src_port, dst_port, VtpType::kRst, static_cast<u64>(reason), 0, 0,
+                      crc32c(std::span<const u8>{})};
   c_resets_tx_.inc();
   c_segments_tx_.inc();
-  (void)ip_.send(dst, IpProto::kVtp, w.bytes());
+  (void)ip_.send(dst, IpProto::kVtp, to_wire(hdr));
 }
 
 void VtpStack::ack_locked(Conn& conn) {
@@ -443,7 +413,7 @@ void VtpStack::tick() {
 
 void VtpStack::on_segment(const IpHeader& ip, std::span<const u8> payload) {
   Reader r(payload);
-  auto hdr = VtpHeader::decode(r);
+  auto hdr = wire_get<VtpHeader>(r);
   std::lock_guard<std::mutex> lock(mu_);
   c_segments_rx_.inc();
   if (!hdr) {

@@ -2,6 +2,7 @@
 // retries, the client's non-blocking core, crash recovery and replication.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -10,6 +11,7 @@
 
 #include "src/app/anti_entropy.h"
 #include "src/app/blockstore.h"
+#include "src/base/crc.h"
 #include "src/base/fault.h"
 #include "src/base/rng.h"
 #include "src/base/serde.h"
@@ -955,16 +957,17 @@ TEST(BlockStoreClientCoreTest, EachBlockingOpRecordsOneRpcSpan) {
 
 // A kList reply whose count claims more entries than its bytes can hold is
 // kCorrupted: the count is checked against the payload before it sizes any
-// allocation (0xFFFFFFFF entries would ask for about 240 GB).
+// allocation (0xFFFFFFFF entries would ask for about 240 GB). So is an
+// entry whose tombstone flag is neither 0 nor 1.
 TEST(BlockStoreWireTest, DecodeInventoryRefusesACountThePayloadCannotHold) {
   Writer huge;
   huge.put_u32(0xFFFF'FFFFu);
-  EXPECT_EQ(decode_inventory(huge.bytes()).error(), ErrorCode::kCorrupted);
+  EXPECT_EQ(bs_payload<BsOp::kList>(huge.bytes()).error(), ErrorCode::kCorrupted);
 
   Writer one_short;  // one entry claimed, one byte short of the smallest
   one_short.put_u32(1);
   one_short.put_raw(std::vector<u8>(16, 0));
-  EXPECT_EQ(decode_inventory(one_short.bytes()).error(), ErrorCode::kCorrupted);
+  EXPECT_EQ(bs_payload<BsOp::kList>(one_short.bytes()).error(), ErrorCode::kCorrupted);
 
   Writer two;
   two.put_u32(2);
@@ -974,9 +977,496 @@ TEST(BlockStoreWireTest, DecodeInventoryRefusesACountThePayloadCannotHold) {
     two.put_u64(e.seq);
     two.put_u8(e.tombstone ? 1 : 0);
   }
-  auto listed = decode_inventory(two.bytes());
+  auto listed = bs_payload<BsOp::kList>(two.bytes());
   ASSERT_TRUE(listed.ok());
   EXPECT_EQ(listed.value(), (std::vector<BlockKeyInfo>{{"a", 7, 3, false}, {"b", 0, 9, true}}));
+
+  std::vector<u8> odd_flag = two.take();
+  odd_flag.back() = 2;
+  EXPECT_EQ(bs_payload<BsOp::kList>(odd_flag).error(), ErrorCode::kCorrupted);
+}
+
+// --- Byte pins -----------------------------------------------------------------
+//
+// The blockstore wire, written out field by field with Writer's primitives
+// as perfbench/kv.cc writes its kPing, kGet and kPut frames. A request body
+// is [u8 op][u64 req_id][u32-length key][op fields]; a reply is [u64 req_id]
+// [u32 ErrorCode][u32-length value][u64 seq], except that a plane or
+// admission refusal ends after the value. Stream frames add a u32 length
+// prefix; datagrams carry the body alone.
+
+std::vector<u8> pin_request(BsOp op, u64 req_id, std::string_view key,
+                            std::optional<u64> seq = std::nullopt,
+                            std::optional<std::vector<u8>> value = std::nullopt) {
+  Writer w;
+  w.put_u8(static_cast<u8>(op));
+  w.put_u64(req_id);
+  w.put_string(key);
+  if (seq) {
+    w.put_u64(*seq);
+  }
+  if (value) {
+    w.put_bytes(*value);
+  }
+  return w.take();
+}
+
+// A kMerkleNode or kMerkleLeaf request: no key, one u32 index.
+std::vector<u8> pin_index_request(BsOp op, u64 req_id, u32 index) {
+  Writer w;
+  w.put_u8(static_cast<u8>(op));
+  w.put_u64(req_id);
+  w.put_string("");
+  w.put_u32(index);
+  return w.take();
+}
+
+std::vector<u8> pin_reply(u64 req_id, ErrorCode err, std::span<const u8> value = {},
+                          std::optional<u64> seq = u64{0}) {
+  Writer w;
+  w.put_u64(req_id);
+  w.put_u32(static_cast<u32>(err));
+  w.put_bytes(value);
+  if (seq) {
+    w.put_u64(*seq);
+  }
+  return w.take();
+}
+
+std::vector<u8> pin_refusal(u64 req_id, ErrorCode err) {
+  return pin_reply(req_id, err, {}, std::nullopt);
+}
+
+std::vector<u8> pin_framed(std::span<const u8> body) {
+  Writer w;
+  w.put_u32(static_cast<u32>(body.size()));
+  w.put_raw(body);
+  return w.take();
+}
+
+// kList: [u32 count][(key, u32 crc, u64 seq, u8 tombstone)...].
+std::vector<u8> pin_inventory(const std::vector<BlockKeyInfo>& entries) {
+  Writer w;
+  w.put_u32(static_cast<u32>(entries.size()));
+  for (const BlockKeyInfo& e : entries) {
+    w.put_string(e.key);
+    w.put_u32(e.crc);
+    w.put_u64(e.seq);
+    w.put_u8(e.tombstone ? 1 : 0);
+  }
+  return w.take();
+}
+
+// One Merkle leaf entry, as kMerkleLeaf ships it and the leaf hash covers it.
+void pin_leaf_entry(Writer& w, const BlockKeyInfo& e) {
+  w.put_string(e.key);
+  w.put_u64(e.seq);
+  w.put_u8(e.tombstone ? 1 : 0);
+}
+
+// kMerkleLeaf: [u32 count][(key, u64 seq, u8 tombstone)...].
+std::vector<u8> pin_leaf(const std::vector<BlockKeyInfo>& entries) {
+  Writer w;
+  w.put_u32(static_cast<u32>(entries.size()));
+  for (const BlockKeyInfo& e : entries) {
+    pin_leaf_entry(w, e);
+  }
+  return w.take();
+}
+
+// kMerkleNode: [u32 hash][u32 child count][u32 child hash...], no children
+// for a leaf.
+std::vector<u8> pin_merkle_node(const MerkleTree& t, usize idx) {
+  Writer w;
+  w.put_u32(t.hash[idx]);
+  if (MerkleTree::is_leaf(idx)) {
+    w.put_u32(0);
+  } else {
+    w.put_u32(static_cast<u32>(MerkleTree::kFanout));
+    for (usize c = 0; c < MerkleTree::kFanout; ++c) {
+      w.put_u32(t.hash[idx * MerkleTree::kFanout + 1 + c]);
+    }
+  }
+  return w.take();
+}
+
+// kGetBlock's value: [u8 tombstone][raw bytes], no length prefix.
+std::vector<u8> pin_block(bool tombstone, std::string_view bytes_in) {
+  std::vector<u8> out{static_cast<u8>(tombstone ? 1 : 0)};
+  out.insert(out.end(), bytes_in.begin(), bytes_in.end());
+  return out;
+}
+
+using Frames = std::vector<std::vector<u8>>;
+
+// A hand-driven peer of one node: a raw VTP stream and a raw datagram
+// socket. Each exchange returns the reply bytes exactly as they arrived:
+// whole frames off the stream, length prefix included, and datagram
+// payloads off the socket.
+struct RawPeer {
+  Machine& server;
+  Machine& host;
+  BlockStoreNode& node;
+  Fd stream = kInvalidFd;
+  Fd sock = kInvalidFd;
+  std::vector<u8> inbuf;
+
+  RawPeer(Machine& s, Machine& h, BlockStoreNode& n) : server(s), host(h), node(n) {
+    stream = host.sys.vtp_connect(server.kernel.net_addr(), n.port(), 0).value();
+    sock = host.sys.udp_socket().value();
+  }
+
+  Frames on_stream(const Frames& bodies, usize replies) {
+    std::vector<u8> out;
+    for (const auto& body : bodies) {
+      auto f = pin_framed(body);
+      out.insert(out.end(), f.begin(), f.end());
+    }
+    EXPECT_TRUE(host.sys.vtp_send(stream, out).ok());
+    Frames got;
+    for (int poll = 0; poll < 256 && got.size() < replies; ++poll) {
+      node.serve_once();
+      tick(server, host);
+      if (auto r = host.sys.vtp_recv(stream, 1 << 16); r.ok()) {
+        inbuf.insert(inbuf.end(), r.value().begin(), r.value().end());
+      }
+      for (;;) {
+        Reader fr(inbuf);
+        auto len = fr.get_u32();
+        if (!len || !fr.get_raw(*len)) {
+          break;
+        }
+        got.emplace_back(inbuf.begin(), inbuf.begin() + 4 + *len);
+        inbuf.erase(inbuf.begin(), inbuf.begin() + 4 + *len);
+      }
+    }
+    return got;
+  }
+
+  Frames on_socket(const Frames& bodies) {
+    for (const auto& body : bodies) {
+      EXPECT_TRUE(host.sys.udp_sendto(sock, server.kernel.net_addr(), node.port(), body).ok());
+    }
+    Frames got;
+    for (int poll = 0; poll < 64 && got.size() < bodies.size(); ++poll) {
+      node.serve_once();
+      while (auto d = host.sys.udp_recvfrom(sock)) {
+        got.push_back(d.value().payload);
+      }
+    }
+    return got;
+  }
+};
+
+// Every reply the node writes, byte for byte, on both planes.
+TEST(BlockStoreWirePinTest, NodeRepliesKeepTheirBytes) {
+  Network net;
+  Machine server({.network = &net});
+  Machine host({.network = &net});
+  BlockStoreNode node(server.sys, 7000);
+  ASSERT_TRUE(node.init().ok());
+  RawPeer raw(server, host, node);
+  auto one = [](std::vector<u8> body) { return Frames{pin_framed(body)}; };
+
+  // The client plane.
+  EXPECT_EQ(raw.on_stream({pin_request(BsOp::kPing, 1, "")}, 1),
+            one(pin_reply(1, ErrorCode::kOk)));
+  EXPECT_EQ(raw.on_stream({pin_request(BsOp::kPut, 2, "k", 5, bytes("val"))}, 1),
+            one(pin_reply(2, ErrorCode::kOk)));
+  EXPECT_EQ(raw.on_stream({pin_request(BsOp::kGet, 3, "k")}, 1),
+            one(pin_reply(3, ErrorCode::kOk, bytes("val"), 5)));
+  EXPECT_EQ(raw.on_stream({pin_request(BsOp::kDel, 4, "k", 6)}, 1),
+            one(pin_reply(4, ErrorCode::kOk)));
+  EXPECT_EQ(raw.on_stream({pin_request(BsOp::kGet, 5, "k")}, 1),
+            one(pin_reply(5, ErrorCode::kNotFound)));
+  EXPECT_EQ(raw.on_stream({pin_request(BsOp::kList, 6, "")}, 1),
+            one(pin_refusal(6, ErrorCode::kNotPermitted)));
+  EXPECT_EQ(raw.on_stream({pin_request(static_cast<BsOp>(99), 7, "k")}, 1),
+            one(pin_reply(7, ErrorCode::kInvalidArgument)));
+  EXPECT_EQ(raw.on_stream({pin_request(BsOp::kPut, 8, "k", 7)}, 1),  // no value
+            one(pin_reply(8, ErrorCode::kInvalidArgument)));
+  EXPECT_EQ(raw.on_stream({pin_request(BsOp::kPing, 9, "", 1)}, 1),  // a trailing word
+            one(pin_reply(9, ErrorCode::kInvalidArgument)));
+
+  // The peer plane.
+  EXPECT_EQ(raw.on_socket({pin_request(BsOp::kPutReplica, 11, "r", 3, bytes("rv")),
+                           pin_request(BsOp::kDelReplica, 12, "t", 4)}),
+            (Frames{pin_reply(11, ErrorCode::kOk), pin_reply(12, ErrorCode::kOk)}));
+  EXPECT_EQ(raw.on_socket({pin_request(BsOp::kGetBlock, 13, "r"),
+                           pin_request(BsOp::kGetBlock, 14, "t"),
+                           pin_request(BsOp::kGetBlock, 15, "none")}),
+            (Frames{pin_reply(13, ErrorCode::kOk, pin_block(false, "rv"), 3),
+                    pin_reply(14, ErrorCode::kOk, pin_block(true, ""), 4),
+                    pin_reply(15, ErrorCode::kNotFound)}));
+  const std::vector<BlockKeyInfo> inventory = {{"k", crc32c({}), 6, true},
+                                               {"r", crc32c(bytes("rv")), 3, false},
+                                               {"t", crc32c({}), 4, true}};
+  ASSERT_EQ(node.list(), inventory);
+  EXPECT_EQ(raw.on_socket({pin_request(BsOp::kList, 16, "")}),
+            Frames{pin_reply(16, ErrorCode::kOk, pin_inventory(inventory))});
+  const MerkleTree tree = MerkleTree::build(inventory);
+  const u32 bucket = static_cast<u32>(MerkleTree::bucket_of("r"));
+  std::vector<BlockKeyInfo> leaf;
+  for (const BlockKeyInfo& e : inventory) {
+    if (MerkleTree::bucket_of(e.key) == bucket) {
+      leaf.push_back(e);
+    }
+  }
+  EXPECT_EQ(
+      raw.on_socket({pin_index_request(BsOp::kMerkleNode, 17, 0),
+                     pin_index_request(BsOp::kMerkleNode, 18, MerkleTree::kFirstLeaf + bucket),
+                     pin_index_request(BsOp::kMerkleNode, 19, MerkleTree::kNodes),
+                     pin_index_request(BsOp::kMerkleLeaf, 20, bucket),
+                     pin_index_request(BsOp::kMerkleLeaf, 21, MerkleTree::kLeaves)}),
+      (Frames{pin_reply(17, ErrorCode::kOk, pin_merkle_node(tree, 0)),
+              pin_reply(18, ErrorCode::kOk,
+                        pin_merkle_node(tree, MerkleTree::kFirstLeaf + bucket)),
+              pin_reply(19, ErrorCode::kInvalidArgument),
+              pin_reply(20, ErrorCode::kOk, pin_leaf(leaf)),
+              pin_reply(21, ErrorCode::kInvalidArgument)}));
+  EXPECT_EQ(raw.on_socket({pin_request(BsOp::kTombstoneGc, 22, "t", 4),
+                           pin_request(BsOp::kPing, 23, "")}),
+            (Frames{pin_reply(22, ErrorCode::kOk), pin_refusal(23, ErrorCode::kNotPermitted)}));
+  EXPECT_EQ(node.list().size(), 2u);  // "t" was reclaimed
+
+  AdmissionConfig admission;
+  admission.enabled = true;
+  node.set_admission(admission);  // an empty bucket
+  EXPECT_EQ(raw.on_socket({pin_request(BsOp::kPutReplica, 24, "r", 9, bytes("x"))}),
+            Frames{pin_refusal(24, ErrorCode::kOverloaded)});
+  EXPECT_EQ(raw.on_stream({pin_request(BsOp::kGet, 25, "r")}, 1),
+            one(pin_refusal(25, ErrorCode::kOverloaded)));
+}
+
+// A hand-written server on a raw VTP listener: it reassembles request
+// frames on every accepted stream, records each frame (length prefix
+// included) and writes back whatever `answer` returns for it.
+struct FakeStreamServer {
+  Machine& host;
+  Fd listener = kInvalidFd;
+  std::vector<std::pair<Fd, std::vector<u8>>> conns;
+  Frames requests;
+  std::function<std::vector<u8>(std::span<const u8> body)> answer;
+
+  FakeStreamServer(Machine& h, Port port) : host(h) {
+    listener = host.sys.vtp_listen(port).value();
+  }
+
+  void step() {
+    if (auto fd = host.sys.vtp_accept(listener); fd.ok()) {
+      conns.emplace_back(fd.value(), std::vector<u8>{});
+    }
+    for (auto& [fd, inbuf] : conns) {
+      if (auto got = host.sys.vtp_recv(fd, 1 << 16); got.ok()) {
+        inbuf.insert(inbuf.end(), got.value().begin(), got.value().end());
+      }
+      for (;;) {
+        Reader fr(inbuf);
+        auto len = fr.get_u32();
+        auto body = len ? fr.get_raw(*len) : std::nullopt;
+        if (!body) {
+          break;
+        }
+        requests.emplace_back(inbuf.begin(), inbuf.begin() + 4 + *len);
+        inbuf.erase(inbuf.begin(), inbuf.begin() + 4 + *len);
+        std::vector<u8> out = answer(*body);
+        if (!out.empty()) {
+          EXPECT_TRUE(host.sys.vtp_send(fd, out).ok());
+        }
+      }
+    }
+  }
+};
+
+// The request id a request body carries (bytes 1..8).
+u64 request_id(std::span<const u8> body) {
+  Reader r(body.subspan(1));
+  return r.get_u64().value_or(0);
+}
+
+// Every request the client writes, byte for byte, and the replies it reads:
+// a full one, and a refusal that ends after its value.
+TEST(BlockStoreWirePinTest, ClientRequestsKeepTheirBytes) {
+  Network net;
+  Machine server_host({.network = &net});
+  Machine client_host({.network = &net});
+  FakeStreamServer server(server_host, 7000);
+  server.answer = [](std::span<const u8> body) {
+    const u64 rid = request_id(body);
+    switch (static_cast<BsOp>(body[0])) {
+      case BsOp::kGet:
+        return rid == 3 ? pin_framed(pin_reply(rid, ErrorCode::kOk, bytes("val"), 7))
+                        : pin_framed(pin_refusal(rid, ErrorCode::kNotFound));
+      default:
+        return pin_framed(pin_reply(rid, ErrorCode::kOk));
+    }
+  };
+  BlockStoreClient client(client_host.sys,
+                          ClusterView::of({{server_host.kernel.net_addr(), 7000}}, 1), [&] {
+                            server.step();
+                            tick(server_host, client_host);
+                          });
+  ASSERT_TRUE(client.ping().ok());
+  ASSERT_TRUE(client.put("k", bytes("val")).ok());
+  auto got = client.get_with_seq("k");
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(got.value(), std::make_pair(bytes("val"), u64{7}));
+  ASSERT_TRUE(client.del("k").ok());
+  EXPECT_EQ(client.get("gone").error(), ErrorCode::kNotFound);
+  EXPECT_EQ(server.requests,
+            (Frames{pin_framed(pin_request(BsOp::kPing, 1, "")),
+                    pin_framed(pin_request(BsOp::kPut, 2, "k", 1, bytes("val"))),
+                    pin_framed(pin_request(BsOp::kGet, 3, "k")),
+                    pin_framed(pin_request(BsOp::kDel, 4, "k", 2)),
+                    pin_framed(pin_request(BsOp::kGet, 5, "gone"))}));
+  EXPECT_EQ(client.retry_stats().attempts, 5u);
+}
+
+// Every request a node writes to a peer, byte for byte: replica pushes,
+// sequenced deletes and tombstone GC, and the anti-entropy exchange
+// (kList, kMerkleNode, kMerkleLeaf, kGetBlock), answered by a hand-written
+// peer that holds one block more than the node.
+TEST(BlockStoreWirePinTest, PeerRequestsKeepTheirBytes) {
+  Network net;
+  Machine node_host({.network = &net});
+  Machine peer_host({.network = &net});
+  std::function<void()> pump;
+  BlockStoreNode node(node_host.sys, 7000, {}, [&] { pump(); });
+  ASSERT_TRUE(node.init().ok());
+  const BsPeer peer{peer_host.kernel.net_addr(), 7001};
+  node.configure_cluster({.self = 0},
+                         ClusterView::of({{node_host.kernel.net_addr(), 7000}, peer}, 2));
+  Fd sock = peer_host.sys.udp_socket().value();
+  ASSERT_TRUE(peer_host.sys.udp_bind(sock, 7001).ok());
+
+  // The peer's inventory, and the blocks it serves.
+  std::vector<BlockKeyInfo> inventory;
+  std::map<std::string, std::pair<u64, std::string>> blocks;
+  Frames requests;
+  pump = [&] {
+    auto d = peer_host.sys.udp_recvfrom(sock);
+    if (!d.ok()) {
+      return;
+    }
+    const std::vector<u8>& body = d.value().payload;
+    requests.push_back(body);
+    const u64 rid = request_id(body);
+    Reader r(std::span<const u8>(body).subspan(9));
+    auto key = r.get_string().value_or("");
+    std::vector<u8> reply = pin_reply(rid, ErrorCode::kOk);
+    const MerkleTree tree = MerkleTree::build(inventory);
+    switch (static_cast<BsOp>(body[0])) {
+      case BsOp::kList:
+        reply = pin_reply(rid, ErrorCode::kOk, pin_inventory(inventory));
+        break;
+      case BsOp::kGetBlock:
+        reply = pin_reply(rid, ErrorCode::kOk, pin_block(false, blocks[key].second),
+                          blocks[key].first);
+        break;
+      case BsOp::kMerkleNode:
+        reply = pin_reply(rid, ErrorCode::kOk, pin_merkle_node(tree, r.get_u32().value_or(0)));
+        break;
+      case BsOp::kMerkleLeaf:
+        reply = pin_reply(rid, ErrorCode::kOk, pin_leaf(tree.buckets[r.get_u32().value_or(0)]));
+        break;
+      default:
+        break;
+    }
+    ASSERT_TRUE(
+        peer_host.sys.udp_sendto(sock, d.value().src_addr, d.value().src_port, reply).ok());
+  };
+
+  // Replication, a sequenced delete and its GC.
+  ASSERT_TRUE(node.put("a", bytes("v1")).ok());
+  ASSERT_TRUE(node.del("a").ok());
+  EXPECT_EQ(node.gc_tombstones(), 1u);
+  // A full-inventory pass pulls the peer's "p"; a Merkle pass then finds
+  // and pulls "q" down one path of the tree.
+  inventory = {{"p", crc32c(bytes("pv")), 9, false}};
+  blocks["p"] = {9, "pv"};
+  AntiEntropyScheduler sched(node);
+  ASSERT_TRUE(sched.sync_full(peer).ok());
+  EXPECT_EQ(node.get("p").value_or(std::vector<u8>{}), bytes("pv"));
+  inventory.push_back({"q", crc32c(bytes("qv")), 4, false});
+  blocks["q"] = {4, "qv"};
+  ASSERT_TRUE(sched.sync_with(peer).ok());
+  EXPECT_EQ(node.get("q").value_or(std::vector<u8>{}), bytes("qv"));
+
+  const u32 bucket = static_cast<u32>(MerkleTree::bucket_of("q"));
+  const u32 leaf = static_cast<u32>(MerkleTree::kFirstLeaf + bucket);
+  const u32 level2 = (leaf - 1) / MerkleTree::kFanout;
+  const u32 level1 = (level2 - 1) / MerkleTree::kFanout;
+  EXPECT_EQ(requests, (Frames{pin_request(BsOp::kPutReplica, 1, "a", 1, bytes("v1")),
+                              pin_request(BsOp::kDelReplica, 2, "a", 2),
+                              pin_request(BsOp::kDelReplica, 3, "a", 2),
+                              pin_request(BsOp::kTombstoneGc, 4, "a", 2),
+                              pin_request(BsOp::kList, 5, ""),
+                              pin_request(BsOp::kGetBlock, 6, "p"),
+                              pin_index_request(BsOp::kMerkleNode, 7, 0),
+                              pin_index_request(BsOp::kMerkleNode, 8, level1),
+                              pin_index_request(BsOp::kMerkleNode, 9, level2),
+                              pin_index_request(BsOp::kMerkleLeaf, 10, bucket),
+                              pin_request(BsOp::kGetBlock, 11, "q")}));
+}
+
+// A Merkle leaf hashes its bucket's (key, u64 seq, u8 tombstone) entries in
+// key order, the kMerkleLeaf entry without the count; an interior node
+// hashes its four children's u32 hashes.
+TEST(MerkleTreeTest, HashesKeepTheirPinnedBytes) {
+  const std::vector<BlockKeyInfo> inventory = {
+      {"a", 1, 3, false}, {"b", 2, 9, true}, {"c", 3, 5, false}, {"d", 4, 1, false}};
+  const MerkleTree t = MerkleTree::build(inventory);
+  for (usize b = 0; b < MerkleTree::kLeaves; ++b) {
+    Writer w;
+    for (const BlockKeyInfo& e : inventory) {
+      if (MerkleTree::bucket_of(e.key) == b) {
+        pin_leaf_entry(w, e);
+      }
+    }
+    EXPECT_EQ(t.hash[MerkleTree::kFirstLeaf + b], crc32c(w.bytes())) << "bucket " << b;
+  }
+  Writer root;
+  for (usize c = 1; c <= MerkleTree::kFanout; ++c) {
+    root.put_u32(t.hash[c]);
+  }
+  EXPECT_EQ(t.root(), crc32c(root.bytes()));
+}
+
+// A reply header that claims more than any reply can hold (a get reply is
+// at most kVtpConnBufMax bytes) means the stream is corrupt: the client
+// drops it, as it drops a stream after a torn frame, and the next attempt
+// reconnects. Here a hand-written server answers the first request with
+// such a header and every later one correctly.
+TEST(BlockStoreWireTest, OversizedReplyHeaderDropsTheStream) {
+  Network net;
+  Machine server_host({.network = &net});
+  Machine client_host({.network = &net});
+  FakeStreamServer server(server_host, 7000);
+  usize answered = 0;
+  server.answer = [&](std::span<const u8> body) {
+    if (answered++ == 0) {
+      Writer w;
+      w.put_u32(static_cast<u32>(kVtpConnBufMax + 1));
+      return w.take();
+    }
+    return pin_framed(pin_reply(request_id(body), ErrorCode::kOk));
+  };
+  RetryPolicy policy;
+  policy.max_attempts = 4;
+  policy.polls_per_attempt = 32;
+  BlockStoreClient client(client_host.sys,
+                          ClusterView::of({{server_host.kernel.net_addr(), 7000}}, 1),
+                          [&] {
+                            server.step();
+                            tick(server_host, client_host);
+                          },
+                          policy);
+  ASSERT_TRUE(client.ping().ok());
+  EXPECT_EQ(client.retry_stats().attempts, 2u);
+  EXPECT_EQ(client.retry_stats().reconnects, 1u);
+  ASSERT_TRUE(client.ping().ok());
+  EXPECT_EQ(client.retry_stats().attempts, 3u);
+  EXPECT_EQ(server.requests.size(), 3u);
 }
 
 // A serve_delay latency fault stalls the node (the request stays queued in

@@ -431,6 +431,63 @@ TEST(FsRecordTest, EachMutationWritesItsPinnedPayload) {
 }
 
 
+// The superblock and a checkpoint keep their bytes. Sector 0 is [u64 magic]
+// [u64 epoch][u8 checkpoint valid][u64 checkpoint sectors][u32 crc32c of
+// the 25 bytes before it], zero-padded. A checkpoint starts at sector 1: a
+// record header of the next epoch over [u32 dir count][dirs][u32 file count]
+// [(path, bytes)...], in path order.
+TEST(FsRecordTest, SuperblockAndCheckpointKeepTheirPinnedBytes) {
+  BlockDevice dev(64);
+  {
+    auto fsr = MemFs::format(dev);
+    ASSERT_TRUE(fsr.ok());
+    MemFs fs = std::move(fsr.value());
+    ASSERT_TRUE(fs.mkdir("/d").ok());
+    ASSERT_TRUE(fs.mkdir("/d/e").ok());
+    ASSERT_TRUE(fs.create("/d/f").ok());
+    ASSERT_TRUE(fs.write("/d/f", 0, bytes("xy")).ok());
+    ASSERT_TRUE(fs.create("/g").ok());
+    ASSERT_TRUE(fs.fsync().ok());
+  }
+  auto superblock = [](u64 epoch, bool valid, u64 sectors) {
+    Writer w;
+    w.put_u64(0x766E'726F'7346'5321ull);
+    w.put_u64(epoch);
+    w.put_u8(valid ? 1 : 0);
+    w.put_u64(sectors);
+    w.put_u32(crc32c(w.bytes()));
+    std::vector<u8> s = w.take();
+    s.resize(kSectorSize, 0);
+    return s;
+  };
+  std::vector<u8> sector(kSectorSize);
+  ASSERT_TRUE(dev.read(0, sector).ok());
+  EXPECT_EQ(sector, superblock(1, false, 0));
+
+  ASSERT_TRUE(MemFs::recover(dev).ok());  // re-anchors under a checkpoint of epoch 2
+  Writer state;
+  state.put_u32(2);
+  state.put_string("/d");
+  state.put_string("/d/e");
+  state.put_u32(2);
+  state.put_string("/d/f");
+  state.put_bytes(bytes("xy"));
+  state.put_string("/g");
+  state.put_bytes({});
+  Writer ckpt;
+  ckpt.put_u32(0x4A524E4C);
+  ckpt.put_u64(2);
+  ckpt.put_u32(static_cast<u32>(state.size()));
+  ckpt.put_u32(crc32c(state.bytes()));
+  ckpt.put_raw(state.bytes());
+  std::vector<u8> expect = ckpt.take();
+  expect.resize(kSectorSize, 0);
+  ASSERT_TRUE(dev.read(1, sector).ok());
+  EXPECT_EQ(sector, expect);
+  ASSERT_TRUE(dev.read(0, sector).ok());
+  EXPECT_EQ(sector, superblock(2, true, 1));
+}
+
 // --- NR-replicated filesystem ----------------------------------------------------
 
 TEST(NrFsTest, BasicOpsThroughReplication) {

@@ -4,6 +4,7 @@
 
 #include <string>
 
+#include "src/base/crc.h"
 #include "src/base/rng.h"
 #include "src/hw/network.h"
 #include "src/hw/timer.h"
@@ -360,6 +361,87 @@ TEST(VtpTest, SelectiveRetransmitReassemblesAroundLoss) {
   EXPECT_GT(f.b.stats().ooo_buffered, 0u);
   EXPECT_GT(f.a.stats().retransmits, 0u);
   EXPECT_GT(f.a.stats().cwnd_halvings, 0u);
+}
+
+
+// --- Byte pins ---------------------------------------------------------------------
+//
+// The three headers on the wire, written field by field: an IP packet is
+// [u32 src][u32 dst][u8 proto][u8 ttl], a UDP segment [u16 src_port]
+// [u16 dst_port][u32 crc32c(payload)], a VTP segment [u16 src_port]
+// [u16 dst_port][u8 type][u64 seq][u64 ack][u32 wnd][u32 crc32c(payload)].
+// The stacks write exactly these bytes and accept them from a raw device.
+
+void pin_ip(Writer& w, NetAddr src, NetAddr dst, u8 proto) {
+  w.put_u32(src);
+  w.put_u32(dst);
+  w.put_u8(proto);
+  w.put_u8(16);
+}
+
+void pin_vtp(Writer& w, Port src, Port dst, u8 type, u64 seq, u64 ack, u32 wnd) {
+  w.put_u16(src);
+  w.put_u16(dst);
+  w.put_u8(type);
+  w.put_u64(seq);
+  w.put_u64(ack);
+  w.put_u32(wnd);
+  w.put_u32(crc32c({}));
+}
+
+TEST(WirePinTest, UdpOverIpKeepsItsBytes) {
+  Network net;
+  NetDevice& dev = net.attach();
+  NetDevice& raw = net.attach();
+  IpStack ip(dev);
+  UdpStack udp(ip);
+  Writer w;
+  pin_ip(w, dev.addr(), raw.addr(), 17);
+  w.put_u16(90);
+  w.put_u16(80);
+  w.put_u32(crc32c(bytes("hi")));
+  w.put_raw(bytes("hi"));
+  ASSERT_TRUE(udp.send(raw.addr(), 80, 90, bytes("hi")).ok());
+  auto frame = raw.poll_rx();
+  ASSERT_TRUE(frame.has_value());
+  EXPECT_EQ(frame->payload, w.bytes());
+
+  Writer back;
+  pin_ip(back, raw.addr(), dev.addr(), 17);
+  back.put_u16(90);
+  back.put_u16(80);
+  back.put_u32(crc32c(bytes("hi")));
+  back.put_raw(bytes("hi"));
+  ASSERT_TRUE(udp.bind(80).ok());
+  ASSERT_TRUE(raw.send(dev.addr(), back.take()).ok());
+  auto d = udp.recv(80);
+  ASSERT_TRUE(d.ok());
+  EXPECT_EQ(d.value(), (Datagram{raw.addr(), 90, bytes("hi")}));
+}
+
+TEST(WirePinTest, VtpOverIpKeepsItsBytes) {
+  Network net;
+  NetDevice& dev = net.attach();
+  NetDevice& raw = net.attach();
+  IpStack ip(dev);
+  VirtualClock clock;
+  VtpStack vtp(ip, clock);
+  auto conn = vtp.connect(raw.addr(), 80, 1234);
+  ASSERT_TRUE(conn.ok());
+  Writer syn;
+  pin_ip(syn, dev.addr(), raw.addr(), 143);
+  pin_vtp(syn, 1234, 80, 1, 0, 0, static_cast<u32>(VtpStack::kRcvWindow));
+  auto frame = raw.poll_rx();
+  ASSERT_TRUE(frame.has_value());
+  EXPECT_EQ(frame->payload, syn.bytes());
+
+  // A hand-written refusal: kRst with the reason in seq.
+  Writer rst;
+  pin_ip(rst, raw.addr(), dev.addr(), 143);
+  pin_vtp(rst, 80, 1234, 6, static_cast<u64>(ErrorCode::kConnRefused), 0, 0);
+  ASSERT_TRUE(raw.send(dev.addr(), rst.take()).ok());
+  vtp.poll();
+  EXPECT_EQ(vtp.conn_error(conn.value()), ErrorCode::kConnRefused);
 }
 
 }  // namespace
