@@ -107,8 +107,7 @@ Result<Unit> AntiEntropyScheduler::pull_block(const BsPeer& peer, std::string_vi
     return block.error();
   }
   bool applied = false;
-  auto stored = node_.apply_remote(key, block.value().bytes, block.value().seq,
-                                   block.value().tombstone, &applied);
+  auto stored = node_.apply_remote(key, block.value().ref(), &applied);
   if (!stored.ok()) {
     return stored;
   }
@@ -129,8 +128,8 @@ Result<Unit> AntiEntropyScheduler::push_block(const BsPeer& peer, const BlockKey
     }
     value = std::move(got.value());
   }
-  auto reply = rpc(peer, info.tombstone ? BsOp::kDelReplica : BsOp::kPutReplica,
-                   {.key = info.key, .seq = info.seq, .value = value});
+  auto reply =
+      rpc(peer, replica_op(info.tombstone), {.key = info.key, .seq = info.seq, .value = value});
   if (!reply.ok()) {
     return reply.error();
   }

@@ -70,14 +70,22 @@ struct BsReply {
   u64 seq = 0;
 };
 
-// One block as a node stores it: the payload bytes, the write sequence
-// stamped when they were written, and whether it is a tombstone (a
-// sequenced delete marker, with no bytes).
-struct DecodedBlock {
+// One block as a node stores it: the write sequence stamped when it was
+// written, whether it is a tombstone (a sequenced delete marker, with no
+// bytes), and the payload bytes. A DecodedBlock owns its bytes (a block read
+// off a disk or a reply); a BlockRef views them, and is the value every
+// write carries from the coordinator to the disk, so no put copies its
+// value on the way.
+template <typename Bytes>
+struct SequencedBlock {
   u64 seq = 0;
   bool tombstone = false;
-  std::vector<u8> bytes;
+  Bytes bytes{};
+
+  SequencedBlock<std::span<const u8>> ref() const { return {seq, tombstone, bytes}; }
 };
+using DecodedBlock = SequencedBlock<std::vector<u8>>;
+using BlockRef = SequencedBlock<std::span<const u8>>;
 
 // Decodes a kGetBlock reply: its BlockPayload, the sequence riding in
 // BsReply::seq. kCorrupted when the payload is malformed (a missing flag
@@ -264,17 +272,22 @@ class BlockStoreNode {
   Result<std::vector<u8>> get(std::string_view key) const;
   Result<Unit> del(std::string_view key);
 
-  // Apply-if-newer, the one write entry point below the coordinator paths:
-  // persists (value, seq) — or a tombstone at seq when `tombstone` — unless
-  // the local intact copy is strictly newer, in which case the write is
-  // refused as stale but still reported kOk (the caller's bytes are durably
-  // superseded). `applied` (optional) reports whether the bytes landed, so
-  // callers can count real applies apart from stale refusals. Replica
-  // pushes, hint delivery, the coordinator paths and every external repair
-  // driver write through it: the sequence rides along, so repair can never
-  // resurrect a value the cluster has already superseded.
+  // Apply-if-newer, the one write entry point below the coordinator write:
+  // persists `block` unless the local intact copy is strictly newer, in
+  // which case the write is refused as stale but still reported kOk (the
+  // caller's bytes are durably superseded). `applied` (optional) reports
+  // whether the bytes landed, so callers can count real applies apart from
+  // stale refusals. Replica pushes, hint delivery, the coordinator write and
+  // every external repair driver write through it: the sequence rides
+  // along, so repair can never resurrect a value the cluster has already
+  // superseded.
+  Result<Unit> apply_remote(std::string_view key, BlockRef block, bool* applied = nullptr);
+  // The same, with the block spelled out: (value, seq), or a tombstone at
+  // seq when `tombstone`.
   Result<Unit> apply_remote(std::string_view key, std::span<const u8> value, u64 seq,
-                            bool tombstone, bool* applied = nullptr);
+                            bool tombstone, bool* applied = nullptr) {
+    return apply_remote(key, BlockRef{seq, tombstone, value}, applied);
+  }
 
   // Bounded tombstone GC. For up to `max_batch` local
   // tombstones: every other cluster member must ack the tombstone's
@@ -340,14 +353,18 @@ class BlockStoreNode {
   static std::string key_path(std::string_view key);
 
  private:
-  Result<Unit> put_local(std::string_view key, std::span<const u8> value, u64 seq,
-                         bool tombstone);
-  // The coordinator write path with an explicit sequence (serve_once passes
-  // the client's stamp; the seq-less public put() assigns local_seq + 1).
-  Result<Unit> put_stamped(std::string_view key, std::span<const u8> value, u64 seq);
-  // The coordinator delete path: a sequenced tombstone write (apply-if-newer
-  // like every other write), replicated with acked pushes + hints like a put.
-  Result<Unit> del_stamped(std::string_view key, u64 seq);
+  // How one hand-off of a block to an owner ended: the owner acked it, a
+  // hint was parked for it instead, or neither.
+  enum class Handoff { kAcked, kHinted, kFailed };
+
+  // Persists `block` as key's block file: written whole to a ".tmp" sidecar,
+  // renamed over the block, then fsynced.
+  Result<Unit> put_local(std::string_view key, BlockRef block);
+  // The coordinator write, a value or a tombstone alike: apply-if-newer,
+  // counted as a put or a delete, then replicated when it landed. The
+  // client's stamp rides in block.seq; the seq-less public put() and del()
+  // stamp local_seq + 1.
+  Result<Unit> coordinate(std::string_view key, BlockRef block);
   // Sequence of the local intact copy (live or tombstone); 0 when missing or
   // corrupt (so any incoming write, including a re-pushed seq-0 legacy
   // block, may land).
@@ -357,18 +374,21 @@ class BlockStoreNode {
   Result<DecodedBlock> get_or_repair_block(std::string_view key);
 
   // Replication plumbing.
-  void replicate_put(std::string_view key, std::span<const u8> value, u64 seq);
-  void replicate_del(std::string_view key, u64 seq);
-  // A write op (kPutReplica carries `value` and `seq`; kDelReplica and
-  // kTombstoneGc carry `seq`) through call_peer, in two windows of half
+  // Hands `block` to every other owner of `key`.
+  void replicate(std::string_view key, BlockRef block);
+  // The one step that moves a block to an owner: pushes it, acked, as its
+  // replica_op; an owner that does not ack gets a parked hint instead when
+  // `park` (hint delivery passes false: its block is already parked).
+  // kFailed also when the owner has no directory entry.
+  Handoff hand_off(BsNodeId owner, std::string_view key, BlockRef block, bool park);
+  // A write op (kPutReplica carries req's value and seq; kDelReplica and
+  // kTombstoneGc carry its seq) through call_peer, in two windows of half
   // kAckDeadlinePolls each. kOk only when the peer acked kOk: an
   // error reply fails the push at once, as two silent windows do.
-  Result<Unit> push_acked(const BsPeer& peer, BsOp op, std::string_view key,
-                          std::span<const u8> value, u64 seq);
-  Result<Unit> write_hint(BsNodeId owner, std::string_view key, std::span<const u8> value,
-                          u64 seq, bool tombstone);
-  // "/hints/<owner>_<hexkey>" for this (owner, key) pair.
-  std::string hint_path(BsNodeId owner, std::string_view key) const;
+  Result<Unit> push_acked(const BsPeer& peer, BsOp op, const BsRequest& req);
+  // Parks `block` for `owner` as "/hints/<owner>_<hexkey>", in block format
+  // and unsynced, within the per-peer cap.
+  Result<Unit> write_hint(BsNodeId owner, std::string_view key, BlockRef block);
   // Drops every parked hint for `key` (any owner) whose sequence is <= seq:
   // the tombstone GC barrier — an ack of a tombstone must also certify no
   // older hint for the key survives on the acking node.

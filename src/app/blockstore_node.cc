@@ -1,6 +1,7 @@
 #include "src/app/blockstore.h"
 
 #include <algorithm>
+#include <charconv>
 
 #include "src/app/anti_entropy.h"
 #include "src/base/contracts.h"
@@ -64,12 +65,62 @@ std::optional<std::string> decode_hex_key(std::string_view name) {
   return key;
 }
 
+// A parked hint's name in /hints: "<owner>_<hexkey>", the owner in decimal.
+std::string hint_name(BsNodeId owner, std::string_view key) {
+  std::string name = std::to_string(owner) + "_";
+  append_hex_key(name, key);
+  return name;
+}
+
+// The (owner, key) a hint's name encodes.
+struct HintName {
+  BsNodeId owner = 0;
+  std::string key;
+};
+
+// hint_name's inverse: nullopt for every name hint_name does not write
+// (foreign files, a non-decimal owner, a key that is not hex).
+std::optional<HintName> parse_hint_name(std::string_view name) {
+  const usize us = name.find('_');
+  if (us == std::string_view::npos) {
+    return std::nullopt;
+  }
+  // The round trip through hint_name refuses what from_chars lets by: a
+  // leading zero, junk after the digits, an owner that does not fit.
+  BsNodeId owner = 0;
+  (void)std::from_chars(name.data(), name.data() + us, owner);
+  auto key = decode_hex_key(name.substr(us + 1));
+  if (!key || hint_name(owner, *key) != name) {
+    return std::nullopt;
+  }
+  return HintName{owner, std::move(*key)};
+}
+
+// Calls fn(key) for every block in /blocks, in name order, skipping the
+// names that are not pure hex (".tmp" sidecars, foreign files). Each caller
+// decides what to read. Fails with the readdir's error when /blocks cannot
+// be listed.
+template <typename Fn>
+Result<Unit> for_each_block_key(Sys& sys, Fn&& fn) {
+  auto names = sys.readdir("/blocks");
+  if (!names.ok()) {
+    return names.error();
+  }
+  for (const auto& name : names.value()) {
+    if (auto key = decode_hex_key(name)) {
+      fn(*key);
+    }
+  }
+  return Unit{};
+}
+
 // Sends per read-repair fetch, and pump polls awaiting each reply.
 constexpr PeerRetry kRepairRetry{.attempts = 4, .window = 64};
 
 // Reads and checksum-verifies one block-format file
 // ([crc][len'][seq][payload]); kCorrupted on any framing or checksum
-// mismatch. Shared by get() and hint delivery (hints use the same layout).
+// mismatch. The one reader of block files and hints (hints use the same
+// layout).
 Result<DecodedBlock> read_block_file(Sys& sys, const std::string& path) {
   auto fd = sys.open(path, 0);
   if (!fd.ok()) {
@@ -106,6 +157,40 @@ Result<DecodedBlock> read_block_file(Sys& sys, const std::string& path) {
   }
   std::span<const u8> payload(raw.value().data() + kBlockHeader, len);
   return DecodedBlock{*seq, tombstone, std::vector<u8>(payload.begin(), payload.end())};
+}
+
+// Writes `block` as one block-format file at `path`, the one writer of
+// block files and hints: opened with create and trunc, written whole, closed.
+// A failed or short write unlinks the file (best effort: a stale file is
+// inert). No fsync: put_local syncs after its rename, and hints stay
+// unsynced. A tombstone is written with no payload.
+Result<Unit> write_block_file(Sys& sys, const std::string& path, BlockRef block) {
+  auto fd = sys.open(path, kOpenCreate | kOpenTrunc);
+  if (!fd.ok()) {
+    return fd.error();
+  }
+  const std::span<const u8> payload = block.tombstone ? std::span<const u8>{} : block.bytes;
+  Writer head;
+  head.put_u32(block.tombstone ? kTombstoneFlag : static_cast<u32>(payload.size()));
+  head.put_u64(block.seq);
+  Writer w;
+  w.put_u32(crc32c(payload, crc32c(head.bytes())));  // covers [len'][seq][payload]
+  w.put_raw(head.bytes());
+  w.put_raw(payload);
+  auto written = sys.write(fd.value(), w.bytes());
+  (void)sys.close(fd.value());
+  if (!written.ok() || written.value() != w.size()) {
+    (void)sys.unlink(path);
+    return written.ok() ? ErrorCode::kNoSpace : written.error();
+  }
+  return Unit{};
+}
+
+// The sequenced block a write request carries: kDel and kDelReplica write
+// a tombstone, kPut and kPutReplica the request's value.
+BlockRef request_block(const BsRequest& req) {
+  const auto op = static_cast<BsOp>(req.op);
+  return BlockRef{req.seq, op == BsOp::kDel || op == BsOp::kDelReplica, req.value};
 }
 
 }  // namespace
@@ -180,49 +265,16 @@ Result<Unit> BlockStoreNode::init() {
   return Unit{};
 }
 
-namespace {
-
-// Serializes one block-format file: [crc(len'||seq||payload)][len'][seq]
-// [payload]. Shared by put_local and write_hint (hints use the same layout).
-// A tombstone always has an empty payload.
-Writer encode_block(std::span<const u8> value, u64 seq, bool tombstone) {
-  u32 flagged = static_cast<u32>(value.size());
-  if (tombstone) {
-    flagged = kTombstoneFlag;  // tombstones carry no payload
-  }
-  Writer body;
-  body.put_u32(flagged);
-  body.put_u64(seq);
-  if (!tombstone) {
-    body.put_raw(value);
-  }
-  Writer w;
-  w.put_u32(crc32c(body.bytes()));
-  w.put_raw(body.bytes());
-  return w;
-}
-
-}  // namespace
-
-Result<Unit> BlockStoreNode::put_local(std::string_view key, std::span<const u8> value,
-                                       u64 seq, bool tombstone) {
+Result<Unit> BlockStoreNode::put_local(std::string_view key, BlockRef block) {
   // Write-temp-then-rename: the new bytes go to a sidecar file and replace
   // the block in one atomic (journaled) rename, so a fault anywhere mid-put
   // leaves the previously acknowledged value intact. The ".tmp" suffix can
-  // never collide with a block: keys encode to pure hex and view() skips
-  // non-hex names.
-  std::string path = key_path(key);
-  std::string tmp = path + ".tmp";
-  auto fd = sys_.open(tmp, kOpenCreate | kOpenTrunc);
-  if (!fd.ok()) {
-    return fd.error();
-  }
-  Writer w = encode_block(value, seq, tombstone);
-  auto written = sys_.write(fd.value(), w.bytes());
-  (void)sys_.close(fd.value());
-  if (!written.ok() || written.value() != w.size()) {
-    (void)sys_.unlink(tmp);  // best effort; a stale .tmp is inert
-    return written.ok() ? ErrorCode::kNoSpace : written.error();
+  // never collide with a block: keys encode to pure hex and the block walk
+  // skips non-hex names.
+  const std::string path = key_path(key);
+  const std::string tmp = path + ".tmp";
+  if (auto written = write_block_file(sys_, tmp, block); !written.ok()) {
+    return written;
   }
   auto renamed = sys_.rename(tmp, path);
   if (!renamed.ok()) {
@@ -233,7 +285,7 @@ Result<Unit> BlockStoreNode::put_local(std::string_view key, std::span<const u8>
   // acked after fsync, so an acked op survives any later crash
   // (app/crash_recovery + app/tombstone_no_resurrection VCs).
   auto synced = sys_.fsync();
-  if (synced.ok() && tombstone) {
+  if (synced.ok() && block.tombstone) {
     c_tombstones_written_.inc();
   }
   return synced;
@@ -241,25 +293,35 @@ Result<Unit> BlockStoreNode::put_local(std::string_view key, std::span<const u8>
 
 Result<Unit> BlockStoreNode::put(std::string_view key, std::span<const u8> value) {
   // Direct (unstamped) puts order after whatever this node already holds.
-  return put_stamped(key, value, local_seq(key) + 1);
+  return coordinate(key, BlockRef{local_seq(key) + 1, false, value});
 }
 
-Result<Unit> BlockStoreNode::put_stamped(std::string_view key, std::span<const u8> value,
-                                         u64 seq) {
+Result<Unit> BlockStoreNode::del(std::string_view key) {
+  // Direct (unstamped) deletes order after whatever this node already holds.
+  return coordinate(key, BlockRef{local_seq(key) + 1, true, {}});
+}
+
+Result<Unit> BlockStoreNode::coordinate(std::string_view key, BlockRef block) {
+  // A delete is a first-class sequenced write of a tombstone: apply-if-newer
+  // like a put, fsynced before the ack, replicated with acked pushes and
+  // hints. "Ensure absent" semantics (like S3 DELETE) are preserved —
+  // deleting a missing key persists a tombstone and succeeds — and the
+  // client's at-least-once retries stay idempotent (same stamp, same
+  // outcome). A lagging replica pushing the old value later is refused as
+  // stale by the tombstone's sequence: no resurrection.
   bool applied = false;
-  auto r = apply_remote(key, value, seq, /*tombstone=*/false, &applied);
+  auto r = apply_remote(key, block, &applied);
   if (!r.ok()) {
     return r;
   }
-  c_puts_.inc();
+  (block.tombstone ? c_dels_ : c_puts_).inc();
   if (applied) {
-    replicate_put(key, value, seq);  // a superseded write has nothing to replicate
+    replicate(key, block);  // a superseded write has nothing to replicate
   }
   return Unit{};
 }
 
-Result<Unit> BlockStoreNode::apply_remote(std::string_view key, std::span<const u8> value,
-                                          u64 seq, bool tombstone, bool* applied) {
+Result<Unit> BlockStoreNode::apply_remote(std::string_view key, BlockRef block, bool* applied) {
   auto local = read_block_file(sys_, key_path(key));
   if (!local.ok() && local.error() != ErrorCode::kNotFound &&
       local.error() != ErrorCode::kCorrupted) {
@@ -267,7 +329,7 @@ Result<Unit> BlockStoreNode::apply_remote(std::string_view key, std::span<const 
     // to clean absence or detected corruption) must surface, not guess.
     return local.error();
   }
-  if (local.ok() && local.value().seq > seq) {
+  if (local.ok() && local.value().seq > block.seq) {
     // The local intact copy is strictly newer: refusing the write is the
     // success path (the caller's bytes are durably superseded here).
     c_stale_ignored_.inc();
@@ -276,7 +338,7 @@ Result<Unit> BlockStoreNode::apply_remote(std::string_view key, std::span<const 
     }
     return Unit{};
   }
-  auto r = put_local(key, value, seq, tombstone);
+  auto r = put_local(key, block);
   if (applied != nullptr) {
     *applied = r.ok();
   }
@@ -488,7 +550,7 @@ Result<DecodedBlock> BlockStoreNode::get_or_repair_block(std::string_view key) {
   // Re-persist at the peer's sequence: the cure restores the block's true
   // place in the write order instead of minting a new one.
   const DecodedBlock& block = repaired.value();
-  if (put_local(key, block.bytes, block.seq, block.tombstone).ok()) {
+  if (put_local(key, block.ref()).ok()) {
     c_read_repairs_.inc();
     VNROS_LOG_DEBUG("blockstore", "read-repaired %zu-byte block from peer",
                     block.bytes.size());
@@ -501,49 +563,15 @@ Result<DecodedBlock> BlockStoreNode::get_or_repair_block(std::string_view key) {
   return repaired;
 }
 
-Result<Unit> BlockStoreNode::del(std::string_view key) {
-  // Direct (unstamped) deletes order after whatever this node already holds.
-  return del_stamped(key, local_seq(key) + 1);
-}
-
-Result<Unit> BlockStoreNode::del_stamped(std::string_view key, u64 seq) {
-  // A delete is a first-class sequenced write of a tombstone: apply-if-newer
-  // like a put, fsynced before the ack, replicated with acked pushes and
-  // hints. "Ensure absent" semantics (like S3 DELETE) are preserved —
-  // deleting a missing key persists a tombstone and succeeds — and the
-  // client's at-least-once retries stay idempotent (same stamp, same
-  // outcome). A lagging replica pushing the old value later is refused as
-  // stale by the tombstone's sequence: no resurrection.
-  bool applied = false;
-  auto r = apply_remote(key, {}, seq, /*tombstone=*/true, &applied);
-  if (!r.ok()) {
-    return r;
-  }
-  c_dels_.inc();
-  if (applied) {
-    replicate_del(key, seq);
-  }
-  return Unit{};
-}
-
 std::vector<BlockKeyInfo> BlockStoreNode::list() const {
   std::vector<BlockKeyInfo> out;
-  auto names = sys_.readdir("/blocks");
-  if (!names.ok()) {
-    return out;
-  }
-  for (const auto& name : names.value()) {
-    auto key = decode_hex_key(name);
-    if (!key) {
-      continue;
+  (void)for_each_block_key(sys_, [&](const std::string& key) {
+    auto block = read_block_file(sys_, key_path(key));
+    if (block.ok()) {  // a corrupt one is invisible to sync, so a peer's copy wins
+      out.push_back(BlockKeyInfo{key, crc32c(block.value().bytes), block.value().seq,
+                                 block.value().tombstone});
     }
-    auto block = read_block_file(sys_, "/blocks/" + name);
-    if (!block.ok()) {
-      continue;  // corrupt: invisible to sync, so a peer's copy wins
-    }
-    out.push_back(BlockKeyInfo{*key, crc32c(block.value().bytes), block.value().seq,
-                               block.value().tombstone});
-  }
+  });
   std::sort(out.begin(), out.end(),
             [](const BlockKeyInfo& a, const BlockKeyInfo& b) { return a.key < b.key; });
   return out;
@@ -551,22 +579,13 @@ std::vector<BlockKeyInfo> BlockStoreNode::list() const {
 
 std::map<std::string, std::vector<u8>> BlockStoreNode::view() const {
   std::map<std::string, std::vector<u8>> out;
-  auto names = sys_.readdir("/blocks");
-  if (!names.ok()) {
-    return out;
-  }
-  for (const auto& name : names.value()) {
-    // Decode the hex filename back into the key. get() maps tombstones to
-    // kNotFound, so deleted keys are naturally absent from the view.
-    auto key = decode_hex_key(name);
-    if (!key) {
-      continue;
+  // get() maps tombstones to kNotFound, so deleted keys are naturally absent
+  // from the view.
+  (void)for_each_block_key(sys_, [&](const std::string& key) {
+    if (auto value = get(key); value.ok()) {
+      out[key] = std::move(value.value());
     }
-    auto value = get(*key);
-    if (value.ok()) {
-      out[*key] = value.value();
-    }
-  }
+  });
   return out;
 }
 
@@ -607,23 +626,16 @@ std::vector<BsPeer> BlockStoreNode::repair_peers(std::string_view key) const {
   return out;
 }
 
-Result<Unit> BlockStoreNode::push_acked(const BsPeer& peer, BsOp op, std::string_view key,
-                                        std::span<const u8> value, u64 seq) {
+Result<Unit> BlockStoreNode::push_acked(const BsPeer& peer, BsOp op, const BsRequest& req) {
   // The ack deadline splits into two send windows: one re-send at the half
   // mark cures a dropped datagram (either direction) without a spin knob.
   const PeerRetry retry{.attempts = 2,
                         .window = kAckDeadlinePolls / 2};
-  auto reply = call_peer(peer, op, {.key = key, .seq = seq, .value = value}, retry);
+  auto reply = call_peer(peer, op, req, retry);
   if (!reply.ok()) {
     return reply.error();
   }
   return Unit{};
-}
-
-std::string BlockStoreNode::hint_path(BsNodeId owner, std::string_view key) const {
-  std::string path = "/hints/" + std::to_string(owner) + "_";
-  append_hex_key(path, key);
-  return path;
 }
 
 void BlockStoreNode::drop_stale_hints(std::string_view key, u64 seq) {
@@ -635,16 +647,14 @@ void BlockStoreNode::drop_stale_hints(std::string_view key, u64 seq) {
   if (!names.ok()) {
     return;
   }
-  std::string hexkey;
-  append_hex_key(hexkey, key);
   for (const auto& name : names.value()) {
-    auto us = name.find('_');
-    if (us == std::string::npos || std::string_view(name).substr(us + 1) != hexkey) {
+    auto hint = parse_hint_name(name);
+    if (!hint || hint->key != key) {
       continue;
     }
     std::string path = "/hints/" + name;
-    auto hint = read_block_file(sys_, path);
-    if (!hint.ok() || hint.value().seq <= seq) {
+    auto block = read_block_file(sys_, path);
+    if (!block.ok() || block.value().seq <= seq) {
       (void)sys_.unlink(path);
     }
   }
@@ -659,27 +669,26 @@ bool BlockStoreNode::reserve_hint_slot(BsNodeId owner, std::string_view key, u64
   if (!names.ok()) {
     return true;  // can't enumerate: fail open, the write may still succeed
   }
-  const std::string prefix = std::to_string(owner) + "_";
-  const std::string target = hint_path(owner, key);
   usize count = 0;
   u64 min_seq = ~u64{0};
   std::string min_path;
   for (const auto& name : names.value()) {
-    if (name.size() < prefix.size() || name.compare(0, prefix.size(), prefix) != 0) {
+    auto hint = parse_hint_name(name);
+    if (!hint || hint->owner != owner) {
       continue;
     }
-    std::string path = "/hints/" + name;
-    if (path == target) {
+    if (hint->key == key) {
       return true;  // overwriting this (owner, key)'s own slot: no growth
     }
-    auto hint = read_block_file(sys_, path);
-    if (!hint.ok()) {
+    std::string path = "/hints/" + name;
+    auto block = read_block_file(sys_, path);
+    if (!block.ok()) {
       (void)sys_.unlink(path);  // corrupt hint: free the slot
       continue;
     }
     ++count;
-    if (hint.value().seq < min_seq) {
-      min_seq = hint.value().seq;
+    if (block.value().seq < min_seq) {
+      min_seq = block.value().seq;
       min_path = path;
     }
   }
@@ -694,65 +703,51 @@ bool BlockStoreNode::reserve_hint_slot(BsNodeId owner, std::string_view key, u64
   return false;  // the incoming hint is the oldest: drop it instead
 }
 
-Result<Unit> BlockStoreNode::write_hint(BsNodeId owner, std::string_view key,
-                                        std::span<const u8> value, u64 seq, bool tombstone) {
-  // Hints live beside blocks as "/hints/<owner>_<hexkey>" in block format
-  // (the write sequence — and the tombstone flag for sequenced deletes —
-  // rides along so delivery keeps its ordering). No fsync: a hint is an
-  // availability optimization, not the durability story — the coordinator
-  // keeps its own fsynced copy, and anti-entropy remains the backstop if a
-  // crash eats parked hints.
-  if (!reserve_hint_slot(owner, key, seq)) {
+Result<Unit> BlockStoreNode::write_hint(BsNodeId owner, std::string_view key, BlockRef block) {
+  // Hints live beside blocks in block format (the write sequence — and the
+  // tombstone flag for sequenced deletes — rides along so delivery keeps its
+  // ordering). No fsync: a hint is an availability optimization, not the
+  // durability story — the coordinator keeps its own fsynced copy, and
+  // anti-entropy remains the backstop if a crash eats parked hints.
+  if (!reserve_hint_slot(owner, key, block.seq)) {
     return Unit{};  // per-peer cap: this hint was dropped (counted)
   }
-  std::string path = hint_path(owner, key);
-  auto fd = sys_.open(path, kOpenCreate | kOpenTrunc);
-  if (!fd.ok()) {
-    return fd.error();
+  auto written = write_block_file(sys_, "/hints/" + hint_name(owner, key), block);
+  if (written.ok()) {
+    c_hints_written_.inc();
   }
-  Writer w = encode_block(value, seq, tombstone);
-  auto written = sys_.write(fd.value(), w.bytes());
-  (void)sys_.close(fd.value());
-  if (!written.ok() || written.value() != w.size()) {
-    (void)sys_.unlink(path);
-    return written.ok() ? ErrorCode::kNoSpace : written.error();
-  }
-  c_hints_written_.inc();
-  return Unit{};
+  return written;
 }
 
-void BlockStoreNode::replicate_put(std::string_view key, std::span<const u8> value,
-                                   u64 seq) {
-  for (BsNodeId owner : view_.owners(key)) {
-    if (owner == cluster_.self) {
-      continue;
-    }
-    auto it = view_.directory.find(owner);
-    if (it == view_.directory.end()) {
-      continue;
-    }
-    if (!push_acked(it->second, BsOp::kPutReplica, key, value, seq).ok()) {
-      // Owner unreachable (partition/crash/overload): park the handoff.
-      (void)write_hint(owner, key, value, seq, /*tombstone=*/false);
-    }
+BlockStoreNode::Handoff BlockStoreNode::hand_off(BsNodeId owner, std::string_view key,
+                                                 BlockRef block, bool park) {
+  auto it = view_.directory.find(owner);
+  if (it == view_.directory.end()) {
+    return Handoff::kFailed;
   }
+  // The push carries the block's sequence, so the owner applies it
+  // if-newer: a value, a tombstone or a hint that is already stale there
+  // is refused but still acked.
+  if (push_acked(it->second, replica_op(block.tombstone),
+                 {.key = key, .seq = block.seq, .value = block.bytes})
+          .ok()) {
+    return Handoff::kAcked;
+  }
+  // Owner unreachable (partition/crash/overload): park the handoff.
+  if (park && write_hint(owner, key, block).ok()) {
+    return Handoff::kHinted;
+  }
+  return Handoff::kFailed;
 }
 
-void BlockStoreNode::replicate_del(std::string_view key, u64 seq) {
-  // Sequenced deletes replicate exactly like puts: an acked tombstone push
-  // to every other owner, a parked tombstone hint for whoever is
-  // unreachable. Stale parked hints for the key need no special handling —
-  // delivery is apply-if-newer, and the tombstone's sequence outranks them.
+void BlockStoreNode::replicate(std::string_view key, BlockRef block) {
+  // Values and tombstones replicate alike: an acked push to every other
+  // owner, a parked hint for whoever is unreachable. Stale parked hints for
+  // the key need no special handling — delivery is apply-if-newer, and a
+  // newer write's sequence outranks them.
   for (BsNodeId owner : view_.owners(key)) {
-    if (owner == cluster_.self) {
-      continue;
-    }
-    auto it = view_.directory.find(owner);
-    if (it == view_.directory.end()) {
-      continue;
-    }
-    if (!push_acked(it->second, BsOp::kDelReplica, key, {}, seq).ok()) {
-      (void)write_hint(owner, key, {}, seq, /*tombstone=*/true);
+    if (owner != cluster_.self) {
+      (void)hand_off(owner, key, block, /*park=*/true);
     }
   }
 }
@@ -761,31 +756,14 @@ Result<RebalanceStats> BlockStoreNode::rebalance(const ClusterView& next) {
   ClusterView old = view_;
   view_ = next;
   auto had = [](const std::vector<BsNodeId>& owners, BsNodeId id) {
-    for (BsNodeId o : owners) {
-      if (o == id) {
-        return true;
-      }
-    }
-    return false;
+    return std::find(owners.begin(), owners.end(), id) != owners.end();
   };
   RebalanceStats st;
-  auto names = sys_.readdir("/blocks");
-  if (!names.ok()) {
-    return names.error();
-  }
-  for (const auto& name : names.value()) {
-    auto decoded_key = decode_hex_key(name);
-    if (!decoded_key) {
-      continue;  // ".tmp" sidecars and foreign files are not blocks
-    }
-    const std::string& key = *decoded_key;
-    auto block = read_block_file(sys_, "/blocks/" + name);
+  auto walked = for_each_block_key(sys_, [&](const std::string& key) {
+    auto block = read_block_file(sys_, key_path(key));
     if (!block.ok()) {
-      continue;  // corrupt local copy: read-repair's problem, not rebalance's
+      return;  // corrupt local copy: read-repair's problem, not rebalance's
     }
-    const std::vector<u8>& value = block.value().bytes;
-    u64 seq = block.value().seq;
-    const bool tomb = block.value().tombstone;
     ++st.scanned;
     std::vector<BsNodeId> new_owners = view_.owners(key);
     std::vector<BsNodeId> old_owners = old.owners(key);
@@ -806,22 +784,18 @@ Result<RebalanceStats> BlockStoreNode::rebalance(const ClusterView& next) {
     if (!self_owner && targets.empty() && !new_owners.empty()) {
       targets.push_back(new_owners[0]);
     }
+    // Tombstones migrate too: a new owner that never learns of the delete
+    // would serve kNotFound now but could resurrect the key from a stale
+    // peer later. The sequenced kDelReplica carries the delete's position
+    // in the write order, exactly like a value push carries its own.
     usize acks = 0;
     for (BsNodeId id : targets) {
-      auto it = view_.directory.find(id);
-      if (it == view_.directory.end()) {
-        continue;
-      }
-      // Tombstones migrate too: a new owner that never learns of the delete
-      // would serve kNotFound now but could resurrect the key from a stale
-      // peer later. The sequenced kDelReplica carries the delete's position
-      // in the write order, exactly like a value push carries its own.
-      BsOp push_op = tomb ? BsOp::kDelReplica : BsOp::kPutReplica;
-      if (push_acked(it->second, push_op, key, value, seq).ok()) {
+      const Handoff handoff = hand_off(id, key, block.value().ref(), /*park=*/true);
+      if (handoff == Handoff::kAcked) {
         ++acks;
         ++st.moved;
         c_handoffs_.inc();
-      } else if (write_hint(id, key, value, seq, tomb).ok()) {
+      } else if (handoff == Handoff::kHinted) {
         ++st.hinted;
       }
     }
@@ -836,6 +810,9 @@ Result<RebalanceStats> BlockStoreNode::rebalance(const ClusterView& next) {
         ++st.failed;
       }
     }
+  });
+  if (!walked.ok()) {
+    return walked.error();
   }
   auto synced = sys_.fsync();
   if (!synced.ok()) {
@@ -870,7 +847,7 @@ u64 BlockStoreNode::gc_tombstones(usize max_batch) {
       if (id == cluster_.self) {
         continue;
       }
-      if (!push_acked(peer, BsOp::kDelReplica, e.key, {}, e.seq).ok()) {
+      if (!push_acked(peer, BsOp::kDelReplica, {.key = e.key, .seq = e.seq}).ok()) {
         all_acked = false;
         break;
       }
@@ -884,7 +861,7 @@ u64 BlockStoreNode::gc_tombstones(usize max_batch) {
       }
       // Best effort: a lost GC message leaves a harmless tombstone that a
       // later pass (or Merkle repair + next GC) reclaims.
-      (void)push_acked(peer, BsOp::kTombstoneGc, e.key, {}, e.seq);
+      (void)push_acked(peer, BsOp::kTombstoneGc, {.key = e.key, .seq = e.seq});
     }
     if (sys_.unlink(key_path(e.key)).ok()) {
       c_tombstones_gced_.inc();
@@ -904,60 +881,41 @@ u64 BlockStoreNode::deliver_hints() {
   }
   u64 delivered = 0;
   for (const auto& name : names.value()) {
-    auto us = name.find('_');
-    if (us == std::string::npos || us == 0) {
+    auto hint = parse_hint_name(name);
+    if (!hint) {
       continue;
     }
-    u64 owner_raw = 0;
-    bool digits = true;
-    for (usize i = 0; i < us; ++i) {
-      if (name[i] < '0' || name[i] > '9') {
-        digits = false;
-        break;
-      }
-      owner_raw = owner_raw * 10 + static_cast<u64>(name[i] - '0');
-    }
-    auto key = decode_hex_key(std::string_view(name).substr(us + 1));
-    if (!digits || !key) {
-      continue;
-    }
-    BsNodeId owner = static_cast<BsNodeId>(owner_raw);
     std::string path = "/hints/" + name;
-    auto it = view_.directory.find(owner);
-    if (!view_.ring.contains(owner) || it == view_.directory.end()) {
+    if (!view_.ring.contains(hint->owner) || !view_.directory.contains(hint->owner)) {
       (void)sys_.unlink(path);  // owner left the cluster: the hint is stale
       continue;
     }
-    auto hint = read_block_file(sys_, path);
-    if (!hint.ok()) {
+    auto block = read_block_file(sys_, path);
+    if (!block.ok()) {
       (void)sys_.unlink(path);  // torn/corrupt hint (no fsync): drop it
       continue;
     }
-    if (owner == cluster_.self) {
+    bool applied = false;
+    if (hint->owner == cluster_.self) {
       // A view change made us the owner: apply locally (if-newer — our own
       // copy may already have overtaken the parked bytes).
-      bool applied = false;
-      if (!apply_remote(*key, hint.value().bytes, hint.value().seq, hint.value().tombstone,
-                        &applied)
-               .ok()) {
+      if (!apply_remote(hint->key, block.value().ref(), &applied).ok()) {
         continue;  // disk fault: retry on a later pass
       }
-      (void)sys_.unlink(path);
-      if (applied) {
-        c_hints_delivered_.inc();
-        ++delivered;
+    } else {
+      // The hint rides with its original write sequence, so delivery cannot
+      // regress a newer value: the owner applies if-newer and acks either
+      // way (a stale refusal still certifies the owner durably holds the
+      // key). No ack (unreachable, shedding, no pump) keeps the hint parked
+      // for a later pass.
+      applied = hand_off(hint->owner, hint->key, block.value().ref(), /*park=*/false) ==
+                Handoff::kAcked;
+      if (!applied) {
+        continue;
       }
-      continue;
     }
-    // The hint rides with its original write sequence, so delivery cannot
-    // regress a newer value: the owner applies if-newer and acks either way
-    // (a stale refusal still certifies the owner durably holds the key).
-    // No ack (unreachable, shedding, no pump) keeps the hint parked for a
-    // later pass. A parked tombstone is delivered as the sequenced delete it
-    // is.
-    BsOp hint_op = hint.value().tombstone ? BsOp::kDelReplica : BsOp::kPutReplica;
-    if (push_acked(it->second, hint_op, *key, hint.value().bytes, hint.value().seq).ok()) {
-      (void)sys_.unlink(path);
+    (void)sys_.unlink(path);
+    if (applied) {
       c_hints_delivered_.inc();
       ++delivered;
     }
@@ -1247,11 +1205,25 @@ void BlockStoreNode::serve_request(const BsRequest& req, BsReplyFrame& reply) {
   ErrorCode err = ErrorCode::kInvalidArgument;
   switch (static_cast<BsOp>(req.op)) {
     case BsOp::kPut:
-      err = put_stamped(req.key, req.value, req.seq).error();
+    case BsOp::kDel:
+      // Coordinated writes arrive pre-stamped by the client, values and
+      // tombstones alike: retries replay the same stamp, so at-least-once
+      // delivery stays idempotent.
+      err = coordinate(req.key, request_block(req)).error();
       break;
-    case BsOp::kPutReplica: {
+    case BsOp::kPutReplica:
+    case BsOp::kDelReplica: {
+      const BlockRef block = request_block(req);
+      if (block.tombstone) {
+        // The GC barrier: before acking a tombstone we discard every parked
+        // hint for the key at or below its sequence. The ack therefore
+        // certifies BOTH "I durably hold >= seq" and "no stale hint of mine
+        // can resurrect this key" — which is what lets the coordinator
+        // reclaim the tombstone once every member has acked.
+        drop_stale_hints(req.key, req.seq);
+      }
       bool applied = false;
-      err = apply_remote(req.key, req.value, req.seq, /*tombstone=*/false, &applied).error();
+      err = apply_remote(req.key, block, &applied).error();
       if (applied) {
         c_replicas_applied_.inc();
       }
@@ -1263,26 +1235,6 @@ void BlockStoreNode::serve_request(const BsRequest& req, BsReplyFrame& reply) {
       if (v.ok()) {
         reply.payload = bs_payload_bytes<BsOp::kGet>(TailBytes{std::move(v.value().bytes)});
         reply.seq = v.value().seq;
-      }
-      break;
-    }
-    case BsOp::kDel:
-      // Coordinated deletes arrive pre-stamped by the client, exactly like
-      // coordinated puts: retries replay the same stamp, so at-least-once
-      // delivery stays idempotent.
-      err = del_stamped(req.key, req.seq).error();
-      break;
-    case BsOp::kDelReplica: {
-      // The GC barrier: before acking a tombstone we discard every parked
-      // hint for the key at or below its sequence. The ack therefore
-      // certifies BOTH "I durably hold >= seq" and "no stale hint of mine
-      // can resurrect this key" — which is what lets the coordinator
-      // reclaim the tombstone once every member has acked.
-      drop_stale_hints(req.key, req.seq);
-      bool applied = false;
-      err = apply_remote(req.key, {}, req.seq, /*tombstone=*/true, &applied).error();
-      if (applied) {
-        c_replicas_applied_.inc();
       }
       break;
     }

@@ -28,7 +28,16 @@ bool SimCluster::is_owner(std::string_view key, usize i) const {
 }
 
 void SimCluster::pump(Machine& client) {
-  serve_except(members_.size(), admission_rate_ppm_);
+  // Grant before any serve: a member served nested in another member's
+  // replica wait then spends this step's tokens, not the last step's.
+  if (admission_rate_ppm_ > 0) {
+    for (auto& m : members_) {
+      if (m.node) {
+        m.node->grant_tokens(admission_rate_ppm_);
+      }
+    }
+  }
+  serve_except(members_.size());
   for (auto& m : members_) {
     if (m.machine) {
       m.machine->kernel.vtp().tick();
@@ -121,16 +130,12 @@ void SimCluster::boot_node(usize i) {
   m.node->configure_cluster({.self = static_cast<BsNodeId>(i)}, view_);
 }
 
-void SimCluster::serve_except(usize skip, u64 grant_ppm) {
+void SimCluster::serve_except(usize skip) {
   net_.release_held();
   for (usize j = 0; j < members_.size(); ++j) {
-    if (j == skip || !members_[j].node) {
-      continue;
+    if (j != skip && members_[j].node) {
+      members_[j].node->serve_once();
     }
-    if (grant_ppm > 0) {
-      members_[j].node->grant_tokens(grant_ppm);
-    }
-    members_[j].node->serve_once();
   }
 }
 

@@ -11,8 +11,11 @@
 //   - a client's pump, pump(client) for a Machine the caller owns, lets
 //     every active member serve once, then ticks every member's VTP stack
 //     and the client's. With an admission clock running
-//     (set_admission_rate), each member is granted its tokens right before
-//     it serves.
+//     (set_admission_rate), every active member is granted its tokens
+//     before any member serves, so a member served inside another member's
+//     replica wait spends the same step's tokens as one served at its own
+//     turn: what a member sheds depends on the granted rate, not on its
+//     place in the serve order.
 // A member's pump advances no transport: only a client's pump ticks VTP.
 #ifndef VNROS_SRC_APP_SIM_CLUSTER_H_
 #define VNROS_SRC_APP_SIM_CLUSTER_H_
@@ -71,9 +74,9 @@ class SimCluster {
 
   // One poll of a client's world: see the header comment.
   void pump(Machine& client);
-  // Runs the admission clock: from now on each client's pump grants every
-  // active member `ops_ppm` (BlockStoreNode::grant_tokens) right before it
-  // serves. 0, the default, stops it.
+  // Runs the admission clock: from now on each client's pump first grants
+  // every active member `ops_ppm` (BlockStoreNode::grant_tokens), then lets
+  // them serve. 0, the default, stops it.
   void set_admission_rate(u64 ops_ppm) { admission_rate_ppm_ = ops_ppm; }
   // 64 serve passes over every active member, with no transport tick: lets
   // replica pushes, hint deliveries and handoffs in flight land.
@@ -106,9 +109,8 @@ class SimCluster {
   void add_member();
   void boot_machine(usize i, bool recover);
   void boot_node(usize i);
-  // Releases held frames, then every active member but `skip` is granted
-  // `grant_ppm` admission tokens (if any) and serves once.
-  void serve_except(usize skip, u64 grant_ppm = 0);
+  // Releases held frames, then every active member but `skip` serves once.
+  void serve_except(usize skip);
 
   Network net_;
   SpecFn spec_;

@@ -160,6 +160,13 @@ constexpr std::optional<BsOpInfo> bs_op_info(BsOp op) {
   return std::nullopt;
 }
 
+// The peer op that carries a block to another owner: kDelReplica for a
+// tombstone, kPutReplica for a value. Replication, rebalance, hint delivery
+// and anti-entropy pushes all choose it here.
+constexpr BsOp replica_op(bool tombstone) {
+  return tombstone ? BsOp::kDelReplica : BsOp::kPutReplica;
+}
+
 // `req` as bytes: the head, then the body req.op's row declares (checked:
 // the op is one the table declares).
 std::vector<u8> bs_request_bytes(const BsRequest& req);

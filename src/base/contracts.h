@@ -7,13 +7,10 @@
 // evaluate their condition when contract checking is enabled and abort with a
 // diagnostic when a clause is violated.
 //
-// Two switches control the cost:
-//   - Compile time: defining VNROS_DISABLE_CONTRACTS erases every contract,
-//     like Verus erasing ghost code. Benchmarked "verified" binaries use this
-//     mode (or the runtime switch below left off), which is why verified and
-//     unverified implementations match in Figure 1b/c.
-//   - Run time: contracts_enabled() — tests and the VC runner flip this on.
-//     The off-state costs one relaxed atomic load per contract.
+// One run-time switch controls the cost: contracts_enabled() — tests and
+// the VC runner flip it on. The off-state costs one relaxed atomic load per
+// contract, which is why the benchmarked verified and unverified
+// implementations match in Figure 1b/c (ablation A4 measures both states).
 #ifndef VNROS_SRC_BASE_CONTRACTS_H_
 #define VNROS_SRC_BASE_CONTRACTS_H_
 
@@ -63,14 +60,6 @@ class ScopedContracts {
 
 }  // namespace vnros
 
-#if defined(VNROS_DISABLE_CONTRACTS)
-
-#define VNROS_REQUIRES(cond) ((void)0)
-#define VNROS_ENSURES(cond) ((void)0)
-#define VNROS_INVARIANT(cond) ((void)0)
-
-#else
-
 #define VNROS_CONTRACT_IMPL(kind, cond)                                                     \
   do {                                                                                      \
     if (::vnros::contracts_enabled()) {                                                     \
@@ -87,8 +76,6 @@ class ScopedContracts {
 #define VNROS_ENSURES(cond) VNROS_CONTRACT_IMPL("ensures", cond)
 // Data-structure invariant: must hold at every quiescent point.
 #define VNROS_INVARIANT(cond) VNROS_CONTRACT_IMPL("invariant", cond)
-
-#endif  // VNROS_DISABLE_CONTRACTS
 
 // Unconditional internal-consistency check, independent of contract mode.
 // Used for machine-model integrity (e.g. physical memory bounds), where a

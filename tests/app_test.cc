@@ -142,6 +142,62 @@ TEST(BlockStoreNodeTest, FaultMidPutPreservesAckedValue) {
   faults.disarm_all();
 }
 
+// A block file as its layout is written out by hand:
+// [u32 crc32c(len'||seq||payload)][u32 len'][u64 seq][payload], where len'
+// is the payload length, or bit 31 alone for a tombstone.
+std::vector<u8> pin_block_file(u64 seq, bool tombstone, std::string_view payload) {
+  Writer covered;
+  covered.put_u32(tombstone ? 0x8000'0000u : static_cast<u32>(payload.size()));
+  covered.put_u64(seq);
+  covered.put_raw(bytes(payload));
+  Writer file;
+  file.put_u32(crc32c(covered.bytes()));
+  file.put_raw(covered.bytes());
+  return file.take();
+}
+
+// The whole file at `path`, read back through the syscall facade.
+std::vector<u8> read_raw_file(Sys& sys, const std::string& path) {
+  auto fd = sys.open(path, 0);
+  if (!fd.ok()) {
+    return {};
+  }
+  auto st = sys.fstat(fd.value());
+  auto raw = sys.read(fd.value(), st.ok() ? st.value().size : 0);
+  (void)sys.close(fd.value());
+  return raw.ok() ? raw.value() : std::vector<u8>{};
+}
+
+// The bytes a node leaves on disk: a put, an overwrite and a sequenced
+// delete in /blocks, and the value and tombstone hints parked beside them in
+// /hints. The node has a two-member view and no pump, so every push to the
+// other member fails at once (kUnsupported) and is hinted.
+TEST(BlockStoreNodeTest, BlockAndHintFilesKeepTheirBytes) {
+  Network net;
+  Machine host({.network = &net});
+  BlockStoreNode node(host.sys, 7000);
+  ASSERT_TRUE(node.init().ok());
+  node.configure_cluster({.self = 0},
+                         ClusterView::of({{host.kernel.net_addr(), 7000}, {0xDEAD, 7001}}, 2));
+
+  ASSERT_TRUE(node.put("a", bytes("first")).ok());       // /blocks/61 at seq 1
+  ASSERT_TRUE(node.put("a", bytes("second!")).ok());     // overwritten at seq 2
+  ASSERT_TRUE(node.put("t", bytes("doomed")).ok());      // /blocks/74 at seq 1
+  ASSERT_TRUE(node.del("t").ok());                       // a tombstone at seq 2
+  ASSERT_TRUE(node.put("e", {}).ok());                   // an empty value at seq 1
+  EXPECT_EQ(node.stats().hints_written, 5u);
+
+  EXPECT_EQ(host.sys.readdir("/blocks").value(), (std::vector<std::string>{"61", "65", "74"}));
+  EXPECT_EQ(read_raw_file(host.sys, "/blocks/61"), pin_block_file(2, false, "second!"));
+  EXPECT_EQ(read_raw_file(host.sys, "/blocks/74"), pin_block_file(2, true, ""));
+  EXPECT_EQ(read_raw_file(host.sys, "/blocks/65"), pin_block_file(1, false, ""));
+  EXPECT_EQ(host.sys.readdir("/hints").value(),
+            (std::vector<std::string>{"1_61", "1_65", "1_74"}));
+  EXPECT_EQ(read_raw_file(host.sys, "/hints/1_61"), pin_block_file(2, false, "second!"));
+  EXPECT_EQ(read_raw_file(host.sys, "/hints/1_74"), pin_block_file(2, true, ""));
+  EXPECT_EQ(read_raw_file(host.sys, "/hints/1_65"), pin_block_file(1, false, ""));
+}
+
 TEST(BlockStoreWireTest, EndToEndOverFabric) {
   Network net;
   Machine server({.network = &net});

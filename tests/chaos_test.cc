@@ -20,9 +20,13 @@
 //   VNROS_CHAOS_SEED=0x... ./chaos_test --gtest_filter='*ReplayFromEnv*'
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <functional>
+#include <map>
 #include <span>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -127,12 +131,51 @@ constexpr Preset kPresets[] = {{"legacy", legacy_config},
 constexpr u64 kSeeds[] = {0x0001, 0x00C2,     0x0303,     0xBEEF,
                           0xD00D, 0xFEED5EED, 0xCAFE0007, 0xA11C0DE8};
 
-void expect_clean_run(const ChaosConfig& config) {
-  ChaosReport r = run_chaos(config);
+// "<preset> 0x<seed>", the name of one cell of the matrix.
+std::string cell_name(const char* preset, u64 seed) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%s 0x%04llX", preset, static_cast<unsigned long long>(seed));
+  return buf;
+}
+
+// The checked-in report of every cell (tests/chaos_reports.txt): one line
+// per cell, its name and then the report as PrintTo writes it. Lines that
+// start with '#' are comments.
+const std::map<std::string, std::string>& checked_in_reports() {
+  static const std::map<std::string, std::string> reports = [] {
+    std::map<std::string, std::string> out;
+    std::ifstream in(VNROS_CHAOS_REPORTS);
+    std::string line;
+    while (std::getline(in, line)) {
+      const usize name_end = line.find(' ', line.find(' ') + 1);
+      if (line.empty() || line[0] == '#' || name_end == std::string::npos) {
+        continue;
+      }
+      out[line.substr(0, name_end)] = line.substr(name_end + 1);
+    }
+    return out;
+  }();
+  return reports;
+}
+
+// Runs one (preset, seed) cell: the schedule must pass, and its report must
+// equal the cell's checked-in line field for field, so a change that moves
+// any schedule shows here. A change that moves one on purpose replaces the
+// line with the one the failure prints.
+void expect_cell(const char* preset, PresetFn config, u64 seed) {
+  ChaosReport r = run_chaos(config(seed));
   EXPECT_TRUE(r.ok) << r.message;
   // A schedule that exercised nothing proves nothing.
   EXPECT_GT(r.ops_ok, 0u);
   EXPECT_GT(r.checks, 0u);
+  const std::string cell = cell_name(preset, seed);
+  std::ostringstream report;
+  PrintTo(r, &report);
+  const auto& reports = checked_in_reports();
+  const auto it = reports.find(cell);
+  EXPECT_EQ(it == reports.end() ? "<no line>" : it->second, report.str())
+      << "this run's line:\n"
+      << cell << " " << report.str();
 }
 
 // Runs `seeds` under one preset; every schedule must pass.
@@ -168,14 +211,14 @@ void expect_same_schedule(const ChaosConfig& config) {
 // --- legacy ----------------------------------------------------------------------
 
 // The legacy suite predates the preset table and keeps its test names.
-TEST(ChaosTest, Seed1) { expect_clean_run(legacy_config(kSeeds[0])); }
-TEST(ChaosTest, Seed2) { expect_clean_run(legacy_config(kSeeds[1])); }
-TEST(ChaosTest, Seed3) { expect_clean_run(legacy_config(kSeeds[2])); }
-TEST(ChaosTest, Seed4) { expect_clean_run(legacy_config(kSeeds[3])); }
-TEST(ChaosTest, Seed5) { expect_clean_run(legacy_config(kSeeds[4])); }
-TEST(ChaosTest, Seed6) { expect_clean_run(legacy_config(kSeeds[5])); }
-TEST(ChaosTest, Seed7) { expect_clean_run(legacy_config(kSeeds[6])); }
-TEST(ChaosTest, Seed8) { expect_clean_run(legacy_config(kSeeds[7])); }
+TEST(ChaosTest, Seed1) { expect_cell("legacy", legacy_config, kSeeds[0]); }
+TEST(ChaosTest, Seed2) { expect_cell("legacy", legacy_config, kSeeds[1]); }
+TEST(ChaosTest, Seed3) { expect_cell("legacy", legacy_config, kSeeds[2]); }
+TEST(ChaosTest, Seed4) { expect_cell("legacy", legacy_config, kSeeds[3]); }
+TEST(ChaosTest, Seed5) { expect_cell("legacy", legacy_config, kSeeds[4]); }
+TEST(ChaosTest, Seed6) { expect_cell("legacy", legacy_config, kSeeds[5]); }
+TEST(ChaosTest, Seed7) { expect_cell("legacy", legacy_config, kSeeds[6]); }
+TEST(ChaosTest, Seed8) { expect_cell("legacy", legacy_config, kSeeds[7]); }
 
 // The matrix must cover every adversity class the harness models — and the
 // client's streams must actually die and come back — or it has silently
@@ -211,19 +254,19 @@ TEST(ChaosTest, ReplayFromEnv) {
 // --- churn, heal, ring ------------------------------------------------------------
 
 // One test per (preset, seed) cell.
-#define VNROS_CHAOS_SEED_TESTS(Suite, config)                         \
-  TEST(Suite, Seed0001) { expect_clean_run(config(0x0001)); }         \
-  TEST(Suite, Seed00C2) { expect_clean_run(config(0x00C2)); }         \
-  TEST(Suite, Seed0303) { expect_clean_run(config(0x0303)); }         \
-  TEST(Suite, SeedBEEF) { expect_clean_run(config(0xBEEF)); }         \
-  TEST(Suite, SeedD00D) { expect_clean_run(config(0xD00D)); }         \
-  TEST(Suite, SeedFEED5EED) { expect_clean_run(config(0xFEED5EED)); } \
-  TEST(Suite, SeedCAFE0007) { expect_clean_run(config(0xCAFE0007)); } \
-  TEST(Suite, SeedA11C0DE8) { expect_clean_run(config(0xA11C0DE8)); }
+#define VNROS_CHAOS_SEED_TESTS(Suite, preset, config)                    \
+  TEST(Suite, Seed0001) { expect_cell(preset, config, 0x0001); }         \
+  TEST(Suite, Seed00C2) { expect_cell(preset, config, 0x00C2); }         \
+  TEST(Suite, Seed0303) { expect_cell(preset, config, 0x0303); }         \
+  TEST(Suite, SeedBEEF) { expect_cell(preset, config, 0xBEEF); }         \
+  TEST(Suite, SeedD00D) { expect_cell(preset, config, 0xD00D); }         \
+  TEST(Suite, SeedFEED5EED) { expect_cell(preset, config, 0xFEED5EED); } \
+  TEST(Suite, SeedCAFE0007) { expect_cell(preset, config, 0xCAFE0007); } \
+  TEST(Suite, SeedA11C0DE8) { expect_cell(preset, config, 0xA11C0DE8); }
 
-VNROS_CHAOS_SEED_TESTS(ChaosChurnTest, churn_config)
-VNROS_CHAOS_SEED_TESTS(ChaosHealTest, heal_config)
-VNROS_CHAOS_SEED_TESTS(ChaosRingTest, ring_config)
+VNROS_CHAOS_SEED_TESTS(ChaosChurnTest, "churn", churn_config)
+VNROS_CHAOS_SEED_TESTS(ChaosHealTest, "heal", heal_config)
+VNROS_CHAOS_SEED_TESTS(ChaosRingTest, "ring", ring_config)
 
 // Joins and leaves happen, rebalancing moves shards, partitions force
 // hinted handoff, and latency stalls are injected.
