@@ -7,20 +7,37 @@
 //     write-ahead order: its checks run on the current state, its journal
 //     record (CRC-protected, epoch-tagged) is appended, and only then does
 //     the in-memory state change. A failed check or journal write therefore
-//     leaves nothing to undo: a failed mutation is never visible;
-//   - fsync() is the only durability barrier (BlockDevice::flush);
+//     leaves nothing to undo: a failed mutation is never visible, and only
+//     its own record is dropped;
+//   - the journal is a byte stream of batches. A record goes right behind
+//     the previous one, in an in-memory tail, and may span sectors. A
+//     journal sector goes to the device once, when it fills or when fsync
+//     closes the batch: a pad record (a record whose payload is all zeros)
+//     runs to the end of the sector, and the next batch starts on the next
+//     sector. One skip rule, shared by the writer and replay, passes over
+//     the end of a sector with fewer than a record header's bytes left, so
+//     a header never straddles a sector and a pad always fits. No sector an
+//     fsync flushed is written again in its epoch (checked on every journal
+//     write), so a torn write can only damage records no fsync covered;
+//   - fsync() is the only durability barrier: it writes the tail, then
+//     flushes (BlockDevice::flush). This is group commit: a write fault
+//     lands on the mutation whose record fills a sector (that mutation
+//     fails) or on fsync, which then returns kIoError, changes nothing and
+//     leaves the batch pending for the next fill or fsync to write;
 //   - after a simulated crash (volatile cache partially lost), recover()
 //     replays the longest valid journal prefix through the same
-//     checks-then-change core. The recovered state is therefore the state
-//     after some prefix of acknowledged operations, and the prefix provably
-//     includes everything acknowledged before the last completed fsync —
-//     exactly the contract applications (and the paper's S3 storage-node
-//     example) rely on.
+//     checks-then-change core, following only valid pad records and the
+//     skip rule and stopping at the first bad header or CRC. The recovered
+//     state is therefore the state after some prefix of acknowledged
+//     operations, and the prefix provably includes everything acknowledged
+//     before the last completed fsync — exactly the contract applications
+//     (and the paper's S3 storage-node example) rely on.
 //   - when a record does not fit in the rest of the journal, the commit
-//     first compacts: the current, pre-op state is written as a full-state
-//     checkpoint, the journal restarts under a new epoch, and the record is
-//     appended to it. Crash at any point of compaction recovers either the
-//     old or the new state, never a mix (epoch tagging).
+//     first compacts: the current, pre-op state (pending tail included) is
+//     written as a full-state checkpoint, the journal restarts under a new
+//     epoch, and the record is appended to it. Crash at any point of
+//     compaction recovers either the old or the new state, never a mix
+//     (epoch tagging).
 //
 // The abstract state is FsAbsState: which directories exist and what bytes
 // each file holds. kernel/fs_* VCs drive MemFs and the FsModel reference
@@ -120,6 +137,11 @@ struct Codec<FsWrite> : FieldsCodec<FsWrite, &FsWrite::path, &FsWrite::offset, &
 template <>
 struct Codec<FsTruncate> : FieldsCodec<FsTruncate, &FsTruncate::path, &FsTruncate::size> {};
 
+// A journal record's header: [u32 magic][u64 epoch][u32 payload bytes]
+// [u32 crc32c of the payload]. The skip rule never starts a record where
+// fewer bytes than this are left in a sector.
+inline constexpr u64 kRecHeaderBytes = 20;
+
 // The journal record payload of `m`.
 std::vector<u8> encode_fs_record(const FsMutation& m);
 // nullopt on an unknown opcode, a truncated field or trailing bytes.
@@ -190,7 +212,9 @@ class MemFs {
     return unit_of(commit(FsTruncate{std::string(path), new_size}));
   }
 
-  // Durability barrier: every record appended so far reaches stable storage.
+  // Durability barrier: writes the pending tail, then flushes, so every
+  // record appended so far reaches stable storage. When the tail's write
+  // fails, returns its error and changes nothing: the batch stays pending.
   Result<Unit> fsync();
 
   // --- Introspection ----------------------------------------------------------
@@ -202,7 +226,8 @@ class MemFs {
                    c_checkpoints_->value(), c_fsyncs_->value()};
   }
   bool has_device() const { return dev_ != nullptr; }
-  u64 journal_head_sector() const { return journal_head_; }
+  // The device byte offset at which the next journal record starts.
+  u64 journal_head() const { return tail_sector_ * kSectorSize + tail_.size(); }
 
  private:
   struct Inode {
@@ -242,6 +267,8 @@ class MemFs {
 
   // Journaling.
   Result<Unit> journal_append(std::span<const u8> payload);
+  Result<Unit> write_full_sectors(usize rollback);
+  void flush_device();
   Result<Unit> write_superblock();
   Result<Unit> checkpoint_locked();
   std::vector<u8> serialize_state_locked() const;
@@ -259,7 +286,13 @@ class MemFs {
   u64 epoch_ = 1;
   bool ckpt_valid_ = false;
   u64 ckpt_sectors_ = 0;
-  u64 journal_head_ = 0;  // absolute sector of the next record
+  // The journal's pending tail: the bytes from the start of sector
+  // `tail_sector_` to the head, less than one sector after every commit and
+  // fsync. Every journal sector before `tail_sector_` is on the device; the
+  // ones before `flushed_sector_` are flushed and never written again.
+  u64 tail_sector_ = 0;
+  std::vector<u8> tail_;
+  u64 flushed_sector_ = 0;
   // Metrics ("fs<N>/..."). Pointers (registry-owned, process lifetime) so
   // MemFs stays movable; journal commits and fsyncs are also traced as spans.
   Counter* c_journal_records_ = nullptr;

@@ -845,6 +845,29 @@ VcOutcome vc_fs_persistence_clean(u64 seed) {
   return VcOutcome::pass();
 }
 
+// Empty when `recovered` is one of `states` (the state after each
+// acknowledged op) at or after index `fsync_state`; a diagnostic otherwise.
+// Consecutive states repeat whenever an op failed, so the *last* matching
+// index is the witness.
+std::string acknowledged_prefix_diag(const std::vector<FsAbsState>& states, isize fsync_state,
+                                     const FsAbsState& recovered) {
+  isize found = -1;
+  for (usize i = 0; i < states.size(); ++i) {
+    if (states[i] == recovered) {
+      found = static_cast<isize>(i);
+    }
+  }
+  if (found < 0) {
+    return "recovered state matches no acknowledged prefix";
+  }
+  // ...and everything acknowledged before the last fsync must have survived.
+  if (found < fsync_state) {
+    return "fsynced operations were lost (state " + std::to_string(found) + " < fsync state " +
+           std::to_string(fsync_state) + ")";
+  }
+  return "";
+}
+
 VcOutcome vc_fs_crash_consistency(u64 seed) {
   BlockDevice dev(8192, seed);
   auto fsr = MemFs::format(dev);
@@ -873,23 +896,86 @@ VcOutcome vc_fs_crash_consistency(u64 seed) {
     return VcOutcome::fail("recover after crash failed: " +
                            std::string(error_name(rec.error())));
   }
-  FsAbsState recovered = rec.value().view();
-  // The recovered state must be one of the acknowledged-prefix states. Take
-  // the *last* matching index: consecutive states repeat whenever an op
-  // failed, and any matching prefix point is a valid witness.
-  isize found = -1;
-  for (usize i = 0; i < states.size(); ++i) {
-    if (states[i] == recovered) {
-      found = static_cast<isize>(i);
+  const std::string diag = acknowledged_prefix_diag(states, last_fsync_state, rec.value().view());
+  return diag.empty() ? VcOutcome::pass() : VcOutcome::fail(diag);
+}
+
+// Crash consistency at the journal's sector boundaries, with torn sectors.
+// Most ops are small records (a file toggled into or out of existence, or a
+// random model op); when a sector is nearly full, a write sized against the
+// journal head ends exactly at a sector's end or leaves fewer than a record
+// header's bytes in it (the skip rule), and now and then a write spans
+// several sectors. Each round runs 30 steps that fsync now and then and 100
+// more that do not, so the crash lands inside a batch many sectors long: it
+// keeps each unflushed sector with probability 0, 50% or 100% and tears
+// half of the sectors it keeps. The recovered state must be an
+// acknowledged prefix at or after the last fsync. Four rounds per persist
+// level run on one device, each on the state the previous one recovered.
+VcOutcome vc_fs_crash_torn(u64 seed) {
+  constexpr u64 kWriteRecord = 39;  // a write record to "/j", without its data
+  for (u64 persist_ppm : {u64{0}, u64{500'000}, u64{1'000'000}}) {
+    BlockDevice dev(128, seed * 0x9E37 + persist_ppm);
+    auto made = MemFs::format(dev);
+    if (!made.ok()) {
+      return VcOutcome::fail("format failed");
     }
-  }
-  if (found < 0) {
-    return VcOutcome::fail("recovered state matches no acknowledged prefix");
-  }
-  // ...and everything acknowledged before the last fsync must have survived.
-  if (found < last_fsync_state) {
-    return VcOutcome::fail("fsynced operations were lost (state " + std::to_string(found) +
-                           " < fsync state " + std::to_string(last_fsync_state) + ")");
+    MemFs fs = std::move(made.value());
+    if (!fs.create("/j").ok() || !fs.fsync().ok()) {
+      return VcOutcome::fail("setup failed");
+    }
+    FsModel model{fs.view()};
+    Rng rng(seed ^ persist_ppm ^ 0x7042);
+    for (int round = 0; round < 4; ++round) {
+      std::vector<FsAbsState> states{fs.view()};
+      isize last_fsync_state = 0;
+      for (int i = 0; i < 130; ++i) {
+        const u64 left = kSectorSize - fs.journal_head() % kSectorSize;
+        // The room for a write that closes a sector: the rest of this one,
+        // or also the next one when this one cannot hold a write record.
+        const u64 room = left > kWriteRecord + kRecHeaderBytes ? left : left + kSectorSize;
+        std::optional<u64> data_bytes;
+        if (left < 100 && rng.chance(1, 2)) {
+          data_bytes = room - kWriteRecord - (rng.chance(1, 2) ? 0 : rng.next_range(1, 19));
+        } else if (const u64 q = rng.next_below(32); q == 0) {
+          data_bytes = rng.next_range(kSectorSize, 4 * kSectorSize);
+        } else if (q <= 3) {
+          (void)fs_step(fs, model, rng);
+        } else {
+          const std::string t = "/t" + std::to_string(rng.next_below(32));
+          if (!fs.create(t).ok() && !fs.unlink(t).ok()) {
+            return VcOutcome::fail("toggling " + t + " failed");
+          }
+        }
+        if (data_bytes &&
+            !fs.write("/j", 0, std::vector<u8>(*data_bytes, static_cast<u8>(i))).ok()) {
+          return VcOutcome::fail("write to /j failed");
+        }
+        states.push_back(fs.view());
+        if (i < 30 && rng.chance(1, 8)) {
+          if (!fs.fsync().ok()) {
+            return VcOutcome::fail("fsync failed");
+          }
+          last_fsync_state = static_cast<isize>(states.size()) - 1;
+        }
+      }
+      dev.crash(persist_ppm, 500'000);
+      auto rec = MemFs::recover(dev);
+      if (!rec.ok()) {
+        return VcOutcome::fail("recover after a torn crash failed: " +
+                               std::string(error_name(rec.error())));
+      }
+      const std::string diag =
+          acknowledged_prefix_diag(states, last_fsync_state, rec.value().view());
+      if (!diag.empty()) {
+        return VcOutcome::fail(diag + " (persist " + std::to_string(persist_ppm) +
+                               " ppm, round " + std::to_string(round) + ")");
+      }
+      fs = std::move(rec.value());
+      model.s = fs.view();
+    }
+    if (persist_ppm != 0 && dev.stats().torn_crash_sectors == 0) {
+      return VcOutcome::fail("no crash tore a sector");
+    }
   }
   return VcOutcome::pass();
 }
@@ -1762,14 +1848,39 @@ std::map<std::string, u64> inodes_of(const MemFs& fs) {
   return out;
 }
 
-// A mutating op that dies on an injected device error must be invisible: it
-// returns the error AND leaves the abstract state and every inode number
-// exactly as they were (the record is written before anything changes, so
-// there is nothing to undo). The filesystem keeps working afterwards.
+// The state recover() yields from `dev` after a crash that loses every
+// unflushed sector, read from a copy of the stable media so that `dev` and
+// the filesystem on it keep running.
+Result<FsAbsState> recover_flushed_copy(const BlockDevice& dev) {
+  BlockDevice copy(dev.num_sectors(), 0, "vc/fscopydev");
+  const std::vector<u8> media = dev.snapshot_stable();
+  for (u64 s = 0; s < dev.num_sectors(); ++s) {
+    (void)copy.write(s, std::span<const u8>(media.data() + s * kSectorSize, kSectorSize));
+  }
+  copy.flush();
+  auto rec = MemFs::recover(copy);
+  if (!rec.ok()) {
+    return rec.error();
+  }
+  return rec.value().view();
+}
+
+// Group commit under device write faults. Each step arms a one-shot write
+// fault, commits one mutation whose checks pass, then fsyncs. The fault
+// lands on the first device write: the mutation's, when its record fills a
+// journal sector, or else fsync's write of the tail. So exactly one of the
+// two returns kIoError, and:
+//   - a failed mutation changes no path, byte or inode number (only its
+//     record is dropped), and the fsync after it makes the batch durable:
+//     recovery equals the view;
+//   - a failed fsync changes nothing: the mutation stays applied but not
+//     durable, and a crash that loses every unflushed sector recovers the
+//     state at the previous fsync. The batch stays pending, and the next
+//     clean fsync makes it durable.
 VcOutcome vc_fs_io_error_rollback(u64 seed) {
   auto& reg = FaultRegistry::global();
   reg.reseed(seed);
-  BlockDevice dev(4096, seed, "vc/fsfaultdev");
+  BlockDevice dev(1024, seed, "vc/fsfaultdev");
   auto made = MemFs::format(dev);
   if (!made.ok()) {
     return VcOutcome::fail("format failed");
@@ -1777,79 +1888,113 @@ VcOutcome vc_fs_io_error_rollback(u64 seed) {
   MemFs fs = std::move(made.value());
   if (!fs.mkdir("/d").ok() || !fs.create("/d/base").ok() ||
       !fs.write("/d/base", 0, std::vector<u8>(64, 0x5A)).ok() || !fs.create("/d/victim").ok() ||
-      !fs.write("/d/victim", 0, std::vector<u8>(32, 0x33)).ok() || !fs.mkdir("/d/empty").ok()) {
+      !fs.write("/d/victim", 0, std::vector<u8>(32, 0x33)).ok() || !fs.mkdir("/d/empty").ok() ||
+      !fs.fsync().ok()) {
     return VcOutcome::fail("setup failed");
   }
 
-  static const char* const kOps[] = {"mkdir",  "create", "write",  "truncate",
-                                     "rename", "unlink", "rmdir",  "rename-replace"};
+  static const char* const kOps[] = {"mkdir",  "rmdir", "create",  "unlink",
+                                     "rename", "write", "truncate"};
   FaultSpec one_shot;
   one_shot.probability_ppm = 1'000'000;
   one_shot.one_shot = true;
   Rng rng(seed);
+  FsAbsState durable = fs.view();  // the state at the last completed fsync
+  usize op_faults = 0;
+  usize fsync_faults = 0;
   for (int i = 0; i < 30; ++i) {
-    FsAbsState before = fs.view();
-    std::map<std::string, u64> inodes_before = inodes_of(fs);
-    reg.arm("vc/fsfaultdev/write_error", one_shot);
-    ErrorCode err = ErrorCode::kOk;
-    const u64 op = rng.next_below(8);
-    switch (op) {
+    // Pick an op whose checks pass on the current state: the files, the
+    // empty directories under /d, or a fresh name.
+    const FsAbsState before = fs.view();
+    const std::map<std::string, u64> inodes_before = inodes_of(fs);
+    std::vector<std::string> files;
+    for (const auto& [path, bytes] : before.files) {
+      files.push_back(path);
+    }
+    std::vector<std::string> dirs(before.dirs.begin(), before.dirs.end());
+    dirs.erase(std::remove(dirs.begin(), dirs.end(), "/d"), dirs.end());
+    const std::string fresh = "/d/n" + std::to_string(i);
+    auto any_file = [&] { return files[rng.next_below(files.size())]; };
+    FsMutation m;
+    switch (rng.next_below(8)) {
       case 0:
-        err = fs.mkdir("/d/dir" + std::to_string(i)).error();
+        m = FsMkdir{fresh};
         break;
       case 1:
-        err = fs.create("/d/file" + std::to_string(i)).error();
+        m = FsCreate{fresh};
         break;
       case 2: {
         std::vector<u8> data(rng.next_range(1, 200));
         for (auto& b : data) {
           b = static_cast<u8>(rng.next_u64());
         }
-        auto w = fs.write("/d/base", rng.next_below(64), data);
-        err = w.error();
+        m = FsWrite{any_file(), rng.next_below(64), std::move(data)};
         break;
       }
       case 3:
-        err = fs.truncate("/d/base", rng.next_below(128)).error();
+        m = FsTruncate{any_file(), rng.next_below(128)};
         break;
       case 4:
-        err = fs.rename("/d/base", "/d/moved").error();
+        m = FsRename{any_file(), fresh};
         break;
       case 5:
-        err = fs.unlink("/d/victim").error();
+        m = files.size() > 1 ? FsMutation(FsUnlink{any_file()}) : FsMutation(FsCreate{fresh});
         break;
       case 6:
-        err = fs.rmdir("/d/empty").error();
+        m = dirs.empty() ? FsMutation(FsMkdir{fresh}) : FsMutation(FsRmdir{dirs.back()});
         break;
-      default:
-        err = fs.rename("/d/base", "/d/victim").error();
+      default:  // rename onto an existing file
+        m = files.size() > 1 ? FsMutation(FsRename{files.front(), files.back()})
+                             : FsMutation(FsCreate{fresh});
         break;
     }
-    const std::string what = std::string(kOps[op]) + " at step " + std::to_string(i);
-    if (err == ErrorCode::kOk) {
-      return VcOutcome::fail(what + " succeeded with a write fault armed");
+    const std::string what = std::string(kOps[m.index()]) + " at step " + std::to_string(i);
+
+    reg.arm("vc/fsfaultdev/write_error", one_shot);
+    const ErrorCode op_err = fs.commit(m).error();
+    const FsAbsState after_op = fs.view();
+    const std::map<std::string, u64> inodes_after_op = inodes_of(fs);
+    const ErrorCode fsync_err = fs.fsync().error();
+    reg.disarm_prefix("vc/fsfaultdev/");
+    const bool op_failed = op_err == ErrorCode::kIoError;
+    const bool fsync_failed = fsync_err == ErrorCode::kIoError;
+    if ((op_err != ErrorCode::kOk && !op_failed) ||
+        (fsync_err != ErrorCode::kOk && !fsync_failed)) {
+      return VcOutcome::fail(what + ": wrong error surfaced: " + error_name(op_err) + ", " +
+                             error_name(fsync_err));
     }
-    if (err != ErrorCode::kIoError) {
-      return VcOutcome::fail(what + ": wrong error surfaced: " + error_name(err));
+    if (op_failed == fsync_failed) {
+      return VcOutcome::fail(what + ": the op and fsync must fail exactly once between them");
     }
-    if (!(fs.view() == before)) {
-      return VcOutcome::fail("failed " + what + " mutated the abstract state");
+    if (op_failed) {
+      ++op_faults;
+      if (after_op != before || inodes_after_op != inodes_before) {
+        return VcOutcome::fail("failed " + what + " changed a path, byte or inode number");
+      }
+      durable = before;
+    } else {
+      ++fsync_faults;
+      if (fs.view() != after_op || inodes_of(fs) != inodes_after_op) {
+        return VcOutcome::fail("failed fsync after " + what + " changed the state");
+      }
     }
-    if (inodes_of(fs) != inodes_before) {
-      return VcOutcome::fail("failed " + what + " changed an inode number");
+    auto rec = recover_flushed_copy(dev);
+    if (!rec.ok() || rec.value() != durable) {
+      return VcOutcome::fail("a crash after " + what +
+                             " did not recover the state at the last fsync");
     }
   }
-  // The same ops succeed once the faults are gone, and the state persists.
+  if (op_faults == 0 || fsync_faults == 0) {
+    return VcOutcome::fail("the faults never landed on both an op and an fsync");
+  }
+  // The same ops succeed once the faults are gone, the next clean fsync
+  // makes the pending batch durable, and the state persists.
   if (!fs.create("/d/after").ok() || !fs.write("/d/after", 0, std::vector<u8>{1, 2, 3}).ok() ||
-      !fs.rename("/d/base", "/d/victim").ok() || !fs.rmdir("/d/empty").ok() || !fs.fsync().ok()) {
+      !fs.rename("/d/after", "/d/base").ok() || !fs.fsync().ok()) {
     return VcOutcome::fail("filesystem broken after injected faults");
   }
-  FsAbsState final_state = fs.view();
-  auto rec = MemFs::recover(dev);
-  if (!rec.ok()) {
-    return VcOutcome::fail("recovery failed after injected-fault run");
-  }
-  if (!(rec.value().view() == final_state)) {
+  auto rec = recover_flushed_copy(dev);
+  if (!rec.ok() || rec.value() != fs.view()) {
     return VcOutcome::fail("recovered state diverged after injected-fault run");
   }
   return VcOutcome::pass();
@@ -2752,6 +2897,8 @@ void register_kernel_vcs(VcRegistry& reg) {
   for (u64 seed = 1; seed <= 4; ++seed) {
     reg.add("kernel/fs_crash_consistency_seed" + std::to_string(seed),
             VcCategory::kFilesystem, [seed] { return vc_fs_crash_consistency(seed); });
+    reg.add("kernel/fs_crash_torn_seed" + std::to_string(seed), VcCategory::kFilesystem,
+            [seed] { return vc_fs_crash_torn(seed); });
   }
   reg.add("kernel/fs_checkpoint_compaction", VcCategory::kFilesystem,
           [] { return vc_fs_checkpoint_compaction(); });

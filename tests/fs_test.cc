@@ -306,11 +306,11 @@ TEST(MemFsPersistTest, CompactionKeepsStateAndResetsJournal) {
     ASSERT_TRUE(fs.write("/big", (i % 4) * chunk.size(), chunk).ok());
     if (fs.stats().checkpoints > 0) {
       compacted = true;
-      head_before = fs.journal_head_sector();
+      head_before = fs.journal_head();
     }
   }
   ASSERT_TRUE(compacted) << "journal pressure insufficient";
-  EXPECT_LT(head_before, dev.num_sectors());
+  EXPECT_LT(head_before, dev.num_sectors() * kSectorSize);
   (void)fs.fsync();
   FsAbsState before = fs.view();
   auto rec = MemFs::recover(dev);
@@ -329,8 +329,8 @@ TEST(MemFsPersistTest, FailedCompactionChangesNothing) {
   ASSERT_TRUE(fs.create("/f").ok());
   ASSERT_TRUE(fs.create("/g").ok());
   const std::vector<u8> chunk(1000, 0xA5);
-  const u64 record_sectors = 3;  // a 1000-byte write record spans 3 sectors
-  while (fs.journal_head_sector() + record_sectors <= dev.num_sectors()) {
+  const u64 record_bytes = 1039;  // a 1000-byte write record to "/f", header included
+  while (fs.journal_head() + record_bytes <= dev.num_sectors() * kSectorSize) {
     ASSERT_TRUE(fs.write("/f", 0, chunk).ok());
   }
   ASSERT_EQ(fs.stats().checkpoints, 0u);
@@ -384,10 +384,27 @@ TEST(MemFsPersistTest, RecordLargerThanTheJournalIsRefused) {
 
 // --- Journal records ----------------------------------------------------------------
 
+// A journal record of epoch 1 over `payload`: [u32 magic "JRNL"][u64 epoch]
+// [u32 len][u32 crc][payload], where the crc is crc32c of [epoch][len] and
+// then of the payload.
+void expect_record(Reader& r, const std::vector<u8>& payload) {
+  Writer covered;
+  covered.put_u64(1);
+  covered.put_u32(static_cast<u32>(payload.size()));
+  covered.put_raw(payload);
+  EXPECT_EQ(r.get_u32(), 0x4A524E4Cu);
+  EXPECT_EQ(r.get_u64(), 1u);
+  EXPECT_EQ(r.get_u32(), payload.size());
+  EXPECT_EQ(r.get_u32(), crc32c(covered.bytes()));
+  EXPECT_EQ(r.get_raw(payload.size()), payload);
+}
+
 // The payload of each mutation's journal record, byte for byte:
 // [u8 opcode][fields], strings and bytes u32-length-prefixed, u64s
-// little-endian. Recovery reads disks written with this layout, so it must
-// not drift.
+// little-endian, and the packed layout they go to the device in: a batch's
+// records back to back, closed by a pad record (an all-zero payload) that
+// runs to the end of the sector. Recovery reads disks written with this
+// layout, so it must not drift.
 TEST(FsRecordTest, EachMutationWritesItsPinnedPayload) {
   const std::vector<std::pair<FsMutation, std::vector<u8>>> cases = {
       {FsMkdir{"/d"}, {1, 2, 0, 0, 0, '/', 'd'}},
@@ -404,30 +421,75 @@ TEST(FsRecordTest, EachMutationWritesItsPinnedPayload) {
   auto fsr = MemFs::format(dev);
   ASSERT_TRUE(fsr.ok());
   MemFs fs = std::move(fsr.value());
-  u64 sector = fs.journal_head_sector();
+  const u64 first = fs.journal_head() / kSectorSize;  // the journal's first sector
+  ASSERT_EQ(fs.journal_head() % kSectorSize, 0u);
   for (const auto& [m, payload] : cases) {
     EXPECT_EQ(encode_fs_record(m), payload) << "opcode " << m.index() + 1;
     auto decoded = decode_fs_record(payload);
     ASSERT_TRUE(decoded.has_value());
     EXPECT_EQ(encode_fs_record(*decoded), payload);
-    // The record on the device: [magic][epoch][len][crc32c(payload)][payload].
     ASSERT_TRUE(fs.commit(m).ok());
-    std::vector<u8> raw(kSectorSize);
-    ASSERT_TRUE(dev.read(sector++, raw).ok());
-    Reader r(raw);
-    EXPECT_EQ(r.get_u32(), 0x4A524E4Cu);
-    EXPECT_EQ(r.get_u64(), 1u);
-    EXPECT_EQ(r.get_u32(), payload.size());
-    EXPECT_EQ(r.get_u32(), crc32c(payload));
-    EXPECT_EQ(r.get_raw(payload.size()), payload);
   }
-  EXPECT_EQ(fs.journal_head_sector(), sector);
+  // The records wait in the journal's tail until the fsync writes it.
+  std::vector<u8> raw(kSectorSize);
+  ASSERT_TRUE(dev.read(first, raw).ok());
+  EXPECT_EQ(raw, std::vector<u8>(kSectorSize, 0));
+  ASSERT_TRUE(fs.fsync().ok());
+
+  // One sector: the seven records back to back (229 bytes), then the pad.
+  ASSERT_TRUE(dev.read(first, raw).ok());
+  Reader r(raw);
+  for (const auto& [m, payload] : cases) {
+    expect_record(r, payload);
+  }
+  EXPECT_EQ(r.position(), 229u);
+  expect_record(r, std::vector<u8>(kSectorSize - 229 - 20, 0));
+  EXPECT_TRUE(r.exhausted());
+  EXPECT_EQ(fs.journal_head(), (first + 1) * kSectorSize);
+
+  // A second batch starts on the next sector.
+  ASSERT_TRUE(fs.mkdir("/e").ok());
+  ASSERT_TRUE(fs.fsync().ok());
+  ASSERT_TRUE(dev.read(first + 1, raw).ok());
+  Reader second(raw);
+  expect_record(second, {1, 2, 0, 0, 0, '/', 'e'});
+  expect_record(second, std::vector<u8>(kSectorSize - 27 - 20, 0));
+  EXPECT_TRUE(second.exhausted());
+  EXPECT_EQ(fs.journal_head(), (first + 2) * kSectorSize);
   // A payload that is not exactly one record is refused.
   EXPECT_FALSE(decode_fs_record(std::vector<u8>{}).has_value());
   EXPECT_FALSE(decode_fs_record(std::vector<u8>{0, 0, 0, 0, 0}).has_value());
   EXPECT_FALSE(decode_fs_record(std::vector<u8>{8, 0, 0, 0, 0}).has_value());
   EXPECT_FALSE(decode_fs_record(std::vector<u8>{1, 2, 0, 0, 0, '/'}).has_value());
   EXPECT_FALSE(decode_fs_record(std::vector<u8>{1, 2, 0, 0, 0, '/', 'd', 0}).has_value());
+}
+
+// The skip rule: a record that leaves fewer than a header's 20 bytes in its
+// sector is followed by zeros, and the next record starts on the next
+// sector. A batch that ends exactly at a sector's end needs no pad, so its
+// fsync writes nothing. Replay follows both.
+TEST(FsRecordTest, SkipRuleAndExactFill) {
+  BlockDevice dev(64);
+  auto fsr = MemFs::format(dev);
+  ASSERT_TRUE(fsr.ok());
+  MemFs fs = std::move(fsr.value());
+  const u64 first = fs.journal_head();
+  // A write record to "/f" is 39 bytes plus its data.
+  ASSERT_TRUE(fs.create("/f").ok());                             // 27 bytes
+  ASSERT_TRUE(fs.write("/f", 0, std::vector<u8>(436, 1)).ok());  // 475: 10 left
+  EXPECT_EQ(fs.journal_head(), first + kSectorSize);
+  ASSERT_TRUE(fs.write("/f", 0, std::vector<u8>(473, 2)).ok());  // the whole next sector
+  EXPECT_EQ(fs.journal_head(), first + 2 * kSectorSize);
+  const u64 writes = dev.stats().writes;
+  ASSERT_TRUE(fs.fsync().ok());
+  EXPECT_EQ(dev.stats().writes, writes);
+  std::vector<u8> raw(kSectorSize);
+  ASSERT_TRUE(dev.read(first / kSectorSize, raw).ok());
+  EXPECT_EQ(std::vector<u8>(raw.end() - 10, raw.end()), std::vector<u8>(10, 0));
+  const FsAbsState before = fs.view();
+  auto rec = MemFs::recover(dev);
+  ASSERT_TRUE(rec.ok());
+  EXPECT_TRUE(rec.value().view() == before);
 }
 
 
