@@ -669,9 +669,8 @@ bool BlockStoreNode::reserve_hint_slot(BsNodeId owner, std::string_view key, u64
   if (!names.ok()) {
     return true;  // can't enumerate: fail open, the write may still succeed
   }
-  usize count = 0;
-  u64 min_seq = ~u64{0};
-  std::string min_path;
+  // Count the owner's hints by name; only a full queue reads them.
+  usize parked = 0;
   for (const auto& name : names.value()) {
     auto hint = parse_hint_name(name);
     if (!hint || hint->owner != owner) {
@@ -679,6 +678,19 @@ bool BlockStoreNode::reserve_hint_slot(BsNodeId owner, std::string_view key, u64
     }
     if (hint->key == key) {
       return true;  // overwriting this (owner, key)'s own slot: no growth
+    }
+    ++parked;
+  }
+  if (parked < kMaxHintsPerPeer) {
+    return true;
+  }
+  usize count = 0;
+  u64 min_seq = ~u64{0};
+  std::string min_path;
+  for (const auto& name : names.value()) {
+    auto hint = parse_hint_name(name);
+    if (!hint || hint->owner != owner) {
+      continue;
     }
     std::string path = "/hints/" + name;
     auto block = read_block_file(sys_, path);
