@@ -12,7 +12,7 @@
 // Series rows are (x, y) pairs — typically (core count, median latency).
 // The "obs" section is the process-global ObsRegistry snapshot at write()
 // time, so every bench run ships its kernel/app counters alongside the
-// measured series (empty shells when built with VNROS_METRICS=OFF).
+// measured series.
 #ifndef VNROS_BENCH_BENCH_JSON_H_
 #define VNROS_BENCH_BENCH_JSON_H_
 

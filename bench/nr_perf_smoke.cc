@@ -16,8 +16,7 @@
 //   - handoff_ops > 0  (parked losers got their ops applied by a combiner)
 //
 // Exit code 1 on violation — scripts/tier1.sh runs this as the perf-smoke
-// stage. Under VNROS_METRICS=OFF the instruments are compiled out and the
-// check degrades to a plain run (still exercises the paths under load).
+// stage.
 //
 //   ./build/bench/nr_perf_smoke
 #include <cstdio>
@@ -26,7 +25,6 @@
 
 #include "src/hw/topology.h"
 #include "src/nr/node_replicated.h"
-#include "src/obs/counter.h"
 
 namespace vnros {
 namespace {
@@ -80,10 +78,6 @@ int run() {
   std::printf("nr_perf_smoke: combined_ops=%lu combines=%lu empty=%lu handoffs=%lu batch_p99=%lu\n",
               stats.combined_ops, stats.combines, stats.empty_combines, stats.handoff_ops,
               stats.batch_p99);
-  if (!kMetricsEnabled) {
-    std::printf("nr_perf_smoke: metrics disabled; distribution checks skipped\n");
-    return 0;
-  }
   int rc = 0;
   if (stats.combines > stats.combined_ops) {
     std::fprintf(stderr, "FAIL: combines (%lu) > combined_ops (%lu) — empty sessions are being "

@@ -1,8 +1,20 @@
 #!/usr/bin/env bash
-# Tier-1 verification: full build + ctest, then a ThreadSanitizer build of the
-# concurrency-sensitive NR tests (the fence-based batched publish in
-# src/nr/log.h falls back to per-entry release publishes under TSan, so the
-# TSan run checks the fallback path while stressing the combiner protocol).
+# Tier-1 verification over three build trees:
+#
+#   build       the default configuration (RelWithDebInfo): the full ctest
+#               suite, the NR perf smoke, the chaos, ring and VTP stages and
+#               the quick YCSB and A9 sweeps. The bench binaries run from
+#               this tree; perfbench compiles the same sources, metrics and
+#               all, through its own CMake.
+#   build-tsan  -DVNROS_SAN=thread: the NR, obs, ring and VTP suites, the
+#               code that shares state across threads (the fence-based
+#               batched publish in src/nr/log.h falls back to per-entry
+#               release publishes under TSan, so the run checks the fallback
+#               path while stressing the combiner protocol).
+#   build-asan  -DVNROS_SAN=address: ASan and UBSan together, built with
+#               -fno-sanitize-recover=all so the first report of either
+#               fails the run. It covers the fault-injection, chaos, parser
+#               and syscall paths (see that stage's comment).
 #
 #   ./scripts/tier1.sh [jobs]
 set -euo pipefail
@@ -30,24 +42,6 @@ echo "== tier-1: NR perf smoke (combining distribution) =="
 # batch_ops p99 < 8, combines > combined_ops, or no handoffs happened.
 cmake --build build -j"${JOBS}" --target nr_perf_smoke
 ./build/bench/nr_perf_smoke
-
-echo
-echo "== tier-1: metrics-off build (VNROS_METRICS=OFF) =="
-# The observability substrate must compile out cleanly: every instrumented
-# site becomes a no-op and the whole tree still builds. build-nometrics is
-# owned by this stage (it is regenerated here; safe to delete any time).
-# Only the metrics-agnostic suites run — tests that assert nonzero counters
-# (NR batch stats, TLB shootdown counts, fs checkpoint stats, blockstore
-# corrupt-read accounting and the stat-asserting VCs) legitimately read 0
-# when metrics are compiled out, and obs_test gates those expectations on
-# kMetricsEnabled itself.
-cmake -B build-nometrics -S . -DVNROS_METRICS=OFF >/dev/null
-cmake --build build-nometrics -j"${JOBS}"
-./build-nometrics/tests/obs_test
-./build-nometrics/tests/base_test
-./build-nometrics/tests/kernel_test
-./build-nometrics/tests/syscall_test
-./build-nometrics/tests/integration_test
 
 echo
 echo "== tier-1: chaos (ctest -L '^chaos$') =="
@@ -119,7 +113,10 @@ echo
 echo "== tier-1: ASan+UBSan build (fs_test + app_test + chaos_test + integration_test + checksums + VTP + syscalls + fs and app VCs) =="
 # The fault-injection and chaos paths unwind through error branches the
 # happy-path suite never touches; run them — every chaos preset — under
-# address+UB sanitizers. The checksum tests and VCs run here too: the
+# address+UB sanitizers. The build does not recover from a report
+# (-fno-sanitize-recover=all), so a UB diagnostic such as a signed overflow
+# in the stream framing, repair/GC or seq arithmetic fails the stage just
+# as a heap overflow does. The checksum tests and VCs run here too: the
 # hardware crc32c path does unaligned 8-byte loads in a target-attributed
 # function, and the corruption VCs feed the stacks hand-made bad segments.
 # So do the VTP unit tests and VCs: the stack's tuple index holds iterators
@@ -148,26 +145,6 @@ cmake --build build-asan -j"${JOBS}" --target fs_test app_test chaos_test integr
 ./build-asan/tests/syscall_test
 ./build-asan/tests/ring_syscall_test
 ./build-asan/tests/vc_suite_test --gtest_filter='*crc*:*corruption*:*vtp*:*header_roundtrip*:*sys_*:*fs_*:Vc_app.*'
-
-echo
-echo "== tier-1: UBSan build (chaos_test + app_test + integration_test + fs + checksums + VTP + syscalls + app VCs) =="
-# Pure UBSan (no recovery, no ASan shadow-memory slowdown) over every chaos
-# preset: the stream framing and repair/GC/bit-rot paths do a lot of
-# byte-level (de)serialization and seq arithmetic — exactly where silent UB
-# would hide. The fs, checksum, VTP, syscall, integration and app tests and
-# VCs run here for the same reasons as above.
-cmake -B build-ubsan -S . -DVNROS_SAN=undefined >/dev/null
-cmake --build build-ubsan -j"${JOBS}" --target chaos_test app_test integration_test fs_test \
-  base_test net_test syscall_test ring_syscall_test vc_suite_test
-./build-ubsan/tests/chaos_test
-./build-ubsan/tests/app_test
-./build-ubsan/tests/integration_test
-./build-ubsan/tests/fs_test
-./build-ubsan/tests/base_test
-./build-ubsan/tests/net_test
-./build-ubsan/tests/syscall_test
-./build-ubsan/tests/ring_syscall_test
-./build-ubsan/tests/vc_suite_test --gtest_filter='*crc*:*corruption*:*vtp*:*header_roundtrip*:*sys_*:*fs_*:Vc_app.*'
 
 echo
 echo "tier1: OK"

@@ -1426,13 +1426,11 @@ VcOutcome vc_obs_kstat_refinement() {
       return VcOutcome::fail("kstat(" + name + ") went backwards");
     }
   }
-  if constexpr (kMetricsEnabled) {
-    auto pre = sys.kstat("fs/fsyncs");
-    (void)sys.fsync();
-    auto post = sys.kstat("fs/fsyncs");
-    if (!pre.ok() || !post.ok() || post.value() < pre.value() + 1) {
-      return VcOutcome::fail("fs/fsyncs did not count an fsync");
-    }
+  auto pre = sys.kstat("fs/fsyncs");
+  (void)sys.fsync();
+  auto post = sys.kstat("fs/fsyncs");
+  if (!pre.ok() || !post.ok() || post.value() < pre.value() + 1) {
+    return VcOutcome::fail("fs/fsyncs did not count an fsync");
   }
   if (sys.kstat("no/such_counter").error() != ErrorCode::kNotFound) {
     return VcOutcome::fail("unknown kstat name did not report kNotFound");
@@ -2407,7 +2405,7 @@ VcOutcome vc_ring_completion_unique(u64 seed) {
       kernel.rings().ready(machine.pid, ring.value()) != 0) {
     return VcOutcome::fail("ring not empty after full drain");
   }
-  if (kMetricsEnabled && kernel.rings().cq_overflows() == 0) {
+  if (kernel.rings().cq_overflows() == 0) {
     return VcOutcome::fail("overflow pressure never exercised the overflow path");
   }
   return VcOutcome::pass();

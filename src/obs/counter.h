@@ -8,10 +8,6 @@
 // unsigned add, the merged value is monotone between any two reads that each
 // observe all prior increments; obs/counter_* VCs check this executably
 // under concurrent recording.
-//
-// The VNROS_METRICS CMake knob (default ON) gates the whole substrate: when
-// OFF, add()/inc() compile to nothing and value() is the constant 0, so an
-// instrumentation site costs literally zero instructions.
 #ifndef VNROS_SRC_OBS_COUNTER_H_
 #define VNROS_SRC_OBS_COUNTER_H_
 
@@ -22,12 +18,6 @@
 #include "src/base/types.h"
 
 namespace vnros {
-
-#if defined(VNROS_METRICS_DISABLED)
-inline constexpr bool kMetricsEnabled = false;
-#else
-inline constexpr bool kMetricsEnabled = true;
-#endif
 
 // Shard counts are fixed (registry-owned metrics outlive any Topology).
 // Counters are hot-path, so they get one shard per plausible core; shards
@@ -43,39 +33,24 @@ class ObsRegistry;
 class Counter {
  public:
   // Increments the calling thread's shard.
-  void add(u64 delta) {
-    if constexpr (kMetricsEnabled) {
-      add_on(obs_this_shard(), delta);
-    } else {
-      (void)delta;
-    }
-  }
+  void add(u64 delta) { add_on(obs_this_shard(), delta); }
 
   void inc() { add(1); }
 
   // Increments the shard for `core` (used where the caller knows its CoreId:
   // the merge VCs record per-core and check conservation across the merge).
   void add_on(u32 core, u64 delta) {
-    if constexpr (kMetricsEnabled) {
-      cells_[core % kCounterShards].v.fetch_add(delta, std::memory_order_relaxed);
-    } else {
-      (void)core;
-      (void)delta;
-    }
+    cells_[core % kCounterShards].v.fetch_add(delta, std::memory_order_relaxed);
   }
 
   // Merged value: relaxed sum over all shards. Monotone w.r.t. any
   // happens-before-ordered pair of reads (unsigned adds only, no reset).
   u64 value() const {
-    if constexpr (kMetricsEnabled) {
-      u64 sum = 0;
-      for (const Cell& c : cells_) {
-        sum += c.v.load(std::memory_order_relaxed);
-      }
-      return sum;
-    } else {
-      return 0;
+    u64 sum = 0;
+    for (const Cell& c : cells_) {
+      sum += c.v.load(std::memory_order_relaxed);
     }
+    return sum;
   }
 
   const std::string& name() const { return name_; }
@@ -89,7 +64,7 @@ class Counter {
   };
 
   const std::string name_;
-  std::array<Cell, kMetricsEnabled ? kCounterShards : 1> cells_;
+  std::array<Cell, kCounterShards> cells_;
 };
 
 }  // namespace vnros

@@ -65,24 +65,13 @@ class Histogram {
     return (u64{kSub} + sub) << shift;
   }
 
-  void record(u64 v) {
-    if constexpr (kMetricsEnabled) {
-      record_on(obs_this_shard(), v);
-    } else {
-      (void)v;
-    }
-  }
+  void record(u64 v) { record_on(obs_this_shard(), v); }
 
   void record_on(u32 core, u64 v) {
-    if constexpr (kMetricsEnabled) {
-      Shard& s = shards_[core % kHistogramShards];
-      s.buckets[bucket_of(v)].fetch_add(1, std::memory_order_relaxed);
-      s.count.fetch_add(1, std::memory_order_relaxed);
-      s.sum.fetch_add(v, std::memory_order_relaxed);
-    } else {
-      (void)core;
-      (void)v;
-    }
+    Shard& s = shards_[core % kHistogramShards];
+    s.buckets[bucket_of(v)].fetch_add(1, std::memory_order_relaxed);
+    s.count.fetch_add(1, std::memory_order_relaxed);
+    s.sum.fetch_add(v, std::memory_order_relaxed);
   }
 
   HistogramSnapshot snapshot() const;
@@ -100,7 +89,7 @@ class Histogram {
   };
 
   const std::string name_;
-  std::array<Shard, kMetricsEnabled ? kHistogramShards : 1> shards_;
+  std::array<Shard, kHistogramShards> shards_;
 };
 
 // Merged view of a histogram at one instant. count and sum are exact (each

@@ -15,10 +15,6 @@
 namespace vnros {
 namespace {
 
-// With the metrics substrate compiled out, every obs invariant holds
-// vacuously (all reads are the constant 0); the VCs still register so the
-// VNROS_METRICS=OFF build exercises the same registration path.
-
 // Counter reads are monotone while writers only add: a sampler thread that
 // repeatedly merges the shards must never observe the value decrease, and
 // after all writers join the merge must equal the exact total.
@@ -56,7 +52,7 @@ VcOutcome check_counter_monotonic() {
   if (violated.load()) {
     return VcOutcome::fail("merged counter value decreased under concurrent adds");
   }
-  u64 expect = kMetricsEnabled ? kWriters * kAddsPerWriter : 0;
+  u64 expect = kWriters * kAddsPerWriter;
   if (c.value() != expect) {
     std::ostringstream os;
     os << "after quiesce: value=" << c.value() << " expected=" << expect;
@@ -75,9 +71,6 @@ VcOutcome check_counter_merge_exact() {
   for (u32 core = 0; core < 2 * kCounterShards; ++core) {
     c.add_on(core, core + 1);
     expect += core + 1;
-  }
-  if (!kMetricsEnabled) {
-    expect = 0;
   }
   if (c.value() != expect) {
     std::ostringstream os;
@@ -156,7 +149,7 @@ VcOutcome check_histogram_conservation() {
     t.join();
   }
   HistogramSnapshot snap = h.snapshot();
-  u64 expect_count = kMetricsEnabled ? kRecorders * kPerRecorder : 0;
+  u64 expect_count = kRecorders * kPerRecorder;
   if (snap.count != expect_count) {
     std::ostringstream os;
     os << "count=" << snap.count << " expected=" << expect_count;
@@ -173,7 +166,7 @@ VcOutcome check_histogram_conservation() {
       expect_sum += x >> (x % 64);
     }
   }
-  if (kMetricsEnabled && snap.sum != expect_sum) {
+  if (snap.sum != expect_sum) {
     std::ostringstream os;
     os << "sum=" << snap.sum << " expected=" << expect_sum;
     return VcOutcome::fail(os.str());
@@ -195,9 +188,6 @@ VcOutcome check_histogram_conservation() {
 // commit in LIFO order (inner end <= outer end, inner begin >= outer begin).
 VcOutcome check_span_well_nested() {
   SpanTracer tracer;
-  if (!kMetricsEnabled) {
-    return VcOutcome::pass();
-  }
   tracer.set_enabled(true);
   u32 outer = tracer.intern_site("vc/outer");
   u32 mid = tracer.intern_site("vc/mid");
@@ -248,9 +238,6 @@ VcOutcome check_span_well_nested() {
 // order, and with the tracer on virtual time the recorded trace is a pure
 // function of the clock sequence (replayable bit-identically from a seed).
 VcOutcome check_span_timestamps_monotone() {
-  if (!kMetricsEnabled) {
-    return VcOutcome::pass();
-  }
   auto run = [](std::vector<SpanEvent>& out) {
     SpanTracer tracer;
     tracer.set_enabled(true);

@@ -17,14 +17,12 @@ u32 obs_this_shard() {
 
 HistogramSnapshot Histogram::snapshot() const {
   HistogramSnapshot snap;
-  if constexpr (kMetricsEnabled) {
-    for (const Shard& s : shards_) {
-      for (u32 b = 0; b < kNumBuckets; ++b) {
-        snap.buckets[b] += s.buckets[b].load(std::memory_order_relaxed);
-      }
-      snap.count += s.count.load(std::memory_order_relaxed);
-      snap.sum += s.sum.load(std::memory_order_relaxed);
+  for (const Shard& s : shards_) {
+    for (u32 b = 0; b < kNumBuckets; ++b) {
+      snap.buckets[b] += s.buckets[b].load(std::memory_order_relaxed);
     }
+    snap.count += s.count.load(std::memory_order_relaxed);
+    snap.sum += s.sum.load(std::memory_order_relaxed);
   }
   return snap;
 }
@@ -79,15 +77,11 @@ std::string SpanTracer::site_name(u32 id) const {
 }
 
 void SpanTracer::point(u32 site) {
-  if constexpr (kMetricsEnabled) {
-    if (!enabled()) {
-      return;
-    }
-    u64 t = timestamp();
-    commit(SpanEvent{site, obs_this_shard(), 0, t, t});
-  } else {
-    (void)site;
+  if (!enabled()) {
+    return;
   }
+  u64 t = timestamp();
+  commit(SpanEvent{site, obs_this_shard(), 0, t, t});
 }
 
 void SpanTracer::commit(const SpanEvent& ev) {

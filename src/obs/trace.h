@@ -15,8 +15,7 @@
 // executably (obs/span_* VCs).
 //
 // The tracer is disarmed by default: a SpanScope at a disarmed site costs
-// exactly one relaxed load (the acceptance bar for instrumenting hot paths),
-// and with VNROS_METRICS off it costs nothing at all.
+// exactly one relaxed load (the acceptance bar for instrumenting hot paths).
 #ifndef VNROS_SRC_OBS_TRACE_H_
 #define VNROS_SRC_OBS_TRACE_H_
 
@@ -101,7 +100,7 @@ class SpanTracer {
   mutable std::atomic<u64> seq_{0};
   std::atomic<u64> recorded_{0};
   std::atomic<u64> dropped_{0};
-  std::array<Shard, kMetricsEnabled ? kHistogramShards : 1> shards_;
+  std::array<Shard, kHistogramShards> shards_;
 
   mutable std::mutex sites_mu_;
   std::map<std::string, u32, std::less<>> site_ids_;
@@ -110,30 +109,23 @@ class SpanTracer {
 
 // RAII span: stamps begin at construction, commits {begin, end, depth} at
 // destruction. Inert (one relaxed load total) when the tracer is disarmed at
-// construction; nothing at all when VNROS_METRICS is off.
+// construction.
 class SpanScope {
  public:
   SpanScope(SpanTracer& tracer, u32 site) {
-    if constexpr (kMetricsEnabled) {
-      if (tracer.enabled()) {
-        tracer_ = &tracer;
-        site_ = site;
-        depth_ = depth_tls()++;
-        begin_ = tracer.timestamp();
-      }
-    } else {
-      (void)tracer;
-      (void)site;
+    if (tracer.enabled()) {
+      tracer_ = &tracer;
+      site_ = site;
+      depth_ = depth_tls()++;
+      begin_ = tracer.timestamp();
     }
   }
 
   ~SpanScope() {
-    if constexpr (kMetricsEnabled) {
-      if (tracer_ != nullptr) {
-        --depth_tls();
-        tracer_->commit(
-            SpanEvent{site_, obs_this_shard(), depth_, begin_, tracer_->timestamp()});
-      }
+    if (tracer_ != nullptr) {
+      --depth_tls();
+      tracer_->commit(
+          SpanEvent{site_, obs_this_shard(), depth_, begin_, tracer_->timestamp()});
     }
   }
 

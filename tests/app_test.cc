@@ -1045,7 +1045,7 @@ TEST(BlockStoreClientCoreTest, EachBlockingOpRecordsOneRpcSpan) {
     rpc_spans += ev.site == rpc_site ? 1 : 0;
   }
   EXPECT_EQ(tracer.dropped(), 0u);
-  EXPECT_EQ(rpc_spans, kMetricsEnabled ? 6u : 0u);
+  EXPECT_EQ(rpc_spans, 6u);
   tracer.clear();
 }
 

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "src/base/rng.h"
-#include "src/obs/counter.h"
 #include "src/hw/topology.h"
 #include "src/nr/baselines.h"
 #include "src/nr/log.h"
@@ -204,13 +203,11 @@ TEST(NodeReplicatedTest, WaitWindowBatchesUnderContention) {
   }
   auto token = nr.register_thread(0);
   EXPECT_EQ(nr.execute(token, CounterDs::ReadOp{}), u64{kThreads} * kOps);
-  if (kMetricsEnabled) {
-    auto s = nr.stats_snapshot();
-    EXPECT_EQ(s.combined_ops, u64{kThreads} * kOps);
-    EXPECT_LT(s.combines, s.combined_ops) << "no session ever batched more than one op";
-    EXPECT_GT(s.batch_p99, 1u) << "wait window never formed a multi-op batch";
-    EXPECT_GT(s.handoff_ops, 0u) << "no parked announcer was ever drained by a combiner";
-  }
+  auto s = nr.stats_snapshot();
+  EXPECT_EQ(s.combined_ops, u64{kThreads} * kOps);
+  EXPECT_LT(s.combines, s.combined_ops) << "no session ever batched more than one op";
+  EXPECT_GT(s.batch_p99, 1u) << "wait window never formed a multi-op batch";
+  EXPECT_GT(s.handoff_ops, 0u) << "no parked announcer was ever drained by a combiner";
 }
 
 // Deterministic handoff: a parked announcer's op completes without that
@@ -268,13 +265,11 @@ TEST(NodeReplicatedTest, HandoffCompletesParkedOpWithoutLock) {
   b.join();
 
   EXPECT_EQ(nr.execute(tok_a, GateDs::ReadOp{}), 3u);
-  if (kMetricsEnabled) {
-    auto s = nr.stats_snapshot();
-    EXPECT_EQ(s.combined_ops, 2u);
-    // Exactly one op (B's) was applied by a session it did not own. A's op
-    // cannot be a handoff: A held the combiner lock for its own session.
-    EXPECT_EQ(s.handoff_ops, 1u);
-  }
+  auto s = nr.stats_snapshot();
+  EXPECT_EQ(s.combined_ops, 2u);
+  // Exactly one op (B's) was applied by a session it did not own. A's op
+  // cannot be a handoff: A held the combiner lock for its own session.
+  EXPECT_EQ(s.handoff_ops, 1u);
 }
 
 // --- Baselines ---------------------------------------------------------------------------

@@ -23,15 +23,11 @@ TEST(CounterTest, MergesAcrossCores) {
   for (u32 core = 0; core < 2 * kCounterShards; ++core) {
     c.add_on(core, core + 1);
   }
-  if constexpr (kMetricsEnabled) {
-    u64 expect = 0;
-    for (u32 core = 0; core < 2 * kCounterShards; ++core) {
-      expect += core + 1;
-    }
-    EXPECT_EQ(c.value(), expect);
-  } else {
-    EXPECT_EQ(c.value(), 0u);
+  u64 expect = 0;
+  for (u32 core = 0; core < 2 * kCounterShards; ++core) {
+    expect += core + 1;
   }
+  EXPECT_EQ(c.value(), expect);
 }
 
 TEST(CounterTest, ConcurrentAddsConserveTotal) {
@@ -50,13 +46,10 @@ TEST(CounterTest, ConcurrentAddsConserveTotal) {
   for (auto& w : workers) {
     w.join();
   }
-  EXPECT_EQ(c.value(), kMetricsEnabled ? kThreads * kPerThread : 0u);
+  EXPECT_EQ(c.value(), kThreads * kPerThread);
 }
 
 TEST(HistogramTest, BucketBoundaries) {
-  if constexpr (!kMetricsEnabled) {
-    GTEST_SKIP() << "metrics compiled out";
-  }
   // Sub-linear region: one bucket per value below kSub.
   EXPECT_EQ(Histogram::bucket_of(0), 0u);
   EXPECT_EQ(Histogram::bucket_of(1), 1u);
@@ -84,24 +77,17 @@ TEST(HistogramTest, SnapshotConservesCountAndSum) {
     expect_sum += core * 37 + 1;
   }
   HistogramSnapshot snap = h.snapshot();
-  if constexpr (kMetricsEnabled) {
-    EXPECT_EQ(snap.count, expect_count);
-    EXPECT_EQ(snap.sum, expect_sum);
-    u64 bucket_total = 0;
-    for (u64 b : snap.buckets) {
-      bucket_total += b;
-    }
-    EXPECT_EQ(bucket_total, expect_count);
-    EXPECT_GT(snap.percentile(50.0), 0u);
-  } else {
-    EXPECT_EQ(snap.count, 0u);
+  EXPECT_EQ(snap.count, expect_count);
+  EXPECT_EQ(snap.sum, expect_sum);
+  u64 bucket_total = 0;
+  for (u64 b : snap.buckets) {
+    bucket_total += b;
   }
+  EXPECT_EQ(bucket_total, expect_count);
+  EXPECT_GT(snap.percentile(50.0), 0u);
 }
 
 TEST(SpanTracerTest, NestedScopesCommitInnerFirst) {
-  if constexpr (!kMetricsEnabled) {
-    GTEST_SKIP() << "metrics compiled out";
-  }
   SpanTracer& tracer = ObsRegistry::global().tracer();
   tracer.clear();
   tracer.set_enabled(true);
@@ -175,19 +161,11 @@ TEST(ObsRegistryTest, JsonRollsUpInstancesPerFamily) {
     usize at = json.find("\"" + family + "\":{");
     return at == std::string::npos ? std::string() : json.substr(at, json.find('}', at) - at + 1);
   };
-  const u64 on = kMetricsEnabled ? 1 : 0;
-  EXPECT_EQ(entry("famtest/ops"), "\"famtest/ops\":{\"sum\":" + std::to_string(8 * on) +
-                                      ",\"max\":" + std::to_string(5 * on) +
-                                      ",\"instances\":2}");
-  EXPECT_EQ(entry("famtest7/ops"), "\"famtest7/ops\":{\"sum\":" + std::to_string(11 * on) +
-                                       ",\"max\":" + std::to_string(11 * on) +
-                                       ",\"instances\":1}");
+  EXPECT_EQ(entry("famtest/ops"), "\"famtest/ops\":{\"sum\":8,\"max\":5,\"instances\":2}");
+  EXPECT_EQ(entry("famtest7/ops"), "\"famtest7/ops\":{\"sum\":11,\"max\":11,\"instances\":1}");
   EXPECT_NE(entry("famtest01/ops"), "");
   std::string lat = entry("famtest/lat");
-  EXPECT_NE(lat.find("\"count\":" + std::to_string(3 * on) + ",\"sum\":" +
-                     std::to_string(102 * on) + ","),
-            std::string::npos)
-      << lat;
+  EXPECT_NE(lat.find("\"count\":3,\"sum\":102,"), std::string::npos) << lat;
   EXPECT_NE(lat.find("\"instances\":2}"), std::string::npos) << lat;
   EXPECT_EQ(json.find(p0), std::string::npos);
   EXPECT_EQ(json.find(p1), std::string::npos);
@@ -205,14 +183,12 @@ TEST(KstatTest, ReadsKernelCountersThroughSyscall) {
   }
   EXPECT_EQ(sys.kstat("bogus/name").error(), ErrorCode::kNotFound);
 
-  if constexpr (kMetricsEnabled) {
-    auto pre = sys.kstat("fs/fsyncs");
-    ASSERT_TRUE(pre.ok());
-    ASSERT_TRUE(sys.fsync().ok());
-    auto post = sys.kstat("fs/fsyncs");
-    ASSERT_TRUE(post.ok());
-    EXPECT_GE(post.value(), pre.value() + 1);
-  }
+  auto pre = sys.kstat("fs/fsyncs");
+  ASSERT_TRUE(pre.ok());
+  ASSERT_TRUE(sys.fsync().ok());
+  auto post = sys.kstat("fs/fsyncs");
+  ASSERT_TRUE(post.ok());
+  EXPECT_GE(post.value(), pre.value() + 1);
 }
 
 TEST(KstatTest, NameTableIsTheAbi) {
@@ -239,9 +215,6 @@ TEST(KstatTest, NameTableIsTheAbi) {
 }
 
 TEST(KstatTest, RingCountersTrackSubmissionAndCompletion) {
-  if constexpr (!kMetricsEnabled) {
-    GTEST_SKIP() << "counters compiled out";
-  }
   Machine machine;
   Sys& sys = machine.sys;
 

@@ -17,7 +17,6 @@
 #include "src/kernel/machine.h"
 #include "src/kernel/ring.h"
 #include "src/kernel/syscall.h"
-#include "src/obs/counter.h"
 
 namespace vnros {
 namespace {
@@ -73,9 +72,7 @@ TEST_F(RingSysTest, SqFullReturnsTypedWouldBlock) {
   auto r = sys.ring_submit(ring.value(), std::span<const RingSqe>(&extra, 1));
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.error(), ErrorCode::kWouldBlock);
-  if (kMetricsEnabled) {
-    EXPECT_EQ(kernel.rings().sq_full(), sq_full_before + 1);
-  }
+  EXPECT_EQ(kernel.rings().sq_full(), sq_full_before + 1);
 }
 
 TEST_F(RingSysTest, PartialPrefixAcceptedWhenSqFillsMidBatch) {
@@ -104,9 +101,7 @@ TEST_F(RingSysTest, CqOverflowIsAccountedAndLossFree) {
   }
   u64 overflows_before = kernel.rings().cq_overflows();
   ASSERT_EQ(sys.ring_submit(ring.value(), batch).value(), 4u);
-  if (kMetricsEnabled) {
-    EXPECT_EQ(kernel.rings().cq_overflows(), overflows_before + 2);
-  }
+  EXPECT_EQ(kernel.rings().cq_overflows(), overflows_before + 2);
   // No completion is lost and FIFO order survives the spill.
   auto cqes = sys.ring_wait(ring.value(), 0, 16);
   ASSERT_TRUE(cqes.ok());
@@ -390,9 +385,7 @@ TEST_F(RingSysTest, ParkedOpsRunAgainOnlyWhenTheirSocketSignals) {
   ASSERT_TRUE(cqes.ok());
   ASSERT_EQ(cqes.value().size(), 1u);
   EXPECT_EQ(cqes.value()[0].user_data, 501u);
-  if (kMetricsEnabled) {
-    EXPECT_EQ(kernel.rings().parked_reexecs(), before + 1);
-  }
+  EXPECT_EQ(kernel.rings().parked_reexecs(), before + 1);
   EXPECT_EQ(kernel.rings().in_flight(pid, ring.value()), kSockets - 1);
 }
 
