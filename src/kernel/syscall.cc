@@ -27,7 +27,23 @@ SyscallDispatcher::ProcState& SyscallDispatcher::proc_state(Pid pid) {
   return *it->second;
 }
 
-void SyscallDispatcher::destroy_process_state(Pid pid) {
+void SyscallDispatcher::destroy_process_state(Pid pid, CoreId core) {
+  // Every descriptor closes as close would: ports unbind, listeners stop
+  // listening, streams close and pipe ends drop, and ops parked on a socket
+  // complete with kBadFd. Then the table and the rings go.
+  std::vector<Fd> open;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = procs_.find(pid);
+    if (it != procs_.end()) {
+      for (const auto& entry : it->second->fds) {
+        open.push_back(entry.first);
+      }
+    }
+  }
+  for (Fd fd : open) {
+    (void)close_fd(SysCtx{pid, core, nullptr}, fd, /*vtp_only=*/false);
+  }
   {
     std::lock_guard<std::mutex> lock(mu_);
     procs_.erase(pid);
@@ -493,7 +509,7 @@ template <>
 Result<Unit> SyscallDispatcher::run<SysNr::kExit>(const SysCtx& c, SysArgs<SysNr::kExit>& a) {
   auto r = kernel_.procs().exit(proc_token(c.core), c.pid, static_cast<i32>(std::get<0>(a)));
   if (r.ok()) {
-    destroy_process_state(c.pid);
+    destroy_process_state(c.pid, c.core);
   }
   return r;
 }
@@ -504,7 +520,7 @@ Result<Unit> SyscallDispatcher::run<SysNr::kKill>(const SysCtx& c, SysArgs<SysNr
   const auto& [target, signal] = a;
   auto r = kernel_.procs().kill(proc_token(c.core), target, signal);
   if (r.ok() && signal == kSigKill) {
-    destroy_process_state(target);
+    destroy_process_state(target, c.core);
   }
   return r;
 }

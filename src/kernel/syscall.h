@@ -319,8 +319,10 @@ class SyscallDispatcher {
   // Abstract view for refinement checks.
   SysAbsState view(Pid pid) const;
 
-  // Tears down a process's syscall state (fds) — called on exit.
-  void destroy_process_state(Pid pid);
+  // Tears down a process's syscall state on exit or SIGKILL: closes every
+  // fd through close_fd, then drops the fd table and the process's rings.
+  // `core` is the core the exit or kill runs on.
+  void destroy_process_state(Pid pid, CoreId core);
 
  private:
   struct ProcState {
