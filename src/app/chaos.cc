@@ -26,6 +26,20 @@ namespace vnros {
 namespace {
 
 constexpr u64 kDiskSectors = 16384;
+constexpr usize kMaxValueBytes = 400;
+
+// Per-step event probabilities, parts-per-million.
+constexpr u64 kCrashPpm = 20'000;         // crash + reboot a random node
+constexpr u64 kHealPpm = 40'000;          // heal a random active cut
+constexpr u64 kDiskFaultPpm = 30'000;     // arm a one-shot disk fault on a random node
+constexpr u64 kTornWritePpm = 10'000;     // arm a one-shot torn write on a random node
+constexpr u64 kSyscallFaultPpm = 15'000;  // arm one-shot syscall kIoError injection
+constexpr u64 kOomPpm = 8'000;            // arm one-shot frame-allocator OOM + probe it
+
+// Crash severity: chance each unflushed sector survives, and chance a
+// surviving unflushed sector is torn to a prefix.
+constexpr u64 kPersistPpm = 500'000;
+constexpr u64 kTornCrashPpm = 150'000;
 
 // Member i's fault sites: its disk's under "chaos/disk<i>" and its node's
 // serve_delay under "chaos/node<i>".
@@ -239,7 +253,7 @@ class ChaosRunner {
         }
       }
     }
-    if (sched_rng_.chance_ppm(cfg_.crash_ppm)) {
+    if (sched_rng_.chance_ppm(kCrashPpm)) {
       crash_node(pick_active(), step);
       if (!report_.message.empty()) {
         return;
@@ -256,7 +270,7 @@ class ChaosRunner {
         ++report_.partitions;
       }
     }
-    if (!cuts_.empty() && sched_rng_.chance_ppm(cfg_.heal_ppm)) {
+    if (!cuts_.empty() && sched_rng_.chance_ppm(kHealPpm)) {
       usize idx = sched_rng_.next_below(cuts_.size());
       rig_->net().heal(cuts_[idx].first, cuts_[idx].second);
       cuts_.erase(cuts_.begin() + static_cast<isize>(idx));
@@ -265,17 +279,17 @@ class ChaosRunner {
     FaultSpec one_shot;
     one_shot.probability_ppm = 1'000'000;
     one_shot.one_shot = true;
-    if (sched_rng_.chance_ppm(cfg_.disk_fault_ppm)) {
+    if (sched_rng_.chance_ppm(kDiskFaultPpm)) {
       const usize i = pick_active();
       const char* kind = sched_rng_.chance_ppm(500'000) ? "/write_error" : "/read_error";
       reg.arm(disk_prefix(i) + kind, one_shot);
       ++report_.faults_armed;
     }
-    if (sched_rng_.chance_ppm(cfg_.torn_write_ppm)) {
+    if (sched_rng_.chance_ppm(kTornWritePpm)) {
       reg.arm(disk_prefix(pick_active()) + "/torn_write", one_shot);
       ++report_.faults_armed;
     }
-    if (sched_rng_.chance_ppm(cfg_.syscall_fault_ppm)) {
+    if (sched_rng_.chance_ppm(kSyscallFaultPpm)) {
       reg.arm("syscall/io_error", one_shot);
       ++report_.faults_armed;
     }
@@ -295,7 +309,7 @@ class ChaosRunner {
       reg.arm("syscall/ring_complete", one_shot);
       ++report_.faults_armed;
     }
-    if (sched_rng_.chance_ppm(cfg_.oom_ppm)) {
+    if (sched_rng_.chance_ppm(kOomPpm)) {
       reg.arm("frame_alloc/oom", one_shot);
       ++report_.faults_armed;
       // Steady-state block-store traffic allocates no frames, so probe the
@@ -505,7 +519,7 @@ class ChaosRunner {
     // Power loss: unflushed sectors survive (or tear) by the crash dice,
     // then the member reboots at its address; an unrecoverable journal is
     // re-formatted by the kernel's fallback.
-    rig_->disk(i).crash(cfg_.persist_ppm, cfg_.torn_crash_ppm);
+    rig_->disk(i).crash(kPersistPpm, kTornCrashPpm);
     const bool recoverable = rig_->reboot(i);
     equip(i);
 
@@ -606,7 +620,7 @@ class ChaosRunner {
     const u64 put_cut = cfg_.del_heavy ? 5 : 6;
     const u64 get_cut = cfg_.del_heavy ? 8 : 9;
     if (kind < put_cut) {
-      std::vector<u8> value(sched_rng_.next_range(1, cfg_.max_value_bytes));
+      std::vector<u8> value(sched_rng_.next_range(1, kMaxValueBytes));
       for (auto& b : value) {
         b = static_cast<u8>(sched_rng_.next_u64());
       }

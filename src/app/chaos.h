@@ -69,22 +69,12 @@ struct ChaosConfig {
   usize nodes = 3;            // block-store replicas (>= 2 for repair paths)
   usize steps = 250;          // schedule steps (each is one client op + events)
   usize keys = 10;            // key universe (small: forces overwrite churn)
-  usize max_value_bytes = 400;
   usize check_every = 50;     // quiesce + invariant check cadence
 
-  // Per-step event probabilities, parts-per-million.
-  u64 crash_ppm = 20'000;          // crash + reboot a random node
-  u64 partition_ppm = 25'000;      // cut a random (node|client, node) pair
-  u64 heal_ppm = 40'000;           // heal a random active cut
-  u64 disk_fault_ppm = 30'000;     // arm a one-shot disk fault on a random node
-  u64 torn_write_ppm = 10'000;     // arm a one-shot torn write on a random node
-  u64 syscall_fault_ppm = 15'000;  // arm one-shot syscall kIoError injection
-  u64 oom_ppm = 8'000;             // arm one-shot frame-allocator OOM + probe it
-
-  // Crash severity: chance each unflushed sector survives, and chance a
-  // surviving unflushed sector is torn to a prefix.
-  u64 persist_ppm = 500'000;
-  u64 torn_crash_ppm = 150'000;
+  // Per-step partition probability, parts-per-million. The other base
+  // schedule rates, the value size bound and the crash severity are the
+  // same in every preset: constants in chaos.cc.
+  u64 partition_ppm = 25'000;  // cut a random (node|client, node) pair
 
   // --- Placement and membership churn --------------------------------------
   // The `nodes` initial members form one consistent-hash ring

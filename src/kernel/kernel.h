@@ -38,10 +38,13 @@
 
 namespace vnros {
 
+// Every kernel runs on the same simulated machine: 4 cores in 2 NUMA nodes
+// and 32 MiB of physical memory.
+inline constexpr u32 kKernelCores = 4;
+inline constexpr u32 kKernelCoresPerNode = 2;
+inline constexpr u64 kKernelPhysFrames = 8192;
+
 struct KernelConfig {
-  u32 cores = 4;
-  u32 cores_per_node = 2;
-  u64 phys_frames = 8192;     // 32 MiB
   u64 disk_sectors = 16384;   // 8 MiB
   Network* network = nullptr; // attach to a shared fabric (multi-host setups)
   BlockDevice* disk = nullptr;  // attach an existing disk (reboot scenarios)
@@ -57,8 +60,8 @@ struct KernelConfig {
 class Kernel {
  public:
   explicit Kernel(KernelConfig config = {})
-      : topo_(config.cores, config.cores_per_node),
-        mem_(config.phys_frames),
+      : topo_(kKernelCores, kKernelCoresPerNode),
+        mem_(kKernelPhysFrames),
         mmu_(mem_),
         tlbs_(topo_),
         owned_disk_(config.disk == nullptr ? std::make_unique<BlockDevice>(config.disk_sectors)
@@ -67,7 +70,6 @@ class Kernel {
         frames_(mem_, topo_),
         sched_(topo_),
         procs_(mem_, frames_, topo_),
-        irq_(config.cores),
         owned_net_(config.network == nullptr ? std::make_unique<Network>() : nullptr),
         net_(config.network != nullptr ? *config.network : *owned_net_),
         nic_(config.link_addr ? net_.attach_at(*config.link_addr) : net_.attach()),
@@ -97,7 +99,6 @@ class Kernel {
   SimFutex& simfutex() { return *simfutex_; }
   SysRingTable& rings() { return *rings_; }
   VirtualClock& clock() { return clock_; }
-  InterruptController& irq() { return irq_; }
   SerialConsole& console() { return console_; }
   Network& network() { return net_; }
   NetDevice& nic() { return nic_; }
@@ -150,7 +151,6 @@ class Kernel {
   std::unique_ptr<SimFutex> simfutex_;
   std::unique_ptr<SysRingTable> rings_;
   VirtualClock clock_;
-  InterruptController irq_;
   SerialConsole console_;
   std::unique_ptr<Network> owned_net_;
   Network& net_;

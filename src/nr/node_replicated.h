@@ -65,9 +65,12 @@ struct ThreadToken {
   CoreId core = 0;
 };
 
+// Flat-combining slots per replica: at most this many threads register with
+// one replica.
+inline constexpr usize kMaxThreadsPerReplica = 64;
+
 struct NrConfig {
   NrLogShard shard;                      // which log this instance appends to
-  usize max_threads_per_replica = 64;
   usize max_combiner_batch = 0;          // 0 = unbounded (ablation knob)
   bool batched_publish = true;           // false = per-entry release stores (ablation knob)
   // Combiner wait window: how many polls of the pending counter a fresh
@@ -117,7 +120,7 @@ class NodeReplicated {
         h_wait_spins_(ObsRegistry::global().histogram(obs_prefix_ + "wait_spins")),
         span_combine_(ObsRegistry::global().tracer().intern_site("nr/combine")) {
     for (u32 n = 0; n < topo.num_nodes(); ++n) {
-      replicas_.emplace_back(initial, config.max_threads_per_replica);
+      replicas_.emplace_back(initial, kMaxThreadsPerReplica);
     }
   }
 
@@ -133,7 +136,7 @@ class NodeReplicated {
     // total order (registration is cold; the fence costs nothing that
     // matters).
     usize slot = r.registered.fetch_add(1, std::memory_order_seq_cst);
-    VNROS_CHECK(slot < config_.max_threads_per_replica);
+    VNROS_CHECK(slot < kMaxThreadsPerReplica);
     if (slot == 0) {
       // Node activation. Serialize with help()'s passive skip-forward (which
       // checks `registered` under the same combiner lock), then insist this
@@ -278,7 +281,7 @@ class NodeReplicated {
     // combiner's monotone count of ops taken into batches) it bounds the
     // combiner's slot scan: `pending - collected` ops are waiting, so the
     // scan stops after finding that many pending slots instead of sweeping
-    // all max_threads_per_replica slots every session. Announcers pay one
+    // all kMaxThreadsPerReplica slots every session. Announcers pay one
     // relaxed fetch_add; the combiner only ever loads it.
     std::atomic<usize> pending{0};
     // Fields below are only touched under the combiner lock.
