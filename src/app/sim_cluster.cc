@@ -8,6 +8,14 @@
 #include "src/kernel/fs.h"
 
 namespace vnros {
+namespace {
+
+// Recovery probes per reboot: one more than a device's one-shot fault sites
+// (read error, write error, torn write, bit rot), each of which fails at
+// most one attempt.
+constexpr int kRecoverAttempts = 5;
+
+}  // namespace
 
 SimCluster::SimCluster(usize members, usize replication, FabricConfig fabric, SpecFn spec)
     : net_(fabric), spec_(std::move(spec)) {
@@ -81,8 +89,16 @@ bool SimCluster::reboot(usize i) {
   m.machine.reset();
   // Probe first, so the caller learns whether the kernel's format fallback
   // engages. The probe is idempotent: recover() re-checkpoints, so the
-  // kernel's own recovery then finds the same state.
-  const bool recovered = MemFs::recover(*m.disk).ok();
+  // kernel's own recovery then finds the same state. A one-shot device
+  // fault left armed across the crash fails one attempt (kIoError, or
+  // kCorrupted when a rotted read breaks a checksum) and is spent by it, so
+  // the probe is retried, as boot_node retries init: only a journal whose
+  // recovery still fails counts as unrecoverable.
+  auto probe = MemFs::recover(*m.disk);
+  for (int attempt = 1; attempt < kRecoverAttempts && !probe.ok(); ++attempt) {
+    probe = MemFs::recover(*m.disk);
+  }
+  const bool recovered = probe.ok();
   boot_machine(i, /*recover=*/true);
   boot_node(i);
   return recovered;
